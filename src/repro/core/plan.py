@@ -400,7 +400,7 @@ class Plan:
             workspace = 0.0
             s_calls = self._step_calls(step, env)
             for call in s_calls:
-                workspace += transient_bytes(call.primitive, call.shape)  # streaming, no nnz×k blowup
+                workspace += transient_bytes(call.primitive, call.shape)
             out_bytes = self._value_bytes(step.out_desc, env)
             total += out_bytes
             peak = max(peak, total + workspace)

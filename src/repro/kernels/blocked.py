@@ -1,41 +1,49 @@
 """Blocked and thread-parallel execution of the sparse primitives.
 
-The naive g-SpMM/g-SDDMM kernels materialise their full ``(nnz, k)``
-per-edge intermediate in one shot, so their transient footprint is
-O(E·K) and every element round-trips through memory.  The strategies in
-this module instead tile the edge stream into **row blocks** — runs of
+The strategies in this module cut the rows into **row blocks** — runs of
 consecutive CSR rows holding at most ``block_nnz`` edges (a single row
-longer than the budget becomes its own block) — and process one tile at
-a time through a scratch buffer drawn from a
-:class:`~repro.kernels.workspace.WorkspaceArena`.  Peak intermediate
-memory drops to O(block·K) and the tile stays cache-resident, which is
-how DGL/SENSEi-style CPU kernels get their baseline performance.
+longer than the budget becomes its own block) — and fold one block at a
+time, so the slice of the output being written and the edges feeding it
+stay cache-resident.  How a block is folded depends on the semiring
+alone:
+
+- the sum family (``sum``/``mean`` × ``mul``/``copy_rhs``) calls the
+  compiled :func:`~repro.kernels.segment.fold_rows` on the block's row
+  range — no message array exists, tiled or otherwise;
+- ``max``/``min`` and the other ⊗ materialise the block's messages in a
+  scratch tile drawn from a :class:`~repro.kernels.workspace.WorkspaceArena`
+  and reduce them with :func:`~repro.kernels.segment.segment_reduce`;
+  peak intermediate memory is O(block·K) instead of the one-shot
+  kernel's O(E·K).
 
 Two strategies are exposed, mirroring the existing ``row_segment`` /
 ``gather_scatter`` pair so the cost models can price all four:
 
 ``blocked``
-    Sequential tiled execution with a reusable workspace.
+    Sequential execution, block after block, with a reusable workspace.
 ``blocked_parallel``
-    The same tiling fanned out over a thread pool; blocks cover disjoint
+    The same blocks fanned out over a thread pool; blocks cover disjoint
     row ranges so workers write disjoint output slices without locking.
-    NumPy releases the GIL inside the large ufunc calls, so this scales
-    on multi-core hosts.  Thread count comes from ``REPRO_NUM_THREADS``
-    or the ``num_threads`` argument.
+    The compiled fold releases the GIL for the whole block (NumPy does
+    inside its large ufunc calls), so this scales on multi-core hosts.
+    Thread count comes from ``REPRO_NUM_THREADS`` or the ``num_threads``
+    argument.
 
 Block size comes from ``REPRO_BLOCK_NNZ`` (default 32768 edges, i.e. a
 256 KiB float64 tile per feature column budgeted across k).
 
 Determinism
 -----------
-Both tiled strategies are **bitwise deterministic**, and bitwise equal to
+Both strategies are **bitwise deterministic**, and bitwise equal to
 ``row_segment``, for any block size and thread count.  The invariant that
 guarantees this: spans are contiguous row ranges, so every output row's
-reduction happens entirely inside exactly one span, and
-:func:`~repro.kernels.segment.segment_reduce` makes each row's result a
-pure function of that row's messages in CSR edge order — the same
-association the naive kernel uses.  Threads
-never split a row's sum: workers own disjoint row ranges, write disjoint
+reduction happens entirely inside exactly one span, and both folds in
+:mod:`~repro.kernels.segment` make each row's result a pure function of
+that row's edges in CSR order — the compiled fold walks ``indptr[r]`` to
+``indptr[r+1]`` left to right whichever ``indptr`` slice it was handed,
+and ``segment_reduce`` keys its association on the row's length alone.
+``row_segment`` is the one-span case of the same fold.  Threads never
+split a row's sum: workers own disjoint row ranges, write disjoint
 output slices, and draw scratch from per-thread arenas
 (:func:`~repro.kernels.workspace.thread_local_arena`), so neither the
 pool's scheduling order nor ``REPRO_NUM_THREADS`` nor ``REPRO_BLOCK_NNZ``
@@ -54,7 +62,7 @@ import numpy as np
 
 from .. import config
 from ..sparse import CSRMatrix
-from .segment import segment_reduce
+from .segment import fold_rows, folds_compiled, segment_reduce
 from .semiring import Semiring, get_semiring
 from .workspace import WorkspaceArena, thread_local_arena
 
@@ -124,7 +132,7 @@ def max_span_nnz(indptr: np.ndarray, spans: List[Tuple[int, int]]) -> int:
 
 
 def _promote(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64, order="C")
     return x[:, None] if x.ndim == 1 else x
 
 
@@ -141,7 +149,10 @@ def _block_messages(
     view = tile[:bn]
     binary = semiring.binary
     idx = adj.indices[e0:e1]
-    if binary.name == "copy_rhs":
+    # input inspection: an unweighted adjacency's edge values are
+    # implicitly 1.0, and IEEE multiplication by 1.0 is a bitwise
+    # identity — the ⊗ pass can be skipped without changing an output bit
+    if binary.name == "copy_rhs" or (binary.name == "mul" and not adj.is_weighted):
         np.take(x, idx, axis=0, out=view)
         return view
     edge_vals = adj.effective_values()[e0:e1]
@@ -153,18 +164,40 @@ def _block_messages(
     return view
 
 
-def _reduce_block_into(
+def _fold_span(
     adj: CSRMatrix,
-    messages: np.ndarray,
+    x: np.ndarray,
+    semiring: Semiring,
     r0: int,
     r1: int,
     out: np.ndarray,
-    semiring: Semiring,
+    tile: Optional[np.ndarray],
 ) -> None:
+    """Reduce rows [r0, r1) into ``out[r0:r1]`` (before mean finalisation).
+
+    ``tile`` is the message scratch of a NumPy-fold semiring, sized by
+    :func:`max_span_nnz`; the compiled fold does not use one.
+    """
+    if folds_compiled(semiring):
+        fold_rows(adj, x, semiring, r0, r1, out)
+        return
     reduce_op = semiring.reduce
-    identity = 0.0 if reduce_op.is_mean else reduce_op.identity
-    local_indptr = adj.indptr[r0 : r1 + 1] - adj.indptr[r0]
-    out[r0:r1] = segment_reduce(messages, local_indptr, reduce_op.ufunc, identity)
+    e0, e1 = int(adj.indptr[r0]), int(adj.indptr[r1])
+    if e0 == e1:
+        out[r0:r1] = reduce_op.identity
+        return
+    messages = _block_messages(adj, x, semiring, e0, e1, tile)
+    local_indptr = adj.indptr[r0 : r1 + 1] - e0
+    out[r0:r1] = segment_reduce(
+        messages, local_indptr, reduce_op.ufunc, reduce_op.identity
+    )
+
+
+def _tile_nnz(
+    indptr: np.ndarray, spans: List[Tuple[int, int]], semiring: Semiring
+) -> int:
+    """Message-tile capacity the spans need: none under the compiled fold."""
+    return 0 if folds_compiled(semiring) else max_span_nnz(indptr, spans)
 
 
 def _finalize_mean(adj: CSRMatrix, out: np.ndarray, semiring: Semiring) -> np.ndarray:
@@ -181,11 +214,13 @@ def gspmm_blocked(
     block_nnz: Optional[int] = None,
     workspace: Optional[WorkspaceArena] = None,
 ) -> np.ndarray:
-    """Row-block tiled g-SpMM; numerically identical to ``gspmm``.
+    """Row-block g-SpMM; numerically identical to ``gspmm``.
 
-    Peak intermediate memory is one ``(max_span_nnz, k)`` tile drawn from
-    ``workspace`` (a private arena when omitted) instead of the naive
-    kernel's full ``(nnz, k)`` message array.
+    The sum family folds each block with the compiled kernel and needs
+    no scratch; for the other semirings peak intermediate memory is one
+    ``(max_span_nnz, k)`` tile drawn from ``workspace`` (a private arena
+    when omitted) instead of the one-shot kernel's full ``(nnz, k)``
+    message array.
     """
     if semiring is None:
         semiring = get_semiring()
@@ -203,17 +238,11 @@ def gspmm_blocked(
     # per-tile scratch  # lint: allow(raw-alloc-in-kernels)
     out = np.empty((n, k), dtype=np.float64)
     spans = row_block_spans(adj.indptr, block_nnz)
-    cap = max_span_nnz(adj.indptr, spans)
+    cap = _tile_nnz(adj.indptr, spans, semiring)
     try:
         tile = workspace.request((cap, k)) if cap else None
         for r0, r1 in spans:
-            e0, e1 = int(adj.indptr[r0]), int(adj.indptr[r1])
-            if e0 == e1:
-                identity = 0.0 if semiring.reduce.is_mean else semiring.reduce.identity
-                out[r0:r1] = identity
-                continue
-            messages = _block_messages(adj, x, semiring, e0, e1, tile)
-            _reduce_block_into(adj, messages, r0, r1, out, semiring)
+            _fold_span(adj, x, semiring, r0, r1, out, tile)
     except Exception:
         # an exception mid-tile leaves a partially written (or oversized)
         # buffer pooled; release it so the next caller starts clean
@@ -268,19 +297,13 @@ def gspmm_parallel(
     # result buffer, returned to the caller — the arena only owns
     # per-tile scratch  # lint: allow(raw-alloc-in-kernels)
     out = np.empty((n, k), dtype=np.float64)
-    cap = max_span_nnz(adj.indptr, spans)
+    cap = _tile_nnz(adj.indptr, spans, semiring)
 
     def run_span(span: Tuple[int, int]) -> None:
         r0, r1 = span
-        e0, e1 = int(adj.indptr[r0]), int(adj.indptr[r1])
-        if e0 == e1:
-            identity = 0.0 if semiring.reduce.is_mean else semiring.reduce.identity
-            out[r0:r1] = identity
-            return
         try:
-            tile = thread_local_arena().request((cap, k))
-            messages = _block_messages(adj, x, semiring, e0, e1, tile)
-            _reduce_block_into(adj, messages, r0, r1, out, semiring)
+            tile = thread_local_arena().request((cap, k)) if cap else None
+            _fold_span(adj, x, semiring, r0, r1, out, tile)
         except Exception:
             # don't leave this worker's arena holding a poisoned tile
             thread_local_arena().drop_buffers()

@@ -6,10 +6,10 @@ The interpreter executes a selected plan one step at a time through
 round-trips through memory *after* the aggregation itself.  This module
 provides the fused alternative: :func:`gspmm_fused` streams the whole
 SpMM + row-broadcast + element-wise chain through **one pass over the
-CSR row-block tiles**, applying the pre-aggregation scale inside the
-edge gather and the post-aggregation epilogues to each output row-span
-while it is still cache-resident.  No per-step message array, no
-intermediate ``(N, K)`` materialisations, no per-step dispatch.
+CSR row blocks**, applying the pre-aggregation scale ahead of the edge
+gather and the post-aggregation epilogues to each output row-span while
+it is still cache-resident.  No intermediate ``(N, K)``
+materialisations, no per-step dispatch.
 
 Which steps may legally fuse is proven statically by
 :func:`repro.analysis.planlint.fusion_legality` (single-consumer SSA
@@ -29,12 +29,13 @@ step-by-step through ``row_segment`` (or ``blocked``) kernels, for any
   element-for-element the same IEEE products the interpreter's
   ``row_broadcast`` step produces, paying the multiply once per node
   instead of once per edge;
-- row reductions replay exactly the accumulation order of
-  ``segment_reduce`` (the invariant ``tests/test_determinism.py`` pins):
-  the weighted path calls it per span, and the gather-fold fast path
-  (``copy_rhs``, or ``mul`` over an implicitly-ones unweighted
-  adjacency) re-implements the identical fold while fetching operands
-  straight from ``x`` — no message tile at all;
+- each span is reduced by the very function ``blocked`` uses
+  (``repro.kernels.blocked._fold_span``): the compiled
+  :func:`~repro.kernels.segment.fold_rows` for the sum family, a message
+  tile through ``segment_reduce`` for ``max``/``min`` and the other ⊗.
+  Either way a row's result depends on that row's edges alone, never on
+  the span it arrives in (the invariant ``tests/test_determinism.py``
+  pins);
 - epilogues (mean finalisation, output row scaling, unary
   non-linearities) are element-wise, so applying them per row-span is
   bit-identical to applying them to the full output afterwards.
@@ -54,14 +55,13 @@ import numpy as np
 
 from ..sparse import CSRMatrix
 from .blocked import (
-    _BINARY_UFUNCS,
+    _fold_span,
     _promote,
+    _tile_nnz,
     default_block_nnz,
-    max_span_nnz,
     row_block_spans,
 )
 from .dense import elu, leaky_relu, relu, sigmoid
-from .segment import _FOLD_BIG, segment_reduce
 from .semiring import Semiring, get_semiring
 from .workspace import WorkspaceArena
 
@@ -106,60 +106,6 @@ def _apply_epilogues(
             raise ValueError(f"unknown epilogue kind {kind!r}")
 
 
-def _gather_fold(
-    adj: CSRMatrix,
-    x: np.ndarray,
-    ufunc,
-    identity: float,
-    out: np.ndarray,
-    workspace: WorkspaceArena,
-) -> None:
-    """Row-segment fold that gathers straight from ``x`` — no message tile.
-
-    When every message is a plain row of ``x`` (``copy_rhs``, or ``mul``
-    over an implicitly-ones unweighted adjacency), materialising the
-    ``(nnz, k)`` message array — even tiled — is a full write + re-read
-    of the edge volume for nothing.  This fold replays *exactly* the
-    accumulation :func:`~repro.kernels.segment.segment_reduce` performs
-    (same ``_FOLD_BIG`` split, same per-segment ``ufunc.reduce`` for long
-    rows, same lockstep left-to-right fold for short ones), but each
-    operand is fetched as ``x[cols[...]]`` at the moment it is folded.
-    Same values, same order — bitwise-identical output, one less pass
-    over the edges.
-    """
-    indptr, cols = adj.indptr, adj.indices
-    lengths = np.diff(indptr)
-    order = np.argsort(-lengths, kind="stable")
-    ordered_len = lengths[order]
-    ordered_start = np.asarray(indptr[:-1])[order]
-    neg_len = -ordered_len
-    nonempty = int(np.searchsorted(neg_len, 0, side="left"))
-    out[order[nonempty:]] = identity
-    if nonempty == 0:
-        return
-    nbig = int(np.searchsorted(neg_len, -_FOLD_BIG, side="left"))
-    for i in range(nbig):
-        s0 = int(ordered_start[i])
-        out[order[i]] = ufunc.reduce(
-            x[cols[s0 : s0 + int(ordered_len[i])]], axis=0
-        )
-    if nonempty > nbig:
-        acc = workspace.request((nonempty - nbig, x.shape[1]), slot=2)
-        np.take(x, cols[ordered_start[nbig:nonempty]], axis=0, out=acc)
-        s = 1
-        while True:
-            active = int(np.searchsorted(neg_len, -s, side="left"))
-            if active <= nbig:
-                break
-            ufunc(
-                acc[: active - nbig],
-                x[cols[ordered_start[nbig:active] + s]],
-                out=acc[: active - nbig],
-            )
-            s += 1
-        out[order[nbig:nonempty]] = acc
-
-
 def gspmm_fused(
     adj: CSRMatrix,
     x: np.ndarray,
@@ -175,9 +121,9 @@ def gspmm_fused(
     ``gspmm_blocked`` (and is what the bare ``spmm_fused`` strategy
     runs).  With them, it executes a whole compiled plan segment::
 
-        epilogues(segment_reduce(edge ⊗ (pre_scale ⊙ x[cols])))
+        epilogues(fold_rows(edge ⊗ (pre_scale ⊙ x[cols])))
 
-    in one pass over the CSR tiles:
+    in one pass over the CSR row blocks:
 
     - ``pre_scale``: per-source-node vector (the fused form of a
       preceding ``row_broadcast``), materialised once into arena scratch
@@ -230,20 +176,11 @@ def gspmm_fused(
     # result buffer, returned to the caller — the arena only owns
     # per-tile scratch  # lint: allow(raw-alloc-in-kernels, alloc-in-compiled)
     out = np.empty((n, k), dtype=np.float64)
-    reduce_op = semiring.reduce
-    identity = 0.0 if reduce_op.is_mean else reduce_op.identity
     degf = None
-    if reduce_op.is_mean:
+    if semiring.reduce.is_mean:
         degf = np.maximum(adj.row_degrees(), 1).astype(np.float64)
     spans = row_block_spans(adj.indptr, block_nnz)
-    cap = max_span_nnz(adj.indptr, spans)
-    # input inspection: an unweighted adjacency's edge values are
-    # implicitly 1.0, and IEEE multiplication by 1.0 is a bitwise
-    # identity — the ⊗ pass can be skipped without changing a single
-    # output bit (the step-by-step kernels pay it; fusion's win)
-    copies_rhs = binary.name == "copy_rhs" or (
-        binary.name == "mul" and not adj.is_weighted
-    )
+    cap = _tile_nnz(adj.indptr, spans, semiring)
     try:
         if pre_scale is not None and adj.nnz:
             # one multiply per node, not per edge: every edge's message is
@@ -252,42 +189,16 @@ def gspmm_fused(
             scaled = workspace.request((x.shape[0], k), slot=1)
             np.multiply(pre_scale[:, None], x, out=scaled)
             x = scaled
-        if copies_rhs:
-            # every message is a plain row of x, so the reduction gathers
-            # straight from x and the message tile never exists — the
-            # gather is fused *into* the fold
-            _gather_fold(adj, x, reduce_op.ufunc, identity, out, workspace)
-            if degf is not None:
-                out /= degf[:, None]
-            if epilogues:
-                _apply_epilogues(out, 0, n, epilogues)
-            return out
         tile = workspace.request((cap, k)) if cap else None
-        edge_vals = adj.effective_values()
         for r0, r1 in spans:
-            e0, e1 = int(adj.indptr[r0]), int(adj.indptr[r1])
-            if e0 == e1:
-                out[r0:r1] = identity
-            else:
-                bn = e1 - e0
-                view = tile[:bn]
-                idx = adj.indices[e0:e1]
-                if binary.name == "copy_lhs":
-                    view[:] = edge_vals[e0:e1][:, None]
-                else:
-                    ufunc = _BINARY_UFUNCS[binary.name]
-                    ufunc(edge_vals[e0:e1][:, None], x[idx], out=view)
-                local_indptr = adj.indptr[r0 : r1 + 1] - adj.indptr[r0]
-                out[r0:r1] = segment_reduce(
-                    view, local_indptr, reduce_op.ufunc, identity
-                )
+            _fold_span(adj, x, semiring, r0, r1, out, tile)
             span_out = out[r0:r1]
             if degf is not None:
                 span_out /= degf[r0:r1, None]
             if epilogues:
                 _apply_epilogues(span_out, r0, r1, epilogues)
     except Exception:
-        # an exception mid-tile leaves a partially written (or oversized)
+        # an exception mid-span leaves a partially written (or oversized)
         # buffer pooled; release it so a demoted retry starts clean
         workspace.drop_buffers()
         raise

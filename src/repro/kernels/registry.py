@@ -174,22 +174,24 @@ def get_primitive(name: str) -> Primitive:
 # Transient-memory model
 # ----------------------------------------------------------------------
 # Per-call scratch footprint beyond inputs and the output, in bytes.
-# This substrate's SpMM/SDDMM materialise per-edge messages; the fused
-# attention kernel streams and notably does not (part of fusion's
-# appeal).  Used by plan peak-memory estimates and the execution
-# memory budget.
+# Plans only ever aggregate over the sum family, whose compiled row fold
+# (kernels.segment.fold_rows) accumulates straight into the output: a
+# weighted SpMM allocates nothing, a pattern-only one folds with the
+# matrix's memoised all-ones weight vector.  SDDMM still materialises
+# per-edge operands; the fused attention kernel streams and notably
+# does not (part of fusion's appeal).  Used by plan peak-memory
+# estimates and the execution memory budget.
 _TRANSIENT_BYTES: Dict[str, Callable[[Mapping[str, float]], float]] = {
-    "spmm": lambda s: 8.0 * s["nnz"] * s.get("k", 1),
-    "spmm_unweighted": lambda s: 8.0 * s["nnz"] * s.get("k", 1),
+    "spmm_unweighted": lambda s: 8.0 * s["nnz"],
     # sharded: shared segments for CSR (indptr+indices+values) plus the
     # dense operand and output copies — resident in /dev/shm, not heap,
     # but budgeted all the same.
     "spmm_sharded": lambda s: (
         24.0 * s["nnz"] + 16.0 * s["m"] * s.get("k", 1) + 8.0 * s["m"]
     ),
-    # fused: at most two bounded workspace tiles (message + gather
-    # staging), never an O(E·K) message array
-    "spmm_fused": lambda s: 16.0 * min(s["nnz"], 32768.0) * s.get("k", 1),
+    # fused: the pre-scaled copy of the dense operand, one multiply per
+    # source node, staged in the arena ahead of the fold
+    "spmm_fused": lambda s: 8.0 * s["m"] * s.get("k", 1),
     "sddmm": lambda s: 8.0 * s["nnz"] * s.get("k", 1),
     "gsddmm_attn": lambda s: 16.0 * s["nnz"],
     "edge_softmax": lambda s: 16.0 * s["nnz"],

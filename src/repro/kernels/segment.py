@@ -1,43 +1,122 @@
-"""Segmented reductions over CSR row boundaries.
+"""Row folds over CSR row boundaries: the seam every SpMM strategy shares.
 
-Every row-wise reduction in the kernel layer goes through
-:func:`segment_reduce`, so all execution strategies (``row_segment``,
+Every row-wise reduction in the kernel layer goes through one of two
+functions here, so all execution strategies (``row_segment``,
 ``blocked``, ``blocked_parallel``, ``spmm_sharded``, ``spmm_fused``)
 share one accumulation order and stay mutually bitwise-identical no
-matter how a caller partitions the edge range into spans: the result for
-a segment is a pure function of that segment's contents.
+matter how a caller partitions the rows into spans: the result for a row
+is a pure function of that row's edges, never of the span it arrives in.
 
-The implementation is *not* ``ufunc.reduceat``.  ``reduceat`` pays a
-per-segment dispatch that dominates g-SpMM wall-clock on real graphs
-(mean degree ~16 means hundreds of thousands of tiny reductions), and
-its internal accumulation order is an implementation detail that varies
-with operand width — unreproducible outside of ``reduceat`` itself.
-Instead:
+:func:`fold_rows` — the compiled fold
+    For the sum family (``sum``/``mean`` × ``mul``/``copy_rhs``, see
+    :func:`folds_compiled`) the weighted row sum is SciPy's compiled
+    CSR×dense kernel (``csr_matvecs``) run on ``indptr[r0:r1+1]`` views:
+    per row, ``acc = 0; acc += a_e * x[col_e]`` left to right in CSR edge
+    order.  No ``(nnz, k)`` message array, no tile, no sort, no index
+    copy; the kernel releases the GIL, so thread-parallel spans overlap.
+    This is the substrate's stand-in for the paper's vendor SpMM
+    (cuSPARSE / CPU MKL).
 
-- segments longer than ``_FOLD_BIG`` edges reduce with one
-  ``ufunc.reduce`` call each (few such segments; each call is a long
-  vectorised reduction);
-- the many short segments reduce *lockstep*: segments are ranked by
-  length so the still-active ones always form a prefix, and one
-  vectorised ``ufunc`` call per edge-position folds the s-th edge of
-  every active segment at once — a left-to-right sequential fold per
-  segment, in CSR edge order.
+:func:`segment_reduce` — the NumPy lockstep fold
+    ``max``/``min`` and the other ⊗ operators have no compiled
+    counterpart and reduce a materialised message array.  The
+    implementation is *not* ``ufunc.reduceat``: ``reduceat`` pays a
+    per-segment dispatch that dominates wall-clock on real graphs (mean
+    degree ~16 means hundreds of thousands of tiny reductions), and its
+    internal accumulation order is an implementation detail that varies
+    with operand width.  Instead:
 
-Empty segments yield the identity (``reduceat`` instead returns the
-element *at* the boundary, one of the reasons this wrapper exists).
+    - segments longer than ``_FOLD_BIG`` edges reduce with one
+      ``ufunc.reduce`` call each (few such segments; each call is a long
+      vectorised reduction);
+    - the many short segments reduce *lockstep*: segments are ranked by
+      length so the still-active ones always form a prefix, and one
+      vectorised ``ufunc`` call per edge-position folds the s-th edge of
+      every active segment at once — a left-to-right sequential fold per
+      segment, in CSR edge order.
+
+    Empty segments yield the identity (``reduceat`` instead returns the
+    element *at* the boundary, one of the reasons this wrapper exists).
+
+A semiring takes exactly one of the two folds under every strategy —
+there is no fallback from one to the other — so the folds never need to
+agree bitwise with each other (they do to ~1e-12 relative; a row of
+more than ``_FOLD_BIG`` edges at ``k = 1`` sums pairwise in NumPy).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvecs
 
-__all__ = ["segment_reduce"]
+from ..sparse import CSRMatrix
+from .semiring import Semiring
+
+__all__ = ["fold_rows", "folds_compiled", "segment_reduce"]
 
 # Segments longer than this use one ufunc.reduce call; at or below it they
 # join the lockstep fold.  The split is keyed on segment length alone, so
 # a segment reduces identically regardless of which caller or span it
 # arrives in.
 _FOLD_BIG = 128
+
+
+def folds_compiled(semiring: Semiring) -> bool:
+    """Whether ``semiring`` reduces through :func:`fold_rows`."""
+    return semiring.reduce.name in ("sum", "mean") and semiring.binary.name in (
+        "mul",
+        "copy_rhs",
+    )
+
+
+def fold_rows(
+    adj: CSRMatrix,
+    x: np.ndarray,
+    semiring: Semiring,
+    r0: int,
+    r1: int,
+    out: np.ndarray,
+) -> None:
+    """Write ``out[r0:r1] = Σ_e a_e · x[col_e]`` over rows ``[r0, r1)``.
+
+    ``semiring`` must satisfy :func:`folds_compiled`; ``copy_rhs`` (and an
+    unweighted ``adj``) folds with implicit unit weights, and ``mean``'s
+    division by the degree is left to the caller, as with
+    :func:`segment_reduce`.  ``x`` is the C-contiguous float64
+    ``(adj.ncols, k)`` operand and ``out`` a C-contiguous float64
+    ``(adj.nrows, k)`` result buffer; rows outside the span are not
+    touched, so disjoint spans may be folded from different threads.
+    """
+    if not folds_compiled(semiring):
+        raise ValueError(f"semiring {semiring.name!r} has no compiled fold")
+    k = x.shape[1]
+    # the compiled kernel reads raw buffers: a non-contiguous or mistyped
+    # array would be silently copied and the result written to the copy
+    if not (x.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError("fold_rows needs C-contiguous x and out")
+    if x.dtype != np.float64 or out.dtype != np.float64:
+        raise ValueError("fold_rows needs float64 x and out")
+    if x.shape[0] != adj.shape[1] or out.shape != (adj.shape[0], k):
+        raise ValueError(
+            f"fold_rows shape mismatch: adj {adj.shape}, x {x.shape}, "
+            f"out {out.shape}"
+        )
+    if semiring.binary.name == "mul":
+        weights = adj.effective_values()
+    else:
+        weights = adj.unit_values()
+    span = out[r0:r1]
+    span[...] = 0.0
+    csr_matvecs(
+        r1 - r0,
+        adj.shape[1],
+        k,
+        adj.indptr[r0 : r1 + 1],
+        adj.indices,
+        weights,
+        x.reshape(-1),
+        span.reshape(-1),
+    )
 
 
 def segment_reduce(

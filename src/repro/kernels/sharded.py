@@ -1,9 +1,10 @@
 """Process-parallel sharded g-SpMM over shared-memory buffers.
 
-The ``blocked_parallel`` strategy fans row blocks over a thread pool,
-but NumPy reduction loops hold the GIL often enough that it ties
-single-threaded ``blocked`` on large graphs.  This module sidesteps the
-GIL entirely: the graph is split into contiguous, nnz-balanced *row
+The ``blocked_parallel`` strategy fans row blocks over a thread pool;
+its spans overlap for the sum family (the compiled row fold holds no
+GIL) but the NumPy-fold semirings and everything around the fold still
+serialise on it.  This module sidesteps the GIL entirely: the graph is
+split into contiguous, nnz-balanced *row
 shards* (:func:`repro.graphs.partition.plan_row_shards`), the CSR
 arrays, the dense operand and the result matrix are placed in
 ``multiprocessing.shared_memory`` segments, and a persistent pool of

@@ -9,19 +9,22 @@ With the standard ``(sum, mul)`` semiring this is the ordinary ``A @ X``.
 GNN aggregation places destinations on rows and sources on columns, so a
 g-SpMM over the adjacency aggregates neighbor embeddings (paper §II-C).
 
-Five execution strategies are provided:
+Six execution strategies are provided:
 
 ``row_segment``
-    Gathers messages in edge order and reduces them per-row through
-    :func:`~repro.kernels.segment.segment_reduce` — the CSR-natural
-    strategy, fast when rows are long.
+    One row fold over the whole matrix — the CSR-natural strategy.  The
+    sum family (``sum``/``mean`` × ``mul``/``copy_rhs``) runs the
+    compiled :func:`~repro.kernels.segment.fold_rows`; ``max``/``min``
+    and the other ⊗ gather messages in edge order and reduce them
+    through :func:`~repro.kernels.segment.segment_reduce`.
 ``gather_scatter``
     Scatters messages with ``ufunc.at`` — an atomics-like strategy whose
     cost profile mirrors GPU scatter kernels.
 ``blocked``
-    Row-block tiled execution (:mod:`repro.kernels.blocked`): edges
-    stream through a bounded, reusable workspace tile instead of one
-    O(E·K) message array.
+    Row-block execution (:mod:`repro.kernels.blocked`): the same fold,
+    one cache-sized span of rows at a time (NumPy-fold semirings stream
+    their messages through a bounded, reusable workspace tile instead
+    of one O(E·K) message array).
 ``blocked_parallel``
     The tiled kernel fanned out over a thread pool (one worker per row
     block); controlled by ``REPRO_NUM_THREADS``.
@@ -36,7 +39,9 @@ Five execution strategies are provided:
     single pass.  As a bare strategy (no plan context) it runs the
     aggregation alone, bitwise equal to ``blocked``/``row_segment``.
 
-All produce identical results; the hardware model prices them differently,
+All produce identical results — each row's fold is independent of the
+span it arrives in, so on the sum family the strategies differ only in
+how they schedule spans; the hardware model prices them differently,
 which is what lets the engine pick a strategy per input.
 """
 
@@ -49,7 +54,7 @@ import numpy as np
 
 from .. import config
 from ..sparse import CSRMatrix
-from .segment import segment_reduce
+from .segment import fold_rows, folds_compiled, segment_reduce
 from .semiring import Semiring, get_semiring
 
 __all__ = [
@@ -121,15 +126,21 @@ def _messages(adj: CSRMatrix, x: np.ndarray, semiring: Semiring) -> np.ndarray:
     return binary(edge_vals, x[adj.indices])
 
 
-def _reduce_row_segment(
-    adj: CSRMatrix, messages: np.ndarray, semiring: Semiring
-) -> np.ndarray:
+def _row_segment(adj: CSRMatrix, x: np.ndarray, semiring: Semiring) -> np.ndarray:
     reduce_op = semiring.reduce
-    identity = 0.0 if reduce_op.is_mean else reduce_op.identity
-    out = segment_reduce(messages, adj.indptr, reduce_op.ufunc, identity)
+    if folds_compiled(semiring):
+        out = np.full((adj.shape[0], x.shape[1]), reduce_op.identity)
+        fold_rows(adj, x, semiring, 0, adj.shape[0], out)
+    else:
+        out = segment_reduce(
+            _messages(adj, x, semiring),
+            adj.indptr,
+            reduce_op.ufunc,
+            reduce_op.identity,
+        )
     if reduce_op.is_mean:
         deg = adj.row_degrees()
-        out = out / np.maximum(deg, 1).astype(np.float64)[:, None]
+        out /= np.maximum(deg, 1).astype(np.float64)[:, None]
     return out
 
 
@@ -183,7 +194,7 @@ def gspmm(
         semiring = get_semiring()
     if strategy is None:
         strategy = default_spmm_strategy()
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64, order="C")
     if x.ndim == 1:
         x = x[:, None]
     if strategy == "blocked":
@@ -214,11 +225,10 @@ def gspmm(
         raise ValueError(
             f"gspmm shape mismatch: adj {adj.shape} vs dense {x.shape}"
         )
-    messages = _messages(adj, x, semiring)
     if strategy == "row_segment":
-        return _reduce_row_segment(adj, messages, semiring)
+        return _row_segment(adj, x, semiring)
     if strategy == "gather_scatter":
-        return _reduce_gather_scatter(adj, messages, semiring)
+        return _reduce_gather_scatter(adj, _messages(adj, x, semiring), semiring)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

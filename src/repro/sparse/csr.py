@@ -7,13 +7,17 @@ distinguishes *weighted* sparse matrices (values per non-zero), *unweighted*
 ones (structure only, every stored entry is an implicit 1) and *diagonal*
 matrices (Table I of the paper).
 
-The implementation is NumPy-backed and deliberately self-contained: no
-scipy.sparse objects are used internally, although conversions are provided
-so tests can cross-check against scipy.
+The container is NumPy-backed and holds plain ``indptr``/``indices``/
+``values`` arrays — no ``scipy.sparse`` matrix objects — so the kernel layer
+can hand those buffers to whichever routine suits the semiring: SciPy's
+compiled CSR×dense row fold for the sum family
+(:func:`repro.kernels.segment.fold_rows`), NumPy folds for the rest.
+Conversions are provided so tests can cross-check against scipy.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional, Tuple
 
 import numpy as np
@@ -40,7 +44,7 @@ class CSRMatrix:
         ``(nrows, ncols)``.
     """
 
-    __slots__ = ("indptr", "indices", "values", "shape", "_aux")
+    __slots__ = ("indptr", "indices", "values", "shape", "_aux", "__weakref__")
 
     def __init__(
         self,
@@ -92,15 +96,37 @@ class CSRMatrix:
                     f"values has shape {values.shape}, expected "
                     f"{indices.shape} to align with the nonzero pattern"
                 )
+        self._set(indptr, indices, values, (nrows, ncols))
+
+    def _set(self, indptr, indices, values, shape) -> None:
         self.indptr = indptr
         self.indices = indices
         self.values = values
-        self.shape = (nrows, ncols)
+        self.shape = shape
         # memoised auxiliary structures (row ids, degrees, transpose, ...).
         # The pattern is immutable after construction, so these never need
         # invalidation; they turn the O(E) setup the kernels used to pay on
         # *every* call into a one-time cost per matrix.
         self._aux: dict = {}
+
+    @classmethod
+    def _on_validated_pattern(
+        cls, indptr, indices, values, shape
+    ) -> "CSRMatrix":
+        """Wrap int64 pattern arrays that an earlier construction validated.
+
+        ``with_values`` and ``transpose`` derive matrices from a pattern
+        that already passed ``__init__``'s O(E) structural checks;
+        re-running them per derived matrix is pure overhead on the GAT
+        path.  ``values`` is the only new input and is checked here.
+        """
+        if values is not None:
+            values = np.asarray(values, dtype=np.float64)
+            if values.shape != indices.shape:
+                raise ValueError("values must align with the nonzero pattern")
+        self = object.__new__(cls)
+        self._set(indptr, indices, values, shape)
+        return self
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -169,10 +195,18 @@ class CSRMatrix:
         """
         if self.values is not None:
             return self.values
-        ones = self._aux.get("effective_values")
+        return self.unit_values()
+
+    def unit_values(self) -> np.ndarray:
+        """All-ones per-nonzero weights of the pattern (memoised, read-only).
+
+        What an unweighted matrix's stored entries stand for, and what a
+        ``copy_rhs`` aggregation folds with on any matrix.
+        """
+        ones = self._aux.get("unit_values")
         if ones is None:
             ones = np.ones(self.nnz, dtype=np.float64)
-            self._aux["effective_values"] = ones
+            self._aux["unit_values"] = ones
         return ones
 
     # ------------------------------------------------------------------
@@ -284,44 +318,66 @@ class CSRMatrix:
     # ------------------------------------------------------------------
     def with_values(self, values: Optional[np.ndarray]) -> "CSRMatrix":
         """Same pattern with new per-nonzero values (or None for unweighted)."""
-        if values is not None:
-            values = np.asarray(values, dtype=np.float64)
-            if values.shape != self.indices.shape:
-                raise ValueError("values must align with the nonzero pattern")
-        result = CSRMatrix(self.indptr, self.indices, values, self.shape)
+        result = CSRMatrix._on_validated_pattern(
+            self.indptr, self.indices, values, self.shape
+        )
         # the pattern is shared, so pattern-derived auxiliaries carry over
-        for key in ("row_degrees", "col_degrees", "row_ids"):
+        for key in ("row_degrees", "col_degrees", "row_ids", "unit_values"):
             if key in self._aux:
                 result._aux[key] = self._aux[key]
+        # ... and so is the transpose plan's holder, filled or not: whichever
+        # matrix on this pattern transposes first sorts for all of them
+        result._aux["transpose_plan"] = self._aux.setdefault("transpose_plan", [])
         return result
 
     def unweighted(self) -> "CSRMatrix":
         """Drop values, keeping only the sparsity pattern."""
         return self.with_values(None)
 
+    def _transpose_plan(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pattern's transpose recipe: (permutation, indptr, column ids).
+
+        Values play no part in it, so it is computed (one O(E log E) sort)
+        at most once per *pattern*: ``with_values`` hands the holder on.
+        """
+        holder = self._aux.setdefault("transpose_plan", [])
+        if not holder:
+            rows, cols = self.row_ids(), self.indices
+            perm = np.lexsort((rows, cols))
+            indptr = np.zeros(self.shape[1] + 1, dtype=np.int64)
+            np.cumsum(self.col_degrees(), out=indptr[1:])
+            holder.append((perm, indptr, rows[perm]))
+        return holder[0]
+
     def transpose(self) -> "CSRMatrix":
         """Return the transpose, again in CSR form (i.e. CSC of self).
 
         Memoised: the autograd backward pass transposes the adjacency on
-        every iteration, so the O(E log E) sort is paid once per matrix.
-        The cached transpose links back to ``self``, making ``A.T.T is A``.
+        every iteration.  The sort lives in the pattern's transpose plan,
+        so transposing a re-weighted matrix (``with_values(v).transpose()``,
+        once per GAT layer per step) is a single ``values[perm]`` gather.
+
+        ``A`` holds ``A.T`` strongly and ``A.T`` links back weakly, making
+        ``A.T.T is A`` while ``A`` is alive without an ``A ⇄ A.T``
+        reference cycle — per-step weighted matrices die by refcount
+        instead of piling up until a full GC pass.
         """
         cached = self._aux.get("transpose")
         if cached is not None:
             return cached
-        rows, cols, vals = self.row_ids(), self.indices, self.values
-        order = np.lexsort((rows, cols))
-        t_rows = cols[order]
-        t_cols = rows[order]
-        t_vals = None if vals is None else vals[order]
-        counts = np.bincount(t_rows, minlength=self.shape[1]).astype(
-            np.int64, copy=False
+        link = self._aux.get("transpose_of")
+        origin = link() if link is not None else None
+        if origin is not None:
+            return origin
+        perm, indptr, indices = self._transpose_plan()
+        result = CSRMatrix._on_validated_pattern(
+            indptr,
+            indices,
+            None if self.values is None else self.values[perm],
+            (self.shape[1], self.shape[0]),
         )
-        indptr = np.zeros(self.shape[1] + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        result = CSRMatrix(indptr, t_cols, t_vals, (self.shape[1], self.shape[0]))
         self._aux["transpose"] = result
-        result._aux["transpose"] = self
+        result._aux["transpose_of"] = weakref.ref(self)
         return result
 
     def add_self_loops(self) -> "CSRMatrix":
@@ -402,13 +458,12 @@ class CSRMatrix:
         return f"CSRMatrix(shape={self.shape}, nnz={self.nnz}, {kind})"
 
     def __getstate__(self):
-        # the memo cache is derived data (and the transpose link is a
-        # reference cycle) — rebuild lazily after unpickling instead
+        # the memo cache is derived data (and holds a weak reference) —
+        # rebuild lazily after unpickling instead
         return (self.indptr, self.indices, self.values, self.shape)
 
     def __setstate__(self, state) -> None:
-        self.indptr, self.indices, self.values, self.shape = state
-        self._aux = {}
+        self._set(*state)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CSRMatrix):

@@ -20,12 +20,10 @@ __all__ = [
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-
     def backward(grad: np.ndarray) -> None:
-        x.accumulate_grad(grad * mask)
+        x.accumulate_grad(grad * (x.data > 0))
 
-    return Tensor.make(np.where(mask, x.data, 0.0), (x,), backward, "relu")
+    return Tensor.make(np.maximum(x.data, 0.0), (x,), backward, "relu")
 
 
 def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:

@@ -48,11 +48,11 @@ def spmm(
     member is bitwise-identical, so the executor's pinned strategy is safe
     under autograd); the backward SpMM keeps the reference kernel.
     """
-    adj_t = adj.transpose()
     semiring = get_semiring("sum", "mul" if adj.is_weighted else "copy_rhs")
 
     def backward(grad: np.ndarray) -> None:
-        x.accumulate_grad(gspmm(adj_t, grad, semiring))
+        # transposed here, not in the forward: inference never needs it
+        x.accumulate_grad(gspmm(adj.transpose(), grad, semiring))
 
     out_data = gspmm(
         adj,
@@ -85,12 +85,11 @@ def spmm_edge(
     if edge_vals.data.shape != (pattern.nnz,):
         raise ValueError("edge values must align with the pattern's nnz")
     weighted = pattern.with_values(edge_vals.data)
-    weighted_t = weighted.transpose()
-    rows, cols = pattern.row_ids(), pattern.indices
 
     def backward(grad: np.ndarray) -> None:
+        rows, cols = pattern.row_ids(), pattern.indices
         edge_vals.accumulate_grad(np.einsum("ek,ek->e", grad[rows], x.data[cols]))
-        x.accumulate_grad(gspmm(weighted_t, grad))
+        x.accumulate_grad(gspmm(weighted.transpose(), grad))
 
     out_data = gspmm(
         weighted,

@@ -383,15 +383,15 @@ class TestFusedFaultDemotion:
         assert executor.rungs[executor.rung][1] == "blocked"
 
     def test_kernel_exception_edge_drops_buffers(self, monkeypatch):
-        import repro.kernels.compiled as compiled_mod
+        import repro.kernels.blocked as blocked_mod
 
         def boom(*args, **kwargs):
             raise RuntimeError("mid-tile failure")
 
         adj = erdos_renyi(30, 4.0, seed=2).adj
-        # unweighted mul takes the tile-free gather fold; the pre-scale
-        # buffer is already pooled when it raises
-        monkeypatch.setattr(compiled_mod, "_gather_fold", boom)
+        # the sum family folds without a tile, but the pre-scale buffer
+        # is already pooled when the fold raises
+        monkeypatch.setattr(blocked_mod, "fold_rows", boom)
         workspace = WorkspaceArena()
         with pytest.raises(RuntimeError, match="mid-tile"):
             gspmm_fused(
@@ -400,13 +400,15 @@ class TestFusedFaultDemotion:
             )
         assert workspace.nbytes == 0  # nothing left pooled
 
-        # a weighted adjacency pays the ⊗ pass: tiled path through
-        # segment_reduce
-        monkeypatch.setattr(compiled_mod, "segment_reduce", boom)
+        # max keeps the arena tile: tiled path through segment_reduce
+        monkeypatch.setattr(blocked_mod, "segment_reduce", boom)
         weighted = adj.with_values(np.arange(1.0, adj.nnz + 1.0))
         workspace = WorkspaceArena()
         with pytest.raises(RuntimeError, match="mid-tile"):
-            gspmm_fused(weighted, np.ones((30, 3)), workspace=workspace)
+            gspmm_fused(
+                weighted, np.ones((30, 3)), get_semiring("max", "mul"),
+                workspace=workspace,
+            )
         assert workspace.nbytes == 0  # nothing left pooled
 
 

@@ -157,11 +157,15 @@ class TestWorkspaceArena:
     def test_buffers_reused_across_calls(self, rng):
         adj = random_csr(rng, 40, 40, density=0.2)
         x = rng.standard_normal((40, 5))
+        # max keeps the message tile; the sum family folds without one
+        semiring = get_semiring("max", "mul")
         ws = WorkspaceArena()
-        gspmm_blocked(adj, x, block_nnz=16, workspace=ws)
+        gspmm_blocked(adj, x, semiring, block_nnz=16, workspace=ws)
         assert ws.misses == 1
-        gspmm_blocked(adj, x, block_nnz=16, workspace=ws)
+        gspmm_blocked(adj, x, semiring, block_nnz=16, workspace=ws)
         assert ws.misses == 1 and ws.hits >= 1
+        gspmm_blocked(adj, x, block_nnz=16, workspace=ws)
+        assert ws.misses == 1  # sum.mul: compiled fold, no scratch at all
 
     def test_slots_do_not_alias(self):
         ws = WorkspaceArena()

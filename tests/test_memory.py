@@ -36,6 +36,19 @@ class TestPeakMemory:
         unfused = compiled.find(gat="reuse")[0].plan.peak_memory_bytes(env)
         assert fused < unfused  # no nnz×k message materialisation
 
+    def test_sum_family_spmm_budgets_no_message_scratch(self):
+        # the compiled row fold accumulates straight into the output:
+        # no 8·nnz·k message array is left for the budget to shed on
+        from repro.kernels.registry import transient_bytes
+
+        shape = {"m": 1000.0, "nnz": 20000.0, "k": 64.0}
+        assert transient_bytes("spmm", shape) == 0.0
+        assert transient_bytes("spmm_unweighted", shape) == 8.0 * 20000
+        assert transient_bytes("spmm_fused", shape) == 8.0 * 1000 * 64
+        plan = compile_model("gcn").find(norm="precompute")[0].plan
+        resident = 8 * ENV["N"] * (ENV["K1"] + ENV["K2"]) + 16 * ENV["E"]
+        assert plan.peak_memory_bytes(ENV) < resident + 8 * ENV["E"] * ENV["K1"]
+
     def test_dynamic_vs_precompute_memory(self):
         compiled = compile_model("gcn")
         dyn = compiled.find(norm="dynamic")[0].plan.peak_memory_bytes(ENV)

@@ -125,6 +125,17 @@ class TestNonlinearities:
     def test_relu_grad(self, rng):
         check_grad(relu, rng.standard_normal((3, 3)) + 0.3)
 
+    def test_relu_matches_dense_kernel_and_masks_at_zero(self):
+        # the fused epilogue claims bitwise parity with this forward
+        from repro.kernels.dense import relu as dense_relu
+
+        data = np.array([[-2.0, -0.0, 0.0], [1e-300, 3.0, -1e-300]])
+        x = Tensor(data, requires_grad=True)
+        out = relu(x)
+        assert np.array_equal(out.data, dense_relu(data))
+        out.sum().backward()
+        assert np.array_equal(x.grad, [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+
     def test_leaky_relu_grad(self, rng):
         check_grad(lambda t: leaky_relu(t, 0.1), rng.standard_normal((3, 3)) + 0.3)
 
