@@ -220,7 +220,7 @@ class FaultPlan:
 
     @classmethod
     def from_env(cls) -> Optional["FaultPlan"]:
-        """Plan described by ``REPRO_FAULTS`` / ``REPRO_FAULT_SEED``.
+        """Plan described by ``REPRO_FAULTS`` / ``REPRO_FAULTS_SEED``.
 
         Returns ``None`` when ``REPRO_FAULTS`` is unset or blank.
         """

@@ -62,7 +62,7 @@ import numpy as np
 
 from .. import config
 from ..sparse import CSRMatrix
-from .segment import fold_rows, folds_compiled, segment_reduce
+from .segment import fold_rows, folds_compiled, result_buffer, segment_reduce
 from .semiring import Semiring, get_semiring
 from .workspace import WorkspaceArena, thread_local_arena
 
@@ -234,9 +234,7 @@ def gspmm_blocked(
     if workspace is None:
         workspace = WorkspaceArena()
     n, k = adj.shape[0], x.shape[1]
-    # result buffer, returned to the caller — the arena only owns
-    # per-tile scratch  # lint: allow(raw-alloc-in-kernels)
-    out = np.empty((n, k), dtype=np.float64)
+    out = result_buffer(n, k)
     spans = row_block_spans(adj.indptr, block_nnz)
     cap = _tile_nnz(adj.indptr, spans, semiring)
     try:
@@ -294,9 +292,7 @@ def gspmm_parallel(
             adj, x, semiring, block_nnz=block_nnz, workspace=thread_local_arena()
         )
     n, k = adj.shape[0], x.shape[1]
-    # result buffer, returned to the caller — the arena only owns
-    # per-tile scratch  # lint: allow(raw-alloc-in-kernels)
-    out = np.empty((n, k), dtype=np.float64)
+    out = result_buffer(n, k)
     cap = _tile_nnz(adj.indptr, spans, semiring)
 
     def run_span(span: Tuple[int, int]) -> None:

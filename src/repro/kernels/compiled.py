@@ -62,6 +62,7 @@ from .blocked import (
     row_block_spans,
 )
 from .dense import elu, leaky_relu, relu, sigmoid
+from .segment import result_buffer
 from .semiring import Semiring, get_semiring
 from .workspace import WorkspaceArena
 
@@ -173,9 +174,7 @@ def gspmm_fused(
     if workspace is None:
         workspace = WorkspaceArena()
     n, k = adj.shape[0], x.shape[1]
-    # result buffer, returned to the caller — the arena only owns
-    # per-tile scratch  # lint: allow(raw-alloc-in-kernels, alloc-in-compiled)
-    out = np.empty((n, k), dtype=np.float64)
+    out = result_buffer(n, k)
     degf = None
     if semiring.reduce.is_mean:
         degf = np.maximum(adj.row_degrees(), 1).astype(np.float64)

@@ -1,11 +1,13 @@
 """Row folds over CSR row boundaries: the seam every SpMM strategy shares.
 
-Every row-wise reduction in the kernel layer goes through one of two
-functions here, so all execution strategies (``row_segment``,
-``blocked``, ``blocked_parallel``, ``spmm_sharded``, ``spmm_fused``)
-share one accumulation order and stay mutually bitwise-identical no
-matter how a caller partitions the rows into spans: the result for a row
-is a pure function of that row's edges, never of the span it arrives in.
+Every row-wise reduction of an SpMM goes through one of two functions
+here (the edge softmax's 1-D sums and maxes, which no strategy touches,
+are in :mod:`repro.kernels.softmax`), so all execution strategies
+(``row_segment``, ``blocked``, ``blocked_parallel``, ``spmm_sharded``,
+``spmm_fused``) share one accumulation order and stay mutually
+bitwise-identical no matter how a caller partitions the rows into spans:
+the result for a row is a pure function of that row's edges, never of the
+span it arrives in.
 
 :func:`fold_rows` — the compiled fold
     For the sum family (``sum``/``mean`` × ``mul``/``copy_rhs``, see
@@ -52,7 +54,7 @@ from scipy.sparse._sparsetools import csr_matvecs
 from ..sparse import CSRMatrix
 from .semiring import Semiring
 
-__all__ = ["fold_rows", "folds_compiled", "segment_reduce"]
+__all__ = ["fold_rows", "folds_compiled", "result_buffer", "segment_reduce"]
 
 # Segments longer than this use one ufunc.reduce call; at or below it they
 # join the lockstep fold.  The split is keyed on segment length alone, so
@@ -67,6 +69,13 @@ def folds_compiled(semiring: Semiring) -> bool:
         "mul",
         "copy_rhs",
     )
+
+
+def result_buffer(nrows: int, k: int) -> np.ndarray:
+    """The uninitialised ``(nrows, k)`` float64 buffer a strategy folds its
+    spans into and returns: every row is written by exactly one fold, and
+    the arena owns per-tile scratch only, never a result."""
+    return np.empty((nrows, k), dtype=np.float64)  # lint: allow(raw-alloc-in-kernels)
 
 
 def fold_rows(

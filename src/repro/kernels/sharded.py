@@ -62,7 +62,7 @@ import uuid
 import multiprocessing as mp
 from collections import OrderedDict
 from contextlib import contextmanager
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -180,21 +180,39 @@ def estimate_segment_bytes(
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    """Keep the child's resource_tracker from unlinking parent segments."""
-    try:  # pragma: no cover - exercised only in worker processes
-        from multiprocessing import resource_tracker
+def _owns_tracker() -> bool:
+    """Whether a segment attached now would register with a
+    resource_tracker of this process's own rather than the parent's.
 
+    A worker normally inherits the tracker the parent started for its
+    first segment (fork copies the pipe, spawn passes it down), and then
+    attaching re-registers a name the shared tracker already holds.  Only
+    a worker without one starts a private tracker on its first attach,
+    which would unlink the parent's segments when the worker exits.  Ask
+    before the first attach: afterwards both cases look alike.
+    """
+    return getattr(resource_tracker._resource_tracker, "_fd", None) is None
+
+
+def _untrack(shm: shared_memory.SharedMemory) -> None:
+    """Keep a worker's *own* resource_tracker from unlinking parent
+    segments.  Never call it under a tracker shared with the parent: the
+    unregister would drop the parent's registration, and the parent's
+    later unlink makes the tracker print a ``KeyError`` traceback."""
+    try:  # pragma: no cover - exercised only in worker processes
         resource_tracker.unregister(shm._name, "shared_memory")
     except Exception:
         pass
 
 
-def _attach(cache: "OrderedDict[str, shared_memory.SharedMemory]", name: str):
+def _attach(
+    cache: "OrderedDict[str, shared_memory.SharedMemory]", name: str, untrack: bool
+):
     shm = cache.get(name)
     if shm is None:
         shm = shared_memory.SharedMemory(name=name)
-        _untrack(shm)
+        if untrack:
+            _untrack(shm)
         cache[name] = shm
         while len(cache) > _WORKER_ATTACH_CAP:
             _, old = cache.popitem(last=False)
@@ -204,24 +222,27 @@ def _attach(cache: "OrderedDict[str, shared_memory.SharedMemory]", name: str):
     return shm
 
 
-def _run_shard(task, attached, arena) -> None:
+def _run_shard(task, attached, arena, untrack: bool) -> None:
     """Execute one shard: sub-CSR view -> inner gspmm -> disjoint write."""
     from .spmm import gspmm
+
+    def attach(name: str):
+        return _attach(attached, name, untrack)
 
     (_, names, meta, r0, r1, reduce_name, binary_name, inner, block) = task
     n, ncols, nnz, k_in, k_out, has_values = meta
     if r1 <= r0:
         return  # zero-row shard: nothing to compute, nothing to write
-    indptr = np.ndarray((n + 1,), dtype=np.int64, buffer=_attach(attached, names["indptr"]).buf)
+    indptr = np.ndarray((n + 1,), dtype=np.int64, buffer=attach(names["indptr"]).buf)
     e0, e1 = int(indptr[r0]), int(indptr[r1])
-    indices = np.ndarray((nnz,), dtype=np.int64, buffer=_attach(attached, names["indices"]).buf)
+    indices = np.ndarray((nnz,), dtype=np.int64, buffer=attach(names["indices"]).buf)
     values = None
     if has_values:
         values = np.ndarray(
-            (nnz,), dtype=np.float64, buffer=_attach(attached, names["values"]).buf
+            (nnz,), dtype=np.float64, buffer=attach(names["values"]).buf
         )[e0:e1]
-    x = np.ndarray((ncols, k_in), dtype=np.float64, buffer=_attach(attached, names["x"]).buf)
-    out = np.ndarray((n, k_out), dtype=np.float64, buffer=_attach(attached, names["out"]).buf)
+    x = np.ndarray((ncols, k_in), dtype=np.float64, buffer=attach(names["x"]).buf)
+    out = np.ndarray((n, k_out), dtype=np.float64, buffer=attach(names["out"]).buf)
     sub = CSRMatrix(
         indptr[r0 : r1 + 1] - e0,  # copies; the shard's local row pointers
         indices[e0:e1],
@@ -251,10 +272,12 @@ def _worker_main(
 
     arena = WorkspaceArena()
     attached: "OrderedDict[str, shared_memory.SharedMemory]" = OrderedDict()
+    untrack = _owns_tracker()  # before the first attach
     hb = None
     try:
         hb_shm = shared_memory.SharedMemory(name=hb_name)
-        _untrack(hb_shm)
+        if untrack:
+            _untrack(hb_shm)
         hb = np.ndarray(
             (2,), dtype=np.float64, buffer=hb_shm.buf,
             offset=16 * int(worker_index),
@@ -285,7 +308,7 @@ def _worker_main(
         if hb is not None:
             hb[1] = hb[0] = time.monotonic()
         try:
-            _run_shard(task, attached, arena)
+            _run_shard(task, attached, arena, untrack)
         except BaseException as exc:
             result_queue.put(
                 ("err", task[0], f"{type(exc).__name__}: {exc}", traceback.format_exc())

@@ -9,20 +9,55 @@ from __future__ import annotations
 
 import numpy as np
 
+from scipy.sparse._sparsetools import csr_matvecs
+
 from ..sparse import CSRMatrix
-from .segment import segment_reduce
 
 __all__ = ["edge_softmax", "segment_max", "segment_sum"]
 
+_ONE = np.ones(1)
+
+
+def _edge_segments(values: np.ndarray, indptr: np.ndarray):
+    """Contiguous float64 per-edge scalars and int64 row boundaries (the
+    compiled fold reads raw buffers), one value per stored entry."""
+    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.shape != (int(indptr[-1]),):
+        raise ValueError(
+            f"expected one value per stored entry ({int(indptr[-1])}), "
+            f"got {values.shape}"
+        )
+    return values, indptr
+
 
 def segment_max(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Per-row maximum over CSR segments; -inf for empty rows."""
-    return segment_reduce(values, indptr, np.maximum, -np.inf)
+    """Per-row maximum of 1-D per-edge ``values``; -inf for empty rows.
+
+    ``reduceat`` over the non-empty rows only: at an empty segment it
+    would return the element *at* the boundary instead of the identity.
+    """
+    values, indptr = _edge_segments(values, indptr)
+    out = np.full(indptr.shape[0] - 1, -np.inf)
+    nonempty = np.flatnonzero(indptr[1:] > indptr[:-1])
+    if nonempty.size:
+        out[nonempty] = np.maximum.reduceat(values, indptr[nonempty])
+    return out
 
 
 def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Per-row sum over CSR segments; 0 for empty rows."""
-    return segment_reduce(values, indptr, np.add, 0.0)
+    """Per-row sum of 1-D per-edge ``values``; 0 for empty rows.
+
+    The compiled CSR fold of :mod:`repro.kernels.segment`, with the
+    values as the edge weights of a one-column pattern whose operand is
+    1.0: per row, a left-to-right sum in edge order.
+    """
+    values, indptr = _edge_segments(values, indptr)
+    n = indptr.shape[0] - 1
+    out = np.full(n, 0.0)
+    column = np.full(values.shape[0], 0, dtype=np.int64)
+    csr_matvecs(n, 1, 1, indptr, column, values, _ONE, out)
+    return out
 
 
 def edge_softmax(adj: CSRMatrix, logits: np.ndarray) -> CSRMatrix:

@@ -54,7 +54,7 @@ import numpy as np
 
 from .. import config
 from ..sparse import CSRMatrix
-from .segment import fold_rows, folds_compiled, segment_reduce
+from .segment import fold_rows, folds_compiled, result_buffer, segment_reduce
 from .semiring import Semiring, get_semiring
 
 __all__ = [
@@ -129,7 +129,7 @@ def _messages(adj: CSRMatrix, x: np.ndarray, semiring: Semiring) -> np.ndarray:
 def _row_segment(adj: CSRMatrix, x: np.ndarray, semiring: Semiring) -> np.ndarray:
     reduce_op = semiring.reduce
     if folds_compiled(semiring):
-        out = np.full((adj.shape[0], x.shape[1]), reduce_op.identity)
+        out = result_buffer(adj.shape[0], x.shape[1])
         fold_rows(adj, x, semiring, 0, adj.shape[0], out)
     else:
         out = segment_reduce(

@@ -20,47 +20,38 @@ __all__ = [
 
 
 def relu(x: Tensor) -> Tensor:
-    def backward(grad: np.ndarray) -> None:
-        x.accumulate_grad(grad * (x.data > 0))
-
-    return Tensor.make(np.maximum(x.data, 0.0), (x,), backward, "relu")
+    return Tensor.make(
+        np.maximum(x.data, 0.0), (x,), (lambda g: g * (x.data > 0),), "relu"
+    )
 
 
 def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
     mask = x.data > 0
-
-    def backward(grad: np.ndarray) -> None:
-        x.accumulate_grad(grad * np.where(mask, 1.0, negative_slope))
-
     return Tensor.make(
-        np.where(mask, x.data, negative_slope * x.data), (x,), backward, "leaky_relu"
+        np.where(mask, x.data, negative_slope * x.data),
+        (x,),
+        (lambda g: g * np.where(mask, 1.0, negative_slope),),
+        "leaky_relu",
     )
 
 
 def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
     neg = alpha * (np.exp(np.minimum(x.data, 0.0)) - 1.0)
-    out_data = np.where(x.data > 0, x.data, neg)
-
-    def backward(grad: np.ndarray) -> None:
-        x.accumulate_grad(grad * np.where(x.data > 0, 1.0, neg + alpha))
-
-    return Tensor.make(out_data, (x,), backward, "elu")
+    return Tensor.make(
+        np.where(x.data > 0, x.data, neg),
+        (x,),
+        (lambda g: g * np.where(x.data > 0, 1.0, neg + alpha),),
+        "elu",
+    )
 
 
 def exp(x: Tensor) -> Tensor:
     out_data = np.exp(x.data)
-
-    def backward(grad: np.ndarray) -> None:
-        x.accumulate_grad(grad * out_data)
-
-    return Tensor.make(out_data, (x,), backward, "exp")
+    return Tensor.make(out_data, (x,), (lambda g: g * out_data,), "exp")
 
 
 def log(x: Tensor) -> Tensor:
-    def backward(grad: np.ndarray) -> None:
-        x.accumulate_grad(grad / x.data)
-
-    return Tensor.make(np.log(x.data), (x,), backward, "log")
+    return Tensor.make(np.log(x.data), (x,), (lambda g: g / x.data,), "log")
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -69,23 +60,21 @@ def sigmoid(x: Tensor) -> Tensor:
     out_data[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
     ex = np.exp(x.data[~pos])
     out_data[~pos] = ex / (1.0 + ex)
-
-    def backward(grad: np.ndarray) -> None:
-        x.accumulate_grad(grad * out_data * (1.0 - out_data))
-
-    return Tensor.make(out_data, (x,), backward, "sigmoid")
+    return Tensor.make(
+        out_data, (x,), (lambda g: g * out_data * (1.0 - out_data),), "sigmoid"
+    )
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
-    logsumexp = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-    out_data = shifted - logsumexp
-    softmax = np.exp(out_data)
+    out_data = x.data - np.max(x.data, axis=axis, keepdims=True)
+    out_data -= np.log(np.sum(np.exp(out_data), axis=axis, keepdims=True))
 
-    def backward(grad: np.ndarray) -> None:
-        x.accumulate_grad(grad - softmax * grad.sum(axis=axis, keepdims=True))
+    def vjp(g: np.ndarray) -> np.ndarray:
+        # softmax is exp of the output: computed here, where a training
+        # step needs it, not in every forward
+        return g - np.exp(out_data) * g.sum(axis=axis, keepdims=True)
 
-    return Tensor.make(out_data, (x,), backward, "log_softmax")
+    return Tensor.make(out_data, (x,), (vjp,), "log_softmax")
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
@@ -95,28 +84,26 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout probability must be in [0, 1)")
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
-
-    def backward(grad: np.ndarray) -> None:
-        x.accumulate_grad(grad * mask)
-
-    return Tensor.make(x.data * mask, (x,), backward, "dropout")
+    return Tensor.make(x.data * mask, (x,), (lambda g: g * mask,), "dropout")
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
     """Concatenate tensors along an axis (used by TAGCN's hop stack)."""
-    tensors = list(tensors)
+    tensors = tuple(tensors)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def backward(grad: np.ndarray) -> None:
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            slicer = [slice(None)] * grad.ndim
+    def slice_vjp(start: int, stop: int):
+        def vjp(g: np.ndarray) -> np.ndarray:
+            slicer = [slice(None)] * g.ndim
             slicer[axis] = slice(start, stop)
-            t.accumulate_grad(grad[tuple(slicer)])
+            return g[tuple(slicer)]
+
+        return vjp
 
     return Tensor.make(
         np.concatenate([t.data for t in tensors], axis=axis),
-        tuple(tensors),
-        backward,
+        tensors,
+        [slice_vjp(a, b) for a, b in zip(offsets[:-1], offsets[1:])],
         "concat",
     )

@@ -43,16 +43,18 @@ def spmm(
 ) -> Tensor:
     """``A @ X`` with a constant (possibly weighted) adjacency.
 
-    Backward: ``dX = A^T @ dY``.  The strategy knobs tune the *forward*
-    aggregation only (every :data:`~repro.kernels.spmm.SPMM_STRATEGIES`
-    member is bitwise-identical, so the executor's pinned strategy is safe
-    under autograd); the backward SpMM keeps the reference kernel.
+    Backward: ``dX = A^T @ dY``, skipped altogether when ``x`` is a
+    constant (a first layer aggregating the input features).  The
+    strategy knobs tune the *forward* aggregation only (every
+    :data:`~repro.kernels.spmm.SPMM_STRATEGIES` member is
+    bitwise-identical, so the executor's pinned strategy is safe under
+    autograd); the backward SpMM runs under the default strategy.
     """
     semiring = get_semiring("sum", "mul" if adj.is_weighted else "copy_rhs")
 
-    def backward(grad: np.ndarray) -> None:
+    def vjp(g: np.ndarray) -> np.ndarray:
         # transposed here, not in the forward: inference never needs it
-        x.accumulate_grad(gspmm(adj.transpose(), grad, semiring))
+        return gspmm(adj.transpose(), g, semiring)
 
     out_data = gspmm(
         adj,
@@ -63,7 +65,7 @@ def spmm(
         num_threads=num_threads,
         num_workers=num_workers,
     )
-    return Tensor.make(out_data, (x,), backward, "spmm")
+    return Tensor.make(out_data, (x,), (vjp,), "spmm")
 
 
 def spmm_edge(
@@ -86,10 +88,13 @@ def spmm_edge(
         raise ValueError("edge values must align with the pattern's nnz")
     weighted = pattern.with_values(edge_vals.data)
 
-    def backward(grad: np.ndarray) -> None:
-        rows, cols = pattern.row_ids(), pattern.indices
-        edge_vals.accumulate_grad(np.einsum("ek,ek->e", grad[rows], x.data[cols]))
-        x.accumulate_grad(gspmm(weighted.transpose(), grad))
+    def vjp_edge(g: np.ndarray) -> np.ndarray:
+        return np.einsum(
+            "ek,ek->e", g[pattern.row_ids()], x.data[pattern.indices]
+        )
+
+    def vjp_x(g: np.ndarray) -> np.ndarray:
+        return gspmm(weighted.transpose(), g)
 
     out_data = gspmm(
         weighted,
@@ -99,7 +104,7 @@ def spmm_edge(
         num_threads=num_threads,
         num_workers=num_workers,
     )
-    return Tensor.make(out_data, (edge_vals, x), backward, "spmm_edge")
+    return Tensor.make(out_data, (edge_vals, x), (vjp_edge, vjp_x), "spmm_edge")
 
 
 def sddmm_dot(pattern: CSRMatrix, u: Tensor, v: Tensor) -> Tensor:
@@ -110,13 +115,14 @@ def sddmm_dot(pattern: CSRMatrix, u: Tensor, v: Tensor) -> Tensor:
     """
     rows, cols = pattern.row_ids(), pattern.indices
 
-    def backward(grad: np.ndarray) -> None:
-        weighted = pattern.with_values(grad)
-        u.accumulate_grad(gspmm(weighted, v.data))
-        v.accumulate_grad(gspmm(weighted.transpose(), u.data))
+    def vjp_u(g: np.ndarray) -> np.ndarray:
+        return gspmm(pattern.with_values(g), v.data)
+
+    def vjp_v(g: np.ndarray) -> np.ndarray:
+        return gspmm(pattern.with_values(g).transpose(), u.data)
 
     out_data = np.einsum("ek,ek->e", u.data[rows], v.data[cols])
-    return Tensor.make(out_data, (u, v), backward, "sddmm_dot")
+    return Tensor.make(out_data, (u, v), (vjp_u, vjp_v), "sddmm_dot")
 
 
 def gsddmm_add_uv(pattern: CSRMatrix, u_score: Tensor, v_score: Tensor) -> Tensor:
@@ -127,16 +133,14 @@ def gsddmm_add_uv(pattern: CSRMatrix, u_score: Tensor, v_score: Tensor) -> Tenso
     """
     rows, cols = pattern.row_ids(), pattern.indices
 
-    def backward(grad: np.ndarray) -> None:
-        u_score.accumulate_grad(
-            np.bincount(rows, weights=grad, minlength=pattern.shape[0])
-        )
-        v_score.accumulate_grad(
-            np.bincount(cols, weights=grad, minlength=pattern.shape[1])
-        )
+    def vjp_u(g: np.ndarray) -> np.ndarray:
+        return np.bincount(rows, weights=g, minlength=pattern.shape[0])
+
+    def vjp_v(g: np.ndarray) -> np.ndarray:
+        return np.bincount(cols, weights=g, minlength=pattern.shape[1])
 
     out_data = u_score.data[rows] + v_score.data[cols]
-    return Tensor.make(out_data, (u_score, v_score), backward, "gsddmm_add_uv")
+    return Tensor.make(out_data, (u_score, v_score), (vjp_u, vjp_v), "gsddmm_add_uv")
 
 
 def edge_softmax(pattern: CSRMatrix, logits: Tensor) -> Tensor:
@@ -148,30 +152,29 @@ def edge_softmax(pattern: CSRMatrix, logits: Tensor) -> Tensor:
     alpha = alpha_mat.values
     deg = pattern.row_degrees()
 
-    def backward(grad: np.ndarray) -> None:
-        weighted_sums = segment_sum(grad * alpha, pattern.indptr)
-        logits.accumulate_grad(alpha * (grad - np.repeat(weighted_sums, deg)))
+    def vjp(g: np.ndarray) -> np.ndarray:
+        weighted_sums = segment_sum(g * alpha, pattern.indptr)
+        return alpha * (g - np.repeat(weighted_sums, deg))
 
-    return Tensor.make(alpha, (logits,), backward, "edge_softmax")
+    return Tensor.make(alpha, (logits,), (vjp,), "edge_softmax")
 
 
 def row_broadcast(d: np.ndarray, x: Tensor) -> Tensor:
     """``diag(d) @ X`` with a constant per-row vector (GCN normalization)."""
     d = np.asarray(d, dtype=np.float64)
 
-    def backward(grad: np.ndarray) -> None:
-        x.accumulate_grad(d[:, None] * grad)
-
-    return Tensor.make(d[:, None] * x.data, (x,), backward, "row_broadcast")
+    return Tensor.make(
+        d[:, None] * x.data, (x,), (lambda g: d[:, None] * g,), "row_broadcast"
+    )
 
 
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     """Row gather with scatter-add backward (used by sampled training)."""
     idx = np.asarray(idx, dtype=np.int64)
 
-    def backward(grad: np.ndarray) -> None:
+    def vjp(g: np.ndarray) -> np.ndarray:
         full = np.zeros_like(x.data)
-        np.add.at(full, idx, grad)
-        x.accumulate_grad(full)
+        np.add.at(full, idx, g)
+        return full
 
-    return Tensor.make(x.data[idx], (x,), backward, "gather_rows")
+    return Tensor.make(x.data[idx], (x,), (vjp,), "gather_rows")

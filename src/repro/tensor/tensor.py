@@ -4,7 +4,15 @@ This is the reproduction's stand-in for PyTorch: the smallest tensor
 library that supports training the paper's five GNN models (GCN, GIN, SGC,
 TAGCN, GAT).  Forward passes build a DAG of :class:`Tensor` nodes; calling
 :meth:`Tensor.backward` on a scalar loss runs a topological-order sweep of
-the recorded backward closures.
+the recorded vector-Jacobian products.
+
+The tape is *need-aware* and *copy-free* through one seam.  An op hands
+:meth:`Tensor.make` one VJP callable per parent; only those of parents
+that require grad are recorded, so the gradient of a constant (input
+features, a lifted scalar) is never computed.  The sweep owns all
+accumulation (:meth:`Tensor.accumulate_grad`): an interior node *borrows*
+the first gradient that reaches it, allocates once if a second arrives
+and adds in place after that; a leaf always owns a private copy.
 
 Only the dense operations live here.  The sparse operations that give GNNs
 their structure (SpMM over a fixed adjacency, SDDMM, edge softmax) are in
@@ -19,6 +27,9 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
+
+# maps the gradient of an op's result to one parent's share of it
+VJP = Callable[[np.ndarray], np.ndarray]
 
 _GRAD_ENABLED = [True]
 
@@ -52,23 +63,26 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _identity(grad: np.ndarray) -> np.ndarray:
+    return grad
+
+
 class Tensor:
     """A node in the autograd graph wrapping a ``float64`` ndarray."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "op")
+    __slots__ = (
+        "data", "grad", "requires_grad", "_parents", "_vjps", "_owns_grad", "op"
+    )
 
-    def __init__(
-        self,
-        data,
-        requires_grad: bool = False,
-        _parents: Sequence["Tensor"] = (),
-        op: str = "",
-    ) -> None:
+    def __init__(self, data, requires_grad: bool = False, op: str = "") -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad) and is_grad_enabled()
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
-        self._parents: Tuple[Tensor, ...] = tuple(_parents) if self.requires_grad else ()
+        # the parents that require grad and, aligned with them, their VJPs;
+        # both empty on a leaf
+        self._parents: Tuple[Tensor, ...] = ()
+        self._vjps: Tuple[VJP, ...] = ()
+        self._owns_grad = True
         self.op = op
 
     # ------------------------------------------------------------------
@@ -82,23 +96,50 @@ class Tensor:
     def make(
         data: np.ndarray,
         parents: Sequence["Tensor"],
-        backward: Callable[[np.ndarray], None],
+        vjps: Sequence[VJP],
         op: str,
     ) -> "Tensor":
-        """Create a result tensor, recording the backward closure when any
-        parent requires grad and grad mode is on."""
-        needs = is_grad_enabled() and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=needs, _parents=parents if needs else (), op=op)
-        if needs:
-            out._backward = backward
+        """Create the result tensor of an op over ``parents``.
+
+        ``vjps[i]`` maps the gradient of the result to ``parents[i]``'s
+        share of it (any shape that broadcasts down to the parent's).  A
+        VJP is recorded only when its parent requires grad and grad mode
+        is on, so the sweep never calls one whose result nobody reads.
+
+        A VJP never writes to the gradient it is given — the same array
+        may be on its way to other parents — and the array it returns is
+        never written by anyone else: it may be the incoming gradient
+        itself, a view of it, or a buffer the op hands over.
+        """
+        out = Tensor(data, op=op)
+        if _GRAD_ENABLED[0]:
+            live = [(p, f) for p, f in zip(parents, vjps) if p.requires_grad]
+            if live:
+                out.requires_grad = True
+                out._parents, out._vjps = zip(*live)
         return out
 
     def accumulate_grad(self, grad: np.ndarray) -> None:
-        grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
+        """Add one incoming gradient; :meth:`backward` is the only caller.
+
+        An interior node borrows the first array that reaches it, replaces
+        it by a fresh sum when a second one arrives and adds in place from
+        then on, so a borrowed array is never written.  A leaf copies the
+        first one: its ``.grad`` outlives the sweep and belongs to the
+        user, whose ``p.grad *= c`` must not reach another tensor.
+        """
+        grad = _unbroadcast(grad, self.data.shape)
         if self.grad is None:
-            self.grad = grad.copy()
-        else:
+            if self._vjps:
+                self.grad = grad
+                self._owns_grad = False
+            else:
+                self.grad = np.array(grad, dtype=np.float64)
+        elif self._owns_grad:
             self.grad += grad
+        else:
+            self.grad = self.grad + grad
+            self._owns_grad = True
 
     # ------------------------------------------------------------------
     # Shape & basics
@@ -132,20 +173,14 @@ class Tensor:
     # ------------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
         other = Tensor._lift(other)
-
-        def backward(grad: np.ndarray) -> None:
-            self.accumulate_grad(grad)
-            other.accumulate_grad(grad)
-
-        return Tensor.make(self.data + other.data, (self, other), backward, "add")
+        return Tensor.make(
+            self.data + other.data, (self, other), (_identity, _identity), "add"
+        )
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        def backward(grad: np.ndarray) -> None:
-            self.accumulate_grad(-grad)
-
-        return Tensor.make(-self.data, (self,), backward, "neg")
+        return Tensor.make(-self.data, (self,), (np.negative,), "neg")
 
     def __sub__(self, other) -> "Tensor":
         return self + (-Tensor._lift(other))
@@ -155,54 +190,57 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
-
-        def backward(grad: np.ndarray) -> None:
-            self.accumulate_grad(grad * other.data)
-            other.accumulate_grad(grad * self.data)
-
-        return Tensor.make(self.data * other.data, (self, other), backward, "mul")
+        return Tensor.make(
+            self.data * other.data,
+            (self, other),
+            (lambda g: g * other.data, lambda g: g * self.data),
+            "mul",
+        )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
         other = Tensor._lift(other)
-
-        def backward(grad: np.ndarray) -> None:
-            self.accumulate_grad(grad / other.data)
-            other.accumulate_grad(-grad * self.data / (other.data ** 2))
-
-        return Tensor.make(self.data / other.data, (self, other), backward, "div")
+        return Tensor.make(
+            self.data / other.data,
+            (self, other),
+            (
+                lambda g: g / other.data,
+                lambda g: -g * self.data / (other.data ** 2),
+            ),
+            "div",
+        )
 
     def __matmul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
-
-        def backward(grad: np.ndarray) -> None:
-            self.accumulate_grad(grad @ other.data.T)
-            other.accumulate_grad(self.data.T @ grad)
-
-        return Tensor.make(self.data @ other.data, (self, other), backward, "matmul")
+        return Tensor.make(
+            self.data @ other.data,
+            (self, other),
+            (lambda g: g @ other.data.T, lambda g: self.data.T @ g),
+            "matmul",
+        )
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-
-        def backward(grad: np.ndarray) -> None:
-            self.accumulate_grad(grad * exponent * self.data ** (exponent - 1))
-
-        return Tensor.make(self.data ** exponent, (self,), backward, "pow")
+        return Tensor.make(
+            self.data ** exponent,
+            (self,),
+            (lambda g: g * exponent * self.data ** (exponent - 1),),
+            "pow",
+        )
 
     # ------------------------------------------------------------------
     # Reductions & reshapes
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        def backward(grad: np.ndarray) -> None:
-            g = np.asarray(grad)
+        def vjp(g: np.ndarray) -> np.ndarray:
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self.accumulate_grad(np.broadcast_to(g, self.data.shape))
+            return np.broadcast_to(g, self.data.shape)
 
         return Tensor.make(
-            self.data.sum(axis=axis, keepdims=keepdims), (self,), backward, "sum"
+            self.data.sum(axis=axis, keepdims=keepdims), (self,), (vjp,), "sum"
         )
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -212,59 +250,64 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-
-        def backward(grad: np.ndarray) -> None:
-            self.accumulate_grad(grad.reshape(self.data.shape))
-
-        return Tensor.make(self.data.reshape(shape), (self,), backward, "reshape")
+        return Tensor.make(
+            self.data.reshape(shape),
+            (self,),
+            (lambda g: g.reshape(self.data.shape),),
+            "reshape",
+        )
 
     @property
     def T(self) -> "Tensor":
-        def backward(grad: np.ndarray) -> None:
-            self.accumulate_grad(grad.T)
-
-        return Tensor.make(self.data.T, (self,), backward, "transpose")
+        return Tensor.make(self.data.T, (self,), (lambda g: g.T,), "transpose")
 
     def __getitem__(self, idx) -> "Tensor":
-        def backward(grad: np.ndarray) -> None:
+        def vjp(g: np.ndarray) -> np.ndarray:
             full = np.zeros_like(self.data)
-            np.add.at(full, idx, grad)
-            self.accumulate_grad(full)
+            np.add.at(full, idx, g)
+            return full
 
-        return Tensor.make(self.data[idx], (self,), backward, "getitem")
+        return Tensor.make(self.data[idx], (self,), (vjp,), "getitem")
 
     # ------------------------------------------------------------------
     # Backward pass
     # ------------------------------------------------------------------
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Backpropagate from this tensor through the recorded graph."""
+        """Backpropagate from this tensor through the recorded graph.
+
+        Leaves accumulate into ``.grad`` across calls; an interior node's
+        gradient lives only until its VJPs have run, so a second sweep
+        over the same graph starts clean and nothing gradient-sized
+        outlives the call.
+        """
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor that does not require grad")
         if grad is None:
             if self.data.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar outputs")
             grad = np.ones_like(self.data)
+        else:
+            grad = np.asarray(grad, dtype=np.float64)
+        # post-order over the recorded parents (iterative: a 5000-op chain
+        # would blow the recursion limit)
         topo: List[Tensor] = []
-        visited = set()
+        visited = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            current, parents = stack[-1]
+            for parent in parents:
+                if id(parent) not in visited:
+                    visited.add(id(parent))
+                    stack.append((parent, iter(parent._parents)))
+                    break
+            else:
+                topo.append(current)
+                stack.pop()
 
-        def visit(node: Tensor) -> None:
-            stack = [(node, iter(node._parents))]
-            visited.add(id(node))
-            while stack:
-                current, parents = stack[-1]
-                advanced = False
-                for parent in parents:
-                    if id(parent) not in visited and parent.requires_grad:
-                        visited.add(id(parent))
-                        stack.append((parent, iter(parent._parents)))
-                        advanced = True
-                        break
-                if not advanced:
-                    topo.append(current)
-                    stack.pop()
-
-        visit(self)
         self.accumulate_grad(grad)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if not node._vjps:
+                continue
+            grad, node.grad = node.grad, None
+            for parent, vjp in zip(node._parents, node._vjps):
+                parent.accumulate_grad(vjp(grad))

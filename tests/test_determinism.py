@@ -123,3 +123,36 @@ class TestSpmmStrategyDeterminism:
             baseline,
             gspmm(adj, x, strategy="blocked_parallel", block_nnz=16),
         )
+
+
+class TestGatTrainingDeterminism:
+    """A GAT training step is bitwise identical under every row-fold
+    strategy: the edge softmax's 1-D sums and maxes do not depend on the
+    strategy at all, and both SpMM directions of the attention-weighted
+    aggregation fold each row the same way whatever span it arrives in."""
+
+    STRATEGIES = (
+        "row_segment", "blocked", "blocked_parallel", "spmm_fused", "spmm_sharded",
+    )
+
+    def step(self, strategy):
+        from repro.kernels import spmm_strategy_override
+        from repro.models import GATLayer, prepare_mp_graph
+        from repro.tensor import Tensor, cross_entropy
+
+        g = prepare_mp_graph(rmat(96, 6.0, seed=9))
+        rng = np.random.default_rng(17)
+        feat = Tensor(rng.standard_normal((96, 8)), requires_grad=True)
+        labels = rng.integers(0, 4, size=96)
+        layer = GATLayer(8, 4, rng=np.random.default_rng(5))
+        with spmm_strategy_override(strategy):
+            out = layer.forward(g, feat)
+            cross_entropy(out, labels).backward()
+        return [out.data, feat.grad] + [p.grad for p in layer.parameters()]
+
+    def test_forward_and_gradients_bitwise_equal(self):
+        baseline = self.step("row_segment")
+        assert all(np.isfinite(a).all() and np.abs(a).max() > 0 for a in baseline)
+        for strategy in self.STRATEGIES[1:]:
+            for want, got in zip(baseline, self.step(strategy)):
+                assert np.array_equal(want, got), strategy

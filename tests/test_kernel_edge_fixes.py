@@ -6,6 +6,10 @@ Pins two classes of bug:
   logits): ``-inf - (-inf)`` in the max-shift, then ``0 / 0`` in the
   normalisation.  Masked attention (padding, subgraph masking) makes
   such rows routine.
+- the 1-D ``segment_sum`` / ``segment_max`` under ``edge_softmax`` left
+  the lockstep ``segment_reduce`` (an argsort plus ~40 ``searchsorted``
+  calls per call) for the compiled CSR fold and ``maximum.reduceat``;
+  the lockstep fold stays the reference they are checked against.
 - CSR structural arrays silently inherited narrow integer dtypes from
   caller input (or from ``np.bincount``'s platform-dependent ``intp``),
   risking int32 overflow in cumulative sums near 2**31 nonzeros.
@@ -14,7 +18,10 @@ Pins two classes of bug:
 import numpy as np
 import pytest
 
-from repro.kernels import edge_softmax
+from repro.core.verify import adversarial_battery
+from repro.graphs import isolated_union, star
+from repro.kernels import edge_softmax, segment_max, segment_sum
+from repro.kernels.segment import segment_reduce
 from repro.sparse import CSRMatrix
 
 
@@ -71,6 +78,68 @@ class TestEdgeSoftmaxMaskedRows:
         out = edge_softmax(adj, np.array([1e4, -1e4]))
         assert np.isfinite(out.values).all()
         np.testing.assert_allclose(out.values, [1.0, 0.0], atol=1e-300)
+
+
+class TestEdgeSegmentFolds:
+    """1-D ``segment_sum`` / ``segment_max`` against the lockstep fold."""
+
+    # star(200): one row of > 128 edges, which the lockstep fold reduces
+    # pairwise and the compiled fold left to right
+    GRAPHS = adversarial_battery(quick=False) + [
+        star(200), isolated_union(30, 30, seed=3),
+    ]
+
+    @pytest.mark.parametrize("graph", GRAPHS, ids=lambda g: g.name)
+    def test_match_lockstep_reference(self, graph):
+        for pattern in (graph.adj, graph.adj_with_self_loops()):
+            values = np.random.default_rng(7).standard_normal(pattern.nnz)
+            np.testing.assert_allclose(
+                segment_sum(values, pattern.indptr),
+                segment_reduce(values, pattern.indptr, np.add, 0.0),
+                rtol=1e-12, atol=1e-12,
+            )
+            np.testing.assert_array_equal(
+                segment_max(values, pattern.indptr),
+                segment_reduce(values, pattern.indptr, np.maximum, -np.inf),
+            )
+
+    def test_empty_rows_yield_the_identity(self):
+        indptr = np.array([0, 0, 2, 2, 3, 3])
+        values = np.array([1.0, -4.0, 0.5])
+        np.testing.assert_array_equal(
+            segment_sum(values, indptr), [0.0, -3.0, 0.0, 0.5, 0.0]
+        )
+        np.testing.assert_array_equal(
+            segment_max(values, indptr), [-np.inf, 1.0, -np.inf, 0.5, -np.inf]
+        )
+        no_rows = np.array([0])
+        assert segment_sum(np.empty(0), no_rows).shape == (0,)
+        assert segment_max(np.empty(0), no_rows).shape == (0,)
+
+    def test_fully_masked_rows_stay_minus_inf_and_zero(self):
+        indptr = np.array([0, 2, 4])
+        values = np.array([-np.inf, -np.inf, 0.5, 1.5])
+        np.testing.assert_array_equal(segment_max(values, indptr), [-np.inf, 1.5])
+        np.testing.assert_array_equal(
+            segment_sum(np.exp(values), indptr), [0.0, np.exp(0.5) + np.exp(1.5)]
+        )
+
+    def test_value_count_is_validated(self):
+        with pytest.raises(ValueError):
+            segment_sum(np.ones(3), np.array([0, 1, 2]))
+        with pytest.raises(ValueError):
+            segment_max(np.ones((2, 2)), np.array([0, 1, 2]))
+
+    def test_edge_softmax_on_the_battery(self):
+        for graph in self.GRAPHS:
+            adj = graph.adj
+            logits = np.random.default_rng(11).standard_normal(adj.nnz)
+            if adj.nnz:
+                logits[adj.indptr[np.argmax(adj.row_degrees())]:][:1] = -np.inf
+            alpha = edge_softmax(adj, logits).values
+            assert np.isfinite(alpha).all()
+            sums = segment_reduce(alpha, adj.indptr, np.add, 0.0)
+            np.testing.assert_allclose(sums[adj.row_degrees() > 0], 1.0)
 
 
 class TestCSRIndexDtypes:

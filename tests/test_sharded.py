@@ -439,6 +439,44 @@ class TestLeakSweep:
         assert leaked == []
         assert live_segment_bytes() == 0
 
+    def test_clean_exit_is_silent_and_leaves_no_segment(self):
+        """A worker shares the parent's resource_tracker; unregistering a
+        segment there dropped the *parent's* registration, and the
+        parent's unlink then made the tracker print ``KeyError``
+        tracebacks at exit."""
+        import subprocess
+        import sys
+
+        from repro.kernels.sharded import SEGMENT_PREFIX
+
+        code = (
+            "import os, numpy as np\n"
+            "from repro.graphs import erdos_renyi\n"
+            "from repro.kernels import gspmm\n"
+            "from repro.kernels.sharded import shutdown_pool\n"
+            "adj = erdos_renyi(200, 6, seed=21).adj\n"
+            "x = np.ones((200, 4))\n"
+            "out = gspmm(adj, x, strategy='spmm_sharded', num_workers=2)\n"
+            "assert np.array_equal(out, gspmm(adj, x, strategy='row_segment'))\n"
+            "shutdown_pool()\n"
+            "print(os.getpid(), flush=True)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            env=dict(os.environ, PYTHONPATH="src"),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        child = proc.stdout.split()[-1]
+        assert [
+            n for n in os.listdir("/dev/shm")
+            if n.startswith(f"{SEGMENT_PREFIX}-{child}-")
+        ] == []
+
     def test_sweep_ignores_foreign_names(self, tmp_path):
         from repro.kernels.sharded import sweep_leaked_segments
 
