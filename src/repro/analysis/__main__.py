@@ -74,9 +74,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 plans.append((f"{name}{suffix}", planned.plan))
         verdicts = []
         for label, plan in plans:
-            verdict = analyze_plan(
-                plan, strategies=("blocked", "blocked_parallel")
-            )
+            verdict = analyze_plan(plan)
             verdicts.append((label, verdict))
             if not verdict.ok:
                 failed += 1

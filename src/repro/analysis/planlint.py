@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.assoc import Candidate, Step
 from ..core.ir import ShapeEnv, dims_compatible
 from ..errors import GraniiAnalysisError
+from ..kernels.spmm import SPMM_STRATEGIES, spmm_strategy
 from .domains import (
     AbstractMatrix,
     compose_product_nnz,
@@ -62,7 +63,7 @@ __all__ = [
     "shard_coverage_diagnostics",
 ]
 
-# Primitives whose blocked-strategy kernels tile through the arena.
+# Primitives the strategy table's rows execute, scratch and all.
 WORKSPACE_PRIMITIVES = ("spmm", "spmm_unweighted")
 
 # Unary element-wise metas the fused epilogue can replay bit-identically
@@ -535,52 +536,30 @@ def analyze_candidate(candidate: Candidate, name: str = "") -> PlanVerdict:
 # ----------------------------------------------------------------------
 # Workspace lifetime analysis
 # ----------------------------------------------------------------------
-def workspace_trace(plan, strategy: str = "blocked") -> List[Tuple[str, str, str]]:
-    """The arena acquire/release protocol a plan's execution implies.
+def workspace_trace(plan, strategy: str) -> List[Tuple[str, str, str]]:
+    """The scratch acquire/release protocol a plan's execution implies.
 
-    Under a blocked strategy every aggregation step tiles through one
-    arena buffer: acquire before the kernel loop, release on the normal
-    edge (buffer returns to the arena for the next step) *and* on the
-    exception edge (the guard's ``drop_buffers`` cleanup).  Events are
+    A strategy-table row with ``scratch`` holds one buffer per
+    aggregation step: the tiled rows an arena tile (the fused row a
+    message + pre-scale pair with the same discipline), the sharded row
+    the shared-memory segments of its dense operand and output.  Each is
+    acquired before the kernel loop and released on the normal edge
+    (back to the arena / the parent's buffer pool for the next step)
+    *and* on the exception edge (the guard's ``drop_buffers`` cleanup; a
+    segment is unlinked outright — a recycled buffer a dead worker might
+    still write to would corrupt an unrelated call).  Events are
     ``(kind, buffer_key, step_out)`` with kind in ``acquire`` /
-    ``release-normal`` / ``release-exception``.
-
-    The sharded strategy has the analogous obligation one level up:
-    every aggregation step acquires shared-memory segments (the dense
-    operand and output buffers) that must return to the parent's buffer
-    pool on the normal edge and be unlinked outright on the exception
-    edge (a recycled buffer a dead worker might still write to would
-    corrupt an unrelated call).
+    ``release-normal`` / ``release-exception``; a row without scratch
+    (``row_segment``) implies none.
     """
     events: List[Tuple[str, str, str]] = []
-    if strategy == "spmm_sharded":
-        for step in plan.steps:
-            if step.primitive not in WORKSPACE_PRIMITIVES:
-                continue
-            key = f"segments:{step.out}"
-            events.append(("acquire", key, step.out))
-            events.append(("release-normal", key, step.out))
-            events.append(("release-exception", key, step.out))
-        return events
-    if strategy == "spmm_fused":
-        # the compiled path runs each fusable segment's aggregation
-        # through one pair of arena tiles (message + pre-scale gather);
-        # non-segment aggregations fall back to the bare streaming kernel
-        # with the same tile discipline, so the obligation is identical
-        for step in plan.steps:
-            if step.primitive not in WORKSPACE_PRIMITIVES:
-                continue
-            key = f"fused:{step.out}"
-            events.append(("acquire", key, step.out))
-            events.append(("release-normal", key, step.out))
-            events.append(("release-exception", key, step.out))
-        return events
-    if strategy not in ("blocked", "blocked_parallel"):
+    scratch = spmm_strategy(strategy).scratch
+    if scratch is None:
         return events
     for step in plan.steps:
         if step.primitive not in WORKSPACE_PRIMITIVES:
             continue
-        key = f"tile:{step.out}"
+        key = f"{scratch}:{step.out}"
         events.append(("acquire", key, step.out))
         events.append(("release-normal", key, step.out))
         events.append(("release-exception", key, step.out))
@@ -832,9 +811,12 @@ def fusion_legality(plan) -> FusionReport:
 # Plan-level entry points
 # ----------------------------------------------------------------------
 def analyze_plan(
-    plan, env: Optional[ShapeEnv] = None, strategies: Sequence[str] = ("blocked",)
+    plan, env: Optional[ShapeEnv] = None, strategies: Sequence[str] = SPMM_STRATEGIES
 ) -> PlanVerdict:
-    """Full verdict for a lowered plan: candidate + lifetimes + env facts."""
+    """Full verdict for a lowered plan: candidate + lifetimes + env facts.
+
+    ``strategies`` are the execution strategies whose scratch lifetimes
+    the verdict covers — by default every row of the strategy table."""
     verdict = analyze_candidate(plan.candidate, name=plan.name)
     ws_diags: List[Diagnostic] = []
     for strategy in strategies:
@@ -845,7 +827,7 @@ def analyze_plan(
             "workspace: arena acquire/release balanced on normal and "
             "exception edges for " + "/".join(strategies)
         )
-    if "spmm_sharded" in strategies and any(
+    if any(spmm_strategy(name).spans == "shards" for name in strategies) and any(
         step.primitive in WORKSPACE_PRIMITIVES for step in plan.steps
     ):
         verdict.obligations.append(

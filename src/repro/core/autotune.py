@@ -10,12 +10,11 @@ ratios back into the cost models as runtime residuals
 selections on this process price the strategies the way this host runs
 them, and ``REPRO_BLOCK_NNZ`` stops being a hand-set knob.
 
-Scope is deliberately bounded: only in-process strategies are measured
-(``row_segment`` as the baseline, ``blocked`` and ``spmm_fused`` over
-the tile grid).  Pool-backed strategies (``blocked_parallel``,
-``spmm_sharded``) would pay pool spin-up inside the selection path;
-their pricing still improves indirectly through the shared residual
-store when the guard runs them.
+Scope is deliberately bounded: only the strategy-table rows that run
+in-process are measured (``row_segment`` as the baseline, the tiled ones
+over the tile grid).  Pool-backed rows would pay pool spin-up inside the
+selection path; their pricing still improves indirectly through the
+shared residual store when the guard runs them.
 
 Knobs: ``REPRO_AUTOTUNE`` (enable), ``REPRO_AUTOTUNE_GRID`` (candidate
 ``block_nnz`` values), ``REPRO_AUTOTUNE_WARMUP`` / ``REPRO_AUTOTUNE_REPEATS``
@@ -31,7 +30,14 @@ import numpy as np
 
 from .. import config
 from ..hardware.timer import time_fn
-from ..kernels import KernelCall, WorkspaceArena, get_semiring, gspmm
+from ..kernels import (
+    SPMM_STRATEGY_TABLE,
+    KernelCall,
+    WorkspaceArena,
+    get_semiring,
+    gspmm,
+    spmm_strategy,
+)
 from ..sparse import CSRMatrix
 
 __all__ = [
@@ -46,24 +52,13 @@ __all__ = [
 # a cache-snug tile, the default, and a dispatch-lean large tile.
 DEFAULT_GRID = (8192, 32768, 131072)
 
-# Strategies measured directly; all run in-process with no pool warm-up.
-TUNABLE_STRATEGIES = ("row_segment", "blocked", "spmm_fused")
-
-# Strategies whose runtime is insensitive to block_nnz: one point each.
-_BLOCK_INSENSITIVE = ("row_segment", "gather_scatter")
+# Strategies measured directly: the table rows that run in-process, with
+# no pool warm-up to pay inside the selection path.
+TUNABLE_STRATEGIES = tuple(
+    row.name for row in SPMM_STRATEGY_TABLE if row.pool is None
+)
 
 _SPMM_SEMIRINGS = {"spmm": ("sum", "mul"), "spmm_unweighted": ("sum", "copy_rhs")}
-
-# strategy -> cost-model primitive used for residual attribution; None
-# means "the call's own primitive" (the reference path).
-_STRATEGY_PRIMITIVES = {
-    "row_segment": None,
-    "gather_scatter": None,
-    "blocked": "spmm_blocked",
-    "blocked_parallel": "spmm_parallel",
-    "spmm_sharded": "spmm_sharded",
-    "spmm_fused": "spmm_fused",
-}
 
 
 @dataclass(frozen=True)
@@ -142,8 +137,9 @@ def autotune_spmm(
     result = AutotuneResult(strategy="row_segment", block_nnz=None)
     best_seconds = float("inf")
     for strategy in strategies:
+        # a one-span strategy never reads block_nnz: one point
         blocks: Sequence[Optional[int]] = (
-            (None,) if strategy in _BLOCK_INSENSITIVE else tuple(grid)
+            (None,) if spmm_strategy(strategy).spans == "one" else tuple(grid)
         )
         workspace = WorkspaceArena()
         for block in blocks:
@@ -206,14 +202,16 @@ def autotune_selection(engine, plan, graph, layer) -> Optional[AutotuneResult]:
     if engine._cost_models is not None:
         models = engine.cost_models
         eff = engine.system.efficiency
-        graph_vec = engine._graph_vec_cache.get(id(graph))
+        graph_vec = engine._graph_vec_cache.get(graph)
         if graph_vec is None:
             from .features import featurize_graph
 
             graph_vec = featurize_graph(graph)
-            engine._graph_vec_cache[id(graph)] = graph_vec
+            engine._graph_vec_cache[graph] = graph_vec
         for strategy, measured in result.best_per_strategy.items():
-            primitive = _STRATEGY_PRIMITIVES.get(strategy) or call.primitive
+            primitive = spmm_strategy(strategy).priced_as(call.primitive)
+            if primitive is None:
+                continue  # pinned, unpriced strategy: no model to correct
             variant = KernelCall(primitive, dict(call.shape), tag=call.tag)
             try:
                 predicted = models.predict_calls([variant], graph_vec, eff)

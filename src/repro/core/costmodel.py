@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..hardware import Device, get_device
-from ..kernels import KernelCall
+from ..kernels import STRATEGY_PRICING_PRIMITIVES, KernelCall
 from ..learn import GradientBoostedTrees
 from .features import call_features
 from .profiler import ProfileDataset, collect_profile
@@ -47,18 +47,11 @@ __all__ = [
 _RUNTIME_RESIDUALS: Dict[Tuple[str, str], float] = {}
 _RESIDUAL_ALPHA = 0.5
 
-# Primitives whose residuals change strategy selection — the scope of
-# the cache-invalidation token.  Residuals on anything else (gemm, ...)
+# STRATEGY_PRICING_PRIMITIVES (the strategy table's priced primitives) are
+# the ones whose residuals change strategy selection — the scope of the
+# cache-invalidation token.  Residuals on anything else (gemm, ...)
 # cannot flip an aggregation-strategy choice, so they must NOT churn
 # serving-cache fingerprints.
-STRATEGY_PRICING_PRIMITIVES = (
-    "spmm",
-    "spmm_unweighted",
-    "spmm_blocked",
-    "spmm_parallel",
-    "spmm_sharded",
-    "spmm_fused",
-)
 
 
 def record_runtime_residual(

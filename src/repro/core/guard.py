@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -47,17 +48,19 @@ from ..errors import (
     GraniiInputError,
     GraniiMemoryError,
 )
+from ..kernels import STRATEGY_PRICING_PRIMITIVES, demotion_chain, spmm_strategy
 from ..sparse import CSRMatrix, DiagonalMatrix
 from ..tensor import Tensor
 from .bindings import build_binding
 from .ir import ShapeEnv
-from .plan import EdgeSparse, KernelExecutionConfig, Plan
+from .plan import WORKSPACE_CACHE_KEY, EdgeSparse, KernelExecutionConfig, Plan
 
 __all__ = [
     "CircuitBreaker",
     "DemotionRecord",
     "ExecutionBudget",
     "GuardedExecutor",
+    "execute_plan",
     "reference_forward",
     "shape_env_for",
     "validate_inputs",
@@ -79,6 +82,61 @@ def reference_forward(layer, g, feat):
         return layer.forward(g, feat)
     out = layer.forward(g, Tensor(np.asarray(feat, dtype=np.float64)))
     return np.asarray(out.data)
+
+
+def execute_plan(
+    engine, layer, plan: Plan, strategy: str, g, feat, setup_caches,
+    slot=None, budget=None,
+):
+    """One plan execution, as both the guarded and the bare executor run it.
+
+    ``setup_caches`` is the executor's ``WeakKeyDictionary`` of per-graph
+    setup caches.  It is keyed on the graph *object*: an ``id(g)`` key is
+    recycled by CPython once ``g`` dies, and the next graph at that
+    address would be served the dead one's precomputed Ã.  ``slot``
+    separates executions that must not share a cache for one graph (the
+    guard's rungs).
+    """
+    mode = "tensor" if isinstance(feat, Tensor) else "numpy"
+    # a compiled fused schedule bypasses the autograd tape, so only
+    # inference may take the one-pass numpy path; a training-mode engine
+    # keeps tensor mode (the bare fused kernel still runs inside the
+    # taped spmm op, bitwise-identical forward)
+    fused_inference = (
+        spmm_strategy(strategy).fuses
+        and mode == "tensor"
+        and engine.mode == "inference"
+    )
+    if fused_inference:
+        mode = "numpy"
+    kernel_config = None
+    if strategy != "row_segment":
+        kernel_config = KernelExecutionConfig(
+            strategy=strategy,
+            block_nnz=engine.block_nnz,
+            num_threads=engine.num_threads,
+            num_workers=engine.num_workers,
+        )
+    binding = build_binding(layer, g, feat, mode, engine.system.degree_method)
+    cache = setup_caches.setdefault(g, {}).setdefault((mode, slot), {})
+    try:
+        out = plan.execute(
+            binding,
+            mode=mode,
+            setup_cache=cache,
+            kernel_config=kernel_config,
+            budget=budget,
+        )
+    except Exception:
+        # a failed run may have left a partially warmed workspace in the
+        # setup cache; drop it so a retry starts clean
+        arena = cache.pop(WORKSPACE_CACHE_KEY, None)
+        if arena is not None:
+            arena.drop_buffers()
+        raise
+    if fused_inference:
+        out = Tensor(np.asarray(out))  # callers expect the feat's kind
+    return out
 
 
 def shape_env_for(adj: CSRMatrix, layer) -> ShapeEnv:
@@ -437,40 +495,33 @@ class GuardedExecutor:
     baseline message-passing forward.
 
     Rungs are ``(planned, strategy)`` pairs: the chosen plan under its
-    selected aggregation strategy first, then the same plan under the
-    reference ``row_segment`` kernels (a strategy bug must not disqualify
-    a healthy composition), then the remaining surviving plans cheapest
-    first.  A rung that fails is retired for the life of the executor;
-    the per-(primitive, strategy) circuit breaker additionally steers
-    *future* selections away from a repeatedly failing strategy until
-    its cooldown elapses.
+    selected aggregation strategy first, then the same plan down that
+    strategy's demotion chain (the strategy table's ``demotes_to``
+    links, ending at the reference ``row_segment`` kernels — a strategy
+    bug must not disqualify a healthy composition), then the remaining
+    surviving plans cheapest first.  A rung that fails is retired for
+    the life of the executor; the per-(primitive, strategy) circuit
+    breaker additionally steers *future* selections away from a
+    repeatedly failing strategy until its cooldown elapses.
     """
 
     def __init__(self, engine, layer, selection) -> None:
         self.engine = engine
         self.layer = layer
         self.selection = selection
-        self.rungs: List[Tuple[object, str]] = []
         chosen = selection.chosen
-        primary = selection.spmm_strategy
-        self.rungs.append((chosen, primary))
-        if primary == "spmm_sharded":
-            # worker death / IPC timeout demotes to the in-process tiled
-            # kernel before falling all the way back to row_segment
-            self.rungs.append((chosen, "blocked"))
-        if primary == "spmm_fused":
-            # a compiled-plan failure demotes to the step-by-step tiled
-            # interpreter first — same workspace, no fusion
-            self.rungs.append((chosen, "blocked"))
-        if primary != "row_segment":
-            self.rungs.append((chosen, "row_segment"))
+        self.rungs: List[Tuple[object, str]] = [
+            (chosen, strategy)
+            for strategy in demotion_chain(selection.spmm_strategy)
+        ]
         for planned in getattr(selection, "ranked", []):
             if planned is not chosen:
                 self.rungs.append((planned, "row_segment"))
         self.rung = 0
         self._verified_rungs: set = set()
-        self._setup_caches: Dict[Tuple[int, str, int], Dict[str, object]] = {}
-        self._env_cache: Dict[int, ShapeEnv] = {}
+        # per-graph state, dropped with the graph (see execute_plan)
+        self._setup_caches = weakref.WeakKeyDictionary()
+        self._env_cache = weakref.WeakKeyDictionary()
         self._reference_demotion_logged = False
 
     # ------------------------------------------------------------------
@@ -489,11 +540,10 @@ class GuardedExecutor:
         return costs.get(f"{planned.label}#{planned.plan.name}")
 
     def _env_for(self, g) -> ShapeEnv:
-        key = id(g)
-        env = self._env_cache.get(key)
+        env = self._env_cache.get(g)
         if env is None:
             env = shape_env_for(g.adj, self.layer)
-            self._env_cache[key] = env
+            self._env_cache[g] = env
         return env
 
     def _demote(
@@ -516,7 +566,7 @@ class GuardedExecutor:
         if exc is not None and reason in ("kernel_error", "deadline", "memory"):
             primitive = record.primitive or "plan"
             self.engine.breakers.record_failure(primitive, strategy)
-            if primitive in ("spmm_unweighted", "spmm_fused"):
+            if primitive != "spmm" and primitive in STRATEGY_PRICING_PRIMITIVES:
                 # strategy-level accounting shared by the spmm flavours
                 # (the ladder's breaker gate keys on ("spmm", strategy))
                 self.engine.breakers.record_failure("spmm", strategy)
@@ -555,18 +605,6 @@ class GuardedExecutor:
     def _run_rung(self, g, feat):
         planned, strategy = self.rungs[self.rung]
         plan = planned.plan
-        mode = "tensor" if isinstance(feat, Tensor) else "numpy"
-        # the compiled fused schedule bypasses the autograd tape, so only
-        # inference may take the one-pass numpy path; a training-mode
-        # engine keeps tensor mode (the bare fused kernel still runs
-        # inside the taped spmm op, bitwise-identical forward)
-        fused_inference = (
-            strategy == "spmm_fused"
-            and mode == "tensor"
-            and self.engine.mode == "inference"
-        )
-        if fused_inference:
-            mode = "numpy"
         env = self._env_for(g)
         budget = ExecutionBudget.for_plan(self._predicted_seconds(planned))
         deadline_at = getattr(self.selection, "deadline_at", None)
@@ -591,47 +629,19 @@ class GuardedExecutor:
         if budget.memory_budget_bytes is not None:
             precomputed = self._static_peak_estimate(plan, env)
         extra_bytes = 0.0
-        if strategy == "spmm_sharded" and budget.memory_budget_bytes is not None:
-            from ..kernels.sharded import estimate_segment_bytes
-
-            extra_bytes = estimate_segment_bytes(
+        estimate_extra = spmm_strategy(strategy).extra_bytes
+        if estimate_extra is not None and budget.memory_budget_bytes is not None:
+            extra_bytes = estimate_extra(
                 int(env["N"]), int(env["N"]), int(env["E"]), int(env["K1"])
             )
         budget.check_estimate(
             plan, env, precomputed=precomputed, extra_bytes=extra_bytes
         )
-        kernel_config = None
-        if strategy != "row_segment":
-            kernel_config = KernelExecutionConfig(
-                strategy=strategy,
-                block_nnz=self.engine.block_nnz,
-                num_threads=self.engine.num_threads,
-                num_workers=self.engine.num_workers,
-            )
-        binding = build_binding(
-            self.layer, g, feat, mode, self.engine.system.degree_method
+        out = execute_plan(
+            self.engine, self.layer, plan, strategy, g, feat,
+            self._setup_caches, slot=self.rung, budget=budget,
         )
-        cache = self._setup_caches.setdefault((id(g), mode, self.rung), {})
-        try:
-            out = plan.execute(
-                binding,
-                mode=mode,
-                setup_cache=cache,
-                kernel_config=kernel_config,
-                budget=budget,
-            )
-        except Exception:
-            # a failed run may have left a partially warmed workspace in
-            # the rung's setup cache; drop it so a retry starts clean
-            from .plan import WORKSPACE_CACHE_KEY
-
-            arena = cache.pop(WORKSPACE_CACHE_KEY, None)
-            if arena is not None:
-                arena.drop_buffers()
-            raise
         self.engine.breakers.record_success("spmm", strategy)
-        if fused_inference:
-            out = Tensor(np.asarray(out))  # callers expect the feat's kind
         return out
 
     def __call__(self, g, feat, *args, **kwargs):

@@ -40,6 +40,7 @@ from ..kernels import (
     sigmoid,
     spadd_diag,
     spmm,
+    spmm_strategy,
     spmm_unweighted,
 )
 from ..kernels.registry import dispatch_kernel, transient_bytes
@@ -442,9 +443,10 @@ class Plan:
         if mode not in ("numpy", "tensor"):
             raise ValueError("mode must be 'numpy' or 'tensor'")
         workspace = None
-        if kernel_config is not None and kernel_config.strategy in (
-            "blocked", "spmm_fused"
-        ):
+        row = spmm_strategy(
+            kernel_config.strategy if kernel_config is not None else "row_segment"
+        )
+        if row.plan_arena:
             if setup_cache is not None:
                 workspace = setup_cache.get(WORKSPACE_CACHE_KEY)
                 if workspace is None:
@@ -460,11 +462,7 @@ class Plan:
             )
         if budget is not None:
             budget.start()
-        if (
-            mode == "numpy"
-            and kernel_config is not None
-            and kernel_config.strategy == "spmm_fused"
-        ):
+        if mode == "numpy" and row.fuses:
             # local import: codegen imports Plan from this module
             from .codegen import compile_plan
 
@@ -478,7 +476,7 @@ class Plan:
                     continue
                 try:
                     value = dispatch_kernel(
-                        "spmm_fused",
+                        row.primitive,
                         lambda: _execute_fused_segment(
                             segment, env, kernel_config, workspace
                         ),

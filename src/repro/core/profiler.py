@@ -18,19 +18,13 @@ import numpy as np
 
 from ..graphs import Graph, training_graphs
 from ..hardware import Device, GraphStats
-from ..kernels import KernelCall
+from ..kernels import STRATEGY_PRICING_PRIMITIVES, KernelCall
 from .features import call_features, featurize_graph
 
 __all__ = ["ProfileDataset", "collect_profile", "PROFILED_PRIMITIVES", "DEFAULT_SIZES"]
 
-PROFILED_PRIMITIVES = (
+PROFILED_PRIMITIVES = STRATEGY_PRICING_PRIMITIVES + (
     "gemm",
-    "spmm",
-    "spmm_unweighted",
-    "spmm_blocked",
-    "spmm_parallel",
-    "spmm_sharded",
-    "spmm_fused",
     "sddmm",
     "sddmm_diag",
     "gsddmm_attn",
@@ -77,21 +71,14 @@ def _representative_calls(
     n: int, nnz: int, k1: int, k2: int
 ) -> List[KernelCall]:
     """The primitive invocations a GNN layer of this shape would issue."""
-    return [
+    aggregations = [
+        KernelCall(primitive, {"m": n, "nnz": nnz, "k": k})
+        for primitive in STRATEGY_PRICING_PRIMITIVES
+        for k in (k1, k2)
+    ]
+    return aggregations + [
         KernelCall("gemm", {"m": n, "k": k1, "n": k2}),
         KernelCall("gemm", {"m": n, "k": k2, "n": 1}),
-        KernelCall("spmm", {"m": n, "nnz": nnz, "k": k1}),
-        KernelCall("spmm", {"m": n, "nnz": nnz, "k": k2}),
-        KernelCall("spmm_unweighted", {"m": n, "nnz": nnz, "k": k1}),
-        KernelCall("spmm_unweighted", {"m": n, "nnz": nnz, "k": k2}),
-        KernelCall("spmm_blocked", {"m": n, "nnz": nnz, "k": k1}),
-        KernelCall("spmm_blocked", {"m": n, "nnz": nnz, "k": k2}),
-        KernelCall("spmm_parallel", {"m": n, "nnz": nnz, "k": k1}),
-        KernelCall("spmm_parallel", {"m": n, "nnz": nnz, "k": k2}),
-        KernelCall("spmm_sharded", {"m": n, "nnz": nnz, "k": k1}),
-        KernelCall("spmm_sharded", {"m": n, "nnz": nnz, "k": k2}),
-        KernelCall("spmm_fused", {"m": n, "nnz": nnz, "k": k1}),
-        KernelCall("spmm_fused", {"m": n, "nnz": nnz, "k": k2}),
         KernelCall("sddmm", {"m": n, "nnz": nnz, "k": k1}),
         KernelCall("sddmm_diag", {"m": n, "nnz": nnz}),
         KernelCall("gsddmm_attn", {"m": n, "nnz": nnz}),

@@ -19,6 +19,7 @@ from __future__ import annotations
 import threading
 import time
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -28,30 +29,28 @@ from .. import config
 from ..framework import MPGraph, get_system
 from ..graphs import Graph
 from ..hardware import get_device
-from ..kernels import SPMM_STRATEGIES, KernelCall
+from ..kernels import (
+    SPMM_STRATEGIES,
+    SPMM_STRATEGY_TABLE,
+    KernelCall,
+    demotion_chain,
+)
 from ..tensor import Tensor
-from .bindings import build_binding, model_ir_kwargs, model_ir_name
+from .bindings import model_ir_kwargs, model_ir_name
 from .codegen import CompiledModel, PlannedCandidate, compile_model
 from .costmodel import CostModelSet, get_cost_models
 from .features import featurize_graph
-from .guard import CircuitBreaker, DemotionRecord, GuardedExecutor
+from .guard import (
+    CircuitBreaker,
+    DemotionRecord,
+    GuardedExecutor,
+    execute_plan,
+    reference_forward,
+)
 from .ir import ShapeEnv
-from .plan import KernelExecutionConfig, Plan
+from .plan import Plan
 
 __all__ = ["SelectionReport", "OptimizationReport", "GraniiEngine"]
-
-# Cost-model primitive that prices each alternative execution strategy of
-# the plan's spmm/spmm_unweighted calls.  ``row_segment`` is priced by the
-# original calls themselves; ``gather_scatter`` has no dedicated model (it
-# shares the scatter cost profile already folded into ``spmm``) and is
-# only selectable explicitly.
-_SPMM_STRATEGY_PRIMITIVES = {
-    "blocked": "spmm_blocked",
-    "blocked_parallel": "spmm_parallel",
-    "spmm_sharded": "spmm_sharded",
-    "spmm_fused": "spmm_fused",
-}
-
 
 @dataclass
 class SelectionReport:
@@ -183,19 +182,6 @@ class OptimizationReport:
         return "\n".join(lines)
 
 
-def _reference_forward(layer, g: MPGraph, feat):
-    """Run the baseline message-passing forward from either execution mode.
-
-    ``forward`` is written against Tensors; numpy-mode callers (plain
-    ndarray features) get an ndarray back so the fallback is a drop-in
-    replacement for the plan output.
-    """
-    if isinstance(feat, Tensor):
-        return layer.forward(g, feat)
-    out = layer.forward(g, Tensor(np.asarray(feat, dtype=np.float64)))
-    return np.asarray(out.data)
-
-
 class GraniiEngine:
     """The compiler + runtime pair of Figure 5."""
 
@@ -242,7 +228,8 @@ class GraniiEngine:
         self.guarded = config.guard_enabled() if guarded is None else bool(guarded)
         self.breakers = breakers if breakers is not None else CircuitBreaker()
         self._cost_models = cost_models
-        self._graph_vec_cache: Dict[int, np.ndarray] = {}
+        # keyed on the graph object: an id() is recycled once a graph dies
+        self._graph_vec_cache = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
     @property
@@ -330,8 +317,9 @@ class GraniiEngine:
         """Pick the aggregation strategy for this (plan, graph) pairing.
 
         With ``spmm_strategy='auto'`` the plan's per-iteration
-        spmm/spmm_unweighted calls are re-priced under each strategy's
-        cost-model primitive (``spmm_blocked``, ``spmm_parallel``) and the
+        spmm/spmm_unweighted calls are re-priced under each
+        :data:`~repro.kernels.spmm.SPMM_STRATEGY_TABLE` row's cost-model
+        primitive (a row without one is never auto-selected) and the
         cheapest wins — the same input-aware mechanism the paper applies
         to composition choice, one level down at the kernel.  Auto only
         consults models that are already materialised: it never triggers
@@ -380,18 +368,20 @@ class GraniiEngine:
             return "row_segment", {}
         eff = self.system.efficiency
         models = self.cost_models
-        costs = {
-            "row_segment": models.predict_calls(spmm_calls, graph_vec, eff)
-        }
-        for strategy, primitive in _SPMM_STRATEGY_PRIMITIVES.items():
-            if self.breakers.is_open("spmm", strategy):
+        costs: Dict[str, float] = {}
+        for row in SPMM_STRATEGY_TABLE:
+            if row.priced_as(spmm_calls[0].primitive) is None:
+                continue  # no cost primitive: reachable only when pinned
+            if row.demotes_to is not None and self.breakers.is_open(
+                "spmm", row.name
+            ):
                 continue
             variant = [
-                KernelCall(primitive, dict(c.shape), tag=c.tag)
+                KernelCall(row.priced_as(c.primitive), dict(c.shape), tag=c.tag)
                 for c in spmm_calls
             ]
             try:
-                costs[strategy] = models.predict_calls(variant, graph_vec, eff)
+                costs[row.name] = models.predict_calls(variant, graph_vec, eff)
             except KeyError:
                 # model set predates these primitives; skip the strategy
                 continue
@@ -426,13 +416,12 @@ class GraniiEngine:
             # force it here so it never pollutes the measured online overhead
             _ = self.cost_models
         t0 = time.perf_counter()
-        key = id(graph)
-        if key in self._graph_vec_cache:
-            graph_vec = self._graph_vec_cache[key]
+        graph_vec = self._graph_vec_cache.get(graph)
+        if graph_vec is not None:
             feature_seconds = 0.0
         else:
             graph_vec = featurize_graph(graph)
-            self._graph_vec_cache[key] = graph_vec
+            self._graph_vec_cache[graph] = graph_vec
             feature_seconds = time.perf_counter() - t0
         t1 = time.perf_counter()
         predicted: Dict[str, float] = {}
@@ -466,13 +455,11 @@ class GraniiEngine:
         # static verdict for the winner: proved facts let the guarded
         # executor skip re-deriving them on the hot path (see guard.py);
         # the workspace-lifetime trace covers the strategy that will run
-        analysis_strategies = ("blocked",)
-        if spmm_strategy not in analysis_strategies:
-            analysis_strategies = analysis_strategies + (spmm_strategy,)
+        # and every strategy the guard may demote it to
         from ..analysis.planlint import analyze_plan
 
         verdict = analyze_plan(
-            chosen.plan, env=env, strategies=analysis_strategies
+            chosen.plan, env=env, strategies=demotion_chain(spmm_strategy)
         )
         return SelectionReport(
             model_name=compiled.model_name,
@@ -535,41 +522,16 @@ class GraniiEngine:
                 selection.spmm_strategy = spmm_strategy
             return GuardedExecutor(self, layer, selection)
         plan = planned.plan
-        setup_caches: Dict[Tuple[int, str], Dict[str, object]] = {}
-        kernel_config = None
-        if spmm_strategy != "row_segment":
-            kernel_config = KernelExecutionConfig(
-                strategy=spmm_strategy,
-                block_nnz=self.block_nnz,
-                num_threads=self.num_threads,
-                num_workers=self.num_workers,
-            )
-        degree_method = self.system.degree_method
+        # per-graph setup caches, dropped with the graph (see execute_plan)
+        setup_caches = weakref.WeakKeyDictionary()
         verify_state = {"pending": self.verify_plans, "fallback": False}
 
         def executor(g: MPGraph, feat, *args, **kwargs):
             if verify_state["fallback"]:
-                return _reference_forward(layer, g, feat)
-            mode = "tensor" if isinstance(feat, Tensor) else "numpy"
-            # fused schedules bypass the autograd tape: only inference
-            # may drop to the one-pass numpy path (see GuardedExecutor)
-            fused_inference = (
-                spmm_strategy == "spmm_fused"
-                and mode == "tensor"
-                and self.mode == "inference"
+                return reference_forward(layer, g, feat)
+            out = execute_plan(
+                self, layer, plan, spmm_strategy, g, feat, setup_caches
             )
-            if fused_inference:
-                mode = "numpy"
-            binding = build_binding(layer, g, feat, mode, degree_method)
-            cache = setup_caches.setdefault((id(g), mode), {})
-            out = plan.execute(
-                binding,
-                mode=mode,
-                setup_cache=cache,
-                kernel_config=kernel_config,
-            )
-            if fused_inference:
-                out = Tensor(np.asarray(out))
             if verify_state["pending"]:
                 verify_state["pending"] = False
                 ok, note = self._verify_against_reference(
@@ -580,7 +542,7 @@ class GraniiEngine:
                 if not ok:
                     verify_state["fallback"] = True
                     warnings.warn(note, RuntimeWarning, stacklevel=2)
-                    return _reference_forward(layer, g, feat)
+                    return reference_forward(layer, g, feat)
             return out
 
         return executor
@@ -593,7 +555,7 @@ class GraniiEngine:
         from .verify import ToleranceModel, _max_errors
 
         with no_grad():
-            ref = _reference_forward(layer, g, feat)
+            ref = reference_forward(layer, g, feat)
         ref_data = ref.data if isinstance(ref, Tensor) else np.asarray(ref)
         out_data = out.data if isinstance(out, Tensor) else np.asarray(out)
         tol = ToleranceModel().for_graph(

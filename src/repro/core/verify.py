@@ -691,13 +691,15 @@ def emit_pytest_repro(
 # ----------------------------------------------------------------------
 @contextmanager
 def seeded_fault(scale: float = 1.001) -> Iterator[None]:
-    """Multiplicatively perturb the blocked g-SpMM kernel.
+    """Multiplicatively perturb the ``blocked`` strategy's kernel.
 
     Used to demonstrate (and test) that the harness catches a wrong
-    kernel: any plan executed under the ``blocked`` (and usually
-    ``blocked_parallel``) strategy on a non-trivial graph diverges from
-    the reference by ~``scale - 1`` relative error, far outside the
-    depth-scaled tolerance.
+    kernel: any plan executed under the ``blocked`` strategy on a
+    non-trivial graph diverges from the reference by ~``scale - 1``
+    relative error, far outside the depth-scaled tolerance.  The fault
+    patches ``blocked.gspmm_blocked`` — the ``blocked`` table row's
+    runner, resolved at call time — not the span loop every in-process
+    row shares, so ``row_segment`` (and the rest) stay clean.
     """
     from ..kernels import blocked as blocked_mod
 
@@ -778,13 +780,7 @@ def sweep(
         key = id(planned.plan)
         verdict = gate_cache.get(key)
         if verdict is None:
-            verdict = analyze_plan(
-                planned.plan,
-                strategies=(
-                    "blocked", "blocked_parallel", "spmm_sharded",
-                    "spmm_fused",
-                ),
-            )
+            verdict = analyze_plan(planned.plan)
             gate_cache[key] = verdict
             if not verdict.ok:
                 statically_rejected.append(planned.plan.name)

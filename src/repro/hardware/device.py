@@ -43,7 +43,7 @@ from typing import Dict, Mapping, Optional
 import numpy as np
 
 from ..graphs import Graph
-from ..kernels import KernelCall
+from ..kernels import PRICED_STRATEGIES, KernelCall
 
 __all__ = ["DeviceProfile", "Device", "GraphStats", "bytes_moved"]
 
@@ -60,26 +60,14 @@ def bytes_moved(call: KernelCall) -> float:
     name = call.primitive
     if name == "gemm":
         return _F64 * (s["m"] * s["k"] + s["k"] * s["n"] + s["m"] * s["n"])
-    if name == "spmm":
-        # values + column indices + gathered rows + output
+    if name == "spmm" or name in PRICED_STRATEGIES:
+        # values + column indices + gathered rows + output.  The priced
+        # strategy rows stream the same traffic: a tiled message block
+        # stays cache-resident, and fused pre-scale/epilogue work rides
+        # on the already-resident span
         return _F64 * (2 * s["nnz"] + s["nnz"] * s["k"] + s["m"] * s["k"])
     if name == "spmm_unweighted":
         return _F64 * (s["nnz"] + s["nnz"] * s["k"] + s["m"] * s["k"])
-    if name in ("spmm_blocked", "spmm_parallel"):
-        # tiled: the message block stays cache-resident, so only the
-        # streaming traffic (values + indices + gathered rows + output)
-        # hits memory — no O(E·K) intermediate round-trip
-        return _F64 * (2 * s["nnz"] + s["nnz"] * s["k"] + s["m"] * s["k"])
-    if name == "spmm_fused":
-        # same streaming traffic as the tiled kernels; the absorbed
-        # pre-scale/epilogue work rides on the already-resident tile and
-        # output span, adding no extra round-trips
-        return _F64 * (2 * s["nnz"] + s["nnz"] * s["k"] + s["m"] * s["k"])
-    if name == "spmm_sharded":
-        # the same streaming form as the tiled kernels, plus one upload
-        # of the dense operand into the shared segment and one copy-out
-        # of the result (the CSR upload amortises across iterations)
-        return _F64 * (2 * s["nnz"] + s["nnz"] * s["k"] + 3 * s["m"] * s["k"])
     if name == "sddmm":
         return _F64 * (2 * s["nnz"] * s["k"] + 2 * s["nnz"])
     if name == "sddmm_diag":
@@ -159,16 +147,6 @@ class DeviceProfile:
     # (the kernel is already device-wide parallel, threads only add
     # dispatch overhead) but real on CPU targets
     thread_speedup: float = 1.0
-    # effective speedup of the process-sharded SpMM path: worker
-    # processes sidestep the GIL entirely and per-shard tile selection
-    # keeps working sets cache-resident, so on CPU hosts it exceeds the
-    # thread pool's; ~1 on GPUs (host processes cannot split a device)
-    process_speedup: float = 1.0
-    # fixed cost of one sharded dispatch: segment upload + per-shard IPC
-    # round trips.  Large on GPUs (host<->device staging would dominate),
-    # small but non-zero on CPU — this is what makes sharding lose on
-    # small graphs
-    shard_latency: float = 5.0e-3
 
 
 class Device:
@@ -196,15 +174,11 @@ class Device:
             + (stats.avg_degree / scale) ** self.profile.atomic_exp
         )
 
-    _TILED_PRIMITIVES = frozenset(
-        {"spmm_blocked", "spmm_parallel", "spmm_sharded", "spmm_fused"}
-    )
-
     def _skew(self, call: KernelCall, stats: GraphStats) -> float:
         if call.kind != "sparse":
             return 1.0
         coeff = self.profile.skew_coeff
-        if call.primitive in self._TILED_PRIMITIVES:
+        if call.primitive in PRICED_STRATEGIES:
             coeff *= 1.0 - self.profile.tile_skew_relief
         return 1.0 + coeff * stats.row_imbalance
 
@@ -241,20 +215,15 @@ class Device:
         memory = bytes_moved(call) / self.profile.bandwidth
         base = compute + memory
         overhead = self.profile.kernel_overhead
-        if call.primitive == "spmm_parallel":
-            # thread-pool dispatch plus per-block scheduling launches
-            base /= max(self.profile.thread_speedup, 1.0)
-            overhead *= 6.0
-        elif call.primitive == "spmm_blocked":
-            overhead *= 2.0
-        elif call.primitive == "spmm_fused":
-            # one compiled launch absorbs the whole segment: the step-by-
-            # step dispatches it replaces are the overhead it saves
-            overhead *= 1.5
-            base *= 0.9  # fused epilogues skip intermediate materialisation
-        elif call.primitive == "spmm_sharded":
-            base /= max(self.profile.process_speedup, 1.0)
-            overhead = overhead * 8.0 + self.profile.shard_latency
+        row = PRICED_STRATEGIES.get(call.primitive)
+        if row is not None:
+            # the row's launch count and fused-work saving relative to
+            # plain spmm; a thread-pool row also divides by the host's
+            # thread speedup
+            base *= row.work_scale
+            if row.pool == "threads":
+                base /= max(self.profile.thread_speedup, 1.0)
+            overhead *= row.launch_overhead
         result = (
             overhead
             + base

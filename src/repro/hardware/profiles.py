@@ -33,8 +33,6 @@ DEVICE_PROFILES: Dict[str, DeviceProfile] = {
         skew_coeff=0.3,
         noise_sigma=0.10,
         thread_speedup=3.0,  # the blocked thread-pool path is real on CPU
-        process_speedup=4.5,  # GIL-free workers + cache-sized shard tiles
-        shard_latency=2.0e-4,  # fork-pool IPC round trip on one host
     ),
     "a100": DeviceProfile(
         name="a100",

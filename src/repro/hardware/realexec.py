@@ -11,12 +11,15 @@ show GRANII's methodology working end-to-end on genuine measurements.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from ..graphs import Graph
 from ..kernels import (
+    PRICED_STRATEGIES,
+    STRATEGY_PRICING_PRIMITIVES,
     KernelCall,
     WorkspaceArena,
     degrees_by_binning,
@@ -38,13 +41,8 @@ from .timer import time_fn
 
 __all__ = ["RealExecutionBackend", "REAL_PROFILED_PRIMITIVES"]
 
-REAL_PROFILED_PRIMITIVES = (
+REAL_PROFILED_PRIMITIVES = STRATEGY_PRICING_PRIMITIVES + (
     "gemm",
-    "spmm",
-    "spmm_unweighted",
-    "spmm_blocked",
-    "spmm_parallel",
-    "spmm_sharded",
     "sddmm",
     "sddmm_diag",
     "gsddmm_attn",
@@ -74,7 +72,8 @@ class RealExecutionBackend:
         self.repeats = repeats
         self._rng = np.random.default_rng(seed)
         self._dense_cache: Dict[tuple, np.ndarray] = {}
-        self._graph_ops: Dict[int, dict] = {}
+        # keyed on the graph object: an id() is recycled once a graph dies
+        self._graph_ops = weakref.WeakKeyDictionary()
         # shared across profiled invocations so the blocked strategies are
         # measured with warm scratch buffers, as they run in steady state
         self._workspace = WorkspaceArena()
@@ -87,10 +86,9 @@ class RealExecutionBackend:
         return self._dense_cache[key]
 
     def _ops_for(self, graph: Graph) -> dict:
-        key = id(graph)
-        if key not in self._graph_ops:
+        if graph not in self._graph_ops:
             adj = graph.adj.unweighted()
-            self._graph_ops[key] = {
+            self._graph_ops[graph] = {
                 "adj": adj,
                 "adj_weighted": adj.with_values(
                     self._rng.random(adj.nnz) + 0.1
@@ -98,7 +96,7 @@ class RealExecutionBackend:
                 "diag": DiagonalMatrix(self._rng.random(adj.shape[0]) + 0.1),
                 "logits": self._rng.standard_normal(adj.nnz),
             }
-        return self._graph_ops[key]
+        return self._graph_ops[graph]
 
     # ------------------------------------------------------------------
     def _kernel_thunk(self, call: KernelCall, graph: Graph):
@@ -118,21 +116,12 @@ class RealExecutionBackend:
         if p == "spmm_unweighted":
             x = self._dense(adj.shape[1], int(s["k"]))
             return lambda: spmm_unweighted(adj, x)
-        if p == "spmm_blocked":
+        row = PRICED_STRATEGIES.get(p)
+        if row is not None:
             x = self._dense(adj.shape[1], int(s["k"]))
             semiring = get_semiring("sum", "mul")
             return lambda: gspmm(
-                wadj, x, semiring, strategy="blocked", workspace=self._workspace
-            )
-        if p == "spmm_parallel":
-            x = self._dense(adj.shape[1], int(s["k"]))
-            semiring = get_semiring("sum", "mul")
-            return lambda: gspmm(wadj, x, semiring, strategy="blocked_parallel")
-        if p == "spmm_sharded":
-            x = self._dense(adj.shape[1], int(s["k"]))
-            semiring = get_semiring("sum", "mul")
-            return lambda: gspmm(
-                wadj, x, semiring, strategy="spmm_sharded", num_workers=2
+                wadj, x, semiring, strategy=row.name, workspace=self._workspace
             )
         if p == "sddmm":
             a = self._dense(adj.shape[0], int(s["k"]))

@@ -16,12 +16,14 @@ alone:
   peak intermediate memory is O(block·K) instead of the one-shot
   kernel's O(E·K).
 
-Two strategies are exposed, mirroring the existing ``row_segment`` /
-``gather_scatter`` pair so the cost models can price all four:
+Every in-process strategy is one call of :func:`fold_spans`, the single
+span loop (``row_segment`` is its one-span case, ``spmm_fused`` adds a
+pre-scale and per-span epilogues — see :mod:`repro.kernels.compiled`).
+This module's two public wrappers differ only in who runs the spans:
 
-``blocked``
+``blocked`` (:func:`gspmm_blocked`)
     Sequential execution, block after block, with a reusable workspace.
-``blocked_parallel``
+``blocked_parallel`` (:func:`gspmm_parallel`)
     The same blocks fanned out over a thread pool; blocks cover disjoint
     row ranges so workers write disjoint output slices without locking.
     The compiled fold releases the GIL for the whole block (NumPy does
@@ -34,7 +36,7 @@ Block size comes from ``REPRO_BLOCK_NNZ`` (default 32768 edges, i.e. a
 
 Determinism
 -----------
-Both strategies are **bitwise deterministic**, and bitwise equal to
+Every strategy is **bitwise deterministic**, and bitwise equal to
 ``row_segment``, for any block size and thread count.  The invariant that
 guarantees this: spans are contiguous row ranges, so every output row's
 reduction happens entirely inside exactly one span, and both folds in
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,6 +73,7 @@ __all__ = [
     "default_block_nnz",
     "default_num_threads",
     "row_block_spans",
+    "fold_spans",
     "gspmm_blocked",
     "gspmm_parallel",
     "gsddmm_blocked",
@@ -105,14 +108,19 @@ def default_num_threads() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def row_block_spans(indptr: np.ndarray, block_nnz: int) -> List[Tuple[int, int]]:
-    """Partition rows into ``[r0, r1)`` spans of at most ``block_nnz`` edges.
+def row_block_spans(
+    indptr: np.ndarray, block_nnz: Optional[int] = None
+) -> List[Tuple[int, int]]:
+    """Partition rows into ``[r0, r1)`` spans of at most ``block_nnz`` edges
+    (``None``: :func:`default_block_nnz`).
 
     Spans are contiguous, cover every row exactly once, and contain at
     least one row each — a single row denser than the budget becomes its
     own (oversized) span, so the tile must be sized by
     :func:`max_span_nnz`, not by ``block_nnz`` alone.
     """
+    if block_nnz is None:
+        block_nnz = default_block_nnz()
     n = indptr.shape[0] - 1
     spans: List[Tuple[int, int]] = []
     r = 0
@@ -200,10 +208,88 @@ def _tile_nnz(
     return 0 if folds_compiled(semiring) else max_span_nnz(indptr, spans)
 
 
-def _finalize_mean(adj: CSRMatrix, out: np.ndarray, semiring: Semiring) -> np.ndarray:
+def fold_spans(
+    adj: CSRMatrix,
+    x: np.ndarray,
+    semiring: Optional[Semiring],
+    spans: List[Tuple[int, int]],
+    workspace: Optional[WorkspaceArena] = None,
+    num_threads: int = 1,
+    pre_scale: Optional[np.ndarray] = None,
+    epilogue: Optional[Callable[[np.ndarray, int, int], None]] = None,
+) -> np.ndarray:
+    """The one span loop under every in-process g-SpMM strategy.
+
+    Folds each ``[r0, r1)`` span of ``spans`` (contiguous, covering every
+    row once) into a fresh result buffer, finalises ``mean`` and applies
+    ``epilogue(out[r0:r1], r0, r1)`` per span while it is cache-hot.
+    ``row_segment`` is the one-span call, ``blocked`` the sequential
+    call over :func:`row_block_spans`, ``blocked_parallel`` the same
+    spans with ``num_threads > 1``, ``spmm_fused`` the sequential call
+    with ``pre_scale``/``epilogue``.
+
+    ``pre_scale`` (one factor per source node) is multiplied into ``x``
+    once, in ``workspace`` scratch, ahead of the loop.  NumPy-fold
+    semirings draw their message tile from ``workspace`` (a private arena
+    when omitted) or, on the thread pool, from each worker's
+    thread-local arena; either is released with ``drop_buffers()`` if a
+    span raises, so a partially written or oversized tile is never
+    handed to the next caller.  A ⊗ that ignores the dense operand
+    (``copy_lhs``) yields a width-1 result.
+    """
+    if semiring is None:
+        semiring = get_semiring()
+    x = _promote(x)
+    if semiring.binary.uses_rhs and x.shape[0] != adj.shape[1]:
+        raise ValueError(
+            f"gspmm shape mismatch: adj {adj.shape} vs dense {x.shape}"
+        )
+    if workspace is None:
+        workspace = WorkspaceArena()
+    n = adj.shape[0]
+    k = x.shape[1] if semiring.binary.uses_rhs else 1
+    out = result_buffer(n, k)
+    cap = _tile_nnz(adj.indptr, spans, semiring)
+    degf = None
     if semiring.reduce.is_mean:
-        deg = adj.row_degrees()
-        out /= np.maximum(deg, 1).astype(np.float64)[:, None]
+        degf = np.maximum(adj.row_degrees(), 1).astype(np.float64)
+
+    def run_span(span: Tuple[int, int], arena: WorkspaceArena) -> None:
+        r0, r1 = span
+        tile = arena.request((cap, k)) if cap else None
+        _fold_span(adj, x, semiring, r0, r1, out, tile)
+        span_out = out[r0:r1]
+        if degf is not None:
+            span_out /= degf[r0:r1, None]
+        if epilogue is not None:
+            epilogue(span_out, r0, r1)
+
+    def run_pooled(span: Tuple[int, int]) -> None:
+        try:
+            run_span(span, thread_local_arena())
+        except Exception:
+            # don't leave this worker's arena holding a poisoned tile
+            thread_local_arena().drop_buffers()
+            raise
+
+    try:
+        if pre_scale is not None and adj.nnz:
+            # one multiply per node, not per edge: every edge's message is
+            # d[src] * x[src] either way — identical IEEE products to a
+            # materialised row_broadcast step
+            scaled = workspace.request(x.shape, slot=1)
+            np.multiply(pre_scale[:, None], x, out=scaled)
+            x = scaled
+        if num_threads > 1 and len(spans) > 1:
+            list(_pool(num_threads).map(run_pooled, spans))
+        else:
+            for span in spans:
+                run_span(span, workspace)
+    except Exception:
+        # an exception mid-span leaves a partially written (or oversized)
+        # buffer pooled; release it so a demoted retry starts clean
+        workspace.drop_buffers()
+        raise
     return out
 
 
@@ -222,31 +308,8 @@ def gspmm_blocked(
     when omitted) instead of the one-shot kernel's full ``(nnz, k)``
     message array.
     """
-    if semiring is None:
-        semiring = get_semiring()
-    x = _promote(x)
-    if semiring.binary.uses_rhs and x.shape[0] != adj.shape[1]:
-        raise ValueError(
-            f"gspmm shape mismatch: adj {adj.shape} vs dense {x.shape}"
-        )
-    if block_nnz is None:
-        block_nnz = default_block_nnz()
-    if workspace is None:
-        workspace = WorkspaceArena()
-    n, k = adj.shape[0], x.shape[1]
-    out = result_buffer(n, k)
     spans = row_block_spans(adj.indptr, block_nnz)
-    cap = _tile_nnz(adj.indptr, spans, semiring)
-    try:
-        tile = workspace.request((cap, k)) if cap else None
-        for r0, r1 in spans:
-            _fold_span(adj, x, semiring, r0, r1, out, tile)
-    except Exception:
-        # an exception mid-tile leaves a partially written (or oversized)
-        # buffer pooled; release it so the next caller starts clean
-        workspace.drop_buffers()
-        raise
-    return _finalize_mean(adj, out, semiring)
+    return fold_spans(adj, x, semiring, spans, workspace=workspace)
 
 
 _POOLS: Dict[int, ThreadPoolExecutor] = {}
@@ -275,38 +338,13 @@ def gspmm_parallel(
     a disjoint slice of the output, so no synchronisation is needed
     beyond the pool itself.
     """
-    if semiring is None:
-        semiring = get_semiring()
-    x = _promote(x)
-    if semiring.binary.uses_rhs and x.shape[0] != adj.shape[1]:
-        raise ValueError(
-            f"gspmm shape mismatch: adj {adj.shape} vs dense {x.shape}"
-        )
-    if block_nnz is None:
-        block_nnz = default_block_nnz()
     if num_threads is None:
         num_threads = default_num_threads()
     spans = row_block_spans(adj.indptr, block_nnz)
-    if num_threads <= 1 or len(spans) <= 1:
-        return gspmm_blocked(
-            adj, x, semiring, block_nnz=block_nnz, workspace=thread_local_arena()
-        )
-    n, k = adj.shape[0], x.shape[1]
-    out = result_buffer(n, k)
-    cap = _tile_nnz(adj.indptr, spans, semiring)
-
-    def run_span(span: Tuple[int, int]) -> None:
-        r0, r1 = span
-        try:
-            tile = thread_local_arena().request((cap, k)) if cap else None
-            _fold_span(adj, x, semiring, r0, r1, out, tile)
-        except Exception:
-            # don't leave this worker's arena holding a poisoned tile
-            thread_local_arena().drop_buffers()
-            raise
-
-    list(_pool(num_threads).map(run_span, spans))
-    return _finalize_mean(adj, out, semiring)
+    return fold_spans(
+        adj, x, semiring, spans,
+        workspace=thread_local_arena(), num_threads=num_threads,
+    )
 
 
 def gsddmm_blocked(

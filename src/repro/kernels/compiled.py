@@ -29,8 +29,8 @@ step-by-step through ``row_segment`` (or ``blocked``) kernels, for any
   element-for-element the same IEEE products the interpreter's
   ``row_broadcast`` step produces, paying the multiply once per node
   instead of once per edge;
-- each span is reduced by the very function ``blocked`` uses
-  (``repro.kernels.blocked._fold_span``): the compiled
+- each span is reduced by the very loop ``blocked`` runs
+  (:func:`repro.kernels.blocked.fold_spans`): the compiled
   :func:`~repro.kernels.segment.fold_rows` for the sum family, a message
   tile through ``segment_reduce`` for ``max``/``min`` and the other ⊗.
   Either way a row's result depends on that row's edges alone, never on
@@ -49,20 +49,14 @@ enforces that this module allocates scratch only through the arena.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..sparse import CSRMatrix
-from .blocked import (
-    _fold_span,
-    _promote,
-    _tile_nnz,
-    default_block_nnz,
-    row_block_spans,
-)
+from .blocked import fold_spans, row_block_spans
 from .dense import elu, leaky_relu, relu, sigmoid
-from .segment import result_buffer
 from .semiring import Semiring, get_semiring
 from .workspace import WorkspaceArena
 
@@ -140,14 +134,8 @@ def gspmm_fused(
     """
     if semiring is None:
         semiring = get_semiring()
-    x = _promote(x)
-    binary = semiring.binary
-    if binary.uses_rhs and x.shape[0] != adj.shape[1]:
-        raise ValueError(
-            f"gspmm shape mismatch: adj {adj.shape} vs dense {x.shape}"
-        )
     if pre_scale is not None:
-        if not binary.uses_rhs:
+        if not semiring.binary.uses_rhs:
             raise ValueError(
                 f"pre-scale fusion needs a semiring that reads the dense "
                 f"operand; {semiring.name!r} ignores it"
@@ -169,36 +157,9 @@ def gspmm_fused(
                 raise ValueError(f"unknown epilogue nonlinearity {payload!r}")
         else:
             raise ValueError(f"unknown epilogue kind {kind!r}")
-    if block_nnz is None:
-        block_nnz = default_block_nnz()
-    if workspace is None:
-        workspace = WorkspaceArena()
-    n, k = adj.shape[0], x.shape[1]
-    out = result_buffer(n, k)
-    degf = None
-    if semiring.reduce.is_mean:
-        degf = np.maximum(adj.row_degrees(), 1).astype(np.float64)
-    spans = row_block_spans(adj.indptr, block_nnz)
-    cap = _tile_nnz(adj.indptr, spans, semiring)
-    try:
-        if pre_scale is not None and adj.nnz:
-            # one multiply per node, not per edge: every edge's message is
-            # d[src] * x[src] either way — identical IEEE products to the
-            # interpreter's materialised row_broadcast step
-            scaled = workspace.request((x.shape[0], k), slot=1)
-            np.multiply(pre_scale[:, None], x, out=scaled)
-            x = scaled
-        tile = workspace.request((cap, k)) if cap else None
-        for r0, r1 in spans:
-            _fold_span(adj, x, semiring, r0, r1, out, tile)
-            span_out = out[r0:r1]
-            if degf is not None:
-                span_out /= degf[r0:r1, None]
-            if epilogues:
-                _apply_epilogues(span_out, r0, r1, epilogues)
-    except Exception:
-        # an exception mid-span leaves a partially written (or oversized)
-        # buffer pooled; release it so a demoted retry starts clean
-        workspace.drop_buffers()
-        raise
-    return out
+    return fold_spans(
+        adj, x, semiring, row_block_spans(adj.indptr, block_nnz),
+        workspace=workspace,
+        pre_scale=pre_scale,
+        epilogue=partial(_apply_epilogues, epilogues=epilogues) if epilogues else None,
+    )

@@ -28,6 +28,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Mapping
 
+from .spmm import PRICED_STRATEGIES
+
 __all__ = [
     "Primitive",
     "KernelCall",
@@ -74,28 +76,6 @@ PRIMITIVES: Dict[str, Primitive] = {
         "spmm_unweighted", "sparse",
         _f(lambda s: 1.0 * s["nnz"] * s["k"]),
         "pattern-only sparse·dense multiplication (no edge-value multiply)",
-    ),
-    "spmm_blocked": Primitive(
-        "spmm_blocked", "sparse",
-        _f(lambda s: 2.0 * s["nnz"] * s["k"]),
-        "row-block tiled sparse·dense multiplication, O(block·K) workspace",
-    ),
-    "spmm_parallel": Primitive(
-        "spmm_parallel", "sparse",
-        _f(lambda s: 2.0 * s["nnz"] * s["k"]),
-        "thread-parallel row-block tiled sparse·dense multiplication",
-    ),
-    "spmm_sharded": Primitive(
-        "spmm_sharded", "sparse",
-        _f(lambda s: 2.0 * s["nnz"] * s["k"]),
-        "process-parallel row-sharded sparse·dense multiplication over "
-        "shared-memory buffers, per-shard inner plans",
-    ),
-    "spmm_fused": Primitive(
-        "spmm_fused", "sparse",
-        _f(lambda s: 2.0 * s["nnz"] * s["k"]),
-        "compiled-plan streaming aggregation: row-block tiled SpMM with "
-        "pre-scale and epilogues absorbed into the single pass",
     ),
     "sddmm": Primitive(
         "sddmm", "sparse",
@@ -161,6 +141,13 @@ PRIMITIVES: Dict[str, Primitive] = {
 }
 
 
+# one cost primitive per priced strategy row, same O(E·K) work as spmm
+PRIMITIVES.update(
+    (name, Primitive(name, "sparse", PRIMITIVES["spmm"].flops, row.description))
+    for name, row in PRICED_STRATEGIES.items()
+)
+
+
 def get_primitive(name: str) -> Primitive:
     try:
         return PRIMITIVES[name]
@@ -183,20 +170,15 @@ def get_primitive(name: str) -> Primitive:
 # estimates and the execution memory budget.
 _TRANSIENT_BYTES: Dict[str, Callable[[Mapping[str, float]], float]] = {
     "spmm_unweighted": lambda s: 8.0 * s["nnz"],
-    # sharded: shared segments for CSR (indptr+indices+values) plus the
-    # dense operand and output copies — resident in /dev/shm, not heap,
-    # but budgeted all the same.
-    "spmm_sharded": lambda s: (
-        24.0 * s["nnz"] + 16.0 * s["m"] * s.get("k", 1) + 8.0 * s["m"]
-    ),
-    # fused: the pre-scaled copy of the dense operand, one multiply per
-    # source node, staged in the arena ahead of the fold
-    "spmm_fused": lambda s: 8.0 * s["m"] * s.get("k", 1),
     "sddmm": lambda s: 8.0 * s["nnz"] * s.get("k", 1),
     "gsddmm_attn": lambda s: 16.0 * s["nnz"],
     "edge_softmax": lambda s: 16.0 * s["nnz"],
     "fused_attn_spmm": lambda s: 24.0 * s["nnz"],
 }
+_TRANSIENT_BYTES.update(
+    (name, row.transient_bytes)
+    for name, row in PRICED_STRATEGIES.items() if row.transient_bytes
+)
 
 
 def transient_bytes(primitive: str, shape: Mapping[str, float]) -> float:

@@ -373,8 +373,8 @@ class TestFusedFaultDemotion:
         # rung 0 (the fused plan) failed mid-execution: its half-warmed
         # arena must have been dropped from the rung's setup cache
         fused_caches = [
-            cache for (gid, mode, rung), cache
-            in executor._setup_caches.items() if rung == 0
+            cache for per_graph in executor._setup_caches.values()
+            for (mode, rung), cache in per_graph.items() if rung == 0
         ]
         assert fused_caches
         for cache in fused_caches:

@@ -1,11 +1,14 @@
 """End-to-end tests of the GRANII engine and the public entry point."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import repro
 from repro.core import GraniiEngine, compile_model
-from repro.graphs import load, make_node_features
+from repro.graphs import erdos_renyi, load, make_node_features
 from repro.models import (
     GATLayer,
     GCNLayer,
@@ -107,6 +110,38 @@ class TestOptimize:
             loss.backward()
             opt.step()
         assert losses[-1] < losses[0] * 0.8
+
+    @pytest.mark.parametrize("guarded", [False, True])
+    def test_fresh_graphs_at_recycled_addresses_get_their_own_setup(
+        self, engine, guarded
+    ):
+        # CPython hands a dead graph's address to the next one built, so
+        # per-graph executor state must key on the object, never on id()
+        layer = GCNLayer(16, 8, rng=np.random.default_rng(0))
+        first = erdos_renyi(300, 6, seed=0)
+        selection = engine.select(engine.compile_for(layer, first), first, layer)
+        executor = engine.make_executor(
+            layer, selection.chosen, selection.spmm_strategy,
+            selection=selection, guarded=guarded,
+        )
+        layer.attach_executor(executor)
+        del first
+        for seed in range(1, 41):
+            g = erdos_renyi(300, 6, seed=seed)
+            feats = Tensor(np.random.default_rng(seed).standard_normal((300, 16)))
+            out = layer(g, feats)
+            ref = layer.forward(layer.as_mp_graph(g), feats)
+            assert np.allclose(out.data, ref.data), seed
+            del g
+        gc.collect()
+        if guarded:
+            caches = executor._setup_caches
+        else:
+            caches = next(
+                cell.cell_contents for cell in executor.__closure__
+                if isinstance(cell.cell_contents, weakref.WeakKeyDictionary)
+            )
+        assert len(caches) == 0  # the cache does not outlive its graphs
 
     def test_overhead_reported(self, engine, graph, rng):
         layer = GCNLayer(16, 16, rng=rng)

@@ -13,7 +13,9 @@ from repro.core import GraniiEngine, KernelExecutionConfig, compile_model
 from repro.core.plan import WORKSPACE_CACHE_KEY
 from repro.graphs import load
 from repro.kernels import (
+    PRICED_STRATEGIES,
     SPMM_STRATEGIES,
+    SPMM_STRATEGY_TABLE,
     WorkspaceArena,
     default_spmm_strategy,
     get_semiring,
@@ -30,7 +32,8 @@ from helpers import random_csr
 
 REDUCES = ("sum", "mean", "max", "min")
 BINARIES = ("mul", "add", "sub", "div", "copy_lhs", "copy_rhs")
-BLOCKED = ("blocked", "blocked_parallel")
+# the table rows this module's kernels implement: gspmm_blocked/_parallel
+BLOCKED = tuple(row.name for row in SPMM_STRATEGY_TABLE if row.scratch == "tile")
 
 
 def to_scipy(adj):
@@ -283,9 +286,7 @@ class TestPlanKernelConfig:
         assert arena.misses == misses  # steady state: no new allocations
         assert np.allclose(out1, ref) and np.allclose(out2, ref)
 
-    @pytest.mark.parametrize(
-        "strategy", ("gather_scatter", "blocked", "blocked_parallel")
-    )
+    @pytest.mark.parametrize("strategy", SPMM_STRATEGIES[1:])
     def test_config_strategies_match_default(self, graph, rng, strategy):
         plan, binding = self._plan_and_binding(graph, rng)
         ref = plan.execute(binding)
@@ -330,9 +331,8 @@ class TestEngineStrategySelection:
         layer = GCNLayer(64, 32, rng=rng)
         report = engine.select(engine.compile_for(layer), graph, layer)
         assert report.spmm_strategy in SPMM_STRATEGIES
-        assert set(report.strategy_costs) == {
-            "row_segment", "blocked", "blocked_parallel", "spmm_sharded",
-            "spmm_fused",
+        assert set(report.strategy_costs) == {"row_segment"} | {
+            row.name for row in PRICED_STRATEGIES.values()
         }
         assert all(c > 0 for c in report.strategy_costs.values())
         assert (
@@ -343,10 +343,7 @@ class TestEngineStrategySelection:
     def test_optimized_layer_runs_under_selected_strategy(self, graph, rng):
         feat = rng.standard_normal((graph.num_nodes, 16))
         out_ref = None
-        for strategy in (
-            "row_segment", "blocked", "blocked_parallel", "spmm_sharded",
-            "spmm_fused",
-        ):
+        for strategy in SPMM_STRATEGIES:
             engine = GraniiEngine(
                 device="h100", scale="small", spmm_strategy=strategy,
                 num_threads=2, block_nnz=1024, num_workers=2,

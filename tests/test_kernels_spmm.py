@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.kernels import get_semiring, gspmm, gspmm_flops, spmm, spmm_unweighted
+from repro.kernels import (
+    SPMM_STRATEGIES,
+    get_semiring,
+    gspmm,
+    gspmm_flops,
+    spmm,
+    spmm_unweighted,
+)
 from repro.sparse import CSRMatrix
 
 from helpers import random_csr
@@ -76,7 +83,7 @@ class TestStandardSpMM:
         assert np.array_equal(spmm(adj, np.ones((3, 2))), np.zeros((1, 2)))
 
 
-@pytest.mark.parametrize("strategy", ["row_segment", "gather_scatter"])
+@pytest.mark.parametrize("strategy", SPMM_STRATEGIES)
 @pytest.mark.parametrize("reduce_name", ["sum", "mean", "max", "min"])
 @pytest.mark.parametrize("binary_name", ["mul", "add", "copy_lhs", "copy_rhs"])
 def test_generalized_semiring_matches_reference(rng, strategy, reduce_name, binary_name):
@@ -97,8 +104,8 @@ def test_strategies_agree(rng):
     adj = random_csr(rng, 30, 30, density=0.1)
     x = rng.standard_normal((30, 8))
     a = gspmm(adj, x, strategy="row_segment")
-    b = gspmm(adj, x, strategy="gather_scatter")
-    assert np.allclose(a, b)
+    for strategy in SPMM_STRATEGIES[1:]:
+        assert np.allclose(a, gspmm(adj, x, strategy=strategy)), strategy
 
 
 def test_unknown_strategy(rng):

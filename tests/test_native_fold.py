@@ -3,8 +3,8 @@ gather-only, cycle-free transposes that keep the sparse substrate from
 undoing its gain.
 
 ``fold_rows`` (SciPy's ``csr_matvecs`` on ``indptr[r0:r1+1]`` views) is
-the one reduction the sum family takes under all six strategies, so the
-strategies must stay bitwise equal to ``row_segment`` for any span
+the one reduction the sum family takes under every row of the strategy
+table, so the rows must stay bitwise equal to ``row_segment`` for any span
 partition; ``max``/``min`` and the other ⊗ keep the NumPy lockstep fold
 untouched.
 """
@@ -20,7 +20,7 @@ from repro.graphs import star
 from repro.kernels import SPMM_STRATEGIES, gspmm
 from repro.kernels.segment import fold_rows, folds_compiled, segment_reduce
 from repro.kernels.semiring import get_semiring
-from repro.kernels.spmm import _messages
+from repro.kernels.blocked import _block_messages
 from repro.sparse import CSRMatrix
 from repro.tensor import Tensor
 from repro.tensor.sparse_ops import spmm_edge
@@ -65,10 +65,6 @@ class TestStrategiesBitwiseEqual:
     def test_all_six_equal_row_segment(self, names):
         semiring = get_semiring(*names)
         rng = np.random.default_rng(3)
-        # gather_scatter folds from the identity left to right with
-        # ufunc.at: the compiled fold's order exactly, and exact for
-        # max/min; over a NumPy-summed hub row it agrees within rounding
-        exact_scatter = names in COMPILED or names[0] in ("max", "min")
         for name, adj in battery():
             for k in (0, 1, 3, 32):
                 x = rng.standard_normal((adj.shape[1], k))
@@ -78,12 +74,7 @@ class TestStrategiesBitwiseEqual:
                     for block_nnz in (1, 64, None):
                         out = run(adj, x, semiring, strategy, block_nnz)
                         where = (name, names, k, strategy, block_nnz)
-                        if strategy == "gather_scatter" and not exact_scatter:
-                            np.testing.assert_allclose(
-                                out, ref, rtol=1e-12, atol=1e-13, err_msg=str(where)
-                            )
-                        else:
-                            assert np.array_equal(out, ref), where
+                        assert np.array_equal(out, ref), where
 
     @pytest.mark.parametrize("names", COMPILED, ids=".".join)
     def test_negative_zero_messages(self, names):
@@ -108,9 +99,10 @@ class TestAgainstLockstepFold:
     @staticmethod
     def lockstep(adj, x, semiring):
         reduce_op = semiring.reduce
+        tile = np.empty((adj.nnz, x.shape[1]))
         out = segment_reduce(
-            _messages(adj, x, semiring), adj.indptr, reduce_op.ufunc,
-            reduce_op.identity,
+            _block_messages(adj, x, semiring, 0, adj.nnz, tile), adj.indptr,
+            reduce_op.ufunc, reduce_op.identity,
         )
         if reduce_op.is_mean:
             out = out / np.maximum(adj.row_degrees(), 1)[:, None]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import edge_softmax, get_semiring, gspmm
+from repro.kernels import SPMM_STRATEGIES, edge_softmax, get_semiring, gspmm
 from repro.kernels.segment import segment_reduce
 from repro.learn import RegressionTree
 from repro.sparse import CSRMatrix
@@ -111,7 +111,7 @@ class TestKernelProperties:
         csr_matrices(weighted=True),
         st.sampled_from(["sum", "max", "min", "mean"]),
         st.sampled_from(["mul", "add", "copy_rhs"]),
-        st.sampled_from(["row_segment", "gather_scatter"]),
+        st.sampled_from(SPMM_STRATEGIES),
         st.integers(1, 4),
         st.integers(0, 2**31 - 1),
     )
