@@ -39,6 +39,7 @@ from ..kernels import (
     spmm_strategy,
 )
 from ..sparse import CSRMatrix
+from .features import inspect_graph
 
 __all__ = [
     "AutotunePoint",
@@ -202,12 +203,7 @@ def autotune_selection(engine, plan, graph, layer) -> Optional[AutotuneResult]:
     if engine._cost_models is not None:
         models = engine.cost_models
         eff = engine.system.efficiency
-        graph_vec = engine._graph_vec_cache.get(graph)
-        if graph_vec is None:
-            from .features import featurize_graph
-
-            graph_vec = featurize_graph(graph)
-            engine._graph_vec_cache[graph] = graph_vec
+        graph_vec = inspect_graph(graph)
         for strategy, measured in result.best_per_strategy.items():
             primitive = spmm_strategy(strategy).priced_as(call.primitive)
             if primitive is None:

@@ -31,6 +31,7 @@ __all__ = [
     "PlannedCandidate",
     "CompiledModel",
     "CompiledPlan",
+    "cached_model",
     "compile_model",
     "compile_plan",
     "compile_sweep",
@@ -191,6 +192,21 @@ class CompiledModel:
 _COMPILE_CACHE: Dict[Tuple, CompiledModel] = {}
 
 
+def _compile_key(name: str, fusion: bool, spgemm: bool, model_kwargs) -> Tuple:
+    return (name.lower(), fusion, spgemm, tuple(sorted(model_kwargs.items())))
+
+
+def cached_model(
+    name: str, fusion: bool = False, spgemm: bool = False, **model_kwargs
+) -> Optional[CompiledModel]:
+    """What :func:`compile_model` has cached for these arguments, if anything.
+
+    Lets a caller that would have to *produce* an IR (parse a ``forward``)
+    skip doing so when the result would be discarded on a cache hit.
+    """
+    return _COMPILE_CACHE.get(_compile_key(name, fusion, spgemm, model_kwargs))
+
+
 def compile_model(
     name: str,
     ir: Optional[IRNode] = None,
@@ -210,7 +226,7 @@ def compile_model(
     propagation powers (SGC's Ñ², APPNP's hops) can be materialised as
     one-time setup.
     """
-    key = (name.lower(), fusion, spgemm, tuple(sorted(model_kwargs.items())))
+    key = _compile_key(name, fusion, spgemm, model_kwargs)
     if key in _COMPILE_CACHE:
         return _COMPILE_CACHE[key]
     if ir is None:

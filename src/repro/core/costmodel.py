@@ -8,8 +8,9 @@ count — exactly the additive approximation the paper uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import threading
+from collections import OrderedDict
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .profiler import ProfileDataset, collect_profile
 __all__ = [
     "CostModelSet",
     "STRATEGY_PRICING_PRIMITIVES",
+    "call_key",
     "clear_cost_model_cache",
     "clear_runtime_residuals",
     "cost_model_token",
@@ -158,19 +160,57 @@ def estimate_transient_bytes(calls: Iterable[KernelCall]) -> float:
     return peak
 
 
+# Graph vectors whose predictions a model set keeps (least recently priced
+# goes first): the default plan-cache capacity, so a structure whose plan
+# was evicted and comes back is still priced from memory.  A never-seen
+# structure brings a never-seen vector, so without a bound a serving
+# process grows by one table per miss, forever.
+_PRICED_VECTORS = 128
+
+
+def call_key(call: KernelCall) -> tuple:
+    """What a prediction depends on besides the graph vector."""
+    return (call.primitive, tuple(sorted(call.shape.items())))
+
+
 class CostModelSet:
     """Per-primitive regressors for one device."""
 
     def __init__(self, device_name: str, models: Dict[str, GradientBoostedTrees]) -> None:
         self.device_name = device_name
         self._models = models
-        self._memo: Dict[tuple, float] = {}
+        # graph-vector bytes -> {call key -> base seconds}
+        self._memo: "OrderedDict[bytes, Dict[tuple, float]]" = OrderedDict()
+        self._memo_lock = threading.Lock()
 
     @property
     def primitives(self) -> Tuple[str, ...]:
         return tuple(sorted(self._models))
 
-    def predict_call(self, call: KernelCall, graph_vec: np.ndarray) -> float:
+    def prices(self, vec_bytes: bytes) -> Dict[tuple, float]:
+        """The base predictions made so far against one graph vector.
+
+        A caller pricing many calls against the same vector (one
+        selection prices every viable candidate) fetches the table once
+        and hands it to :meth:`predict_call`, instead of re-deriving the
+        vector's bytes and re-finding its table per call.
+        """
+        with self._memo_lock:
+            table = self._memo.get(vec_bytes)
+            if table is None:
+                table = self._memo[vec_bytes] = {}
+                if len(self._memo) > _PRICED_VECTORS:
+                    self._memo.popitem(last=False)
+            else:
+                self._memo.move_to_end(vec_bytes)
+        return table
+
+    def predict_call(
+        self,
+        call: KernelCall,
+        graph_vec: np.ndarray,
+        prices: Optional[Dict[tuple, float]] = None,
+    ) -> float:
         """Predicted execution time (seconds) of one invocation."""
         model = self._models.get(call.primitive)
         if model is None:
@@ -178,21 +218,17 @@ class CostModelSet:
                 f"no cost model for primitive {call.primitive!r} on "
                 f"{self.device_name}"
             )
-        key = (
-            call.primitive,
-            tuple(sorted(call.shape.items())),
-            graph_vec.tobytes(),
-        )
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached * residual_factor(self.device_name, call.primitive)
-        feats = call_features(call, graph_vec)
-        result = float(np.exp(model.predict_one(feats)))
-        # memoise the *base* prediction; the runtime-residual factor is
-        # applied on the way out so autotune refinements take effect
-        # without a cache flush
-        self._memo[key] = result
-        return result * residual_factor(self.device_name, call.primitive)
+        if prices is None:
+            prices = self.prices(graph_vec.tobytes())
+        key = call_key(call)
+        base = prices.get(key)
+        if base is None:
+            feats = call_features(call, graph_vec)
+            # memoise the *base* prediction; the runtime-residual factor is
+            # applied on the way out so autotune refinements take effect
+            # without a cache flush
+            base = prices[key] = float(np.exp(model.predict_one(feats)))
+        return base * residual_factor(self.device_name, call.primitive)
 
     def predict_calls(
         self, calls: Iterable[KernelCall], graph_vec: np.ndarray, efficiency=None
@@ -202,9 +238,10 @@ class CostModelSet:
         ``efficiency`` optionally maps each call to a system-specific
         multiplier (the baseline system's kernel efficiency).
         """
+        prices = self.prices(graph_vec.tobytes())
         total = 0.0
         for call in calls:
-            t = self.predict_call(call, graph_vec)
+            t = self.predict_call(call, graph_vec, prices)
             if efficiency is not None:
                 t *= efficiency(call)
             total += t

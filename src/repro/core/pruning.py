@@ -106,28 +106,41 @@ def cost_signature(candidate: Candidate):
     return frozenset(Counter(_instances(candidate)).items())
 
 
-def _instance_leq(a: _Instance, b: _Instance, scenario: str) -> Optional[bool]:
-    """a ≤ b (a no more expensive), None if incomparable; strictness aware."""
+def _instance_leq(a: _Instance, b: _Instance, scenario: str) -> bool:
+    """a ≤ b: same primitive, every dim of a no larger under the scenario."""
     if a.primitive != b.primitive or len(a.dims) != len(b.dims):
-        return None
-    strict = False
-    for da, db in zip(a.dims, b.dims):
-        cmp = _dim_leq(da, db, scenario)
-        if cmp is None or cmp is False:
-            return None
-        if da != db:
-            strict = True
-    return True  # holds; strictness checked separately via _instance_lt
+        return False
+    return all(
+        _dim_leq(da, db, scenario) is True for da, db in zip(a.dims, b.dims)
+    )
 
 
-def _instance_lt(a: _Instance, b: _Instance, scenario: str) -> bool:
-    return _instance_leq(a, b, scenario) is True and a.dims != b.dims
+def _order_tables(
+    instances: Sequence[_Instance], scenario: str
+) -> Tuple[List[List[bool]], List[List[bool]]]:
+    """``leq[i][j]`` / ``lt[i][j]`` over a pass's distinct instances.
+
+    Thousands of trees share a few dozen instances, so each ordered pair
+    is compared once here instead of once per backtracking step.
+    """
+    leq = [[_instance_leq(a, b, scenario) for b in instances] for a in instances]
+    lt = [
+        [leq[i][j] and a.dims != b.dims for j, b in enumerate(instances)]
+        for i, a in enumerate(instances)
+    ]
+    return leq, lt
 
 
 def _dominates(
-    small: List[_Instance], big: List[_Instance], scenario: str
+    small: List[int],
+    big: List[int],
+    leq: List[List[bool]],
+    lt: List[List[bool]],
 ) -> bool:
-    """True if `small` maps injectively into `big`, all ≤, strictly overall."""
+    """True if `small` maps injectively into `big`, all ≤, strictly overall.
+
+    Both are lists of indices into the tables of :func:`_order_tables`.
+    """
     if len(small) > len(big):
         return False
 
@@ -137,15 +150,15 @@ def _dominates(
     def assign(i: int, any_strict: bool) -> bool:
         if i == len(small):
             return any_strict or strict_possible
-        for j, b_inst in enumerate(big):
-            if used[j]:
+        leq_i, lt_i = leq[small[i]], lt[small[i]]
+        for j, b in enumerate(big):
+            if used[j] or not leq_i[b]:
                 continue
-            if _instance_leq(small[i], b_inst, scenario) is True:
-                used[j] = True
-                if assign(i + 1, any_strict or _instance_lt(small[i], b_inst, scenario)):
-                    used[j] = False
-                    return True
-                used[j] = False
+            used[j] = True
+            found = assign(i + 1, any_strict or lt_i[b])
+            used[j] = False
+            if found:
+                return True
         return False
 
     return assign(0, False)
@@ -201,22 +214,47 @@ def prune_candidates(
         sig = cost_signature(cand)
         by_sig.setdefault(sig, cand)
     distinct = list(by_sig.values())
-    inst = {id(c): _instances(c) for c in distinct}
+    instances = [_instances(c) for c in distinct]
+    # instances as indices into one table, so ≤ is a lookup in the search
+    codes: Dict[_Instance, int] = {}
+    coded = [[codes.setdefault(i, len(codes)) for i in insts] for insts in instances]
+    # an injective same-primitive map needs at least as many instances of
+    # every primitive on the big side: rejects most pairs without a search.
+    # Candidates share a handful of primitive-count profiles, so the test
+    # is made once per pair of profiles.
+    profile_ids: Dict[Tuple, int] = {}
+    profile = [
+        profile_ids.setdefault(
+            tuple(sorted(Counter(i.primitive for i in insts).items())),
+            len(profile_ids),
+        )
+        for insts in instances
+    ]
+    counts = [dict(p) for p in profile_ids]
+    fits = [
+        [all(big.get(p, 0) >= c for p, c in small.items()) for big in counts]
+        for small in counts
+    ]
+    distinct_instances = list(codes)
+    tables = {s: _order_tables(distinct_instances, s) for s in SCENARIOS}
 
     # 2. per-scenario domination
     survivors: List[PrunedCandidate] = []
-    for cand in distinct:
-        viable: List[str] = []
-        for scenario in SCENARIOS:
-            dominated = any(
-                other is not cand
-                and _dominates(inst[id(other)], inst[id(cand)], scenario)
-                for other in distinct
+    for k, cand in enumerate(distinct):
+        rivals = [
+            coded[o]
+            for o in range(len(distinct))
+            if o != k and fits[profile[o]][profile[k]]
+        ]
+        viable = tuple(
+            scenario
+            for scenario in SCENARIOS
+            if not any(
+                _dominates(small, coded[k], *tables[scenario]) for small in rivals
             )
-            if not dominated:
-                viable.append(scenario)
+        )
         if viable:
-            survivors.append(PrunedCandidate(cand, tuple(viable)))
+            survivors.append(PrunedCandidate(cand, viable))
     if not survivors:
         raise RuntimeError("pruning removed every candidate — rule bug")
     return survivors

@@ -12,6 +12,26 @@ cost models) to a concrete (model, graph, embedding sizes) instance:
 
 Both decision overheads (feature extraction, selection) are measured and
 reported, mirroring the paper's overhead accounting (§VI-C1).
+
+What is remembered between calls, and where:
+
+- the compiled candidate set, per (model, hyper-parameters), in
+  ``codegen``'s compile cache — ``compile_for`` looks there before it
+  parses a ``forward``;
+- the graph's feature vector, on the adjacency matrix itself
+  (:func:`repro.core.features.inspect_graph` writes ``CSRMatrix._aux``,
+  where ``row_ids`` and the serving fingerprint's pattern digest also
+  live), so every engine, the autotuner and the serving fingerprint read
+  one copy and a re-weighted matrix (``with_values``) inherits it.  Like
+  every ``_aux`` entry it assumes ``indptr``/``indices`` are never
+  written after construction; a new pattern is a new matrix.  An
+  adjacency object the process has not seen pays the O(N+E) pass once;
+  only a repeat submission of the same object skips it;
+- base cost-model predictions, per graph vector, in the model set's
+  bounded memo (:meth:`CostModelSet.prices`); one selection prices each
+  distinct (primitive, shape) call of its candidates once.
+
+Nothing is kept on the engine.
 """
 
 from __future__ import annotations
@@ -21,7 +41,7 @@ import time
 import warnings
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,9 +57,9 @@ from ..kernels import (
 )
 from ..tensor import Tensor
 from .bindings import model_ir_kwargs, model_ir_name
-from .codegen import CompiledModel, PlannedCandidate, compile_model
-from .costmodel import CostModelSet, get_cost_models
-from .features import featurize_graph
+from .codegen import CompiledModel, PlannedCandidate, cached_model, compile_model
+from .costmodel import CostModelSet, call_key, get_cost_models
+from .features import inspect_graph, known_inspection
 from .guard import (
     CircuitBreaker,
     DemotionRecord,
@@ -228,8 +248,6 @@ class GraniiEngine:
         self.guarded = config.guard_enabled() if guarded is None else bool(guarded)
         self.breakers = breakers if breakers is not None else CircuitBreaker()
         self._cost_models = cost_models
-        # keyed on the graph object: an id() is recycled once a graph dies
-        self._graph_vec_cache = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
     @property
@@ -264,6 +282,11 @@ class GraniiEngine:
             # the translated source vocabulary models unweighted
             # aggregation; weighted inputs compile via the IR builder
             return compile_model(name, weighted=True, **kwargs)
+        # the cache key ignores the IR's provenance, so look first: parsing
+        # re-tokenises the model's source file only to be discarded on a hit
+        cached = cached_model(name, **kwargs)
+        if cached is not None:
+            return cached
         from .frontend import FrontendError, parse_forward
 
         try:
@@ -299,17 +322,46 @@ class GraniiEngine:
         graph_vec: np.ndarray,
     ) -> float:
         """Cost-model estimate of one amortised iteration of this plan."""
-        setup, per_iter = plan.kernel_calls(env, self.system.degree_method)
+        return self.predict_plan_costs([plan], env, graph_vec)[0]
+
+    def predict_plan_costs(
+        self,
+        plans: Sequence[Plan],
+        env: ShapeEnv,
+        graph_vec: np.ndarray,
+    ) -> List[float]:
+        """:meth:`predict_plan_cost` of several plans for one input.
+
+        Candidates of one model are re-associations of the same
+        primitives, so most of their calls coincide: each distinct
+        (primitive, shape) is priced once and every plan sums its own
+        calls in its own order.
+        """
+        models = self.cost_models
+        prices = models.prices(graph_vec.tobytes())
         eff = self.system.efficiency
-        total = self.cost_models.predict_calls(per_iter, graph_vec, eff)
-        if self.mode == "training":
-            total += self.cost_models.predict_calls(
-                plan.backward_calls(env), graph_vec, eff
-            )
-        total += self.cost_models.predict_calls(setup, graph_vec, eff) / max(
-            self.iterations, 1
-        )
-        return total
+        seconds: Dict[tuple, float] = {}
+
+        def total(calls) -> float:
+            out = 0.0
+            for call in calls:
+                key = call_key(call)
+                t = seconds.get(key)
+                if t is None:
+                    t = models.predict_call(call, graph_vec, prices) * eff(call)
+                    seconds[key] = t
+                out += t
+            return out
+
+        costs = []
+        for plan in plans:
+            setup, per_iter = plan.kernel_calls(env, self.system.degree_method)
+            cost = total(per_iter)
+            if self.mode == "training":
+                cost += total(plan.backward_calls(env))
+            cost += total(setup) / max(self.iterations, 1)
+            costs.append(cost)
+        return costs
 
     def select_spmm_strategy(
         self, plan: Plan, env: ShapeEnv, graph_vec: np.ndarray
@@ -416,12 +468,10 @@ class GraniiEngine:
             # force it here so it never pollutes the measured online overhead
             _ = self.cost_models
         t0 = time.perf_counter()
-        graph_vec = self._graph_vec_cache.get(graph)
-        if graph_vec is not None:
-            feature_seconds = 0.0
-        else:
-            graph_vec = featurize_graph(graph)
-            self._graph_vec_cache[graph] = graph_vec
+        feature_seconds = 0.0
+        graph_vec = known_inspection(graph)
+        if graph_vec is None:
+            graph_vec = inspect_graph(graph)
             feature_seconds = time.perf_counter() - t0
         t1 = time.perf_counter()
         predicted: Dict[str, float] = {}
@@ -429,9 +479,9 @@ class GraniiEngine:
             chosen = viable[0]
             ranked = list(viable)
         else:
-            costs = [
-                self.predict_plan_cost(p.plan, env, graph_vec) for p in viable
-            ]
+            costs = self.predict_plan_costs(
+                [p.plan for p in viable], env, graph_vec
+            )
             for p, c in zip(viable, costs):
                 predicted[f"{p.label}#{p.plan.name}"] = c
             order = np.argsort(costs, kind="stable")
@@ -461,6 +511,7 @@ class GraniiEngine:
         verdict = analyze_plan(
             chosen.plan, env=env, strategies=demotion_chain(spmm_strategy)
         )
+        peak = verdict.facts.get("peak_memory_bytes")  # already computed there
         return SelectionReport(
             model_name=compiled.model_name,
             chosen=chosen,
@@ -469,7 +520,9 @@ class GraniiEngine:
             viable_count=len(viable),
             feature_seconds=feature_seconds,
             selection_seconds=selection_seconds,
-            peak_memory_bytes=chosen.plan.peak_memory_bytes(env),
+            peak_memory_bytes=(
+                chosen.plan.peak_memory_bytes(env) if peak is None else peak
+            ),
             memory_filtered_count=memory_filtered,
             spmm_strategy=spmm_strategy,
             strategy_costs=strategy_costs,

@@ -28,9 +28,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..core.features import featurize_graph
+from ..core.features import inspect_graph
 
 __all__ = ["GraphFingerprint", "fingerprint_graph"]
 
@@ -48,9 +46,15 @@ def fingerprint_graph(
 ) -> GraphFingerprint:
     """Fingerprint one (graph, model, sizes) serving request.
 
-    O(N+E): one featurizer pass plus one digest over the CSR arrays —
-    orders of magnitude cheaper than the enumeration + selection + static
-    analysis a cache hit skips.
+    The first fingerprint of an adjacency object is O(N+E): one
+    featurizer pass (:func:`repro.core.features.inspect_graph`) plus one
+    digest over ``indptr``/``indices`` (``CSRMatrix.pattern_sha1``).
+    Both results are kept on the matrix, so after that — the same
+    ``Graph`` resubmitted, another ``Graph`` wrapping the same adjacency,
+    or a ``with_values`` re-weighting of it — only the few bytes of
+    per-request scope are hashed.  Keeping them assumes what every
+    ``CSRMatrix`` memo assumes: the pattern arrays are not written after
+    construction.
 
     ``cost_token`` versions the *selector*, not the graph: the serving
     runtime passes :func:`repro.core.costmodel.cost_model_token` so plans
@@ -65,14 +69,10 @@ def fingerprint_graph(
         + (f"|cm:{cost_token}" if cost_token else "")
     )
 
-    key_digest = hashlib.sha1()
-    vec = np.ascontiguousarray(np.asarray(featurize_graph(graph), dtype=np.float64))
-    key_digest.update(vec.tobytes())
+    key_digest = hashlib.sha1(inspect_graph(graph).tobytes())
     key_digest.update(scope.encode())
 
-    token_digest = hashlib.sha1()
-    token_digest.update(np.ascontiguousarray(adj.indptr).tobytes())
-    token_digest.update(np.ascontiguousarray(adj.indices).tobytes())
+    token_digest = adj.pattern_sha1().copy()
     token_digest.update(f"{scope}|{adj.shape[0]}x{adj.shape[1]}".encode())
 
     return GraphFingerprint(

@@ -17,6 +17,7 @@ Conversions are provided so tests can cross-check against scipy.
 
 from __future__ import annotations
 
+import hashlib
 import weakref
 from typing import Optional, Tuple
 
@@ -185,6 +186,20 @@ class CSRMatrix:
             self._aux["row_ids"] = rows
         return rows
 
+    def pattern_sha1(self):
+        """SHA-1 state over ``indptr`` then ``indices`` (memoised).
+
+        ``.copy()`` it before appending: the stored state is what every
+        later structure token of this pattern starts from.
+        """
+        digest = self._aux.get("pattern_sha1")
+        if digest is None:
+            digest = hashlib.sha1()
+            digest.update(np.ascontiguousarray(self.indptr))
+            digest.update(np.ascontiguousarray(self.indices))
+            self._aux["pattern_sha1"] = digest
+        return digest
+
     def effective_values(self) -> np.ndarray:
         """Values array, materialising implicit ones for unweighted matrices.
 
@@ -322,7 +337,11 @@ class CSRMatrix:
             self.indptr, self.indices, values, self.shape
         )
         # the pattern is shared, so pattern-derived auxiliaries carry over
-        for key in ("row_degrees", "col_degrees", "row_ids", "unit_values"):
+        # ("inspection" is core.features.inspect_graph's memo)
+        for key in (
+            "row_degrees", "col_degrees", "row_ids", "unit_values",
+            "pattern_sha1", "inspection",
+        ):
             if key in self._aux:
                 result._aux[key] = self._aux[key]
         # ... and so is the transpose plan's holder, filled or not: whichever
@@ -384,19 +403,73 @@ class CSRMatrix:
         """Return A + I on the pattern (paper's Ã); existing loops are kept once.
 
         For weighted matrices the inserted loop entries get value 1.0 added.
+        O(E) and sort-free on a pattern whose columns increase strictly
+        within each row (what ``from_coo`` and every generator produce).
         """
-        n = min(self.shape)
         if self.shape[0] != self.shape[1]:
             raise ValueError("self loops require a square matrix")
+        rows, cols = self.row_ids(), self.indices
+        # one O(E) check: columns strictly increasing inside every row.
+        # The constructor also accepts unsorted or duplicated columns;
+        # those keep the COO merge, which sorts and collapses them.
+        if bool(((cols[1:] > cols[:-1]) | (rows[1:] != rows[:-1])).all()):
+            return self._insert_diagonal()
+        return self._merge_diagonal()
+
+    def _insert_diagonal(self) -> "CSRMatrix":
+        """A + I on a canonical pattern, without a sort.
+
+        Old entries keep their order, so the new arrays are the old ones
+        with each missing loop dropped into its row at the number of
+        entries left of the diagonal.  The result is the arrays
+        :meth:`_merge_diagonal` builds.
+        """
+        n, ptr, cols = self.shape[0], self.indptr, self.indices
+        left = np.zeros(n, dtype=np.int64)  # entries per row with col < row
+        filled = np.flatnonzero(self.row_degrees())
+        left[filled] = np.add.reduceat(
+            cols < self.row_ids(), ptr[filled], dtype=np.int64
+        )
+        diagonal = ptr[:-1] + left  # where each row's loop is, or belongs
+        missing = np.ones(n, dtype=np.int64)
+        inside = np.flatnonzero(diagonal < ptr[1:])
+        missing[inside] = cols[diagonal[inside]] != inside
+        inserted = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(missing, out=inserted[1:])
+        diagonal += inserted[:-1]
+        gap = np.flatnonzero(missing)
+        old = np.ones(self.nnz + gap.shape[0], dtype=bool)
+        old[diagonal[gap]] = False
+        indices = np.empty(old.shape[0], dtype=np.int64)
+        indices[old] = cols
+        indices[diagonal[gap]] = gap
+        values = None
+        if self.values is not None:
+            values = np.ones(old.shape[0], dtype=np.float64)
+            values[old] = self.values
+            if gap.shape[0] < n:
+                values[diagonal[missing == 0]] += 1.0
+                # the merge sums through bincount whenever it merges at
+                # all, which turns a stored -0.0 into +0.0
+                values += 0.0
+        return CSRMatrix._on_validated_pattern(
+            ptr + inserted, indices, values, self.shape
+        )
+
+    def _merge_diagonal(self) -> "CSRMatrix":
+        """A + I through COO: sorts columns and sums duplicates on the way."""
+        n = self.shape[0]
         rows, cols, vals = self.to_coo()
         loop = np.arange(n, dtype=np.int64)
-        all_rows = np.concatenate([rows, loop])
-        all_cols = np.concatenate([cols, loop])
-        if self.values is None:
-            merged = CSRMatrix.from_coo(all_rows, all_cols, None, self.shape)
-            return merged
-        all_vals = np.concatenate([vals, np.ones(n)])
-        return CSRMatrix.from_coo(all_rows, all_cols, all_vals, self.shape)
+        all_vals = (
+            None if self.values is None else np.concatenate([vals, np.ones(n)])
+        )
+        return CSRMatrix.from_coo(
+            np.concatenate([rows, loop]),
+            np.concatenate([cols, loop]),
+            all_vals,
+            self.shape,
+        )
 
     def submatrix(self, row_idx: np.ndarray, col_idx: np.ndarray) -> "CSRMatrix":
         """Extract the (row_idx × col_idx) submatrix (used by sampling).

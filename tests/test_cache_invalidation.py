@@ -142,3 +142,33 @@ class TestCSRAuxCache:
         np.testing.assert_array_equal(
             clone.transpose().to_dense(), m.to_dense().T
         )
+
+    def test_inspection_memo_follows_the_pattern_and_nothing_else(self):
+        """The feature vector and the pattern digest are read off
+        ``indptr``/``indices``: ``with_values`` keeps the pattern and so
+        the memo; anything that builds a new pattern (or crosses a
+        pickle) starts without one and recomputes its own."""
+        from repro.core.features import inspect_graph, known_inspection
+        from repro.graphs import Graph
+
+        m = self.weighted()
+        inspection = inspect_graph(Graph(m))
+        digest = m.pattern_sha1()
+        w = m.with_values(np.full(m.nnz, 7.0))
+        assert known_inspection(Graph(w)) is inspection
+        assert w.pattern_sha1() is digest
+        assert known_inspection(Graph(m.unweighted())) is inspection
+
+        looped = m.add_self_loops()
+        sub = m.submatrix(np.array([0, 2]), np.array([0, 2]))
+        clone = pickle.loads(pickle.dumps(m))
+        for derived in (looped, sub, clone):
+            assert known_inspection(Graph(derived)) is None
+            assert "pattern_sha1" not in derived._aux
+        # a new pattern gets its own digest; the same pattern the same one
+        assert looped.pattern_sha1().hexdigest() != digest.hexdigest()
+        assert clone.pattern_sha1().hexdigest() == digest.hexdigest()
+        np.testing.assert_array_equal(
+            inspect_graph(Graph(clone)), inspection
+        )
+        assert not inspection.flags.writeable

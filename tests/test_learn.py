@@ -109,6 +109,14 @@ class TestGradientBoosting:
         m2 = GradientBoostedTrees(num_rounds=20, subsample=0.7, seed=5).fit(x, y)
         assert np.allclose(m1.predict(x), m2.predict(x))
 
+    def test_predict_one_follows_a_refit(self, rng):
+        """The packed arrays ``predict_one`` descends belong to one fit."""
+        x = rng.standard_normal((200, 3))
+        model = GradientBoostedTrees(num_rounds=15, max_depth=3).fit(x, x[:, 0])
+        assert model.predict_one(x[0]) == pytest.approx(model.predict(x[:2])[0])
+        model.fit(x, -5 * x[:, 1])
+        assert model.predict_one(x[0]) == pytest.approx(model.predict(x[:2])[0])
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             GradientBoostedTrees(num_rounds=0)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import SPMM_STRATEGIES, edge_softmax, get_semiring, gspmm
@@ -42,6 +42,65 @@ def coo_matrices(draw, max_dim=8, max_nnz=20, weighted=None, square=False):
 def csr_matrices(draw, **kwargs):
     rows, cols, values, shape = draw(coo_matrices(**kwargs))
     return CSRMatrix.from_coo(rows, cols, values, shape)
+
+
+@st.composite
+def raw_square_csr(draw, max_dim=6):
+    """Square CSR arrays as the constructor accepts them: columns within
+    a row in any order, possibly repeated; 0x0 and empty rows included;
+    values drawn from a pool with both zeros."""
+    n = draw(st.integers(0, max_dim))
+    rows = [
+        draw(st.lists(st.integers(0, n - 1), max_size=n + 2)) if n else []
+        for _ in range(n)
+    ]
+    indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+    indices = np.array([c for r in rows for c in r], dtype=np.int64)
+    values = None
+    if draw(st.booleans()):
+        values = np.array(
+            draw(
+                st.lists(
+                    st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5, -7.25]),
+                    min_size=indices.size,
+                    max_size=indices.size,
+                )
+            ),
+            dtype=np.float64,
+        )
+    return CSRMatrix(indptr, indices, values, (n, n))
+
+
+def coo_self_loops(mat):
+    """A + I as a COO round trip: append the diagonal, sort, merge."""
+    n = mat.shape[0]
+    rows, cols, vals = mat.to_coo()
+    loop = np.arange(n, dtype=np.int64)
+    return CSRMatrix.from_coo(
+        np.concatenate([rows, loop]),
+        np.concatenate([cols, loop]),
+        None if mat.values is None else np.concatenate([vals, np.ones(n)]),
+        mat.shape,
+    )
+
+
+def assert_same_arrays(got, want):
+    """Bit for bit: dtypes and bytes of all three arrays."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+        else:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def is_canonical(mat):
+    """Columns strictly increasing inside every row."""
+    return all(
+        np.all(np.diff(mat.indices[lo:hi]) > 0)
+        for lo, hi in zip(mat.indptr[:-1], mat.indptr[1:])
+    )
 
 
 # ----------------------------------------------------------------------
@@ -85,6 +144,43 @@ class TestCSRProperties:
         diag = np.diag(once.to_dense())
         if mat.values is None:
             assert np.all(diag == 1.0)
+
+    @given(raw_square_csr())
+    @example(CSRMatrix([0], [], None, (0, 0)))
+    @example(CSRMatrix([0, 0], [], None, (1, 1)))
+    @example(CSRMatrix([0, 1], [0], [-0.0], (1, 1)))  # existing loop
+    @example(CSRMatrix([0, 2, 3], [1, 1, 0], [1.0, 2.0, 3.0], (2, 2)))  # repeated
+    @example(CSRMatrix([0, 2, 3], [1, 0, 1], None, (2, 2)))  # unsorted
+    @settings(max_examples=300)
+    def test_self_loops_equal_the_coo_round_trip(self, mat):
+        """The diagonal insert builds the arrays the COO merge builds; a
+        pattern with unsorted or repeated columns takes (and so matches)
+        the merge itself, sort included."""
+        sorts = []
+        lexsort = np.lexsort
+
+        def counting(keys):
+            sorts.append(1)
+            return lexsort(keys)
+
+        np.lexsort = counting
+        try:
+            got = mat.add_self_loops()
+        finally:
+            np.lexsort = lexsort
+        assert len(sorts) == (0 if is_canonical(mat) else 1)
+        assert_same_arrays(got, coo_self_loops(mat))
+        assert_same_arrays(got.add_self_loops().unweighted(), got.unweighted())
+
+    def test_self_loops_equal_the_coo_round_trip_on_the_verify_battery(self):
+        from repro.core.verify import adversarial_battery
+
+        rng = np.random.default_rng(0)
+        for graph in adversarial_battery(quick=False):
+            adj = graph.adj
+            weights = rng.choice([-0.0, 0.0, 0.5, -1.0, 3.0], size=adj.nnz)
+            for mat in (adj, adj.with_values(weights)):
+                assert_same_arrays(mat.add_self_loops(), coo_self_loops(mat))
 
     @given(csr_matrices(max_dim=6), st.data())
     @settings(max_examples=40)
