@@ -27,7 +27,7 @@ from ..models import (
 from ..sparse import CSRMatrix, DiagonalMatrix
 from ..tensor import Tensor, gsddmm_add_uv, leaky_relu
 from ..tensor import edge_softmax as t_edge_softmax
-from .plan import EdgeSparse, LayerBinding
+from .plan import LEAF_CACHE_KEY, EdgeSparse, LayerBinding
 
 __all__ = ["build_binding", "model_ir_name", "model_ir_kwargs"]
 
@@ -128,7 +128,12 @@ def _norm_diag(
 
 
 def build_binding(
-    layer, g: MPGraph, feat, mode: str, degree_method: str = "indptr"
+    layer,
+    g: MPGraph,
+    feat,
+    mode: str,
+    degree_method: str = "indptr",
+    setup_cache: Optional[dict] = None,
 ) -> LayerBinding:
     """Runtime leaf values for one (layer, graph, features) triple.
 
@@ -138,7 +143,37 @@ def build_binding(
     ``degree_method`` selects the degree kernel behind the D/Dm/Ds leaves
     ('indptr' | 'binning'), matching the system personality executing the
     plan.
+
+    ``setup_cache`` is the per-graph cache the caller also hands to
+    :meth:`Plan.execute`: the graph-only diagonal leaves (the degree
+    diagonals, GIN's ``Eps``, APPNP's ``T``) are built once into its
+    :data:`~repro.core.plan.LEAF_CACHE_KEY` slot.  The cache belongs to
+    one graph, so a key names only what else a leaf depends on: the
+    degree method, and the layer state (``eps``, ``alpha``) it scales by.
+    A's pattern view is *not* kept: it is a few microseconds to make, and
+    a view that outlives the call keeps its transpose memo with it, which
+    a training step is better off allocating and freeing with the rest of
+    its tape (docs/PERFORMANCE.md, "Where a training step goes").
     """
+    leaves = (
+        None if setup_cache is None
+        else setup_cache.setdefault(LEAF_CACHE_KEY, {})
+    )
+
+    def leaf(key, build):
+        if leaves is None:
+            return build()
+        value = leaves.get(key)
+        if value is None:
+            value = leaves[key] = build()
+        return value
+
+    def norm(power: float) -> DiagonalMatrix:
+        return leaf(
+            ("D", power, degree_method),
+            lambda: _norm_diag(adj, power, degree_method),
+        )
+
     name = model_ir_name(layer)
     adj = g.adj if g.adj.is_weighted and name != "gat" else g.adj.unweighted()
     if mode == "tensor" and not isinstance(feat, Tensor):
@@ -147,17 +182,19 @@ def build_binding(
         feat = feat.data
     values: Dict[str, object] = {"A": adj, "H": feat}
     if name in ("gcn", "sgc"):
-        values["D"] = _norm_diag(adj, -0.5, degree_method)
+        values["D"] = norm(-0.5)
         values["W"] = _weight(layer.linear.weight, mode)
         return LayerBinding(values)
     if name == "tagcn":
-        values["D"] = _norm_diag(adj, -0.5, degree_method)
+        values["D"] = norm(-0.5)
         for i, filt in enumerate(layer.filters):
             values[f"W{i}"] = _weight(filt.weight, mode)
         return LayerBinding(values)
     if name == "gin":
-        values["Eps"] = DiagonalMatrix(
-            np.full(adj.shape[0], 1.0 + layer.eps)
+        scale = 1.0 + layer.eps
+        values["Eps"] = leaf(
+            ("Eps", scale),
+            lambda: DiagonalMatrix(np.full(adj.shape[0], scale)),
         )
         values["W"] = _weight(layer.linear.weight, mode)
         return LayerBinding(values)
@@ -169,16 +206,21 @@ def build_binding(
             fused_attention_fn=_gat_fused_attention_fn(layer),
         )
     if name == "sage":
-        values["Dm"] = _norm_diag(adj, -1.0, degree_method)
+        values["Dm"] = norm(-1.0)
         values["Wself"] = _weight(layer.self_linear.weight, mode)
         values["Wneigh"] = _weight(layer.neigh_linear.weight, mode)
         return LayerBinding(values)
     if name == "appnp":
-        norm = _norm_diag(adj, -0.5, degree_method)
-        values["D"] = norm
-        values["Ds"] = DiagonalMatrix((1.0 - layer.alpha) * norm.diag)
-        values["T"] = DiagonalMatrix(
-            np.full(adj.shape[0], layer.alpha)
+        alpha = layer.alpha
+        d = norm(-0.5)
+        values["D"] = d
+        values["Ds"] = leaf(
+            ("Ds", alpha, degree_method),
+            lambda: DiagonalMatrix((1.0 - alpha) * d.diag),
+        )
+        values["T"] = leaf(
+            ("T", alpha),
+            lambda: DiagonalMatrix(np.full(adj.shape[0], alpha)),
         )
         values["W"] = _weight(layer.linear.weight, mode)
         return LayerBinding(values)

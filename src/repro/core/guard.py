@@ -59,6 +59,7 @@ __all__ = [
     "CircuitBreaker",
     "DemotionRecord",
     "ExecutionBudget",
+    "ExecutorCaches",
     "GuardedExecutor",
     "execute_plan",
     "reference_forward",
@@ -84,18 +85,40 @@ def reference_forward(layer, g, feat):
     return np.asarray(out.data)
 
 
+class ExecutorCaches:
+    """What an executor has derived from the graphs it ran, per graph.
+
+    ``setup`` holds the per-graph setup caches of :func:`execute_plan`
+    (graph-only step results such as Ã, the binding's graph-only leaves,
+    the workspace arena); ``env`` the guard's :class:`ShapeEnv` per graph.
+    Both are ``WeakKeyDictionary``\\ s keyed on the graph *object* and are
+    dropped with it: an ``id(g)`` key is recycled by CPython once ``g``
+    dies, and the next graph at that address would be served the dead
+    one's precomputed Ã; and another object of the same structure but
+    other edge weights never sees this one's.
+
+    An executor starts with empty caches unless it is handed the caches
+    of a predecessor that ran the same layer and plan (the serving
+    runtime does, one request at a time — an arena hands out one buffer
+    per shape, so two running executors must never share one).
+    """
+
+    __slots__ = ("setup", "env")
+
+    def __init__(self) -> None:
+        self.setup = weakref.WeakKeyDictionary()
+        self.env = weakref.WeakKeyDictionary()
+
+
 def execute_plan(
     engine, layer, plan: Plan, strategy: str, g, feat, setup_caches,
     slot=None, budget=None,
 ):
     """One plan execution, as both the guarded and the bare executor run it.
 
-    ``setup_caches`` is the executor's ``WeakKeyDictionary`` of per-graph
-    setup caches.  It is keyed on the graph *object*: an ``id(g)`` key is
-    recycled by CPython once ``g`` dies, and the next graph at that
-    address would be served the dead one's precomputed Ã.  ``slot``
-    separates executions that must not share a cache for one graph (the
-    guard's rungs).
+    ``setup_caches`` is the executor's :attr:`ExecutorCaches.setup`.
+    ``slot`` separates executions that must not share a cache for one
+    graph (the guard's rungs).
     """
     mode = "tensor" if isinstance(feat, Tensor) else "numpy"
     # a compiled fused schedule bypasses the autograd tape, so only
@@ -117,8 +140,10 @@ def execute_plan(
             num_threads=engine.num_threads,
             num_workers=engine.num_workers,
         )
-    binding = build_binding(layer, g, feat, mode, engine.system.degree_method)
     cache = setup_caches.setdefault(g, {}).setdefault((mode, slot), {})
+    binding = build_binding(
+        layer, g, feat, mode, engine.system.degree_method, setup_cache=cache
+    )
     try:
         out = plan.execute(
             binding,
@@ -503,12 +528,31 @@ class GuardedExecutor:
     the life of the executor; the per-(primitive, strategy) circuit
     breaker additionally steers *future* selections away from a
     repeatedly failing strategy until its cooldown elapses.
+
+    ``caches`` lets the executor start from what a predecessor on the
+    same layer and plan already derived (see :class:`ExecutorCaches`);
+    everything else — rung position, verification set, the selection
+    report with its deadline — is this executor's own.
+    ``inputs_validated`` is the caller's word that whatever it calls
+    this executor with already passed :func:`validate_inputs` (the
+    serving runtime builds one executor per request, after its admission
+    gate ran the check on the caller's thread), so the executor does not
+    run it a second time.
     """
 
-    def __init__(self, engine, layer, selection) -> None:
+    def __init__(
+        self,
+        engine,
+        layer,
+        selection,
+        caches: Optional[ExecutorCaches] = None,
+        inputs_validated: bool = False,
+    ) -> None:
         self.engine = engine
         self.layer = layer
         self.selection = selection
+        self.caches = caches if caches is not None else ExecutorCaches()
+        self._inputs_validated = inputs_validated
         chosen = selection.chosen
         self.rungs: List[Tuple[object, str]] = [
             (chosen, strategy)
@@ -519,9 +563,6 @@ class GuardedExecutor:
                 self.rungs.append((planned, "row_segment"))
         self.rung = 0
         self._verified_rungs: set = set()
-        # per-graph state, dropped with the graph (see execute_plan)
-        self._setup_caches = weakref.WeakKeyDictionary()
-        self._env_cache = weakref.WeakKeyDictionary()
         self._reference_demotion_logged = False
 
     # ------------------------------------------------------------------
@@ -540,10 +581,10 @@ class GuardedExecutor:
         return costs.get(f"{planned.label}#{planned.plan.name}")
 
     def _env_for(self, g) -> ShapeEnv:
-        env = self._env_cache.get(g)
+        env = self.caches.env.get(g)
         if env is None:
             env = shape_env_for(g.adj, self.layer)
-            self._env_cache[g] = env
+            self.caches.env[g] = env
         return env
 
     def _demote(
@@ -639,13 +680,13 @@ class GuardedExecutor:
         )
         out = execute_plan(
             self.engine, self.layer, plan, strategy, g, feat,
-            self._setup_caches, slot=self.rung, budget=budget,
+            self.caches.setup, slot=self.rung, budget=budget,
         )
         self.engine.breakers.record_success("spmm", strategy)
         return out
 
     def __call__(self, g, feat, *args, **kwargs):
-        if not config.skip_validation():
+        if not (self._inputs_validated or config.skip_validation()):
             validate_inputs(self.layer, g, feat, env=None)
         attempts: List[Tuple[str, str, str]] = []
         while not self.on_reference:

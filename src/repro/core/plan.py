@@ -61,6 +61,7 @@ __all__ = [
     "LayerBinding",
     "Plan",
     "GRAPH_LEAVES",
+    "LEAF_CACHE_KEY",
     "WORKSPACE_CACHE_KEY",
 ]
 
@@ -70,6 +71,11 @@ GRAPH_LEAVES = {"A", "D", "Dm", "Ds", "Eps", "T"}
 # of the value environment (it is not a step result) but persisted with
 # the cache so scratch tiles survive across iterations.
 WORKSPACE_CACHE_KEY = "__workspace__"
+# Reserved setup-cache slot holding the binding's graph-only leaves (the
+# degree diagonals, GIN's Eps, APPNP's T), which ``build_binding`` would
+# otherwise rebuild for every execution.  Not step results either.
+LEAF_CACHE_KEY = "__leaves__"
+_RESERVED_CACHE_KEYS = (WORKSPACE_CACHE_KEY, LEAF_CACHE_KEY)
 
 
 @dataclass(frozen=True)
@@ -458,7 +464,7 @@ class Plan:
         if setup_cache:
             env.update(
                 (k, v) for k, v in setup_cache.items()
-                if k != WORKSPACE_CACHE_KEY
+                if k not in _RESERVED_CACHE_KEYS
             )
         if budget is not None:
             budget.start()

@@ -39,7 +39,6 @@ from __future__ import annotations
 import threading
 import time
 import warnings
-import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -63,6 +62,7 @@ from .features import inspect_graph, known_inspection
 from .guard import (
     CircuitBreaker,
     DemotionRecord,
+    ExecutorCaches,
     GuardedExecutor,
     execute_plan,
     reference_forward,
@@ -538,6 +538,8 @@ class GraniiEngine:
         spmm_strategy: str = "row_segment",
         selection: Optional[SelectionReport] = None,
         guarded: Optional[bool] = None,
+        caches: Optional[ExecutorCaches] = None,
+        inputs_validated: bool = False,
     ):
         """Wrap the chosen plan as a drop-in replacement for layer.forward.
 
@@ -553,6 +555,12 @@ class GraniiEngine:
         the executor is a :class:`~repro.core.guard.GuardedExecutor`
         instead: inputs pass an admission gate, every run is budgeted,
         and failures demote down the plan ladder rather than escaping.
+
+        ``caches`` are the per-graph caches the executor starts with
+        (default: empty; see :class:`~repro.core.guard.ExecutorCaches`
+        for who may pass a predecessor's).  ``inputs_validated`` tells a
+        guarded executor that its caller already ran the admission gate
+        on the inputs it will be called with.
         """
         if guarded is None:
             guarded = self.guarded
@@ -573,10 +581,11 @@ class GraniiEngine:
                 selection.chosen = planned
             if selection.spmm_strategy != spmm_strategy:
                 selection.spmm_strategy = spmm_strategy
-            return GuardedExecutor(self, layer, selection)
+            return GuardedExecutor(
+                self, layer, selection, caches, inputs_validated
+            )
         plan = planned.plan
-        # per-graph setup caches, dropped with the graph (see execute_plan)
-        setup_caches = weakref.WeakKeyDictionary()
+        setup_caches = (caches if caches is not None else ExecutorCaches()).setup
         verify_state = {"pending": self.verify_plans, "fallback": False}
 
         def executor(g: MPGraph, feat, *args, **kwargs):

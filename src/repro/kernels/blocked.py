@@ -100,12 +100,18 @@ def default_block_nnz() -> int:
     return config.block_nnz(DEFAULT_BLOCK_NNZ)
 
 
+# Read once: every g-SpMM asks for the default width, and the count of CPUs
+# the process was started on does not change under it.
+_AUTO_NUM_THREADS = min(4, os.cpu_count() or 1)
+
+
 def default_num_threads() -> int:
-    """Worker count for the parallel strategy; ``REPRO_NUM_THREADS`` wins."""
+    """Worker count for the parallel strategy; ``REPRO_NUM_THREADS`` (read
+    on every call) wins over the import-time ``min(4, cpu_count)``."""
     value = config.num_threads()
     if value > 0:
         return value
-    return min(4, os.cpu_count() or 1)
+    return _AUTO_NUM_THREADS
 
 
 def row_block_spans(

@@ -18,14 +18,24 @@ Correctness properties:
   requests: entries are immutable once published, so a request holding
   an evicted entry keeps executing its plan safely while new requests
   recompute.
+
+Warm execution state.  An entry also carries, per *owner* (the service
+uses ``(tenant, model name)``), a short stack of opaque states — whatever
+a request must otherwise rebuild to execute the entry's plan.
+:meth:`PlanCache.checkout` pops one, so a state is held by at most one
+request at a time; :meth:`PlanCache.checkin` pushes it back.  The states
+live on the entry and nowhere else: an evicted entry, a colliding key or
+a changed token make both calls find nothing, and the states go with the
+entry.  They are never exported (:meth:`PlanCache.export_entries`) and
+are not part of the payload.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 __all__ = ["CacheEntry", "PlanCache"]
 
@@ -37,11 +47,17 @@ _WAIT_SLICE_SECONDS = 5.0
 
 @dataclass(frozen=True)
 class CacheEntry:
-    """One published cache line; immutable after insertion."""
+    """One published cache line; ``key``/``token``/``payload`` are
+    immutable after insertion.  ``warm`` is the exception: owner -> the
+    stack of checked-in execution states, touched only under the cache's
+    lock and dropped with the entry."""
 
     key: str
     token: str
     payload: object  # the selector's SelectionReport template
+    warm: Dict[Hashable, List[object]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 class PlanCache:
@@ -59,6 +75,7 @@ class PlanCache:
         self._misses = 0
         self._collisions = 0
         self._evictions = 0
+        self._warm_checkouts = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -130,6 +147,43 @@ class PlanCache:
             return payload, False
 
     # ------------------------------------------------------------------
+    # Warm execution state (see the module docstring)
+    # ------------------------------------------------------------------
+    def checkout(self, key: str, token: str, owner: Hashable):
+        """Pop one of ``owner``'s states off the live entry for this
+        fingerprint, or ``None``.  The caller owns it until it checks it
+        back in (or drops it)."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or entry.token != token:
+                return None
+            states = entry.warm.get(owner)
+            if not states:
+                return None
+            self._warm_checkouts += 1
+            return states.pop()
+
+    def checkin(
+        self, key: str, token: str, owner: Hashable, state, limit: int
+    ) -> None:
+        """Push ``state`` for ``owner`` onto the live entry for this
+        fingerprint; dropped when the entry is gone or the owner already
+        has ``limit`` states stored."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or entry.token != token:
+                return
+            states = entry.warm.setdefault(owner, [])
+            if len(states) < limit:
+                states.append(state)
+
+    def drop_warm_states(self) -> None:
+        """Forget every checked-in state (the entries stay)."""
+        with self._lock:
+            for entry in self._entries.values():
+                entry.warm.clear()
+
+    # ------------------------------------------------------------------
     # Durable-state support
     # ------------------------------------------------------------------
     def export_entries(self) -> list:
@@ -177,4 +231,12 @@ class PlanCache:
                 "collisions": float(self._collisions),
                 "evictions": float(self._evictions),
                 "hit_rate": self._hits / total if total else 0.0,
+                "warm_states": float(
+                    sum(
+                        len(states)
+                        for entry in self._entries.values()
+                        for states in entry.warm.values()
+                    )
+                ),
+                "warm_checkouts": float(self._warm_checkouts),
             }

@@ -45,6 +45,24 @@ Every request terminates in a :class:`ServeResult` — a value, a value
 with recorded demotions, or a structured error with the attempt chain
 attached.  Raw exceptions never escape a worker thread.
 
+Warm execution state: the :class:`~repro.core.guard.GuardedExecutor`
+(rung position, selection report, deadline) is built per request, but
+what it would have to *derive again* on a cache hit — the layer from
+``ModelSpec.factory`` and the per-graph caches holding Ã, the degree
+diagonals and the shape env, the very setup the cost model amortises
+over many iterations — is kept on the plan-cache entry per (tenant,
+model) and **checked out by one request at a time**
+(:meth:`PlanCache.checkout`), so two running requests never share a
+layer or a workspace arena.  A request that finds none free builds a
+fresh layer and empty caches, as every request once did; the two differ
+in nothing but the caches the executor starts with.  Only a *clean* hit
+checks its state back in: outcome ``ok`` with no demotion, no
+``fault_plan`` on the request (such a request neither takes nor returns
+one), tenant breaker closed.  A miss stores nothing, so a stream of
+never-reused structures retains nothing; eviction drops an entry's
+states with it; and a state remembers the :class:`ModelSpec` *instance*
+it was built from, so a re-registered model never runs on old weights.
+
 Request-scoped chaos: a :class:`~repro.faults.FaultPlan` attached to a
 request is installed **thread-locally** for exactly that request's
 execution, so the chaos driver can poison one tenant's kernels while
@@ -54,6 +72,7 @@ another tenant's requests run clean on sibling threads
 
 from __future__ import annotations
 
+import logging
 import random
 import threading
 import time
@@ -69,6 +88,7 @@ from .. import config
 from ..core.guard import (
     CircuitBreaker,
     ExecutionBudget,
+    ExecutorCaches,
     validate_inputs,
     value_nbytes,
 )
@@ -91,7 +111,7 @@ from ..kernels.sharded import (
 from ..models import build_layer
 from ..state import StateStore
 from .cache import PlanCache
-from .fingerprint import fingerprint_graph
+from .fingerprint import GraphFingerprint, fingerprint_graph
 
 __all__ = [
     "GraniiService",
@@ -101,6 +121,8 @@ __all__ = [
     "TenantState",
 ]
 
+logger = logging.getLogger(__name__)
+
 _RETRY_BASE_SECONDS = 0.05
 _RETRY_MAX_SECONDS = 1.0
 
@@ -108,8 +130,13 @@ _RETRY_MAX_SECONDS = 1.0
 @dataclass(frozen=True)
 class ModelSpec:
     """One model the service hosts; ``factory`` yields a fresh layer with
-    the served weights (layers are per-request: executor attachment
-    mutates the layer, and requests must not share that state)."""
+    the served weights.  A layer is used by one request at a time
+    (executor attachment mutates it), but a clean cache hit hands its
+    layer on to the next hit of the same tenant and structure instead of
+    calling ``factory`` again — so ``factory`` is not a per-request hook:
+    to serve other weights, register the model again.  Kept layers are
+    tied to the spec *instance* they were built from and are never used
+    for another."""
 
     name: str  # the name requests address
     model: str  # zoo model type ("gcn", "gat", ...)
@@ -342,10 +369,12 @@ class GraniiService:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self, wait: bool = True) -> None:
-        """Stop admitting; optionally wait for in-flight requests."""
+        """Stop admitting; optionally wait for in-flight requests.  The
+        kept execution states go: nothing will check one out again."""
         with self._lock:
             self._closed = True
         self._pool.shutdown(wait=wait)
+        self._cache.drop_warm_states()
 
     def shutdown(self, save: bool = True) -> None:
         """Graceful full stop, in dependency order: drain the request
@@ -359,9 +388,7 @@ class GraniiService:
                 self.save_state()
             except Exception:
                 # shutdown must complete even if the disk is gone
-                import logging
-
-                logging.getLogger(__name__).warning(
+                logger.warning(
                     "state save failed during shutdown", exc_info=True
                 )
         drain_pool()
@@ -410,9 +437,7 @@ class GraniiService:
                     )
                     summary["cost_models"] = True
                 except Exception:
-                    import logging
-
-                    logging.getLogger(__name__).warning(
+                    logger.warning(
                         "cost-model snapshot unusable; training cold",
                         exc_info=True,
                     )
@@ -423,9 +448,7 @@ class GraniiService:
                     (key, token, payload) for key, token, payload in entries
                 )
             except Exception:
-                import logging
-
-                logging.getLogger(__name__).warning(
+                logger.warning(
                     "plan-cache snapshot unusable; starting cold",
                     exc_info=True,
                 )
@@ -656,8 +679,10 @@ class GraniiService:
 
     def _cached_selection(
         self, request: ServeRequest, spec: ModelSpec
-    ) -> Tuple[SelectionReport, bool]:
-        """Fingerprint-keyed selection: hit skips enumeration+selection."""
+    ) -> Tuple[SelectionReport, bool, GraphFingerprint]:
+        """Fingerprint-keyed selection: hit skips enumeration+selection.
+        Returns the template, whether it was a hit, and the fingerprint
+        that names the cache entry."""
         fp = self._fingerprint_fn(
             request.graph, spec.model, spec.in_size, spec.out_size
         )
@@ -668,7 +693,8 @@ class GraniiService:
                 compiled = self._selector.compile_for(layer, request.graph)
                 return self._selector.select(compiled, request.graph, layer)
 
-        return self._cache.get_or_compute(fp.key, fp.token, compute)
+        template, hit = self._cache.get_or_compute(fp.key, fp.token, compute)
+        return template, hit, fp
 
     def _request_selection(
         self, template: SelectionReport, deadline_at: Optional[float]
@@ -742,16 +768,30 @@ class GraniiService:
                     result.outcome = "reference"
                     result.ok = True
                 else:
-                    entry, hit = self._cached_selection(request, spec)
+                    entry, hit, fp = self._cached_selection(request, spec)
                     result.cache_hit = hit
                     selection = self._request_selection(entry, deadline_at)
-                    layer = spec.factory()
+                    # Warm state (module docstring): a fault-free hit may
+                    # take the (layer, caches) a clean predecessor left on
+                    # the cache entry, and alone may leave its own there.
+                    keeps_state = hit and request.fault_plan is None
+                    owner = (request.tenant, spec.name)
+                    kept = (
+                        self._cache.checkout(fp.key, fp.token, owner)
+                        if keeps_state else None
+                    )
+                    if kept is not None and kept[0] is spec:
+                        _, layer, caches = kept
+                    else:  # none free, or built for a replaced registration
+                        layer, caches = spec.factory(), ExecutorCaches()
                     executor = tenant.engine.make_executor(
                         layer,
                         selection.chosen,
                         selection.spmm_strategy,
                         selection=selection,
                         guarded=True,
+                        caches=caches,
+                        inputs_validated=True,  # _admit ran the gate
                     )
                     layer.attach_executor(executor)
                     retry = _sharded_retry_wrapper(
@@ -760,11 +800,17 @@ class GraniiService:
                     )
                     with kernel_wrapper(retry, thread_local=True):
                         out = layer(request.graph, request.feats)
+                    layer.detach_executor()
                     result.value = np.asarray(getattr(out, "data", out))
                     result.outcome = (
                         "ok_demoted" if selection.demotions else "ok"
                     )
                     result.ok = True
+                    if keeps_state and result.outcome == "ok":
+                        self._cache.checkin(
+                            fp.key, fp.token, owner,
+                            (spec, layer, caches), limit=self._num_threads,
+                        )
         except GraniiError as exc:
             result.ok = False
             result.outcome = (

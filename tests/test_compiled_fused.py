@@ -373,7 +373,7 @@ class TestFusedFaultDemotion:
         # rung 0 (the fused plan) failed mid-execution: its half-warmed
         # arena must have been dropped from the rung's setup cache
         fused_caches = [
-            cache for per_graph in executor._setup_caches.values()
+            cache for per_graph in executor.caches.setup.values()
             for (mode, rung), cache in per_graph.items() if rung == 0
         ]
         assert fused_caches

@@ -10,12 +10,14 @@ import pytest
 
 from repro.core import ShapeEnv, compile_model
 from repro.core.bindings import build_binding
-from repro.core.plan import GRAPH_LEAVES, Plan
+from repro.core.plan import GRAPH_LEAVES, LEAF_CACHE_KEY, Plan
 from repro.graphs import erdos_renyi
 from repro.models import (
+    APPNPLayer,
     GATLayer,
     GCNLayer,
     GINLayer,
+    SAGELayer,
     SGCLayer,
     TAGCNLayer,
     prepare_mp_graph,
@@ -186,6 +188,61 @@ class TestExecutorEquivalence:
         out2 = planned.plan.execute(binding, mode="numpy", setup_cache=cache)
         assert {k: id(v) for k, v in cache.items()} == cached_objs
         assert np.allclose(out1, out2)
+
+    @pytest.mark.parametrize(
+        "make,self_loops,leaves,knob",
+        [
+            (lambda rng: GCNLayer(8, 4, rng=rng), True, ("D",), None),
+            (lambda rng: GINLayer(8, 4, rng=rng), False, ("Eps",), "eps"),
+            (lambda rng: SAGELayer(8, 4, rng=rng), False, ("Dm",), None),
+            (
+                lambda rng: APPNPLayer(8, 4, hops=2, rng=rng), True,
+                ("D", "Ds", "T"), "alpha",
+            ),
+        ],
+    )
+    def test_graph_only_leaves_built_once_per_setup_cache(
+        self, graph, rng, make, self_loops, leaves, knob
+    ):
+        layer = make(rng)
+        g = prepare_mp_graph(graph) if self_loops else MPGraph(graph.adj)
+        feat = rng.standard_normal((graph.num_nodes, 8))
+        plain = build_binding(layer, g, feat, mode="numpy")
+        cache = {}
+        first = build_binding(layer, g, feat, mode="numpy", setup_cache=cache)
+        again = build_binding(layer, g, feat, mode="tensor", setup_cache=cache)
+        assert set(cache) == {LEAF_CACHE_KEY}
+        for name in leaves:
+            assert again.values[name] is first.values[name], name
+            # bitwise what the uncached builder makes
+            assert np.array_equal(
+                first.values[name].diag, plain.values[name].diag
+            ), name
+        # A's pattern view is made per call (see build_binding)
+        assert again.values["A"] is not first.values["A"]
+        # another degree kernel is another leaf, not a stale hit
+        if "D" in leaves or "Dm" in leaves:
+            name = "D" if "D" in leaves else "Dm"
+            binned = build_binding(
+                layer, g, feat, "numpy", "binning", setup_cache=cache
+            )
+            assert binned.values[name] is not first.values[name]
+        # eps / alpha are layer state: changing them must not serve the
+        # leaf scaled by the old value
+        if knob is not None:
+            setattr(layer, knob, getattr(layer, knob) + 0.25)
+            moved = build_binding(layer, g, feat, "numpy", setup_cache=cache)
+            fresh = build_binding(layer, g, feat, "numpy")
+            for name in leaves:
+                assert np.array_equal(
+                    moved.values[name].diag, fresh.values[name].diag
+                ), name
+        # the reserved slot never reaches a plan's value environment
+        if isinstance(layer, GCNLayer):
+            planned = compile_model("gcn").find(norm="precompute")[0]
+            out = planned.plan.execute(first, mode="numpy", setup_cache=cache)
+            ref = planned.plan.execute(plain, mode="numpy")
+            assert np.array_equal(out, ref)
 
     def test_invalid_mode_rejected(self, graph, rng):
         layer = GCNLayer(4, 2, rng=rng)

@@ -135,7 +135,7 @@ class TestOptimize:
             del g
         gc.collect()
         if guarded:
-            caches = executor._setup_caches
+            caches = executor.caches.setup
         else:
             caches = next(
                 cell.cell_contents for cell in executor.__closure__

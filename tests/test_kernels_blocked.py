@@ -149,6 +149,24 @@ class TestBlockedEquivalence:
         out = gspmm_parallel(adj, x, block_nnz=10_000, num_threads=4)
         assert np.allclose(out, to_scipy(adj) @ x)
 
+    def test_default_num_threads_reads_cpu_count_once(self, monkeypatch):
+        import os
+
+        from repro.kernels import blocked
+
+        def cpu_count():
+            raise AssertionError("os.cpu_count() called per g-SpMM")
+
+        monkeypatch.delenv("REPRO_NUM_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", cpu_count)
+        assert blocked.default_num_threads() == blocked._AUTO_NUM_THREADS
+        assert 1 <= blocked._AUTO_NUM_THREADS <= 4
+        # the variable is still read per call, and still wins
+        monkeypatch.setenv("REPRO_NUM_THREADS", "3")
+        assert blocked.default_num_threads() == 3
+        monkeypatch.setenv("REPRO_NUM_THREADS", "0")
+        assert blocked.default_num_threads() == blocked._AUTO_NUM_THREADS
+
     @pytest.mark.parametrize("strategy", BLOCKED)
     def test_shape_mismatch_raises(self, rng, strategy):
         adj = random_csr(rng, 6, 6, density=0.3)

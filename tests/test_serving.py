@@ -1,5 +1,8 @@
 """Multi-tenant serving runtime: admission, cache, isolation, retries."""
 
+import pickle
+import sys
+from pathlib import Path
 import threading
 import time
 from concurrent.futures import wait
@@ -13,9 +16,11 @@ from repro.errors import (
     GraniiOverloadError,
 )
 from repro.faults import FaultPlan
+from repro.faults import fault_injection
 from repro.graphs.generators import erdos_renyi
+from repro.graphs.graph import Graph
 from repro.kernels.sharded import ShardedWorkerError
-from repro.models import build_layer
+from repro.models import GCNLayer, build_layer
 from repro.serving import (
     GraniiService,
     GraphFingerprint,
@@ -49,9 +54,9 @@ def feats_for(graph, k=IN_SIZE, seed=1):
     return np.random.default_rng(seed).standard_normal((graph.num_nodes, k))
 
 
-def reference_for(graph, feats):
+def reference_for(graph, feats, seed=0):
     layer = build_layer(
-        "gcn", IN_SIZE, OUT_SIZE, rng=np.random.default_rng(0)
+        "gcn", IN_SIZE, OUT_SIZE, rng=np.random.default_rng(seed)
     )
     return np.asarray(layer(graph, feats).data)
 
@@ -469,3 +474,286 @@ class TestConcurrentServing:
             )
         assert stats["cache"]["hits"] >= 20
         assert stats["totals"]["completed"] == 24
+
+
+# ----------------------------------------------------------------------
+# Warm execution state: kept per (tenant, model, cache entry), checked
+# out by one request at a time, checked in only by a clean hit
+# ----------------------------------------------------------------------
+def warm(svc):
+    stats = svc.stats()["cache"]
+    return int(stats["warm_states"]), int(stats["warm_checkouts"])
+
+
+class TestWarmState:
+    def test_second_sighting_stores_third_reuses(self, graph, cost_models):
+        feats = feats_for(graph)
+        with make_service(cost_models) as svc:
+            svc.serve(req(graph, feats), timeout=60)  # miss: stores nothing
+            assert warm(svc) == (0, 0)
+            svc.serve(req(graph, feats), timeout=60)  # hit on a fresh state
+            assert warm(svc) == (1, 0)
+            third = svc.serve(req(graph, feats), timeout=60)
+            assert warm(svc) == (1, 1)
+            # a served value is the caller's: the next run on the same
+            # kept state must not write into it
+            held = third.value.copy()
+            doubled = svc.serve(req(graph, 2.0 * feats), timeout=60)
+            assert warm(svc) == (1, 2)
+            assert not np.shares_memory(third.value, doubled.value)
+            assert np.array_equal(third.value, held)
+            assert not np.array_equal(doubled.value, held)
+            # another tenant never sees this tenant's state
+            other = svc.serve(req(graph, feats, tenant="u"), timeout=60)
+            assert other.cache_hit and warm(svc) == (2, 2)
+        assert warm(svc) == (0, 2)  # close() drops the states
+        assert third.ok and third.outcome == "ok"
+        assert np.array_equal(third.value, other.value)
+
+    def test_concurrent_hits_bitwise_equal_and_never_share_a_layer(
+        self, graph, cost_models
+    ):
+        feats = feats_for(graph)
+        with make_service(cost_models) as fresh_svc:
+            # a miss builds a fresh layer and empty caches, as every
+            # request did before state was kept
+            fresh = fresh_svc.serve(req(graph, feats), timeout=60).value
+        built, overlaps = [], []
+
+        class ProbeLayer(GCNLayer):
+            entered = False
+
+            def __call__(self, g, feat):
+                if self.entered:
+                    overlaps.append(threading.get_ident())
+                self.entered = True
+                try:
+                    return super().__call__(g, feat)
+                finally:
+                    self.entered = False
+
+        def factory():
+            layer = ProbeLayer(
+                IN_SIZE, OUT_SIZE, rng=np.random.default_rng(0)
+            )
+            built.append(layer)
+            return layer
+
+        threads, per_thread = 8, 50
+        values, errors = [], []
+
+        def client(svc):
+            try:
+                for _ in range(per_thread):
+                    result = svc.serve(req(graph, feats), timeout=60)
+                    values.append((result.outcome, result.value))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            svc = GraniiService(
+                device="h100", scale="small", cost_models=cost_models,
+                num_threads=4, max_queue=64,
+            )
+            svc.register_model("gcn", IN_SIZE, OUT_SIZE, factory=factory)
+            with svc:
+                svc.serve(req(graph, feats), timeout=60)  # the one miss
+                pool = [
+                    threading.Thread(target=client, args=(svc,))
+                    for _ in range(threads)
+                ]
+                for t in pool:
+                    t.start()
+                for t in pool:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in pool)
+                stored, checkouts = warm(svc)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not overlaps
+        assert len(values) == threads * per_thread
+        for outcome, value in values:
+            assert outcome == "ok"
+            assert np.array_equal(value, fresh)
+        # kept states really served, never more stored than workers, and
+        # every hit ran on either a kept layer or a newly built one (the
+        # miss built two: one to select with, one to run)
+        assert checkouts > 0 and 1 <= stored <= 4
+        assert checkouts + len(built) - 2 == threads * per_thread
+
+    def test_reregistered_model_serves_new_weights(self, graph, cost_models):
+        feats = feats_for(graph)
+        with make_service(cost_models) as svc:
+            for _ in range(3):
+                old = svc.serve(req(graph, feats), timeout=60)
+            assert warm(svc) == (1, 1)
+            svc.register_model("gcn", IN_SIZE, OUT_SIZE, seed=5)
+            new = svc.serve(req(graph, feats), timeout=60)
+            again = svc.serve(req(graph, feats), timeout=60)
+        assert new.cache_hit and again.cache_hit
+        np.testing.assert_allclose(
+            old.value, reference_for(graph, feats, seed=0),
+            rtol=1e-4, atol=1e-6,
+        )
+        for result in (new, again):
+            np.testing.assert_allclose(
+                result.value, reference_for(graph, feats, seed=5),
+                rtol=1e-4, atol=1e-6,
+            )
+        assert not np.allclose(old.value, new.value)
+
+    @pytest.mark.parametrize("spec", ["*:raise:1.0", "*:slow:1.0:0.001"])
+    def test_fault_plan_request_neither_takes_nor_returns(
+        self, graph, cost_models, spec
+    ):
+        feats = feats_for(graph)
+        with make_service(cost_models, tenant_breaker_threshold=100) as svc:
+            svc.serve(req(graph, feats), timeout=60)
+            svc.serve(req(graph, feats), timeout=60)
+            assert warm(svc) == (1, 0)
+            faulted = svc.serve(req(
+                graph, feats, fault_plan=FaultPlan.from_string(spec, seed=0),
+            ), timeout=60)
+            assert faulted.ok and faulted.cache_hit
+            assert warm(svc) == (1, 0)  # untouched: the fresh path ran
+            clean = svc.serve(req(graph, feats), timeout=60)
+            assert warm(svc) == (1, 1)
+        assert bool(faulted.demotions) == ("raise" in spec)
+        assert clean.outcome == "ok"
+        np.testing.assert_allclose(
+            clean.value, reference_for(graph, feats), rtol=1e-4, atol=1e-6
+        )
+
+    def test_demotion_drops_state_and_open_breaker_bypasses_it(
+        self, graph, other_graph, cost_models
+    ):
+        feats, other_feats = feats_for(graph), feats_for(other_graph)
+        with make_service(
+            cost_models, tenant_breaker_threshold=1,
+            tenant_breaker_cooldown=300.0,
+        ) as svc:
+            for _ in range(2):
+                svc.serve(req(graph, feats), timeout=60)
+                svc.serve(req(other_graph, other_feats), timeout=60)
+            assert warm(svc) == (2, 0)
+            # a kernel fault that is not the request's own: the run takes
+            # the kept state, demotes, and must not hand it on
+            with fault_injection(FaultPlan.from_string("*:raise:1.0", seed=0)):
+                demoted = svc.serve(req(graph, feats), timeout=60)
+            assert demoted.ok and demoted.outcome == "ok_demoted"
+            assert warm(svc) == (1, 1)
+            # ... and it tripped the tenant breaker: the reference path
+            # neither takes nor touches the other structure's state
+            bypass = svc.serve(req(other_graph, other_feats), timeout=60)
+            assert bypass.outcome == "reference"
+            assert warm(svc) == (1, 1)
+        np.testing.assert_allclose(
+            bypass.value, reference_for(other_graph, other_feats),
+            rtol=1e-4, atol=1e-6,
+        )
+
+    def test_one_shot_structures_retain_nothing(self, cost_models):
+        with make_service(cost_models) as svc:
+            for i in range(200):
+                g = erdos_renyi(30, 3.0, seed=1000 + i)
+                assert svc.serve(req(g, feats_for(g)), timeout=60).ok
+            assert warm(svc) == (0, 0)
+
+    def test_eviction_drops_the_entrys_states(
+        self, graph, other_graph, cost_models
+    ):
+        feats = feats_for(graph)
+        with make_service(cost_models, plan_cache_size=1) as svc:
+            svc.serve(req(graph, feats), timeout=60)
+            svc.serve(req(graph, feats), timeout=60)
+            assert warm(svc) == (1, 0)
+            svc.serve(req(other_graph, feats_for(other_graph)), timeout=60)
+            assert svc.cache.stats()["evictions"] == 1
+            assert warm(svc) == (0, 0)
+            back = svc.serve(req(graph, feats), timeout=60)
+            assert not back.cache_hit and warm(svc) == (0, 0)
+
+    def test_fresh_object_with_other_weights_gets_its_own_setup(
+        self, graph, cost_models
+    ):
+        # edge values are not part of the fingerprint: both graphs hit one
+        # entry and the second runs on the state the first left behind
+        rng = np.random.default_rng(4)
+        feats = feats_for(graph)
+        first = Graph(graph.adj.with_values(rng.random(graph.adj.nnz) + 0.1))
+        second = Graph(graph.adj.with_values(rng.random(graph.adj.nnz) + 0.1))
+        with make_service(cost_models) as svc:
+            for _ in range(3):
+                a = svc.serve(req(first, feats), timeout=60)
+            b = svc.serve(req(second, feats), timeout=60)
+            assert b.cache_hit and warm(svc) == (1, 2)
+        weight = build_layer(
+            "gcn", IN_SIZE, OUT_SIZE, rng=np.random.default_rng(0)
+        ).linear.weight.data
+
+        def weighted_reference(g):
+            # the baseline forward aggregates over the pattern only; the
+            # weighted function is relu(D^-1/2 (A+I) D^-1/2 H W) with
+            # weighted degrees
+            dense = g.adj_with_self_loops().to_dense()
+            deg = dense.sum(axis=1)
+            d = np.diag(np.where(deg > 0, deg ** -0.5, 0.0))
+            return np.maximum(d @ dense @ d @ feats @ weight, 0.0)
+
+        np.testing.assert_allclose(
+            a.value, weighted_reference(first), rtol=1e-9, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            b.value, weighted_reference(second), rtol=1e-9, atol=1e-12
+        )
+        assert not np.allclose(a.value, b.value)
+
+    def test_kept_state_is_not_exported_or_saved(
+        self, graph, cost_models, tmp_path
+    ):
+        feats = feats_for(graph)
+        with make_service(cost_models, state_dir=str(tmp_path)) as svc:
+            svc.serve(req(graph, feats), timeout=60)
+            before = pickle.dumps(svc.cache.export_entries())
+            saved_before = Path(svc.save_state()["plan_cache"]).read_bytes()
+            for _ in range(3):
+                svc.serve(req(graph, feats), timeout=60)
+            assert warm(svc) == (1, 2)
+            exported = svc.cache.export_entries()
+            assert [len(triple) for triple in exported] == [3]
+            assert pickle.dumps(exported) == before
+            saved_after = Path(svc.save_state()["plan_cache"]).read_bytes()
+            assert saved_after == saved_before
+        # and a restored service hits on what was saved
+        with make_service(cost_models, state_dir=str(tmp_path)) as restored:
+            assert restored.warm_start["plan_cache"] == 1
+            assert restored.serve(req(graph, feats), timeout=60).cache_hit
+
+    def test_admission_validates_once_per_served_request(
+        self, graph, cost_models, monkeypatch
+    ):
+        import repro.core.guard as guard_mod
+        import repro.serving.service as service_mod
+
+        calls = []
+        real = guard_mod.validate_inputs
+
+        def counting(*args, **kwargs):
+            calls.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(guard_mod, "validate_inputs", counting)
+        monkeypatch.setattr(service_mod, "validate_inputs", counting)
+        feats = feats_for(graph)
+        bad = feats.copy()
+        bad[0, 0] = np.inf
+        with make_service(cost_models) as svc:
+            for served in (1, 2, 3):  # a miss, a fresh hit, a warm hit
+                assert svc.serve(req(graph, feats), timeout=60).ok
+                assert len(calls) == served
+            assert set(calls) == {threading.get_ident()}  # caller's thread
+            with pytest.raises(GraniiInputError, match="non-finite"):
+                svc.submit(req(graph, bad))
+            assert svc.stats()["totals"]["completed"] == 3
