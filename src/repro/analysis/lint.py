@@ -11,6 +11,11 @@ offending line or the line above; waivers are counted, not silent):
   ``repro/kernels/`` bypasses the :class:`WorkspaceArena` scratch
   discipline (``workspace.py`` itself is exempt: the arena's own
   allocation cannot bypass the arena).
+- ``raw-alloc-in-tensor`` — its twin for ``repro/tensor/``: ``np.empty``
+  / ``np.zeros`` and their ``_like`` variants there bypass the step pool
+  (``workspace.step_buffer``), and a step-sized array allocated raw is
+  memory the allocator returns to the OS and faults back every step.
+  Arrays that outlive a step (parameters, optimizer state) carry waivers.
 - ``granii-except`` — a bare ``except:`` anywhere, or an
   ``except Exception/GraniiError`` whose body only swallows
   (``pass``/``...``/``continue``) inside guard/dispatch modules, where a
@@ -53,6 +58,7 @@ __all__ = ["RULES", "Violation", "lint_source", "lint_paths", "main"]
 RULES = (
     "env-outside-config",
     "raw-alloc-in-kernels",
+    "raw-alloc-in-tensor",
     "granii-except",
     "shared-write-in-parallel",
     "alloc-in-compiled",
@@ -63,6 +69,9 @@ _COMPILED_ALLOCATORS = {
     "empty", "zeros", "ones", "full",
     "empty_like", "zeros_like", "ones_like", "full_like",
 }
+
+# what bypasses the step pool in repro/tensor/
+_TENSOR_ALLOCATORS = {"empty", "zeros", "empty_like", "zeros_like"}
 
 _ALLOW_RE = re.compile(r"#\s*lint:\s*allow\(([a-z\-,\s]+)\)")
 
@@ -131,6 +140,7 @@ class _FileLinter(ast.NodeVisitor):
             "repro/kernels/" in self.path
             and not self.path.endswith("workspace.py")
         )
+        self.in_tensor = "repro/tensor/" in self.path
         self.in_config = self.path.endswith("repro/config.py")
         # parallel-closure discipline applies wherever this repo submits
         # work to executors: kernels, the serving runtime, and the
@@ -176,6 +186,14 @@ class _FileLinter(ast.NodeVisitor):
                 self._emit(
                     "raw-alloc-in-kernels", node,
                     f"{name} in repro/kernels/ bypasses WorkspaceArena",
+                )
+        if self.in_tensor:
+            name = _is_np_call(node, _TENSOR_ALLOCATORS)
+            if name:
+                self._emit(
+                    "raw-alloc-in-tensor", node,
+                    f"{name} in repro/tensor/ bypasses the step pool "
+                    f"(workspace.step_buffer)",
                 )
         if self.in_compiled:
             name = _is_np_call(node, _COMPILED_ALLOCATORS)

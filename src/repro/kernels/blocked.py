@@ -66,7 +66,7 @@ from .. import config
 from ..sparse import CSRMatrix
 from .segment import fold_rows, folds_compiled, result_buffer, segment_reduce
 from .semiring import Semiring, get_semiring
-from .workspace import WorkspaceArena, thread_local_arena
+from .workspace import WorkspaceArena, step_buffer, thread_local_arena
 
 __all__ = [
     "DEFAULT_BLOCK_NNZ",
@@ -77,6 +77,7 @@ __all__ = [
     "gspmm_blocked",
     "gspmm_parallel",
     "gsddmm_blocked",
+    "require_columns_in_range",
 ]
 
 DEFAULT_BLOCK_NNZ = 32768
@@ -353,6 +354,33 @@ def gspmm_parallel(
     )
 
 
+# Two endpoint tiles of this many bytes each stay L2-resident while the
+# op streams over them; the SDDMM tile's edge count follows from the operand
+# width (2 048 edges at k = 32), not from SpMM's edge budget.
+_SDDMM_TILE_BYTES = 512 * 1024
+
+
+def require_columns_in_range(mask: CSRMatrix) -> None:
+    """Raise unless every stored column index is a valid column; one pass
+    per pattern, memoised on it.
+
+    The constructor's range check can be switched off
+    (``REPRO_SKIP_VALIDATION=1``) and the tile gathers below run
+    unchecked (``mode="clip"``), so this is what keeps an out-of-range
+    column an error instead of a clamped read.
+    """
+    if mask._aux.get("columns_in_range"):
+        return
+    if mask.nnz:
+        lo, hi = int(mask.indices.min()), int(mask.indices.max())
+        if lo < 0 or hi >= mask.shape[1]:
+            raise IndexError(
+                f"column index {lo if lo < 0 else hi} out of range for a "
+                f"pattern with {mask.shape[1]} columns"
+            )
+    mask._aux["columns_in_range"] = True
+
+
 def gsddmm_blocked(
     mask: CSRMatrix,
     u: np.ndarray,
@@ -366,40 +394,49 @@ def gsddmm_blocked(
     The endpoint gathers ``u[rows]`` / ``v[cols]`` are staged through two
     bounded workspace tiles instead of materialising two full ``(nnz, k)``
     arrays.  For element-wise ops the *output* is still O(E·K) — that is
-    the result, not an intermediate — but for ``dot`` (GAT's logits) the
-    transient footprint drops from O(E·K) to O(block·K).
+    the result, not an intermediate — but for ``dot`` (GAT's logits, and
+    the edge gradient of ``spmm_edge``) the transient footprint drops
+    from O(E·K) to O(block·K).
+
+    ``block_nnz`` defaults to the edge count that makes one tile
+    ``_SDDMM_TILE_BYTES`` at the operands' width (``REPRO_BLOCK_NNZ``
+    still overrides).  The gathers are unbuffered (``mode="clip"``; the
+    default ``mode="raise"`` copies through a temporary), so the operand
+    heights and the pattern's column range are checked here, up front.
     """
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
     v = np.atleast_2d(np.asarray(v, dtype=np.float64))
+    if op not in ("dot", "add", "mul", "sub", "copy_lhs", "copy_rhs"):
+        raise ValueError(f"unknown gsddmm op {op!r}")
+    if u.shape[0] != mask.shape[0] or v.shape[0] != mask.shape[1]:
+        raise ValueError(
+            f"gsddmm shape mismatch: mask {mask.shape} needs u with "
+            f"{mask.shape[0]} rows and v with {mask.shape[1]}, got "
+            f"{u.shape} and {v.shape}"
+        )
+    require_columns_in_range(mask)
     if block_nnz is None:
-        block_nnz = default_block_nnz()
+        block_nnz = config.block_nnz(
+            max(1, _SDDMM_TILE_BYTES // (8 * max(u.shape[1], v.shape[1], 1)))
+        )
     if workspace is None:
         workspace = WorkspaceArena()
     nnz = mask.nnz
     rows = mask.row_ids()
     cols = mask.indices
-    if op == "copy_lhs":
-        k_out: Tuple[int, ...] = (nnz, u.shape[1])
-    elif op == "copy_rhs":
-        k_out = (nnz, v.shape[1])
-    elif op == "dot":
-        k_out = (nnz,)
-    elif op in ("add", "mul", "sub"):
-        k_out = (nnz, u.shape[1])
-    else:
-        raise ValueError(f"unknown gsddmm op {op!r}")
-    # result buffer, returned to the caller  # lint: allow(raw-alloc-in-kernels)
-    out = np.empty(k_out, dtype=np.float64)
+    width = (v if op == "copy_rhs" else u).shape[1]
+    out = step_buffer((nnz,) if op == "dot" else (nnz, width))
+    cap = min(block_nnz, nnz)
     try:
         for e0 in range(0, nnz, block_nnz):
             e1 = min(e0 + block_nnz, nnz)
             bn = e1 - e0
             if op != "copy_rhs":
-                u_tile = workspace.request((min(block_nnz, nnz), u.shape[1]), slot=0)[:bn]
-                np.take(u, rows[e0:e1], axis=0, out=u_tile)
+                u_tile = workspace.request((cap, u.shape[1]), slot=0)[:bn]
+                np.take(u, rows[e0:e1], axis=0, out=u_tile, mode="clip")
             if op != "copy_lhs":
-                v_tile = workspace.request((min(block_nnz, nnz), v.shape[1]), slot=1)[:bn]
-                np.take(v, cols[e0:e1], axis=0, out=v_tile)
+                v_tile = workspace.request((cap, v.shape[1]), slot=1)[:bn]
+                np.take(v, cols[e0:e1], axis=0, out=v_tile, mode="clip")
             if op == "dot":
                 np.einsum("ek,ek->e", u_tile, v_tile, out=out[e0:e1])
             elif op == "add":

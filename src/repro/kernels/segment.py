@@ -53,6 +53,7 @@ from scipy.sparse._sparsetools import csr_matvecs
 
 from ..sparse import CSRMatrix
 from .semiring import Semiring
+from .workspace import step_buffer
 
 __all__ = ["fold_rows", "folds_compiled", "result_buffer", "segment_reduce"]
 
@@ -73,9 +74,11 @@ def folds_compiled(semiring: Semiring) -> bool:
 
 def result_buffer(nrows: int, k: int) -> np.ndarray:
     """The uninitialised ``(nrows, k)`` float64 buffer a strategy folds its
-    spans into and returns: every row is written by exactly one fold, and
-    the arena owns per-tile scratch only, never a result."""
-    return np.empty((nrows, k), dtype=np.float64)  # lint: allow(raw-alloc-in-kernels)
+    spans into and returns: every row is written by exactly one fold.  It
+    comes from the calling thread's step pool — the arena owns per-tile
+    scratch only, never a result — so the buffer is one no caller of an
+    earlier SpMM still holds."""
+    return step_buffer((nrows, k))
 
 
 def fold_rows(

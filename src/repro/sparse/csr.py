@@ -340,7 +340,7 @@ class CSRMatrix:
         # ("inspection" is core.features.inspect_graph's memo)
         for key in (
             "row_degrees", "col_degrees", "row_ids", "unit_values",
-            "pattern_sha1", "inspection",
+            "pattern_sha1", "inspection", "columns_in_range",
         ):
             if key in self._aux:
                 result._aux[key] = self._aux[key]

@@ -19,4 +19,4 @@ def xavier_normal(rng: np.random.Generator, fan_in: int, fan_out: int, gain: flo
 
 
 def zeros(*shape: int) -> np.ndarray:
-    return np.zeros(shape)
+    return np.zeros(shape)  # lint: allow(raw-alloc-in-tensor)

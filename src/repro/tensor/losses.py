@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, _elementwise, _zeros
 
 __all__ = ["cross_entropy", "nll_loss", "mse_loss"]
 
@@ -43,7 +43,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, mask: Optional[np.ndarray]
     row_max = x.max(axis=1)
 
     def shifted_exp() -> np.ndarray:
-        exps = x - row_max[:, None]
+        exps = _elementwise(np.subtract, x, row_max[:, None])
         return np.exp(exps, out=exps)
 
     exps = shifted_exp()
@@ -53,7 +53,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, mask: Optional[np.ndarray]
 
     def vjp(g: np.ndarray) -> np.ndarray:
         out = saved.pop() if saved else shifted_exp()
-        scale = np.zeros(x.shape[0])
+        scale = _zeros((x.shape[0],))
         scale[rows] = g / (rows.size * denom[rows])
         out *= scale[:, None]
         out[rows, picked] -= g / rows.size

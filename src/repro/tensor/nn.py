@@ -106,6 +106,7 @@ class Linear(Module):
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng(0)
         self.weight = Parameter(xavier_uniform(rng, in_size, out_size))
+        # a parameter, not a step array  # lint: allow(raw-alloc-in-tensor)
         self.bias = Parameter(np.zeros(out_size)) if bias else None
         self.in_size = in_size
         self.out_size = out_size

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
+from ..kernels.workspace import step_buffer
+from .tensor import Tensor, _elementwise
 
 __all__ = [
     "relu",
@@ -19,30 +20,52 @@ __all__ = [
 ]
 
 
+def _positive(x: np.ndarray) -> np.ndarray:
+    """The pooled boolean mask ``x > 0``."""
+    return np.greater(x, 0.0, out=step_buffer(x.shape, np.bool_))
+
+
+def _select(mask: np.ndarray, chosen, other: np.ndarray) -> np.ndarray:
+    """``np.where(mask, chosen, other)`` written into ``other``, which the
+    caller owns; ``chosen`` may be a scalar."""
+    np.copyto(other, chosen, where=mask)
+    return other
+
+
 def relu(x: Tensor) -> Tensor:
     return Tensor.make(
-        np.maximum(x.data, 0.0), (x,), (lambda g: g * (x.data > 0),), "relu"
+        np.maximum(x.data, 0.0, out=step_buffer(x.data.shape)),
+        (x,),
+        (lambda g: _elementwise(np.multiply, g, _positive(x.data)),),
+        "relu",
     )
 
 
 def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
-    mask = x.data > 0
-    return Tensor.make(
-        np.where(mask, x.data, negative_slope * x.data),
-        (x,),
-        (lambda g: g * np.where(mask, 1.0, negative_slope),),
-        "leaky_relu",
-    )
+    mask = _positive(x.data)
+
+    def scaled(a: np.ndarray) -> np.ndarray:
+        """``where(mask, a, slope * a)``: the forward of ``x``, and of a
+        gradient ``g * where(mask, 1.0, slope)`` — ``g * 1.0`` is ``g``."""
+        scaled_a = np.multiply(a, negative_slope, out=step_buffer(a.shape))
+        return _select(mask, a, scaled_a)
+
+    return Tensor.make(scaled(x.data), (x,), (scaled,), "leaky_relu")
 
 
 def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
-    neg = alpha * (np.exp(np.minimum(x.data, 0.0)) - 1.0)
-    return Tensor.make(
-        np.where(x.data > 0, x.data, neg),
-        (x,),
-        (lambda g: g * np.where(x.data > 0, 1.0, neg + alpha),),
-        "elu",
-    )
+    neg = np.minimum(x.data, 0.0, out=step_buffer(x.data.shape))
+    np.exp(neg, out=neg)
+    np.subtract(neg, 1.0, out=neg)
+    np.multiply(alpha, neg, out=neg)
+
+    def vjp(g: np.ndarray) -> np.ndarray:
+        slope = np.add(neg, alpha, out=step_buffer(neg.shape))
+        return np.multiply(g, _select(_positive(x.data), 1.0, slope), out=slope)
+
+    out = step_buffer(neg.shape)
+    np.copyto(out, neg)
+    return Tensor.make(_select(_positive(x.data), x.data, out), (x,), (vjp,), "elu")
 
 
 def exp(x: Tensor) -> Tensor:
@@ -55,7 +78,7 @@ def log(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    out_data = np.empty_like(x.data)
+    out_data = step_buffer(x.data.shape)
     pos = x.data >= 0
     out_data[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
     ex = np.exp(x.data[~pos])

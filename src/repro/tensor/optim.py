@@ -36,6 +36,7 @@ class SGD(Optimizer):
             raise ValueError("lr must be positive")
         self.lr = lr
         self.momentum = momentum
+        # state that lives as long as the parameters  # lint: allow(raw-alloc-in-tensor)
         self._velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
@@ -67,8 +68,9 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = betas
         self.eps = eps
         self._step = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        # state that lives as long as the parameters
+        self._m = [np.zeros_like(p.data) for p in self.params]  # lint: allow(raw-alloc-in-tensor)
+        self._v = [np.zeros_like(p.data) for p in self.params]  # lint: allow(raw-alloc-in-tensor)
 
     def step(self) -> None:
         self._step += 1

@@ -16,10 +16,12 @@ from typing import Optional
 
 import numpy as np
 
-from ..kernels import gspmm, get_semiring, segment_sum
+from ..kernels import gsddmm_blocked, gspmm, get_semiring, segment_sum
 from ..kernels import edge_softmax as edge_softmax_kernel
+from ..kernels.blocked import require_columns_in_range
+from ..kernels.workspace import step_buffer, thread_local_arena
 from ..sparse import CSRMatrix
-from .tensor import Tensor
+from .tensor import Tensor, _elementwise, _zeros
 
 __all__ = [
     "spmm",
@@ -81,16 +83,20 @@ def spmm_edge(
     """``A(e) @ X`` where the adjacency values are themselves a tensor.
 
     This is GAT's aggregation with learned attention values.  Backward:
-    ``dE_ij = dY[i] · X[j]`` (an SDDMM) and ``dX = A(e)^T @ dY``.  As in
-    :func:`spmm`, the strategy knobs apply to the forward pass only.
+    ``dE_ij = dY[i] · X[j]`` and ``dX = A(e)^T @ dY`` — the gradient of a
+    g-SpMM is a g-SpMM on the reverse graph plus a g-SDDMM, and the
+    g-SDDMM runs through cache-sized tiles
+    (:func:`~repro.kernels.blocked.gsddmm_blocked`), not two ``(nnz, k)``
+    gathers.  As in :func:`spmm`, the strategy knobs apply to the forward
+    pass only.
     """
     if edge_vals.data.shape != (pattern.nnz,):
         raise ValueError("edge values must align with the pattern's nnz")
     weighted = pattern.with_values(edge_vals.data)
 
     def vjp_edge(g: np.ndarray) -> np.ndarray:
-        return np.einsum(
-            "ek,ek->e", g[pattern.row_ids()], x.data[pattern.indices]
+        return gsddmm_blocked(
+            pattern, g, x.data, "dot", workspace=thread_local_arena()
         )
 
     def vjp_x(g: np.ndarray) -> np.ndarray:
@@ -139,7 +145,17 @@ def gsddmm_add_uv(pattern: CSRMatrix, u_score: Tensor, v_score: Tensor) -> Tenso
     def vjp_v(g: np.ndarray) -> np.ndarray:
         return np.bincount(cols, weights=g, minlength=pattern.shape[1])
 
-    out_data = u_score.data[rows] + v_score.data[cols]
+    u, v = u_score.data, v_score.data
+    if u.shape != (pattern.shape[0],) or v.shape != (pattern.shape[1],):
+        raise ValueError(
+            f"node scores must be one scalar per row and per column of the "
+            f"{pattern.shape} pattern, got {u.shape} and {v.shape}"
+        )
+    # unbuffered gathers: the heights are checked above, the columns here
+    require_columns_in_range(pattern)
+    out_data = np.take(u, rows, out=step_buffer(rows.shape), mode="clip")
+    gathered = np.take(v, cols, out=step_buffer(cols.shape), mode="clip")
+    np.add(out_data, gathered, out=out_data)
     return Tensor.make(out_data, (u_score, v_score), (vjp_u, vjp_v), "gsddmm_add_uv")
 
 
@@ -150,21 +166,27 @@ def edge_softmax(pattern: CSRMatrix, logits: Tensor) -> Tensor:
     """
     alpha_mat = edge_softmax_kernel(pattern, logits.data)
     alpha = alpha_mat.values
-    deg = pattern.row_degrees()
+    rows = pattern.row_ids()
 
     def vjp(g: np.ndarray) -> np.ndarray:
-        weighted_sums = segment_sum(g * alpha, pattern.indptr)
-        return alpha * (g - np.repeat(weighted_sums, deg))
+        out = _elementwise(np.multiply, g, alpha)
+        weighted_sums = segment_sum(out, pattern.indptr)
+        # repeat(weighted_sums, deg) is weighted_sums[rows]
+        np.take(weighted_sums, rows, out=out, mode="clip")
+        np.subtract(g, out, out=out)
+        return np.multiply(alpha, out, out=out)
 
     return Tensor.make(alpha, (logits,), (vjp,), "edge_softmax")
 
 
 def row_broadcast(d: np.ndarray, x: Tensor) -> Tensor:
     """``diag(d) @ X`` with a constant per-row vector (GCN normalization)."""
-    d = np.asarray(d, dtype=np.float64)
-
+    column = np.asarray(d, dtype=np.float64)[:, None]
     return Tensor.make(
-        d[:, None] * x.data, (x,), (lambda g: d[:, None] * g,), "row_broadcast"
+        _elementwise(np.multiply, column, x.data),
+        (x,),
+        (lambda g: _elementwise(np.multiply, column, g),),
+        "row_broadcast",
     )
 
 
@@ -173,7 +195,7 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
 
     def vjp(g: np.ndarray) -> np.ndarray:
-        full = np.zeros_like(x.data)
+        full = _zeros(x.data.shape)
         np.add.at(full, idx, g)
         return full
 

@@ -14,6 +14,13 @@ accumulation (:meth:`Tensor.accumulate_grad`): an interior node *borrows*
 the first gradient that reaches it, allocates once if a second arrives
 and adds in place after that; a leaf always owns a private copy.
 
+Step-sized arrays — an op's result, a VJP's return value, the sum of two
+gradients — come from the calling thread's buffer pool
+(:func:`repro.kernels.workspace.step_buffer`), which hands a buffer out
+again only once nothing references it.  The ownership rule that makes
+this safe is the tape's own: nobody writes an array they were handed
+(see :meth:`Tensor.make`).
+
 Only the dense operations live here.  The sparse operations that give GNNs
 their structure (SpMM over a fixed adjacency, SDDMM, edge softmax) are in
 :mod:`repro.tensor.sparse_ops` so the dependency points from sparse to
@@ -25,6 +32,8 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+from ..kernels.workspace import step_buffer
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
@@ -67,6 +76,26 @@ def _identity(grad: np.ndarray) -> np.ndarray:
     return grad
 
 
+def _elementwise(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``ufunc(a, b)`` written into a pooled result."""
+    shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
+    return ufunc(a, b, out=step_buffer(shape))
+
+
+def _zeros(shape: Tuple[int, ...]) -> np.ndarray:
+    """Pooled zeros for a scatter-add to land in."""
+    out = step_buffer(shape)
+    out.fill(0.0)
+    return out
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``; a matrix-matrix product lands in a pooled result."""
+    if a.ndim != 2 or b.ndim != 2:
+        return a @ b
+    return np.matmul(a, b, out=step_buffer((a.shape[0], b.shape[1])))
+
+
 class Tensor:
     """A node in the autograd graph wrapping a ``float64`` ndarray."""
 
@@ -106,10 +135,16 @@ class Tensor:
         VJP is recorded only when its parent requires grad and grad mode
         is on, so the sweep never calls one whose result nobody reads.
 
-        A VJP never writes to the gradient it is given — the same array
-        may be on its way to other parents — and the array it returns is
-        never written by anyone else: it may be the incoming gradient
-        itself, a view of it, or a buffer the op hands over.
+        Ownership.  A VJP never writes to the gradient it is given — the
+        same array may be on its way to other parents — and the array it
+        returns is never written by anyone else: it may be the incoming
+        gradient itself, a view of it, or a buffer the op hands over.
+        Likewise nobody writes ``data`` after this call.  Both ``data``
+        and a VJP's return value may therefore come from the step pool:
+        the pool hands a buffer out again only when its reference count
+        shows no holder (:func:`repro.kernels.workspace._sole_holder`),
+        so an array is stable for as long as anyone can reach it, and
+        letting go of it is the only release there is.
         """
         out = Tensor(data, op=op)
         if _GRAD_ENABLED[0]:
@@ -124,9 +159,12 @@ class Tensor:
 
         An interior node borrows the first array that reaches it, replaces
         it by a fresh sum when a second one arrives and adds in place from
-        then on, so a borrowed array is never written.  A leaf copies the
-        first one: its ``.grad`` outlives the sweep and belongs to the
-        user, whose ``p.grad *= c`` must not reach another tensor.
+        then on, so a borrowed array is never written.  The fresh sum is
+        pooled: this node is its only holder, and the pool will not hand
+        the buffer to anyone else until the node lets go.  A leaf copies
+        the first one into an array of its own, never a pooled one: its
+        ``.grad`` outlives the sweep and belongs to the user, whose
+        ``p.grad *= c`` must not reach another tensor.
         """
         grad = _unbroadcast(grad, self.data.shape)
         if self.grad is None:
@@ -138,7 +176,7 @@ class Tensor:
         elif self._owns_grad:
             self.grad += grad
         else:
-            self.grad = self.grad + grad
+            self.grad = _elementwise(np.add, self.grad, grad)
             self._owns_grad = True
 
     # ------------------------------------------------------------------
@@ -174,7 +212,10 @@ class Tensor:
     def __add__(self, other) -> "Tensor":
         other = Tensor._lift(other)
         return Tensor.make(
-            self.data + other.data, (self, other), (_identity, _identity), "add"
+            _elementwise(np.add, self.data, other.data),
+            (self, other),
+            (_identity, _identity),
+            "add",
         )
 
     __radd__ = __add__
@@ -191,9 +232,12 @@ class Tensor:
     def __mul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
         return Tensor.make(
-            self.data * other.data,
+            _elementwise(np.multiply, self.data, other.data),
             (self, other),
-            (lambda g: g * other.data, lambda g: g * self.data),
+            (
+                lambda g: _elementwise(np.multiply, g, other.data),
+                lambda g: _elementwise(np.multiply, g, self.data),
+            ),
             "mul",
         )
 
@@ -214,9 +258,12 @@ class Tensor:
     def __matmul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
         return Tensor.make(
-            self.data @ other.data,
+            _matmul(self.data, other.data),
             (self, other),
-            (lambda g: g @ other.data.T, lambda g: self.data.T @ g),
+            (
+                lambda g: _matmul(g, other.data.T),
+                lambda g: _matmul(self.data.T, g),
+            ),
             "matmul",
         )
 
@@ -263,7 +310,7 @@ class Tensor:
 
     def __getitem__(self, idx) -> "Tensor":
         def vjp(g: np.ndarray) -> np.ndarray:
-            full = np.zeros_like(self.data)
+            full = _zeros(self.data.shape)
             np.add.at(full, idx, g)
             return full
 

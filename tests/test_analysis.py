@@ -226,6 +226,38 @@ def test_lint_raw_alloc_in_kernels():
     assert lint_source(src, "src/repro/kernels/workspace.py") == []
 
 
+def test_lint_raw_alloc_in_tensor():
+    src = (
+        "import numpy as np\n"
+        "def vjp(x, g):\n"
+        "    full = np.zeros_like(x)\n"
+        "    return full + g\n"
+    )
+    found = lint_source(src, "src/repro/tensor/new_op.py")
+    assert [v.rule for v in found] == ["raw-alloc-in-tensor"]
+    for allocator in ("np.empty(x.shape)", "np.zeros(x.shape)", "np.empty_like(x)"):
+        found = lint_source(
+            f"import numpy as np\ndef f(x):\n    return {allocator}\n",
+            "src/repro/tensor/new_op.py",
+        )
+        assert [v.rule for v in found] == ["raw-alloc-in-tensor"], allocator
+    # the pool itself, a pooled take and a module outside tensor/ are fine
+    assert lint_source(src, "src/repro/models/gcn.py") == []
+    pooled = (
+        "from ..kernels.workspace import step_buffer\n"
+        "def vjp(x, g):\n"
+        "    return step_buffer(x.shape)\n"
+    )
+    assert lint_source(pooled, "src/repro/tensor/new_op.py") == []
+    waived = (
+        "import numpy as np\n"
+        "def state(p):\n"
+        "    return np.zeros_like(p)  # lint: allow(raw-alloc-in-tensor)\n"
+    )
+    found = lint_source(waived, "src/repro/tensor/optim.py")
+    assert len(found) == 1 and found[0].waived
+
+
 def test_lint_granii_except():
     bare = "def f():\n    try:\n        g()\n    except:\n        pass\n"
     found = lint_source(bare, "src/repro/models/x.py")

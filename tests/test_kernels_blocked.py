@@ -242,6 +242,43 @@ class TestGsddmmBlocked:
         with pytest.raises(ValueError):
             gsddmm_blocked(mask, np.ones((5, 1)), np.ones((5, 1)), op="pow")
 
+    @pytest.mark.parametrize("u_rows, v_rows", [(29, 24), (31, 24), (30, 23), (30, 25)])
+    def test_operand_height_is_checked_up_front(self, rng, u_rows, v_rows):
+        """The unbuffered gathers clamp, so a short operand must not reach
+        them — and a long one, which indexing never noticed, is refused too."""
+        mask = random_csr(rng, 30, 24, density=0.2, weighted=False)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            gsddmm_blocked(mask, np.ones((u_rows, 3)), np.ones((v_rows, 3)))
+
+    def test_out_of_range_column_still_raises_without_validation(
+        self, rng, monkeypatch
+    ):
+        good = random_csr(rng, 12, 12, density=0.4, weighted=False)
+        indices = good.indices.copy()
+        indices[-1] = 12
+        monkeypatch.setenv("REPRO_SKIP_VALIDATION", "1")
+        bad = type(good)(good.indptr, indices, None, good.shape)
+        u, v = np.ones((12, 2)), np.ones((12, 2))
+        with pytest.raises(IndexError, match="column index 12"):
+            gsddmm_blocked(bad, u, v)
+        # one pass per pattern: a clean pattern is not scanned again, nor are
+        # the matrices that share it
+        gsddmm_blocked(good, u, v)
+        assert good._aux["columns_in_range"] is True
+        assert good.with_values(np.ones(good.nnz))._aux["columns_in_range"] is True
+
+    @pytest.mark.parametrize("k, tile_edges", [(32, 2048), (16, 4096), (8, 8192)])
+    def test_default_tile_is_sized_from_the_operand_width(self, rng, k, tile_edges):
+        """Two tiles of 512 KiB, whatever k — not SpMM's 32 768-edge budget."""
+        mask = random_csr(rng, 300, 300, density=0.12, weighted=False)
+        assert mask.nnz > 8192
+        u = rng.standard_normal((300, k))
+        v = rng.standard_normal((300, k))
+        ws = WorkspaceArena()
+        out = gsddmm_blocked(mask, u, v, "dot", workspace=ws)
+        assert np.array_equal(out, gsddmm(mask, u, v, "dot"))
+        assert ws.num_buffers == 2 and ws.nbytes == 2 * tile_edges * k * 8
+
     def test_unknown_strategy_raises(self, rng):
         mask = random_csr(rng, 5, 5, weighted=False)
         with pytest.raises(ValueError):
