@@ -21,12 +21,16 @@ offending line or the line above; waivers are counted, not silent):
   (``pass``/``...``/``continue``) inside guard/dispatch modules, where a
   swallowed failure silently breaks the fallback-ladder contract.
 - ``shared-write-in-parallel`` — inside a function submitted to a
-  thread pool (``.map``/``.submit``) in ``repro/kernels/``,
-  ``repro/serving/``, or ``repro/framework/mp.py``, a subscript write
-  to a captured array whose index is not provably derived from the
+  thread pool (``.map``/``.submit``, or the span body handed to the
+  fork-join ``run_spans(spans, body)``) in ``repro/kernels/``,
+  ``repro/serving/``, or ``repro/framework/mp.py``, a write to a
+  captured array whose index is not provably derived from the
   function's own work item (parameters/locals); such writes are not
-  provably disjoint across workers.  Both free functions and
-  ``self._method`` submit targets are resolved.
+  provably disjoint across workers.  A write is a subscript assignment
+  or an ``out=`` keyword: ``out=out[r0:r1]`` with ``r0, r1`` from the
+  work item is clean, ``out=out`` and ``out=out[:]`` are findings.
+  Both free functions and ``self._method`` targets are resolved; a
+  lambda cannot be, so span bodies are named functions.
 - ``alloc-in-compiled`` — any NumPy allocator (``empty``/``zeros``/
   ``ones``/``full`` and their ``_like`` variants) inside
   ``repro/kernels/compiled.py``: compiled callables run on the guard's
@@ -204,13 +208,15 @@ class _FileLinter(ast.NodeVisitor):
                     f"from the WorkspaceArena so guard demotion can "
                     f"release it",
                 )
-        if (
-            self.in_parallel_scope
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("map", "submit")
-            and node.args
-        ):
-            self._check_parallel_closure(node)
+        if self.in_parallel_scope:
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else (
+                func.id if isinstance(func, ast.Name) else None
+            )
+            if name in ("map", "submit") and isinstance(func, ast.Attribute) and node.args:
+                self._check_parallel_closure(node.args[0], name)
+            elif name == "run_spans" and len(node.args) >= 2:
+                self._check_parallel_closure(node.args[1], name)
         self.generic_visit(node)
 
     # -- granii-except -------------------------------------------------
@@ -234,8 +240,7 @@ class _FileLinter(ast.NodeVisitor):
         self.generic_visit(node)
 
     # -- shared-write-in-parallel --------------------------------------
-    def _check_parallel_closure(self, call: ast.Call) -> None:
-        target = call.args[0]
+    def _check_parallel_closure(self, target: ast.AST, via: str) -> None:
         fn: Optional[ast.FunctionDef] = None
         if isinstance(target, ast.Name):
             fn = self._functions.get(target.id)
@@ -267,16 +272,24 @@ class _FileLinter(ast.NodeVisitor):
                     ):
                         local.add(leaf.id)
         for n in ast.walk(fn):
-            if not isinstance(n, (ast.Assign, ast.AugAssign)):
+            if isinstance(n, ast.Assign):
+                written = [(n, t) for t in n.targets if isinstance(t, ast.Subscript)]
+            elif isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Subscript):
+                written = [(n, n.target)]
+            elif isinstance(n, ast.Call):
+                # ``np.ufunc(..., out=<array>)`` writes <array>
+                written = [
+                    (n, kw.value) for kw in n.keywords
+                    if kw.arg == "out"
+                    and isinstance(kw.value, (ast.Name, ast.Subscript))
+                ]
+            else:
                 continue
-            targets = n.targets if isinstance(n, ast.Assign) else [n.target]
-            for t in targets:
-                if not isinstance(t, ast.Subscript):
-                    continue
-                base = t.value
+            for stmt, t in written:
+                base = t.value if isinstance(t, ast.Subscript) else t
                 if not (isinstance(base, ast.Name) and base.id not in local):
                     continue  # writes to the closure's own values are fine
-                index_names = [
+                index_names = [] if t is base else [
                     leaf.id
                     for leaf in ast.walk(t.slice)
                     if isinstance(leaf, ast.Name)
@@ -285,9 +298,9 @@ class _FileLinter(ast.NodeVisitor):
                     name not in local for name in index_names
                 ):
                     self._emit(
-                        "shared-write-in-parallel", n,
+                        "shared-write-in-parallel", stmt,
                         f"write to shared array {base.id!r} inside "
-                        f"{fn.name!r} (submitted to {call.func.attr}) with "
+                        f"{fn.name!r} (submitted to {via}) with "
                         f"an index not derived from the work item — not "
                         f"provably disjoint across workers",
                     )

@@ -19,20 +19,31 @@ alone:
 Every in-process strategy is one call of :func:`fold_spans`, the single
 span loop (``row_segment`` is its one-span case, ``spmm_fused`` adds a
 pre-scale and per-span epilogues — see :mod:`repro.kernels.compiled`).
-This module's two public wrappers differ only in who runs the spans:
+This module's two public wrappers differ only in which spans they fold:
 
 ``blocked`` (:func:`gspmm_blocked`)
     Sequential execution, block after block, with a reusable workspace.
+    Block size comes from ``REPRO_BLOCK_NNZ`` (default 32768 edges, i.e.
+    a 256 KiB float64 tile per feature column budgeted across k).
 ``blocked_parallel`` (:func:`gspmm_parallel`)
-    The same blocks fanned out over a thread pool; blocks cover disjoint
-    row ranges so workers write disjoint output slices without locking.
-    The compiled fold releases the GIL for the whole block (NumPy does
-    inside its large ufunc calls), so this scales on multi-core hosts.
-    Thread count comes from ``REPRO_NUM_THREADS`` or the ``num_threads``
-    argument.
+    A compiled fold runs as the :func:`worker_spans` of its ``nnz·k``
+    work: one span below :data:`FOLD_CROSSOVER` (it *is* ``row_segment``
+    there), ``REPRO_NUM_THREADS`` edge-balanced spans at or above it,
+    folded at once by :func:`run_spans`.  A NumPy-fold semiring runs
+    ``blocked`` itself: its ``block_nnz`` tiles bound the message memory,
+    and they fold on the caller.
 
-Block size comes from ``REPRO_BLOCK_NNZ`` (default 32768 edges, i.e. a
-256 KiB float64 tile per feature column budgeted across k).
+The worker schedule
+-------------------
+:func:`worker_spans` cuts a fold whose ``nnz·k`` reaches
+:data:`FOLD_CROSSOVER` (measured in place on the reference host,
+docs/PERFORMANCE.md "One worker schedule") into one contiguous span per
+worker, edge-balanced by :func:`~repro.graphs.partition.plan_row_shards`;
+below it there is one span and nothing is submitted.  :func:`run_spans`
+is the fork-join: the caller runs the first span itself and hands the
+others to the one ``repro-spmm`` thread pool; a call made on a pool
+thread runs every span inline, so no worker ever waits on the pool it
+belongs to.
 
 Determinism
 -----------
@@ -51,18 +62,21 @@ output slices, and draw scratch from per-thread arenas
 pool's scheduling order nor ``REPRO_NUM_THREADS`` nor ``REPRO_BLOCK_NNZ``
 can change a single result bit.  Floating-point drift across strategies
 would otherwise masquerade as (or mask) plan-equivalence divergences;
-``tests/test_determinism.py`` pins the bitwise contract.
+``tests/test_determinism.py`` pins the bitwise contract, and
+``tests/test_worker_spans.py`` the same for every thread count.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .. import config
+from ..graphs.partition import plan_row_shards
 from ..sparse import CSRMatrix
 from .segment import fold_rows, folds_compiled, result_buffer, segment_reduce
 from .semiring import Semiring, get_semiring
@@ -70,9 +84,13 @@ from .workspace import WorkspaceArena, step_buffer, thread_local_arena
 
 __all__ = [
     "DEFAULT_BLOCK_NNZ",
+    "FOLD_CROSSOVER",
     "default_block_nnz",
     "default_num_threads",
     "row_block_spans",
+    "run_spans",
+    "usable_cpus",
+    "worker_spans",
     "fold_spans",
     "gspmm_blocked",
     "gspmm_parallel",
@@ -101,14 +119,22 @@ def default_block_nnz() -> int:
     return config.block_nnz(DEFAULT_BLOCK_NNZ)
 
 
-# Read once: every g-SpMM asks for the default width, and the count of CPUs
-# the process was started on does not change under it.
-_AUTO_NUM_THREADS = min(4, os.cpu_count() or 1)
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset``, a cgroup cpuset), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Read once: every g-SpMM asks for the default width, and the CPUs the
+# process was started on do not change under it.
+_AUTO_NUM_THREADS = min(4, usable_cpus())
 
 
 def default_num_threads() -> int:
     """Worker count for the parallel strategy; ``REPRO_NUM_THREADS`` (read
-    on every call) wins over the import-time ``min(4, cpu_count)``."""
+    on every call) wins over the import-time ``min(4, usable_cpus())``."""
     value = config.num_threads()
     if value > 0:
         return value
@@ -221,7 +247,7 @@ def fold_spans(
     semiring: Optional[Semiring],
     spans: List[Tuple[int, int]],
     workspace: Optional[WorkspaceArena] = None,
-    num_threads: int = 1,
+    split: bool = False,
     pre_scale: Optional[np.ndarray] = None,
     epilogue: Optional[Callable[[np.ndarray, int, int], None]] = None,
 ) -> np.ndarray:
@@ -231,18 +257,19 @@ def fold_spans(
     row once) into a fresh result buffer, finalises ``mean`` and applies
     ``epilogue(out[r0:r1], r0, r1)`` per span while it is cache-hot.
     ``row_segment`` is the one-span call, ``blocked`` the sequential
-    call over :func:`row_block_spans`, ``blocked_parallel`` the same
-    spans with ``num_threads > 1``, ``spmm_fused`` the sequential call
-    with ``pre_scale``/``epilogue``.
+    call over :func:`row_block_spans`, ``blocked_parallel`` (compiled
+    folds) the :func:`worker_spans` call with ``split=True`` (the spans
+    fold at once through :func:`run_spans`), ``spmm_fused`` the
+    sequential call with ``pre_scale``/``epilogue``.
 
     ``pre_scale`` (one factor per source node) is multiplied into ``x``
     once, in ``workspace`` scratch, ahead of the loop.  NumPy-fold
     semirings draw their message tile from ``workspace`` (a private arena
-    when omitted) or, on the thread pool, from each worker's
-    thread-local arena; either is released with ``drop_buffers()`` if a
-    span raises, so a partially written or oversized tile is never
-    handed to the next caller.  A ⊗ that ignores the dense operand
-    (``copy_lhs``) yields a width-1 result.
+    when omitted) or, when split, from each worker's thread-local arena;
+    either is released with ``drop_buffers()`` if a span raises, so a
+    partially written or oversized tile is never handed to the next
+    caller.  A ⊗ that ignores the dense operand (``copy_lhs``) yields a
+    width-1 result.
     """
     if semiring is None:
         semiring = get_semiring()
@@ -271,7 +298,7 @@ def fold_spans(
         if epilogue is not None:
             epilogue(span_out, r0, r1)
 
-    def run_pooled(span: Tuple[int, int]) -> None:
+    def run_on_worker(span: Tuple[int, int]) -> None:
         try:
             run_span(span, thread_local_arena())
         except Exception:
@@ -287,8 +314,8 @@ def fold_spans(
             scaled = workspace.request(x.shape, slot=1)
             np.multiply(pre_scale[:, None], x, out=scaled)
             x = scaled
-        if num_threads > 1 and len(spans) > 1:
-            list(_pool(num_threads).map(run_pooled, spans))
+        if split:
+            run_spans(spans, run_on_worker)
         else:
             for span in spans:
                 run_span(span, workspace)
@@ -319,17 +346,156 @@ def gspmm_blocked(
     return fold_spans(adj, x, semiring, spans, workspace=workspace)
 
 
+# ----------------------------------------------------------------------
+# The worker schedule
+# ----------------------------------------------------------------------
+# nnz·k at which a compiled fold splits into one span per worker.  Measured
+# in place on the reference host (2 vCPUs), docs/PERFORMANCE.md "One worker
+# schedule": below it a split loses even while the second vCPU is free,
+# because half the fold is less than the fork-join and a pool thread's
+# wake-up cost.
+FOLD_CROSSOVER = 1 << 22
+
+
+def worker_spans(
+    indptr: np.ndarray, work: int, num_threads: Optional[int] = None
+) -> List[Tuple[int, int]]:
+    """The contiguous ``[r0, r1)`` spans a fold of ``work`` (``nnz·k``)
+    units over the CSR rows of ``indptr`` runs as under :func:`run_spans`.
+
+    One span below :data:`FOLD_CROSSOVER`; at or above it one per worker
+    (``num_threads``, default :func:`default_num_threads`), edge-balanced
+    by :func:`~repro.graphs.partition.plan_row_shards`, so each span is
+    within one row's degree of an equal share.  Spans are non-empty
+    unless there are no rows, and cover every row exactly once.
+    """
+    rows = indptr.shape[0] - 1
+    workers = default_num_threads() if num_threads is None else num_threads
+    if work < FOLD_CROSSOVER or workers <= 1 or rows <= 1:
+        return [(0, rows)]
+    bounds = plan_row_shards(indptr, workers)
+    spans: List[Tuple[int, int]] = []
+    for i in range(workers):
+        r0, r1 = int(bounds[i]), int(bounds[i + 1])
+        if r1 > r0:
+            spans.append((r0, r1))
+    return spans
+
+
 _POOLS: Dict[int, ThreadPoolExecutor] = {}
+
+# set on the pool's own threads: a split fold reached from a span runs
+# inline instead of waiting on the pool it is running on
+_WORKER = threading.local()
+
+
+def _mark_pool_thread() -> None:
+    _WORKER.active = True
 
 
 def _pool(num_threads: int) -> ThreadPoolExecutor:
     pool = _POOLS.get(num_threads)
     if pool is None:
-        pool = ThreadPoolExecutor(
-            max_workers=num_threads, thread_name_prefix="repro-spmm"
+        pool = _POOLS.setdefault(
+            num_threads,
+            ThreadPoolExecutor(
+                max_workers=num_threads,
+                thread_name_prefix="repro-spmm",
+                initializer=_mark_pool_thread,
+            ),
         )
-        _POOLS[num_threads] = pool
     return pool
+
+
+if hasattr(os, "register_at_fork"):
+    # A forked child inherits the executors but none of their threads: a
+    # submit there would wait forever.  It starts its own pool on demand.
+    os.register_at_fork(after_in_child=_POOLS.clear)
+
+
+class _HandedSpan:
+    """One span handed to the pool, run by whichever thread claims it
+    first: a pool thread, or the caller once its own span is done.
+
+    A host that has not scheduled the pool thread by then (a busy
+    neighbour holding the second vCPU) costs the caller no wait: it folds
+    the span itself, and the late pool thread finds it claimed.  The span
+    body — and every array it holds — is let go before the span reports
+    done, so a caller that returns from :func:`run_spans` has its buffers
+    back in its step pool.
+    """
+
+    __slots__ = ("body", "span", "error", "done")
+
+    def __init__(
+        self, fn: Callable[[Tuple[int, int]], None], span: Tuple[int, int]
+    ) -> None:
+        # the claim: list.pop is atomic under the GIL, so exactly one
+        # thread gets the body
+        self.body = [fn]
+        self.span = span
+        self.error: Optional[BaseException] = None
+        self.done = threading.Event()
+
+    def run(self) -> None:
+        """Run the span unless another thread has claimed it."""
+        try:
+            fn = self.body.pop()
+        except IndexError:
+            return
+        try:
+            fn(self.span)
+        except BaseException as exc:  # re-raised by the caller
+            self.error = exc
+        finally:
+            del fn
+            self.done.set()
+
+    def drop(self) -> None:
+        """Claim the span so that nobody runs it (the caller is raising)."""
+        try:
+            self.body.pop()
+        except IndexError:
+            return
+        self.done.set()
+
+
+def run_spans(
+    spans: List[Tuple[int, int]], fn: Callable[[Tuple[int, int]], None]
+) -> None:
+    """Call ``fn(span)`` for every span and return once all have finished.
+
+    The fork-join of the split fold: the caller runs the first span
+    itself and hands the rest to the pool, then runs any handed span no
+    pool thread has started yet.  One span, or a call made on a pool
+    thread, runs inline with nothing submitted.  ``fn`` must write only
+    its own span's rows.  If a span raises, the caller re-raises (its own
+    span's exception first, else the earliest handed span's) only after
+    every handed span that started has finished — one that had not is
+    never run — so no worker still writes into a buffer the caller's
+    error path releases.
+    """
+    if len(spans) <= 1 or getattr(_WORKER, "active", False):
+        for span in spans:
+            fn(span)
+        return
+    pool = _pool(default_num_threads())
+    handed: List[_HandedSpan] = []
+    try:
+        for span in spans[1:]:
+            job = _HandedSpan(fn, span)
+            pool.submit(job.run)
+            handed.append(job)
+        fn(spans[0])
+        for job in handed:
+            job.run()
+    finally:
+        for job in handed:
+            job.drop()
+            job.done.wait()
+    for job in handed:
+        if job.error is not None:
+            raise job.error
 
 
 def gspmm_parallel(
@@ -339,19 +505,23 @@ def gspmm_parallel(
     block_nnz: Optional[int] = None,
     num_threads: Optional[int] = None,
 ) -> np.ndarray:
-    """Thread-parallel tiled g-SpMM over independent row blocks.
+    """Thread-parallel g-SpMM over the fold's worker spans.
 
-    Each worker pulls scratch from its own thread-local arena and writes
-    a disjoint slice of the output, so no synchronisation is needed
-    beyond the pool itself.
+    A compiled fold is cut by :func:`worker_spans` on its ``nnz·k`` work
+    — one span (the ``row_segment`` call) below the fold crossover, one
+    edge-balanced span per worker at or above it — and the spans fold at
+    once through :func:`run_spans`, each writing a disjoint slice of the
+    output.  A NumPy-fold semiring is :func:`gspmm_blocked` on the
+    caller's thread-local arena: its ``block_nnz`` tiles bound the
+    message memory.
     """
-    if num_threads is None:
-        num_threads = default_num_threads()
-    spans = row_block_spans(adj.indptr, block_nnz)
-    return fold_spans(
-        adj, x, semiring, spans,
-        workspace=thread_local_arena(), num_threads=num_threads,
-    )
+    if semiring is None:
+        semiring = get_semiring()
+    if not folds_compiled(semiring):
+        return gspmm_blocked(adj, x, semiring, block_nnz, thread_local_arena())
+    x = _promote(x)
+    spans = worker_spans(adj.indptr, adj.nnz * x.shape[1], num_threads)
+    return fold_spans(adj, x, semiring, spans, split=True)
 
 
 # Two endpoint tiles of this many bytes each stay L2-resident while the

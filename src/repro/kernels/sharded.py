@@ -70,7 +70,7 @@ import numpy as np
 from .. import config
 from ..graphs.partition import plan_row_shards
 from ..sparse import CSRMatrix
-from .blocked import DEFAULT_BLOCK_NNZ
+from .blocked import DEFAULT_BLOCK_NNZ, usable_cpus
 from .semiring import Semiring, get_semiring
 
 __all__ = [
@@ -129,11 +129,11 @@ class ShardedWorkerError(RuntimeError):
 
 
 def default_num_workers() -> int:
-    """``REPRO_NUM_WORKERS``, or ``min(4, cpu_count)`` when unset/0."""
+    """``REPRO_NUM_WORKERS``, or ``min(4, usable_cpus())`` when unset/0."""
     value = config.num_workers()
     if value > 0:
         return value
-    return max(1, min(4, os.cpu_count() or 1))
+    return max(1, min(4, usable_cpus()))
 
 
 def default_num_shards(nnz: int, num_workers: int) -> int:

@@ -28,8 +28,11 @@ strategy is a one-row diff.
     (NumPy-fold semirings stream their messages through a bounded,
     reusable workspace tile instead of one O(E·K) message array).
 ``blocked_parallel``
-    The same spans fanned out over a thread pool; controlled by
-    ``REPRO_NUM_THREADS``.
+    The compiled fold as the worker spans of its ``nnz·k`` work
+    (:func:`repro.kernels.blocked.worker_spans`): ``row_segment`` below
+    the fold's crossover, one edge-balanced span per worker
+    (``REPRO_NUM_THREADS``) above it, folded at once; the NumPy-fold
+    semirings keep ``blocked``'s tiles.
 ``spmm_fused``
     The same spans with a plan's pre-aggregation row scale and
     post-aggregation epilogues absorbed into the pass
@@ -43,7 +46,7 @@ strategy is a one-row diff.
     "Sharded execution", for the measurements behind that).
 
 The first four are one loop (:func:`repro.kernels.blocked.fold_spans`)
-under different span partitions and executors.  All produce identical
+under different span partitions.  All produce identical
 results — each row's fold is independent of the span it arrives in —
 and the hardware model prices them differently, which is what lets the
 engine pick a strategy per input.
@@ -159,8 +162,8 @@ SPMM_STRATEGY_TABLE: Tuple[SpmmStrategy, ...] = (
         ),
         spans="blocks",
         primitive="spmm_parallel",
-        description="thread-parallel row-block tiled sparse·dense "
-        "multiplication",
+        description="thread-parallel sparse·dense multiplication over "
+        "edge-balanced worker spans",
         scratch="tile",
         pool="threads",
         # thread-pool dispatch plus per-block scheduling launches

@@ -298,6 +298,34 @@ def test_lint_shared_write_in_parallel():
     assert lint_source(disjoint, "src/repro/kernels/par.py") == []
 
 
+@pytest.mark.parametrize(
+    "written, clean",
+    [
+        ("out=out[r0:r1]", True),
+        ("out=dst[r0 : r1 + 1]", True),  # the rule checks names, not interval arithmetic
+        ("out=local", True),
+        ("out=out", False),
+        ("out=out[:]", False),
+        ("out=out[0:n]", False),
+    ],
+)
+@pytest.mark.parametrize("via", ["run_spans(spans, body)", "list(pool.map(body, spans))"])
+def test_lint_out_keyword_writes_in_span_bodies(written, clean, via):
+    src = (
+        "import numpy as np\n"
+        "def kernel(pool, a, b, out, dst, spans, n):\n"
+        "    def body(span):\n"
+        "        r0, r1 = span\n"
+        "        local = np.empty(3)\n"
+        f"        np.matmul(a[r0:r1], b, {written})\n"
+        f"    {via}\n"
+    )
+    found = lint_source(src, "src/repro/serving/par.py")
+    assert [v.rule for v in found] == ([] if clean else ["shared-write-in-parallel"])
+    if not clean:
+        assert found[0].line == 6 and "'body'" in found[0].message
+
+
 def test_lint_pragma_waives_and_counts():
     src = (
         "import numpy as np\n"
