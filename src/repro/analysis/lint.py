@@ -16,6 +16,12 @@ offending line or the line above; waivers are counted, not silent):
   (``workspace.step_buffer``), and a step-sized array allocated raw is
   memory the allocator returns to the OS and faults back every step.
   Arrays that outlive a step (parameters, optimizer state) carry waivers.
+- ``masked-select-in-hot-path`` — ``np.copyto(..., where=...)``,
+  ``np.putmask`` and three-argument ``np.where`` inside ``repro/tensor/``
+  and ``repro/kernels/``: a masked select branches per element, and on
+  random-sign data it runs 10-15x slower than the ufunc arithmetic that
+  gives the same bits (``kernels/dense.py``).  Selects over one value per
+  row, not per edge or element, carry waivers.
 - ``granii-except`` — a bare ``except:`` anywhere, or an
   ``except Exception/GraniiError`` whose body only swallows
   (``pass``/``...``/``continue``) inside guard/dispatch modules, where a
@@ -63,6 +69,7 @@ RULES = (
     "env-outside-config",
     "raw-alloc-in-kernels",
     "raw-alloc-in-tensor",
+    "masked-select-in-hot-path",
     "granii-except",
     "shared-write-in-parallel",
     "alloc-in-compiled",
@@ -76,6 +83,9 @@ _COMPILED_ALLOCATORS = {
 
 # what bypasses the step pool in repro/tensor/
 _TENSOR_ALLOCATORS = {"empty", "zeros", "empty_like", "zeros_like"}
+
+# masked selects, flagged in repro/tensor/ and repro/kernels/
+_MASKED_SELECTS = {"copyto", "putmask", "where"}
 
 _ALLOW_RE = re.compile(r"#\s*lint:\s*allow\(([a-z\-,\s]+)\)")
 
@@ -112,6 +122,17 @@ def _is_np_call(node: ast.Call, names: Set[str]) -> Optional[str]:
     return None
 
 
+def _masked_select(node: ast.Call) -> Optional[str]:
+    """The call if it is ``np.copyto(..., where=)``, ``np.putmask`` or a
+    three-argument ``np.where``."""
+    name = _is_np_call(node, _MASKED_SELECTS)
+    if name is None or name.endswith("putmask"):
+        return name
+    if name.endswith("copyto"):
+        return name if any(k.arg == "where" for k in node.keywords) else None
+    return name if len(node.args) == 3 else None
+
+
 def _swallows(handler: ast.ExceptHandler) -> bool:
     """Handler body does nothing but suppress the exception."""
     for stmt in handler.body:
@@ -145,6 +166,7 @@ class _FileLinter(ast.NodeVisitor):
             and not self.path.endswith("workspace.py")
         )
         self.in_tensor = "repro/tensor/" in self.path
+        self.in_hot_path = self.in_tensor or "repro/kernels/" in self.path
         self.in_config = self.path.endswith("repro/config.py")
         # parallel-closure discipline applies wherever this repo submits
         # work to executors: kernels, the serving runtime, and the
@@ -198,6 +220,14 @@ class _FileLinter(ast.NodeVisitor):
                     "raw-alloc-in-tensor", node,
                     f"{name} in repro/tensor/ bypasses the step pool "
                     f"(workspace.step_buffer)",
+                )
+        if self.in_hot_path:
+            name = _masked_select(node)
+            if name:
+                self._emit(
+                    "masked-select-in-hot-path", node,
+                    f"{name} masked select in a kernel or tensor op — write "
+                    f"it as branch-free arithmetic (see kernels/dense.py)",
                 )
         if self.in_compiled:
             name = _is_np_call(node, _COMPILED_ALLOCATORS)

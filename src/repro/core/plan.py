@@ -50,6 +50,7 @@ from ..tensor import elu as t_elu
 from ..tensor import leaky_relu as t_leaky_relu
 from ..tensor import relu as t_relu
 from ..tensor import row_broadcast as t_row_broadcast
+from ..tensor import sigmoid as t_sigmoid
 from ..tensor import spmm as t_spmm
 from ..tensor import spmm_edge as t_spmm_edge
 from .assoc import Candidate, Step
@@ -674,7 +675,9 @@ def _execute_step(
 
 
 _NONLINEAR_NUMPY = {"relu": relu, "elu": elu, "leaky_relu": leaky_relu, "sigmoid": sigmoid}
-_NONLINEAR_TENSOR = {"relu": t_relu, "elu": t_elu, "leaky_relu": t_leaky_relu}
+_NONLINEAR_TENSOR = {
+    "relu": t_relu, "elu": t_elu, "leaky_relu": t_leaky_relu, "sigmoid": t_sigmoid
+}
 
 
 def _apply_nonlinear(name: str, value, mode: str):

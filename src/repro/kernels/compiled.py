@@ -91,12 +91,8 @@ def _apply_epilogues(
         if kind == "scale":
             np.multiply(payload[r0:r1, None], view, out=view)
         elif kind == "nonlinear":
-            if payload == "relu":
-                np.maximum(view, 0.0, out=view)
-            else:
-                # same dense function the interpreter calls; the copy-back
-                # keeps the span update in place without changing a bit
-                view[:] = _NONLINEAR_FNS[payload](view)
+            # the dense function the interpreter calls, written in place
+            _NONLINEAR_FNS[payload](view, out=view)
         else:
             raise ValueError(f"unknown epilogue kind {kind!r}")
 

@@ -12,10 +12,12 @@ import numpy as np
 from scipy.sparse._sparsetools import csr_matvecs
 
 from ..sparse import CSRMatrix
+from .workspace import step_buffer
 
 __all__ = ["edge_softmax", "segment_max", "segment_sum"]
 
 _ONE = np.ones(1)
+_ZERO_COLUMN = [np.full(0, 0, dtype=np.int64)]
 
 
 def _edge_segments(values: np.ndarray, indptr: np.ndarray):
@@ -55,9 +57,19 @@ def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     values, indptr = _edge_segments(values, indptr)
     n = indptr.shape[0] - 1
     out = np.full(n, 0.0)
-    column = np.full(values.shape[0], 0, dtype=np.int64)
-    csr_matvecs(n, 1, 1, indptr, column, values, _ONE, out)
+    csr_matvecs(n, 1, 1, indptr, _zero_column(values.shape[0]), values, _ONE, out)
     return out
+
+
+def _zero_column(n: int) -> np.ndarray:
+    """``n`` zero column ids: a prefix of one read-only array that grows,
+    not an E-length allocation per call."""
+    column = _ZERO_COLUMN[0]
+    if column.shape[0] < n:
+        column = np.full(max(n, 2 * column.shape[0]), 0, dtype=np.int64)
+        column.flags.writeable = False
+        _ZERO_COLUMN[0] = column
+    return column[:n]
 
 
 def edge_softmax(adj: CSRMatrix, logits: np.ndarray) -> CSRMatrix:
@@ -75,11 +87,18 @@ def edge_softmax(adj: CSRMatrix, logits: np.ndarray) -> CSRMatrix:
         raise ValueError(
             f"expected one logit per stored entry ({adj.nnz}), got {logits.shape}"
         )
-    deg = adj.row_degrees()
+    rows = adj.row_ids()
     row_max = segment_max(logits, adj.indptr)
+    # the two guards select per row, not per edge
+    # lint: allow(masked-select-in-hot-path)
     safe_max = np.where(np.isfinite(row_max), row_max, 0.0)
-    shifted = logits - np.repeat(safe_max, deg)
-    exps = np.exp(shifted)
-    denom = segment_sum(exps, adj.indptr)
-    vals = exps / np.repeat(np.where(denom > 0, denom, 1.0), deg)
-    return adj.with_values(vals)
+    # shift, exp and normalise in one pooled buffer; per-row scalars are
+    # gathered by row id, which is what np.repeat(·, deg) produced
+    vals = np.take(safe_max, rows, out=step_buffer(rows.shape), mode="clip")
+    np.subtract(logits, vals, out=vals)
+    np.exp(vals, out=vals)
+    denom = segment_sum(vals, adj.indptr)
+    # lint: allow(masked-select-in-hot-path)
+    safe_denom = np.where(denom > 0, denom, 1.0)
+    per_edge = np.take(safe_denom, rows, out=step_buffer(rows.shape), mode="clip")
+    return adj.with_values(np.divide(vals, per_edge, out=vals))

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from ..kernels.workspace import step_buffer
-from .tensor import Tensor, _elementwise
+from ..kernels import dense
+from .tensor import Tensor
 
 __all__ = [
     "relu",
@@ -20,52 +22,18 @@ __all__ = [
 ]
 
 
-def _positive(x: np.ndarray) -> np.ndarray:
-    """The pooled boolean mask ``x > 0``."""
-    return np.greater(x, 0.0, out=step_buffer(x.shape, np.bool_))
-
-
-def _select(mask: np.ndarray, chosen, other: np.ndarray) -> np.ndarray:
-    """``np.where(mask, chosen, other)`` written into ``other``, which the
-    caller owns; ``chosen`` may be a scalar."""
-    np.copyto(other, chosen, where=mask)
-    return other
-
-
 def relu(x: Tensor) -> Tensor:
-    return Tensor.make(
-        np.maximum(x.data, 0.0, out=step_buffer(x.data.shape)),
-        (x,),
-        (lambda g: _elementwise(np.multiply, g, _positive(x.data)),),
-        "relu",
-    )
+    return Tensor.make(dense.relu(x.data), (x,), (partial(dense.relu_vjp, x.data),), "relu")
 
 
 def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
-    mask = _positive(x.data)
-
-    def scaled(a: np.ndarray) -> np.ndarray:
-        """``where(mask, a, slope * a)``: the forward of ``x``, and of a
-        gradient ``g * where(mask, 1.0, slope)`` — ``g * 1.0`` is ``g``."""
-        scaled_a = np.multiply(a, negative_slope, out=step_buffer(a.shape))
-        return _select(mask, a, scaled_a)
-
-    return Tensor.make(scaled(x.data), (x,), (scaled,), "leaky_relu")
+    vjp = partial(dense.leaky_relu_vjp, x.data, negative_slope=negative_slope)
+    return Tensor.make(dense.leaky_relu(x.data, negative_slope), (x,), (vjp,), "leaky_relu")
 
 
 def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
-    neg = np.minimum(x.data, 0.0, out=step_buffer(x.data.shape))
-    np.exp(neg, out=neg)
-    np.subtract(neg, 1.0, out=neg)
-    np.multiply(alpha, neg, out=neg)
-
-    def vjp(g: np.ndarray) -> np.ndarray:
-        slope = np.add(neg, alpha, out=step_buffer(neg.shape))
-        return np.multiply(g, _select(_positive(x.data), 1.0, slope), out=slope)
-
-    out = step_buffer(neg.shape)
-    np.copyto(out, neg)
-    return Tensor.make(_select(_positive(x.data), x.data, out), (x,), (vjp,), "elu")
+    out = dense.elu(x.data, alpha)
+    return Tensor.make(out, (x,), (partial(dense.elu_vjp, out, alpha=alpha),), "elu")
 
 
 def exp(x: Tensor) -> Tensor:
@@ -78,19 +46,12 @@ def log(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    out_data = step_buffer(x.data.shape)
-    pos = x.data >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
-    return Tensor.make(
-        out_data, (x,), (lambda g: g * out_data * (1.0 - out_data),), "sigmoid"
-    )
+    out = dense.sigmoid(x.data)
+    return Tensor.make(out, (x,), (lambda g: g * out * (1.0 - out),), "sigmoid")
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    out_data = x.data - np.max(x.data, axis=axis, keepdims=True)
-    out_data -= np.log(np.sum(np.exp(out_data), axis=axis, keepdims=True))
+    out_data = dense.log_softmax_rows(x.data, axis)
 
     def vjp(g: np.ndarray) -> np.ndarray:
         # softmax is exp of the output: computed here, where a training

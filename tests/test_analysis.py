@@ -258,6 +258,40 @@ def test_lint_raw_alloc_in_tensor():
     assert len(found) == 1 and found[0].waived
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        "np.copyto(out, x, where=x > 0)",
+        "np.putmask(out, x > 0, x)",
+        "np.where(x > 0, x, 0.2 * x)",
+        "numpy.where(mask, 1.0, slope)",
+    ],
+)
+@pytest.mark.parametrize("where", ["src/repro/tensor/new_op.py", "src/repro/kernels/dense.py"])
+def test_lint_masked_select_in_hot_path(call, where):
+    src = f"import numpy as np\nimport numpy\ndef f(x, out, mask, slope):\n    return {call}\n"
+    found = lint_source(src, where)
+    assert [v.rule for v in found] == ["masked-select-in-hot-path"]
+    # outside the hot path, and with a waiver above the line, it is not a finding
+    assert lint_source(src, "src/repro/core/verify.py") == []
+    waived = src.replace("    return", "    # lint: allow(masked-select-in-hot-path)\n    return")
+    found = lint_source(waived, where)
+    assert len(found) == 1 and found[0].waived
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "np.copyto(out, x)",  # a plain copy selects nothing
+        "np.where(x > 0)",  # one argument: the indices, not a select
+        "np.maximum(x, 0.2 * x, out=out)",
+    ],
+)
+def test_lint_masked_select_allows_arithmetic(call):
+    src = f"import numpy as np\ndef f(x, out):\n    return {call}\n"
+    assert lint_source(src, "src/repro/kernels/dense.py") == []
+
+
 def test_lint_granii_except():
     bare = "def f():\n    try:\n        g()\n    except:\n        pass\n"
     found = lint_source(bare, "src/repro/models/x.py")
