@@ -18,10 +18,10 @@ Three prongs, all purely static:
 - :mod:`repro.analysis.conclint` — an *interprocedural* concurrency
   linter: whole-program lock-acquisition-order graph (cycles, blocking
   calls under locks, bare acquires), resource-lifetime proofs for
-  shared-memory segments/pooled buffers/executors over exception and
-  respawn edges, and a symbolic interval proof that sharded
-  ``out[r0:r1]`` writes are disjoint.  Its static lock graph is
-  validated dynamically by :mod:`repro.faults.racestress`.
+  thread-pool executors over exception edges, and a symbolic interval
+  proof that the split fold's ``out[r0:r1]`` span writes are disjoint.
+  Its static lock graph is validated dynamically by
+  :mod:`repro.faults.racestress`.
 
 CLIs::
 

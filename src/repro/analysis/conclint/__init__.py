@@ -5,10 +5,11 @@ Three passes over the repo's own source (see the sibling modules):
 - :mod:`.locks` — whole-program lock-acquisition-order graph; cycles,
   self-deadlocks, locks held across blocking calls, bare ``acquire()``
   without a ``finally`` release.
-- :mod:`.lifetime` — shared-memory segments / pooled buffers /
-  executors provably released on all paths including exception edges.
-- :mod:`.disjoint` — symbolic interval proof that ``out[r0:r1]`` shard
-  writes are non-overlapping for ``plan_row_shards`` bounds.
+- :mod:`.lifetime` — thread-pool executors provably shut down or
+  published on all paths including exception edges.
+- :mod:`.disjoint` — symbolic interval proof that the split fold's
+  ``out[r0:r1]`` span writes are non-overlapping for
+  ``plan_row_shards`` bounds.
 
 Waivers use the repo-wide pragma dialect — ``# lint: allow(<rule>)`` on
 the offending line or the line above — but conclint additionally

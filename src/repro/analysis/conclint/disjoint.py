@@ -1,19 +1,22 @@
-"""Disjoint-write pass: symbolic interval proof for shard writes.
+"""Disjoint-write pass: symbolic interval proof for split-fold span writes.
 
 Upgrades the file-local ``shared-write-in-parallel`` heuristic into a
-whole-program proof: the *producer* loop in ``gspmm_sharded`` derives
+whole-program proof: the *producer* loop in
+:func:`~repro.kernels.blocked.worker_spans` derives
 ``r0, r1 = int(bounds[i]), int(bounds[i + 1])`` from
 ``plan_row_shards`` (whose result is monotone non-decreasing by
-construction) and ships them at fixed positions of a task tuple; the
-*consumer* (``_run_shard``, running in a worker process) unpacks the
-tuple and writes ``out[r0:r1]``.  The pass pairs producer and consumer
-by tuple arity, carries each endpoint symbolically as
+construction) and ships them at fixed positions of a span tuple
+(``spans.append((r0, r1))``); the *consumer* (the span body ``run_span``
+in :func:`~repro.kernels.blocked.fold_spans`, run on the pool's
+threads) unpacks the tuple and writes ``out[r0:r1]``, directly or
+through a view it then updates in place.  The pass pairs producer and
+consumer by tuple arity, carries each endpoint symbolically as
 ``bounds[i + c] + d``, and proves writes for different ``i`` disjoint
 iff the lower endpoint is ``bounds[i] + d_lo`` with ``d_lo >= 0``, the
 upper is ``bounds[i + 1] + d_hi`` with ``d_hi <= 0`` (given monotone
 bounds, ``[b_i, b_{i+1})`` intervals never overlap).
 
-Any slice-store through unpacked bounds that cannot be proved — an
+Any slice write through unpacked bounds that cannot be proved — an
 unrecognized bounds source, a widened slice, or an offset lower
 bound — is a ``shard-write-overlap`` finding.
 """
@@ -161,7 +164,7 @@ def _find_producers(prog: Program) -> List[_Producer]:
                     if not (
                         isinstance(call, ast.Call)
                         and isinstance(call.func, ast.Attribute)
-                        and call.func.attr in ("submit", "put")
+                        and call.func.attr in ("submit", "put", "append")
                     ):
                         continue
                     for arg in call.args:
@@ -211,24 +214,56 @@ def _consumer_findings(
             for pos, elt in enumerate(names)
             if isinstance(elt, ast.Name)
         }
-        for st in ast.walk(fi.node):
-            if not (
-                isinstance(st, ast.Assign)
-                and len(st.targets) == 1
-                and isinstance(st.targets[0], ast.Subscript)
-            ):
-                continue
-            sub = st.targets[0]
-            if not isinstance(sub.slice, ast.Slice):
-                continue
+        for line, sub in _slice_writes(fi):
             lo, hi = sub.slice.lower, sub.slice.upper
             lo_pos = _slot_of(lo, slot)
             hi_pos = _slot_of(hi, slot)
             if lo_pos is None and hi_pos is None:
                 continue  # slice not built from the task's bound fields
             for prod in matched:
-                findings.extend(_prove(fi, prod, st, lo, hi, slot))
+                findings.extend(_prove(fi, prod, line, sub, lo, hi, slot))
     return findings
+
+
+def _slice_writes(fi: FunctionInfo) -> List[Tuple[int, ast.Subscript]]:
+    """Every ``x[lo:hi]`` the function writes: a slice store
+    (``x[lo:hi] = ...`` / ``x[lo:hi] += ...``), or a view ``v = x[lo:hi]``
+    that is then updated in place (``v /= ...``, ``v[...] = ...``) or
+    handed to a call, which may write it."""
+    stores: List[Tuple[int, ast.Subscript]] = []
+    views: Dict[str, Tuple[int, ast.Subscript]] = {}
+    written = set()
+    for st in ast.walk(fi.node):
+        if isinstance(st, ast.Assign) and len(st.targets) == 1:
+            target, value = st.targets[0], st.value
+            if isinstance(target, ast.Subscript) and isinstance(
+                target.slice, ast.Slice
+            ):
+                stores.append((st.lineno, target))
+            elif (
+                isinstance(target, ast.Name)
+                and isinstance(value, ast.Subscript)
+                and isinstance(value.slice, ast.Slice)
+            ):
+                views[target.id] = (st.lineno, value)
+            if isinstance(target, ast.Subscript) and isinstance(
+                target.value, ast.Name
+            ):
+                written.add(target.value.id)
+        elif isinstance(st, ast.AugAssign):
+            target = st.target
+            if isinstance(target, ast.Subscript) and isinstance(
+                target.slice, ast.Slice
+            ):
+                stores.append((st.lineno, target))
+            elif isinstance(target, ast.Name):
+                written.add(target.id)
+        elif isinstance(st, ast.Call):
+            written.update(
+                arg.id for arg in st.args if isinstance(arg, ast.Name)
+            )
+    stores.extend(view for name, view in views.items() if name in written)
+    return stores
 
 
 def _slot_of(node: Optional[ast.AST], slot: Dict[str, int]) -> Optional[int]:
@@ -265,8 +300,8 @@ def _endpoint_sym(
     return None
 
 
-def _prove(fi, prod, st, lo, hi, slot) -> List[Finding]:
-    target = st.targets[0].value
+def _prove(fi, prod, line, sub, lo, hi, slot) -> List[Finding]:
+    target = sub.value
     tname = target.id if isinstance(target, ast.Name) else "<expr>"
     where = (
         f"write {tname}[...] in {fi.qualname} (bounds shipped from "
@@ -274,7 +309,7 @@ def _prove(fi, prod, st, lo, hi, slot) -> List[Finding]:
     )
     if not prod.monotone:
         return [Finding(
-            "shard-write-overlap", fi.path, st.lineno,
+            "shard-write-overlap", fi.path, line,
             f"{where}: the shard bounds source is not a recognized "
             f"monotone producer ({'/'.join(sorted(_MONOTONE_PRODUCERS))}), "
             f"so shard intervals cannot be proved disjoint",
@@ -283,7 +318,7 @@ def _prove(fi, prod, st, lo, hi, slot) -> List[Finding]:
     hi_sym = _endpoint_sym(hi, slot, prod)
     if lo_sym is None or hi_sym is None:
         return [Finding(
-            "shard-write-overlap", fi.path, st.lineno,
+            "shard-write-overlap", fi.path, line,
             f"{where}: slice endpoints are not both derived from the "
             f"task's shipped bounds — not provably disjoint",
         )]
@@ -295,7 +330,7 @@ def _prove(fi, prod, st, lo, hi, slot) -> List[Finding]:
     if ok:
         return []
     return [Finding(
-        "shard-write-overlap", fi.path, st.lineno,
+        "shard-write-overlap", fi.path, line,
         f"{where}: writes [bounds[i+{lo_sym.index_offset}]"
         f"{lo_sym.value_offset:+d}, bounds[i+{hi_sym.index_offset}]"
         f"{hi_sym.value_offset:+d}) can overlap the neighbouring shard "

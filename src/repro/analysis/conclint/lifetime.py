@@ -1,21 +1,17 @@
-"""Resource-lifetime pass: segments/executors released on all paths.
+"""Resource-lifetime pass: executors released on all paths.
 
 Generalizes planlint's workspace acquire/release trace to module code.
-Tracked resources:
-
-- **segment** — ``shared_memory.SharedMemory(create=True, ...)`` and
-  any function that returns one (``_create_segment``,
-  ``_acquire_buffer`` — the *acquire functions*, derived by fixpoint);
-- **executor** — ``ThreadPoolExecutor(...)``.
+The tracked resource is the **executor** — ``ThreadPoolExecutor(...)``
+and any function that returns one (the *acquire functions*, derived by
+fixpoint).
 
 A resource bound to a local must, on **every** path out of the
 function — normal returns *and* exception edges — be released
-(``unlink``/``shutdown``, or passed to a derived *releaser* function
-such as ``_release_buffer``/``_release_entry``) or escape (returned,
-stored on an attribute, or published into a module-level container,
-which transfers ownership to a longer-lived teardown path).  Locals
-holding resources inside a container (``entry[role] = shm``) become
-*holders* and are tracked as a unit.
+(``shutdown``, or passed to a derived *releaser* function) or escape
+(returned, stored on an attribute, or published into a module-level
+container, which transfers ownership to a longer-lived teardown path).
+Locals holding resources inside a container (``entry[role] = pool``)
+become *holders* and are tracked as a unit.
 
 The interpreter runs each function with explicit try/except/finally
 flow: at every statement that performs a call while resources are
@@ -39,13 +35,6 @@ def _is_seed_acquire(call: ast.Call) -> Optional[str]:
     name = func.attr if isinstance(func, ast.Attribute) else (
         func.id if isinstance(func, ast.Name) else None
     )
-    if name == "SharedMemory":
-        for kw in call.keywords:
-            if kw.arg == "create" and (
-                isinstance(kw.value, ast.Constant) and kw.value.value is True
-            ):
-                return "segment"
-        return None
     if name == "ThreadPoolExecutor":
         return "executor"
     return None
@@ -122,7 +111,7 @@ def _releases_param(fi, prog, releasers) -> bool:
     param = args[skip].arg
     derived: Set[str] = {param}
     for node in ast.walk(fi.node):
-        # `for shm in entry.values():` -> shm derives from entry
+        # `for pool in entry.values():` -> pool derives from entry
         if isinstance(node, ast.For) and isinstance(node.target, ast.Name):
             root = node.iter
             while isinstance(root, (ast.Attribute, ast.Call, ast.Subscript)):
@@ -147,7 +136,7 @@ def _releases_param(fi, prog, releasers) -> bool:
             continue
         func = node.func
         # direct release primitive on a derived name
-        if isinstance(func, ast.Attribute) and func.attr in ("unlink", "shutdown"):
+        if isinstance(func, ast.Attribute) and func.attr == "shutdown":
             base = func.value
             if isinstance(base, ast.Name) and base.id in derived:
                 return True
@@ -212,8 +201,8 @@ class _Interp:
             self.findings.append(Finding(
                 "resource-leak", self.fi.path, line,
                 f"{kind} {var!r} in {self.fi.qualname} {how} — every "
-                f"segment/executor must be released or escape on all "
-                f"paths, including exception edges",
+                f"executor must be released or escape on all paths, "
+                f"including exception edges",
             ))
 
     # -- classification -------------------------------------------------
@@ -226,9 +215,7 @@ class _Interp:
         """Names in `state` this call releases / takes ownership of."""
         func = call.func
         out: List[str] = []
-        if isinstance(func, ast.Attribute) and func.attr in (
-            "unlink", "shutdown"
-        ):
+        if isinstance(func, ast.Attribute) and func.attr == "shutdown":
             if isinstance(func.value, ast.Name) and func.value.id in state:
                 out.append(func.value.id)
         if call.args and isinstance(call.args[0], ast.Name):

@@ -2,8 +2,9 @@
 
 Mirrors :mod:`repro.analysis.mutate` (planlint's falsifiability
 battery) at the source level: each mutation is an exact-text edit of a
-*real* module — a reversed lock order, a dropped ``unlink``, a widened
-shard slice — applied to an in-memory copy of the tree and re-analyzed.
+*real* module — a reversed lock order, an executor nobody shuts down,
+a widened span slice — applied to an in-memory copy of the tree and
+re-analyzed.
 A mutation is **caught** when the analysis of the mutated tree reports
 a new unwaived finding of the expected rule that the clean tree does
 not have.  A mutation whose anchor text no longer exists is *not
@@ -22,7 +23,7 @@ from . import analyze_sources, canonical_rel, collect_sources
 
 __all__ = ["MUTATIONS", "Mutation", "NotApplicable", "run_self_test"]
 
-_SHARDED = "repro/kernels/sharded.py"
+_BLOCKED = "repro/kernels/blocked.py"
 _SERVICE = "repro/serving/service.py"
 _CACHE = "repro/serving/cache.py"
 
@@ -105,74 +106,43 @@ MUTATIONS: Tuple[Mutation, ...] = (
         frozenset({"lock-self-deadlock"}),
     ),
     Mutation(
-        "drop_release_buffer", "resource-leak", _SHARDED,
-        "        _release_buffer(x_shm)\n"
-        "        _release_buffer(out_shm)\n"
-        "        return out\n",
-        "        _release_buffer(out_shm)\n"
-        "        return out\n",
+        "orphaned_span_pool", "resource-leak", _BLOCKED,
+        "    if pool is None:\n"
+        "        pool = _POOLS.setdefault(\n",
+        "    if pool is None:\n"
+        "        spare = ThreadPoolExecutor(max_workers=num_threads)\n"
+        "        pool = _POOLS.setdefault(\n",
         frozenset({"resource-leak"}),
     ),
     Mutation(
-        "drop_exception_discard", "resource-leak", _SHARDED,
-        "            _discard_buffer(x_shm)\n"
-        "            _discard_buffer(out_shm)\n"
-        "            shutdown_pool()\n"
-        "            raise\n",
-        "            _discard_buffer(x_shm)\n"
-        "            shutdown_pool()\n"
-        "            raise\n",
+        "unpublished_serve_pool", "resource-leak", _SERVICE,
+        "        self._pool = ThreadPoolExecutor(\n"
+        "            max_workers=self._num_threads, "
+        "thread_name_prefix=\"granii-serve\"\n",
+        "        pool = ThreadPoolExecutor(\n"
+        "            max_workers=self._num_threads, "
+        "thread_name_prefix=\"granii-serve\"\n",
         frozenset({"resource-leak"}),
     ),
     Mutation(
-        "drop_graph_segments_guard", "resource-leak", _SHARDED,
-        "    except Exception:\n"
-        "        _release_entry(entry)  # allocation died mid-graph: "
-        "no half entries\n"
-        "        raise\n",
-        "    except Exception:\n"
-        "        raise\n",
-        frozenset({"resource-leak"}),
-    ),
-    Mutation(
-        "drop_unlink_in_discard", "resource-leak", _SHARDED,
-        "def _discard_buffer(shm: shared_memory.SharedMemory) -> None:\n"
-        "    try:\n"
-        "        shm.close()\n"
-        "        shm.unlink()\n",
-        "def _discard_buffer(shm: shared_memory.SharedMemory) -> None:\n"
-        "    try:\n"
-        "        shm.close()\n",
-        frozenset({"resource-leak"}),
-    ),
-    Mutation(
-        "widen_shard_write", "overlap", _SHARDED,
-        "    out[r0:r1] = gspmm(",
-        "    out[r0 : r1 + 1] = gspmm(",
+        "widen_shard_write", "overlap", _BLOCKED,
+        "        span_out = out[r0:r1]\n",
+        "        span_out = out[r0 : r1 + 1]\n",
         frozenset({"shard-write-overlap"}),
     ),
     Mutation(
-        "overlap_task_bounds", "overlap", _SHARDED,
+        "offset_span_bound", "overlap", _BLOCKED,
         "r0, r1 = int(bounds[i]), int(bounds[i + 1])",
         "r0, r1 = int(bounds[i]) - 1, int(bounds[i + 1])",
         frozenset({"shard-write-overlap"}),
     ),
     Mutation(
-        "unknown_bounds_producer", "overlap", _SHARDED,
-        "    bounds = plan_row_shards(adj.indptr, num_shards)",
+        "unknown_bounds_producer", "overlap", _BLOCKED,
+        "    bounds = plan_row_shards(indptr, workers)",
         "    bounds = np.cumsum(\n"
-        "        np.diff(np.linspace(0, n, num_shards + 1)).astype(np.int64)\n"
+        "        np.diff(np.linspace(0, rows, workers + 1)).astype(np.int64)\n"
         "    )",
         frozenset({"shard-write-overlap"}),
-    ),
-    Mutation(
-        "drop_waiver", "waiver", _SHARDED,
-        "    # lint: allow(lock-held-across-blocking-call) "
-        "collect() must own the pool\n    with _POOL_LOCK:\n"
-        "        pool = _get_pool(num_workers)",
-        "    with _POOL_LOCK:\n"
-        "        pool = _get_pool(num_workers)",
-        frozenset({"lock-held-across-blocking-call"}),
     ),
 )
 

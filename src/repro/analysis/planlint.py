@@ -60,7 +60,6 @@ __all__ = [
     "reject_illegal",
     "workspace_trace",
     "check_workspace_trace",
-    "shard_coverage_diagnostics",
 ]
 
 # Primitives the strategy table's rows execute, scratch and all.
@@ -541,13 +540,10 @@ def workspace_trace(plan, strategy: str) -> List[Tuple[str, str, str]]:
 
     A strategy-table row with ``scratch`` holds one buffer per
     aggregation step: the tiled rows an arena tile (the fused row a
-    message + pre-scale pair with the same discipline), the sharded row
-    the shared-memory segments of its dense operand and output.  Each is
+    message + pre-scale pair with the same discipline).  Each is
     acquired before the kernel loop and released on the normal edge
-    (back to the arena / the parent's buffer pool for the next step)
-    *and* on the exception edge (the guard's ``drop_buffers`` cleanup; a
-    segment is unlinked outright — a recycled buffer a dead worker might
-    still write to would corrupt an unrelated call).  Events are
+    (back to the arena for the next step) *and* on the exception edge
+    (the guard's ``drop_buffers`` cleanup).  Events are
     ``(kind, buffer_key, step_out)`` with kind in ``acquire`` /
     ``release-normal`` / ``release-exception``; a row without scratch
     (``row_segment``) implies none.
@@ -564,49 +560,6 @@ def workspace_trace(plan, strategy: str) -> List[Tuple[str, str, str]]:
         events.append(("release-normal", key, step.out))
         events.append(("release-exception", key, step.out))
     return events
-
-
-def shard_coverage_diagnostics(bounds, num_rows: int) -> List[Diagnostic]:
-    """Check that row-shard bounds disjointly cover ``[0, num_rows)``.
-
-    The sharded strategy's correctness rests on workers writing disjoint
-    row ranges that together cover the output: bounds must start at 0,
-    end at ``num_rows``, and be non-decreasing (zero-row shards are
-    legal).  The executor performs this exact check at dispatch; this
-    pure function lets the linter (and tests) state it statically.
-    """
-    import numpy as np
-
-    bounds = np.asarray(bounds)
-    diags: List[Diagnostic] = []
-    if bounds.ndim != 1 or bounds.shape[0] < 2:
-        diags.append(Diagnostic(
-            "shard-coverage",
-            f"bounds must be a 1-D array of at least 2 entries, got "
-            f"shape {bounds.shape}",
-        ))
-        return diags
-    if int(bounds[0]) != 0:
-        diags.append(Diagnostic(
-            "shard-coverage",
-            f"first bound is {int(bounds[0])}, leaving rows "
-            f"[0, {int(bounds[0])}) unwritten",
-        ))
-    if int(bounds[-1]) != num_rows:
-        diags.append(Diagnostic(
-            "shard-coverage",
-            f"last bound is {int(bounds[-1])}, expected {num_rows}",
-        ))
-    drops = np.flatnonzero(np.diff(bounds) < 0)
-    if drops.size:
-        at = int(drops[0])
-        diags.append(Diagnostic(
-            "shard-coverage",
-            f"bounds decrease at shard {at} "
-            f"({int(bounds[at])} -> {int(bounds[at + 1])}): shards would "
-            f"overlap and double-write rows",
-        ))
-    return diags
 
 
 def check_workspace_trace(
@@ -826,13 +779,6 @@ def analyze_plan(
         verdict.proved.append(
             "workspace: arena acquire/release balanced on normal and "
             "exception edges for " + "/".join(strategies)
-        )
-    if any(spmm_strategy(name).spans == "shards" for name in strategies) and any(
-        step.primitive in WORKSPACE_PRIMITIVES for step in plan.steps
-    ):
-        verdict.obligations.append(
-            "shard-coverage: sharded aggregation row bounds disjointly "
-            "cover the output (discharged at dispatch by kernels.sharded)"
         )
     if env is not None:
         verdict.env_key = analysis_env_key(env)

@@ -17,13 +17,6 @@ Knob reference
 --------------
 ``REPRO_BLOCK_NNZ``           edge budget per tile of the blocked kernels
 ``REPRO_NUM_THREADS``         worker count of the parallel strategy
-``REPRO_NUM_WORKERS``         process count of the sharded strategy
-``REPRO_SHARD_NNZ``           target edges per row shard (sharded strategy)
-``REPRO_SHARDED_TIMEOUT``     seconds before a sharded call is declared hung
-``REPRO_SHARD_CACHE_KB``      per-shard tile cache budget for plan selection
-``REPRO_SHARD_POLL_S``        result-queue poll granularity for liveness checks
-``REPRO_SHARD_HEARTBEAT_S``   seconds of worker silence before it is hung
-``REPRO_SHARD_RESPAWNS``      worker respawns per call before giving up
 ``REPRO_STATE_DIR``           durable-state snapshot directory (unset = off)
 ``REPRO_SPMM_STRATEGY``       process-wide default aggregation strategy
 ``REPRO_VERIFY_PLANS``        first-iteration differential verification
@@ -38,7 +31,6 @@ Knob reference
 ``REPRO_FAULTS_SEED``         seed for probabilistic fault draws
 ``REPRO_SERVE_MAX_QUEUE``     per-tenant bound on queued+running requests
 ``REPRO_SERVE_DEADLINE_MS``   default end-to-end request deadline (0 = none)
-``REPRO_SERVE_RETRIES``       bounded retries around sharded-pool execution
 ``REPRO_PLAN_CACHE_SIZE``     fingerprint-keyed plan cache capacity
 ``REPRO_AUTOTUNE``            measure strategy/block_nnz points at selection
 ``REPRO_AUTOTUNE_GRID``       comma-separated candidate block_nnz values
@@ -60,13 +52,6 @@ __all__ = [
     "env_choice",
     "block_nnz",
     "num_threads",
-    "num_workers",
-    "shard_nnz",
-    "sharded_timeout_seconds",
-    "shard_cache_kb",
-    "shard_poll_seconds",
-    "shard_heartbeat_seconds",
-    "shard_respawns",
     "state_dir",
     "spmm_strategy",
     "verify_plans",
@@ -81,7 +66,6 @@ __all__ = [
     "faults_seed",
     "serve_max_queue",
     "serve_deadline_seconds",
-    "serve_retries",
     "plan_cache_size",
     "autotune_enabled",
     "autotune_grid",
@@ -190,44 +174,6 @@ def num_threads() -> int:
     return env_int("REPRO_NUM_THREADS", 0, minimum=0)
 
 
-def num_workers() -> int:
-    """``REPRO_NUM_WORKERS``: sharded pool width; 0/unset means auto-size."""
-    return env_int("REPRO_NUM_WORKERS", 0, minimum=0)
-
-
-def shard_nnz() -> int:
-    """``REPRO_SHARD_NNZ``: target edges per row shard of the sharded SpMM."""
-    return env_int("REPRO_SHARD_NNZ", 262144, minimum=1)
-
-
-def sharded_timeout_seconds() -> float:
-    """``REPRO_SHARDED_TIMEOUT``: seconds before a sharded call is hung."""
-    return env_float("REPRO_SHARDED_TIMEOUT", 60.0, minimum=0.1)
-
-
-def shard_cache_kb() -> int:
-    """``REPRO_SHARD_CACHE_KB``: cache budget sizing each shard's tile."""
-    return env_int("REPRO_SHARD_CACHE_KB", 1024, minimum=8)
-
-
-def shard_poll_seconds() -> float:
-    """``REPRO_SHARD_POLL_S``: result-queue poll granularity (seconds) of
-    the sharded pool's liveness/heartbeat checks."""
-    return env_float("REPRO_SHARD_POLL_S", 0.2, minimum=0.01)
-
-
-def shard_heartbeat_seconds() -> float:
-    """``REPRO_SHARD_HEARTBEAT_S``: a worker holding in-flight shards that
-    shows no progress for this long is declared hung and respawned."""
-    return env_float("REPRO_SHARD_HEARTBEAT_S", 15.0, minimum=0.1)
-
-
-def shard_respawns() -> int:
-    """``REPRO_SHARD_RESPAWNS``: worker respawns one sharded call absorbs
-    before it gives up and raises; 0 restores fail-fast behaviour."""
-    return env_int("REPRO_SHARD_RESPAWNS", 6, minimum=0)
-
-
 def state_dir() -> Optional[str]:
     """``REPRO_STATE_DIR``: durable-state snapshot directory, or None (off)."""
     return _raw("REPRO_STATE_DIR")
@@ -303,11 +249,6 @@ def serve_deadline_seconds() -> Optional[float]:
     """``REPRO_SERVE_DEADLINE_MS``: default request deadline, or None (off)."""
     value = env_float("REPRO_SERVE_DEADLINE_MS", 0.0, minimum=0.0)
     return value / 1e3 if value > 0 else None
-
-
-def serve_retries() -> int:
-    """``REPRO_SERVE_RETRIES``: bounded retries on sharded worker failure."""
-    return env_int("REPRO_SERVE_RETRIES", 2, minimum=0)
 
 
 def plan_cache_size() -> int:

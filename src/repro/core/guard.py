@@ -138,7 +138,6 @@ def execute_plan(
             strategy=strategy,
             block_nnz=engine.block_nnz,
             num_threads=engine.num_threads,
-            num_workers=engine.num_workers,
         )
     cache = setup_caches.setdefault(g, {}).setdefault((mode, slot), {})
     binding = build_binding(
@@ -332,31 +331,23 @@ class ExecutionBudget:
         plan: Plan,
         env: ShapeEnv,
         precomputed: Optional[float] = None,
-        extra_bytes: float = 0.0,
     ) -> None:
         """Pre-execution gate on the plan's estimated peak memory.
 
         ``precomputed`` supplies an estimate already derived for this
         exact (plan, env) — the static analyzer proves one at selection
         time — so the hot path skips re-walking every step's liveness.
-        ``extra_bytes`` accounts strategy-specific residency outside the
-        plan's own intermediates (the sharded strategy's shared-memory
-        segments live in /dev/shm, but they are this plan's footprint).
         """
         if self.memory_budget_bytes is None:
             return
         estimate = (
             precomputed if precomputed is not None
             else plan.peak_memory_bytes(env)
-        ) + extra_bytes
+        )
         if estimate > self.memory_budget_bytes:
-            detail = (
-                f" (includes {extra_bytes / 2**20:.1f} MiB of shared-memory "
-                f"segments)" if extra_bytes else ""
-            )
             raise GraniiMemoryError(
                 f"plan {plan.name!r} estimates a peak of "
-                f"{estimate / 2**20:.1f} MiB{detail}, over the "
+                f"{estimate / 2**20:.1f} MiB, over the "
                 f"{self.memory_budget_bytes / 2**20:.1f} MiB budget "
                 f"(REPRO_MEM_BUDGET_MB)",
                 budget=self.memory_budget_bytes,
@@ -669,15 +660,7 @@ class GuardedExecutor:
         precomputed = None
         if budget.memory_budget_bytes is not None:
             precomputed = self._static_peak_estimate(plan, env)
-        extra_bytes = 0.0
-        estimate_extra = spmm_strategy(strategy).extra_bytes
-        if estimate_extra is not None and budget.memory_budget_bytes is not None:
-            extra_bytes = estimate_extra(
-                int(env["N"]), int(env["N"]), int(env["E"]), int(env["K1"])
-            )
-        budget.check_estimate(
-            plan, env, precomputed=precomputed, extra_bytes=extra_bytes
-        )
+        budget.check_estimate(plan, env, precomputed=precomputed)
         out = execute_plan(
             self.engine, self.layer, plan, strategy, g, feat,
             self.caches.setup, slot=self.rung, budget=budget,

@@ -84,18 +84,16 @@ class KernelExecutionConfig:
     """How the executor should run its sparse aggregations.
 
     ``strategy`` is one of :data:`~repro.kernels.spmm.SPMM_STRATEGIES`;
-    ``block_nnz``/``num_threads``/``num_workers`` tune the blocked and
-    sharded strategies and are ignored by the one-shot ones.  ``None``
-    knobs defer to the kernel defaults (``REPRO_BLOCK_NNZ`` /
-    ``REPRO_NUM_THREADS`` / ``REPRO_NUM_WORKERS``).  In tensor mode the
-    config steers the *forward* aggregation only — backward SpMMs stay on
-    the reference kernel (see :mod:`repro.tensor.sparse_ops`).
+    ``block_nnz``/``num_threads`` tune the blocked strategies and are
+    ignored by the one-shot one.  ``None`` knobs defer to the kernel
+    defaults (``REPRO_BLOCK_NNZ`` / ``REPRO_NUM_THREADS``).  In tensor
+    mode the config steers the *forward* aggregation only — backward
+    SpMMs stay on the reference kernel (see :mod:`repro.tensor.sparse_ops`).
     """
 
     strategy: str = "row_segment"
     block_nnz: Optional[int] = None
     num_threads: Optional[int] = None
-    num_workers: Optional[int] = None
 
 
 def _tensor_spmm_knobs(kernel_config: Optional["KernelExecutionConfig"]) -> dict:
@@ -106,7 +104,6 @@ def _tensor_spmm_knobs(kernel_config: Optional["KernelExecutionConfig"]) -> dict
         "strategy": kernel_config.strategy,
         "block_nnz": kernel_config.block_nnz,
         "num_threads": kernel_config.num_threads,
-        "num_workers": kernel_config.num_workers,
     }
 
 
@@ -619,7 +616,6 @@ def _execute_step(
                 strategy=kernel_config.strategy,
                 block_nnz=kernel_config.block_nnz,
                 num_threads=kernel_config.num_threads,
-                num_workers=kernel_config.num_workers,
                 workspace=workspace,
             )
         if p == "spmm_unweighted":

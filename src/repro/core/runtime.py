@@ -217,7 +217,6 @@ class GraniiEngine:
         spmm_strategy: str = "auto",
         block_nnz: Optional[int] = None,
         num_threads: Optional[int] = None,
-        num_workers: Optional[int] = None,
         verify_plans: Optional[bool] = None,
         guarded: Optional[bool] = None,
         breakers: Optional[CircuitBreaker] = None,
@@ -237,7 +236,6 @@ class GraniiEngine:
         self.spmm_strategy = spmm_strategy
         self.block_nnz = block_nnz
         self.num_threads = num_threads
-        self.num_workers = num_workers
         if verify_plans is None:
             verify_plans = config.verify_plans()
         # double-execute the chosen plan against the reference composition

@@ -31,25 +31,6 @@ Actions
 ``overalloc``
     Raise ``MemoryError``, as a kernel whose scratch allocation blows
     past physical memory would.
-``kill_worker``
-    Arm a one-shot SIGKILL of a sharded-SpMM worker process
-    (:func:`repro.kernels.sharded.request_worker_kill`), then run the
-    kernel normally: if the dispatch executes under the ``spmm_sharded``
-    strategy, one worker dies mid-shard and the self-healing pool must
-    respawn it and resubmit its shards to the survivors.  A no-op for
-    in-process strategies.
-``hang_worker``
-    Arm a one-shot SIGSTOP of a sharded-SpMM worker
-    (:func:`repro.kernels.sharded.request_worker_hang`): the worker
-    stays alive but silent, so only heartbeat-based hung detection
-    (``REPRO_SHARD_HEARTBEAT_S``) — not the dead-pipe check — can
-    recover the call.  A no-op for in-process strategies.
-``shm_exhaustion``
-    Arm a one-shot shared-memory allocation failure
-    (:func:`repro.kernels.sharded.request_shm_exhaustion`), simulating
-    ``/dev/shm`` running out of space: the next sharded call fails with
-    a structured :class:`~repro.kernels.sharded.ShardedWorkerError` and
-    the fallback ladder demotes to an in-process strategy.
 ``corrupt_snapshot``
     Truncate one durable-state snapshot file under the active
     ``REPRO_STATE_DIR`` (``param`` selects which by index into the
@@ -95,9 +76,6 @@ FAULT_ACTIONS = (
     "corrupt",
     "slow",
     "overalloc",
-    "kill_worker",
-    "hang_worker",
-    "shm_exhaustion",
     "corrupt_snapshot",
 )
 
@@ -106,9 +84,6 @@ _DEFAULT_PARAMS = {
     "corrupt": 1e3,
     "slow": 0.25,
     "overalloc": 0.0,
-    "kill_worker": 0.0,
-    "hang_worker": 0.0,
-    "shm_exhaustion": 0.0,
     "corrupt_snapshot": 0.0,
 }
 
@@ -268,21 +243,6 @@ class FaultPlan:
             if spec.action == "slow":
                 time.sleep(spec.effective_param)
                 continue  # then run the kernel normally
-            if spec.action == "kill_worker":
-                from ..kernels.sharded import request_worker_kill
-
-                request_worker_kill()
-                continue  # the sharded dispatch (if any) loses a worker
-            if spec.action == "hang_worker":
-                from ..kernels.sharded import request_worker_hang
-
-                request_worker_hang()
-                continue  # the sharded dispatch (if any) gets a silent worker
-            if spec.action == "shm_exhaustion":
-                from ..kernels.sharded import request_shm_exhaustion
-
-                request_shm_exhaustion()
-                continue  # the next segment allocation fails structured
             if spec.action == "corrupt_snapshot":
                 _corrupt_snapshot(int(spec.param or 0))
                 continue  # the next warm start must quarantine it

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
@@ -175,187 +174,6 @@ def _input_cases(graph, feats, cost_models, seed: int) -> List[Dict[str, object]
     return records
 
 
-def _sharded_recovery_kernel_case(
-    graph, feats, seed: int, schedule: str, arm, env: Dict[str, str]
-) -> Dict[str, object]:
-    """Kernel-level recovery proof: arm a pool fault mid-call and demand
-    the sharded result stay **bitwise identical** to ``row_segment``.
-
-    This is the strongest form of the self-healing contract — not only
-    does the call complete after the worker is killed (or hung), the
-    resubmitted shards reproduce the exact bit pattern, because shard
-    writes are disjoint and idempotent.
-    """
-    from ..kernels.sharded import gspmm_sharded, pool_health, shutdown_pool
-    from ..kernels.spmm import gspmm
-
-    record: Dict[str, object] = {
-        "model": "kernel", "schedule": schedule, "seed": seed,
-    }
-    t0 = time.perf_counter()
-    old_env = {k: os.environ.get(k) for k in env}  # lint: allow(env-outside-config)
-    os.environ.update(env)  # lint: allow(env-outside-config)
-    try:
-        adj = graph.adj.with_values(
-            np.random.default_rng(seed).random(graph.adj.nnz) + 0.1
-        )
-        reference = gspmm(adj, feats, strategy="row_segment")
-        gspmm_sharded(adj, feats, num_workers=2)  # warm the pool
-        arm()
-        out = gspmm_sharded(adj, feats, num_workers=2)
-        health = pool_health()
-        if not np.array_equal(out, reference):
-            record["outcome"] = "mismatch"
-            record["error"] = "healed output is not bitwise-equal to row_segment"
-        elif int(health.get("restarts", 0)) < 1:
-            record["outcome"] = "mismatch"
-            record["error"] = f"fault did not exercise a respawn: {health}"
-        else:
-            record["outcome"] = "ok_healed"
-            record["restarts"] = int(health["restarts"])
-    except GraniiError as exc:
-        record["outcome"] = "structured_error"
-        record["error"] = f"{type(exc).__name__}: {exc}"
-    except Exception as exc:  # noqa: BLE001
-        record["outcome"] = "raw_escape"
-        record["error"] = f"{type(exc).__name__}: {exc}"
-    finally:
-        shutdown_pool()
-        for key, value in old_env.items():
-            if value is None:
-                os.environ.pop(key, None)  # lint: allow(env-outside-config)
-            else:
-                os.environ[key] = value  # lint: allow(env-outside-config)
-    record["seconds"] = round(time.perf_counter() - t0, 3)
-    return record
-
-
-def _sharded_fault_cases(
-    graph, feats, cost_models, seed: int
-) -> List[Dict[str, object]]:
-    """Pool-fault scenarios through the full guarded engine + the
-    kernel-level bitwise recovery proofs.
-
-    Contracts: ``kill_worker`` and ``hang_worker`` are *absorbed* by the
-    self-healing pool — the call completes, output bitwise-equal to
-    ``row_segment``, no fallback-ladder demotion.  ``shm_exhaustion``
-    cannot be healed by respawning (the host is out of segment space),
-    so its contract is the structured one: the ladder demotes to an
-    in-process rung and the result still matches the baseline.
-    """
-    from ..kernels.sharded import (
-        request_shm_exhaustion,
-        request_worker_hang,
-        request_worker_kill,
-        shutdown_pool,
-    )
-
-    records = [
-        _sharded_recovery_kernel_case(
-            graph, feats, seed, "kill-bitwise", request_worker_kill, {},
-        ),
-        _sharded_recovery_kernel_case(
-            graph, feats, seed, "hang-bitwise", request_worker_hang,
-            {"REPRO_SHARD_HEARTBEAT_S": "0.5"},
-        ),
-    ]
-
-    # engine-level: a worker death during a guarded layer call is healed
-    # in place — same answer, NO demotion recorded
-    model = build_layer("gcn", IN_SIZE, OUT_SIZE, rng=np.random.default_rng(0))
-    baseline = build_layer("gcn", IN_SIZE, OUT_SIZE, rng=np.random.default_rng(0))
-    reference = np.asarray(baseline(graph, feats).data)
-    record: Dict[str, object] = {
-        "model": "gcn", "schedule": "worker-kill", "seed": seed,
-    }
-    t0 = time.perf_counter()
-    try:
-        engine = GraniiEngine(
-            device="cpu",
-            system="dgl",
-            cost_models=cost_models,
-            spmm_strategy="spmm_sharded",
-            num_workers=2,
-            verify_plans=True,
-            guarded=True,
-        )
-        report = engine.optimize(model, graph, feats)
-        selection = report.selections[0]
-        plan = FaultPlan.from_string("spmm:kill_worker:1.0", seed=seed)
-        with fault_injection(plan):
-            out = model(graph, feats)
-        out_data = np.asarray(getattr(out, "data", out))
-        if not np.allclose(out_data, reference, rtol=1e-4, atol=1e-6):
-            record["outcome"] = "mismatch"
-            record["max_abs_err"] = float(np.max(np.abs(out_data - reference)))
-        elif selection.demotions:
-            record["outcome"] = "mismatch"
-            record["error"] = (
-                "worker kill should be healed by the pool, not demoted: "
-                + "; ".join(d.describe() for d in selection.demotions)
-            )
-        else:
-            record["outcome"] = "ok_healed"
-        record["demotions"] = [d.describe() for d in selection.demotions]
-        record["faults_fired"] = int(sum(plan.fired.values()))
-    except GraniiError as exc:
-        record["outcome"] = "structured_error"
-        record["error"] = f"{type(exc).__name__}: {exc}"
-    except Exception as exc:  # noqa: BLE001
-        record["outcome"] = "raw_escape"
-        record["error"] = f"{type(exc).__name__}: {exc}"
-    finally:
-        shutdown_pool()
-    record["seconds"] = round(time.perf_counter() - t0, 3)
-    records.append(record)
-
-    # shm exhaustion: unhealable — the ladder must demote, result correct
-    model = build_layer("gcn", IN_SIZE, OUT_SIZE, rng=np.random.default_rng(0))
-    record = {"model": "gcn", "schedule": "shm-exhaust", "seed": seed}
-    t0 = time.perf_counter()
-    try:
-        engine = GraniiEngine(
-            device="cpu",
-            system="dgl",
-            cost_models=cost_models,
-            spmm_strategy="spmm_sharded",
-            num_workers=2,
-            guarded=True,
-        )
-        report = engine.optimize(model, graph, feats)
-        selection = report.selections[0]
-        plan = FaultPlan.from_string("spmm:shm_exhaustion:1.0", seed=seed)
-        with fault_injection(plan):
-            out = model(graph, feats)
-        out_data = np.asarray(getattr(out, "data", out))
-        if not np.allclose(out_data, reference, rtol=1e-4, atol=1e-6):
-            record["outcome"] = "mismatch"
-            record["max_abs_err"] = float(np.max(np.abs(out_data - reference)))
-        elif any(
-            "spmm_sharded" in d.from_label for d in selection.demotions
-        ):
-            record["outcome"] = "ok_fallback"
-        else:
-            record["outcome"] = "mismatch"
-            record["error"] = (
-                "shm exhaustion produced no recorded demotion off "
-                "spmm_sharded"
-            )
-        record["demotions"] = [d.describe() for d in selection.demotions]
-        record["faults_fired"] = int(sum(plan.fired.values()))
-    except GraniiError as exc:
-        record["outcome"] = "structured_error"
-        record["error"] = f"{type(exc).__name__}: {exc}"
-    except Exception as exc:  # noqa: BLE001
-        record["outcome"] = "raw_escape"
-        record["error"] = f"{type(exc).__name__}: {exc}"
-    finally:
-        shutdown_pool()
-    record["seconds"] = round(time.perf_counter() - t0, 3)
-    records.append(record)
-    return records
-
-
 BAD_OUTCOMES = ("raw_escape", "mismatch", "missed_admission")
 
 
@@ -417,14 +235,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"{record['model']:>6} | {record['schedule']:<12} -> "
             f"{record['outcome']}"
-        )
-    for record in _sharded_fault_cases(graph, feats, cost_models, args.seed):
-        results.append(record)
-        print(
-            f"{record['model']:>6} | {record['schedule']:<12} -> "
-            f"{record['outcome']:<16} "
-            f"(demotions={len(record.get('demotions', []))}, "
-            f"{record['seconds']}s)"
         )
 
     counts: Dict[str, int] = {}

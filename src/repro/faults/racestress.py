@@ -12,12 +12,10 @@ versions: a lock constructed at a source site the static pass indexed
 (see :meth:`LockGraph.site_index`) is wrapped so every acquisition
 records a happens-before edge ``held -> acquired`` into a
 :class:`RaceMonitor`; locks constructed anywhere else (stdlib internals,
-test scaffolding) stay untraced.  Module-level locks that already exist
-at import time (``repro.kernels.sharded._POOL_LOCK``) are swapped by
-attribute patching for the duration of the run.
+test scaffolding) stay untraced.
 
-After driving the stress scenarios — plan-cache eviction hammering, a
-small serving workload, and sharded SpMM with pool drain — the observed
+After driving the stress scenarios — plan-cache eviction hammering and
+a small serving workload — the observed
 edge set is asserted to be a **subset** of the static graph: zero
 unexplained edges.  Lock identity is the static table's, keyed by
 ``(construction file, line)``, so the comparison never depends on
@@ -153,15 +151,13 @@ def _caller_site() -> Tuple[str, int]:
 
 
 class _Patcher:
-    """Install/remove the traced lock factories and the module-level
-    ``_POOL_LOCK`` swap.  Always restores on exit, even if a scenario
-    raises."""
+    """Install/remove the traced lock factories.  Always restores on
+    exit, even if a scenario raises."""
 
     def __init__(self, monitor: RaceMonitor,
                  site_index: Dict[Tuple[str, int], str]) -> None:
         self._monitor = monitor
         self._site_index = site_index
-        self._saved_pool_lock = None
 
     def _factory(self, reentrant: bool) -> Callable[[], object]:
         monitor = self._monitor
@@ -183,23 +179,13 @@ class _Patcher:
         return make_lock
 
     def __enter__(self) -> "_Patcher":
-        import repro.kernels.sharded as sharded
-
         threading.Lock = self._factory(False)
         threading.RLock = self._factory(True)
-        self._saved_pool_lock = sharded._POOL_LOCK
-        sharded._POOL_LOCK = _TracedLock(
-            self._monitor, "repro.kernels.sharded._POOL_LOCK", reentrant=True
-        )
         return self
 
     def __exit__(self, *exc) -> bool:
-        import repro.kernels.sharded as sharded
-
         threading.Lock = _REAL_LOCK
         threading.RLock = _REAL_RLOCK
-        if self._saved_pool_lock is not None:
-            sharded._POOL_LOCK = self._saved_pool_lock
         return False
 
 
@@ -278,25 +264,9 @@ def _scenario_serving(quick: bool) -> None:
         svc.shutdown(save=False)
 
 
-def _scenario_sharded(quick: bool) -> None:
-    """Process-parallel sharded SpMM plus pool drain — exercises the
-    ``_POOL_LOCK`` region including its reentrant drain path."""
-    import numpy as np
-
-    from repro.graphs import erdos_renyi
-    from repro.kernels.sharded import drain_pool, gspmm_sharded
-
-    graph = erdos_renyi(80, 4.0, seed=5)
-    x = np.random.default_rng(0).standard_normal((graph.num_nodes, 4))
-    for _ in range(1 if quick else 3):
-        gspmm_sharded(graph.adj, x, num_workers=2)
-    drain_pool()
-
-
 SCENARIOS: Dict[str, Callable[[bool], None]] = {
     "cache": _scenario_cache,
     "serving": _scenario_serving,
-    "sharded": _scenario_sharded,
 }
 
 

@@ -9,15 +9,12 @@ turns partition quality into the sparse-kernel time multiplier the
 ``wisegraph`` system personality applies (≈0.88 on the evaluation
 graphs).
 
-It also provides the row-shard planner used by the process-parallel
-``spmm_sharded`` strategy: contiguous, nnz-balanced row ranges plus
-per-shard halo (boundary-column) statistics that feed the engine's
-per-shard plan selection.
+It also provides the row-shard planner behind the thread-parallel
+fold's worker spans (:func:`repro.kernels.blocked.worker_spans`):
+contiguous, nnz-balanced row ranges.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 import numpy as np
 
@@ -30,7 +27,6 @@ __all__ = [
     "degree_reorder",
     "estimate_partition_efficiency",
     "plan_row_shards",
-    "shard_boundary_stats",
 ]
 
 
@@ -190,10 +186,10 @@ def estimate_partition_efficiency(
 
 
 # ----------------------------------------------------------------------
-# Row-shard planning for the process-parallel SpMM backend
+# Row-shard planning for the thread-parallel SpMM fold
 # ----------------------------------------------------------------------
 def plan_row_shards(indptr: np.ndarray, num_shards: int) -> np.ndarray:
-    """Contiguous, nnz-balanced row-shard bounds for sharded SpMM.
+    """Contiguous, nnz-balanced row-shard bounds for a split row fold.
 
     Returns an int64 array of ``num_shards + 1`` non-decreasing row
     bounds with ``bounds[0] == 0`` and ``bounds[-1] == num_rows``; shard
@@ -201,8 +197,8 @@ def plan_row_shards(indptr: np.ndarray, num_shards: int) -> np.ndarray:
     each shard holds roughly ``nnz / num_shards`` edges (row splits only
     — rows are never broken across shards, which is what preserves the
     bitwise row-reduction contract of the inner kernels).  Shards with
-    zero rows are legal output on pathological degree distributions; the
-    executor must tolerate them, not renumber them away.
+    zero rows are legal output on pathological degree distributions;
+    :func:`~repro.kernels.blocked.worker_spans` drops them.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     if indptr.ndim != 1 or indptr.shape[0] < 1:
@@ -223,36 +219,3 @@ def plan_row_shards(indptr: np.ndarray, num_shards: int) -> np.ndarray:
     np.clip(bounds, 0, n, out=bounds)
     return bounds
 
-
-def shard_boundary_stats(
-    indptr: np.ndarray, indices: np.ndarray, bounds: np.ndarray
-) -> Dict[str, np.ndarray]:
-    """Per-shard size and halo statistics for a row-shard plan.
-
-    For square adjacencies, an edge is *halo* when its column falls
-    outside its row's shard — the worker must read that feature row from
-    another shard's range (served zero-copy from the shared feature
-    segment, but a locality miss all the same).  Returns per-shard
-    arrays: ``rows``, ``nnz``, ``halo_nnz``, and ``halo_fraction``
-    (0.0 for empty shards).  All vectorized; O(nnz).
-    """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
-    bounds = np.asarray(bounds, dtype=np.int64)
-    num_shards = bounds.shape[0] - 1
-    shard_nnz = np.diff(indptr[bounds])
-    if indices.size:
-        row_shard = np.repeat(np.arange(num_shards, dtype=np.int64), shard_nnz)
-        col_shard = np.searchsorted(bounds, indices, side="right") - 1
-        halo = col_shard != row_shard
-        halo_nnz = np.bincount(row_shard[halo], minlength=num_shards)
-    else:
-        halo_nnz = np.zeros(num_shards, dtype=np.int64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fraction = np.where(shard_nnz > 0, halo_nnz / np.maximum(shard_nnz, 1), 0.0)
-    return {
-        "rows": np.diff(bounds),
-        "nnz": shard_nnz,
-        "halo_nnz": halo_nnz,
-        "halo_fraction": fraction,
-    }

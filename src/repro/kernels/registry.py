@@ -198,9 +198,9 @@ _KERNEL_WRAPPERS: List[KernelWrapper] = []
 
 # Thread-local wrappers: installed by one thread, seen only by dispatches
 # on that thread, and chained *outside* the global wrappers.  The serving
-# runtime uses this scope for request-confined behaviour — per-request
-# fault plans and sharded-retry policies must not leak onto requests
-# other worker threads are executing concurrently.
+# runtime uses this scope for request-confined behaviour — a per-request
+# fault plan must not leak onto requests other worker threads are
+# executing concurrently.
 _TLS = threading.local()
 
 

@@ -38,18 +38,13 @@ strategy is a one-row diff.
     post-aggregation epilogues absorbed into the pass
     (:mod:`repro.kernels.compiled`).  As a bare strategy (no plan
     context) it runs the aggregation alone.
-``spmm_sharded``
-    Row shards executed by a persistent pool of worker *processes* over
-    shared-memory buffers (:mod:`repro.kernels.sharded`); controlled by
-    ``REPRO_NUM_WORKERS``.  No cost primitive prices it, so it is never
-    auto-selected — it runs only when pinned (see docs/PERFORMANCE.md,
-    "Sharded execution", for the measurements behind that).
 
-The first four are one loop (:func:`repro.kernels.blocked.fold_spans`)
-under different span partitions.  All produce identical
-results — each row's fold is independent of the span it arrives in —
-and the hardware model prices them differently, which is what lets the
-engine pick a strategy per input.
+All four are one loop (:func:`repro.kernels.blocked.fold_spans`) under
+different span partitions; there is no process-pool strategy
+(docs/PERFORMANCE.md, "Why there is no process pool").  All produce
+identical results — each row's fold is independent of the span it
+arrives in — and the hardware model prices them differently, which is
+what lets the engine pick a strategy per input.
 """
 
 from __future__ import annotations
@@ -62,7 +57,7 @@ import numpy as np
 
 from .. import config
 from ..sparse import CSRMatrix
-from . import blocked, compiled, sharded
+from . import blocked, compiled
 from .semiring import Semiring, get_semiring
 
 __all__ = [
@@ -86,16 +81,16 @@ __all__ = [
 class SpmmStrategy:
     """One g-SpMM execution strategy: how it runs and how it is priced.
 
-    ``run(adj, x, semiring, block_nnz, num_threads, num_workers,
-    workspace)`` executes it; runners look their kernel up on its module
+    ``run(adj, x, semiring, block_nnz, num_threads, workspace)``
+    executes it; runners look their kernel up on its module
     at call time, so a test or fault that patches e.g.
     ``blocked.gspmm_blocked`` perturbs exactly that row.
     """
 
     name: str
     run: Callable[..., np.ndarray]
-    # how rows are partitioned: "one" span, "blocks" of block_nnz edges,
-    # or per-worker "shards"; anything but "one" is block_nnz-sensitive
+    # how rows are partitioned: "one" span or "blocks" of block_nnz
+    # edges; "blocks" is block_nnz-sensitive
     spans: str
     # cost-model primitive that prices the strategy; None = never
     # auto-selected (pin-only).  The reference row is priced by the
@@ -108,14 +103,11 @@ class SpmmStrategy:
     scratch: Optional[str] = None
     # draws scratch from the arena plan execution caches per (plan, graph)
     plan_arena: bool = False
-    # runs on a "threads"/"processes" pool; None = in-process, so the
-    # autotuner may time it without paying pool spin-up
+    # runs on the "threads" pool; None = on the caller, so the autotuner
+    # may time it without paying pool spin-up
     pool: Optional[str] = None
     # plan execution compiles fusable chains into this strategy's pass
     fuses: bool = False
-    # bytes resident outside the plan's own intermediates, budgeted by
-    # the guard: (num_rows, num_cols, nnz, k) -> bytes
-    extra_bytes: Optional[Callable[[int, int, int, int], float]] = None
     # analytic-device pricing of ``primitive`` relative to plain spmm
     launch_overhead: float = 1.0
     work_scale: float = 1.0
@@ -168,21 +160,6 @@ SPMM_STRATEGY_TABLE: Tuple[SpmmStrategy, ...] = (
         pool="threads",
         # thread-pool dispatch plus per-block scheduling launches
         launch_overhead=6.0,
-    ),
-    SpmmStrategy(
-        "spmm_sharded",
-        lambda adj, x, semiring, block_nnz, num_workers, **knobs: (
-            sharded.gspmm_sharded(
-                adj, x, semiring, num_workers=num_workers, block_nnz=block_nnz
-            )
-        ),
-        spans="shards",
-        # worker death / IPC timeout demotes to the in-process tiled
-        # kernel before falling all the way back to row_segment
-        demotes_to="blocked",
-        scratch="segments",
-        pool="processes",
-        extra_bytes=sharded.estimate_segment_bytes,
     ),
     SpmmStrategy(
         "spmm_fused",
@@ -286,7 +263,6 @@ def gspmm(
     strategy: Optional[str] = None,
     block_nnz: Optional[int] = None,
     num_threads: Optional[int] = None,
-    num_workers: Optional[int] = None,
     workspace=None,
 ) -> np.ndarray:
     """Generalized SpMM; see module docstring.
@@ -302,9 +278,9 @@ def gspmm(
     strategy:
         One of :data:`SPMM_STRATEGIES`; ``None`` means
         :func:`default_spmm_strategy`.
-    block_nnz / num_threads / num_workers / workspace:
-        Tuning knobs for the blocked and sharded strategies (edge budget
-        per tile, thread-pool width, process-pool width, and the
+    block_nnz / num_threads / workspace:
+        Tuning knobs for the blocked strategies (edge budget per tile,
+        thread-pool width, and the
         :class:`~repro.kernels.workspace.WorkspaceArena` scratch buffers
         come from); each row's runner takes the ones it uses.
     """
@@ -316,7 +292,6 @@ def gspmm(
         semiring,
         block_nnz=block_nnz,
         num_threads=num_threads,
-        num_workers=num_workers,
         workspace=workspace,
     )
 

@@ -20,17 +20,12 @@ through a live service and checks the serving contract:
 - **collision safety**: a forced fingerprint key collision is detected
   by the structural token and served by recompute — never by the
   colliding entry's plan;
-- **self-healing**: a sharded worker killed (``worker-kill``) or hung
-  (``hang-worker``) mid-request is healed by the pool itself —
-  respawn plus shard resubmission — with bitwise-correct results;
 - **durability**: a snapshot corrupted on disk is quarantined at warm
   start with the service still answering (``corrupt-snapshot``), and a
   SIGKILLed serving process leaves state a fresh process warm-starts
-  from — first repeat request is a plan-cache hit and no ``/dev/shm``
-  segment survives the sweep (``restart-warm``).
+  from — first repeat request is a plan-cache hit (``restart-warm``).
 
-Scenarios: ``slow-tenant``, ``poison-graph``, ``worker-kill``,
-``hang-worker``, ``shm-exhaustion``, ``cache-collision``,
+Scenarios: ``slow-tenant``, ``poison-graph``, ``cache-collision``,
 ``overload``, ``poison-input``, ``corrupt-snapshot``,
 ``restart-warm``.  Each is seeded and replayable; exit status is
 non-zero iff any violation is recorded.
@@ -156,7 +151,7 @@ def scenario_slow_tenant(graph, feats, reference, cost_models, seed, n):
     termination, not tail latency."""
     t0 = time.perf_counter()
     violations: List[str] = []
-    with _service(cost_models, retries=0) as svc:
+    with _service(cost_models) as svc:
         futures = []
         for i in range(n):
             slow_plan = FaultPlan.from_string("*:slow:1.0:0.3", seed=seed + i)
@@ -235,171 +230,6 @@ def scenario_poison_graph(graph, feats, reference, cost_models, seed, n):
         poison_outcomes=sorted({r.outcome for r in poison_results}),
         reference_served=referenced,
         breaker_trips=stats["tenants"]["poison"]["breaker_trips"],
-    )
-
-
-def scenario_worker_kill(graph, feats, reference, cost_models, seed, n):
-    """SIGKILL storms against the sharded pool: retries absorb transient
-    worker deaths (rebuilding the pool) or the ladder demotes — either
-    way every request terminates with a correct value, no hangs."""
-    from ..kernels.sharded import shutdown_pool
-
-    t0 = time.perf_counter()
-    violations: List[str] = []
-    try:
-        with _service(
-            cost_models, spmm_strategy="spmm_sharded", retries=3,
-            num_threads=2,
-        ) as svc:
-            futures = []
-            for i in range(n):
-                plan = FaultPlan.from_string(
-                    "spmm:kill_worker:0.5", seed=seed + i
-                )
-                futures.append(svc.submit(ServeRequest(
-                    tenant="kills", model="gcn", graph=graph, feats=feats,
-                    fault_plan=plan,
-                )))
-            results = _gather(futures, violations)
-    finally:
-        shutdown_pool()
-    retried = sum(r.retries for r in results)
-    demoted = sum(1 for r in results if r.demotions)
-    for r in results:
-        if not r.ok and r.outcome not in ("timeout", "error"):
-            violations.append(
-                f"raw_escape: kills/{r.request_id}: "
-                f"{r.error_type}: {r.error}"
-            )
-        if r.ok and not np.allclose(
-            r.value, reference, rtol=1e-4, atol=1e-6
-        ):
-            violations.append(
-                f"mismatch: kills/{r.request_id} survived the kill storm "
-                f"with a wrong value"
-            )
-    if not any(r.ok for r in results):
-        violations.append(
-            "mismatch: no request survived the kill storm — retries and "
-            "the fallback ladder both failed"
-        )
-    return _record(
-        "worker-kill", violations, t0,
-        served=sum(1 for r in results if r.ok),
-        kernel_retries=retried, demoted_requests=demoted,
-    )
-
-
-def scenario_hang_worker(graph, feats, reference, cost_models, seed, n):
-    """SIGSTOP storms: a hung (alive-but-silent) worker is detected by
-    heartbeat, killed, and its shards resubmitted — requests complete
-    with correct values and the sharded strategy is never demoted."""
-    from ..kernels.sharded import pool_health, shutdown_pool
-
-    t0 = time.perf_counter()
-    violations: List[str] = []
-    old_hb = os.environ.get("REPRO_SHARD_HEARTBEAT_S")  # lint: allow(env-outside-config)
-    os.environ["REPRO_SHARD_HEARTBEAT_S"] = "0.5"  # lint: allow(env-outside-config)
-    try:
-        with _service(
-            cost_models, spmm_strategy="spmm_sharded", retries=3,
-            num_threads=2,
-        ) as svc:
-            futures = []
-            for i in range(n):
-                plan = FaultPlan.from_string(
-                    "spmm:hang_worker:0.5", seed=seed + i
-                )
-                futures.append(svc.submit(ServeRequest(
-                    tenant="hangs", model="gcn", graph=graph, feats=feats,
-                )))
-                futures.append(svc.submit(ServeRequest(
-                    tenant="hangs", model="gcn", graph=graph, feats=feats,
-                    fault_plan=plan,
-                )))
-            results = _gather(futures, violations)
-        health = pool_health()
-    finally:
-        shutdown_pool()
-        if old_hb is None:
-            os.environ.pop("REPRO_SHARD_HEARTBEAT_S", None)  # lint: allow(env-outside-config)
-        else:
-            os.environ["REPRO_SHARD_HEARTBEAT_S"] = old_hb  # lint: allow(env-outside-config)
-    for r in results:
-        if not r.ok and r.outcome not in ("timeout", "error"):
-            violations.append(
-                f"raw_escape: hangs/{r.request_id}: "
-                f"{r.error_type}: {r.error}"
-            )
-        if r.ok and not np.allclose(
-            r.value, reference, rtol=1e-4, atol=1e-6
-        ):
-            violations.append(
-                f"mismatch: hangs/{r.request_id} survived the hang storm "
-                f"with a wrong value"
-            )
-    if not any(r.ok for r in results):
-        violations.append(
-            "mismatch: no request survived the hang storm — heartbeat "
-            "detection never recovered a stopped worker"
-        )
-    return _record(
-        "hang-worker", violations, t0,
-        served=sum(1 for r in results if r.ok),
-        pool_restarts=int(health.get("restarts", 0)),
-        demoted_requests=sum(1 for r in results if r.demotions),
-    )
-
-
-def scenario_shm_exhaustion(graph, feats, reference, cost_models, seed, n):
-    """Injected ``/dev/shm`` exhaustion: the sharded call fails with a
-    structured error and retries or the fallback ladder finish the
-    request in-process — every request terminates with a correct
-    value."""
-    from ..kernels.sharded import shutdown_pool
-
-    t0 = time.perf_counter()
-    violations: List[str] = []
-    try:
-        with _service(
-            cost_models, spmm_strategy="spmm_sharded", retries=2,
-            num_threads=2,
-        ) as svc:
-            futures = []
-            for i in range(n):
-                plan = FaultPlan.from_string(
-                    "spmm:shm_exhaustion:1.0", seed=seed + i
-                )
-                futures.append(svc.submit(ServeRequest(
-                    tenant="noshm", model="gcn", graph=graph, feats=feats,
-                    fault_plan=plan,
-                )))
-            results = _gather(futures, violations)
-    finally:
-        shutdown_pool()
-    for r in results:
-        if not r.ok and r.outcome not in ("timeout", "error"):
-            violations.append(
-                f"raw_escape: noshm/{r.request_id}: "
-                f"{r.error_type}: {r.error}"
-            )
-        if r.ok and not np.allclose(
-            r.value, reference, rtol=1e-4, atol=1e-6
-        ):
-            violations.append(
-                f"mismatch: noshm/{r.request_id} survived shm exhaustion "
-                f"with a wrong value"
-            )
-    if not any(r.ok for r in results):
-        violations.append(
-            "mismatch: no request survived shm exhaustion — the retry "
-            "and fallback paths both failed"
-        )
-    return _record(
-        "shm-exhaustion", violations, t0,
-        served=sum(1 for r in results if r.ok),
-        kernel_retries=sum(r.retries for r in results),
-        demoted_requests=sum(1 for r in results if r.demotions),
     )
 
 
@@ -484,14 +314,11 @@ def scenario_corrupt_snapshot(graph, feats, reference, cost_models, seed, n):
 def scenario_restart_warm(graph, feats, reference, cost_models, seed, n):
     """The full kill-and-restart round trip: a service process records a
     runtime residual, saves state, and dies by SIGKILL (no cleanup).
-    A fresh process must sweep the leaked segments, warm-start from
-    ``REPRO_STATE_DIR``, and serve the first repeat request as a
-    plan-cache **hit** — same plan, no re-selection, no re-measurement —
-    with zero leaked ``/dev/shm`` segments."""
+    A fresh process must warm-start from ``REPRO_STATE_DIR`` and serve
+    the first repeat request as a plan-cache **hit** — same plan, no
+    re-selection, no re-measurement."""
     import subprocess
     import tempfile
-
-    from ..kernels.sharded import SEGMENT_PREFIX, shutdown_pool, sweep_leaked_segments
 
     t0 = time.perf_counter()
     violations: List[str] = []
@@ -510,7 +337,7 @@ def scenario_restart_warm(graph, feats, reference, cost_models, seed, n):
         f"feats = np.random.default_rng({seed}).standard_normal"
         f"((graph.num_nodes, {IN_SIZE}))\n"
         f"svc = GraniiService(device='cpu', num_threads=2,\n"
-        f"    spmm_strategy='spmm_sharded', state_dir={state_dir!r})\n"
+        f"    state_dir={state_dir!r})\n"
         f"svc.register_model('gcn', {IN_SIZE}, {OUT_SIZE})\n"
         "record_runtime_residual('cpu', 'spmm', 2.0, 1.0)\n"
         "r = svc.serve(ServeRequest(tenant='t', model='gcn', graph=graph,"
@@ -533,54 +360,39 @@ def scenario_restart_warm(graph, feats, reference, cost_models, seed, n):
             f"its SIGKILL (rc={proc.returncode}): {proc.stderr[-500:]}"
         )
         return _record("restart-warm", violations, t0)
-    sweep_leaked_segments()
     # warm start in THIS process: residuals + cost models + plan cache
     # all come off disk; no cost_models argument on purpose
     t_warm = time.perf_counter()
-    try:
-        with _service(None, spmm_strategy="spmm_sharded", num_threads=2,
-                      state_dir=state_dir) as svc:
-            warm = dict(svc.warm_start)
-            result = svc.serve(ServeRequest(
-                tenant="t", model="gcn", graph=graph, feats=feats,
-            ), timeout=GATHER_TIMEOUT_SECONDS)
-        warm_seconds = time.perf_counter() - t_warm
-        if not bool(warm.get("cost_models")):
-            violations.append(
-                "mismatch: cost models were not warm-started from disk"
-            )
-        if int(warm.get("residuals", 0)) < 1:
-            violations.append(
-                "mismatch: runtime residuals were not warm-started"
-            )
-        if not result.ok:
-            violations.append(
-                f"raw_escape: warm-started service failed: "
-                f"{result.error_type}: {result.error}"
-            )
-        else:
-            if not result.cache_hit:
-                violations.append(
-                    "mismatch: the first repeat request after restart "
-                    "re-selected instead of hitting the warmed plan cache"
-                )
-            if not np.allclose(result.value, reference, rtol=1e-4, atol=1e-6):
-                violations.append(
-                    "mismatch: the warm-started answer diverged from the "
-                    "baseline"
-                )
-    finally:
-        shutdown_pool()
-    own = f"-{os.getpid()}-"
-    leaked = [
-        name for name in os.listdir("/dev/shm")
-        if name.startswith(SEGMENT_PREFIX) and own not in name
-    ]
-    if leaked:
+    with _service(None, num_threads=2, state_dir=state_dir) as svc:
+        warm = dict(svc.warm_start)
+        result = svc.serve(ServeRequest(
+            tenant="t", model="gcn", graph=graph, feats=feats,
+        ), timeout=GATHER_TIMEOUT_SECONDS)
+    warm_seconds = time.perf_counter() - t_warm
+    if not bool(warm.get("cost_models")):
         violations.append(
-            f"mismatch: {len(leaked)} leaked /dev/shm segment(s) survived "
-            f"the restart sweep: {leaked[:4]}"
+            "mismatch: cost models were not warm-started from disk"
         )
+    if int(warm.get("residuals", 0)) < 1:
+        violations.append(
+            "mismatch: runtime residuals were not warm-started"
+        )
+    if not result.ok:
+        violations.append(
+            f"raw_escape: warm-started service failed: "
+            f"{result.error_type}: {result.error}"
+        )
+    else:
+        if not result.cache_hit:
+            violations.append(
+                "mismatch: the first repeat request after restart "
+                "re-selected instead of hitting the warmed plan cache"
+            )
+        if not np.allclose(result.value, reference, rtol=1e-4, atol=1e-6):
+            violations.append(
+                "mismatch: the warm-started answer diverged from the "
+                "baseline"
+            )
     return _record(
         "restart-warm", violations, t0,
         warm_start=warm,
@@ -645,7 +457,7 @@ def scenario_overload(graph, feats, reference, cost_models, seed, n):
     violations: List[str] = []
     burst = max(4 * n, 12)
     with _service(
-        cost_models, num_threads=1, max_queue=2, retries=0,
+        cost_models, num_threads=1, max_queue=2,
     ) as svc:
         futures, sheds, hints = [], 0, []
         for i in range(burst):
@@ -728,9 +540,6 @@ def scenario_poison_input(graph, feats, cost_models, seed, n):
 SCENARIOS = (
     "slow-tenant",
     "poison-graph",
-    "worker-kill",
-    "hang-worker",
-    "shm-exhaustion",
     "cache-collision",
     "overload",
     "poison-input",
@@ -776,12 +585,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "slow-tenant": lambda: scenario_slow_tenant(
             graph, feats, reference, cost_models, args.seed, n),
         "poison-graph": lambda: scenario_poison_graph(
-            graph, feats, reference, cost_models, args.seed, n),
-        "worker-kill": lambda: scenario_worker_kill(
-            graph, feats, reference, cost_models, args.seed, n),
-        "hang-worker": lambda: scenario_hang_worker(
-            graph, feats, reference, cost_models, args.seed, n),
-        "shm-exhaustion": lambda: scenario_shm_exhaustion(
             graph, feats, reference, cost_models, args.seed, n),
         "corrupt-snapshot": lambda: scenario_corrupt_snapshot(
             graph, feats, reference, cost_models, args.seed, n),

@@ -29,13 +29,7 @@ runtime.  The failure-handling stack, outermost first:
    breaker demotes a tenant whose requests keep failing to the
    reference message-passing path — one tenant's pathological graphs
    never trip another tenant's strategies.
-5. **Retry/backoff**: transient sharded-pool failures
-   (:class:`~repro.kernels.sharded.ShardedWorkerError` — a worker
-   SIGKILLed mid-request) are retried at the kernel-dispatch seam with
-   bounded, jittered exponential backoff (``REPRO_SERVE_RETRIES``)
-   before the fallback ladder ever sees them; the pool rebuilds itself
-   between attempts.
-6. **Deadlines**: a request deadline (per request or
+5. **Deadlines**: a request deadline (per request or
    ``REPRO_SERVE_DEADLINE_MS``) is propagated into every rung's kernel
    budget via ``SelectionReport.deadline_at``, so a slow tenant's
    requests time out with a structured error instead of occupying a
@@ -73,7 +67,6 @@ another tenant's requests run clean on sibling threads
 from __future__ import annotations
 
 import logging
-import random
 import threading
 import time
 import uuid
@@ -101,13 +94,6 @@ from ..errors import (
     GraniiOverloadError,
 )
 from ..faults import FaultPlan, fault_injection
-from ..kernels.registry import kernel_wrapper
-from ..kernels.sharded import (
-    ShardedWorkerError,
-    drain_pool,
-    pool_health,
-    release_segments,
-)
 from ..models import build_layer
 from ..state import StateStore
 from .cache import PlanCache
@@ -122,10 +108,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-_RETRY_BASE_SECONDS = 0.05
-_RETRY_MAX_SECONDS = 1.0
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -166,7 +148,11 @@ class ServeResult:
     """How one admitted request terminated.  ``ok`` outcomes: ``ok``
     (plan, no demotions), ``ok_demoted`` (correct via the ladder),
     ``reference`` (tenant-breaker demotion to the baseline path).
-    Error outcomes: ``timeout``, ``error``, ``raw_escape``."""
+    Error outcomes: ``timeout``, ``error``, ``raw_escape``.
+
+    ``retries`` is always 0: the service retries nothing (the fallback
+    ladder demotes instead).  The field stays because the serving
+    benchmark harness reads it."""
 
     request_id: str
     tenant: str
@@ -215,44 +201,6 @@ class TenantState:
         }
 
 
-def _sharded_retry_wrapper(
-    retries: int,
-    deadline_at: Optional[float],
-    attempts: List[Tuple[str, str, str]],
-    state: Dict[str, int],
-):
-    """Kernel wrapper retrying sharded-pool failures with jittered
-    exponential backoff.  Installed thread-locally per request, so it
-    sits *outside* the faulted dispatch but *inside* the guard: a
-    transient worker death is absorbed here (the pool rebuilds lazily
-    between attempts) and the fallback ladder only sees failures that
-    out-lasted every retry."""
-
-    def wrapper(primitive: str, next_call, tag: str):
-        delay = _RETRY_BASE_SECONDS
-        attempt = 0
-        while True:
-            try:
-                return next_call()
-            except ShardedWorkerError as exc:
-                attempt += 1
-                if attempt > retries:
-                    raise
-                if (
-                    deadline_at is not None
-                    and time.monotonic() + delay >= deadline_at
-                ):
-                    raise  # no budget left to back off and try again
-                state["count"] += 1
-                attempts.append(
-                    (f"{primitive}@spmm_sharded", "retry", repr(exc))
-                )
-                time.sleep(delay * (0.5 + random.random()))
-                delay = min(delay * 2.0, _RETRY_MAX_SECONDS)
-
-    return wrapper
-
-
 class GraniiService:
     """Thread-pool plan-serving runtime; see the module docstring.
 
@@ -271,7 +219,6 @@ class GraniiService:
         num_threads: int = 4,
         max_queue: Optional[int] = None,
         deadline_seconds: Optional[float] = None,
-        retries: Optional[int] = None,
         plan_cache_size: Optional[int] = None,
         verify_plans: bool = False,
         tenant_breaker_threshold: Optional[int] = None,
@@ -297,9 +244,6 @@ class GraniiService:
             deadline_seconds
             if deadline_seconds is not None
             else config.serve_deadline_seconds()
-        )
-        self._retries = (
-            int(retries) if retries is not None else config.serve_retries()
         )
         self._cache = PlanCache(
             plan_cache_size
@@ -378,10 +322,8 @@ class GraniiService:
 
     def shutdown(self, save: bool = True) -> None:
         """Graceful full stop, in dependency order: drain the request
-        threads, persist durable state (if configured), quiesce the
-        sharded worker pool, and only then release shared-memory
-        segments — so an in-flight shard can never observe an unlinked
-        segment."""
+        threads, then persist durable state (if configured) — so the
+        snapshot holds everything an in-flight request recorded."""
         self.close(wait=True)
         if save and self._store is not None:
             try:
@@ -391,8 +333,6 @@ class GraniiService:
                 logger.warning(
                     "state save failed during shutdown", exc_info=True
                 )
-        drain_pool()
-        release_segments()
 
     def __enter__(self) -> "GraniiService":
         return self
@@ -492,21 +432,17 @@ class GraniiService:
         return paths
 
     def health(self) -> Dict[str, object]:
-        """Readiness probe: admission state, sharded-pool liveness,
-        tenant breaker states, and state-store status — cheap enough to
-        poll, and it never takes the pool lock."""
+        """Readiness probe: admission state, tenant breaker states, and
+        state-store status — cheap enough to poll."""
         with self._lock:
             closed = self._closed
             tenants = len(self._tenants)
             models = sorted(self._models)
-        pool = pool_health()
-        ready = (not closed) and not bool(pool.get("broken"))
         return {
-            "ready": ready,
+            "ready": not closed,
             "closed": closed,
             "models": models,
             "tenants": tenants,
-            "pool": pool,
             "tenant_breakers": self._tenant_breaker.snapshot(),
             "state_store": (
                 self._store.status() if self._store is not None else None
@@ -745,7 +681,6 @@ class GraniiService:
             outcome="error",
             queue_seconds=started - t_submit,
         )
-        retry_state = {"count": 0}
         selection: Optional[SelectionReport] = None
         try:
             if deadline_at is not None and started >= deadline_at:
@@ -794,12 +729,7 @@ class GraniiService:
                         inputs_validated=True,  # _admit ran the gate
                     )
                     layer.attach_executor(executor)
-                    retry = _sharded_retry_wrapper(
-                        self._retries, deadline_at,
-                        result.attempts, retry_state,
-                    )
-                    with kernel_wrapper(retry, thread_local=True):
-                        out = layer(request.graph, request.feats)
+                    out = layer(request.graph, request.feats)
                     layer.detach_executor()
                     result.value = np.asarray(getattr(out, "data", out))
                     result.outcome = (
@@ -831,7 +761,6 @@ class GraniiService:
                 result.demotions = [
                     d.describe() for d in selection.demotions
                 ]
-            result.retries = retry_state["count"]
             result.total_seconds = time.monotonic() - t_submit
             self._finish(tenant, result)
         return result

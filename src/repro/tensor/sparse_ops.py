@@ -41,7 +41,6 @@ def spmm(
     strategy: Optional[str] = None,
     block_nnz: Optional[int] = None,
     num_threads: Optional[int] = None,
-    num_workers: Optional[int] = None,
 ) -> Tensor:
     """``A @ X`` with a constant (possibly weighted) adjacency.
 
@@ -65,7 +64,6 @@ def spmm(
         strategy=strategy,
         block_nnz=block_nnz,
         num_threads=num_threads,
-        num_workers=num_workers,
     )
     return Tensor.make(out_data, (x,), (vjp,), "spmm")
 
@@ -78,7 +76,6 @@ def spmm_edge(
     strategy: Optional[str] = None,
     block_nnz: Optional[int] = None,
     num_threads: Optional[int] = None,
-    num_workers: Optional[int] = None,
 ) -> Tensor:
     """``A(e) @ X`` where the adjacency values are themselves a tensor.
 
@@ -108,7 +105,6 @@ def spmm_edge(
         strategy=strategy,
         block_nnz=block_nnz,
         num_threads=num_threads,
-        num_workers=num_workers,
     )
     return Tensor.make(out_data, (edge_vals, x), (vjp_edge, vjp_x), "spmm_edge")
 

@@ -32,8 +32,9 @@ class TestShippedTree:
         )
 
     def test_every_waiver_is_justified(self):
+        # the tree carries no concurrency waiver today; any it gains must
+        # say why (waiver parsing itself is pinned in TestWaivers)
         report = analyze_paths([REPRO_ROOT])
-        assert report.waived, "expected at least one counted waiver"
         for f in report.waived:
             assert f.justification, f"waiver without justification: {f}"
 
@@ -41,7 +42,6 @@ class TestShippedTree:
         graph = static_lock_graph()
         ids = set(graph.locks)
         expected = {
-            "repro.kernels.sharded._POOL_LOCK",
             "repro.serving.service.GraniiService._lock",
             "repro.serving.service.GraniiService._select_lock",
             "repro.serving.cache.PlanCache._lock",
@@ -190,6 +190,35 @@ class TestWaivers:
         }
         assert report.waived[0].justification == "drain point"
 
+    def test_waivers_are_counted_per_rule_across_files(self):
+        blocking = (
+            "import threading\n"
+            "L = threading.Lock()\n"
+            "def f(fut):\n"
+            "    # lint: allow(lock-held-across-blocking-call) {why}\n"
+            "    with L:\n"
+            "        fut.result()\n"
+        )
+        leak = (
+            "from concurrent.futures import ThreadPoolExecutor\n"
+            "def g():\n"
+            "    # lint: allow(resource-leak) lives for the process\n"
+            "    pool = ThreadPoolExecutor(max_workers=1)\n"
+        )
+        report = analyze_sources({
+            "repro/pkg/a.py": blocking.format(why="drain point"),
+            "repro/pkg/b.py": blocking.format(why="single caller"),
+            "repro/pkg/c.py": leak,
+        })
+        assert report.active == []
+        assert report.waiver_counts() == {
+            "lock-held-across-blocking-call": 2,
+            "resource-leak": 1,
+        }
+        assert sorted(f.justification for f in report.waived) == [
+            "drain point", "lives for the process", "single caller",
+        ]
+
 
 # ----------------------------------------------------------------------
 # Mutation battery (full run lives in CI; a spread here keeps tier-1 fast)
@@ -203,9 +232,9 @@ def test_mutation_battery_is_large_enough():
     "name",
     [
         "reversed_lock_order",
-        "drop_release_buffer",
+        "orphaned_span_pool",
         "widen_shard_write",
-        "drop_waiver",
+        "unknown_bounds_producer",
     ],
 )
 def test_seeded_mutation_caught(name):
@@ -242,10 +271,33 @@ def test_cli_json_report(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     data = json.loads(out.read_text())
     assert data["totals"]["active"] == 0
-    assert data["totals"]["waived"] >= 1
-    assert data["waiver_counts"]
     assert data["lock_order_edges"]
-    assert "repro.kernels.sharded._POOL_LOCK" in data["locks"]
+    assert "repro.serving.service.GraniiService._lock" in data["locks"]
+
+
+def test_cli_json_report_counts_waivers(tmp_path):
+    pkg = tmp_path / "repro" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "mod.py").write_text(
+        "import threading\n"
+        "L = threading.Lock()\n"
+        "def f(fut):\n"
+        "    # lint: allow(lock-held-across-blocking-call) drain point\n"
+        "    with L:\n"
+        "        fut.result()\n"
+    )
+    out = tmp_path / "conclint.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.analysis.conclint", str(pkg),
+         "--json", str(out)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.path.join(
+            os.path.dirname(__file__), "..", "src")},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    data = json.loads(out.read_text())
+    assert data["totals"] == {**data["totals"], "active": 0, "waived": 1}
+    assert data["waiver_counts"] == {"lock-held-across-blocking-call": 1}
 
 
 # ----------------------------------------------------------------------

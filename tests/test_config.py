@@ -77,6 +77,30 @@ class TestSpecificAccessors:
         with pytest.raises(GraniiConfigError, match="REPRO_SPMM_STRATEGY"):
             config.spmm_strategy(("row_segment", "blocked"))
 
+    def test_the_deleted_process_pool_strategy_is_rejected(self, monkeypatch):
+        from repro.kernels import default_spmm_strategy
+
+        monkeypatch.setenv("REPRO_SPMM_STRATEGY", "spmm_sharded")
+        with pytest.raises(GraniiConfigError, match="REPRO_SPMM_STRATEGY"):
+            default_spmm_strategy()
+
+    def test_the_knob_reference_lists_every_knob(self):
+        documented = {
+            line.split("``")[1]
+            for line in config.__doc__.splitlines()
+            if line.startswith("``REPRO_")
+        }
+        assert len(documented) == 21
+        removed = {
+            "REPRO_NUM_WORKERS", "REPRO_SHARD_NNZ", "REPRO_SHARDED_TIMEOUT",
+            "REPRO_SHARD_CACHE_KB", "REPRO_SHARD_POLL_S",
+            "REPRO_SHARD_HEARTBEAT_S", "REPRO_SHARD_RESPAWNS",
+            "REPRO_SERVE_RETRIES",
+        }
+        assert not documented & removed
+        for name in ("num_workers", "shard_nnz", "serve_retries"):
+            assert not hasattr(config, name)
+
     def test_mem_budget_zero_disables(self, monkeypatch):
         monkeypatch.setenv("REPRO_MEM_BUDGET_MB", "0")
         assert config.mem_budget_bytes() is None
@@ -119,55 +143,23 @@ class TestServingKnobs:
     def test_serving_defaults(self):
         assert config.serve_max_queue() == 64
         assert config.serve_deadline_seconds() is None
-        assert config.serve_retries() == 2
         assert config.plan_cache_size() == 128
 
     def test_serving_accessors(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_MAX_QUEUE", "8")
         monkeypatch.setenv("REPRO_SERVE_DEADLINE_MS", "750")
-        monkeypatch.setenv("REPRO_SERVE_RETRIES", "0")
         monkeypatch.setenv("REPRO_PLAN_CACHE_SIZE", "16")
         assert config.serve_max_queue() == 8
         assert config.serve_deadline_seconds() == pytest.approx(0.75)
-        assert config.serve_retries() == 0
         assert config.plan_cache_size() == 16
 
     def test_recovery_defaults(self, monkeypatch):
-        for name in (
-            "REPRO_SHARD_POLL_S", "REPRO_SHARD_HEARTBEAT_S",
-            "REPRO_SHARD_RESPAWNS", "REPRO_STATE_DIR",
-        ):
-            monkeypatch.delenv(name, raising=False)
-        assert config.shard_poll_seconds() == pytest.approx(0.2)
-        assert config.shard_heartbeat_seconds() == pytest.approx(15.0)
-        assert config.shard_respawns() == 6
+        monkeypatch.delenv("REPRO_STATE_DIR", raising=False)
         assert config.state_dir() is None
 
     def test_recovery_accessors(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_POLL_S", "0.05")
-        monkeypatch.setenv("REPRO_SHARD_HEARTBEAT_S", "0.5")
-        monkeypatch.setenv("REPRO_SHARD_RESPAWNS", "0")
         monkeypatch.setenv("REPRO_STATE_DIR", "/tmp/granii-state")
-        assert config.shard_poll_seconds() == pytest.approx(0.05)
-        assert config.shard_heartbeat_seconds() == pytest.approx(0.5)
-        assert config.shard_respawns() == 0  # 0 = fail-fast, no respawns
         assert config.state_dir() == "/tmp/granii-state"
-
-    def test_recovery_knobs_validate_and_name_the_variable(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_SHARD_POLL_S", "often")
-        with pytest.raises(GraniiConfigError, match="REPRO_SHARD_POLL_S"):
-            config.shard_poll_seconds()
-        monkeypatch.setenv("REPRO_SHARD_POLL_S", "0.001")
-        with pytest.raises(GraniiConfigError, match="REPRO_SHARD_POLL_S"):
-            config.shard_poll_seconds()
-        monkeypatch.setenv("REPRO_SHARD_HEARTBEAT_S", "0")
-        with pytest.raises(GraniiConfigError, match="REPRO_SHARD_HEARTBEAT_S"):
-            config.shard_heartbeat_seconds()
-        monkeypatch.setenv("REPRO_SHARD_RESPAWNS", "-1")
-        with pytest.raises(GraniiConfigError, match="REPRO_SHARD_RESPAWNS"):
-            config.shard_respawns()
 
     def test_serving_knobs_validate_and_name_the_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_MAX_QUEUE", "0")
@@ -176,9 +168,6 @@ class TestServingKnobs:
         monkeypatch.setenv("REPRO_SERVE_DEADLINE_MS", "minute")
         with pytest.raises(GraniiConfigError, match="REPRO_SERVE_DEADLINE_MS"):
             config.serve_deadline_seconds()
-        monkeypatch.setenv("REPRO_SERVE_RETRIES", "-1")
-        with pytest.raises(GraniiConfigError, match="REPRO_SERVE_RETRIES"):
-            config.serve_retries()
         monkeypatch.setenv("REPRO_PLAN_CACHE_SIZE", "0")
         with pytest.raises(GraniiConfigError, match="REPRO_PLAN_CACHE_SIZE"):
             config.plan_cache_size()

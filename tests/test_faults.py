@@ -40,6 +40,14 @@ class TestParseFaultSpec:
         with pytest.raises(GraniiConfigError, match="explode"):
             parse_fault_spec("spmm:explode:1.0")
 
+    @pytest.mark.parametrize(
+        "action", ["kill_worker", "hang_worker", "shm_exhaustion"]
+    )
+    def test_process_pool_actions_are_rejected_not_ignored(self, action):
+        assert action not in FAULT_ACTIONS
+        with pytest.raises(GraniiConfigError, match=action):
+            FaultPlan.from_string(f"spmm:{action}:1.0")
+
     def test_bad_probability_rejected(self):
         with pytest.raises(GraniiConfigError, match="often"):
             parse_fault_spec("spmm:raise:often")

@@ -427,12 +427,12 @@ class TestConcurrentMutation:
 
         def race():
             for _ in range(100):
-                if breaker.record_failure("spmm", "sharded"):
+                if breaker.record_failure("spmm", "blocked"):
                     trips.append(1)
 
         self._hammer(race)
         assert len(trips) == 1
-        assert breaker.is_open("spmm", "sharded")
+        assert breaker.is_open("spmm", "blocked")
 
     def test_mixed_traffic_stays_consistent(self):
         breaker = CircuitBreaker(

@@ -401,7 +401,7 @@ class TestEngineStrategySelection:
         for strategy in SPMM_STRATEGIES:
             engine = GraniiEngine(
                 device="h100", scale="small", spmm_strategy=strategy,
-                num_threads=2, block_nnz=1024, num_workers=2,
+                num_threads=2, block_nnz=1024,
             )
             layer = GCNLayer(16, 8, rng=np.random.default_rng(7))
             engine.optimize(layer, graph)

@@ -53,9 +53,7 @@ def battery():
 
 def run(adj, x, semiring, strategy, block_nnz):
     kwargs = {"block_nnz": block_nnz}
-    if strategy == "spmm_sharded":
-        kwargs["num_workers"] = 2
-    elif strategy == "blocked_parallel":
+    if strategy == "blocked_parallel":
         kwargs["num_threads"] = 3
     return gspmm(adj, x, semiring, strategy=strategy, **kwargs)
 

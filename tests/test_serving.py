@@ -1,4 +1,4 @@
-"""Multi-tenant serving runtime: admission, cache, isolation, retries."""
+"""Multi-tenant serving runtime: admission, cache, isolation, deadlines."""
 
 import pickle
 import sys
@@ -19,7 +19,6 @@ from repro.faults import FaultPlan
 from repro.faults import fault_injection
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.graph import Graph
-from repro.kernels.sharded import ShardedWorkerError
 from repro.models import GCNLayer, build_layer
 from repro.serving import (
     GraniiService,
@@ -28,7 +27,6 @@ from repro.serving import (
     ServeRequest,
     fingerprint_graph,
 )
-from repro.serving.service import _sharded_retry_wrapper
 
 IN_SIZE, OUT_SIZE = 8, 4
 
@@ -385,67 +383,29 @@ class TestIsolation:
         # the clean tenant never saw a demotion
         assert clean.ok and clean.outcome == "ok" and not clean.demotions
 
+    def test_a_failing_kernel_is_demoted_never_retried(
+        self, graph, cost_models
+    ):
+        feats = feats_for(graph)
+        crash = FaultPlan.from_string("spmm:raise:1.0", seed=0)
+        with make_service(cost_models) as svc:
+            result = svc.serve(req(graph, feats, fault_plan=crash), timeout=60)
+            health = svc.health()
+        assert result.ok and result.demotions
+        assert result.retries == 0
+        assert not any(kind == "retry" for _, kind, _ in result.attempts)
+        assert "pool" not in health
+
     def test_deadline_times_out_structured(self, graph, cost_models):
         feats = feats_for(graph)
         slow = FaultPlan.from_string("*:slow:1.0:0.2", seed=0)
-        with make_service(cost_models, retries=0) as svc:
+        with make_service(cost_models) as svc:
             result = svc.serve(req(
                 graph, feats, deadline_seconds=0.25, fault_plan=slow,
             ), timeout=60)
         assert not result.ok
         assert result.outcome == "timeout"
         assert result.error_type == "GraniiDeadlineError"
-
-
-# ----------------------------------------------------------------------
-# Sharded retry policy
-# ----------------------------------------------------------------------
-class TestRetryWrapper:
-    def test_retries_transient_then_succeeds(self):
-        attempts, state = [], {"count": 0}
-        wrapper = _sharded_retry_wrapper(3, None, attempts, state)
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise ShardedWorkerError("worker died")
-            return "value"
-
-        assert wrapper("spmm", flaky, "t0") == "value"
-        assert state["count"] == 2
-        assert len(attempts) == 2
-
-    def test_exhausted_retries_reraise(self):
-        wrapper = _sharded_retry_wrapper(1, None, [], {"count": 0})
-
-        def dead():
-            raise ShardedWorkerError("gone")
-
-        with pytest.raises(ShardedWorkerError):
-            wrapper("spmm", dead, "t0")
-
-    def test_deadline_cuts_backoff_short(self):
-        # a deadline in the past leaves no room to back off: first
-        # failure re-raises instead of sleeping
-        wrapper = _sharded_retry_wrapper(
-            5, time.monotonic() - 1.0, [], {"count": 0}
-        )
-        t0 = time.monotonic()
-        with pytest.raises(ShardedWorkerError):
-            wrapper(
-                "spmm",
-                lambda: (_ for _ in ()).throw(ShardedWorkerError("x")),
-                "t0",
-            )
-        assert time.monotonic() - t0 < 0.05
-
-    def test_non_sharded_errors_pass_through(self):
-        wrapper = _sharded_retry_wrapper(3, None, [], {"count": 0})
-        with pytest.raises(ValueError):
-            wrapper(
-                "spmm", lambda: (_ for _ in ()).throw(ValueError("no")), "t0"
-            )
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,7 @@ def engine_for(strategy="auto"):
     # shares the process-wide cost-model cache; scale=small keeps it fast
     engine = GraniiEngine(
         device="h100", scale="small", spmm_strategy=strategy,
-        num_threads=2, num_workers=2,
+        num_threads=2,
     )
     engine.cost_models  # auto only consults models already materialised
     return engine
@@ -57,6 +57,30 @@ def test_table_is_the_strategy_namespace():
     assert SPMM_STRATEGY_TABLE[0].demotes_to is None
 
 
+def test_the_process_pool_row_is_gone():
+    assert SPMM_STRATEGIES == (
+        "row_segment", "blocked", "blocked_parallel", "spmm_fused",
+    )
+    assert {row.spans for row in SPMM_STRATEGY_TABLE} == {"one", "blocks"}
+    assert {row.pool for row in SPMM_STRATEGY_TABLE} == {None, "threads"}
+    with pytest.raises(ValueError) as exc:
+        GraniiEngine(spmm_strategy="spmm_sharded")
+    for name in SPMM_STRATEGIES:
+        assert name in str(exc.value)
+    with pytest.raises(ValueError, match="unknown strategy"):
+        gspmm(np.zeros((0, 0)), np.zeros((0, 1)), strategy="spmm_sharded")
+
+
+def test_the_kept_stub_is_two_no_ops():
+    import repro.kernels
+    from repro.kernels.sharded import release_segments, shutdown_pool
+
+    assert release_segments() is None
+    assert shutdown_pool() is None
+    assert not hasattr(repro.kernels, "sharded_pool")
+    assert "release_segments" not in repro.kernels.__all__
+
+
 @ROWS
 @pytest.mark.parametrize("names", [("sum", "mul"), ("mean", "copy_rhs"), ("max", "add")])
 def test_row_bitwise_equal_to_row_segment(row, names):
@@ -68,7 +92,7 @@ def test_row_bitwise_equal_to_row_segment(row, names):
         ref = gspmm(adj, x, semiring, strategy="row_segment")
         out = gspmm(
             adj, x, semiring, strategy=row.name,
-            block_nnz=16, num_threads=2, num_workers=2,
+            block_nnz=16, num_threads=2,
         )
         assert np.array_equal(out, ref), (g.name, row.name)
 
@@ -96,8 +120,7 @@ def test_auto_prices_row_segment_plus_exactly_the_priced_rows(graph):
     assert selection.spmm_strategy in selection.strategy_costs
     trained = set(engine.cost_models.primitives)
     assert set(PRICED_STRATEGIES) <= trained
-    # an unpriced row has no model under any name (spmm_sharded's old
-    # primitive carried the strategy's own name)
+    # an unpriced row has no model under any name
     assert not (set(SPMM_STRATEGIES) - PRICED_NAMES) & trained
 
 

@@ -21,9 +21,9 @@ import pytest
 
 import repro.kernels.workspace as workspace
 from repro.core.verify import adversarial_battery
-from repro.graphs import star
+from repro.graphs import plan_row_shards, star
 from repro.graphs.generators import erdos_renyi, rmat
-from repro.kernels import blocked, get_semiring, sharded, spmm_strategy_override
+from repro.kernels import blocked, get_semiring, spmm_strategy_override
 from repro.kernels.workspace import StepPool, thread_local_arena, thread_local_step_pool
 from repro.models import MultiLayerGNN, build_layer
 from repro.sparse import CSRMatrix
@@ -145,6 +145,29 @@ def test_fold_spans_are_contiguous_covering_and_edge_balanced(workers):
             assert share - before <= edges <= share + int(degree[r1 - 1]), (
                 name, workers, (r0, r1), edges, share,
             )
+
+
+def test_plan_row_shards_covers_and_balances_edges():
+    g = rmat(2_000, 8, seed=3)
+    bounds = plan_row_shards(g.adj.indptr, 8)
+    assert bounds[0] == 0 and bounds[-1] == g.num_nodes
+    assert np.all(np.diff(bounds) >= 0)
+    shard_nnz = np.diff(np.asarray(g.adj.indptr)[bounds])
+    # edge-balanced, not row-balanced: no shard above ~2x the mean
+    # (one hub row can exceed the target; it still gets its own shard)
+    assert shard_nnz.max() <= 2 * g.num_edges / 8 + g.adj.row_degrees().max()
+
+
+def test_plan_row_shards_empty_graph_splits_rows():
+    empty = CSRMatrix(
+        np.zeros(11, dtype=np.int64),
+        np.empty(0, dtype=np.int64),
+        None,
+        (10, 10),
+    )
+    bounds = plan_row_shards(empty.indptr, 4)
+    assert bounds[0] == 0 and bounds[-1] == 10
+    assert len(bounds) == 5
 
 
 def test_below_the_crossover_there_is_one_span(monkeypatch):
@@ -300,10 +323,6 @@ def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert blocked.usable_cpus() == 1
-    monkeypatch.delenv("REPRO_NUM_WORKERS", raising=False)
-    assert sharded.default_num_workers() == 1
-    monkeypatch.setenv("REPRO_NUM_WORKERS", "3")
-    assert sharded.default_num_workers() == 3
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert blocked.usable_cpus() == 64
 
@@ -323,8 +342,8 @@ def test_a_process_pinned_to_one_cpu_splits_nothing():
         import os
         os.sched_setaffinity(0, {sorted(os.sched_getaffinity(0))[0]})
         import numpy as np
-        from repro.kernels import blocked, sharded
-        print(blocked.default_num_threads(), sharded.default_num_workers(),
+        from repro.kernels import blocked
+        print(blocked.default_num_threads(),
               len(blocked.worker_spans(np.arange(10**6 + 1), 1 << 40)))
         """
     )
@@ -334,7 +353,7 @@ def test_a_process_pinned_to_one_cpu_splits_nothing():
         [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "1", "1"]
+    assert proc.stdout.split() == ["1", "1"]
 
 
 # ----------------------------------------------------------------------
