@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.assoc import Candidate, Step
-from ..core.ir import ShapeEnv, dims_compatible
+from ..core.ir import ShapeEnv, dims_compatible, env_key
 from ..errors import GraniiAnalysisError
 from ..kernels.spmm import SPMM_STRATEGIES, spmm_strategy
 from .domains import (
@@ -132,11 +132,8 @@ class PlanVerdict:
         }
 
 
-def analysis_env_key(env: Optional[Dict]) -> Tuple:
-    """Canonical hashable key for a shape environment."""
-    if not env:
-        return ()
-    return tuple(sorted((str(k), int(v)) for k, v in env.items()))
+# Canonical hashable key for a shape environment.
+analysis_env_key = env_key
 
 
 # ----------------------------------------------------------------------
@@ -764,26 +761,46 @@ def fusion_legality(plan) -> FusionReport:
 # Plan-level entry points
 # ----------------------------------------------------------------------
 def analyze_plan(
-    plan, env: Optional[ShapeEnv] = None, strategies: Sequence[str] = SPMM_STRATEGIES
+    plan,
+    env: Optional[ShapeEnv] = None,
+    strategies: Sequence[str] = SPMM_STRATEGIES,
+    env_key: Optional[Tuple] = None,
 ) -> PlanVerdict:
     """Full verdict for a lowered plan: candidate + lifetimes + env facts.
 
     ``strategies`` are the execution strategies whose scratch lifetimes
-    the verdict covers — by default every row of the strategy table."""
-    verdict = analyze_candidate(plan.candidate, name=plan.name)
-    ws_diags: List[Diagnostic] = []
-    for strategy in strategies:
-        ws_diags.extend(check_workspace_trace(workspace_trace(plan, strategy)))
-    verdict.diagnostics.extend(ws_diags)
-    if not ws_diags:
-        verdict.proved.append(
-            "workspace: arena acquire/release balanced on normal and "
-            "exception edges for " + "/".join(strategies)
-        )
+    the verdict covers — by default every row of the strategy table.
+
+    The candidate verdict and the workspace traces are functions of the
+    plan alone: they are derived once per (plan, strategies) and kept on
+    the plan.  Every call returns a fresh verdict, which adds the env's
+    facts (``env_key``: ``analysis_env_key(env)``, if the caller has it)
+    from the plan's view of ``env``.
+    """
+    strategies = tuple(strategies)
+    base = plan._verdicts.get(strategies)
+    if base is None:
+        base = analyze_candidate(plan.candidate, name=plan.name)
+        ws_diags: List[Diagnostic] = []
+        for strategy in strategies:
+            ws_diags.extend(check_workspace_trace(workspace_trace(plan, strategy)))
+        base.diagnostics.extend(ws_diags)
+        if not ws_diags:
+            base.proved.append(
+                "workspace: arena acquire/release balanced on normal and "
+                "exception edges for " + "/".join(strategies)
+            )
+        plan._verdicts[strategies] = base
+    verdict = PlanVerdict(
+        target=base.target,
+        diagnostics=list(base.diagnostics),
+        proved=list(base.proved),
+        obligations=list(base.obligations),
+    )
     if env is not None:
-        verdict.env_key = analysis_env_key(env)
+        verdict.env_key = analysis_env_key(env) if env_key is None else env_key
         try:
-            estimate = float(plan.peak_memory_bytes(env))
+            estimate = float(plan.call_view(env, verdict.env_key).peak_bytes)
         except (GraniiAnalysisError, KeyError, ValueError) as exc:
             verdict.obligations.append(
                 f"peak-memory estimate unresolved under env: {exc}"

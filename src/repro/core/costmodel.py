@@ -8,6 +8,7 @@ count — exactly the additive approximation the paper uses.
 
 from __future__ import annotations
 
+import logging
 import threading
 from collections import OrderedDict
 from typing import Dict, Iterable, Optional, Sequence, Tuple
@@ -37,6 +38,8 @@ __all__ = [
     "save_cost_models",
     "train_cost_models",
 ]
+
+logger = logging.getLogger(__name__)
 
 # ----------------------------------------------------------------------
 # Runtime residuals (autotuner feedback)
@@ -210,8 +213,13 @@ class CostModelSet:
         call: KernelCall,
         graph_vec: np.ndarray,
         prices: Optional[Dict[tuple, float]] = None,
+        key: Optional[tuple] = None,
     ) -> float:
-        """Predicted execution time (seconds) of one invocation."""
+        """Predicted execution time (seconds) of one invocation.
+
+        ``key`` is ``call_key(call)`` when the caller already has it (a
+        plan's :class:`~repro.core.plan.CallView` keeps one per call).
+        """
         model = self._models.get(call.primitive)
         if model is None:
             raise KeyError(
@@ -220,7 +228,8 @@ class CostModelSet:
             )
         if prices is None:
             prices = self.prices(graph_vec.tobytes())
-        key = call_key(call)
+        if key is None:
+            key = call_key(call)
         base = prices.get(key)
         if base is None:
             feats = call_features(call, graph_vec)
@@ -345,11 +354,9 @@ def get_cost_models(
                     _COST_MODEL_CACHE[key] = load_cost_models(disk_path)
                     return _COST_MODEL_CACHE[key]
                 except Exception as exc:
-                    import logging
-
                     from ..state import quarantine
 
-                    logging.getLogger(__name__).warning(
+                    logger.warning(
                         "cost-model cache %s unreadable (%s); quarantining "
                         "and retraining",
                         disk_path,

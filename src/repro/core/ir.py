@@ -27,6 +27,7 @@ from ..errors import GraniiAnalysisError
 __all__ = [
     "Dim",
     "ShapeEnv",
+    "env_key",
     "Leaf",
     "MatMul",
     "Add",
@@ -57,6 +58,13 @@ class ShapeEnv(dict):
                 f"(bound symbols: {sorted(map(str, self))})"
             )
         return int(self[dim])
+
+
+def env_key(env: Optional[Dict]) -> Tuple:
+    """Canonical hashable key of a shape environment (``()`` for none)."""
+    if not env:
+        return ()
+    return tuple(sorted((str(k), int(v)) for k, v in env.items()))
 
 
 @dataclass(frozen=True)

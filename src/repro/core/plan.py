@@ -12,6 +12,13 @@ A :class:`Plan` is one promoted candidate made concrete:
 - **executors** — NumPy-mode (inference) and Tensor-mode (autograd)
   interpreters that actually run the composition.
 
+The calls are compiled once per plan, on its first pricing, into a
+template whose dims are still symbolic (``N``/``E``/``K1``/``K2``/``E@k``)
+and whose price-key layout is fixed; each shape env evaluates the
+template once into a :class:`CallView` (calls, price keys, SpMM subset,
+peak-memory bytes), and a plan keeps the views of the envs it priced most
+recently.  Neither rides along when a plan is pickled.
+
 Classification policy: a step is *setup* iff all its transitive inputs
 are graph leaves (adjacency, degree diagonal, ε) **and** it produces a
 sparse result — i.e. it materialises a reusable sparse matrix.  Dynamic
@@ -21,8 +28,10 @@ as message-passing frameworks execute them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -43,7 +52,7 @@ from ..kernels import (
     spmm_strategy,
     spmm_unweighted,
 )
-from ..kernels.registry import dispatch_kernel, transient_bytes
+from ..kernels.registry import dispatch_kernel, get_primitive, transient_bytes
 from ..sparse import CSRMatrix, DiagonalMatrix
 from ..tensor import Tensor
 from ..tensor import elu as t_elu
@@ -54,9 +63,11 @@ from ..tensor import sigmoid as t_sigmoid
 from ..tensor import spmm as t_spmm
 from ..tensor import spmm_edge as t_spmm_edge
 from .assoc import Candidate, Step
-from .ir import ShapeEnv
+from .ir import Dim, ShapeEnv, env_key
 
 __all__ = [
+    "CallList",
+    "CallView",
     "EdgeSparse",
     "KernelExecutionConfig",
     "LayerBinding",
@@ -136,6 +147,257 @@ def _resolve(env: ShapeEnv, dim) -> int:
     return env.resolve(dim)
 
 
+def _value_bytes(desc, sizes: "_Sizes") -> float:
+    if desc.attr == "dense":
+        return 8.0 * sizes[desc.shape[0]] * sizes[desc.shape[1]]
+    if desc.is_diagonal:
+        return 8.0 * sizes[desc.shape[0]]
+    # CSR: values + column indices + row pointer
+    return 16.0 * sizes[desc.nnz] + 8.0 * sizes[desc.shape[0]]
+
+
+# Shape envs one plan keeps resolved calls for, least recently priced
+# dropped first: the bound of the cost models' price memo
+# (``costmodel._PRICED_VECTORS``).  Compiled plans live as long as the
+# process, so without a bound every never-seen graph size would add a
+# view to every plan it prices, forever.
+_VIEWS_KEPT = 128
+# Guards every plan's view table for a lookup, a reorder, an insert and
+# an eviction; nothing is computed under it.
+_VIEWS_LOCK = threading.Lock()
+
+
+class _Sizes(dict):
+    """One shape env's sizes, each dim resolved on first use."""
+
+    __slots__ = ("env",)
+
+    def __init__(self, env) -> None:
+        super().__init__()
+        self.env = ShapeEnv(env)
+
+    def __missing__(self, dim) -> int:
+        size = self[dim] = _resolve(self.env, dim)
+        return size
+
+
+class _CallSpec(NamedTuple):
+    """One kernel call of a plan with its dims still symbolic.
+
+    The shape entries are kept in name order, the order
+    :func:`~repro.core.costmodel.call_key` sorts them into, so a resolved
+    call's price key is its shape's items as built: no sort.
+    """
+
+    primitive: str
+    tag: str
+    names: Tuple[str, ...]
+    dims: Tuple[Dim, ...]
+
+    @classmethod
+    def of(cls, primitive: str, tag: str, **dims: Dim) -> "_CallSpec":
+        get_primitive(primitive)  # validated once, when the template is built
+        names = tuple(sorted(dims))
+        return cls(primitive, tag, names, tuple(dims[name] for name in names))
+
+    def resolve(self, sizes: _Sizes) -> Tuple[tuple, KernelCall]:
+        """``(price key, call)`` under one env's sizes."""
+        items = tuple(zip(self.names, map(sizes.__getitem__, self.dims)))
+        return (
+            (self.primitive, items),
+            KernelCall(self.primitive, dict(items), tag=self.tag),
+        )
+
+
+class CallList(NamedTuple):
+    """Resolved kernel calls and their price keys, position for position
+    (each key is :func:`~repro.core.costmodel.call_key` of its call)."""
+
+    calls: List[KernelCall]
+    keys: List[tuple]
+
+
+def _call_list(pairs: Sequence[Tuple[tuple, KernelCall]]) -> CallList:
+    return CallList([call for _, call in pairs], [key for key, _ in pairs])
+
+
+class _CallTemplate:
+    """A plan's kernel calls with symbolic dims, derived once per plan.
+
+    Built on the plan's first pricing and evaluated once per shape env
+    into a :class:`CallView`.
+    """
+
+    def __init__(self, plan: "Plan") -> None:
+        self.steps = plan.steps
+        self.step_calls = [plan._step_calls(step) for step in plan.steps]
+        setup_outs = plan._setup_outs
+        self.setup = [i for i, s in enumerate(plan.steps) if s.out in setup_outs]
+        self.iteration = [
+            i for i, s in enumerate(plan.steps) if s.out not in setup_outs
+        ]
+        # graph leaves the degree pass prepares, and whether it runs per
+        # iteration (a leaf an iteration step reads) or once in setup
+        used_by_iter = {a for s in plan.iteration_steps for a in s.args}
+        used_at_all = {a for s in plan.steps for a in s.args}
+        self.prep_leaves = [
+            (leaf, leaf in used_by_iter)
+            for leaf in ("D", "Dm", "Ds") if leaf in used_at_all
+        ]
+        self._prep: Dict[str, Tuple[List[_CallSpec], List[_CallSpec]]] = {}
+        self.backward = self._backward_specs(plan)
+        # liveness for the peak-memory walk
+        self.last_use: Dict[str, int] = {}
+        leaf_descs = {}
+        for i, step in enumerate(plan.steps):
+            for arg, desc in zip(step.args, step.arg_descs):
+                self.last_use[arg] = i
+                leaf_descs[arg] = desc
+        self.leaf_descs = {
+            ref: desc for ref, desc in leaf_descs.items() if "(" not in ref
+        }
+
+    def _backward_specs(self, plan: "Plan") -> List[_CallSpec]:
+        """Per-iteration gradient kernels induced by the forward plan."""
+        specs: List[_CallSpec] = []
+        for i in self.iteration:
+            step = plan.steps[i]
+            p = step.primitive
+            # gemm: dA = dY·B^T and dB = A^T·dY; spmm: dX = A^T·dY;
+            # attention: softmax backward + logit scatter + score GEMV grads
+            copies = 2 if p == "gemm" else 1
+            for spec in self.step_calls[i]:
+                specs.extend([spec._replace(tag=f"bwd:{spec.tag}")] * copies)
+            if p in _SPMM_SEMIRINGS:
+                # plus dE (an SDDMM) when the sparse operand itself
+                # carries gradients (attention values)
+                sp = step.arg_descs[0]
+                if not plan._graph_only.get(sp.ref, sp.ref in GRAPH_LEAVES):
+                    specs.append(_CallSpec.of(
+                        "sddmm", f"bwd:{step.out}:dedge",
+                        m=sp.shape[0], nnz=sp.nnz, k=step.arg_descs[1].shape[1],
+                    ))
+        return specs
+
+    def prep(self, degree_method: str) -> Tuple[List[_CallSpec], List[_CallSpec]]:
+        """(setup, per-iteration) preparation calls for graph leaves."""
+        prep = self._prep.get(degree_method)
+        if prep is None:
+            setup: List[_CallSpec] = []
+            per_iter: List[_CallSpec] = []
+            for leaf, in_iter in self.prep_leaves:
+                (per_iter if in_iter else setup).extend((
+                    _CallSpec.of(
+                        f"degree_{degree_method}", f"prep:{leaf}:degree",
+                        m="N", nnz="E",
+                    ),
+                    _CallSpec.of("elementwise", f"prep:{leaf}:pow", m="N", k=1),
+                ))
+            prep = self._prep[degree_method] = (setup, per_iter)
+        return prep
+
+    def peak_bytes(self, sizes: _Sizes, step_calls) -> float:
+        """The liveness walk of :meth:`Plan.peak_memory_bytes`."""
+        live: Dict[str, float] = {
+            ref: _value_bytes(desc, sizes) for ref, desc in self.leaf_descs.items()
+        }
+        peak = total = sum(live.values())
+        for i, step in enumerate(self.steps):
+            workspace = 0.0
+            for _, call in step_calls[i]:
+                workspace += transient_bytes(call.primitive, call.shape)
+            out_bytes = _value_bytes(step.out_desc, sizes)
+            total += out_bytes
+            peak = max(peak, total + workspace)
+            # free intermediates whose last consumer is this step
+            for arg in step.args:
+                if "(" in arg and self.last_use.get(arg) == i and arg in live:
+                    total -= live.pop(arg)
+            live[step.out] = out_bytes
+        return peak
+
+
+class CallView:
+    """One plan's kernel calls resolved under one shape env.
+
+    Holds what selection reads: the forward setup and per-iteration calls
+    (per degree method), the backward calls, the SpMM subset and its
+    per-strategy variants, each with its calls' price keys, and the
+    peak-memory estimate.  The per-step calls are resolved when the view
+    is built, everything else on first use.
+    """
+
+    def __init__(self, template: _CallTemplate, env) -> None:
+        self._template = template
+        self._sizes = _Sizes(env)
+        self._steps = [
+            [spec.resolve(self._sizes) for spec in specs]
+            for specs in template.step_calls
+        ]
+        self._forward: Dict[str, Tuple[CallList, CallList]] = {}
+        self._backward: Optional[CallList] = None
+        self._spmm: Optional[CallList] = None
+        self._variants: Dict[str, Optional[CallList]] = {}
+        self._peak: Optional[float] = None
+
+    def forward(self, degree_method: str = "indptr") -> Tuple[CallList, CallList]:
+        """(setup, per-iteration) calls of the forward pass."""
+        fwd = self._forward.get(degree_method)
+        if fwd is None:
+            t = self._template
+            prep_setup, prep_iter = t.prep(degree_method)
+            setup = [spec.resolve(self._sizes) for spec in prep_setup]
+            per_iter = [spec.resolve(self._sizes) for spec in prep_iter]
+            setup.extend(pair for i in t.setup for pair in self._steps[i])
+            per_iter.extend(pair for i in t.iteration for pair in self._steps[i])
+            fwd = self._forward[degree_method] = (
+                _call_list(setup), _call_list(per_iter)
+            )
+        return fwd
+
+    @property
+    def backward(self) -> CallList:
+        """Per-iteration gradient calls."""
+        if self._backward is None:
+            self._backward = _call_list(
+                [spec.resolve(self._sizes) for spec in self._template.backward]
+            )
+        return self._backward
+
+    @property
+    def spmm(self) -> CallList:
+        """The per-iteration ``spmm``/``spmm_unweighted`` calls."""
+        if self._spmm is None:
+            self._spmm = _call_list([
+                pair
+                for i in self._template.iteration
+                for pair in self._steps[i]
+                if pair[1].primitive in _SPMM_SEMIRINGS
+            ])
+        return self._spmm
+
+    def variant(self, row) -> Optional[CallList]:
+        """The SpMM subset as strategy ``row`` prices it (None: unpriced)."""
+        if row.name not in self._variants:
+            spmm = self.spmm
+            prims = [row.priced_as(call.primitive) for call in spmm.calls]
+            self._variants[row.name] = None if None in prims else CallList(
+                [
+                    KernelCall(prim, dict(call.shape), tag=call.tag)
+                    for prim, call in zip(prims, spmm.calls)
+                ],
+                [(prim, key[1]) for prim, key in zip(prims, spmm.keys)],
+            )
+        return self._variants[row.name]
+
+    @property
+    def peak_bytes(self) -> float:
+        """Liveness-based peak resident bytes of one forward execution."""
+        if self._peak is None:
+            self._peak = self._template.peak_bytes(self._sizes, self._steps)
+        return self._peak
+
+
 class Plan:
     """One lowered candidate."""
 
@@ -167,8 +429,26 @@ class Plan:
         self._setup_outs = setup_outs
         self._iter_steps = [s for s in self.steps if s.out not in setup_outs]
         self._setup_steps = [s for s in self.steps if s.out in setup_outs]
-        self._calls_memo: Dict[tuple, Tuple[List[KernelCall], List[KernelCall]]] = {}
-        self._bwd_memo: Dict[tuple, List[KernelCall]] = {}
+        self.clear_memos()
+
+    def clear_memos(self) -> None:
+        """Forget everything derived from the plan on demand: the call
+        template, the per-env views, and planlint's env-free verdicts
+        (per strategy tuple; see ``repro.analysis.planlint.analyze_plan``)."""
+        self._template: Optional[_CallTemplate] = None
+        self._views: "OrderedDict[Tuple, CallView]" = OrderedDict()
+        self._verdicts: Dict[Tuple[str, ...], object] = {}
+
+    def __getstate__(self):
+        # the memos are rebuilt on demand: none rides in a snapshot
+        state = self.__dict__.copy()
+        for name in ("_template", "_views", "_verdicts"):
+            state.pop(name, None)
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self.clear_memos()
 
     # ------------------------------------------------------------------
     def _taint_graph_only(self) -> Dict[str, bool]:
@@ -202,180 +482,108 @@ class Plan:
     # ------------------------------------------------------------------
     # Kernel-call expansion
     # ------------------------------------------------------------------
-    def _step_calls(self, step: Step, env: ShapeEnv) -> List[KernelCall]:
+    def _step_calls(self, step: Step) -> List[_CallSpec]:
         p = step.primitive
         descs = step.arg_descs
         out = step.out_desc
-        n_rows = _resolve(env, out.shape[0])
+        n_rows = out.shape[0]
         if p == "gemm":
             a, b = descs
-            return [KernelCall("gemm", {
-                "m": _resolve(env, a.shape[0]),
-                "k": _resolve(env, a.shape[1]),
-                "n": _resolve(env, b.shape[1]),
-            }, tag=step.out)]
+            return [_CallSpec.of(
+                "gemm", step.out, m=a.shape[0], k=a.shape[1], n=b.shape[1]
+            )]
         if p in ("spmm", "spmm_unweighted"):
             sp, dn = descs
-            return [KernelCall(p, {
-                "m": _resolve(env, sp.shape[0]),
-                "nnz": _resolve(env, sp.nnz),
-                "k": _resolve(env, dn.shape[1]),
-            }, tag=step.out)]
+            return [_CallSpec.of(
+                p, step.out, m=sp.shape[0], nnz=sp.nnz, k=dn.shape[1]
+            )]
         if p == "sddmm_diag":
             sp = next(d for d in descs if d.is_sparse_matrix)
-            return [KernelCall("sddmm_diag", {
-                "m": n_rows, "nnz": _resolve(env, sp.nnz),
-            }, tag=step.out)]
+            return [_CallSpec.of("sddmm_diag", step.out, m=n_rows, nnz=sp.nnz)]
         if p == "diag_mul":
-            return [KernelCall("diag_mul", {"m": n_rows}, tag=step.out)]
+            return [_CallSpec.of("diag_mul", step.out, m=n_rows)]
         if p == "spadd_diag":
             sp = next(d for d in descs if d.is_sparse_matrix)
-            return [KernelCall("spadd_diag", {
-                "m": n_rows, "nnz": _resolve(env, sp.nnz),
-            }, tag=step.out)]
+            return [_CallSpec.of("spadd_diag", step.out, m=n_rows, nnz=sp.nnz)]
         if p == "spgemm":
             lhs, rhs = descs
-            return [KernelCall("spgemm", {
-                "m": n_rows,
-                "nnz": _resolve(env, lhs.nnz),
-                "nnz_rhs": _resolve(env, rhs.nnz),
-                "nnz_out": _resolve(env, out.nnz),
-            }, tag=step.out)]
+            return [_CallSpec.of(
+                "spgemm", step.out,
+                m=n_rows, nnz=lhs.nnz, nnz_rhs=rhs.nnz, nnz_out=out.nnz,
+            )]
         if p == "row_broadcast":
             _, dn = descs
-            return [KernelCall("row_broadcast", {
-                "m": _resolve(env, dn.shape[0]),
-                "k": _resolve(env, dn.shape[1]),
-            }, tag=step.out)]
+            return [_CallSpec.of(
+                "row_broadcast", step.out, m=dn.shape[0], k=dn.shape[1]
+            )]
         if p == "elementwise":
-            k_cols = _resolve(env, out.shape[1]) if out.attr == "dense" else 1
+            k_cols = out.shape[1] if out.attr == "dense" else 1
             copies = max(1, len(descs) - 1)
-            return [
-                KernelCall("elementwise", {"m": n_rows, "k": k_cols}, tag=step.out)
-                for _ in range(copies)
-            ]
+            return [_CallSpec.of("elementwise", step.out, m=n_rows, k=k_cols)] * copies
         if p == "attention":
             pattern, theta = descs
-            n = _resolve(env, pattern.shape[0])
-            nnz = _resolve(env, pattern.nnz)
-            k = _resolve(env, theta.shape[1])
+            n, nnz, k = pattern.shape[0], pattern.nnz, theta.shape[1]
             return [
-                KernelCall("gemm", {"m": n, "k": k, "n": 1}, tag=f"{step.out}:score_l"),
-                KernelCall("gemm", {"m": n, "k": k, "n": 1}, tag=f"{step.out}:score_r"),
-                KernelCall("gsddmm_attn", {"m": n, "nnz": nnz}, tag=f"{step.out}:logits"),
-                KernelCall("edge_softmax", {"m": n, "nnz": nnz}, tag=f"{step.out}:softmax"),
+                _CallSpec.of("gemm", f"{step.out}:score_l", m=n, k=k, n=1),
+                _CallSpec.of("gemm", f"{step.out}:score_r", m=n, k=k, n=1),
+                _CallSpec.of("gsddmm_attn", f"{step.out}:logits", m=n, nnz=nnz),
+                _CallSpec.of("edge_softmax", f"{step.out}:softmax", m=n, nnz=nnz),
             ]
         if p == "fused_attn_spmm":
             pattern, theta, value = descs
-            n = _resolve(env, pattern.shape[0])
-            nnz = _resolve(env, pattern.nnz)
-            k_theta = _resolve(env, theta.shape[1])
-            k_value = _resolve(env, value.shape[1])
+            n, nnz = pattern.shape[0], pattern.nnz
             # the per-node attention scores stay as two thin GEMVs; the
             # logits + softmax + aggregation run as one fused kernel
             return [
-                KernelCall("gemm", {"m": n, "k": k_theta, "n": 1}, tag=f"{step.out}:score_l"),
-                KernelCall("gemm", {"m": n, "k": k_theta, "n": 1}, tag=f"{step.out}:score_r"),
-                KernelCall(
-                    "fused_attn_spmm", {"m": n, "nnz": nnz, "k": k_value},
-                    tag=f"{step.out}:fused",
+                _CallSpec.of("gemm", f"{step.out}:score_l", m=n, k=theta.shape[1], n=1),
+                _CallSpec.of("gemm", f"{step.out}:score_r", m=n, k=theta.shape[1], n=1),
+                _CallSpec.of(
+                    "fused_attn_spmm", f"{step.out}:fused",
+                    m=n, nnz=nnz, k=value.shape[1],
                 ),
             ]
         raise KeyError(f"no kernel expansion for primitive {p!r}")
 
-    def _leaf_prep_calls(
-        self, env: ShapeEnv, degree_method: str
-    ) -> Tuple[List[KernelCall], List[KernelCall]]:
-        """(setup, per-iteration) preparation calls for graph leaves."""
-        setup: List[KernelCall] = []
-        per_iter: List[KernelCall] = []
-        used_by_iter = {a for s in self._iter_steps for a in s.args}
-        used_at_all = {a for s in self.steps for a in s.args}
-        for diag_leaf in ("D", "Dm", "Ds"):
-            if diag_leaf in used_at_all:
-                n = env.resolve("N")
-                nnz = env.resolve("E")
-                degree = KernelCall(
-                    f"degree_{degree_method}", {"m": n, "nnz": nnz},
-                    tag=f"prep:{diag_leaf}:degree",
-                )
-                power = KernelCall(
-                    "elementwise", {"m": n, "k": 1}, tag=f"prep:{diag_leaf}:pow"
-                )
-                target = per_iter if diag_leaf in used_by_iter else setup
-                target.extend([degree, power])
-        return setup, per_iter
+    def call_view(self, env: ShapeEnv, key: Optional[Tuple] = None) -> CallView:
+        """This plan's calls under ``env``; ``key`` is ``env_key(env)``
+        when the caller already has it.
+
+        The template is derived on the first call, and one view is kept
+        per env for the :data:`_VIEWS_KEPT` envs priced most recently.
+        """
+        if key is None:
+            key = env_key(env)
+        views = self._views
+        with _VIEWS_LOCK:
+            view = views.get(key)
+            if view is not None:
+                views.move_to_end(key)
+                return view
+        template = self._template
+        if template is None:
+            template = self._template = _CallTemplate(self)
+        view = CallView(template, env)
+        with _VIEWS_LOCK:
+            view = views.setdefault(key, view)
+            views.move_to_end(key)
+            while len(views) > _VIEWS_KEPT:
+                views.popitem(last=False)
+        return view
 
     def kernel_calls(
         self, env: ShapeEnv, degree_method: str = "indptr"
     ) -> Tuple[List[KernelCall], List[KernelCall]]:
         """(setup_calls, per_iteration_calls) of the forward pass."""
-        memo_key = (tuple(sorted(env.items())), degree_method)
-        cached = self._calls_memo.get(memo_key)
-        if cached is not None:
-            return cached
-        setup, per_iter = self._leaf_prep_calls(env, degree_method)
-        for step in self._setup_steps:
-            setup.extend(self._step_calls(step, env))
-        for step in self._iter_steps:
-            per_iter.extend(self._step_calls(step, env))
-        self._calls_memo[memo_key] = (setup, per_iter)
-        return setup, per_iter
+        setup, per_iter = self.call_view(env).forward(degree_method)
+        return setup.calls, per_iter.calls
 
     def backward_calls(self, env: ShapeEnv) -> List[KernelCall]:
         """Per-iteration gradient kernels induced by this forward plan."""
-        memo_key = tuple(sorted(env.items()))
-        cached = self._bwd_memo.get(memo_key)
-        if cached is not None:
-            return cached
-        calls: List[KernelCall] = []
-        for step in self._iter_steps:
-            p = step.primitive
-            fwd = self._step_calls(step, env)
-            if p == "gemm":
-                # dA = dY·B^T and dB = A^T·dY
-                calls.extend(
-                    KernelCall("gemm", dict(c.shape), tag=f"bwd:{c.tag}")
-                    for c in fwd for _ in range(2)
-                )
-            elif p in ("spmm", "spmm_unweighted"):
-                # dX = A^T·dY; plus dE (an SDDMM) when the sparse operand
-                # itself carries gradients (attention values).
-                calls.extend(
-                    KernelCall(p, dict(c.shape), tag=f"bwd:{c.tag}") for c in fwd
-                )
-                sp = step.arg_descs[0]
-                if not self._graph_only.get(sp.ref, sp.ref in GRAPH_LEAVES):
-                    calls.append(KernelCall("sddmm", {
-                        "m": _resolve(env, sp.shape[0]),
-                        "nnz": _resolve(env, sp.nnz),
-                        "k": _resolve(env, step.arg_descs[1].shape[1]),
-                    }, tag=f"bwd:{step.out}:dedge"))
-            elif p == "attention":
-                # softmax backward + logit scatter + score GEMV grads
-                calls.extend(
-                    KernelCall(c.primitive, dict(c.shape), tag=f"bwd:{c.tag}")
-                    for c in fwd
-                )
-            else:
-                calls.extend(
-                    KernelCall(c.primitive, dict(c.shape), tag=f"bwd:{c.tag}")
-                    for c in fwd
-                )
-        self._bwd_memo[memo_key] = calls
-        return calls
+        return self.call_view(env).backward.calls
 
     # ------------------------------------------------------------------
     # Memory accounting
     # ------------------------------------------------------------------
-    def _value_bytes(self, desc, env: ShapeEnv) -> float:
-        if desc.attr == "dense":
-            return 8.0 * _resolve(env, desc.shape[0]) * _resolve(env, desc.shape[1])
-        if desc.is_diagonal:
-            return 8.0 * _resolve(env, desc.shape[0])
-        # CSR: values + column indices + row pointer
-        return 16.0 * _resolve(env, desc.nnz) + 8.0 * _resolve(env, desc.shape[0])
-
     def peak_memory_bytes(self, env: ShapeEnv) -> float:
         """Liveness-based peak resident bytes of one forward execution.
 
@@ -386,35 +594,7 @@ class Plan:
         Figure 8 leaves cells empty where baselines ran out of memory;
         this estimate is what lets the runtime select around such cells.
         """
-        last_use: Dict[str, int] = {}
-        for i, step in enumerate(self.steps):
-            for arg in step.args:
-                last_use[arg] = i
-        leaf_descs = {}
-        for step in self.steps:
-            for arg, desc in zip(step.args, step.arg_descs):
-                leaf_descs[arg] = desc
-        # resident leaves: everything ever referenced
-        live: Dict[str, float] = {
-            ref: self._value_bytes(desc, env)
-            for ref, desc in leaf_descs.items()
-            if "(" not in ref  # leaves only; intermediates added as produced
-        }
-        peak = total = sum(live.values())
-        for i, step in enumerate(self.steps):
-            workspace = 0.0
-            s_calls = self._step_calls(step, env)
-            for call in s_calls:
-                workspace += transient_bytes(call.primitive, call.shape)
-            out_bytes = self._value_bytes(step.out_desc, env)
-            total += out_bytes
-            peak = max(peak, total + workspace)
-            # free intermediates whose last consumer is this step
-            for arg in step.args:
-                if "(" in arg and last_use.get(arg) == i and arg in live:
-                    total -= live.pop(arg)
-            live[step.out] = out_bytes
-        return peak
+        return self.call_view(env).peak_bytes
 
     # ------------------------------------------------------------------
     # Execution

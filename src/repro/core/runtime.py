@@ -29,7 +29,11 @@ What is remembered between calls, and where:
   only a repeat submission of the same object skips it;
 - base cost-model predictions, per graph vector, in the model set's
   bounded memo (:meth:`CostModelSet.prices`); one selection prices each
-  distinct (primitive, shape) call of its candidates once.
+  distinct (primitive, shape) call of its candidates once;
+- each plan's kernel calls, as a template per plan and a bounded table of
+  views per shape env (:meth:`Plan.call_view`), and planlint's env-free
+  verdict per (plan, strategies): a repeat selection on the same sizes
+  sums memoised prices over the view's keys and re-derives no plan.
 
 Nothing is kept on the engine.
 """
@@ -48,16 +52,11 @@ from .. import config
 from ..framework import MPGraph, get_system
 from ..graphs import Graph
 from ..hardware import get_device
-from ..kernels import (
-    SPMM_STRATEGIES,
-    SPMM_STRATEGY_TABLE,
-    KernelCall,
-    demotion_chain,
-)
+from ..kernels import SPMM_STRATEGIES, SPMM_STRATEGY_TABLE, demotion_chain
 from ..tensor import Tensor
 from .bindings import model_ir_kwargs, model_ir_name
 from .codegen import CompiledModel, PlannedCandidate, cached_model, compile_model
-from .costmodel import CostModelSet, call_key, get_cost_models
+from .costmodel import CostModelSet, get_cost_models
 from .features import inspect_graph, known_inspection
 from .guard import (
     CircuitBreaker,
@@ -67,8 +66,8 @@ from .guard import (
     execute_plan,
     reference_forward,
 )
-from .ir import ShapeEnv
-from .plan import Plan
+from .ir import ShapeEnv, env_key
+from .plan import CallList, Plan
 
 __all__ = ["SelectionReport", "OptimizationReport", "GraniiEngine"]
 
@@ -327,47 +326,65 @@ class GraniiEngine:
         plans: Sequence[Plan],
         env: ShapeEnv,
         graph_vec: np.ndarray,
+        env_key: Optional[Tuple] = None,
     ) -> List[float]:
         """:meth:`predict_plan_cost` of several plans for one input.
 
         Candidates of one model are re-associations of the same
         primitives, so most of their calls coincide: each distinct
         (primitive, shape) is priced once and every plan sums its own
-        calls in its own order.
+        calls in its own order.  The calls and their price keys come from
+        each plan's view of ``env`` (``env_key``: its key, if known).
         """
-        models = self.cost_models
-        prices = models.prices(graph_vec.tobytes())
-        eff = self.system.efficiency
+        prices = self.cost_models.prices(graph_vec.tobytes())
         seconds: Dict[tuple, float] = {}
-
-        def total(calls) -> float:
-            out = 0.0
-            for call in calls:
-                key = call_key(call)
-                t = seconds.get(key)
-                if t is None:
-                    t = models.predict_call(call, graph_vec, prices) * eff(call)
-                    seconds[key] = t
-                out += t
-            return out
-
         costs = []
         for plan in plans:
-            setup, per_iter = plan.kernel_calls(env, self.system.degree_method)
-            cost = total(per_iter)
+            view = plan.call_view(env, env_key)
+            setup, per_iter = view.forward(self.system.degree_method)
+            cost = self._priced_total(per_iter, graph_vec, prices, seconds)
             if self.mode == "training":
-                cost += total(plan.backward_calls(env))
-            cost += total(setup) / max(self.iterations, 1)
+                cost += self._priced_total(
+                    view.backward, graph_vec, prices, seconds
+                )
+            cost += self._priced_total(
+                setup, graph_vec, prices, seconds
+            ) / max(self.iterations, 1)
             costs.append(cost)
         return costs
 
+    def _priced_total(
+        self,
+        priced: CallList,
+        graph_vec: np.ndarray,
+        prices: Dict[tuple, float],
+        seconds: Dict[tuple, float],
+    ) -> float:
+        """Predicted seconds of a call list, summed in order; ``seconds``
+        keeps each key's price for the rest of one selection."""
+        models = self.cost_models
+        eff = self.system.efficiency
+        out = 0.0
+        for call, key in zip(priced.calls, priced.keys):
+            t = seconds.get(key)
+            if t is None:
+                t = models.predict_call(call, graph_vec, prices, key) * eff(call)
+                seconds[key] = t
+            out += t
+        return out
+
     def select_spmm_strategy(
-        self, plan: Plan, env: ShapeEnv, graph_vec: np.ndarray
+        self,
+        plan: Plan,
+        env: ShapeEnv,
+        graph_vec: np.ndarray,
+        env_key: Optional[Tuple] = None,
     ) -> Tuple[str, Dict[str, float]]:
         """Pick the aggregation strategy for this (plan, graph) pairing.
 
         With ``spmm_strategy='auto'`` the plan's per-iteration
-        spmm/spmm_unweighted calls are re-priced under each
+        spmm/spmm_unweighted calls (the SpMM subset of the plan's view of
+        ``env``) are re-priced under each
         :data:`~repro.kernels.spmm.SPMM_STRATEGY_TABLE` row's cost-model
         primitive (a row without one is never auto-selected) and the
         cheapest wins — the same input-aware mechanism the paper applies
@@ -410,28 +427,24 @@ class GraniiEngine:
             return pinned, {}
         if self._cost_models is None:
             return "row_segment", {}
-        setup, per_iter = plan.kernel_calls(env, self.system.degree_method)
-        spmm_calls = [
-            c for c in per_iter if c.primitive in ("spmm", "spmm_unweighted")
-        ]
-        if not spmm_calls:
+        view = plan.call_view(env, env_key)
+        if not view.spmm.calls:
             return "row_segment", {}
-        eff = self.system.efficiency
-        models = self.cost_models
+        prices = self.cost_models.prices(graph_vec.tobytes())
+        seconds: Dict[tuple, float] = {}
         costs: Dict[str, float] = {}
         for row in SPMM_STRATEGY_TABLE:
-            if row.priced_as(spmm_calls[0].primitive) is None:
+            variant = view.variant(row)
+            if variant is None:
                 continue  # no cost primitive: reachable only when pinned
             if row.demotes_to is not None and self.breakers.is_open(
                 "spmm", row.name
             ):
                 continue
-            variant = [
-                KernelCall(row.priced_as(c.primitive), dict(c.shape), tag=c.tag)
-                for c in spmm_calls
-            ]
             try:
-                costs[row.name] = models.predict_calls(variant, graph_vec, eff)
+                costs[row.name] = self._priced_total(
+                    variant, graph_vec, prices, seconds
+                )
             except KeyError:
                 # model set predates these primitives; skip the strategy
                 continue
@@ -442,25 +455,24 @@ class GraniiEngine:
     ) -> SelectionReport:
         """Online stage: pick the cheapest viable composition (Figure 7)."""
         env = self.shape_env(graph, layer)
+        key = env_key(env)
         scenario = "in_ge_out" if env["K1"] >= env["K2"] else "in_lt_out"
         viable = compiled.viable(env["K1"], env["K2"])
         if not viable:  # pragma: no cover - pruning guarantees at least one
             raise RuntimeError("no viable composition")
         memory_filtered = 0
         if self.memory_limit_bytes is not None:
-            fitting = [
-                p for p in viable
-                if p.plan.peak_memory_bytes(env) <= self.memory_limit_bytes
-            ]
+            def peak(p: PlannedCandidate) -> float:
+                return p.plan.call_view(env, key).peak_bytes
+
+            fitting = [p for p in viable if peak(p) <= self.memory_limit_bytes]
             memory_filtered = len(viable) - len(fitting)
             if fitting:
                 viable = fitting
             else:
                 # nothing fits: degrade gracefully to the leanest plan
                 # rather than refusing to run (the baseline would OOM too)
-                viable = [
-                    min(viable, key=lambda p: p.plan.peak_memory_bytes(env))
-                ]
+                viable = [min(viable, key=peak)]
         if len(viable) > 1:
             # cost-model training is a one-time offline cost (paper §V);
             # force it here so it never pollutes the measured online overhead
@@ -478,7 +490,7 @@ class GraniiEngine:
             ranked = list(viable)
         else:
             costs = self.predict_plan_costs(
-                [p.plan for p in viable], env, graph_vec
+                [p.plan for p in viable], env, graph_vec, key
             )
             for p, c in zip(viable, costs):
                 predicted[f"{p.label}#{p.plan.name}"] = c
@@ -486,7 +498,7 @@ class GraniiEngine:
             ranked = [viable[int(i)] for i in order]
             chosen = ranked[0]
         spmm_strategy, strategy_costs = self.select_spmm_strategy(
-            chosen.plan, env, graph_vec
+            chosen.plan, env, graph_vec, key
         )
         if config.autotune_enabled():
             from .autotune import autotune_selection
@@ -507,7 +519,8 @@ class GraniiEngine:
         from ..analysis.planlint import analyze_plan
 
         verdict = analyze_plan(
-            chosen.plan, env=env, strategies=demotion_chain(spmm_strategy)
+            chosen.plan, env=env, strategies=demotion_chain(spmm_strategy),
+            env_key=key,
         )
         peak = verdict.facts.get("peak_memory_bytes")  # already computed there
         return SelectionReport(
