@@ -176,11 +176,25 @@ def call_key(call: KernelCall) -> tuple:
     return (call.primitive, tuple(sorted(call.shape.items())))
 
 
+# Layout of a saved model set (:meth:`CostModelSet.to_dict`).  A payload in
+# any other layout — the row-per-node files of format 1 included — is
+# unreadable, so its file is quarantined and the models retrained.
+_FORMAT = 2
+
+
 class CostModelSet:
     """Per-primitive regressors for one device."""
 
-    def __init__(self, device_name: str, models: Dict[str, GradientBoostedTrees]) -> None:
+    def __init__(
+        self,
+        device_name: str,
+        models: Dict[str, GradientBoostedTrees],
+        scale: Optional[str] = None,
+    ) -> None:
         self.device_name = device_name
+        # the profiling pool the models were trained on
+        # (:attr:`ProfileDataset.scale`); None for caller-chosen graphs
+        self.scale = scale
         self._models = models
         # graph-vector bytes -> {call key -> base seconds}
         self._memo: "OrderedDict[bytes, Dict[tuple, float]]" = OrderedDict()
@@ -189,6 +203,46 @@ class CostModelSet:
     @property
     def primitives(self) -> Tuple[str, ...]:
         return tuple(sorted(self._models))
+
+    def to_dict(self) -> dict:
+        """JSON-serialisable form: device, scale and each primitive's
+        ensemble (trees as node columns, :mod:`repro.learn.tree`)."""
+        return {
+            "format": _FORMAT,
+            "device": self.device_name,
+            "scale": self.scale,
+            "models": {name: m.to_dict() for name, m in self._models.items()},
+        }
+
+    @classmethod
+    def from_dict(
+        cls, data: dict, device: Optional[str] = None, scale: Optional[str] = None
+    ) -> "CostModelSet":
+        """Rebuild a set saved by :meth:`to_dict`.
+
+        With ``device`` / ``scale``, a payload trained for another device
+        or scale is refused like an unreadable one (``ValueError``).
+        """
+        if data.get("format") != _FORMAT:
+            raise ValueError(
+                f"cost-model format {data.get('format')!r} != {_FORMAT}"
+            )
+        if device is not None and str(data["device"]).lower() != device.lower():
+            raise ValueError(
+                f"cost models for device {data['device']!r}, wanted {device!r}"
+            )
+        if scale is not None and data["scale"] != scale:
+            raise ValueError(
+                f"cost models for scale {data['scale']!r}, wanted {scale!r}"
+            )
+        return cls(
+            data["device"],
+            {
+                name: GradientBoostedTrees.from_dict(model)
+                for name, model in data["models"].items()
+            },
+            scale=data["scale"],
+        )
 
     def prices(self, vec_bytes: bytes) -> Dict[tuple, float]:
         """The base predictions made so far against one graph vector.
@@ -265,7 +319,12 @@ def train_cost_models(
     scale: str = "default",
     seed: int = 0,
 ) -> CostModelSet:
-    """Fit one GBT per primitive from profiled data (paper §V)."""
+    """Fit one GBT per primitive from profiled data (paper §V).
+
+    ``scale`` picks the profiled pool when no ``dataset`` is given; the
+    set's :attr:`CostModelSet.scale` is the dataset's, so models fitted
+    on caller-chosen graphs carry no scale.
+    """
     if dataset is None:
         dataset = collect_profile(device, scale=scale)
     models: Dict[str, GradientBoostedTrees] = {}
@@ -288,7 +347,7 @@ def train_cost_models(
         eval_set = (x[val_idx], y[val_idx]) if val_idx.size else None
         model.fit(x[train_idx], y[train_idx], eval_set=eval_set)
         models[primitive] = model
-    return CostModelSet(device.name, models)
+    return CostModelSet(device.name, models, scale=dataset.scale)
 
 
 def save_cost_models(models: CostModelSet, path) -> None:
@@ -300,30 +359,24 @@ def save_cost_models(models: CostModelSet, path) -> None:
     import json
     from pathlib import Path
 
-    payload = {
-        "device": models.device_name,
-        "models": {name: m.to_dict() for name, m in models._models.items()},
-    }
     # tmp + fsync + rename: a crash mid-save leaves the previous intact
     # file, never a truncated one that poisons the next start
     from ..state import atomic_write_text
 
-    atomic_write_text(Path(path), json.dumps(payload))
+    atomic_write_text(Path(path), json.dumps(models.to_dict()))
 
 
-def load_cost_models(path) -> CostModelSet:
-    """Load a CostModelSet saved with :func:`save_cost_models`."""
+def load_cost_models(
+    path, device: Optional[str] = None, scale: Optional[str] = None
+) -> CostModelSet:
+    """Load a CostModelSet saved with :func:`save_cost_models`; see
+    :meth:`CostModelSet.from_dict` for ``device`` and ``scale``."""
     import json
     from pathlib import Path
 
-    from ..learn import GradientBoostedTrees
-
-    payload = json.loads(Path(path).read_text())
-    models = {
-        name: GradientBoostedTrees.from_dict(data)
-        for name, data in payload["models"].items()
-    }
-    return CostModelSet(payload["device"], models)
+    return CostModelSet.from_dict(
+        json.loads(Path(path).read_text()), device=device, scale=scale
+    )
 
 
 _COST_MODEL_CACHE: Dict[Tuple[str, str], CostModelSet] = {}
@@ -338,7 +391,9 @@ def get_cost_models(
     profiles the training pool and fits the models; later calls reuse
     them.  With ``cache_dir``, trained models additionally persist to (and
     reload from) ``<cache_dir>/costmodels_<device>_<scale>.json`` across
-    processes.
+    processes.  The file's name is not trusted: a file whose payload is
+    for another device or scale (or in an old layout) is unreadable —
+    quarantined, then retrained.
     """
     key = (device_name.lower(), scale)
     if key not in _COST_MODEL_CACHE:
@@ -351,7 +406,9 @@ def get_cost_models(
                 # a truncated/corrupt cache file (crash mid-write by an
                 # older version, disk fault) costs a retrain, not a crash
                 try:
-                    _COST_MODEL_CACHE[key] = load_cost_models(disk_path)
+                    _COST_MODEL_CACHE[key] = load_cost_models(
+                        disk_path, device=key[0], scale=scale
+                    )
                     return _COST_MODEL_CACHE[key]
                 except Exception as exc:
                     from ..state import quarantine

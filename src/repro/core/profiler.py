@@ -44,10 +44,15 @@ DEFAULT_SIZES = (32, 64, 128, 256, 512, 1024, 2048)
 
 @dataclass
 class ProfileDataset:
-    """Per-primitive (features, log-time) training data."""
+    """Per-primitive (features, log-time) training data.
+
+    ``scale`` names the training pool profiled (``training_graphs``);
+    None when the caller chose the graphs.
+    """
 
     features: Dict[str, List[np.ndarray]] = field(default_factory=dict)
     log_times: Dict[str, List[float]] = field(default_factory=dict)
+    scale: Optional[str] = None
 
     def add(self, primitive: str, feats: np.ndarray, seconds: float) -> None:
         self.features.setdefault(primitive, []).append(feats)
@@ -107,9 +112,10 @@ def collect_profile(
     scale: str = "default",
 ) -> ProfileDataset:
     """Profile all primitives on the training pool for one device."""
+    dataset = ProfileDataset()
     if graphs is None:
         graphs = training_graphs(scale=scale)
-    dataset = ProfileDataset()
+        dataset.scale = scale
     for graph in graphs:
         stats = GraphStats.from_graph(graph)
         graph_vec = featurize_graph(graph)

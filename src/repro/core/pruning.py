@@ -69,36 +69,40 @@ class _Instance:
     dims: Tuple
 
 
-def _instances(candidate: Candidate) -> List[_Instance]:
+def _step_instances(step: Step) -> List[_Instance]:
+    """The cost instances one step contributes, in order."""
+    p = step.primitive
+    descs = step.arg_descs
+    od = step.out_desc
     out: List[_Instance] = []
-    for step in candidate.ordered_steps():
-        p = step.primitive
-        descs = step.arg_descs
-        od = step.out_desc
-        if p == "gemm":
-            dims = (descs[0].shape[0], descs[0].shape[1], descs[1].shape[1])
-        elif p in ("spmm", "spmm_unweighted"):
-            dims = (descs[0].nnz, descs[1].shape[1])
-        elif p in ("sddmm_diag", "spadd_diag"):
-            dims = (next(d for d in descs if d.is_sparse_matrix).nnz,)
-        elif p == "diag_mul":
-            dims = (od.shape[0],)
-        elif p == "row_broadcast":
-            dims = (descs[1].shape[0], descs[1].shape[1])
-        elif p == "elementwise":
-            cols = od.shape[1] if od.attr == "dense" else 1
-            dims = (od.shape[0], cols)
-            out.extend(_Instance(p, dims) for _ in range(max(0, len(descs) - 2)))
-        elif p == "attention":
-            dims = (descs[0].nnz, descs[1].shape[1])
-        elif p == "fused_attn_spmm":
-            dims = (descs[0].nnz, descs[2].shape[1])
-        elif p == "spgemm":
-            dims = (descs[0].nnz, descs[1].nnz, od.nnz)
-        else:
-            raise KeyError(f"no cost instance rule for {p!r}")
-        out.append(_Instance(p, dims))
+    if p == "gemm":
+        dims = (descs[0].shape[0], descs[0].shape[1], descs[1].shape[1])
+    elif p in ("spmm", "spmm_unweighted"):
+        dims = (descs[0].nnz, descs[1].shape[1])
+    elif p in ("sddmm_diag", "spadd_diag"):
+        dims = (next(d for d in descs if d.is_sparse_matrix).nnz,)
+    elif p == "diag_mul":
+        dims = (od.shape[0],)
+    elif p == "row_broadcast":
+        dims = (descs[1].shape[0], descs[1].shape[1])
+    elif p == "elementwise":
+        cols = od.shape[1] if od.attr == "dense" else 1
+        dims = (od.shape[0], cols)
+        out.extend(_Instance(p, dims) for _ in range(max(0, len(descs) - 2)))
+    elif p == "attention":
+        dims = (descs[0].nnz, descs[1].shape[1])
+    elif p == "fused_attn_spmm":
+        dims = (descs[0].nnz, descs[2].shape[1])
+    elif p == "spgemm":
+        dims = (descs[0].nnz, descs[1].nnz, od.nnz)
+    else:
+        raise KeyError(f"no cost instance rule for {p!r}")
+    out.append(_Instance(p, dims))
     return out
+
+
+def _instances(candidate: Candidate) -> List[_Instance]:
+    return [i for step in candidate.ordered_steps() for i in _step_instances(step)]
 
 
 def cost_signature(candidate: Candidate):
@@ -208,16 +212,40 @@ def prune_candidates(
                 diagnostics=verdict.diagnostics,
             )
         candidates = legal
-    # 1. collapse cost-equivalent duplicates
-    by_sig: Dict[object, Candidate] = {}
-    for cand in sorted(candidates, key=lambda c: (len(c.steps), c.describe())):
-        sig = cost_signature(cand)
-        by_sig.setdefault(sig, cand)
-    distinct = list(by_sig.values())
-    instances = [_instances(c) for c in distinct]
-    # instances as indices into one table, so ≤ is a lookup in the search
+    # Per-step work is shared across trees (keyed by step identity, for
+    # this call only; each entry holds its step, so no id is reused): a
+    # step's description and instance codes.  Codes number the distinct
+    # instances, so a tree's cost signature is its sorted code tuple and
+    # ≤ is a table lookup in the search.
+    step_work: Dict[int, Tuple[Step, str, Tuple[int, ...]]] = {}
     codes: Dict[_Instance, int] = {}
-    coded = [[codes.setdefault(i, len(codes)) for i in insts] for insts in instances]
+    keyed = []
+    for cand in candidates:
+        described: List[str] = []
+        tree_codes: List[int] = []
+        # the dependency order, once: the sort key and the instances walk it
+        for step in cand.ordered_steps():
+            work = step_work.get(id(step))
+            if work is None:
+                work = step_work[id(step)] = (
+                    step,
+                    step.describe(),
+                    tuple(
+                        codes.setdefault(i, len(codes))
+                        for i in _step_instances(step)
+                    ),
+                )
+            described.append(work[1])
+            tree_codes.extend(work[2])
+        keyed.append(((len(cand.steps), " ; ".join(described)), cand, tree_codes))
+    # 1. collapse cost-equivalent duplicates
+    by_sig: Dict[Tuple[int, ...], Tuple[Candidate, List[int]]] = {}
+    for _, cand, tree_codes in sorted(keyed, key=lambda entry: entry[0]):
+        by_sig.setdefault(tuple(sorted(tree_codes)), (cand, tree_codes))
+    distinct = [cand for cand, _ in by_sig.values()]
+    coded = [c for _, c in by_sig.values()]
+    distinct_instances = list(codes)
+    primitive_of = [inst.primitive for inst in distinct_instances]
     # an injective same-primitive map needs at least as many instances of
     # every primitive on the big side: rejects most pairs without a search.
     # Candidates share a handful of primitive-count profiles, so the test
@@ -225,17 +253,16 @@ def prune_candidates(
     profile_ids: Dict[Tuple, int] = {}
     profile = [
         profile_ids.setdefault(
-            tuple(sorted(Counter(i.primitive for i in insts).items())),
+            tuple(sorted(Counter(primitive_of[i] for i in c).items())),
             len(profile_ids),
         )
-        for insts in instances
+        for c in coded
     ]
     counts = [dict(p) for p in profile_ids]
     fits = [
         [all(big.get(p, 0) >= c for p, c in small.items()) for big in counts]
         for small in counts
     ]
-    distinct_instances = list(codes)
     tables = {s: _order_tables(distinct_instances, s) for s in SCENARIOS}
 
     # 2. per-scenario domination

@@ -9,6 +9,7 @@ per (primitive, device) pair on profiled data.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -130,25 +131,32 @@ class GradientBoostedTrees:
         at itself (and tests feature 0, which then decides nothing), so
         trees shallower than ``depth`` idle at their leaf.
         """
-        feature, threshold, left, right, value, roots = [], [], [], [], [], []
-        for tree in self._trees:
-            first = len(feature)
-            roots.append(first)
-            for i, node in enumerate(tree._nodes):
-                leaf = node.feature < 0
-                feature.append(0 if leaf else node.feature)
-                threshold.append(node.threshold)
-                left.append(first + (i if leaf else node.left))
-                right.append(first + (i if leaf else node.right))
-                value.append(node.value)
+        columns = [tree.columns() for tree in self._trees]
+        sizes = [len(c[0]) for c in columns]
+        total = sum(sizes)
+
+        def stacked(field: int, dtype) -> np.ndarray:
+            values = chain.from_iterable(c[field] for c in columns)
+            return np.fromiter(values, dtype=dtype, count=total)
+
+        raw_feature = stacked(0, np.int64)
+        threshold = stacked(1, np.float64)
+        value = stacked(2, np.float64)
+        roots = np.cumsum([0] + sizes[:-1]).astype(np.int64)
+        first = np.repeat(roots, sizes)
+        leaf = raw_feature < 0
+        itself = np.arange(total, dtype=np.int64)
+        left = np.where(leaf, itself, first + stacked(3, np.int64))
+        right = np.where(leaf, itself, first + stacked(4, np.int64))
+        # the deepest tree: descend every tree's internal nodes level by level
+        depth, at = 0, roots[~leaf[roots]]
+        while at.size:
+            depth += 1
+            at = np.concatenate([left[at], right[at]])
+            at = at[~leaf[at]]
         return (
-            np.array(feature, dtype=np.int64),
-            np.array(threshold, dtype=np.float64),
-            np.array(left, dtype=np.int64),
-            np.array(right, dtype=np.int64),
-            np.array(value, dtype=np.float64),
-            np.array(roots, dtype=np.int64),
-            max(tree.depth for tree in self._trees),
+            np.where(leaf, 0, raw_feature), threshold, left, right, value,
+            roots, depth,
         )
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -9,23 +9,14 @@ per node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Tuple
 
 import numpy as np
 
-__all__ = ["RegressionTree"]
+__all__ = ["COLUMNS", "RegressionTree"]
 
-
-@dataclass
-class _Node:
-    """One tree node; leaves have ``feature == -1``."""
-
-    feature: int = -1
-    threshold: float = 0.0
-    value: float = 0.0
-    left: int = -1
-    right: int = -1
+# A saved tree: one list per node field, node ``i`` at position ``i``.
+COLUMNS = ("feature", "threshold", "value", "left", "right")
 
 
 class RegressionTree:
@@ -56,7 +47,17 @@ class RegressionTree:
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.min_gain = min_gain
-        self._nodes: List[_Node] = []
+        # the tree as five node columns (:data:`COLUMNS`); a leaf has
+        # feature -1 and children -1
+        self._feature: List[int] = []
+        self._threshold: List[float] = []
+        self._value: List[float] = []
+        self._left: List[int] = []
+        self._right: List[int] = []
+
+    def columns(self) -> Tuple[List, ...]:
+        """The tree as five per-field lists, in :data:`COLUMNS` order."""
+        return (self._feature, self._threshold, self._value, self._left, self._right)
 
     # ------------------------------------------------------------------
     def _best_split(self, x: np.ndarray, y: np.ndarray):
@@ -98,8 +99,12 @@ class RegressionTree:
         return best
 
     def _build(self, x: np.ndarray, y: np.ndarray, depth: int) -> int:
-        node_id = len(self._nodes)
-        self._nodes.append(_Node(value=float(y.mean())))
+        node_id = len(self._value)
+        self._feature.append(-1)
+        self._threshold.append(0.0)
+        self._value.append(float(y.mean()))
+        self._left.append(-1)
+        self._right.append(-1)
         if depth >= self.max_depth or y.shape[0] < 2 * self.min_samples_leaf:
             return node_id
         split = self._best_split(x, y)
@@ -109,11 +114,10 @@ class RegressionTree:
         mask = x[:, feature] <= threshold
         left = self._build(x[mask], y[mask], depth + 1)
         right = self._build(x[~mask], y[~mask], depth + 1)
-        node = self._nodes[node_id]
-        node.feature = feature
-        node.threshold = threshold
-        node.left = left
-        node.right = right
+        self._feature[node_id] = feature
+        self._threshold[node_id] = threshold
+        self._left[node_id] = left
+        self._right[node_id] = right
         return node_id
 
     # ------------------------------------------------------------------
@@ -124,73 +128,65 @@ class RegressionTree:
             raise ValueError("x must be (n, d) and y (n,)")
         if x.shape[0] == 0:
             raise ValueError("cannot fit on empty data")
-        self._nodes = []
+        (self._feature, self._threshold, self._value, self._left,
+         self._right) = [], [], [], [], []
         self._build(x, y, depth=0)
         return self
 
     def predict_one(self, x: np.ndarray) -> float:
         """Fast scalar prediction for a single feature vector."""
-        if not self._nodes:
+        feature, threshold, _, left, right = self.columns()
+        if not feature:
             raise RuntimeError("tree is not fitted")
-        node = self._nodes[0]
-        while node.feature >= 0:
-            node = self._nodes[
-                node.left if x[node.feature] <= node.threshold else node.right
-            ]
-        return node.value
+        i = 0
+        while feature[i] >= 0:
+            i = left[i] if x[feature[i]] <= threshold[i] else right[i]
+        return self._value[i]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        if not self._nodes:
+        if not self._feature:
             raise RuntimeError("tree is not fitted")
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[0] == 1:
             return np.array([self.predict_one(x[0])])
-        out = np.empty(x.shape[0])
+        feature = np.asarray(self._feature, dtype=np.int64)
+        threshold = np.asarray(self._threshold, dtype=np.float64)
+        left = np.asarray(self._left, dtype=np.int64)
+        right = np.asarray(self._right, dtype=np.int64)
         # iterative routing, vectorised level by level
         idx = np.zeros(x.shape[0], dtype=np.int64)
         active = np.arange(x.shape[0])
         while active.size:
-            nodes = idx[active]
-            feats = np.array([self._nodes[i].feature for i in nodes])
-            is_leaf = feats < 0
-            for pos in active[is_leaf]:
-                out[pos] = self._nodes[idx[pos]].value
-            active = active[~is_leaf]
-            if not active.size:
-                break
-            nodes = idx[active]
-            feats = np.array([self._nodes[i].feature for i in nodes])
-            thresholds = np.array([self._nodes[i].threshold for i in nodes])
-            go_left = x[active, feats] <= thresholds
-            lefts = np.array([self._nodes[i].left for i in nodes])
-            rights = np.array([self._nodes[i].right for i in nodes])
-            idx[active] = np.where(go_left, lefts, rights)
-        return out
+            active = active[feature[idx[active]] >= 0]
+            at = idx[active]
+            go_left = x[active, feature[at]] <= threshold[at]
+            idx[active] = np.where(go_left, left[at], right[at])
+        return np.asarray(self._value, dtype=np.float64)[idx]
 
     @property
     def num_nodes(self) -> int:
-        return len(self._nodes)
+        return len(self._value)
 
     @property
     def depth(self) -> int:
         """Actual depth of the fitted tree."""
-        if not self._nodes:
+        if not self._feature:
             return 0
+        feature, _, _, left, right = self.columns()
 
         def walk(i: int) -> int:
-            node = self._nodes[i]
-            if node.feature < 0:
+            if feature[i] < 0:
                 return 0
-            return 1 + max(walk(node.left), walk(node.right))
+            return 1 + max(walk(left[i]), walk(right[i]))
 
         return walk(0)
 
     def feature_importances(self, num_features: int) -> np.ndarray:
         """Split counts per feature (a cheap importance proxy)."""
         counts = np.zeros(num_features)
-        for node in self._nodes:
-            if node.feature >= 0:
-                counts[node.feature] += 1
+        for f in self._feature:
+            if f >= 0:
+                counts[f] += 1
         total = counts.sum()
         return counts / total if total else counts
 
@@ -198,16 +194,15 @@ class RegressionTree:
     # Serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-serialisable form of the fitted tree."""
-        return {
+        """JSON-serialisable form of the fitted tree: its hyper-parameters
+        plus the five node columns (:data:`COLUMNS`)."""
+        data = {
             "max_depth": self.max_depth,
             "min_samples_leaf": self.min_samples_leaf,
             "min_gain": self.min_gain,
-            "nodes": [
-                [n.feature, n.threshold, n.value, n.left, n.right]
-                for n in self._nodes
-            ],
         }
+        data.update((name, list(c)) for name, c in zip(COLUMNS, self.columns()))
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "RegressionTree":
@@ -216,8 +211,9 @@ class RegressionTree:
             min_samples_leaf=data["min_samples_leaf"],
             min_gain=data["min_gain"],
         )
-        tree._nodes = [
-            _Node(feature=f, threshold=t, value=v, left=l, right=r)
-            for f, t, v, l, r in data["nodes"]
-        ]
+        columns = [list(data[name]) for name in COLUMNS]
+        if len({len(c) for c in columns}) != 1:
+            raise ValueError("tree columns differ in length")
+        (tree._feature, tree._threshold, tree._value, tree._left,
+         tree._right) = columns
         return tree

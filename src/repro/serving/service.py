@@ -366,14 +366,13 @@ class GraniiService:
             if isinstance(payload, dict):
                 try:
                     from ..core.costmodel import CostModelSet
-                    from ..learn import GradientBoostedTrees
 
-                    self._cost_models = CostModelSet(
-                        payload["device"],
-                        {
-                            name: GradientBoostedTrees.from_dict(data)
-                            for name, data in payload["models"].items()
-                        },
+                    # a set handed in as ``cost_models=`` (fitted on
+                    # caller-chosen graphs) has no scale: it restores on
+                    # the device alone, as it was served before
+                    scale = self._scale if payload.get("scale") else None
+                    self._cost_models = CostModelSet.from_dict(
+                        payload, device=self._device, scale=scale
                     )
                     summary["cost_models"] = True
                 except Exception:
@@ -420,14 +419,7 @@ class GraniiService:
         models = self._cost_models or self._selector._cost_models
         if models is not None:
             paths["cost_models"] = self._store.save(
-                "cost_models",
-                {
-                    "device": models.device_name,
-                    "models": {
-                        name: m.to_dict()
-                        for name, m in models._models.items()
-                    },
-                },
+                "cost_models", models.to_dict()
             )
         return paths
 

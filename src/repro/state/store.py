@@ -40,8 +40,9 @@ __all__ = ["SCHEMA_VERSION", "StateStore", "atomic_write_text", "quarantine"]
 logger = logging.getLogger(__name__)
 
 # Bump on any incompatible envelope/payload layout change: old snapshots
-# are then quarantined and rebuilt instead of being misread.
-SCHEMA_VERSION = 1
+# are then quarantined and rebuilt instead of being misread.  2: cost
+# models save their trees as node columns.
+SCHEMA_VERSION = 2
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 

@@ -1,9 +1,11 @@
 """Serialization round-trips: trees, ensembles, cost-model sets."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.core import load_cost_models, save_cost_models, train_cost_models
+from repro.core import costmodel, load_cost_models, save_cost_models, train_cost_models
 from repro.core.costmodel import CostModelSet, get_cost_models, clear_cost_model_cache
 from repro.core.features import featurize_graph
 from repro.core.profiler import collect_profile
@@ -11,6 +13,7 @@ from repro.graphs import load, training_graphs
 from repro.hardware import get_device
 from repro.kernels import KernelCall
 from repro.learn import GradientBoostedTrees, RegressionTree
+from repro.learn.tree import COLUMNS
 
 
 class TestTreeSerialization:
@@ -63,6 +66,13 @@ def small_models():
     return train_cost_models(device, dataset, num_rounds=20)
 
 
+@pytest.fixture(scope="module")
+def small_scale_models(small_models):
+    """``small_models`` labelled as the small pool's set: they are fitted
+    on part of that pool, but chosen graphs carry no scale of their own."""
+    return CostModelSet(small_models.device_name, small_models._models, scale="small")
+
+
 class TestCostModelPersistence:
     def test_save_load_round_trip(self, small_models, tmp_path):
         path = tmp_path / "models.json"
@@ -76,13 +86,140 @@ class TestCostModelPersistence:
             small_models.predict_call(call, vec)
         )
 
-    def test_disk_cache_used(self, small_models, tmp_path):
+    def test_disk_cache_used(self, small_scale_models, tmp_path):
         # pre-seed the disk cache, clear memory, and verify the loader path
+        small_models = small_scale_models
         path = tmp_path / "costmodels_h100_small.json"
         save_cost_models(small_models, path)
         clear_cost_model_cache()
         try:
             loaded = get_cost_models("h100", scale="small", cache_dir=tmp_path)
             assert loaded.primitives == small_models.primitives
+            assert loaded.scale == "small"
+            assert not list(tmp_path.glob("*.corrupt.*"))  # loaded, not retrained
         finally:
             clear_cost_model_cache()  # leave no cross-test residue
+
+
+def probe_vectors(model, rng, rows=40):
+    """Random feature vectors wide enough for every split of ``model``."""
+    width = 1 + max(max(tree.columns()[0]) for tree in model._trees)
+    return rng.standard_normal((rows, width)) * 4.0
+
+
+class TestCostModelFile:
+    def test_trees_save_as_five_columns(self, small_scale_models):
+        payload = small_scale_models.to_dict()
+        assert (payload["device"], payload["scale"]) == ("h100", "small")
+        for model in payload["models"].values():
+            for tree in model["trees"]:
+                assert set(COLUMNS) <= set(tree) and "nodes" not in tree
+                assert len({len(tree[c]) for c in COLUMNS}) == 1
+
+    def test_save_load_predictions_bitwise(self, small_models, tmp_path, rng):
+        path = tmp_path / "models.json"
+        save_cost_models(small_models, path)
+        restored = load_cost_models(path)
+        for name in small_models.primitives:
+            saved, loaded = small_models._models[name], restored._models[name]
+            x = probe_vectors(saved, rng)
+            for row in x:
+                assert loaded.predict_one(row) == saved.predict_one(row), name
+            assert loaded.predict(x).tobytes() == saved.predict(x).tobytes(), name
+
+    def test_load_then_predict_one_builds_nothing(self, small_models, tmp_path, rng):
+        # a loaded tree is the file's five columns; predict_one reads them
+        # (packed once) and the packed walk equals the tree-by-tree walk
+        path = tmp_path / "models.json"
+        save_cost_models(small_models, path)
+        model = load_cost_models(path)._models["spmm"]
+        for row in probe_vectors(model, rng):
+            walked = model._base
+            for tree in model._trees:
+                walked += model.learning_rate * tree.predict_one(row)
+            assert model.predict_one(row) == walked
+        assert set(vars(model._trees[0])) == {
+            "max_depth", "min_samples_leaf", "min_gain",
+            "_feature", "_threshold", "_value", "_left", "_right",
+        }
+
+    def test_load_refuses_another_device_or_scale(self, small_scale_models, tmp_path):
+        path = tmp_path / "models.json"
+        save_cost_models(small_scale_models, path)
+        assert load_cost_models(path, device="H100", scale="small").scale == "small"
+        with pytest.raises(ValueError, match="device"):
+            load_cost_models(path, device="cpu")
+        with pytest.raises(ValueError, match="scale"):
+            load_cost_models(path, scale="default")
+
+
+class TestCostModelCacheTrust:
+    """``get_cost_models(..., cache_dir=...)`` trusts the payload, not the
+    file name: the wrong device, scale or layout is retrained."""
+
+    @pytest.fixture
+    def retrain(self, small_models, monkeypatch):
+        """Stand-in training: records its calls, returns a fresh set."""
+        calls = []
+
+        def train(device, scale="default"):
+            calls.append((device.name, scale))
+            return CostModelSet(device.name, dict(small_models._models), scale=scale)
+
+        monkeypatch.setattr(costmodel, "train_cost_models", train)
+        clear_cost_model_cache()
+        yield calls
+        clear_cost_model_cache()
+
+    def test_models_for_another_device_and_scale_are_retrained(
+        self, small_scale_models, tmp_path, retrain
+    ):
+        # h100 / small models under the cpu / default file name
+        cache = tmp_path / "costmodels_cpu_default.json"
+        save_cost_models(small_scale_models, cache)
+        models = get_cost_models("cpu", cache_dir=tmp_path)
+        assert retrain == [("cpu", "default")]
+        assert (models.device_name, models.scale) == ("cpu", "default")
+        assert (tmp_path / "costmodels_cpu_default.json.corrupt.0").exists()
+        saved = json.loads(cache.read_text())
+        assert (saved["device"], saved["scale"]) == ("cpu", "default")
+
+    def test_models_for_another_scale_are_retrained(
+        self, small_scale_models, tmp_path, retrain
+    ):
+        save_cost_models(small_scale_models, tmp_path / "costmodels_h100_default.json")
+        models = get_cost_models("h100", cache_dir=tmp_path)
+        assert retrain == [("h100", "default")]
+        assert models.scale == "default"
+
+    def test_models_fitted_on_chosen_graphs_are_not_the_default_set(
+        self, small_models, tmp_path, retrain
+    ):
+        # fitted on caller-chosen graphs: no scale, whatever ``scale=`` says
+        device = get_device("h100")
+        dataset = collect_profile(device, graphs=training_graphs("small")[:1], sizes=(32,))
+        assert dataset.scale is None
+        assert train_cost_models(device, dataset, num_rounds=2, scale="default").scale is None
+        assert small_models.scale is None
+        save_cost_models(small_models, tmp_path / "costmodels_h100_default.json")
+        models = get_cost_models("h100", cache_dir=tmp_path)
+        assert retrain == [("h100", "default")]
+        assert models.scale == "default"
+        assert (tmp_path / "costmodels_h100_default.json.corrupt.0").exists()
+
+    def test_old_row_format_file_is_quarantined_and_retrained(
+        self, small_scale_models, tmp_path, retrain
+    ):
+        small_models = small_scale_models
+        old = small_models.to_dict()
+        del old["format"], old["scale"]
+        for model in old["models"].values():
+            for tree in model["trees"]:
+                tree["nodes"] = [list(row) for row in zip(*(tree.pop(c) for c in COLUMNS))]
+        cache = tmp_path / "costmodels_h100_small.json"
+        cache.write_text(json.dumps(old))
+        models = get_cost_models("h100", scale="small", cache_dir=tmp_path)
+        assert retrain == [("h100", "small")]
+        assert models.scale == "small"
+        assert (tmp_path / "costmodels_h100_small.json.corrupt.0").exists()
+        assert json.loads(cache.read_text())["format"] == small_models.to_dict()["format"]

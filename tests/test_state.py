@@ -6,6 +6,7 @@ checksum, and *any* damage costs a quarantine-and-cold-rebuild — never
 an exception at the call site.
 """
 
+import hashlib
 import json
 import os
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.costmodel import (
+    CostModelSet,
     clear_cost_model_cache,
     clear_runtime_residuals,
     export_runtime_residuals,
@@ -20,6 +22,7 @@ from repro.core.costmodel import (
     import_runtime_residuals,
     record_runtime_residual,
 )
+from repro.learn.tree import COLUMNS
 from repro.state import SCHEMA_VERSION, StateStore, atomic_write_text, quarantine
 
 
@@ -178,6 +181,7 @@ class TestCostModelDiskCache:
             assert (tmp_path / "costmodels_cpu_small.json.corrupt.0").exists()
             reloaded = json.loads(cache.read_text())
             assert "models" in reloaded
+            assert (reloaded["device"], reloaded["scale"]) == ("cpu", "small")
         finally:
             clear_cost_model_cache()
 
@@ -189,3 +193,76 @@ class TestCostModelDiskCache:
             clear_cost_model_cache()
         leftovers = [p.name for p in tmp_path.iterdir() if ".tmp" in p.name]
         assert leftovers == []
+
+
+class TestCostModelSnapshot:
+    """The service saves and restores cost models through the one
+    serialiser (``CostModelSet.to_dict`` / ``from_dict``)."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        return get_cost_models("h100", scale="small")
+
+    def service(self, tmp_path, **kwargs):
+        from repro.serving import GraniiService
+
+        kwargs.setdefault("device", "h100")
+        kwargs.setdefault("scale", "small")
+        return GraniiService(num_threads=1, state_dir=str(tmp_path), **kwargs)
+
+    def test_restore_goes_through_the_shared_loader(self, models, tmp_path, monkeypatch):
+        with self.service(tmp_path, cost_models=models) as svc:
+            svc.save_state()
+        saved = StateStore(tmp_path).load("cost_models")
+        assert saved == models.to_dict()
+
+        loads = []
+        real = CostModelSet.from_dict.__func__
+
+        def from_dict(cls, data, device=None, scale=None):
+            loads.append((device, scale))
+            return real(cls, data, device=device, scale=scale)
+
+        monkeypatch.setattr(CostModelSet, "from_dict", classmethod(from_dict))
+        with self.service(tmp_path) as svc2:
+            assert svc2.warm_start["cost_models"] is True
+            restored = svc2._cost_models
+        assert loads == [("h100", "small")]
+        assert restored.to_dict() == models.to_dict()
+
+    def test_old_schema_snapshot_restores_training_cold(self, models, tmp_path):
+        old = models.to_dict()
+        del old["format"], old["scale"]
+        for model in old["models"].values():
+            for tree in model["trees"]:
+                tree["nodes"] = [list(r) for r in zip(*(tree.pop(c) for c in COLUMNS))]
+        blob = json.dumps(old, sort_keys=True)
+        atomic_write_text(tmp_path / "cost_models.json", json.dumps({
+            "schema": 1,
+            "name": "cost_models",
+            "encoding": "json",
+            "checksum": hashlib.sha256(blob.encode()).hexdigest(),
+            "blob": blob,
+        }))
+        assert SCHEMA_VERSION != 1
+        with self.service(tmp_path) as svc:
+            assert svc.warm_start["cost_models"] is False
+            assert svc._cost_models is None
+        assert StateStore(tmp_path).quarantined() == ["cost_models.json.corrupt.0"]
+
+    def test_snapshot_for_another_scale_restores_training_cold(self, models, tmp_path):
+        StateStore(tmp_path).save("cost_models", models.to_dict())
+        with self.service(tmp_path, scale="default") as svc:
+            assert svc.warm_start["cost_models"] is False
+            assert svc._cost_models is None
+
+    def test_snapshot_without_a_scale_restores_on_the_device(self, models, tmp_path):
+        # a set handed in as ``cost_models=``, fitted on chosen graphs
+        handmade = CostModelSet(models.device_name, models._models)
+        with self.service(tmp_path, cost_models=handmade) as svc:
+            svc.save_state()
+        with self.service(tmp_path) as svc2:
+            assert svc2.warm_start["cost_models"] is True
+            assert svc2._cost_models.scale is None
+        with self.service(tmp_path, device="cpu") as svc3:
+            assert svc3.warm_start["cost_models"] is False
