@@ -17,6 +17,7 @@ Python source, mirroring the paper's generated conditional code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .assoc import Candidate, Step, enumerate_candidates
@@ -110,7 +111,7 @@ class PlannedCandidate:
     scenarios: Tuple[str, ...]
     tags: Dict[str, str]
 
-    @property
+    @cached_property
     def label(self) -> str:
         if "gat" in self.tags:
             return self.tags["gat"]

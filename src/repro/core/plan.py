@@ -17,7 +17,10 @@ template whose dims are still symbolic (``N``/``E``/``K1``/``K2``/``E@k``)
 and whose price-key layout is fixed; each shape env evaluates the
 template once into a :class:`CallView` (calls, price keys, SpMM subset,
 peak-memory bytes), and a plan keeps the views of the envs it priced most
-recently.  Neither rides along when a plan is pickled.
+recently.  Neither rides along when a plan is pickled.  A
+:class:`PriceIndex` interns several plans' views of one env so that a
+selection prices each distinct call once and totals every plan's calls in
+one array pass.
 
 Classification policy: a step is *setup* iff all its transitive inputs
 are graph leaves (adjacency, degree diagonal, ε) **and** it produces a
@@ -72,6 +75,8 @@ __all__ = [
     "KernelExecutionConfig",
     "LayerBinding",
     "Plan",
+    "PriceIndex",
+    "price_index",
     "GRAPH_LEAVES",
     "LEAF_CACHE_KEY",
     "WORKSPACE_CACHE_KEY",
@@ -156,15 +161,32 @@ def _value_bytes(desc, sizes: "_Sizes") -> float:
     return 16.0 * sizes[desc.nnz] + 8.0 * sizes[desc.shape[0]]
 
 
-# Shape envs one plan keeps resolved calls for, least recently priced
-# dropped first: the bound of the cost models' price memo
+# Shape envs one plan keeps resolved calls (and price indexes) for, least
+# recently priced dropped first: the bound of the cost models' price memo
 # (``costmodel._PRICED_VECTORS``).  Compiled plans live as long as the
 # process, so without a bound every never-seen graph size would add a
 # view to every plan it prices, forever.
 _VIEWS_KEPT = 128
-# Guards every plan's view table for a lookup, a reorder, an insert and
-# an eviction; nothing is computed under it.
+# Guards every per-env table (plan views, price indexes) for a lookup, a
+# reorder, an insert and an eviction; nothing is computed under it.
 _VIEWS_LOCK = threading.Lock()
+
+
+def kept(table: "OrderedDict", key, build: Callable[[], object]):
+    """``table[key]``, built by ``build()`` outside the lock when missing;
+    ``table`` keeps the :data:`_VIEWS_KEPT` entries used most recently."""
+    with _VIEWS_LOCK:
+        entry = table.get(key)
+        if entry is not None:
+            table.move_to_end(key)
+            return entry
+    entry = build()
+    with _VIEWS_LOCK:
+        entry = table.setdefault(key, entry)  # another thread may have won
+        table.move_to_end(key)
+        while len(table) > _VIEWS_KEPT:
+            table.popitem(last=False)
+    return entry
 
 
 class _Sizes(dict):
@@ -200,13 +222,19 @@ class _CallSpec(NamedTuple):
         names = tuple(sorted(dims))
         return cls(primitive, tag, names, tuple(dims[name] for name in names))
 
+    def key(self, sizes: _Sizes) -> tuple:
+        """The price key under one env's sizes."""
+        items = tuple(zip(self.names, map(sizes.__getitem__, self.dims)))
+        return (self.primitive, items)
+
+    def call(self, key: tuple) -> KernelCall:
+        """The call whose price key is ``key`` (from :meth:`key`)."""
+        return KernelCall(self.primitive, dict(key[1]), tag=self.tag)
+
     def resolve(self, sizes: _Sizes) -> Tuple[tuple, KernelCall]:
         """``(price key, call)`` under one env's sizes."""
-        items = tuple(zip(self.names, map(sizes.__getitem__, self.dims)))
-        return (
-            (self.primitive, items),
-            KernelCall(self.primitive, dict(items), tag=self.tag),
-        )
+        key = self.key(sizes)
+        return key, self.call(key)
 
 
 class CallList(NamedTuple):
@@ -217,8 +245,12 @@ class CallList(NamedTuple):
     keys: List[tuple]
 
 
-def _call_list(pairs: Sequence[Tuple[tuple, KernelCall]]) -> CallList:
-    return CallList([call for _, call in pairs], [key for key, _ in pairs])
+def _call_list(pairs: Sequence[tuple]) -> CallList:
+    """The :class:`CallList` of ``(price key, call or spec)`` pairs."""
+    return CallList(
+        [call if type(call) is KernelCall else call.call(key) for key, call in pairs],
+        [key for key, _ in pairs],
+    )
 
 
 class _CallTemplate:
@@ -340,16 +372,29 @@ class CallView:
         self._variants: Dict[str, Optional[CallList]] = {}
         self._peak: Optional[float] = None
 
+    def pairs(self, degree_method: str) -> Tuple[List[tuple], List[tuple]]:
+        """(setup, per-iteration) calls of the forward pass as ``(price
+        key, call or spec)`` pairs, in call order: a degree-pass call is
+        still its spec.  The one listing of the forward calls, which
+        :meth:`forward` resolves and a :class:`PriceIndex` interns."""
+        t, sizes = self._template, self._sizes
+        prep_setup, prep_iter = t.prep(degree_method)
+        setup = [(spec.key(sizes), spec) for spec in prep_setup]
+        setup.extend(pair for i in t.setup for pair in self._steps[i])
+        per_iter = [(spec.key(sizes), spec) for spec in prep_iter]
+        per_iter.extend(pair for i in t.iteration for pair in self._steps[i])
+        return setup, per_iter
+
+    def backward_pairs(self) -> List[tuple]:
+        """The per-iteration gradient calls as ``(price key, spec)``
+        pairs, in call order: what :attr:`backward` resolves."""
+        return [(spec.key(self._sizes), spec) for spec in self._template.backward]
+
     def forward(self, degree_method: str = "indptr") -> Tuple[CallList, CallList]:
         """(setup, per-iteration) calls of the forward pass."""
         fwd = self._forward.get(degree_method)
         if fwd is None:
-            t = self._template
-            prep_setup, prep_iter = t.prep(degree_method)
-            setup = [spec.resolve(self._sizes) for spec in prep_setup]
-            per_iter = [spec.resolve(self._sizes) for spec in prep_iter]
-            setup.extend(pair for i in t.setup for pair in self._steps[i])
-            per_iter.extend(pair for i in t.iteration for pair in self._steps[i])
+            setup, per_iter = self.pairs(degree_method)
             fwd = self._forward[degree_method] = (
                 _call_list(setup), _call_list(per_iter)
             )
@@ -359,9 +404,7 @@ class CallView:
     def backward(self) -> CallList:
         """Per-iteration gradient calls."""
         if self._backward is None:
-            self._backward = _call_list(
-                [spec.resolve(self._sizes) for spec in self._template.backward]
-            )
+            self._backward = _call_list(self.backward_pairs())
         return self._backward
 
     @property
@@ -396,6 +439,84 @@ class CallView:
         if self._peak is None:
             self._peak = self._template.peak_bytes(self._sizes, self._steps)
         return self._peak
+
+
+def _slot_matrix(rows: Sequence[List[int]]) -> np.ndarray:
+    """Rows of slots, right-padded with slot 0, at least one column wide."""
+    width = max(1, max(map(len, rows), default=0))
+    return np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.intp)
+
+
+class PriceIndex:
+    """Several plans' calls under one shape env, each distinct price key
+    interned once.
+
+    Every distinct key of the plans' forward calls (one degree method)
+    and, when ``training``, of their backward calls gets a *slot*
+    (``slots``); slot 0 is padding and prices 0.0.  Each call list is a
+    row of slots, padded on the right, in one matrix of ``blocks`` row
+    blocks of one row per plan (per-iteration lists, setup lists, then
+    backward lists), so one vector of per-slot seconds totals every list
+    at once: ``np.cumsum(seconds[matrix], axis=1)[:, -1]`` adds left to
+    right, as pricing call by call does, and each pad adds +0.0.  Nothing
+    here is keyed by graph.
+    """
+
+    def __init__(
+        self,
+        plans: Sequence["Plan"],
+        env: ShapeEnv,
+        key: Tuple,
+        degree_method: str,
+        training: bool,
+    ) -> None:
+        self.views = [plan.call_view(env, key) for plan in plans]
+        self.keys: List[Optional[tuple]] = [None]
+        self.calls: List[Optional[KernelCall]] = [None]
+        self.slots: Dict[tuple, int] = {}
+        self.blocks = 3 if training else 2
+        blocks: List[List[List[int]]] = [[] for _ in range(self.blocks)]
+        for view in self.views:
+            setup, per_iter = view.pairs(degree_method)
+            lists = [per_iter, setup]
+            if training:
+                lists.append(view.backward_pairs())
+            for block, pairs in zip(blocks, lists):
+                block.append(self._intern(pairs))
+        self.matrix = _slot_matrix([row for block in blocks for row in block])
+
+    def _intern(self, pairs: Sequence[tuple]) -> List[int]:
+        """Slots of ``(key, call or spec)`` pairs; a new key's spec is
+        made its call here."""
+        slots, keys, calls = self.slots, self.keys, self.calls
+        row = []
+        for key, call in pairs:
+            slot = slots.get(key)
+            if slot is None:
+                slot = slots[key] = len(keys)
+                keys.append(key)
+                calls.append(call if type(call) is KernelCall else call.call(key))
+            row.append(slot)
+        return row
+
+
+def price_index(
+    plans: Sequence["Plan"],
+    env: ShapeEnv,
+    key: Optional[Tuple],
+    degree_method: str,
+    training: bool,
+) -> PriceIndex:
+    """The :class:`PriceIndex` of ``plans`` under ``env`` (``key``: its
+    env key, if known), kept with the first plan's views: bounded like
+    them and forgotten by its :meth:`Plan.clear_memos`."""
+    if key is None:
+        key = env_key(env)
+    plans = tuple(plans)
+    return kept(
+        plans[0]._indexes, (plans, key, degree_method, training),
+        lambda: PriceIndex(plans, env, key, degree_method, training),
+    )
 
 
 class Plan:
@@ -433,16 +554,18 @@ class Plan:
 
     def clear_memos(self) -> None:
         """Forget everything derived from the plan on demand: the call
-        template, the per-env views, and planlint's env-free verdicts
-        (per strategy tuple; see ``repro.analysis.planlint.analyze_plan``)."""
+        template, the per-env views, the price indexes it heads
+        (:func:`price_index`), and planlint's env-free verdicts (per
+        strategy tuple; see ``repro.analysis.planlint.analyze_plan``)."""
         self._template: Optional[_CallTemplate] = None
         self._views: "OrderedDict[Tuple, CallView]" = OrderedDict()
+        self._indexes: "OrderedDict[Tuple, PriceIndex]" = OrderedDict()
         self._verdicts: Dict[Tuple[str, ...], object] = {}
 
     def __getstate__(self):
         # the memos are rebuilt on demand: none rides in a snapshot
         state = self.__dict__.copy()
-        for name in ("_template", "_views", "_verdicts"):
+        for name in ("_template", "_views", "_indexes", "_verdicts"):
             state.pop(name, None)
         return state
 
@@ -553,22 +676,13 @@ class Plan:
         """
         if key is None:
             key = env_key(env)
-        views = self._views
-        with _VIEWS_LOCK:
-            view = views.get(key)
-            if view is not None:
-                views.move_to_end(key)
-                return view
+        return kept(self._views, key, lambda: CallView(self._call_template(), env))
+
+    def _call_template(self) -> _CallTemplate:
         template = self._template
         if template is None:
             template = self._template = _CallTemplate(self)
-        view = CallView(template, env)
-        with _VIEWS_LOCK:
-            view = views.setdefault(key, view)
-            views.move_to_end(key)
-            while len(views) > _VIEWS_KEPT:
-                views.popitem(last=False)
-        return view
+        return template
 
     def kernel_calls(
         self, env: ShapeEnv, degree_method: str = "indptr"

@@ -32,8 +32,15 @@ What is remembered between calls, and where:
   distinct (primitive, shape) call of its candidates once;
 - each plan's kernel calls, as a template per plan and a bounded table of
   views per shape env (:meth:`Plan.call_view`), and planlint's env-free
-  verdict per (plan, strategies): a repeat selection on the same sizes
-  sums memoised prices over the view's keys and re-derives no plan.
+  verdict per (plan, strategies);
+- a price index per (plans, shape env, degree method, mode), kept with
+  the first plan's views (:func:`~repro.core.plan.price_index`): a
+  repeat selection on the same sizes prices each distinct call once into
+  one vector, totals every plan with one array pass, and re-derives no
+  plan.
+
+The input's Ã is not built here: ``shape_env`` counts its edges
+(:meth:`Graph.num_edges_with_self_loops`) and execution builds it.
 
 Nothing is kept on the engine.
 """
@@ -67,7 +74,7 @@ from .guard import (
     reference_forward,
 )
 from .ir import ShapeEnv, env_key
-from .plan import CallList, Plan
+from .plan import CallList, CallView, Plan, PriceIndex, price_index
 
 __all__ = ["SelectionReport", "OptimizationReport", "GraniiEngine"]
 
@@ -201,6 +208,92 @@ class OptimizationReport:
         return "\n".join(lines)
 
 
+class _Prices:
+    """One selection's predicted seconds per call, each distinct price key
+    priced once, on first need, as ``predict_call × efficiency`` (the
+    runtime residual applied inside ``predict_call``).
+
+    With a :class:`PriceIndex` the index's keys are priced into its slots
+    and :meth:`plan_costs` totals all its plans in one array pass; keys
+    the index lacks (a strategy variant's, or every key without an index)
+    are memoised by key.
+    """
+
+    def __init__(
+        self,
+        engine: "GraniiEngine",
+        graph_vec: np.ndarray,
+        index: Optional[PriceIndex] = None,
+    ) -> None:
+        self.index = index
+        self._models = engine.cost_models
+        self._eff = engine.system.efficiency
+        self._iterations = max(engine.iterations, 1)
+        self._graph_vec = graph_vec
+        self._prices = self._models.prices(graph_vec.tobytes())
+        size = 1 if index is None else len(index.keys)
+        self._slots = {} if index is None else index.slots
+        self._seconds = [0.0] * size
+        self._todo = [False] + [True] * (size - 1)
+        self._other: Dict[tuple, float] = {}
+
+    def _price(self, call, key: tuple) -> float:
+        return self._models.predict_call(
+            call, self._graph_vec, self._prices, key
+        ) * self._eff(call)
+
+    def _fill(self, slots) -> None:
+        """Price the index slots not priced yet."""
+        seconds, todo, index = self._seconds, self._todo, self.index
+        for slot in slots:
+            if todo[slot]:
+                seconds[slot] = self._price(index.calls[slot], index.keys[slot])
+                todo[slot] = False
+
+    def total(self, priced: CallList) -> float:
+        """Predicted seconds of a call list, summed in call order."""
+        slots, seconds, todo = self._slots, self._seconds, self._todo
+        out = 0.0
+        for call, key in zip(priced.calls, priced.keys):
+            slot = slots.get(key)
+            if slot is not None:
+                if todo[slot]:
+                    self._fill((slot,))
+                t = seconds[slot]
+            else:
+                t = self._other.get(key)
+                if t is None:
+                    t = self._other[key] = self._price(call, key)
+            out += t
+        return out
+
+    def amortised(self, per_iter, setup, backward=None):
+        """Seconds per iteration: per-iteration calls, plus backward calls
+        when training, plus setup calls over the iteration count (floats
+        or arrays alike)."""
+        cost = per_iter if backward is None else per_iter + backward
+        return cost + setup / self._iterations
+
+    def plan_costs(self, rows: Optional[Sequence[int]] = None) -> np.ndarray:
+        """:meth:`amortised` cost of each of the index's plans (or of
+        ``rows`` of them), every call list summed left to right at once."""
+        index = self.index
+        matrix = index.matrix
+        if rows is None:
+            slots = range(1, len(index.keys))
+        else:
+            plans = len(index.views)
+            matrix = matrix[[b * plans + r for b in range(index.blocks) for r in rows]]
+            slots = np.unique(matrix).tolist()
+        self._fill(slots)
+        # each row's seconds summed left to right, as call by call
+        totals = np.cumsum(np.array(self._seconds)[matrix], axis=1)[:, -1]
+        n = len(totals) // index.blocks
+        return self.amortised(
+            totals[:n], totals[n:2 * n], totals[2 * n:] if index.blocks == 3 else None
+        )
+
+
 class GraniiEngine:
     """The compiler + runtime pair of Figure 5."""
 
@@ -293,11 +386,14 @@ class GraniiEngine:
         return compile_model(name, ir=ir, **kwargs)
 
     def shape_env(self, graph: Graph, layer) -> ShapeEnv:
-        wants_loops = getattr(layer, "wants_self_loops", True)
-        adj = graph.adj_with_self_loops() if wants_loops else graph.adj
+        # Ã's edge count, not Ã: execution builds Ã when it runs
+        if getattr(layer, "wants_self_loops", True):
+            nnz = graph.num_edges_with_self_loops()
+        else:
+            nnz = graph.num_edges
         env = ShapeEnv()
         env["N"] = graph.num_nodes
-        env["E"] = adj.nnz
+        env["E"] = nnz
         env["K1"] = layer.in_size
         env["K2"] = layer.out_size
         # estimated nonzeros of adjacency powers, for SpGEMM-extension
@@ -305,9 +401,9 @@ class GraniiEngine:
         # symbolic nnz of a depth-k sparse product
         from ..kernels import spgemm_output_nnz_estimate
 
-        current = adj.nnz
+        current = nnz
         for depth in range(2, 7):
-            current = spgemm_output_nnz_estimate(graph.num_nodes, current, adj.nnz)
+            current = spgemm_output_nnz_estimate(graph.num_nodes, current, nnz)
             env[f"E@{depth}"] = current
         return env
 
@@ -319,7 +415,14 @@ class GraniiEngine:
         graph_vec: np.ndarray,
     ) -> float:
         """Cost-model estimate of one amortised iteration of this plan."""
-        return self.predict_plan_costs([plan], env, graph_vec)[0]
+        prices = _Prices(self, graph_vec)
+        view = plan.call_view(env)
+        setup, per_iter = view.forward(self.system.degree_method)
+        return prices.amortised(
+            prices.total(per_iter),
+            prices.total(setup),
+            prices.total(view.backward) if self.mode == "training" else None,
+        )
 
     def predict_plan_costs(
         self,
@@ -331,47 +434,19 @@ class GraniiEngine:
         """:meth:`predict_plan_cost` of several plans for one input.
 
         Candidates of one model are re-associations of the same
-        primitives, so most of their calls coincide: each distinct
-        (primitive, shape) is priced once and every plan sums its own
-        calls in its own order.  The calls and their price keys come from
-        each plan's view of ``env`` (``env_key``: its key, if known).
+        primitives, so most of their calls coincide: the plans' views of
+        ``env`` (``env_key``: its key, if known) share one
+        :class:`~repro.core.plan.PriceIndex` (:func:`~repro.core.plan.price_index`),
+        each distinct (primitive, shape) is priced once, and every plan
+        sums its own calls in its own order.
         """
-        prices = self.cost_models.prices(graph_vec.tobytes())
-        seconds: Dict[tuple, float] = {}
-        costs = []
-        for plan in plans:
-            view = plan.call_view(env, env_key)
-            setup, per_iter = view.forward(self.system.degree_method)
-            cost = self._priced_total(per_iter, graph_vec, prices, seconds)
-            if self.mode == "training":
-                cost += self._priced_total(
-                    view.backward, graph_vec, prices, seconds
-                )
-            cost += self._priced_total(
-                setup, graph_vec, prices, seconds
-            ) / max(self.iterations, 1)
-            costs.append(cost)
-        return costs
-
-    def _priced_total(
-        self,
-        priced: CallList,
-        graph_vec: np.ndarray,
-        prices: Dict[tuple, float],
-        seconds: Dict[tuple, float],
-    ) -> float:
-        """Predicted seconds of a call list, summed in order; ``seconds``
-        keeps each key's price for the rest of one selection."""
-        models = self.cost_models
-        eff = self.system.efficiency
-        out = 0.0
-        for call, key in zip(priced.calls, priced.keys):
-            t = seconds.get(key)
-            if t is None:
-                t = models.predict_call(call, graph_vec, prices, key) * eff(call)
-                seconds[key] = t
-            out += t
-        return out
+        if not plans:
+            return []
+        index = price_index(
+            plans, env, env_key, self.system.degree_method,
+            self.mode == "training",
+        )
+        return _Prices(self, graph_vec, index).plan_costs().tolist()
 
     def select_spmm_strategy(
         self,
@@ -408,6 +483,16 @@ class GraniiEngine:
         falls back to ``row_segment`` with a warning instead of running
         an unvetted composition.
         """
+        fixed = self._fixed_strategy(plan)
+        if fixed is not None:
+            return fixed
+        return self._cheapest_strategy(
+            plan.call_view(env, env_key), _Prices(self, graph_vec)
+        )
+
+    def _fixed_strategy(self, plan: Plan) -> Optional[Tuple[str, Dict[str, float]]]:
+        """The strategy chosen without pricing (pinned, or no models
+        loaded), or None when auto selection prices it."""
         if self.spmm_strategy != "auto":
             pinned = self.spmm_strategy
             if pinned != "row_segment":
@@ -421,17 +506,21 @@ class GraniiEngine:
                         f"analysis ({', '.join(rules)}); falling back to "
                         f"row_segment",
                         RuntimeWarning,
-                        stacklevel=2,
+                        stacklevel=3,
                     )
                     return "row_segment", {}
             return pinned, {}
         if self._cost_models is None:
             return "row_segment", {}
-        view = plan.call_view(env, env_key)
+        return None
+
+    def _cheapest_strategy(
+        self, view: CallView, prices: _Prices
+    ) -> Tuple[str, Dict[str, float]]:
+        """Price ``view``'s SpMM subset under every strategy row whose
+        breaker is closed; the cheapest wins."""
         if not view.spmm.calls:
             return "row_segment", {}
-        prices = self.cost_models.prices(graph_vec.tobytes())
-        seconds: Dict[tuple, float] = {}
         costs: Dict[str, float] = {}
         for row in SPMM_STRATEGY_TABLE:
             variant = view.variant(row)
@@ -442,9 +531,7 @@ class GraniiEngine:
             ):
                 continue
             try:
-                costs[row.name] = self._priced_total(
-                    variant, graph_vec, prices, seconds
-                )
+                costs[row.name] = prices.total(variant)
             except KeyError:
                 # model set predates these primitives; skip the strategy
                 continue
@@ -460,20 +547,23 @@ class GraniiEngine:
         viable = compiled.viable(env["K1"], env["K2"])
         if not viable:  # pragma: no cover - pruning guarantees at least one
             raise RuntimeError("no viable composition")
+        index = price_index(
+            [p.plan for p in viable], env, key, self.system.degree_method,
+            self.mode == "training",
+        )
+        rows = range(len(viable))  # the index rows still in the running
         memory_filtered = 0
         if self.memory_limit_bytes is not None:
-            def peak(p: PlannedCandidate) -> float:
-                return p.plan.call_view(env, key).peak_bytes
-
-            fitting = [p for p in viable if peak(p) <= self.memory_limit_bytes]
+            peaks = [view.peak_bytes for view in index.views]
+            fitting = [i for i in rows if peaks[i] <= self.memory_limit_bytes]
             memory_filtered = len(viable) - len(fitting)
             if fitting:
-                viable = fitting
+                rows = fitting
             else:
                 # nothing fits: degrade gracefully to the leanest plan
                 # rather than refusing to run (the baseline would OOM too)
-                viable = [min(viable, key=peak)]
-        if len(viable) > 1:
+                rows = [min(rows, key=peaks.__getitem__)]
+        if len(rows) > 1:
             # cost-model training is a one-time offline cost (paper §V);
             # force it here so it never pollutes the measured online overhead
             _ = self.cost_models
@@ -485,21 +575,25 @@ class GraniiEngine:
             feature_seconds = time.perf_counter() - t0
         t1 = time.perf_counter()
         predicted: Dict[str, float] = {}
-        if len(viable) == 1:
-            chosen = viable[0]
-            ranked = list(viable)
+        prices = None
+        if len(rows) == 1:
+            chosen_row = rows[0]
+            ranked = [viable[chosen_row]]
         else:
-            costs = self.predict_plan_costs(
-                [p.plan for p in viable], env, graph_vec, key
-            )
-            for p, c in zip(viable, costs):
-                predicted[f"{p.label}#{p.plan.name}"] = c
-            order = np.argsort(costs, kind="stable")
-            ranked = [viable[int(i)] for i in order]
-            chosen = ranked[0]
-        spmm_strategy, strategy_costs = self.select_spmm_strategy(
-            chosen.plan, env, graph_vec, key
-        )
+            prices = _Prices(self, graph_vec, index)
+            costs = prices.plan_costs(None if memory_filtered == 0 else rows)
+            for i, c in zip(rows, costs.tolist()):
+                predicted[f"{viable[i].label}#{viable[i].plan.name}"] = c
+            order = [rows[i] for i in np.argsort(costs, kind="stable").tolist()]
+            ranked = [viable[i] for i in order]
+            chosen_row = order[0]
+        chosen = viable[chosen_row]
+        strategy = self._fixed_strategy(chosen.plan)
+        if strategy is None:
+            if prices is None:
+                prices = _Prices(self, graph_vec, index)
+            strategy = self._cheapest_strategy(index.views[chosen_row], prices)
+        spmm_strategy, strategy_costs = strategy
         if config.autotune_enabled():
             from .autotune import autotune_selection
 
@@ -528,7 +622,7 @@ class GraniiEngine:
             chosen=chosen,
             scenario=scenario,
             predicted_costs=predicted,
-            viable_count=len(viable),
+            viable_count=len(rows),
             feature_seconds=feature_seconds,
             selection_seconds=selection_seconds,
             peak_memory_bytes=(

@@ -121,9 +121,12 @@ class WorkloadResult:
 def shape_env_for(graph: Graph, model: str, in_size: int, out_size: int) -> ShapeEnv:
     from ..models import uses_self_loops
 
-    adj = graph.adj_with_self_loops() if uses_self_loops(model) else graph.adj
+    if uses_self_loops(model):
+        nnz = graph.num_edges_with_self_loops()
+    else:
+        nnz = graph.num_edges
     return ShapeEnv(
-        {"N": graph.num_nodes, "E": adj.nnz, "K1": in_size, "K2": out_size}
+        {"N": graph.num_nodes, "E": nnz, "K1": in_size, "K2": out_size}
     )
 
 

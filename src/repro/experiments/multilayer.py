@@ -118,7 +118,7 @@ def evaluate_multilayer(
     default_seconds = _stack_time(default_chain, dev, sys_, stats, iterations, mode)
     granii_seconds = _stack_time(granii_chain, dev, sys_, stats, iterations, mode)
     granii_seconds += overhead_seconds(
-        dev, stats, graph.num_nodes, graph.adj_with_self_loops().nnz, num_costed
+        dev, stats, graph.num_nodes, graph.num_edges_with_self_loops(), num_costed
     ) / max(iterations, 1)
     return MultiLayerTiming(
         default_seconds=default_seconds,

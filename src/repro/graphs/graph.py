@@ -34,6 +34,7 @@ class Graph:
         self.node_features = node_features
         self.labels = labels
         self._with_loops: Optional[CSRMatrix] = None
+        self._with_loops_nnz: Optional[int] = None
 
     # ------------------------------------------------------------------
     @property
@@ -63,6 +64,15 @@ class Graph:
         if self._with_loops is None:
             self._with_loops = self.adj.add_self_loops()
         return self._with_loops
+
+    def num_edges_with_self_loops(self) -> int:
+        """``adj_with_self_loops().nnz``: read off Ã when this graph holds
+        it, otherwise counted once per graph without building it."""
+        if self._with_loops is not None:
+            return self._with_loops.nnz
+        if self._with_loops_nnz is None:
+            self._with_loops_nnz = self.adj.nnz_with_self_loops()
+        return self._with_loops_nnz
 
     # ------------------------------------------------------------------
     def with_features(

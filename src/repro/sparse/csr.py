@@ -408,13 +408,32 @@ class CSRMatrix:
         """
         if self.shape[0] != self.shape[1]:
             raise ValueError("self loops require a square matrix")
-        rows, cols = self.row_ids(), self.indices
-        # one O(E) check: columns strictly increasing inside every row.
-        # The constructor also accepts unsorted or duplicated columns;
-        # those keep the COO merge, which sorts and collapses them.
-        if bool(((cols[1:] > cols[:-1]) | (rows[1:] != rows[:-1])).all()):
+        if self._columns_increase():
             return self._insert_diagonal()
         return self._merge_diagonal()
+
+    def nnz_with_self_loops(self) -> int:
+        """``add_self_loops().nnz``, without building A + I.
+
+        On a canonical pattern a row stores its loop at most once, so the
+        count is nnz plus one per row with no stored loop.  Any other
+        pattern is merged as :meth:`add_self_loops` merges it.
+        """
+        if self.shape[0] != self.shape[1]:
+            raise ValueError("self loops require a square matrix")
+        if self._columns_increase():
+            loops = int(np.count_nonzero(self.indices == self.row_ids()))
+            return self.nnz + self.shape[0] - loops
+        return self._merge_diagonal().nnz
+
+    def _columns_increase(self) -> bool:
+        """One O(E) check: columns strictly increasing inside every row.
+
+        The constructor also accepts unsorted or duplicated columns; those
+        keep the COO merge, which sorts and collapses them.
+        """
+        rows, cols = self.row_ids(), self.indices
+        return bool(((cols[1:] > cols[:-1]) | (rows[1:] != rows[:-1])).all())
 
     def _insert_diagonal(self) -> "CSRMatrix":
         """A + I on a canonical pattern, without a sort.

@@ -10,7 +10,12 @@ plan's env-free verdict per strategy tuple.  These tests pin that hoist:
   no workspace trace, no call expansion and no key sort (counted, so
   they cannot flake);
 - verdicts are fresh per call, pinned-strategy rejections still fall
-  back, the view table is bounded, and no memo rides in a snapshot.
+  back, the view table is bounded, and no memo rides in a snapshot;
+- ``shape_env`` counts Ã's edges instead of building Ã, and the count is
+  exactly ``adj_with_self_loops().nnz`` on every pattern;
+- a model's plans are priced from one price index per env: every total
+  and strategy cost is bitwise what summing call by call gives, the index
+  table is bounded, and concurrent first selections agree.
 """
 
 import pickle
@@ -24,17 +29,20 @@ import pytest
 from repro.analysis import planlint
 from repro.analysis.planlint import Diagnostic, analyze_plan
 from repro.core import costmodel
+from repro.core.codegen import CompiledModel
 from repro.core.costmodel import CostModelSet, call_key, get_cost_models
 from repro.core.features import featurize_graph
 from repro.core.ir import ShapeEnv, env_key
-from repro.core.plan import _VIEWS_KEPT, Plan
+from repro.core.plan import _VIEWS_KEPT, Plan, price_index
 from repro.core.runtime import GraniiEngine
 from repro.graphs import Graph
 from repro.graphs.generators import erdos_renyi, rmat, road_mesh
 from repro.kernels import SPMM_STRATEGY_TABLE
 from repro.models import build_layer
 from repro.serving import GraniiService, ServeRequest
+from repro.sparse import CSRMatrix
 from repro.state import StateStore
+from repro.tensor import no_grad
 
 ZOO = ("gcn", "gin", "sgc", "tagcn", "gat", "sage", "appnp")
 MODES = ("inference", "training")
@@ -146,6 +154,7 @@ def test_warm_select_rederives_nothing(name, mode, cost_models, monkeypatch):
         "workspace_trace": (planlint, "workspace_trace"),
         "_step_calls": (Plan, "_step_calls"),
         "call_key": (costmodel, "call_key"),
+        "add_self_loops": (CSRMatrix, "add_self_loops"),
     }
     for label, (owner, attr) in counters.items():
         counters[label] = counting(getattr(owner, attr))
@@ -337,3 +346,323 @@ def test_memos_never_ride_in_a_snapshot(cost_models, tmp_path):
     assert dict(zip(
         (f"{p.label}#{p.plan.name}" for p in saved.ranked), costs
     )) == saved.predicted_costs
+
+
+# ----------------------------------------------------------------------
+# shape_env counts Ã's edges; it never builds Ã
+# ----------------------------------------------------------------------
+def _csr(n, rows, cols, values=None):
+    """A CSR matrix holding the entries in the given order, as given."""
+    rows = np.asarray(rows, dtype=np.int64)
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    vals = None if values is None else np.asarray(values, float)[order]
+    return CSRMatrix(indptr, np.asarray(cols, np.int64)[order], vals, (n, n))
+
+
+def _patterns():
+    rng = np.random.default_rng(7)
+    mesh = road_mesh(64, seed=1).adj
+    with_loops = mesh.add_self_loops()
+    some = _csr(6, [0, 0, 1, 2, 2, 3, 5], [0, 3, 2, 1, 2, 5, 0])
+    return {
+        "no loops": mesh,
+        "some loops": some,
+        "all loops": with_loops,
+        "weighted": CSRMatrix(
+            with_loops.indptr, with_loops.indices,
+            rng.standard_normal(with_loops.nnz), with_loops.shape,
+        ),
+        "weighted, some loops": _csr(
+            6, [0, 0, 1, 2, 2, 3, 5], [0, 3, 2, 1, 2, 5, 0],
+            [1.5, -2.0, 0.5, 1.0, -1.0, 2.0, 3.0],
+        ),
+        "empty rows": _csr(7, [1, 1, 3, 4], [0, 1, 6, 4]),
+        "no entries": CSRMatrix(
+            np.zeros(5, np.int64), np.zeros(0, np.int64), None, (4, 4)
+        ),
+        "unsorted columns": _csr(5, [0, 0, 0, 2, 2, 4], [3, 0, 1, 2, 0, 4]),
+        "duplicate columns": _csr(5, [0, 0, 1, 1, 3], [2, 2, 1, 1, 0]),
+        "weighted duplicates": _csr(
+            4, [0, 0, 2, 2], [0, 0, 1, 1], [1.0, -2.0, 3.0, 4.0]
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_patterns()))
+def test_counted_edges_are_the_built_edges(name):
+    adj = _patterns()[name]
+    want = adj.add_self_loops().nnz
+    assert adj.nnz_with_self_loops() == want
+    graph = Graph(adj)
+    assert graph.num_edges_with_self_loops() == want
+    assert graph._with_loops is None  # counted, not built
+    assert graph.adj_with_self_loops().nnz == want
+    assert Graph(adj).num_edges_with_self_loops() == want
+
+
+def test_only_a_non_canonical_pattern_merges(monkeypatch):
+    merges = counting(CSRMatrix._merge_diagonal)
+    monkeypatch.setattr(CSRMatrix, "_merge_diagonal", merges)
+    patterns = _patterns()
+    for name in ("no loops", "some loops", "all loops", "weighted", "empty rows"):
+        patterns[name].nnz_with_self_loops()
+    assert merges.calls == 0
+    patterns["unsorted columns"].nnz_with_self_loops()
+    patterns["duplicate columns"].nnz_with_self_loops()
+    assert merges.calls == 2
+
+
+def test_shape_env_reads_a_held_tilde_a(cost_models):
+    graph = Graph(rmat(300, 6, seed=3).adj)
+    layer = build_layer("gcn", 8, 4, rng=np.random.default_rng(0))
+    engine = engine_for(cost_models)
+    counted = engine.shape_env(graph, layer)
+    assert graph._with_loops is None
+    held = graph.adj_with_self_loops()
+    assert engine.shape_env(graph, layer) == counted
+    assert counted["E"] == held.nnz
+
+
+@pytest.mark.parametrize("name", ZOO)
+def test_forward_after_optimize_matches_message_passing(name, cost_models):
+    rng = np.random.default_rng(2)
+    base = rmat(300, 6, seed=3).adj
+    rows, cols, _ = base.to_coo()
+    loops = np.arange(0, base.shape[0], 3)
+    # the same pattern storing a loop on every third node
+    some_loops = CSRMatrix.from_coo(
+        np.concatenate([rows, loops]), np.concatenate([cols, loops]),
+        None, base.shape,
+    )
+    layer = build_layer(name, 16, 8, rng=np.random.default_rng(0))
+    for matrix in (base, some_loops, road_mesh(256, seed=4).adj):
+        feats = rng.standard_normal((matrix.shape[0], 16))
+        graph = Graph(matrix)
+        engine_for(cost_models).optimize(layer, graph, feats)
+        assert graph._with_loops is None  # select built no Ã
+        with no_grad():
+            got = np.asarray(layer(graph, feats).data)
+            layer.detach_executor()
+            want = np.asarray(layer(Graph(matrix), feats).data)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
+
+# ----------------------------------------------------------------------
+# One price vector per selection, bitwise the per-call sums
+# ----------------------------------------------------------------------
+def _call_by_call(engine, priced, vec):
+    """A call list's seconds, summed one call at a time in call order."""
+    models, eff = engine.cost_models, engine.system.efficiency
+    prices = models.prices(vec.tobytes())
+    out = 0.0
+    for call, key in zip(priced.calls, priced.keys):
+        out += models.predict_call(call, vec, prices, key) * eff(call)
+    return out
+
+
+def _reference_costs(engine, plans, env, vec):
+    costs = []
+    for plan in plans:
+        view = plan.call_view(env)
+        setup, per_iter = view.forward(engine.system.degree_method)
+        cost = _call_by_call(engine, per_iter, vec)
+        if engine.mode == "training":
+            cost += _call_by_call(engine, view.backward, vec)
+        cost += _call_by_call(engine, setup, vec) / max(engine.iterations, 1)
+        costs.append(cost)
+    return costs
+
+
+def _reference_strategy_costs(engine, plan, env, vec):
+    view = plan.call_view(env)
+    if not view.spmm.calls:
+        return {}
+    costs = {}
+    for row in SPMM_STRATEGY_TABLE:
+        variant = view.variant(row)
+        if variant is None:
+            continue
+        if row.demotes_to is not None and engine.breakers.is_open("spmm", row.name):
+            continue
+        try:
+            costs[row.name] = _call_by_call(engine, variant, vec)
+        except KeyError:
+            continue
+    return costs
+
+
+@pytest.fixture
+def residuals():
+    costmodel.clear_runtime_residuals()
+    yield
+    costmodel.clear_runtime_residuals()
+
+
+@pytest.mark.parametrize("residual", [False, True])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", ZOO)
+def test_totals_are_the_call_by_call_sums(name, mode, residual, cost_models, residuals):
+    if residual:
+        costmodel.record_runtime_residual("h100", "spmm", 1.7, 1.0)
+        costmodel.record_runtime_residual("h100", "spmm_blocked", 0.6, 1.0)
+        costmodel.record_runtime_residual("h100", "gemm", 1.3, 1.0)
+    layer = build_layer(name, 32, 16, rng=np.random.default_rng(0))
+    for graph in graphs().values():
+        engine = engine_for(cost_models, mode)
+        compiled = engine.compile_for(layer, graph)
+        sel = engine.select(compiled, Graph(graph.adj), layer)
+        env = engine.shape_env(graph, layer)
+        vec = featurize_graph(graph)
+        viable = compiled.viable(env["K1"], env["K2"])
+        if len(viable) > 1:
+            want = _reference_costs(engine, [p.plan for p in viable], env, vec)
+            assert {k: repr(c) for k, c in sel.predicted_costs.items()} == {
+                f"{p.label}#{p.plan.name}": repr(c) for p, c in zip(viable, want)
+            }, (name, graph.name)
+        got = engine.predict_plan_costs([p.plan for p in viable], env, vec)
+        assert repr(got) == repr(
+            _reference_costs(engine, [p.plan for p in viable], env, vec)
+        )
+        want = _reference_strategy_costs(engine, sel.chosen.plan, env, vec)
+        assert repr(sel.strategy_costs) == repr(want), (name, graph.name)
+        assert engine.select_spmm_strategy(sel.chosen.plan, env, vec) == (
+            sel.spmm_strategy, sel.strategy_costs
+        )
+
+
+def test_a_model_set_without_spmm_blocked_still_selects(cost_models):
+    models = {k: m for k, m in cost_models._models.items() if k != "spmm_blocked"}
+    partial = CostModelSet(cost_models.device_name, models)
+    graph = rmat(300, 6, seed=3)
+    for name in ("gcn", "tagcn", "gat"):
+        layer = build_layer(name, 32, 16, rng=np.random.default_rng(0))
+        engine = engine_for(partial)
+        sel = engine.select(engine.compile_for(layer, graph), Graph(graph.adj), layer)
+        assert "blocked" not in sel.strategy_costs
+        assert "row_segment" in sel.strategy_costs
+        assert sel.spmm_strategy in sel.strategy_costs
+        env = engine.shape_env(graph, layer)
+        assert repr(sel.strategy_costs) == repr(_reference_strategy_costs(
+            engine, sel.chosen.plan, env, featurize_graph(graph)
+        ))
+
+
+def test_the_index_table_is_bounded_over_200_sizes(cost_models):
+    graph = rmat(300, 6, seed=3)
+    layer = build_layer("gcn", 32, 16, rng=np.random.default_rng(0))
+    engine = engine_for(cost_models)
+    compiled = engine.compile_for(layer, graph)
+    first = decision(engine.select(compiled, Graph(graph.adj), layer))
+    env = engine.shape_env(graph, layer)
+    plans = [p.plan for p in compiled.viable(32, 16)]
+    assert len(plans) > 1 and plans[0]._indexes
+    for i in range(200):
+        env_i = _env_with(env, env["N"] + 1 + i)
+        price_index(plans, env_i, env_key(env_i), "indptr", False)
+    assert len(plans[0]._indexes) <= _VIEWS_KEPT
+    assert all(key[1] != env_key(env) for key in plans[0]._indexes)
+    assert decision(engine.select(compiled, Graph(graph.adj), layer)) == first
+
+
+def test_cleared_plans_rebuild_their_index(cost_models):
+    graph = rmat(300, 6, seed=3)
+    layer = build_layer("tagcn", 32, 16, rng=np.random.default_rng(0))
+    engine = engine_for(cost_models)
+    compiled = engine.compile_for(layer, graph)
+    want = decision(engine.select(compiled, Graph(graph.adj), layer))
+    clear_memos(compiled)
+    assert decision(engine.select(compiled, Graph(graph.adj), layer)) == want
+    key = env_key(engine.shape_env(graph, layer))
+    viable = compiled.viable(32, 16)
+    assert len(viable) > 1
+    for planned in viable:  # each priced from a view derived again
+        assert key in planned.plan._views
+
+
+def test_no_index_rides_in_a_pickle(cost_models):
+    graph = erdos_renyi(200, 5, seed=5)
+    layer = build_layer("tagcn", 32, 16, rng=np.random.default_rng(0))
+    engine = engine_for(cost_models, mode="training")
+    compiled = engine.compile_for(layer, graph)
+    want = decision(engine.select(compiled, Graph(graph.adj), layer))
+    assert any(p.plan._indexes for p in compiled.promoted)
+    blob = pickle.dumps(compiled)
+    assert b"PriceIndex" not in blob and b"_indexes" not in blob
+    restored = pickle.loads(blob)
+    assert isinstance(restored, CompiledModel)
+    assert not any(p.plan._indexes for p in restored.promoted)
+    assert decision(engine.select(restored, Graph(graph.adj), layer)) == want
+
+
+def test_concurrent_first_selections_agree(cost_models):
+    graph = rmat(300, 6, seed=3)
+    layer = build_layer("tagcn", 32, 16, rng=np.random.default_rng(0))
+    compiled = engine_for(cost_models).compile_for(layer, graph)
+    clear_memos(compiled)  # every index and view is built by the threads
+    barrier = threading.Barrier(8)
+    got, errors = [None] * 8, []
+
+    def worker(k):
+        try:
+            engine = engine_for(cost_models, MODES[k % 2])
+            barrier.wait(timeout=60.0)
+            got[k] = decision(engine.select(compiled, Graph(graph.adj), layer))
+        except Exception as exc:  # surfaced below, on the test thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for k, mode in enumerate(MODES):
+        want = decision(engine_for(cost_models, mode).select(
+            compiled, Graph(graph.adj), layer
+        ))
+        assert all(report == want for report in got[k::2])
+
+
+def test_index_rows_list_each_views_calls_in_order(cost_models):
+    graph = rmat(300, 6, seed=3)
+    layer = build_layer("tagcn", 32, 16, rng=np.random.default_rng(0))
+    for mode in MODES:
+        engine = engine_for(cost_models, mode)
+        compiled = engine.compile_for(layer, graph)
+        env = engine.shape_env(graph, layer)
+        plans = [p.plan for p in compiled.viable(32, 16)]
+        training = mode == "training"
+        dm = engine.system.degree_method
+        index = price_index(plans, env, None, dm, training)
+        for i, view in enumerate(index.views):
+            setup, per_iter = view.forward(dm)
+            lists = [per_iter, setup] + ([view.backward] if training else [])
+            for block, calls in enumerate(lists):
+                row = index.matrix[block * len(plans) + i]
+                assert [index.keys[s] for s in row if s] == calls.keys
+
+
+def test_one_plan_pricing_keeps_no_index(cost_models):
+    graph = erdos_renyi(200, 5, seed=5)
+    layer = build_layer("tagcn", 32, 16, rng=np.random.default_rng(0))
+    engine = engine_for(cost_models, mode="training")
+    compiled = engine.compile_for(layer, graph)
+    clear_memos(compiled)
+    env = engine.shape_env(graph, layer)
+    vec = featurize_graph(graph)
+    plans = [p.plan for p in compiled.viable(32, 16)]
+    got = [engine.predict_plan_cost(plan, env, vec) for plan in plans]
+    strategies = [engine.select_spmm_strategy(plan, env, vec) for plan in plans]
+    assert not any(plan._indexes for plan in plans)
+    assert repr(got) == repr(_reference_costs(engine, plans, env, vec))
+    assert [costs for _, costs in strategies] == [
+        _reference_strategy_costs(engine, plan, env, vec) for plan in plans
+    ]
