@@ -14,7 +14,7 @@ Three prongs, all purely static:
 - :mod:`repro.analysis.lint` — an AST linter enforcing the repository's
   runtime invariants (``repro.config`` env discipline, ``WorkspaceArena``
   allocation discipline, structured ``GraniiError`` handling, provably
-  disjoint writes in ``blocked_parallel`` closures).
+  disjoint writes in split-fold closures).
 - :mod:`repro.analysis.conclint` — an *interprocedural* concurrency
   linter: whole-program lock-acquisition-order graph (cycles, blocking
   calls under locks, bare acquires), resource-lifetime proofs for

@@ -16,7 +16,7 @@ lookups, not I/O), so tests and the chaos driver can flip knobs with
 Knob reference
 --------------
 ``REPRO_BLOCK_NNZ``           edge budget per tile of the blocked kernels
-``REPRO_NUM_THREADS``         worker count of the parallel strategy
+``REPRO_NUM_THREADS``         worker count of a split SpMM fold
 ``REPRO_STATE_DIR``           durable-state snapshot directory (unset = off)
 ``REPRO_SPMM_STRATEGY``       process-wide default aggregation strategy
 ``REPRO_VERIFY_PLANS``        first-iteration differential verification
@@ -32,8 +32,7 @@ Knob reference
 ``REPRO_SERVE_MAX_QUEUE``     per-tenant bound on queued+running requests
 ``REPRO_SERVE_DEADLINE_MS``   default end-to-end request deadline (0 = none)
 ``REPRO_PLAN_CACHE_SIZE``     fingerprint-keyed plan cache capacity
-``REPRO_AUTOTUNE``            measure strategy/block_nnz points at selection
-``REPRO_AUTOTUNE_GRID``       comma-separated candidate block_nnz values
+``REPRO_AUTOTUNE``            time the chosen plan's fold at selection
 ``REPRO_AUTOTUNE_WARMUP``     discarded warm-up runs per measured point
 ``REPRO_AUTOTUNE_REPEATS``    timed repeats per measured point (best kept)
 """
@@ -68,7 +67,6 @@ __all__ = [
     "serve_deadline_seconds",
     "plan_cache_size",
     "autotune_enabled",
-    "autotune_grid",
     "autotune_warmup",
     "autotune_repeats",
     "override_env",
@@ -170,7 +168,7 @@ def block_nnz(default: int) -> int:
 
 
 def num_threads() -> int:
-    """``REPRO_NUM_THREADS``: pool width; 0/unset means auto-size."""
+    """``REPRO_NUM_THREADS``: split-fold width; 0/unset means auto-size."""
     return env_int("REPRO_NUM_THREADS", 0, minimum=0)
 
 
@@ -257,42 +255,10 @@ def plan_cache_size() -> int:
 
 
 def autotune_enabled() -> bool:
-    """``REPRO_AUTOTUNE``: measure strategy/block_nnz candidates on the
-    actual input at selection time and feed residuals back into the cost
-    models."""
+    """``REPRO_AUTOTUNE``: time the chosen plan's aggregation fold on the
+    actual input at selection time and feed the residual back into the
+    cost models."""
     return env_flag("REPRO_AUTOTUNE", False)
-
-
-def autotune_grid() -> Optional[Sequence[int]]:
-    """``REPRO_AUTOTUNE_GRID``: candidate ``block_nnz`` values, or None.
-
-    A comma-separated list of positive integers, e.g. ``8192,32768,131072``.
-    Unset means the autotuner's built-in grid around the default tile size.
-    """
-    raw = _raw("REPRO_AUTOTUNE_GRID")
-    if raw is None:
-        return None
-    values = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            value = int(part)
-        except ValueError:
-            raise GraniiConfigError(
-                f"REPRO_AUTOTUNE_GRID={raw!r} contains non-integer {part!r}"
-            ) from None
-        if value < 1:
-            raise GraniiConfigError(
-                f"REPRO_AUTOTUNE_GRID={raw!r} contains non-positive {value}"
-            )
-        values.append(value)
-    if not values:
-        raise GraniiConfigError(
-            f"REPRO_AUTOTUNE_GRID={raw!r} names no block sizes"
-        )
-    return values
 
 
 def autotune_warmup() -> int:

@@ -52,10 +52,10 @@ logger = logging.getLogger(__name__)
 _RUNTIME_RESIDUALS: Dict[Tuple[str, str], float] = {}
 _RESIDUAL_ALPHA = 0.5
 
-# STRATEGY_PRICING_PRIMITIVES (the strategy table's priced primitives) are
-# the ones whose residuals change strategy selection — the scope of the
-# cache-invalidation token.  Residuals on anything else (gemm, ...)
-# cannot flip an aggregation-strategy choice, so they must NOT churn
+# STRATEGY_PRICING_PRIMITIVES (spmm / spmm_unweighted, the aggregations
+# the autotuner times) are the scope of the cache-invalidation token:
+# their residuals re-price every plan's aggregations, so they can move
+# plan ranking.  Residuals on anything else (gemm, ...) must NOT churn
 # serving-cache fingerprints.
 
 
@@ -125,14 +125,16 @@ def cost_model_token(
     device_name: str,
     primitives: Sequence[str] = STRATEGY_PRICING_PRIMITIVES,
 ) -> str:
-    """Version token of the strategy-pricing residual state.
+    """Version token of the ``spmm`` / ``spmm_unweighted`` residual state.
 
-    Folded into serving-cache fingerprints so entries selected under a
-    stale cost model are recomputed after an autotune refinement —
-    without invalidating keys the refinement cannot affect.  A pristine
-    store (all factors 1.0) yields the empty token, so fingerprints are
-    byte-identical to the pre-autotuner era until a residual is
-    actually recorded.
+    Those residuals re-price the aggregations of every candidate plan, so
+    they can change which plan ranks cheapest (not which SpMM strategy
+    runs: no strategy is priced).  The token is folded into serving-cache
+    fingerprints so entries selected under a stale cost model are
+    recomputed after an autotune refinement — without invalidating keys
+    the refinement cannot affect.  A pristine store (all factors 1.0)
+    yields the empty token, so fingerprints are byte-identical to the
+    pre-autotuner era until a residual is actually recorded.
     """
     import hashlib
 

@@ -17,8 +17,8 @@ plan pool into a graceful-degradation ladder:
   (``REPRO_MEM_BUDGET_MB``), checked before execution against the plan's
   estimated peak and *during* execution between kernels;
 - :class:`CircuitBreaker` — per-(primitive, strategy) failure counters
-  that trip after ``REPRO_BREAKER_THRESHOLD`` failures, excluding the
-  strategy from :meth:`GraniiEngine.select_spmm_strategy` until a
+  that trip after ``REPRO_BREAKER_THRESHOLD`` failures; a guarded
+  executor skips the rungs of a tripped strategy until a
   ``REPRO_BREAKER_COOLDOWN``-second cooldown elapses;
 - :class:`GuardedExecutor` — the drop-in ``layer.forward`` replacement
   that walks the ladder: chosen plan under its selected strategy → same
@@ -48,7 +48,7 @@ from ..errors import (
     GraniiInputError,
     GraniiMemoryError,
 )
-from ..kernels import STRATEGY_PRICING_PRIMITIVES, demotion_chain, spmm_strategy
+from ..kernels import demotion_chain, spmm_strategy
 from ..sparse import CSRMatrix, DiagonalMatrix
 from ..tensor import Tensor
 from .bindings import build_binding
@@ -135,9 +135,7 @@ def execute_plan(
     kernel_config = None
     if strategy != "row_segment":
         kernel_config = KernelExecutionConfig(
-            strategy=strategy,
-            block_nnz=engine.block_nnz,
-            num_threads=engine.num_threads,
+            strategy=strategy, block_nnz=engine.block_nnz
         )
     cache = setup_caches.setdefault(g, {}).setdefault((mode, slot), {})
     binding = build_binding(
@@ -388,10 +386,9 @@ class CircuitBreaker:
 
     Keys are ``(primitive, strategy)`` pairs.  After ``threshold``
     recorded failures the key *trips*: :meth:`is_open` returns True for
-    ``cooldown_seconds``, during which the engine's strategy selection
-    excludes it and the guarded executor skips rungs that would use it.
-    When the cooldown elapses the key resets fully (closed, count zero),
-    restoring the strategy to the candidate pool.
+    ``cooldown_seconds``, during which the guarded executor skips rungs
+    that would use it.  When the cooldown elapses the key resets fully
+    (closed, count zero), and the strategy's rungs run again.
 
     All mutation happens under an internal lock: the serving runtime
     calls one breaker from many worker threads at once (per-tenant
@@ -598,7 +595,7 @@ class GuardedExecutor:
         if exc is not None and reason in ("kernel_error", "deadline", "memory"):
             primitive = record.primitive or "plan"
             self.engine.breakers.record_failure(primitive, strategy)
-            if primitive != "spmm" and primitive in STRATEGY_PRICING_PRIMITIVES:
+            if primitive == "spmm_unweighted":
                 # strategy-level accounting shared by the spmm flavours
                 # (the ladder's breaker gate keys on ("spmm", strategy))
                 self.engine.breakers.record_failure("spmm", strategy)

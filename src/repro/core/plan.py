@@ -100,16 +100,14 @@ class KernelExecutionConfig:
     """How the executor should run its sparse aggregations.
 
     ``strategy`` is one of :data:`~repro.kernels.spmm.SPMM_STRATEGIES`;
-    ``block_nnz``/``num_threads`` tune the blocked strategies and are
-    ignored by the one-shot one.  ``None`` knobs defer to the kernel
-    defaults (``REPRO_BLOCK_NNZ`` / ``REPRO_NUM_THREADS``).  In tensor
-    mode the config steers the *forward* aggregation only — backward
-    SpMMs stay on the reference kernel (see :mod:`repro.tensor.sparse_ops`).
+    ``block_nnz`` sizes its tiles (``None``: ``REPRO_BLOCK_NNZ``).  In
+    tensor mode the config steers the *forward* aggregation only —
+    backward SpMMs run the default strategy (see
+    :mod:`repro.tensor.sparse_ops`).
     """
 
     strategy: str = "row_segment"
     block_nnz: Optional[int] = None
-    num_threads: Optional[int] = None
 
 
 def _tensor_spmm_knobs(kernel_config: Optional["KernelExecutionConfig"]) -> dict:
@@ -119,7 +117,6 @@ def _tensor_spmm_knobs(kernel_config: Optional["KernelExecutionConfig"]) -> dict
     return {
         "strategy": kernel_config.strategy,
         "block_nnz": kernel_config.block_nnz,
-        "num_threads": kernel_config.num_threads,
     }
 
 
@@ -353,10 +350,9 @@ class CallView:
     """One plan's kernel calls resolved under one shape env.
 
     Holds what selection reads: the forward setup and per-iteration calls
-    (per degree method), the backward calls, the SpMM subset and its
-    per-strategy variants, each with its calls' price keys, and the
-    peak-memory estimate.  The per-step calls are resolved when the view
-    is built, everything else on first use.
+    (per degree method) and the backward calls, each with its calls'
+    price keys, and the peak-memory estimate.  The per-step calls are
+    resolved when the view is built, everything else on first use.
     """
 
     def __init__(self, template: _CallTemplate, env) -> None:
@@ -368,8 +364,6 @@ class CallView:
         ]
         self._forward: Dict[str, Tuple[CallList, CallList]] = {}
         self._backward: Optional[CallList] = None
-        self._spmm: Optional[CallList] = None
-        self._variants: Dict[str, Optional[CallList]] = {}
         self._peak: Optional[float] = None
 
     def pairs(self, degree_method: str) -> Tuple[List[tuple], List[tuple]]:
@@ -406,32 +400,6 @@ class CallView:
         if self._backward is None:
             self._backward = _call_list(self.backward_pairs())
         return self._backward
-
-    @property
-    def spmm(self) -> CallList:
-        """The per-iteration ``spmm``/``spmm_unweighted`` calls."""
-        if self._spmm is None:
-            self._spmm = _call_list([
-                pair
-                for i in self._template.iteration
-                for pair in self._steps[i]
-                if pair[1].primitive in _SPMM_SEMIRINGS
-            ])
-        return self._spmm
-
-    def variant(self, row) -> Optional[CallList]:
-        """The SpMM subset as strategy ``row`` prices it (None: unpriced)."""
-        if row.name not in self._variants:
-            spmm = self.spmm
-            prims = [row.priced_as(call.primitive) for call in spmm.calls]
-            self._variants[row.name] = None if None in prims else CallList(
-                [
-                    KernelCall(prim, dict(call.shape), tag=call.tag)
-                    for prim, call in zip(prims, spmm.calls)
-                ],
-                [(prim, key[1]) for prim, key in zip(prims, spmm.keys)],
-            )
-        return self._variants[row.name]
 
     @property
     def peak_bytes(self) -> float:
@@ -774,7 +742,7 @@ class Plan:
                     continue
                 try:
                     value = dispatch_kernel(
-                        row.primitive,
+                        row.name,
                         lambda: _execute_fused_segment(
                             segment, env, kernel_config, workspace
                         ),
@@ -909,7 +877,6 @@ def _execute_step(
                 get_semiring(*_SPMM_SEMIRINGS[p]),
                 strategy=kernel_config.strategy,
                 block_nnz=kernel_config.block_nnz,
-                num_threads=kernel_config.num_threads,
                 workspace=workspace,
             )
         if p == "spmm_unweighted":

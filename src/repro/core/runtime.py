@@ -8,7 +8,9 @@ cost models) to a concrete (model, graph, embedding sizes) instance:
 2. if more than one candidate remains, featurize the input graph once and
    sum per-primitive cost-model predictions for each candidate, with
    graph-only setup amortised over the expected iteration count;
-3. lower the winner to an executor and attach it to the model.
+3. lower the winner to an executor and attach it to the model.  Its
+   aggregations run the engine's SpMM strategy: ``row_segment`` (the
+   fold) unless one is pinned; no strategy is priced.
 
 Both decision overheads (feature extraction, selection) are measured and
 reported, mirroring the paper's overhead accounting (§VI-C1).
@@ -59,7 +61,7 @@ from .. import config
 from ..framework import MPGraph, get_system
 from ..graphs import Graph
 from ..hardware import get_device
-from ..kernels import SPMM_STRATEGIES, SPMM_STRATEGY_TABLE, demotion_chain
+from ..kernels import SPMM_STRATEGIES, demotion_chain
 from ..tensor import Tensor
 from .bindings import model_ir_kwargs, model_ir_name
 from .codegen import CompiledModel, PlannedCandidate, cached_model, compile_model
@@ -74,7 +76,7 @@ from .guard import (
     reference_forward,
 )
 from .ir import ShapeEnv, env_key
-from .plan import CallList, CallView, Plan, PriceIndex, price_index
+from .plan import CallList, Plan, PriceIndex, price_index
 
 __all__ = ["SelectionReport", "OptimizationReport", "GraniiEngine"]
 
@@ -92,6 +94,8 @@ class SelectionReport:
     peak_memory_bytes: float = 0.0
     memory_filtered_count: int = 0  # plans dropped for exceeding the limit
     spmm_strategy: str = "row_segment"  # how the executor runs aggregations
+    # the autotuner's measured seconds of that strategy's fold
+    # (``measured:<strategy>``; empty unless REPRO_AUTOTUNE is on)
     strategy_costs: Dict[str, float] = field(default_factory=dict)
     # runtime verification outcome: None until the first verified call,
     # then True (plan agreed with the reference) or False (diverged; the
@@ -214,9 +218,8 @@ class _Prices:
     runtime residual applied inside ``predict_call``).
 
     With a :class:`PriceIndex` the index's keys are priced into its slots
-    and :meth:`plan_costs` totals all its plans in one array pass; keys
-    the index lacks (a strategy variant's, or every key without an index)
-    are memoised by key.
+    and :meth:`plan_costs` totals all its plans in one array pass; without
+    one, :meth:`total` memoises each key it prices.
     """
 
     def __init__(
@@ -232,7 +235,6 @@ class _Prices:
         self._graph_vec = graph_vec
         self._prices = self._models.prices(graph_vec.tobytes())
         size = 1 if index is None else len(index.keys)
-        self._slots = {} if index is None else index.slots
         self._seconds = [0.0] * size
         self._todo = [False] + [True] * (size - 1)
         self._other: Dict[tuple, float] = {}
@@ -252,18 +254,11 @@ class _Prices:
 
     def total(self, priced: CallList) -> float:
         """Predicted seconds of a call list, summed in call order."""
-        slots, seconds, todo = self._slots, self._seconds, self._todo
         out = 0.0
         for call, key in zip(priced.calls, priced.keys):
-            slot = slots.get(key)
-            if slot is not None:
-                if todo[slot]:
-                    self._fill((slot,))
-                t = seconds[slot]
-            else:
-                t = self._other.get(key)
-                if t is None:
-                    t = self._other[key] = self._price(call, key)
+            t = self._other.get(key)
+            if t is None:
+                t = self._other[key] = self._price(call, key)
             out += t
         return out
 
@@ -306,19 +301,16 @@ class GraniiEngine:
         scale: str = "default",
         cost_models: Optional[CostModelSet] = None,
         memory_limit_bytes: Optional[float] = None,
-        spmm_strategy: str = "auto",
+        spmm_strategy: str = "row_segment",
         block_nnz: Optional[int] = None,
-        num_threads: Optional[int] = None,
         verify_plans: Optional[bool] = None,
         guarded: Optional[bool] = None,
         breakers: Optional[CircuitBreaker] = None,
     ) -> None:
         if mode not in ("inference", "training"):
             raise ValueError("mode must be 'inference' or 'training'")
-        if spmm_strategy != "auto" and spmm_strategy not in SPMM_STRATEGIES:
-            raise ValueError(
-                f"spmm_strategy must be 'auto' or one of {SPMM_STRATEGIES}"
-            )
+        if spmm_strategy not in SPMM_STRATEGIES:
+            raise ValueError(f"spmm_strategy must be one of {SPMM_STRATEGIES}")
         self.device = get_device(device)
         self.system = get_system(system)
         self.iterations = int(iterations)
@@ -327,7 +319,6 @@ class GraniiEngine:
         self.memory_limit_bytes = memory_limit_bytes
         self.spmm_strategy = spmm_strategy
         self.block_nnz = block_nnz
-        self.num_threads = num_threads
         if verify_plans is None:
             verify_plans = config.verify_plans()
         # double-execute the chosen plan against the reference composition
@@ -451,91 +442,38 @@ class GraniiEngine:
     def select_spmm_strategy(
         self,
         plan: Plan,
-        env: ShapeEnv,
-        graph_vec: np.ndarray,
+        env: Optional[ShapeEnv] = None,
+        graph_vec: Optional[np.ndarray] = None,
         env_key: Optional[Tuple] = None,
-    ) -> Tuple[str, Dict[str, float]]:
-        """Pick the aggregation strategy for this (plan, graph) pairing.
+    ) -> str:
+        """The aggregation strategy this plan's executor runs.
 
-        With ``spmm_strategy='auto'`` the plan's per-iteration
-        spmm/spmm_unweighted calls (the SpMM subset of the plan's view of
-        ``env``) are re-priced under each
-        :data:`~repro.kernels.spmm.SPMM_STRATEGY_TABLE` row's cost-model
-        primitive (a row without one is never auto-selected) and the
-        cheapest wins — the same input-aware mechanism the paper applies
-        to composition choice, one level down at the kernel.  Auto only
-        consults models that are already materialised: it never triggers
-        the offline training pass on its own (a single-candidate
-        selection must stay overhead-free), falling back to
-        ``row_segment`` when no models are loaded.
-
-        Strategies whose ``("spmm", strategy)`` circuit breaker is open
-        (repeated runtime failures within the cooldown window) are
-        excluded from auto selection; they rejoin the pool automatically
-        once the cooldown elapses.  ``row_segment`` — the reference
-        strategy — is never excluded.
-
-        A *pinned* strategy (``spmm_strategy != 'auto'``, typically via
-        ``REPRO_SPMM_STRATEGY``) is routed through the same static
-        legality gate the pruner applies to auto selections: if
-        ``analyze_plan`` rejects this plan under the pinned strategy
-        (alias hazards, unbalanced workspace lifetimes), the executor
-        falls back to ``row_segment`` with a warning instead of running
-        an unvetted composition.
+        Nothing is priced, so the input (``env``, ``graph_vec``,
+        ``env_key``) does not enter the choice: it is ``row_segment``,
+        the fold, unless the engine pins another row
+        (``GraniiEngine(spmm_strategy=...)``).  A pinned row is routed
+        through the static legality gate the pruner applies to every
+        plan: if ``analyze_plan`` rejects this plan under it (alias
+        hazards, unbalanced workspace lifetimes), the executor falls back
+        to ``row_segment`` with a warning instead of running an unvetted
+        composition.
         """
-        fixed = self._fixed_strategy(plan)
-        if fixed is not None:
-            return fixed
-        return self._cheapest_strategy(
-            plan.call_view(env, env_key), _Prices(self, graph_vec)
+        pinned = self.spmm_strategy
+        if pinned == "row_segment":
+            return pinned
+        from ..analysis.planlint import analyze_plan
+
+        verdict = analyze_plan(plan, strategies=(pinned,))
+        if verdict.ok:
+            return pinned
+        rules = sorted({d.rule for d in verdict.errors})
+        warnings.warn(
+            f"pinned spmm strategy {pinned!r} rejected by plan analysis "
+            f"({', '.join(rules)}); falling back to row_segment",
+            RuntimeWarning,
+            stacklevel=3,
         )
-
-    def _fixed_strategy(self, plan: Plan) -> Optional[Tuple[str, Dict[str, float]]]:
-        """The strategy chosen without pricing (pinned, or no models
-        loaded), or None when auto selection prices it."""
-        if self.spmm_strategy != "auto":
-            pinned = self.spmm_strategy
-            if pinned != "row_segment":
-                from ..analysis.planlint import analyze_plan
-
-                verdict = analyze_plan(plan, strategies=(pinned,))
-                if not verdict.ok:
-                    rules = sorted({d.rule for d in verdict.errors})
-                    warnings.warn(
-                        f"pinned spmm strategy {pinned!r} rejected by plan "
-                        f"analysis ({', '.join(rules)}); falling back to "
-                        f"row_segment",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                    return "row_segment", {}
-            return pinned, {}
-        if self._cost_models is None:
-            return "row_segment", {}
-        return None
-
-    def _cheapest_strategy(
-        self, view: CallView, prices: _Prices
-    ) -> Tuple[str, Dict[str, float]]:
-        """Price ``view``'s SpMM subset under every strategy row whose
-        breaker is closed; the cheapest wins."""
-        if not view.spmm.calls:
-            return "row_segment", {}
-        costs: Dict[str, float] = {}
-        for row in SPMM_STRATEGY_TABLE:
-            variant = view.variant(row)
-            if variant is None:
-                continue  # no cost primitive: reachable only when pinned
-            if row.demotes_to is not None and self.breakers.is_open(
-                "spmm", row.name
-            ):
-                continue
-            try:
-                costs[row.name] = prices.total(variant)
-            except KeyError:
-                # model set predates these primitives; skip the strategy
-                continue
-        return min(costs, key=costs.get), costs
+        return "row_segment"
 
     def select(
         self, compiled: CompiledModel, graph: Graph, layer
@@ -575,7 +513,6 @@ class GraniiEngine:
             feature_seconds = time.perf_counter() - t0
         t1 = time.perf_counter()
         predicted: Dict[str, float] = {}
-        prices = None
         if len(rows) == 1:
             chosen_row = rows[0]
             ranked = [viable[chosen_row]]
@@ -588,23 +525,14 @@ class GraniiEngine:
             ranked = [viable[i] for i in order]
             chosen_row = order[0]
         chosen = viable[chosen_row]
-        strategy = self._fixed_strategy(chosen.plan)
-        if strategy is None:
-            if prices is None:
-                prices = _Prices(self, graph_vec, index)
-            strategy = self._cheapest_strategy(index.views[chosen_row], prices)
-        spmm_strategy, strategy_costs = strategy
+        spmm_strategy = self.select_spmm_strategy(chosen.plan)
+        strategy_costs: Dict[str, float] = {}
         if config.autotune_enabled():
             from .autotune import autotune_selection
 
             tuned = autotune_selection(self, chosen.plan, graph, layer)
             if tuned is not None:
-                spmm_strategy = tuned.strategy
-                if tuned.block_nnz is not None:
-                    self.block_nnz = tuned.block_nnz
-                strategy_costs = dict(strategy_costs)
-                for strat, seconds in tuned.best_per_strategy.items():
-                    strategy_costs[f"measured:{strat}"] = seconds
+                strategy_costs[f"measured:{tuned.strategy}"] = tuned.seconds
         selection_seconds = time.perf_counter() - t1
         # static verdict for the winner: proved facts let the guarded
         # executor skip re-deriving them on the hot path (see guard.py);

@@ -697,13 +697,13 @@ def seeded_fault(scale: float = 1.001) -> Iterator[None]:
     kernel: any plan executed under the ``blocked`` strategy on a
     non-trivial graph diverges from the reference by ~``scale - 1``
     relative error, far outside the depth-scaled tolerance.  The fault
-    patches ``blocked.gspmm_blocked`` — the ``blocked`` table row's
+    patches ``blocked.gspmm_row_blocks`` — the ``blocked`` table row's
     runner, resolved at call time — not the span loop every in-process
     row shares, so ``row_segment`` (and the rest) stay clean.
     """
     from ..kernels import blocked as blocked_mod
 
-    original = blocked_mod.gspmm_blocked
+    original = blocked_mod.gspmm_row_blocks
 
     def faulty(adj, x, semiring=None, block_nnz=None, workspace=None):
         out = original(
@@ -711,11 +711,11 @@ def seeded_fault(scale: float = 1.001) -> Iterator[None]:
         )
         return out * scale
 
-    blocked_mod.gspmm_blocked = faulty
+    blocked_mod.gspmm_row_blocks = faulty
     try:
         yield
     finally:
-        blocked_mod.gspmm_blocked = original
+        blocked_mod.gspmm_row_blocks = original
 
 
 # ----------------------------------------------------------------------

@@ -63,7 +63,6 @@ def _fresh_engine(cost_models) -> GraniiEngine:
         device="cpu",
         system="dgl",
         cost_models=cost_models,
-        spmm_strategy="auto",
         verify_plans=True,  # the only defense against silent corruption
         guarded=True,
     )

@@ -43,7 +43,7 @@ from typing import Dict, Mapping, Optional
 import numpy as np
 
 from ..graphs import Graph
-from ..kernels import PRICED_STRATEGIES, KernelCall
+from ..kernels import KernelCall
 
 __all__ = ["DeviceProfile", "Device", "GraphStats", "bytes_moved"]
 
@@ -60,11 +60,8 @@ def bytes_moved(call: KernelCall) -> float:
     name = call.primitive
     if name == "gemm":
         return _F64 * (s["m"] * s["k"] + s["k"] * s["n"] + s["m"] * s["n"])
-    if name == "spmm" or name in PRICED_STRATEGIES:
-        # values + column indices + gathered rows + output.  The priced
-        # strategy rows stream the same traffic: a tiled message block
-        # stays cache-resident, and fused pre-scale/epilogue work rides
-        # on the already-resident span
+    if name == "spmm":
+        # values + column indices + gathered rows + output
         return _F64 * (2 * s["nnz"] + s["nnz"] * s["k"] + s["m"] * s["k"])
     if name == "spmm_unweighted":
         return _F64 * (s["nnz"] + s["nnz"] * s["k"] + s["m"] * s["k"])
@@ -140,13 +137,6 @@ class DeviceProfile:
     skew_coeff: float  # sensitivity to degree skew on sparse kernels
     noise_sigma: float  # log-normal measurement noise
     atomic_base: float = 1.0  # uncontended atomic-op slowdown (binning)
-    # tiled-kernel calibration: row-blocked execution bounds how much one
-    # hot row can stall a pass, removing this fraction of the skew penalty
-    tile_skew_relief: float = 0.5
-    # effective speedup of the host thread-pool SpMM path; ~1 on GPUs
-    # (the kernel is already device-wide parallel, threads only add
-    # dispatch overhead) but real on CPU targets
-    thread_speedup: float = 1.0
 
 
 class Device:
@@ -177,10 +167,7 @@ class Device:
     def _skew(self, call: KernelCall, stats: GraphStats) -> float:
         if call.kind != "sparse":
             return 1.0
-        coeff = self.profile.skew_coeff
-        if call.primitive in PRICED_STRATEGIES:
-            coeff *= 1.0 - self.profile.tile_skew_relief
-        return 1.0 + coeff * stats.row_imbalance
+        return 1.0 + self.profile.skew_coeff * stats.row_imbalance
 
     def _noise(self, call: KernelCall, stats: GraphStats) -> float:
         if self.profile.noise_sigma <= 0:
@@ -214,18 +201,8 @@ class Device:
         compute = call.flops / tput
         memory = bytes_moved(call) / self.profile.bandwidth
         base = compute + memory
-        overhead = self.profile.kernel_overhead
-        row = PRICED_STRATEGIES.get(call.primitive)
-        if row is not None:
-            # the row's launch count and fused-work saving relative to
-            # plain spmm; a thread-pool row also divides by the host's
-            # thread speedup
-            base *= row.work_scale
-            if row.pool == "threads":
-                base /= max(self.profile.thread_speedup, 1.0)
-            overhead *= row.launch_overhead
         result = (
-            overhead
+            self.profile.kernel_overhead
             + base
             * self._contention(call, stats)
             * self._skew(call, stats)

@@ -32,7 +32,6 @@ DEVICE_PROFILES: Dict[str, DeviceProfile] = {
         atomic_exp=0.6,
         skew_coeff=0.3,
         noise_sigma=0.10,
-        thread_speedup=3.0,  # the blocked thread-pool path is real on CPU
     ),
     "a100": DeviceProfile(
         name="a100",

@@ -18,17 +18,13 @@ import numpy as np
 
 from ..graphs import Graph
 from ..kernels import (
-    PRICED_STRATEGIES,
     STRATEGY_PRICING_PRIMITIVES,
     KernelCall,
-    WorkspaceArena,
     degrees_by_binning,
     degrees_from_indptr,
     edge_softmax,
     gemm,
     gsddmm,
-    gspmm,
-    get_semiring,
     row_broadcast,
     sddmm,
     sddmm_diag_scale,
@@ -74,9 +70,6 @@ class RealExecutionBackend:
         self._dense_cache: Dict[tuple, np.ndarray] = {}
         # keyed on the graph object: an id() is recycled once a graph dies
         self._graph_ops = weakref.WeakKeyDictionary()
-        # shared across profiled invocations so the blocked strategies are
-        # measured with warm scratch buffers, as they run in steady state
-        self._workspace = WorkspaceArena()
 
     # ------------------------------------------------------------------
     def _dense(self, rows: int, cols: int) -> np.ndarray:
@@ -116,13 +109,6 @@ class RealExecutionBackend:
         if p == "spmm_unweighted":
             x = self._dense(adj.shape[1], int(s["k"]))
             return lambda: spmm_unweighted(adj, x)
-        row = PRICED_STRATEGIES.get(p)
-        if row is not None:
-            x = self._dense(adj.shape[1], int(s["k"]))
-            semiring = get_semiring("sum", "mul")
-            return lambda: gspmm(
-                wadj, x, semiring, strategy=row.name, workspace=self._workspace
-            )
         if p == "sddmm":
             a = self._dense(adj.shape[0], int(s["k"]))
             b = self._dense(int(s["k"]), adj.shape[1])

@@ -5,8 +5,7 @@ from .blocked import (
     default_block_nnz,
     default_num_threads,
     gsddmm_blocked,
-    gspmm_blocked,
-    gspmm_parallel,
+    gspmm_row_blocks,
     row_block_spans,
 )
 from .broadcast import col_broadcast, row_broadcast, row_broadcast_flops
@@ -45,7 +44,6 @@ from .spgemm import sampled_power_nnz, spgemm, spgemm_output_nnz_estimate
 from .spmm import (
     SPMM_STRATEGIES,
     SPMM_STRATEGY_TABLE,
-    PRICED_STRATEGIES,
     STRATEGY_PRICING_PRIMITIVES,
     SpmmStrategy,
     default_spmm_strategy,
@@ -65,7 +63,6 @@ __all__ = [
     "DEFAULT_BLOCK_NNZ",
     "FUSABLE_NONLINEARS",
     "KernelCall",
-    "PRICED_STRATEGIES",
     "PRIMITIVES",
     "Primitive",
     "REDUCE_OPS",
@@ -98,10 +95,9 @@ __all__ = [
     "gsddmm",
     "gsddmm_blocked",
     "gspmm",
-    "gspmm_blocked",
+    "gspmm_row_blocks",
     "gspmm_flops",
     "gspmm_fused",
-    "gspmm_parallel",
     "leaky_relu",
     "log_softmax_rows",
     "norm_diagonal",

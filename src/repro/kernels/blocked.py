@@ -17,21 +17,21 @@ alone:
   kernel's O(E·K).
 
 Every in-process strategy is one call of :func:`fold_spans`, the single
-span loop (``row_segment`` is its one-span case, ``spmm_fused`` adds a
-pre-scale and per-span epilogues — see :mod:`repro.kernels.compiled`).
-This module's two public wrappers differ only in which spans they fold:
+span loop (``spmm_fused`` adds a pre-scale and per-span epilogues — see
+:mod:`repro.kernels.compiled`).  This module's two public wrappers
+differ only in which spans they fold:
 
-``blocked`` (:func:`gspmm_blocked`)
+``row_segment`` (:func:`gspmm_fold`)
+    *The fold*.  A compiled fold runs as the :func:`worker_spans` of its
+    ``nnz·k`` work: one span below :data:`FOLD_CROSSOVER`,
+    ``REPRO_NUM_THREADS`` edge-balanced spans at or above it, folded at
+    once by :func:`run_spans`.  A NumPy-fold semiring runs
+    :func:`gspmm_row_blocks`: its ``block_nnz`` tiles bound the message
+    memory, and they fold on the caller.
+``blocked`` (:func:`gspmm_row_blocks`)
     Sequential execution, block after block, with a reusable workspace.
     Block size comes from ``REPRO_BLOCK_NNZ`` (default 32768 edges, i.e.
     a 256 KiB float64 tile per feature column budgeted across k).
-``blocked_parallel`` (:func:`gspmm_parallel`)
-    A compiled fold runs as the :func:`worker_spans` of its ``nnz·k``
-    work: one span below :data:`FOLD_CROSSOVER` (it *is* ``row_segment``
-    there), ``REPRO_NUM_THREADS`` edge-balanced spans at or above it,
-    folded at once by :func:`run_spans`.  A NumPy-fold semiring runs
-    ``blocked`` itself: its ``block_nnz`` tiles bound the message memory,
-    and they fold on the caller.
 
 The worker schedule
 -------------------
@@ -47,17 +47,16 @@ belongs to.
 
 Determinism
 -----------
-Every strategy is **bitwise deterministic**, and bitwise equal to
-``row_segment``, for any block size and thread count.  The invariant that
+Every strategy is **bitwise deterministic**, and bitwise equal to a
+one-span fold, for any block size and thread count.  The invariant that
 guarantees this: spans are contiguous row ranges, so every output row's
 reduction happens entirely inside exactly one span, and both folds in
 :mod:`~repro.kernels.segment` make each row's result a pure function of
 that row's edges in CSR order — the compiled fold walks ``indptr[r]`` to
 ``indptr[r+1]`` left to right whichever ``indptr`` slice it was handed,
 and ``segment_reduce`` keys its association on the row's length alone.
-``row_segment`` is the one-span case of the same fold.  Threads never
-split a row's sum: workers own disjoint row ranges, write disjoint
-output slices, and draw scratch from per-thread arenas
+Threads never split a row's sum: workers own disjoint row ranges, write
+disjoint output slices, and draw scratch from per-thread arenas
 (:func:`~repro.kernels.workspace.thread_local_arena`), so neither the
 pool's scheduling order nor ``REPRO_NUM_THREADS`` nor ``REPRO_BLOCK_NNZ``
 can change a single result bit.  Floating-point drift across strategies
@@ -92,8 +91,8 @@ __all__ = [
     "usable_cpus",
     "worker_spans",
     "fold_spans",
-    "gspmm_blocked",
-    "gspmm_parallel",
+    "gspmm_row_blocks",
+    "gspmm_fold",
     "gsddmm_blocked",
     "require_columns_in_range",
 ]
@@ -133,8 +132,8 @@ _AUTO_NUM_THREADS = min(4, usable_cpus())
 
 
 def default_num_threads() -> int:
-    """Worker count for the parallel strategy; ``REPRO_NUM_THREADS`` (read
-    on every call) wins over the import-time ``min(4, usable_cpus())``."""
+    """Worker count of a split fold; ``REPRO_NUM_THREADS`` (read on every
+    call) wins over the import-time ``min(4, usable_cpus())``."""
     value = config.num_threads()
     if value > 0:
         return value
@@ -256,11 +255,11 @@ def fold_spans(
     Folds each ``[r0, r1)`` span of ``spans`` (contiguous, covering every
     row once) into a fresh result buffer, finalises ``mean`` and applies
     ``epilogue(out[r0:r1], r0, r1)`` per span while it is cache-hot.
-    ``row_segment`` is the one-span call, ``blocked`` the sequential
-    call over :func:`row_block_spans`, ``blocked_parallel`` (compiled
-    folds) the :func:`worker_spans` call with ``split=True`` (the spans
-    fold at once through :func:`run_spans`), ``spmm_fused`` the
-    sequential call with ``pre_scale``/``epilogue``.
+    ``row_segment`` (compiled folds) is the :func:`worker_spans` call
+    with ``split=True`` (the spans fold at once through
+    :func:`run_spans`), ``blocked`` the sequential call over
+    :func:`row_block_spans`, ``spmm_fused`` the sequential call with
+    ``pre_scale``/``epilogue``.
 
     ``pre_scale`` (one factor per source node) is multiplied into ``x``
     once, in ``workspace`` scratch, ahead of the loop.  NumPy-fold
@@ -327,7 +326,7 @@ def fold_spans(
     return out
 
 
-def gspmm_blocked(
+def gspmm_row_blocks(
     adj: CSRMatrix,
     x: np.ndarray,
     semiring: Optional[Semiring] = None,
@@ -498,29 +497,27 @@ def run_spans(
             raise job.error
 
 
-def gspmm_parallel(
+def gspmm_fold(
     adj: CSRMatrix,
     x: np.ndarray,
     semiring: Optional[Semiring] = None,
     block_nnz: Optional[int] = None,
-    num_threads: Optional[int] = None,
 ) -> np.ndarray:
-    """Thread-parallel g-SpMM over the fold's worker spans.
+    """The g-SpMM fold (the ``row_segment`` strategy).
 
     A compiled fold is cut by :func:`worker_spans` on its ``nnz·k`` work
-    — one span (the ``row_segment`` call) below the fold crossover, one
-    edge-balanced span per worker at or above it — and the spans fold at
-    once through :func:`run_spans`, each writing a disjoint slice of the
-    output.  A NumPy-fold semiring is :func:`gspmm_blocked` on the
-    caller's thread-local arena: its ``block_nnz`` tiles bound the
-    message memory.
+    — one span below the fold crossover, one edge-balanced span per
+    worker at or above it — and the spans fold at once through
+    :func:`run_spans`, each writing a disjoint slice of the output.  A
+    NumPy-fold semiring is :func:`gspmm_row_blocks` on the caller's
+    thread-local arena: its ``block_nnz`` tiles bound the message memory.
     """
     if semiring is None:
         semiring = get_semiring()
     if not folds_compiled(semiring):
-        return gspmm_blocked(adj, x, semiring, block_nnz, thread_local_arena())
+        return gspmm_row_blocks(adj, x, semiring, block_nnz, thread_local_arena())
     x = _promote(x)
-    spans = worker_spans(adj.indptr, adj.nnz * x.shape[1], num_threads)
+    spans = worker_spans(adj.indptr, adj.nnz * x.shape[1])
     return fold_spans(adj, x, semiring, spans, split=True)
 
 

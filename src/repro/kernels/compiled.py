@@ -109,7 +109,7 @@ def gspmm_fused(
     """One-pass fused g-SpMM with optional pre-scale and epilogue chain.
 
     With no ``pre_scale``/``epilogues`` this is a streaming drop-in for
-    ``gspmm_blocked`` (and is what the bare ``spmm_fused`` strategy
+    ``gspmm_row_blocks`` (and is what the bare ``spmm_fused`` strategy
     runs).  With them, it executes a whole compiled plan segment::
 
         epilogues(fold_rows(edge ⊗ (pre_scale ⊙ x[cols])))

@@ -28,8 +28,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Mapping
 
-from .spmm import PRICED_STRATEGIES
-
 __all__ = [
     "Primitive",
     "KernelCall",
@@ -141,12 +139,6 @@ PRIMITIVES: Dict[str, Primitive] = {
 }
 
 
-# one cost primitive per priced strategy row, same O(E·K) work as spmm
-PRIMITIVES.update(
-    (name, Primitive(name, "sparse", PRIMITIVES["spmm"].flops, row.description))
-    for name, row in PRICED_STRATEGIES.items()
-)
-
 
 def get_primitive(name: str) -> Primitive:
     try:
@@ -175,10 +167,6 @@ _TRANSIENT_BYTES: Dict[str, Callable[[Mapping[str, float]], float]] = {
     "edge_softmax": lambda s: 16.0 * s["nnz"],
     "fused_attn_spmm": lambda s: 24.0 * s["nnz"],
 }
-_TRANSIENT_BYTES.update(
-    (name, row.transient_bytes)
-    for name, row in PRICED_STRATEGIES.items() if row.transient_bytes
-)
 
 
 def transient_bytes(primitive: str, shape: Mapping[str, float]) -> float:

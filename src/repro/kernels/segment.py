@@ -3,11 +3,10 @@
 Every row-wise reduction of an SpMM goes through one of two functions
 here (the edge softmax's 1-D sums and maxes, which no strategy touches,
 are in :mod:`repro.kernels.softmax`), so all execution strategies
-(``row_segment``, ``blocked``, ``blocked_parallel``, ``spmm_fused``)
-share one accumulation order and stay mutually
-bitwise-identical no matter how a caller partitions the rows into spans:
-the result for a row is a pure function of that row's edges, never of the
-span it arrives in.
+(``row_segment``, ``blocked``, ``spmm_fused``) share one accumulation
+order and stay mutually bitwise-identical no matter how a caller
+partitions the rows into spans: the result for a row is a pure function
+of that row's edges, never of the span it arrives in.
 
 :func:`fold_rows` — the compiled fold
     For the sum family (``sum``/``mean`` × ``mul``/``copy_rhs``, see

@@ -10,48 +10,44 @@ GNN aggregation places destinations on rows and sources on columns, so a
 g-SpMM over the adjacency aggregates neighbor embeddings (paper §II-C).
 
 Every execution strategy is one row of :data:`SPMM_STRATEGY_TABLE`;
-everything that used to know a strategy by name — ``gspmm``, the
-engine's selection, the autotuner, the guard ladder, plan execution,
-planlint, the verify sweep, the cost-model profiler and the analytic
-device — iterates or looks up that table, so adding or removing a
-strategy is a one-row diff.
+everything that knows a strategy by name — ``gspmm``, the engine, the
+guard ladder, plan execution, planlint and the verify sweep — iterates
+or looks up that table.  No strategy is priced or chosen by a cost
+model: the default is ``row_segment``, and the others run only when
+pinned (``REPRO_SPMM_STRATEGY``, ``GraniiEngine(spmm_strategy=...)``).
 
 ``row_segment``
-    One row fold over the whole matrix — the CSR-natural strategy and
-    the reference every other row is bitwise-equal to.  The sum family
-    (``sum``/``mean`` × ``mul``/``copy_rhs``) runs the compiled
-    :func:`~repro.kernels.segment.fold_rows`; ``max``/``min`` and the
-    other ⊗ gather messages in edge order and reduce them through
+    *The fold*, and the reference every other row is bitwise-equal to.
+    The sum family (``sum``/``mean`` × ``mul``/``copy_rhs``) runs the
+    compiled :func:`~repro.kernels.segment.fold_rows` as the worker
+    spans of its ``nnz·k`` work (:func:`repro.kernels.blocked.worker_spans`):
+    one span below the fold's crossover, one edge-balanced span per
+    worker (``REPRO_NUM_THREADS``) above it, folded at once.
+    ``max``/``min`` and the other ⊗ gather messages in ``block_nnz``-edge
+    tiles and reduce them through
     :func:`~repro.kernels.segment.segment_reduce`.
 ``blocked``
-    The same fold, one ``block_nnz``-edge span of rows at a time
-    (NumPy-fold semirings stream their messages through a bounded,
-    reusable workspace tile instead of one O(E·K) message array).
-``blocked_parallel``
-    The compiled fold as the worker spans of its ``nnz·k`` work
-    (:func:`repro.kernels.blocked.worker_spans`): ``row_segment`` below
-    the fold's crossover, one edge-balanced span per worker
-    (``REPRO_NUM_THREADS``) above it, folded at once; the NumPy-fold
-    semirings keep ``blocked``'s tiles.
+    The same fold, one ``block_nnz``-edge span of rows at a time, on the
+    caller (NumPy-fold semirings stream their messages through a
+    bounded, reusable workspace tile).
 ``spmm_fused``
     The same spans with a plan's pre-aggregation row scale and
     post-aggregation epilogues absorbed into the pass
     (:mod:`repro.kernels.compiled`).  As a bare strategy (no plan
     context) it runs the aggregation alone.
 
-All four are one loop (:func:`repro.kernels.blocked.fold_spans`) under
+All three are one loop (:func:`repro.kernels.blocked.fold_spans`) under
 different span partitions; there is no process-pool strategy
 (docs/PERFORMANCE.md, "Why there is no process pool").  All produce
 identical results — each row's fold is independent of the span it
-arrives in — and the hardware model prices them differently, which is
-what lets the engine pick a strategy per input.
+arrives in.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -65,7 +61,6 @@ __all__ = [
     "SPMM_STRATEGY_TABLE",
     "STRATEGY_PRICING_PRIMITIVES",
     "SpmmStrategy",
-    "PRICED_STRATEGIES",
     "default_spmm_strategy",
     "demotion_chain",
     "spmm_strategy",
@@ -79,112 +74,57 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpmmStrategy:
-    """One g-SpMM execution strategy: how it runs and how it is priced.
+    """One g-SpMM execution strategy.
 
-    ``run(adj, x, semiring, block_nnz, num_threads, workspace)``
-    executes it; runners look their kernel up on its module
-    at call time, so a test or fault that patches e.g.
-    ``blocked.gspmm_blocked`` perturbs exactly that row.
+    ``run(adj, x, semiring, block_nnz, workspace)`` executes it; runners
+    look their kernel up on its module at call time, so a test or fault
+    that patches e.g. ``blocked.gspmm_row_blocks`` perturbs exactly that
+    row.
     """
 
     name: str
     run: Callable[..., np.ndarray]
-    # how rows are partitioned: "one" span or "blocks" of block_nnz
-    # edges; "blocks" is block_nnz-sensitive
-    spans: str
-    # cost-model primitive that prices the strategy; None = never
-    # auto-selected (pin-only).  The reference row is priced by the
-    # plan's own spmm/spmm_unweighted calls instead (see priced_as)
-    primitive: Optional[str] = None
-    description: str = ""
     # next guard rung when the strategy fails (None: the reference row)
     demotes_to: Optional[str] = "row_segment"
     # per-aggregation buffer the planlint lifetime trace tracks
     scratch: Optional[str] = None
     # draws scratch from the arena plan execution caches per (plan, graph)
     plan_arena: bool = False
-    # runs on the "threads" pool; None = on the caller, so the autotuner
-    # may time it without paying pool spin-up
-    pool: Optional[str] = None
     # plan execution compiles fusable chains into this strategy's pass
     fuses: bool = False
-    # analytic-device pricing of ``primitive`` relative to plain spmm
-    launch_overhead: float = 1.0
-    work_scale: float = 1.0
-    # per-call scratch of ``primitive`` beyond inputs and output, from a
-    # KernelCall shape (the registry's transient-memory model)
-    transient_bytes: Optional[Callable[[Mapping[str, float]], float]] = None
-
-    def priced_as(self, call_primitive: str) -> Optional[str]:
-        """Cost-model primitive pricing a plan's ``call_primitive``
-        aggregation under this strategy (None: unpriced)."""
-        return call_primitive if self.demotes_to is None else self.primitive
 
 
 SPMM_STRATEGY_TABLE: Tuple[SpmmStrategy, ...] = (
     SpmmStrategy(
         "row_segment",
-        lambda adj, x, semiring, **knobs: blocked.fold_spans(
-            adj, x, semiring, [(0, adj.shape[0])]
+        lambda adj, x, semiring, block_nnz, workspace: blocked.gspmm_fold(
+            adj, x, semiring, block_nnz=block_nnz
         ),
-        spans="one",
         demotes_to=None,
     ),
     SpmmStrategy(
         "blocked",
-        lambda adj, x, semiring, block_nnz, workspace, **knobs: (
-            blocked.gspmm_blocked(
+        lambda adj, x, semiring, block_nnz, workspace: (
+            blocked.gspmm_row_blocks(
                 adj, x, semiring, block_nnz=block_nnz, workspace=workspace
             )
         ),
-        spans="blocks",
-        primitive="spmm_blocked",
-        description="row-block tiled sparse·dense multiplication, "
-        "O(block·K) workspace",
         scratch="tile",
         plan_arena=True,
-        launch_overhead=2.0,
-    ),
-    SpmmStrategy(
-        "blocked_parallel",
-        lambda adj, x, semiring, block_nnz, num_threads, **knobs: (
-            blocked.gspmm_parallel(
-                adj, x, semiring, block_nnz=block_nnz, num_threads=num_threads
-            )
-        ),
-        spans="blocks",
-        primitive="spmm_parallel",
-        description="thread-parallel sparse·dense multiplication over "
-        "edge-balanced worker spans",
-        scratch="tile",
-        pool="threads",
-        # thread-pool dispatch plus per-block scheduling launches
-        launch_overhead=6.0,
     ),
     SpmmStrategy(
         "spmm_fused",
-        lambda adj, x, semiring, block_nnz, workspace, **knobs: (
+        lambda adj, x, semiring, block_nnz, workspace: (
             compiled.gspmm_fused(
                 adj, x, semiring, block_nnz=block_nnz, workspace=workspace
             )
         ),
-        spans="blocks",
-        primitive="spmm_fused",
-        description="compiled-plan streaming aggregation: row-block tiled "
-        "SpMM with pre-scale and epilogues absorbed into the single pass",
         # a compiled-plan failure demotes to the step-by-step tiled
         # interpreter first — same workspace, no fusion
         demotes_to="blocked",
         scratch="fused",
         plan_arena=True,
         fuses=True,
-        # one compiled launch absorbs the whole segment, and its
-        # epilogues skip the intermediate materialisations
-        launch_overhead=1.5,
-        work_scale=0.9,
-        # the pre-scaled copy of the dense operand, one multiply per
-        # source node, staged in the arena ahead of the fold
-        transient_bytes=lambda s: 8.0 * s["m"] * s.get("k", 1),
     ),
 )
 
@@ -211,13 +151,9 @@ def demotion_chain(name: str) -> Tuple[str, ...]:
     return tuple(chain)
 
 
-# cost primitive -> the row it prices: the auto-selectable strategies
-PRICED_STRATEGIES: Dict[str, SpmmStrategy] = {
-    row.primitive: row for row in SPMM_STRATEGY_TABLE if row.primitive
-}
-
-# Primitives whose predicted cost decides the aggregation strategy.
-STRATEGY_PRICING_PRIMITIVES = ("spmm", "spmm_unweighted") + tuple(PRICED_STRATEGIES)
+# The aggregation primitives a plan's kernel calls price: the cost-model
+# residuals that can move plan ranking (see costmodel.cost_model_token).
+STRATEGY_PRICING_PRIMITIVES = ("spmm", "spmm_unweighted")
 
 # Innermost spmm_strategy_override() wins over REPRO_SPMM_STRATEGY.
 _STRATEGY_OVERRIDES: List[str] = []
@@ -262,7 +198,6 @@ def gspmm(
     semiring: Optional[Semiring] = None,
     strategy: Optional[str] = None,
     block_nnz: Optional[int] = None,
-    num_threads: Optional[int] = None,
     workspace=None,
 ) -> np.ndarray:
     """Generalized SpMM; see module docstring.
@@ -278,21 +213,16 @@ def gspmm(
     strategy:
         One of :data:`SPMM_STRATEGIES`; ``None`` means
         :func:`default_spmm_strategy`.
-    block_nnz / num_threads / workspace:
-        Tuning knobs for the blocked strategies (edge budget per tile,
-        thread-pool width, and the
-        :class:`~repro.kernels.workspace.WorkspaceArena` scratch buffers
-        come from); each row's runner takes the ones it uses.
+    block_nnz / workspace:
+        Edge budget per tile, and the
+        :class:`~repro.kernels.workspace.WorkspaceArena` the tiled rows
+        draw scratch from; each row's runner takes the ones it uses.  A
+        split fold's width is :func:`~repro.kernels.blocked.default_num_threads`.
     """
     if strategy is None:
         strategy = default_spmm_strategy()
     return spmm_strategy(strategy).run(
-        adj,
-        x,
-        semiring,
-        block_nnz=block_nnz,
-        num_threads=num_threads,
-        workspace=workspace,
+        adj, x, semiring, block_nnz=block_nnz, workspace=workspace
     )
 
 

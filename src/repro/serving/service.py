@@ -215,7 +215,7 @@ class GraniiService:
         system: str = "dgl",
         scale: str = "default",
         cost_models=None,
-        spmm_strategy: str = "auto",
+        spmm_strategy: str = "row_segment",
         num_threads: int = 4,
         max_queue: Optional[int] = None,
         deadline_seconds: Optional[float] = None,
@@ -267,11 +267,12 @@ class GraniiService:
             self.warm_start = self._restore_state()
         if fingerprint_fn is None:
             # default fingerprints fold in the cost-model version token:
-            # an autotune refinement that can change strategy selection
-            # advances the token, so entries selected under the stale
+            # an spmm / spmm_unweighted residual (the autotuner's) re-prices
+            # every plan's aggregations and can change plan ranking, so it
+            # advances the token and entries selected under the stale
             # model recompute instead of serving stale choices — while
-            # refinements outside the strategy-pricing scope leave every
-            # fingerprint (and cached entry) untouched
+            # residuals on any other primitive leave every fingerprint
+            # (and cached entry) untouched
             def fingerprint_fn(graph, model_name, in_size, out_size):
                 from ..core.costmodel import cost_model_token
 

@@ -40,7 +40,6 @@ def spmm(
     *,
     strategy: Optional[str] = None,
     block_nnz: Optional[int] = None,
-    num_threads: Optional[int] = None,
 ) -> Tensor:
     """``A @ X`` with a constant (possibly weighted) adjacency.
 
@@ -57,14 +56,7 @@ def spmm(
         # transposed here, not in the forward: inference never needs it
         return gspmm(adj.transpose(), g, semiring)
 
-    out_data = gspmm(
-        adj,
-        x.data,
-        semiring,
-        strategy=strategy,
-        block_nnz=block_nnz,
-        num_threads=num_threads,
-    )
+    out_data = gspmm(adj, x.data, semiring, strategy=strategy, block_nnz=block_nnz)
     return Tensor.make(out_data, (x,), (vjp,), "spmm")
 
 
@@ -75,7 +67,6 @@ def spmm_edge(
     *,
     strategy: Optional[str] = None,
     block_nnz: Optional[int] = None,
-    num_threads: Optional[int] = None,
 ) -> Tensor:
     """``A(e) @ X`` where the adjacency values are themselves a tensor.
 
@@ -99,13 +90,7 @@ def spmm_edge(
     def vjp_x(g: np.ndarray) -> np.ndarray:
         return gspmm(weighted.transpose(), g)
 
-    out_data = gspmm(
-        weighted,
-        x.data,
-        strategy=strategy,
-        block_nnz=block_nnz,
-        num_threads=num_threads,
-    )
+    out_data = gspmm(weighted, x.data, strategy=strategy, block_nnz=block_nnz)
     return Tensor.make(out_data, (edge_vals, x), (vjp_edge, vjp_x), "spmm_edge")
 
 

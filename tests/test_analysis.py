@@ -25,6 +25,7 @@ from repro.core.codegen import compile_model
 from repro.core.ir import ShapeEnv, MatMul, Add, RowBroadcast, dense_data, dense_weight, ir_shape
 from repro.core.pruning import prune_candidates
 from repro.errors import GraniiAnalysisError, GraniiError
+from repro.kernels import SPMM_STRATEGIES
 from repro.models import MODEL_NAMES
 
 ZOO_TARGETS = [(name, {}) for name in MODEL_NAMES] + [
@@ -46,9 +47,7 @@ def test_zoo_plans_pass_planlint(name, kwargs):
     compiled = compile_model(name, **kwargs)
     assert compiled.promoted
     for planned in compiled.promoted:
-        verdict = analyze_plan(
-            planned.plan, strategies=("blocked", "blocked_parallel")
-        )
+        verdict = analyze_plan(planned.plan, strategies=SPMM_STRATEGIES)
         assert verdict.ok, verdict.describe()
         assert verdict.diagnostics == [], verdict.describe()
         assert verdict.proved  # something was actually established

@@ -10,8 +10,8 @@ Covers the codegen-v2 seams end to end:
   every semiring, and zero-width features;
 - a pinned-but-illegal ``REPRO_SPMM_STRATEGY`` falls back to the
   reference with a warning instead of executing an unproven plan;
-- autotuner residuals refine cost models without poisoning serving-cache
-  fingerprints for unaffected primitives;
+- autotuner residuals (``spmm`` / ``spmm_unweighted``) refine cost models
+  without poisoning serving-cache fingerprints for unaffected primitives;
 - a fault inside the fused callable demotes compiled -> blocked with the
   WorkspaceArena released on the exception edge.
 """
@@ -25,7 +25,7 @@ from repro.analysis.planlint import (
     fusion_legality,
 )
 from repro.core import GraniiEngine, compile_model
-from repro.core.autotune import TUNABLE_STRATEGIES, autotune_spmm
+from repro.core.autotune import autotune_spmm
 from repro.core.bindings import build_binding
 from repro.core.codegen import (
     clear_plan_compile_cache,
@@ -232,7 +232,7 @@ class TestPinnedStrategyGate:
                               spmm_strategy="spmm_fused")
         layer = build_layer("gcn", 8, 4, rng=np.random.default_rng(0))
         plan, env, vec = self._plan_env_vec(engine, graph, layer)
-        strategy, costs = engine.select_spmm_strategy(plan, env, vec)
+        strategy = engine.select_spmm_strategy(plan, env, vec)
         assert strategy == "spmm_fused"
 
     def test_illegal_pinned_strategy_falls_back_with_warning(
@@ -258,7 +258,7 @@ class TestPinnedStrategyGate:
         layer = build_layer("gcn", 8, 4, rng=np.random.default_rng(0))
         plan, env, vec = self._plan_env_vec(engine, graph, layer)
         with pytest.warns(RuntimeWarning, match="workspace-imbalance"):
-            strategy, _ = engine.select_spmm_strategy(plan, env, vec)
+            strategy = engine.select_spmm_strategy(plan, env, vec)
         assert strategy == "row_segment"
 
     def test_row_segment_pin_skips_the_gate(self, graph):
@@ -267,7 +267,7 @@ class TestPinnedStrategyGate:
                               spmm_strategy="row_segment")
         layer = build_layer("gcn", 8, 4, rng=np.random.default_rng(0))
         plan, env, vec = self._plan_env_vec(engine, graph, layer)
-        assert engine.select_spmm_strategy(plan, env, vec)[0] == "row_segment"
+        assert engine.select_spmm_strategy(plan, env, vec) == "row_segment"
 
     def test_fused_strategy_passes_static_analysis_for_zoo(self):
         # the pinned gate and verify's static gate share this invariant
@@ -292,9 +292,12 @@ class TestResidualCacheScoping:
             graph, "gcn", 8, 4, cost_token=cost_model_token("h100")
         )
         # gemm is not a strategy-pricing primitive: refining it must not
-        # invalidate aggregation-plan cache entries
+        # invalidate aggregation-plan cache entries; nor must a residual
+        # under a strategy's name, which no plan call prices
         assert "gemm" not in STRATEGY_PRICING_PRIMITIVES
         record_runtime_residual("h100", "gemm", measured_seconds=2.0,
+                                predicted_seconds=1.0)
+        record_runtime_residual("h100", "spmm_fused", measured_seconds=2.0,
                                 predicted_seconds=1.0)
         assert cost_model_token("h100") == ""
         after = fingerprint_graph(
@@ -306,7 +309,7 @@ class TestResidualCacheScoping:
         base = fingerprint_graph(
             graph, "gcn", 8, 4, cost_token=cost_model_token("h100")
         )
-        record_runtime_residual("h100", "spmm_fused", measured_seconds=2.0,
+        record_runtime_residual("h100", "spmm", measured_seconds=2.0,
                                 predicted_seconds=1.0)
         token = cost_model_token("h100")
         assert token != ""
@@ -314,15 +317,15 @@ class TestResidualCacheScoping:
         assert after.key != base.key and after.token != base.token
 
     def test_token_scoped_per_device(self):
-        record_runtime_residual("h100", "spmm_fused", 2.0, 1.0)
+        record_runtime_residual("h100", "spmm", 2.0, 1.0)
         assert cost_model_token("h100") != ""
         assert cost_model_token("a100") == ""
 
     def test_identical_refinements_share_a_token(self):
-        record_runtime_residual("h100", "spmm_blocked", 3.0, 1.5)
+        record_runtime_residual("h100", "spmm_unweighted", 3.0, 1.5)
         first = cost_model_token("h100")
         clear_runtime_residuals()
-        record_runtime_residual("h100", "spmm_blocked", 3.0, 1.5)
+        record_runtime_residual("h100", "spmm_unweighted", 3.0, 1.5)
         assert cost_model_token("h100") == first  # deterministic keying
 
 
@@ -416,27 +419,19 @@ class TestFusedFaultDemotion:
 # Autotuner
 # ----------------------------------------------------------------------
 class TestAutotune:
-    def test_measures_grid_and_picks_min(self):
+    def test_times_the_fold(self):
         adj = erdos_renyi(200, 8.0, seed=4).adj
-        result = autotune_spmm(adj, 8, grid=(64, 512), warmup=0, repeats=1)
-        strategies = {p.strategy for p in result.points}
-        assert strategies == set(TUNABLE_STRATEGIES)
-        # row_segment is block-insensitive: one point; the rest, the grid
-        per = {s: [p for p in result.points if p.strategy == s]
-               for s in strategies}
-        assert len(per["row_segment"]) == 1
-        assert len(per["blocked"]) == 2 and len(per["spmm_fused"]) == 2
-        best = min(result.points, key=lambda p: p.seconds)
-        assert (result.strategy, result.block_nnz) == (
-            best.strategy, best.block_nnz
-        )
-        assert "autotune: chose" in result.describe()
+        result = autotune_spmm(adj, 8, warmup=0, repeats=1)
+        assert result.strategy == "row_segment" and result.seconds > 0
+        assert result.residuals == {}
+        assert result.describe().startswith("autotune: row_segment:")
+        pinned = autotune_spmm(adj, 8, strategy="blocked", warmup=0, repeats=1)
+        assert pinned.strategy == "blocked"
 
     def test_selection_records_measurements_and_residuals(
         self, graph, monkeypatch
     ):
         monkeypatch.setenv("REPRO_AUTOTUNE", "1")
-        monkeypatch.setenv("REPRO_AUTOTUNE_GRID", "4096")
         monkeypatch.setenv("REPRO_AUTOTUNE_WARMUP", "0")
         monkeypatch.setenv("REPRO_AUTOTUNE_REPEATS", "1")
         engine = GraniiEngine(device="h100", scale="small")
@@ -445,10 +440,8 @@ class TestAutotune:
         selection = engine.select(
             engine.compile_for(layer, graph), graph, layer
         )
-        measured = [k for k in selection.strategy_costs
-                    if k.startswith("measured:")]
-        assert measured
-        assert engine.block_nnz is not None
+        assert list(selection.strategy_costs) == ["measured:row_segment"]
+        assert selection.strategy_costs["measured:row_segment"] > 0
         # the refinement advanced the device's cost-model token
         assert cost_model_token("h100") != ""
 
@@ -461,16 +454,3 @@ class TestAutotune:
         assert not any(k.startswith("measured:")
                        for k in selection.strategy_costs)
         assert cost_model_token("h100") == ""
-
-    def test_grid_knob_validation(self, monkeypatch):
-        from repro import config
-        from repro.errors import GraniiConfigError
-
-        monkeypatch.setenv("REPRO_AUTOTUNE_GRID", "8192,banana")
-        with pytest.raises(GraniiConfigError):
-            config.autotune_grid()
-        monkeypatch.setenv("REPRO_AUTOTUNE_GRID", "0")
-        with pytest.raises(GraniiConfigError):
-            config.autotune_grid()
-        monkeypatch.setenv("REPRO_AUTOTUNE_GRID", "1024, 2048")
-        assert config.autotune_grid() == [1024, 2048]

@@ -50,11 +50,13 @@ class TestShippedTree:
         }
         assert expected <= ids
 
-    def test_lock_graph_has_the_select_to_breaker_edge(self):
+    def test_lock_graph_has_the_select_to_cost_model_edge(self):
+        # interprocedural: a selection prices under the service's select
+        # lock (GraniiEngine.select -> ... -> CostModelSet.prices)
         graph = static_lock_graph()
         assert (
             "repro.serving.service.GraniiService._select_lock",
-            "repro.core.guard.CircuitBreaker._lock",
+            "repro.core.costmodel.CostModelSet._memo_lock",
         ) in graph.edges
 
     def test_site_index_round_trips_construction_sites(self):

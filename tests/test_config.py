@@ -90,7 +90,7 @@ class TestSpecificAccessors:
             for line in config.__doc__.splitlines()
             if line.startswith("``REPRO_")
         }
-        assert len(documented) == 21
+        assert len(documented) == 20
         removed = {
             "REPRO_NUM_WORKERS", "REPRO_SHARD_NNZ", "REPRO_SHARDED_TIMEOUT",
             "REPRO_SHARD_CACHE_KB", "REPRO_SHARD_POLL_S",
@@ -98,7 +98,10 @@ class TestSpecificAccessors:
             "REPRO_SERVE_RETRIES",
         }
         assert not documented & removed
-        for name in ("num_workers", "shard_nnz", "serve_retries"):
+        assert {k for k in documented if k.startswith("REPRO_AUTOTUNE")} == {
+            "REPRO_AUTOTUNE", "REPRO_AUTOTUNE_WARMUP", "REPRO_AUTOTUNE_REPEATS",
+        }
+        for name in ("num_workers", "shard_nnz", "serve_retries", "autotune_grid"):
             assert not hasattr(config, name)
 
     def test_mem_budget_zero_disables(self, monkeypatch):

@@ -6,8 +6,10 @@ import pytest
 from repro.core import compile_model
 from repro.experiments.common import Workload, evaluate_workload
 from repro.graphs import load, make_node_features, rmat, star
-from repro.kernels import SPMM_STRATEGIES, gspmm
+from repro.kernels import SPMM_STRATEGIES, blocked, gspmm
 from repro.kernels.semiring import get_semiring
+
+from helpers import spmm_cases, strategy_for_case
 
 
 class TestDeterminism:
@@ -54,15 +56,16 @@ class TestSpmmStrategyDeterminism:
     """
 
     # every row of the strategy table, reference first
-    STRATEGIES = BITWISE = SPMM_STRATEGIES
+    BITWISE = SPMM_STRATEGIES
 
     def graph_and_feats(self):
         g = rmat(96, 6.0, seed=9)
         x = np.random.default_rng(17).standard_normal((96, 7))
         return g.adj.add_self_loops(), x
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_repeated_runs_bitwise_identical(self, strategy):
+    @pytest.mark.parametrize("case", spmm_cases())
+    def test_repeated_runs_bitwise_identical(self, case, monkeypatch):
+        strategy = strategy_for_case(case, monkeypatch)
         adj, x = self.graph_and_feats()
         first = gspmm(adj, x, strategy=strategy)
         for _ in range(3):
@@ -85,15 +88,14 @@ class TestSpmmStrategyDeterminism:
         )
 
     @pytest.mark.parametrize("num_threads", (1, 2, 4))
-    def test_parallel_invariant_to_thread_count(self, num_threads):
+    def test_parallel_invariant_to_thread_count(self, num_threads, monkeypatch):
         adj, x = self.graph_and_feats()
+        # one span: the fold below its crossover
         baseline = gspmm(adj, x, strategy="row_segment")
+        monkeypatch.setattr(blocked, "FOLD_CROSSOVER", 0)
+        monkeypatch.setenv("REPRO_NUM_THREADS", str(num_threads))
         assert np.array_equal(
-            baseline,
-            gspmm(
-                adj, x, strategy="blocked_parallel",
-                block_nnz=16, num_threads=num_threads,
-            ),
+            baseline, gspmm(adj, x, strategy="row_segment", block_nnz=16)
         )
 
     def test_skewed_graph_and_mean_semiring(self):
@@ -110,11 +112,12 @@ class TestSpmmStrategyDeterminism:
 
     def test_env_thread_override_does_not_change_bits(self, monkeypatch):
         adj, x = self.graph_and_feats()
-        baseline = gspmm(adj, x, strategy="blocked_parallel", block_nnz=16)
+        monkeypatch.setattr(blocked, "FOLD_CROSSOVER", 0)
+        baseline = gspmm(adj, x, strategy="row_segment", block_nnz=16)
         monkeypatch.setenv("REPRO_NUM_THREADS", "3")
         assert np.array_equal(
             baseline,
-            gspmm(adj, x, strategy="blocked_parallel", block_nnz=16),
+            gspmm(adj, x, strategy="row_segment", block_nnz=16),
         )
 
 

@@ -187,7 +187,7 @@ class TestWorkspaceLeakRegression:
         # family's compiled fold has no scratch to poison
         semiring = get_semiring("max", "mul")
         arena = WorkspaceArena()
-        expected = blocked.gspmm_blocked(
+        expected = blocked.gspmm_row_blocks(
             adj, x, semiring, block_nnz=64, workspace=arena
         )
         assert arena.num_buffers > 0
@@ -203,13 +203,13 @@ class TestWorkspaceLeakRegression:
 
         monkeypatch.setattr(blocked, "segment_reduce", flaky)
         with pytest.raises(RuntimeError, match="mid-block"):
-            blocked.gspmm_blocked(
+            blocked.gspmm_row_blocks(
                 adj, x, semiring, block_nnz=64, workspace=arena
             )
         assert arena.num_buffers == 0, "crash must drop pooled buffers"
         monkeypatch.setattr(blocked, "segment_reduce", real)
 
-        again = blocked.gspmm_blocked(
+        again = blocked.gspmm_row_blocks(
             adj, x, semiring, block_nnz=64, workspace=arena
         )
         np.testing.assert_allclose(again, expected)

@@ -196,7 +196,7 @@ class TestCircuitBreaker:
                                  clock=FakeClock())
         breaker.record_failure("spmm", "blocked")
         assert breaker.is_open("spmm", "blocked")
-        assert not breaker.is_open("spmm", "blocked_parallel")
+        assert not breaker.is_open("spmm", "spmm_fused")
         assert not breaker.is_open("sddmm", "blocked")
 
     def test_snapshot_serializable(self):
@@ -208,34 +208,30 @@ class TestCircuitBreaker:
         assert snap["spmm/blocked"]["reopens_in_seconds"] == pytest.approx(10.0)
         pickle.loads(pickle.dumps(snap))
 
-    def test_breaker_excludes_then_restores_strategy(self, engine, graph, gcn):
-        """An open breaker removes a strategy from auto selection; the
-        cooldown restores it."""
+    def test_open_breaker_skips_the_strategy_rung_until_cooldown(
+        self, graph, gcn
+    ):
+        """An open ``("spmm", strategy)`` breaker makes a guarded executor
+        skip that strategy's rung; after the cooldown the rung runs."""
         clock = FakeClock()
         engine_b = GraniiEngine(
-            device="h100", scale="small", spmm_strategy="auto",
+            device="h100", scale="small", spmm_strategy="blocked",
+            guarded=True,
             breakers=CircuitBreaker(threshold=1, cooldown_seconds=50,
                                     clock=clock),
         )
-        _ = engine_b.cost_models  # auto selection needs materialised models
-        compiled = engine_b.compile_for(gcn, graph)
-        env = engine_b.shape_env(graph, gcn)
-        from repro.core.features import featurize_graph
-
-        graph_vec = featurize_graph(graph)
-        plan = compiled.viable(env["K1"], env["K2"])[0].plan
-        _, baseline_costs = engine_b.select_spmm_strategy(plan, env, graph_vec)
-        assert "blocked" in baseline_costs and "blocked_parallel" in baseline_costs
-
+        feats = feats_for(graph)
         engine_b.breakers.record_failure("spmm", "blocked")
-        engine_b.breakers.record_failure("spmm", "blocked_parallel")
-        strategy, costs = engine_b.select_spmm_strategy(plan, env, graph_vec)
-        assert "blocked" not in costs and "blocked_parallel" not in costs
-        assert strategy == "row_segment"
+        selection = engine_b.optimize(gcn, graph, feats).selections[0]
+        assert selection.spmm_strategy == "blocked"
+        gcn(graph, feats)
+        assert [d.reason for d in selection.demotions] == ["breaker_open"]
+        assert selection.demotions[0].from_label.endswith("@blocked")
 
-        clock.now = 50.0  # cooldown over: strategies rejoin the pool
-        _, costs = engine_b.select_spmm_strategy(plan, env, graph_vec)
-        assert "blocked" in costs and "blocked_parallel" in costs
+        clock.now = 50.0  # cooldown over: the strategy's rung runs again
+        selection = engine_b.optimize(gcn, graph, feats).selections[0]
+        gcn(graph, feats)
+        assert selection.demotions == []
 
 
 # ----------------------------------------------------------------------

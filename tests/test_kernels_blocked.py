@@ -1,8 +1,9 @@
 """Blocked / thread-parallel g-SpMM and g-SDDMM: equivalence & memory.
 
-The blocked strategies must be bit-compatible in semantics with the
-one-shot kernels (and with scipy for the arithmetic semiring) while
-keeping their transient footprint at O(block·K) instead of O(E·K).
+The fold (split across threads) and the blocked strategy must be
+bit-compatible in semantics with a one-span fold (and with scipy for the
+arithmetic semiring) while keeping their transient footprint at
+O(block·K) instead of O(E·K).
 """
 
 import numpy as np
@@ -13,17 +14,15 @@ from repro.core import GraniiEngine, KernelExecutionConfig, compile_model
 from repro.core.plan import WORKSPACE_CACHE_KEY
 from repro.graphs import load
 from repro.kernels import (
-    PRICED_STRATEGIES,
     SPMM_STRATEGIES,
-    SPMM_STRATEGY_TABLE,
     WorkspaceArena,
+    blocked,
     default_spmm_strategy,
     get_semiring,
     gsddmm,
     gsddmm_blocked,
     gspmm,
-    gspmm_blocked,
-    gspmm_parallel,
+    gspmm_row_blocks,
     row_block_spans,
 )
 from repro.models import GCNLayer
@@ -32,8 +31,20 @@ from helpers import random_csr
 
 REDUCES = ("sum", "mean", "max", "min")
 BINARIES = ("mul", "add", "sub", "div", "copy_lhs", "copy_rhs")
-# the table rows this module's kernels implement: gspmm_blocked/_parallel
-BLOCKED = tuple(row.name for row in SPMM_STRATEGY_TABLE if row.scratch == "tile")
+# the table rows this module's kernels implement: gspmm_fold / gspmm_row_blocks
+BLOCKED = ("row_segment", "blocked")
+THREADS = ("1", "2", "4")
+
+
+@pytest.fixture
+def split_everything(monkeypatch):
+    """The fold crossover at 0, so REPRO_NUM_THREADS really splits."""
+    monkeypatch.setattr(blocked, "FOLD_CROSSOVER", 0)
+
+
+def one_span(adj, x, semiring=None):
+    """The reference: every row folded in one span on the caller."""
+    return blocked.fold_spans(adj, x, semiring, [(0, adj.shape[0])])
 
 
 def to_scipy(adj):
@@ -70,32 +81,39 @@ class TestRowBlockSpans:
 
 class TestBlockedEquivalence:
     @pytest.mark.parametrize("strategy", BLOCKED)
-    def test_matches_scipy_arithmetic(self, rng, strategy):
+    def test_matches_scipy_arithmetic(
+        self, rng, strategy, monkeypatch, split_everything
+    ):
         adj = random_csr(rng, 40, 35, density=0.2)
         x = rng.standard_normal((35, 7))
-        out = gspmm(adj, x, strategy=strategy, block_nnz=16, num_threads=2)
-        assert np.allclose(out, to_scipy(adj) @ x)
+        for threads in THREADS:
+            monkeypatch.setenv("REPRO_NUM_THREADS", threads)
+            out = gspmm(adj, x, strategy=strategy, block_nnz=16)
+            assert np.allclose(out, to_scipy(adj) @ x)
 
     @pytest.mark.parametrize("reduce_name", REDUCES)
     @pytest.mark.parametrize("binary_name", BINARIES)
     @pytest.mark.parametrize("strategy", BLOCKED)
     def test_all_semirings_match_row_segment(
-        self, rng, reduce_name, binary_name, strategy
+        self, rng, reduce_name, binary_name, strategy, monkeypatch,
+        split_everything,
     ):
         adj = random_csr(rng, 30, 26, density=0.25)
         if binary_name == "div":
             adj = adj.with_values(np.abs(adj.values) + 0.5)
         x = rng.standard_normal((26, 4)) + 3.0  # keep div well-conditioned
         semiring = get_semiring(reduce_name, binary_name)
-        ref = gspmm(adj, x, semiring, strategy="row_segment")
-        out = gspmm(adj, x, semiring, strategy=strategy, block_nnz=11, num_threads=3)
-        assert np.allclose(out, ref, equal_nan=True)
+        ref = one_span(adj, x, semiring)
+        for threads in THREADS:
+            monkeypatch.setenv("REPRO_NUM_THREADS", threads)
+            out = gspmm(adj, x, semiring, strategy=strategy, block_nnz=11)
+            assert np.allclose(out, ref, equal_nan=True)
 
     @pytest.mark.parametrize("strategy", BLOCKED)
     def test_unweighted_pattern(self, rng, strategy):
         adj = random_csr(rng, 25, 25, density=0.2, weighted=False)
         x = rng.standard_normal((25, 3))
-        ref = gspmm(adj, x, get_semiring("sum", "copy_rhs"))
+        ref = one_span(adj, x, get_semiring("sum", "copy_rhs"))
         out = gspmm(
             adj, x, get_semiring("sum", "copy_rhs"), strategy=strategy, block_nnz=7
         )
@@ -109,7 +127,7 @@ class TestBlockedEquivalence:
         x = np.ones((2, 3))
         for reduce_name in REDUCES:
             semiring = get_semiring(reduce_name, "mul")
-            ref = gspmm(adj, x, semiring)
+            ref = one_span(adj, x, semiring)
             out = gspmm(adj, x, semiring, strategy=strategy, block_nnz=1)
             assert np.allclose(out, ref)
 
@@ -140,19 +158,18 @@ class TestBlockedEquivalence:
             np.zeros(100, dtype=np.int64), cols, rng.random(100), (3, 100)
         )
         x = rng.standard_normal((100, 4))
-        out = gspmm_blocked(adj, x, block_nnz=8)
+        out = gspmm_row_blocks(adj, x, block_nnz=8)
         assert np.allclose(out, to_scipy(adj) @ x)
 
-    def test_parallel_single_span_falls_back(self, rng):
+    def test_parallel_single_span_falls_back(self, rng, monkeypatch):
         adj = random_csr(rng, 10, 10, density=0.3)
         x = rng.standard_normal((10, 2))
-        out = gspmm_parallel(adj, x, block_nnz=10_000, num_threads=4)
+        monkeypatch.setenv("REPRO_NUM_THREADS", "4")
+        out = blocked.gspmm_fold(adj, x, block_nnz=10_000)
         assert np.allclose(out, to_scipy(adj) @ x)
 
     def test_default_num_threads_reads_cpu_count_once(self, monkeypatch):
         import os
-
-        from repro.kernels import blocked
 
         def cpu_count():
             raise AssertionError("os.cpu_count() called per g-SpMM")
@@ -181,11 +198,11 @@ class TestWorkspaceArena:
         # max keeps the message tile; the sum family folds without one
         semiring = get_semiring("max", "mul")
         ws = WorkspaceArena()
-        gspmm_blocked(adj, x, semiring, block_nnz=16, workspace=ws)
+        gspmm_row_blocks(adj, x, semiring, block_nnz=16, workspace=ws)
         assert ws.misses == 1
-        gspmm_blocked(adj, x, semiring, block_nnz=16, workspace=ws)
+        gspmm_row_blocks(adj, x, semiring, block_nnz=16, workspace=ws)
         assert ws.misses == 1 and ws.hits >= 1
-        gspmm_blocked(adj, x, block_nnz=16, workspace=ws)
+        gspmm_row_blocks(adj, x, block_nnz=16, workspace=ws)
         assert ws.misses == 1  # sum.mul: compiled fold, no scratch at all
 
     def test_slots_do_not_alias(self):
@@ -207,7 +224,7 @@ class TestWorkspaceArena:
         k, block_nnz = 16, 512
         x = rng.standard_normal((400, k))
         ws = WorkspaceArena()
-        out = gspmm_blocked(adj, x, block_nnz=block_nnz, workspace=ws)
+        out = gspmm_row_blocks(adj, x, block_nnz=block_nnz, workspace=ws)
         assert np.allclose(out, to_scipy(adj) @ x)
         max_degree = int(adj.row_degrees().max())
         tile_cap = max(block_nnz, max_degree)
@@ -341,11 +358,11 @@ class TestPlanKernelConfig:
         assert arena.misses == misses  # steady state: no new allocations
         assert np.allclose(out1, ref) and np.allclose(out2, ref)
 
-    @pytest.mark.parametrize("strategy", SPMM_STRATEGIES[1:])
+    @pytest.mark.parametrize("strategy", SPMM_STRATEGIES)
     def test_config_strategies_match_default(self, graph, rng, strategy):
         plan, binding = self._plan_and_binding(graph, rng)
         ref = plan.execute(binding)
-        config = KernelExecutionConfig(strategy=strategy, num_threads=2)
+        config = KernelExecutionConfig(strategy=strategy)
         out = plan.execute(binding, kernel_config=config)
         assert np.allclose(out, ref)
 
@@ -363,11 +380,10 @@ class TestEngineStrategySelection:
         env = engine.shape_env(graph, layer)
         from repro.core.features import featurize_graph
 
-        strategy, costs = engine.select_spmm_strategy(
-            plan, env, featurize_graph(graph)
-        )
-        assert strategy == "row_segment" and costs == {}
-        assert engine._cost_models is None  # auto never triggers training
+        strategy = engine.select_spmm_strategy(plan, env, featurize_graph(graph))
+        assert strategy == "row_segment"
+        # choosing the strategy never triggers training: nothing is priced
+        assert engine._cost_models is None
 
     def test_explicit_strategy_wins(self, graph, rng):
         engine = GraniiEngine(
@@ -377,23 +393,18 @@ class TestEngineStrategySelection:
         report = engine.select(engine.compile_for(layer), graph, layer)
         assert report.spmm_strategy == "blocked"
 
-    def test_cost_models_cover_strategies_and_auto_selects(self, graph, rng):
-        """Acceptance: the engine can pick the new strategies input-awarely."""
-        engine = GraniiEngine(device="h100", system="dgl", scale="small")
-        assert {"spmm_blocked", "spmm_parallel"} <= set(
-            engine.cost_models.primitives
-        )
+    def test_a_trained_cpu_set_prices_no_strategy(self, graph, rng):
+        """The fold is chosen without pricing, so no strategy has a model."""
+        engine = GraniiEngine(device="cpu", system="dgl", scale="small")
+        trained = set(engine.cost_models.primitives)
+        assert {"spmm", "spmm_unweighted"} <= trained
+        assert not {p for p in trained if p.startswith("spmm_")} - {
+            "spmm_unweighted"
+        }
         layer = GCNLayer(64, 32, rng=rng)
         report = engine.select(engine.compile_for(layer), graph, layer)
-        assert report.spmm_strategy in SPMM_STRATEGIES
-        assert set(report.strategy_costs) == {"row_segment"} | {
-            row.name for row in PRICED_STRATEGIES.values()
-        }
-        assert all(c > 0 for c in report.strategy_costs.values())
-        assert (
-            report.strategy_costs[report.spmm_strategy]
-            == min(report.strategy_costs.values())
-        )
+        assert report.spmm_strategy == "row_segment"
+        assert report.strategy_costs == {}
 
     def test_optimized_layer_runs_under_selected_strategy(self, graph, rng):
         feat = rng.standard_normal((graph.num_nodes, 16))
@@ -401,7 +412,7 @@ class TestEngineStrategySelection:
         for strategy in SPMM_STRATEGIES:
             engine = GraniiEngine(
                 device="h100", scale="small", spmm_strategy=strategy,
-                num_threads=2, block_nnz=1024,
+                block_nnz=1024,
             )
             layer = GCNLayer(16, 8, rng=np.random.default_rng(7))
             engine.optimize(layer, graph)

@@ -13,7 +13,7 @@ from repro.kernels import (
 )
 from repro.sparse import CSRMatrix
 
-from helpers import random_csr
+from helpers import random_csr, spmm_cases, strategy_for_case
 
 
 def dense_gspmm(adj: CSRMatrix, x: np.ndarray, reduce_name: str, binary_name: str):
@@ -83,10 +83,13 @@ class TestStandardSpMM:
         assert np.array_equal(spmm(adj, np.ones((3, 2))), np.zeros((1, 2)))
 
 
-@pytest.mark.parametrize("strategy", SPMM_STRATEGIES)
+@pytest.mark.parametrize("case", spmm_cases())
 @pytest.mark.parametrize("reduce_name", ["sum", "mean", "max", "min"])
 @pytest.mark.parametrize("binary_name", ["mul", "add", "copy_lhs", "copy_rhs"])
-def test_generalized_semiring_matches_reference(rng, strategy, reduce_name, binary_name):
+def test_generalized_semiring_matches_reference(
+    rng, case, reduce_name, binary_name, monkeypatch
+):
+    strategy = strategy_for_case(case, monkeypatch)
     adj = random_csr(rng, 9, 11, density=0.25)
     # strictly positive values so div/sub are stable if added later
     adj = adj.with_values(np.abs(adj.values) + 0.1)

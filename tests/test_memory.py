@@ -44,7 +44,6 @@ class TestPeakMemory:
         shape = {"m": 1000.0, "nnz": 20000.0, "k": 64.0}
         assert transient_bytes("spmm", shape) == 0.0
         assert transient_bytes("spmm_unweighted", shape) == 8.0 * 20000
-        assert transient_bytes("spmm_fused", shape) == 8.0 * 1000 * 64
         plan = compile_model("gcn").find(norm="precompute")[0].plan
         resident = 8 * ENV["N"] * (ENV["K1"] + ENV["K2"]) + 16 * ENV["E"]
         assert plan.peak_memory_bytes(ENV) < resident + 8 * ENV["E"] * ENV["K1"]

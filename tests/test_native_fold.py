@@ -52,10 +52,7 @@ def battery():
 
 
 def run(adj, x, semiring, strategy, block_nnz):
-    kwargs = {"block_nnz": block_nnz}
-    if strategy == "blocked_parallel":
-        kwargs["num_threads"] = 3
-    return gspmm(adj, x, semiring, strategy=strategy, **kwargs)
+    return gspmm(adj, x, semiring, strategy=strategy, block_nnz=block_nnz)
 
 
 class TestStrategiesBitwiseEqual:

@@ -14,8 +14,10 @@ plan's env-free verdict per strategy tuple.  These tests pin that hoist:
 - ``shape_env`` counts Ã's edges instead of building Ã, and the count is
   exactly ``adj_with_self_loops().nnz`` on every pattern;
 - a model's plans are priced from one price index per env: every total
-  and strategy cost is bitwise what summing call by call gives, the index
-  table is bounded, and concurrent first selections agree.
+  is bitwise what summing call by call gives, the index table is bounded,
+  and concurrent first selections agree;
+- selection prices only primitives in the loaded model set, so a set
+  saved with the deleted strategy primitives loads and prices the same.
 """
 
 import pickle
@@ -30,14 +32,19 @@ from repro.analysis import planlint
 from repro.analysis.planlint import Diagnostic, analyze_plan
 from repro.core import costmodel
 from repro.core.codegen import CompiledModel
-from repro.core.costmodel import CostModelSet, call_key, get_cost_models
+from repro.core.costmodel import (
+    CostModelSet,
+    call_key,
+    get_cost_models,
+    load_cost_models,
+    save_cost_models,
+)
 from repro.core.features import featurize_graph
 from repro.core.ir import ShapeEnv, env_key
 from repro.core.plan import _VIEWS_KEPT, Plan, price_index
 from repro.core.runtime import GraniiEngine
 from repro.graphs import Graph
 from repro.graphs.generators import erdos_renyi, rmat, road_mesh
-from repro.kernels import SPMM_STRATEGY_TABLE
 from repro.models import build_layer
 from repro.serving import GraniiService, ServeRequest
 from repro.sparse import CSRMatrix
@@ -133,8 +140,7 @@ def test_view_keys_are_the_call_keys(name, cost_models):
     for planned in compiled.promoted:
         view = planned.plan.call_view(env)
         lists = [*view.forward("indptr"), *view.forward("binning"), view.backward]
-        lists += [view.variant(row) for row in SPMM_STRATEGY_TABLE]
-        for priced in filter(None, lists):
+        for priced in lists:
             assert priced.keys == [call_key(c) for c in priced.calls]
         setup, per_iter = planned.plan.kernel_calls(env)
         assert (setup, per_iter) == tuple(l.calls for l in view.forward("indptr"))
@@ -225,13 +231,13 @@ def test_pinned_strategy_rejection_warns_and_falls_back(cost_models, monkeypatch
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert engine.select_spmm_strategy(plan, env, vec)[0] == "blocked"
+            assert engine.select_spmm_strategy(plan, env, vec) == "blocked"
         plan.clear_memos()
         monkeypatch.setattr(planlint, "workspace_trace", leaky_trace)
         for _ in range(2):  # derived, then memoised: both reject
             with pytest.warns(RuntimeWarning, match="workspace-leak"):
-                strategy, costs = engine.select_spmm_strategy(plan, env, vec)
-            assert (strategy, costs) == ("row_segment", {})
+                strategy = engine.select_spmm_strategy(plan, env, vec)
+            assert strategy == "row_segment"
     finally:
         plan.clear_memos()  # the plan is cached process-wide
 
@@ -475,24 +481,6 @@ def _reference_costs(engine, plans, env, vec):
     return costs
 
 
-def _reference_strategy_costs(engine, plan, env, vec):
-    view = plan.call_view(env)
-    if not view.spmm.calls:
-        return {}
-    costs = {}
-    for row in SPMM_STRATEGY_TABLE:
-        variant = view.variant(row)
-        if variant is None:
-            continue
-        if row.demotes_to is not None and engine.breakers.is_open("spmm", row.name):
-            continue
-        try:
-            costs[row.name] = _call_by_call(engine, variant, vec)
-        except KeyError:
-            continue
-    return costs
-
-
 @pytest.fixture
 def residuals():
     costmodel.clear_runtime_residuals()
@@ -506,7 +494,7 @@ def residuals():
 def test_totals_are_the_call_by_call_sums(name, mode, residual, cost_models, residuals):
     if residual:
         costmodel.record_runtime_residual("h100", "spmm", 1.7, 1.0)
-        costmodel.record_runtime_residual("h100", "spmm_blocked", 0.6, 1.0)
+        costmodel.record_runtime_residual("h100", "spmm_unweighted", 0.6, 1.0)
         costmodel.record_runtime_residual("h100", "gemm", 1.3, 1.0)
     layer = build_layer(name, 32, 16, rng=np.random.default_rng(0))
     for graph in graphs().values():
@@ -525,28 +513,60 @@ def test_totals_are_the_call_by_call_sums(name, mode, residual, cost_models, res
         assert repr(got) == repr(
             _reference_costs(engine, [p.plan for p in viable], env, vec)
         )
-        want = _reference_strategy_costs(engine, sel.chosen.plan, env, vec)
-        assert repr(sel.strategy_costs) == repr(want), (name, graph.name)
-        assert engine.select_spmm_strategy(sel.chosen.plan, env, vec) == (
-            sel.spmm_strategy, sel.strategy_costs
-        )
+        assert sel.strategy_costs == {}  # no strategy is priced
+        assert sel.spmm_strategy == "row_segment"
+        assert engine.select_spmm_strategy(sel.chosen.plan, env, vec) == "row_segment"
 
 
-def test_a_model_set_without_spmm_blocked_still_selects(cost_models):
-    models = {k: m for k, m in cost_models._models.items() if k != "spmm_blocked"}
-    partial = CostModelSet(cost_models.device_name, models)
-    graph = rmat(300, 6, seed=3)
-    for name in ("gcn", "tagcn", "gat"):
-        layer = build_layer(name, 32, 16, rng=np.random.default_rng(0))
-        engine = engine_for(partial)
-        sel = engine.select(engine.compile_for(layer, graph), Graph(graph.adj), layer)
-        assert "blocked" not in sel.strategy_costs
-        assert "row_segment" in sel.strategy_costs
-        assert sel.spmm_strategy in sel.strategy_costs
-        env = engine.shape_env(graph, layer)
-        assert repr(sel.strategy_costs) == repr(_reference_strategy_costs(
-            engine, sel.chosen.plan, env, featurize_graph(graph)
-        ))
+def _zoo_prices(models, graph):
+    """Every zoo model's selection decisions and plan totals, both modes."""
+    out = []
+    for mode in MODES:
+        for name in ZOO:
+            layer = build_layer(name, 32, 16, rng=np.random.default_rng(0))
+            engine = engine_for(models, mode)
+            compiled = engine.compile_for(layer, graph)
+            sel = engine.select(compiled, Graph(graph.adj), layer)
+            env = engine.shape_env(graph, layer)
+            plans = [p.plan for p in compiled.viable(env["K1"], env["K2"])]
+            costs = engine.predict_plan_costs(plans, env, featurize_graph(graph))
+            out.append((decision(sel), repr(costs)))
+    return out
+
+
+def test_select_prices_only_primitives_in_the_loaded_set(cost_models, monkeypatch):
+    asked = set()
+    real = CostModelSet.predict_call
+
+    def spy(self, call, *args, **kwargs):
+        asked.add(call.primitive)
+        return real(self, call, *args, **kwargs)
+
+    monkeypatch.setattr(CostModelSet, "predict_call", spy)
+    for graph in graphs().values():
+        _zoo_prices(CostModelSet(cost_models.device_name, cost_models._models), graph)
+    assert {"spmm", "gemm"} <= asked
+    assert asked <= set(cost_models.primitives)
+    assert not {p for p in asked if p.startswith("spmm_")} - {"spmm_unweighted"}
+
+
+def test_a_set_saved_with_the_deleted_strategy_primitives_prices_the_same(
+    cost_models, tmp_path
+):
+    # a file from a tree that still priced strategies carries one model per
+    # strategy primitive, "spmm_<row>", beside the plain aggregations
+    payload = cost_models.to_dict()
+    spmm = payload["models"]["spmm"]
+    for row in ("blocked", "parallel", "fused"):
+        payload["models"][f"spmm_{row}"] = spmm
+    old = CostModelSet.from_dict(payload)
+    assert len(old.primitives) == len(cost_models.primitives) + 3
+    save_cost_models(old, tmp_path / "old.json")
+    loaded = load_cost_models(tmp_path / "old.json", device="h100", scale="small")
+    assert loaded.primitives == old.primitives
+    fresh = CostModelSet(cost_models.device_name, cost_models._models)
+    for graph in graphs().values():
+        assert _zoo_prices(loaded, graph) == _zoo_prices(fresh, graph), graph.name
 
 
 def test_the_index_table_is_bounded_over_200_sizes(cost_models):
@@ -663,6 +683,4 @@ def test_one_plan_pricing_keeps_no_index(cost_models):
     strategies = [engine.select_spmm_strategy(plan, env, vec) for plan in plans]
     assert not any(plan._indexes for plan in plans)
     assert repr(got) == repr(_reference_costs(engine, plans, env, vec))
-    assert [costs for _, costs in strategies] == [
-        _reference_strategy_costs(engine, plan, env, vec) for plan in plans
-    ]
+    assert set(strategies) == {"row_segment"}

@@ -95,6 +95,28 @@ class TestFingerprint:
         assert a.key != b.key
         assert a.token != b.token
 
+    def test_default_fingerprint_follows_the_aggregation_residuals(
+        self, graph, cost_models
+    ):
+        """An spmm residual re-prices every plan, so the service's default
+        fingerprint changes; a gemm residual leaves it alone."""
+        from repro.core.costmodel import (
+            clear_runtime_residuals,
+            record_runtime_residual,
+        )
+
+        clear_runtime_residuals()
+        try:
+            with make_service(cost_models) as svc:
+                base = svc._fingerprint_fn(graph, "gcn", IN_SIZE, OUT_SIZE)
+                record_runtime_residual("h100", "gemm", 2.0, 1.0)
+                assert svc._fingerprint_fn(graph, "gcn", IN_SIZE, OUT_SIZE) == base
+                record_runtime_residual("h100", "spmm", 2.0, 1.0)
+                moved = svc._fingerprint_fn(graph, "gcn", IN_SIZE, OUT_SIZE)
+                assert moved.key != base.key and moved.token != base.token
+        finally:
+            clear_runtime_residuals()
+
 
 # ----------------------------------------------------------------------
 # Plan cache

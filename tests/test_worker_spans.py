@@ -75,12 +75,12 @@ def problem(n, width, classes, seed=4):
 
 def train_steps(name, steps, sizes=(48, 32, 8), n=3000):
     """Outputs and parameter gradients of ``steps`` optimiser steps under
-    ``blocked_parallel``, forward and backward, copied out."""
+    the fold, forward and backward, copied out."""
     graph, feats, labels = problem(n, sizes[0], sizes[-1])
     model = MultiLayerGNN(name, sizes, rng=np.random.default_rng(1))
     optimiser = Adam(model.parameters(), lr=0.01)
     seen = []
-    with spmm_strategy_override("blocked_parallel"):
+    with spmm_strategy_override("row_segment"):
         for _ in range(steps):
             optimiser.zero_grad()
             out = model(graph, Tensor(feats))
@@ -108,6 +108,35 @@ def test_outputs_and_gradients_bitwise_equal_for_any_thread_count(
             for want, have in zip(want_step, got_step):
                 assert np.array_equal(want, have), (name, threads)
         assert max(split_log) == int(threads)  # the folds really were split
+
+
+@pytest.mark.parametrize("name", ("gcn", "gin", "gat"))
+def test_a_taped_backward_splits_bitwise_equal_to_a_one_span_fold(
+    name, monkeypatch, split_log
+):
+    """The backward SpMMs of the tape reach ``gspmm`` with no strategy:
+    the fold splits them too, and the gradients keep their bits."""
+    graph, feats, labels = problem(3000, 48, 8)
+
+    def step():
+        layer = build_layer(name, 48, 8, rng=np.random.default_rng(1))
+        x = Tensor(feats, requires_grad=True)
+        out = layer(graph, x)
+        forward_folds = len(split_log)
+        cross_entropy(out, labels).backward()
+        grads = [out.data.copy(), x.grad.copy()]
+        grads += [p.grad.copy() for p in layer.parameters()]
+        return grads, split_log[forward_folds:]
+
+    monkeypatch.setenv("REPRO_NUM_THREADS", "2")
+    want, backward = step()  # below the crossover: one span per fold
+    assert backward and set(backward) == {1}
+    monkeypatch.setattr(blocked, "FOLD_CROSSOVER", 0)
+    split_log.clear()
+    got, backward = step()
+    assert backward and max(backward) == 2  # the backward folds split
+    for a, b in zip(want, got):
+        assert np.array_equal(a, b), name
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +267,7 @@ def test_a_raising_split_fold_drops_the_callers_arena(monkeypatch, split_everyth
     monkeypatch.setattr(blocked, "_fold_span", failing)
     monkeypatch.setenv("REPRO_NUM_THREADS", "2")
     with pytest.raises(RuntimeError, match="fold failed"):
-        blocked.gspmm_parallel(adj, x, get_semiring("sum", "mul"))
+        blocked.gspmm_fold(adj, x, get_semiring("sum", "mul"))
     assert arena.num_buffers == 0
 
 
@@ -283,7 +312,7 @@ def test_a_serving_sized_gcn_step_submits_nothing(monkeypatch):
     graph = erdos_renyi(2000, 8, seed=0)
     feats = np.random.default_rng(0).standard_normal((graph.num_nodes, 16))
     layer = build_layer("gcn", 16, 8, rng=np.random.default_rng(0))
-    with spmm_strategy_override("blocked_parallel"):
+    with spmm_strategy_override("row_segment"):
         out = layer(graph, Tensor(feats, requires_grad=True))
         out.sum().backward()
     assert out.data.shape == (2000, 8)
@@ -303,7 +332,7 @@ def test_step_pool_misses_stop_after_the_second_step_while_split(
 
     def step():
         optimiser.zero_grad()
-        with spmm_strategy_override("blocked_parallel"):
+        with spmm_strategy_override("row_segment"):
             cross_entropy(model(graph, Tensor(feats)), labels).backward()
         optimiser.step()
 
@@ -372,7 +401,7 @@ def test_a_forked_child_splits_without_the_parents_pool():
         adj = rmat(2000, 8, seed=0).adj
         x = np.random.default_rng(0).standard_normal((adj.shape[1], 16))
         semiring = get_semiring("sum", "mul")
-        want = blocked.gspmm_parallel(adj, x, semiring)  # warms the pool
+        want = blocked.gspmm_fold(adj, x, semiring)  # warms the pool
         assert blocked._POOLS, "the parent's pool is warm"
         pid = os.fork()
         if pid == 0:
@@ -388,7 +417,7 @@ def test_a_forked_child_splits_without_the_parents_pool():
                     picked_up.set()
 
             blocked.run_spans([(0, 1), (1, 2)], body)
-            got = blocked.gspmm_parallel(adj, x, semiring)
+            got = blocked.gspmm_fold(adj, x, semiring)
             ok = waited == [True] and np.array_equal(got, want)
             os._exit(0 if ok else 3)
         _, status = os.waitpid(pid, 0)
