@@ -32,7 +32,7 @@ runtime re-checks of facts proved here (see ``SelectionReport.analysis``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.assoc import Candidate, Step
 from ..core.ir import ShapeEnv, dims_compatible, env_key
@@ -402,96 +402,144 @@ def _check_declared(
 # ----------------------------------------------------------------------
 # The interpreter
 # ----------------------------------------------------------------------
+class _StepVisit(NamedTuple):
+    """Everything a step's visit yields that depends only on the step and
+    its argument values: its value, and its diagnostics in walk order —
+    in-place aliasing, then per argument the producer-vs-declared operand
+    mismatch, then the transfer's own."""
+
+    value: AbstractMatrix
+    diagnostics: Tuple[Diagnostic, ...]
+    obligations: Tuple[str, ...]
+    alias: Tuple[Diagnostic, ...]
+    operands: Tuple[Tuple[Diagnostic, ...], ...]  # one entry per argument
+    transfer: Tuple[Diagnostic, ...]
+    # the memo key's objects, kept alive with the entry
+    step: Step
+    args: Tuple[AbstractMatrix, ...]
+
+
 class _SharedWork:
     """The pure per-step work of one batch of verdicts, done once.
 
-    A step's transfer (``_derive`` + ``_check_declared``) depends only on
-    the step and its argument values, a lift only on the operand
-    description and origin, and a producer-vs-declared comparison only
-    on the two descriptions.  The trees of one enumeration share their
-    steps (hash-consing, :mod:`repro.core.assoc`), so a batch repeats
-    each piece of work many times over: TAGCN's 5 184 trees hold 61 581
-    step uses but only ~6 200 step objects.
+    A step's visit (:class:`_StepVisit`) depends only on the step and its
+    argument values, and a lift only on the operand description and
+    origin.  The trees of one enumeration share their steps (hash-consing,
+    :mod:`repro.core.assoc`), so a batch repeats each piece of work many
+    times over: TAGCN's 5 184 trees hold 61 581 step uses but only
+    ~6 200 step objects.  A tree's verdict is then a walk of memo lookups
+    plus the checks that really are per tree.
 
     Keys are object identities — hashing a frozen ``Step`` walks its
     nested tuples on every lookup — and every entry keeps its key
-    objects alive, so no id is reused while the memo lives.  A memo
-    lives for one :func:`reject_illegal` (or :func:`analyze_candidate`)
-    call and is never attached to a candidate or a step.
+    objects alive, so no id is reused while the memo lives.  Equal
+    produced values are one object, so a consumer meets the same
+    argument tuple whichever equal producer a tree holds (TAGCN: 6 640
+    visits), and a produced value is never a lift, so a visit tells the
+    arguments a step of the tree produced from the argument values
+    alone.  A memo lives for one :func:`reject_illegal` (or
+    :func:`analyze_candidate`) call and is never attached to a candidate
+    or a step.
     """
 
-    __slots__ = ("lifts", "transfers", "operands")
+    __slots__ = ("lifts", "lift_ids", "produced", "visits")
 
     def __init__(self) -> None:
         self.lifts: Dict[Tuple[int, str], Tuple[AbstractMatrix, object]] = {}
-        self.transfers: Dict[Tuple[int, ...], tuple] = {}
-        self.operands: Dict[Tuple[int, int], tuple] = {}
+        # ids of the lifts; the one object per distinct value a step
+        # produced (never a lift, whatever its value)
+        self.lift_ids: set = set()
+        self.produced: Dict[AbstractMatrix, AbstractMatrix] = {}
+        self.visits: Dict[Tuple[int, ...], _StepVisit] = {}
 
     def lift(self, desc, origin: str) -> AbstractMatrix:
         key = (id(desc), origin)
         hit = self.lifts.get(key)
         if hit is None:
-            hit = self.lifts[key] = (from_operand(desc, origin=origin), desc)
+            value = from_operand(desc, origin=origin)
+            self.lift_ids.add(id(value))
+            hit = self.lifts[key] = (value, desc)
         return hit[0]
 
-    def transfer(
-        self, step: Step, argvals: List[AbstractMatrix]
-    ) -> Tuple[AbstractMatrix, Tuple[Diagnostic, ...], Tuple[str, ...]]:
-        """The step's value, diagnostics and obligations given its args."""
+    def visit(self, step: Step, argvals: List[AbstractMatrix]) -> _StepVisit:
+        """The step's visit given its args (memoised by identities)."""
         key = (id(step), *map(id, argvals))
-        hit = self.transfers.get(key)
+        hit = self.visits.get(key)
         if hit is None:
-            diags: List[Diagnostic] = []
-            obligations: List[str] = []
-            derived = _derive(step, argvals, diags)
-            if derived is not None:
-                _check_declared(step, derived, diags, obligations)
-            else:
-                derived = self.lift(step.out_desc, step.out)
-            hit = self.transfers[key] = (
-                derived, tuple(diags), tuple(obligations), step, argvals,
-            )
-        return hit[:3]
+            hit = self.visits[key] = self._visit(step, tuple(argvals))
+        return hit
 
-    def operand_mismatch(
-        self, known: AbstractMatrix, desc
-    ) -> Optional[Tuple[str, str]]:
-        """``(declared, computed)`` descriptions when a consumer declares
-        an operand other than its producer computes, else None."""
-        key = (id(known), id(desc))
-        hit = self.operands.get(key)
-        if hit is None:
-            declared = from_operand(desc)
-            mismatch = None
-            if (
-                (known.attr, known.subattr) != (declared.attr, declared.subattr)
-                or tuple(known.shape) != tuple(declared.shape)
-                or known.nnz != declared.nnz
-            ):
-                mismatch = (declared.describe(), known.describe())
-            hit = self.operands[key] = (mismatch, known, desc)
-        return hit[0]
+    def _visit(self, step: Step, argvals: Tuple[AbstractMatrix, ...]) -> _StepVisit:
+        alias: Tuple[Diagnostic, ...] = ()
+        if step.out in step.args:
+            alias = (Diagnostic(
+                "inplace-alias",
+                f"step output aliases its own input {step.out!r}; in-place "
+                f"update would corrupt autograd-saved activations",
+                step=step.out,
+            ),)
+        operands = tuple(
+            # only an argument a step of the tree produced is compared
+            () if id(known) in self.lift_ids
+            else _operand_mismatch(step, ref, desc, known)
+            for ref, desc, known in zip(step.args, step.arg_descs, argvals)
+        )
+        diags: List[Diagnostic] = []
+        obligations: List[str] = []
+        derived = _derive(step, list(argvals), diags)
+        if derived is not None:
+            _check_declared(step, derived, diags, obligations)
+        else:
+            derived = from_operand(step.out_desc, origin=step.out)
+        derived = self.produced.setdefault(derived, derived)
+        transfer = tuple(diags)
+        flat = alias + tuple(d for arg in operands for d in arg) + transfer
+        return _StepVisit(
+            derived, flat, tuple(obligations), alias, operands, transfer,
+            step, argvals,
+        )
+
+
+def _operand_mismatch(
+    step: Step, ref: str, desc, known: AbstractMatrix
+) -> Tuple[Diagnostic, ...]:
+    """The diagnostic when a consumer declares an operand other than its
+    producer computes."""
+    if (
+        (known.attr, known.subattr) == (desc.attr, desc.subattr)
+        and tuple(known.shape) == tuple(desc.shape)
+        and known.nnz == desc.nnz
+    ):
+        return ()
+    return (Diagnostic(
+        "operand-mismatch",
+        f"{step.primitive} consumes {ref!r} as {from_operand(desc).describe()} "
+        f"but its producer computes {known.describe()}",
+        step=step.out,
+    ),)
 
 
 def analyze_candidate(
     candidate: Candidate,
     name: str = "",
     shared: Optional[_SharedWork] = None,
+    order: Optional[List[Step]] = None,
 ) -> PlanVerdict:
     """Abstractly interpret one candidate's step DAG.
 
     ``shared`` is the batch's :class:`_SharedWork` (a fresh one when
-    None); it does not change the verdict.
+    None) and ``order`` the candidate's ``ordered_steps()`` when the
+    caller has it; neither changes the verdict.
     """
     if shared is None:
         shared = _SharedWork()
     verdict = PlanVerdict(target=name or candidate.output)
     diags = verdict.diagnostics
-    steps = list(candidate.steps)
+    obligations = verdict.obligations
 
     # dataflow integrity on the *raw* step set: ordered_steps() keys by
     # output ref, so a double write would silently collapse there.
-    outs = [s.out for s in steps]
+    outs = [s.out for s in candidate.steps]
     producers = set(outs)
     if len(producers) != len(outs):
         dupes = sorted({o for o in outs if outs.count(o) > 1})
@@ -501,81 +549,49 @@ def analyze_candidate(
                 f"{ref!r} is written by {outs.count(ref)} steps", step=ref,
             ))
 
-    ordered = candidate.ordered_steps()
+    ordered = candidate.ordered_steps() if order is None else order
     state: Dict[str, AbstractMatrix] = {}
     leaf_state: Dict[str, AbstractMatrix] = {}
+    visits = shared.visits
 
     for step in ordered:
-        if step.out in step.args:
-            diags.append(Diagnostic(
-                "inplace-alias",
-                f"step output aliases its own input {step.out!r}; in-place "
-                f"update would corrupt autograd-saved activations",
-                step=step.out,
-            ))
         argvals: List[AbstractMatrix] = []
-        for ref, desc in zip(step.args, step.arg_descs):
-            if ref in state:
-                known = state[ref]
-                mismatch = shared.operand_mismatch(known, desc)
-                if mismatch is not None:
-                    diags.append(Diagnostic(
-                        "operand-mismatch",
-                        f"{step.primitive} consumes {ref!r} as "
-                        f"{mismatch[0]} but its producer computes "
-                        f"{mismatch[1]}",
-                        step=step.out,
-                    ))
-                argvals.append(known)
-            elif ref in producers:
-                # produced, but not before this step: a dependency cycle
-                diags.append(Diagnostic(
-                    "undefined-ref",
-                    f"{ref!r} is consumed before any producing step can "
-                    f"run (dependency cycle)", step=step.out,
-                ))
-                argvals.append(shared.lift(desc, ref))
-            else:
-                if "(" in ref:
-                    # leaves are plain names; a signature-shaped ref with
-                    # no producing step is a dangling intermediate
-                    diags.append(Diagnostic(
-                        "undefined-ref",
-                        f"no step produces intermediate {ref!r}",
-                        step=step.out,
-                    ))
-                lifted = shared.lift(desc, ref)
-                known_leaf = leaf_state.get(ref)
-                if known_leaf is None:
-                    leaf_state[ref] = lifted
-                elif known_leaf is not lifted and (
-                    (known_leaf.attr, known_leaf.subattr)
-                    != (lifted.attr, lifted.subattr)
-                    or tuple(known_leaf.shape) != tuple(lifted.shape)
-                    or known_leaf.nnz != lifted.nnz
-                ):
-                    diags.append(Diagnostic(
-                        "leaf-desc-inconsistent",
-                        f"leaf {ref!r} used both as {known_leaf.describe()} "
-                        f"and as {lifted.describe()} (dropped transpose?)",
-                        step=step.out,
-                    ))
-                argvals.append(leaf_state[ref])
-        value, step_diags, step_obligations = shared.transfer(step, argvals)
-        if step_diags:
-            diags.extend(step_diags)
-        if step_obligations:
-            verdict.obligations.extend(step_obligations)
-        state[step.out] = value
+        # this tree's own findings on an argument, by position (rare)
+        local: Optional[Dict[int, List[Diagnostic]]] = None
+        for ref in step.args:
+            value = state.get(ref)
+            if value is None:
+                value, found = _unproduced(
+                    shared, step, len(argvals), producers, leaf_state
+                )
+                if found:
+                    if local is None:
+                        local = {}
+                    local[len(argvals)] = found
+            argvals.append(value)
+        visit = visits.get((id(step), *map(id, argvals)))
+        if visit is None:
+            visit = shared.visit(step, argvals)
+        if local is None:
+            if visit.diagnostics:
+                diags.extend(visit.diagnostics)
+        else:
+            diags.extend(visit.alias)
+            for i, mine in enumerate(visit.operands):
+                diags.extend(local.get(i, mine))
+            diags.extend(visit.transfer)
+        if visit.obligations:
+            obligations.extend(visit.obligations)
+        state[step.out] = visit.value
 
     # output and reachability
-    by_out = {s.out: s for s in steps}
-    if candidate.output not in by_out:
+    if candidate.output not in producers:
         diags.append(Diagnostic(
             "missing-output",
             f"no step produces the candidate output {candidate.output!r}",
         ))
     else:
+        by_out = {s.out: s for s in candidate.steps}
         reachable = set()
         stack = [candidate.output]
         while stack:
@@ -601,9 +617,51 @@ def analyze_candidate(
             "shapes/attrs: every step's declared result matches the rule "
             "table under symbolic dims"
         )
-        if not any(o.startswith(s.out) for s in ordered for o in verdict.obligations):
+        if not any(o.startswith(s.out) for o in obligations for s in ordered):
             verdict.proved.append("nnz bounds: all declared bounds derivable")
     return verdict
+
+
+def _unproduced(
+    shared: _SharedWork,
+    step: Step,
+    i: int,
+    producers: set,
+    leaf_state: Dict[str, AbstractMatrix],
+) -> Tuple[AbstractMatrix, List[Diagnostic]]:
+    """The value of ``step``'s argument ``i``, which no step of the tree
+    has produced yet, and this tree's findings on it."""
+    ref, desc = step.args[i], step.arg_descs[i]
+    found: List[Diagnostic] = []
+    if ref in producers:
+        # produced, but not before this step: a dependency cycle
+        found.append(Diagnostic(
+            "undefined-ref",
+            f"{ref!r} is consumed before any producing step can run "
+            f"(dependency cycle)", step=step.out,
+        ))
+        return shared.lift(desc, ref), found
+    if "(" in ref:
+        # leaves are plain names; a signature-shaped ref with no
+        # producing step is a dangling intermediate
+        found.append(Diagnostic(
+            "undefined-ref", f"no step produces intermediate {ref!r}",
+            step=step.out,
+        ))
+    lifted = shared.lift(desc, ref)
+    value = leaf_state.setdefault(ref, lifted)
+    if value is not lifted and (
+        (value.attr, value.subattr) != (lifted.attr, lifted.subattr)
+        or tuple(value.shape) != tuple(lifted.shape)
+        or value.nnz != lifted.nnz
+    ):
+        found.append(Diagnostic(
+            "leaf-desc-inconsistent",
+            f"leaf {ref!r} used both as {value.describe()} and as "
+            f"{lifted.describe()} (dropped transpose?)",
+            step=step.out,
+        ))
+    return value, found
 
 
 # ----------------------------------------------------------------------
@@ -893,18 +951,22 @@ def analyze_plan(
 
 def reject_illegal(
     candidates: Sequence[Candidate],
+    orders: Optional[Sequence[List[Step]]] = None,
 ) -> Tuple[List[Candidate], List[Tuple[Candidate, PlanVerdict]]]:
     """Partition candidates into statically-legal and rejected.
 
     Used by ``repro.core.pruning.prune_candidates`` so illegal trees
     never reach cost modeling.  Every candidate gets its full verdict;
-    the pure per-step work is shared across the batch.
+    the pure per-step work is shared across the batch.  ``orders`` are
+    the candidates' ``ordered_steps()``, when the caller has them.
     """
     legal: List[Candidate] = []
     rejected: List[Tuple[Candidate, PlanVerdict]] = []
     shared = _SharedWork()
-    for cand in candidates:
-        verdict = analyze_candidate(cand, shared=shared)
+    if orders is None:
+        orders = [None] * len(candidates)
+    for cand, order in zip(candidates, orders):
+        verdict = analyze_candidate(cand, shared=shared, order=order)
         if verdict.ok:
             legal.append(cand)
         else:

@@ -58,26 +58,39 @@ class Candidate:
         return tuple(sorted(s.primitive for s in self.steps))
 
     def ordered_steps(self) -> List[Step]:
-        """Steps in dependency order (deterministic)."""
-        by_out = {s.out: s for s in self.steps}
+        """Steps in dependency order (deterministic): a depth-first
+        post-order over each step's args, roots taken in sorted-output
+        order.
+
+        One compile computes this once per tree (pruning hands it to
+        planlint and to the promoted plans); it is not cached here.
+        """
+        # a step leaves ``pending`` when its visit starts: one dict pop
+        # both finds a ref's producer and marks it seen
+        pending = {s.out: s for s in self.steps}
         ordered: List[Step] = []
-        seen = set()
-
-        def visit(ref: str) -> None:
-            step = by_out.get(ref)
-            if step is None or ref in seen:
-                return
-            seen.add(ref)
-            for arg in step.args:
-                visit(arg)
-            ordered.append(step)
-
-        for out in sorted(by_out):
-            visit(out)
+        append, pop = ordered.append, pending.pop
+        for out in sorted(pending):
+            step = pop(out, None)
+            if step is not None:
+                _post_order(step, pop, append)
         return ordered
 
     def describe(self) -> str:
         return " ; ".join(s.describe() for s in self.ordered_steps())
+
+
+def _post_order(step: Step, pop, append) -> None:
+    """Append ``step`` after the not-yet-visited producers of its args.
+
+    A module function, not a closure: a closure that calls itself is a
+    reference cycle, and one per tree keeps the cyclic collector busy.
+    """
+    for arg in step.args:
+        dep = pop(arg, None)
+        if dep is not None:
+            _post_order(dep, pop, append)
+    append(step)
 
 
 def leaf_operand(leaf: Leaf) -> Operand:

@@ -239,7 +239,7 @@ def compile_model(
     promoted_raw = prune_candidates(candidates)
     promoted = []
     for pc in promoted_raw:
-        plan = Plan(pc.candidate, name=f"{name}:{len(promoted)}")
+        plan = Plan(pc.candidate, name=f"{name}:{len(promoted)}", steps=pc.steps)
         promoted.append(PlannedCandidate(plan, pc.scenarios, plan_tags(plan)))
     compiled = CompiledModel(
         model_name=name.lower(),

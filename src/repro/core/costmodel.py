@@ -179,9 +179,10 @@ def call_key(call: KernelCall) -> tuple:
 
 
 # Layout of a saved model set (:meth:`CostModelSet.to_dict`).  A payload in
-# any other layout — the row-per-node files of format 1 included — is
-# unreadable, so its file is quarantined and the models retrained.
-_FORMAT = 2
+# any other layout — the row-per-node files of format 1 and the per-tree
+# columns of format 2 included — is unreadable, so its file is quarantined
+# and the models retrained.
+_FORMAT = 3
 
 
 class CostModelSet:
@@ -208,7 +209,8 @@ class CostModelSet:
 
     def to_dict(self) -> dict:
         """JSON-serialisable form: device, scale and each primitive's
-        ensemble (trees as node columns, :mod:`repro.learn.tree`)."""
+        ensemble as the packed node columns its predictions read
+        (:meth:`~repro.learn.gbt.GradientBoostedTrees.to_dict`)."""
         return {
             "format": _FORMAT,
             "device": self.device_name,
@@ -357,6 +359,9 @@ def save_cost_models(models: CostModelSet, path) -> None:
 
     This realises the paper's "one-time cost per target system": a
     production deployment trains once and ships the serialized models.
+    The file is :meth:`CostModelSet.to_dict` (format 3): per primitive,
+    the ensemble's packed node columns and per-tree offsets as raw
+    little-endian bytes, so a load decodes arrays and rebuilds no tree.
     """
     import json
     from pathlib import Path
@@ -391,44 +396,44 @@ def get_cost_models(
 
     This is the paper's "one-time cost per target system": the first call
     profiles the training pool and fits the models; later calls reuse
-    them.  With ``cache_dir``, trained models additionally persist to (and
-    reload from) ``<cache_dir>/costmodels_<device>_<scale>.json`` across
-    processes.  The file's name is not trusted: a file whose payload is
-    for another device or scale (or in an old layout) is unreadable —
-    quarantined, then retrained.
+    them.  With ``cache_dir``, the models additionally persist to
+    ``<cache_dir>/costmodels_<device>_<scale>.json`` across processes: a
+    call that finds the set neither in the process nor in that file
+    trains it, and any call with a ``cache_dir`` whose file is missing
+    writes it (also when the set came from the process cache).  The
+    file's name is not trusted: a file whose payload is for another
+    device or scale (or in an old layout) is unreadable — quarantined,
+    then retrained.
     """
+    from pathlib import Path
+
     key = (device_name.lower(), scale)
-    if key not in _COST_MODEL_CACHE:
-        disk_path = None
-        if cache_dir is not None:
-            from pathlib import Path
+    disk_path = None
+    if cache_dir is not None:
+        disk_path = Path(cache_dir) / f"costmodels_{key[0]}_{scale}.json"
+    models = _COST_MODEL_CACHE.get(key)
+    if models is None and disk_path is not None and disk_path.exists():
+        # a truncated/corrupt cache file (crash mid-write by an older
+        # version, disk fault) costs a retrain, not a crash
+        try:
+            models = load_cost_models(disk_path, device=key[0], scale=scale)
+        except Exception as exc:
+            from ..state import quarantine
 
-            disk_path = Path(cache_dir) / f"costmodels_{key[0]}_{scale}.json"
-            if disk_path.exists():
-                # a truncated/corrupt cache file (crash mid-write by an
-                # older version, disk fault) costs a retrain, not a crash
-                try:
-                    _COST_MODEL_CACHE[key] = load_cost_models(
-                        disk_path, device=key[0], scale=scale
-                    )
-                    return _COST_MODEL_CACHE[key]
-                except Exception as exc:
-                    from ..state import quarantine
-
-                    logger.warning(
-                        "cost-model cache %s unreadable (%s); quarantining "
-                        "and retraining",
-                        disk_path,
-                        exc,
-                    )
-                    quarantine(disk_path)
-        _COST_MODEL_CACHE[key] = train_cost_models(
-            get_device(device_name), scale=scale
-        )
-        if disk_path is not None:
-            disk_path.parent.mkdir(parents=True, exist_ok=True)
-            save_cost_models(_COST_MODEL_CACHE[key], disk_path)
-    return _COST_MODEL_CACHE[key]
+            logger.warning(
+                "cost-model cache %s unreadable (%s); quarantining and "
+                "retraining",
+                disk_path,
+                exc,
+            )
+            quarantine(disk_path)
+    if models is None:
+        models = train_cost_models(get_device(device_name), scale=scale)
+    _COST_MODEL_CACHE[key] = models
+    if disk_path is not None and not disk_path.exists():
+        disk_path.parent.mkdir(parents=True, exist_ok=True)
+        save_cost_models(models, disk_path)
+    return models
 
 
 def clear_cost_model_cache() -> None:

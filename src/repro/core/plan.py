@@ -490,10 +490,19 @@ def price_index(
 class Plan:
     """One lowered candidate."""
 
-    def __init__(self, candidate: Candidate, name: str = "") -> None:
+    def __init__(
+        self,
+        candidate: Candidate,
+        name: str = "",
+        steps: Optional[List[Step]] = None,
+    ) -> None:
+        """``steps`` is ``candidate.ordered_steps()`` when the caller has
+        computed it already (compile: pruning's order)."""
         self.candidate = candidate
         self.name = name or candidate.output[:60]
-        self.steps: List[Step] = candidate.ordered_steps()
+        self.steps: List[Step] = (
+            candidate.ordered_steps() if steps is None else steps
+        )
         self._graph_only = self._taint_graph_only()
         self._setup_steps = [
             s for s in self.steps

@@ -26,7 +26,7 @@ cost signatures).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .assoc import Candidate, Step
@@ -144,28 +144,38 @@ def _dominates(
     """True if `small` maps injectively into `big`, all ≤, strictly overall.
 
     Both are lists of indices into the tables of :func:`_order_tables`.
+    Equal instances are interchangeable, so the search tries each
+    distinct instance of ``big`` once per position, not each copy.
     """
     if len(small) > len(big):
         return False
+    return _assign(small, Counter(big), leq, lt, 0, len(small) < len(big))
 
-    used = [False] * len(big)
-    strict_possible = len(small) < len(big)
 
-    def assign(i: int, any_strict: bool) -> bool:
-        if i == len(small):
-            return any_strict or strict_possible
-        leq_i, lt_i = leq[small[i]], lt[small[i]]
-        for j, b in enumerate(big):
-            if used[j] or not leq_i[b]:
-                continue
-            used[j] = True
-            found = assign(i + 1, any_strict or lt_i[b])
-            used[j] = False
-            if found:
-                return True
-        return False
-
-    return assign(0, False)
+def _assign(
+    small: List[int],
+    free: Dict[int, int],
+    leq: List[List[bool]],
+    lt: List[List[bool]],
+    i: int,
+    any_strict: bool,
+) -> bool:
+    """Backtracking for :func:`_dominates`: map ``small[i:]`` into the
+    instances still ``free`` (by index; restored on return).  A module
+    function, not a closure: a closure that calls itself is a reference
+    cycle per call."""
+    if i == len(small):
+        return any_strict
+    leq_i, lt_i = leq[small[i]], lt[small[i]]
+    for b, left in free.items():
+        if not left or not leq_i[b]:
+            continue
+        free[b] = left - 1
+        found = _assign(small, free, leq, lt, i + 1, any_strict or lt_i[b])
+        free[b] = left
+        if found:
+            return True
+    return False
 
 
 @dataclass
@@ -174,6 +184,7 @@ class PrunedCandidate:
 
     candidate: Candidate
     scenarios: Tuple[str, ...]  # subset of SCENARIOS where not dominated
+    steps: List[Step]  # ``candidate.ordered_steps()``, as pruning computed it
 
     @property
     def needs_cost_model(self) -> bool:
@@ -195,13 +206,17 @@ def prune_candidates(
     candidate is statically illegal the enumeration itself is broken and
     we raise :class:`~repro.errors.GraniiAnalysisError` carrying the
     first verdict's diagnostics.
+
+    Each tree's dependency order is computed once, here: the verifier,
+    the sort key, the cost instances and the promoted plans all walk it.
     """
+    orders = [cand.ordered_steps() for cand in candidates]
     if analyze and candidates:
         # imported lazily: repro.analysis imports this package's siblings
         from ..analysis.planlint import reject_illegal
         from ..errors import GraniiAnalysisError
 
-        legal, rejected = reject_illegal(candidates)
+        legal, rejected = reject_illegal(candidates, orders)
         if rejected and not legal:
             cand, verdict = rejected[0]
             raise GraniiAnalysisError(
@@ -211,6 +226,9 @@ def prune_candidates(
                 node=cand.output,
                 diagnostics=verdict.diagnostics,
             )
+        if rejected:
+            dropped = {id(cand) for cand, _ in rejected}
+            orders = [o for c, o in zip(candidates, orders) if id(c) not in dropped]
         candidates = legal
     # Per-step work is shared across trees (keyed by step identity, for
     # this call only; each entry holds its step, so no id is reused): a
@@ -220,11 +238,10 @@ def prune_candidates(
     step_work: Dict[int, Tuple[Step, str, Tuple[int, ...]]] = {}
     codes: Dict[_Instance, int] = {}
     keyed = []
-    for cand in candidates:
+    for cand, order in zip(candidates, orders):
         described: List[str] = []
         tree_codes: List[int] = []
-        # the dependency order, once: the sort key and the instances walk it
-        for step in cand.ordered_steps():
+        for step in order:
             work = step_work.get(id(step))
             if work is None:
                 work = step_work[id(step)] = (
@@ -237,13 +254,15 @@ def prune_candidates(
                 )
             described.append(work[1])
             tree_codes.extend(work[2])
-        keyed.append(((len(cand.steps), " ; ".join(described)), cand, tree_codes))
+        keyed.append(
+            ((len(cand.steps), " ; ".join(described)), cand, order, tree_codes)
+        )
     # 1. collapse cost-equivalent duplicates
-    by_sig: Dict[Tuple[int, ...], Tuple[Candidate, List[int]]] = {}
-    for _, cand, tree_codes in sorted(keyed, key=lambda entry: entry[0]):
-        by_sig.setdefault(tuple(sorted(tree_codes)), (cand, tree_codes))
-    distinct = [cand for cand, _ in by_sig.values()]
-    coded = [c for _, c in by_sig.values()]
+    by_sig: Dict[Tuple[int, ...], Tuple[Candidate, List[Step], List[int]]] = {}
+    for _, cand, order, tree_codes in sorted(keyed, key=lambda entry: entry[0]):
+        by_sig.setdefault(tuple(sorted(tree_codes)), (cand, order, tree_codes))
+    distinct = [(cand, order) for cand, order, _ in by_sig.values()]
+    coded = [c for _, _, c in by_sig.values()]
     distinct_instances = list(codes)
     primitive_of = [inst.primitive for inst in distinct_instances]
     # an injective same-primitive map needs at least as many instances of
@@ -265,13 +284,19 @@ def prune_candidates(
     ]
     tables = {s: _order_tables(distinct_instances, s) for s in SCENARIOS}
 
+    members: Dict[int, List[int]] = {}
+    for o, p in enumerate(profile):
+        members.setdefault(p, []).append(o)
+
     # 2. per-scenario domination
     survivors: List[PrunedCandidate] = []
-    for k, cand in enumerate(distinct):
+    for k, (cand, order) in enumerate(distinct):
         rivals = [
             coded[o]
-            for o in range(len(distinct))
-            if o != k and fits[profile[o]][profile[k]]
+            for p, group in members.items()
+            if fits[p][profile[k]]
+            for o in group
+            if o != k
         ]
         viable = tuple(
             scenario
@@ -281,7 +306,7 @@ def prune_candidates(
             )
         )
         if viable:
-            survivors.append(PrunedCandidate(cand, viable))
+            survivors.append(PrunedCandidate(cand, viable, order))
     if not survivors:
         raise RuntimeError("pruning removed every candidate — rule bug")
     return survivors

@@ -9,6 +9,7 @@ per (primitive, device) pair on profiled data.
 
 from __future__ import annotations
 
+import base64
 from itertools import chain
 from typing import List, Optional, Tuple
 
@@ -16,7 +17,28 @@ import numpy as np
 
 from .tree import RegressionTree
 
-__all__ = ["GradientBoostedTrees"]
+__all__ = ["GradientBoostedTrees", "PACKED"]
+
+# The ensemble's node columns as :meth:`GradientBoostedTrees.predict_one`
+# reads them (all trees stacked, children as absolute indices, a leaf
+# pointing at itself), with the little-endian dtype each saves as.
+PACKED = (
+    ("feature", "<i8"),
+    ("threshold", "<f8"),
+    ("left", "<i8"),
+    ("right", "<i8"),
+    ("value", "<f8"),
+)
+
+
+def _encode(array: np.ndarray, dtype: str) -> str:
+    """Raw array bytes as JSON-safe text: floats survive bit for bit."""
+    return base64.b64encode(np.ascontiguousarray(array, dtype=dtype).tobytes()).decode()
+
+
+def _decode(text: str, dtype: str) -> np.ndarray:
+    """A read-only array over the decoded bytes (no copy)."""
+    return np.frombuffer(base64.b64decode(text), dtype=dtype)
 
 
 class GradientBoostedTrees:
@@ -46,9 +68,20 @@ class GradientBoostedTrees:
         self.early_stopping_rounds = early_stopping_rounds
         self.seed = seed
         self._base: float = 0.0
-        self._trees: List[RegressionTree] = []
-        self._packed: Optional[tuple] = None  # predict_one's arrays, built on demand
+        # the fitted trees, or None for a loaded model until something
+        # asks for them (:attr:`_trees`); predict_one's packed arrays,
+        # built on demand from the trees or read straight from a file
+        self._tree_list: Optional[List[RegressionTree]] = []
+        self._packed: Optional[tuple] = None
         self.best_round_: Optional[int] = None
+
+    @property
+    def _trees(self) -> List[RegressionTree]:
+        """The ensemble's trees, in boosting order (a loaded model unpacks
+        them from its packed columns on first use)."""
+        if self._tree_list is None:
+            self._tree_list = self._unpack()
+        return self._tree_list
 
     # ------------------------------------------------------------------
     def fit(
@@ -63,7 +96,8 @@ class GradientBoostedTrees:
             raise ValueError("x must be (n, d) and y (n,)")
         rng = np.random.default_rng(self.seed)
         self._base = float(y.mean())
-        self._trees = []
+        trees: List[RegressionTree] = []
+        self._tree_list = trees
         self._packed = None
         pred = np.full(y.shape[0], self._base)
         val_pred = None
@@ -85,7 +119,7 @@ class GradientBoostedTrees:
             tree = RegressionTree(
                 max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf
             ).fit(x_fit, r_fit)
-            self._trees.append(tree)
+            trees.append(tree)
             pred += self.learning_rate * tree.predict(x)
             if eval_set is not None and self.early_stopping_rounds:
                 val_pred += self.learning_rate * tree.predict(x_val)
@@ -97,7 +131,7 @@ class GradientBoostedTrees:
                 else:
                     rounds_since_best += 1
                     if rounds_since_best >= self.early_stopping_rounds:
-                        self._trees = self._trees[: self.best_round_ + 1]
+                        del trees[self.best_round_ + 1 :]
                         break
         return self
 
@@ -111,11 +145,7 @@ class GradientBoostedTrees:
         the tree-by-tree walk makes and the leaves are added left to
         right in tree order, so the result is that walk's float.
         """
-        if not self._trees:
-            raise RuntimeError("model is not fitted")
-        if self._packed is None:
-            self._packed = self._pack()
-        feature, threshold, left, right, value, at, depth = self._packed
+        feature, threshold, left, right, value, at, depth = self._packed_arrays()
         x = np.asarray(x, dtype=np.float64)
         for _ in range(depth):
             at = np.where(x[feature[at]] <= threshold[at], left[at], right[at])
@@ -123,6 +153,13 @@ class GradientBoostedTrees:
         for leaf in (self.learning_rate * value[at]).tolist():
             total += leaf
         return total
+
+    def _packed_arrays(self) -> tuple:
+        if self._packed is None:
+            if not self._trees:
+                raise RuntimeError("model is not fitted")
+            self._packed = self._pack()
+        return self._packed
 
     def _pack(self) -> tuple:
         """``(feature, threshold, left, right, value, roots, depth)``.
@@ -159,8 +196,31 @@ class GradientBoostedTrees:
             roots, depth,
         )
 
+    def _unpack(self) -> List[RegressionTree]:
+        """The trees :meth:`_pack` stacked, as separate node columns."""
+        feature, threshold, left, right, value, roots, _ = self._packed
+        total = len(feature)
+        sizes = np.diff(np.append(roots, total))
+        first = np.repeat(roots, sizes)
+        leaf = left == np.arange(total)
+        columns = (  # in the tree's own COLUMNS order
+            np.where(leaf, -1, feature),
+            threshold,
+            value,
+            np.where(leaf, -1, left - first),
+            np.where(leaf, -1, right - first),
+        )
+        return [
+            RegressionTree.from_columns(
+                [c[a:a + n].tolist() for c in columns],
+                max_depth=self.max_depth,
+                min_samples_leaf=self.min_samples_leaf,
+            )
+            for a, n in zip(roots.tolist(), sizes.tolist())
+        ]
+
     def predict(self, x: np.ndarray) -> np.ndarray:
-        if not self._trees:
+        if self.num_trees == 0:
             raise RuntimeError("model is not fitted")
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[0] == 1:
@@ -172,7 +232,9 @@ class GradientBoostedTrees:
 
     @property
     def num_trees(self) -> int:
-        return len(self._trees)
+        if self._tree_list is None:
+            return len(self._packed[5])
+        return len(self._tree_list)
 
     def feature_importances(self, num_features: int) -> np.ndarray:
         """Normalised split-count importances across the ensemble."""
@@ -186,8 +248,12 @@ class GradientBoostedTrees:
     # Serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-serialisable form of the fitted ensemble."""
-        return {
+        """JSON-serialisable form of the fitted ensemble: hyper-parameters,
+        base, and :meth:`predict_one`'s packed arrays — the node columns
+        (:data:`PACKED`) and per-tree offsets as raw little-endian bytes
+        (base64), plus the descent depth."""
+        packed = self._packed_arrays()
+        data = {
             "num_rounds": self.num_rounds,
             "learning_rate": self.learning_rate,
             "max_depth": self.max_depth,
@@ -195,11 +261,19 @@ class GradientBoostedTrees:
             "subsample": self.subsample,
             "seed": self.seed,
             "base": self._base,
-            "trees": [tree.to_dict() for tree in self._trees],
         }
+        data["nodes"] = {
+            name: _encode(column, dtype)
+            for (name, dtype), column in zip(PACKED, packed)
+        }
+        data["roots"] = _encode(packed[5], "<i8")
+        data["depth"] = packed[6]
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "GradientBoostedTrees":
+        """Rebuild an ensemble saved by :meth:`to_dict`: the packed arrays
+        are decoded as saved, with no per-tree objects."""
         model = cls(
             num_rounds=data["num_rounds"],
             learning_rate=data["learning_rate"],
@@ -209,5 +283,18 @@ class GradientBoostedTrees:
             seed=data["seed"],
         )
         model._base = data["base"]
-        model._trees = [RegressionTree.from_dict(t) for t in data["trees"]]
+        nodes = data["nodes"]
+        columns = [_decode(nodes[name], dtype) for name, dtype in PACKED]
+        roots = _decode(data["roots"], "<i8")
+        total = len(columns[0])
+        if (
+            any(len(c) != total for c in columns)
+            or not len(roots)
+            or roots[0] != 0
+            or np.any(np.diff(roots) <= 0)
+            or roots[-1] >= total
+        ):
+            raise ValueError("packed tree columns are inconsistent")
+        model._tree_list = None
+        model._packed = (*columns, roots, int(data["depth"]))
         return model

@@ -206,12 +206,19 @@ class RegressionTree:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RegressionTree":
-        tree = cls(
+        return cls.from_columns(
+            [data[name] for name in COLUMNS],
             max_depth=data["max_depth"],
             min_samples_leaf=data["min_samples_leaf"],
             min_gain=data["min_gain"],
         )
-        columns = [list(data[name]) for name in COLUMNS]
+
+    @classmethod
+    def from_columns(cls, columns, **params) -> "RegressionTree":
+        """A fitted tree from its five node columns (:data:`COLUMNS`
+        order); ``params`` are the constructor's."""
+        tree = cls(**params)
+        columns = [list(c) for c in columns]
         if len({len(c) for c in columns}) != 1:
             raise ValueError("tree columns differ in length")
         (tree._feature, tree._threshold, tree._value, tree._left,

@@ -41,8 +41,9 @@ logger = logging.getLogger(__name__)
 
 # Bump on any incompatible envelope/payload layout change: old snapshots
 # are then quarantined and rebuilt instead of being misread.  2: cost
-# models save their trees as node columns.
-SCHEMA_VERSION = 2
+# models save their trees as node columns.  3: cost models save each
+# ensemble as packed node columns (raw bytes).
+SCHEMA_VERSION = 3
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 

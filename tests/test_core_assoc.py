@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.assoc import Candidate, enumerate_candidates, leaf_operand
+from repro.core.codegen import clear_compile_cache, compile_model
 from repro.core.ir import (
     dense_data,
     dense_weight,
@@ -177,3 +178,68 @@ class TestPruning:
         for name in ("gcn", "gin", "gat", "sgc"):
             cands = enumerate_candidates(rewrite_variants(build_model_ir(name)))
             assert prune_candidates(cands)
+
+
+def recursive_order(cand):
+    """The dependency order as first written: a recursive post-order over
+    each step's args, roots in sorted-output order."""
+    by_out = {s.out: s for s in cand.steps}
+    ordered, seen = [], set()
+
+    def visit(ref):
+        step = by_out.get(ref)
+        if step is None or ref in seen:
+            return
+        seen.add(ref)
+        for arg in step.args:
+            visit(arg)
+        ordered.append(step)
+
+    for out in sorted(by_out):
+        visit(out)
+    return ordered
+
+
+class TestSharedOrder:
+    """A cold compile orders each tree once and hands that order to the
+    verifier, to pruning and to the promoted plans."""
+
+    def test_ordered_steps_is_the_recursive_order(self):
+        from repro.analysis.mutate import MUTATIONS, NotApplicable
+
+        for name in ("tagcn", "gat", "sgc"):
+            for k, cand in enumerate(compile_model(name).all_candidates):
+                batch = [cand]
+                if k % 50 == 0:  # mutants bring cycles, double writes, ...
+                    for mutation in MUTATIONS:
+                        if mutation.kind != "candidate":
+                            continue
+                        try:
+                            batch.append(mutation.apply(cand))
+                        except NotApplicable:
+                            pass
+                for tree in batch:
+                    got = tree.ordered_steps()
+                    assert [id(s) for s in got] == [
+                        id(s) for s in recursive_order(tree)
+                    ]
+
+    @pytest.mark.parametrize("name,trees", [("tagcn", 5184), ("sgc", 324)])
+    def test_cold_compile_orders_each_tree_once(self, name, trees, monkeypatch):
+        ordered = []
+        real = Candidate.ordered_steps
+
+        def counting(cand):
+            ordered.append(id(cand))
+            return real(cand)
+
+        monkeypatch.setattr(Candidate, "ordered_steps", counting)
+        clear_compile_cache()
+        try:
+            compiled = compile_model(name)
+        finally:
+            clear_compile_cache()
+        assert len(ordered) == compiled.enumerated_count == trees
+        assert len(set(ordered)) == trees
+        for planned in compiled.promoted:
+            assert planned.plan.steps == real(planned.plan.candidate)

@@ -1,5 +1,6 @@
 """Serialization round-trips: trees, ensembles, cost-model sets."""
 
+import base64
 import json
 
 import numpy as np
@@ -9,11 +10,15 @@ from repro.core import costmodel, load_cost_models, save_cost_models, train_cost
 from repro.core.costmodel import CostModelSet, get_cost_models, clear_cost_model_cache
 from repro.core.features import featurize_graph
 from repro.core.profiler import collect_profile
+from repro.core.runtime import GraniiEngine
 from repro.graphs import load, training_graphs
+from repro.graphs.generators import erdos_renyi, rmat, road_mesh
 from repro.hardware import get_device
 from repro.kernels import KernelCall
 from repro.learn import GradientBoostedTrees, RegressionTree
+from repro.learn.gbt import PACKED
 from repro.learn.tree import COLUMNS
+from repro.models import MODEL_NAMES, build_layer
 
 
 class TestTreeSerialization:
@@ -58,12 +63,15 @@ class TestGBTSerialization:
 
 
 @pytest.fixture(scope="module")
-def small_models():
-    device = get_device("h100")
-    dataset = collect_profile(
-        device, graphs=training_graphs("small")[:4], sizes=(32, 256)
+def small_dataset():
+    return collect_profile(
+        get_device("h100"), graphs=training_graphs("small")[:4], sizes=(32, 256)
     )
-    return train_cost_models(device, dataset, num_rounds=20)
+
+
+@pytest.fixture(scope="module")
+def small_models(small_dataset):
+    return train_cost_models(get_device("h100"), small_dataset, num_rounds=20)
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +109,34 @@ class TestCostModelPersistence:
             clear_cost_model_cache()  # leave no cross-test residue
 
 
+def sweep_pool():
+    """The graphs the ``select_sweep`` benchmark selects on (seed 0)."""
+    return [rmat(3000, 8, seed=0), road_mesh(4000, seed=1), erdos_renyi(2000, 20, seed=2)]
+
+
+def plan_prices(models, graph, vec):
+    """Every viable promoted plan's predicted cost, per zoo model."""
+    engine = GraniiEngine(device="h100", scale="small", cost_models=models)
+    prices = []
+    for name in MODEL_NAMES:
+        layer = build_layer(name, 32, 16, rng=np.random.default_rng(0))
+        env = engine.shape_env(graph, layer)
+        plans = [p.plan for p in engine.compile_for(layer, graph).viable(32, 16)]
+        prices.append(engine.predict_plan_costs(plans, env, vec))
+    return prices
+
+
+def per_tree_payload(models):
+    """``models`` in format 2's layout: each tree its own five node columns."""
+    payload = models.to_dict()
+    payload["format"] = 2
+    for name, model in payload["models"].items():
+        for packed in ("nodes", "roots", "depth"):
+            del model[packed]
+        model["trees"] = [tree.to_dict() for tree in models._models[name]._trees]
+    return payload
+
+
 def probe_vectors(model, rng, rows=40):
     """Random feature vectors wide enough for every split of ``model``."""
     width = 1 + max(max(tree.columns()[0]) for tree in model._trees)
@@ -109,12 +145,26 @@ def probe_vectors(model, rng, rows=40):
 
 class TestCostModelFile:
     def test_trees_save_as_five_columns(self, small_scale_models):
+        # an ensemble's trees save stacked: five node columns of one length
+        # (predict_one's packed arrays as raw bytes) and per-tree offsets
         payload = small_scale_models.to_dict()
         assert (payload["device"], payload["scale"]) == ("h100", "small")
-        for model in payload["models"].values():
-            for tree in model["trees"]:
-                assert set(COLUMNS) <= set(tree) and "nodes" not in tree
-                assert len({len(tree[c]) for c in COLUMNS}) == 1
+        for name, model in payload["models"].items():
+            assert "trees" not in model
+            assert set(model["nodes"]) == {column for column, _ in PACKED}
+            nodes = {
+                column: np.frombuffer(base64.b64decode(model["nodes"][column]), dtype)
+                for column, dtype in PACKED
+            }
+            trees = small_scale_models._models[name]._trees
+            assert {len(c) for c in nodes.values()} == {
+                sum(tree.num_nodes for tree in trees)
+            }
+            roots = np.frombuffer(base64.b64decode(model["roots"]), "<i8")
+            assert roots.tolist() == np.cumsum(
+                [0] + [tree.num_nodes for tree in trees[:-1]]
+            ).tolist()
+            assert model["depth"] == max(tree.depth for tree in trees)
 
     def test_save_load_predictions_bitwise(self, small_models, tmp_path, rng):
         path = tmp_path / "models.json"
@@ -142,6 +192,31 @@ class TestCostModelFile:
             "max_depth", "min_samples_leaf", "min_gain",
             "_feature", "_threshold", "_value", "_left", "_right",
         }
+
+    def test_loaded_set_prices_the_sweep_pool_bitwise(
+        self, small_scale_models, small_dataset, tmp_path
+    ):
+        # every primitive, on its profiled calls re-aimed at the feature
+        # vectors of the select_sweep pool graphs, and every promoted
+        # plan's price on those graphs
+        path = tmp_path / "models.json"
+        save_cost_models(small_scale_models, path)
+        loaded = load_cost_models(path, device="h100", scale="small")
+        assert loaded.primitives == small_scale_models.primitives
+        for graph in sweep_pool():
+            vec = featurize_graph(graph)
+            for name in small_scale_models.primitives:
+                rows, _ = small_dataset.matrices(name)
+                rows = rows.copy()
+                rows[:, : vec.size] = vec
+                saved, restored = small_scale_models._models[name], loaded._models[name]
+                for row in rows:
+                    assert restored.predict_one(row).hex() == saved.predict_one(row).hex()
+            for models in (small_scale_models, loaded):
+                models._memo.clear()
+            assert plan_prices(loaded, graph, vec) == plan_prices(
+                small_scale_models, graph, vec
+            )
 
     def test_load_refuses_another_device_or_scale(self, small_scale_models, tmp_path):
         path = tmp_path / "models.json"
@@ -207,11 +282,41 @@ class TestCostModelCacheTrust:
         assert models.scale == "default"
         assert (tmp_path / "costmodels_h100_default.json.corrupt.0").exists()
 
+    def test_per_tree_column_file_is_quarantined_and_retrained(
+        self, small_scale_models, tmp_path, retrain
+    ):
+        # format 2: each tree its own five columns, not the packed arrays
+        cache = tmp_path / "costmodels_h100_small.json"
+        cache.write_text(json.dumps(per_tree_payload(small_scale_models)))
+        models = get_cost_models("h100", scale="small", cache_dir=tmp_path)
+        assert retrain == [("h100", "small")]
+        assert models.scale == "small"
+        assert (tmp_path / "costmodels_h100_small.json.corrupt.0").exists()
+        assert json.loads(cache.read_text())["format"] == 3
+
+    def test_cache_dir_is_written_when_the_set_is_already_in_memory(
+        self, tmp_path, retrain
+    ):
+        first = get_cost_models("cpu")
+        assert list(tmp_path.iterdir()) == []
+        again = get_cost_models("cpu", cache_dir=tmp_path)
+        assert again is first and retrain == [("cpu", "default")]
+        cache = tmp_path / "costmodels_cpu_default.json"
+        assert json.loads(cache.read_text()) == first.to_dict()
+        # an existing file is left as it is; the process's set still wins
+        written = cache.stat().st_mtime_ns
+        assert get_cost_models("cpu", cache_dir=tmp_path) is first
+        assert cache.stat().st_mtime_ns == written
+        clear_cost_model_cache()
+        loaded = get_cost_models("cpu", cache_dir=tmp_path)
+        assert retrain == [("cpu", "default")]
+        assert loaded.to_dict() == first.to_dict()
+
     def test_old_row_format_file_is_quarantined_and_retrained(
         self, small_scale_models, tmp_path, retrain
     ):
         small_models = small_scale_models
-        old = small_models.to_dict()
+        old = per_tree_payload(small_models)
         del old["format"], old["scale"]
         for model in old["models"].values():
             for tree in model["trees"]:

@@ -230,10 +230,35 @@ class TestCostModelSnapshot:
         assert loads == [("h100", "small")]
         assert restored.to_dict() == models.to_dict()
 
+    def test_restart_restores_the_same_predictions(self, models, tmp_path):
+        from repro.core.features import featurize_graph, num_features
+        from repro.graphs.generators import rmat
+        from repro.kernels import KernelCall
+
+        with self.service(tmp_path, cost_models=models) as svc:
+            svc.save_state()
+        with self.service(tmp_path) as svc2:
+            assert svc2.warm_start["cost_models"] is True
+            restored = svc2._cost_models
+        assert restored is not models
+        rows = np.random.default_rng(0).standard_normal((60, num_features())) * 4
+        for name in models.primitives:
+            saved, loaded = models._models[name], restored._models[name]
+            for row in rows:
+                assert loaded.predict_one(row).hex() == saved.predict_one(row).hex()
+        vec = featurize_graph(rmat(500, 8, seed=0))
+        call = KernelCall("spmm", {"m": 500, "nnz": 4000, "k": 32})
+        models._memo.clear()
+        assert restored.predict_call(call, vec) == models.predict_call(call, vec)
+
     def test_old_schema_snapshot_restores_training_cold(self, models, tmp_path):
         old = models.to_dict()
         del old["format"], old["scale"]
-        for model in old["models"].values():
+        for name, model in old["models"].items():
+            # format 1 kept each tree's nodes as rows
+            for packed in ("nodes", "roots", "depth"):
+                del model[packed]
+            model["trees"] = [t.to_dict() for t in models._models[name]._trees]
             for tree in model["trees"]:
                 tree["nodes"] = [list(r) for r in zip(*(tree.pop(c) for c in COLUMNS))]
         blob = json.dumps(old, sort_keys=True)
