@@ -22,24 +22,45 @@ REPRO_ROOT = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
 
 
 # ----------------------------------------------------------------------
-# Shipped tree
+# Shipped tree (each analysis of it takes 1.5-4 s: run once per module)
 # ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def shipped_report():
+    return analyze_paths([REPRO_ROOT])
+
+
+@pytest.fixture(scope="module")
+def shipped_lock_graph():
+    return static_lock_graph()
+
+
+@pytest.fixture(scope="module")
+def tree_sources():
+    return _tree_sources()
+
+
+@pytest.fixture(scope="module")
+def base_keys(tree_sources):
+    """The unmutated tree's active findings, as ``(rule, path)``."""
+    return {(f.rule, f.path) for f in analyze_sources(tree_sources).active}
+
+
 class TestShippedTree:
-    def test_zero_active_findings(self):
-        report = analyze_paths([REPRO_ROOT])
+    def test_zero_active_findings(self, shipped_report):
+        report = shipped_report
         assert report.active == [], "\n".join(
             f.describe() for f in report.active
         )
 
-    def test_every_waiver_is_justified(self):
+    def test_every_waiver_is_justified(self, shipped_report):
         # the tree carries no concurrency waiver today; any it gains must
         # say why (waiver parsing itself is pinned in TestWaivers)
-        report = analyze_paths([REPRO_ROOT])
+        report = shipped_report
         for f in report.waived:
             assert f.justification, f"waiver without justification: {f}"
 
-    def test_lock_graph_names_the_known_locks(self):
-        graph = static_lock_graph()
+    def test_lock_graph_names_the_known_locks(self, shipped_lock_graph):
+        graph = shipped_lock_graph
         ids = set(graph.locks)
         expected = {
             "repro.serving.service.GraniiService._lock",
@@ -50,17 +71,17 @@ class TestShippedTree:
         }
         assert expected <= ids
 
-    def test_lock_graph_has_the_select_to_cost_model_edge(self):
+    def test_lock_graph_has_the_select_to_cost_model_edge(self, shipped_lock_graph):
         # interprocedural: a selection prices under the service's select
         # lock (GraniiEngine.select -> ... -> CostModelSet.prices)
-        graph = static_lock_graph()
+        graph = shipped_lock_graph
         assert (
             "repro.serving.service.GraniiService._select_lock",
             "repro.core.costmodel.CostModelSet._memo_lock",
         ) in graph.edges
 
-    def test_site_index_round_trips_construction_sites(self):
-        graph = static_lock_graph()
+    def test_site_index_round_trips_construction_sites(self, shipped_lock_graph):
+        graph = shipped_lock_graph
         index = graph.site_index()
         for info in graph.locks.values():
             for site in info.sites:
@@ -239,12 +260,9 @@ def test_mutation_battery_is_large_enough():
         "unknown_bounds_producer",
     ],
 )
-def test_seeded_mutation_caught(name):
+def test_seeded_mutation_caught(name, tree_sources, base_keys):
     mutation = next(m for m in MUTATIONS if m.name == name)
-    sources = _tree_sources()
-    baseline = analyze_sources(sources)
-    base_keys = {(f.rule, f.path) for f in baseline.active}
-    report = analyze_sources(apply_mutation(sources, mutation))
+    report = analyze_sources(apply_mutation(tree_sources, mutation))
     fresh = [f for f in report.active if (f.rule, f.path) not in base_keys]
     assert any(f.rule in mutation.expected_rules for f in fresh), (
         f"{name} not caught; fresh findings: "
@@ -252,10 +270,9 @@ def test_seeded_mutation_caught(name):
     )
 
 
-def test_every_mutation_anchor_still_applies():
-    sources = _tree_sources()
+def test_every_mutation_anchor_still_applies(tree_sources):
     for mutation in MUTATIONS:
-        apply_mutation(sources, mutation)  # raises NotApplicable if stale
+        apply_mutation(tree_sources, mutation)  # raises NotApplicable if stale
 
 
 # ----------------------------------------------------------------------

@@ -12,9 +12,32 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.costmodel import get_cost_models
+
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 EXAMPLES = sorted(p.name for p in EXAMPLES_DIR.glob("*.py"))
+
+# ``python -c CHILD <script> <cache_dir>``: loads the models the examples
+# select with (device="h100", REPRO_SCALE=small) from the session's files,
+# then runs the script as ``python <script>`` would
+CHILD = """\
+import os, runpy, sys
+from repro.core.costmodel import get_cost_models
+script, cache_dir = sys.argv[1:]
+get_cost_models("h100", "small", cache_dir=cache_dir)
+sys.argv, sys.path[0] = [script], os.path.dirname(script)
+runpy.run_path(script, run_name="__main__")
+"""
+
+
+@pytest.fixture(scope="session")
+def fitted_cost_model_dir(tmp_path_factory):
+    """Cost-model files for child processes, written from this process's
+    cache: a key some test already fitted is saved, not refitted."""
+    root = tmp_path_factory.mktemp("cost_models")
+    get_cost_models("h100", "small", cache_dir=root)
+    return root
 
 
 def test_all_examples_present():
@@ -23,10 +46,10 @@ def test_all_examples_present():
 
 
 @pytest.mark.parametrize("script", EXAMPLES)
-def test_example_runs(script):
+def test_example_runs(script, fitted_cost_model_dir):
     env = dict(os.environ, REPRO_SCALE="small")
     result = subprocess.run(
-        [sys.executable, str(EXAMPLES_DIR / script)],
+        [sys.executable, "-c", CHILD, str(EXAMPLES_DIR / script), str(fitted_cost_model_dir)],
         env=env,
         capture_output=True,
         text=True,

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import costmodel, load_cost_models, save_cost_models, train_cost_models
+from repro.core import load_cost_models, save_cost_models, train_cost_models
 from repro.core.costmodel import CostModelSet, get_cost_models, clear_cost_model_cache
 from repro.core.features import featurize_graph
 from repro.core.profiler import collect_profile
@@ -63,18 +63,6 @@ class TestGBTSerialization:
 
 
 @pytest.fixture(scope="module")
-def small_dataset():
-    return collect_profile(
-        get_device("h100"), graphs=training_graphs("small")[:4], sizes=(32, 256)
-    )
-
-
-@pytest.fixture(scope="module")
-def small_models(small_dataset):
-    return train_cost_models(get_device("h100"), small_dataset, num_rounds=20)
-
-
-@pytest.fixture(scope="module")
 def small_scale_models(small_models):
     """``small_models`` labelled as the small pool's set: they are fitted
     on part of that pool, but chosen graphs carry no scale of their own."""
@@ -94,19 +82,15 @@ class TestCostModelPersistence:
             small_models.predict_call(call, vec)
         )
 
-    def test_disk_cache_used(self, small_scale_models, tmp_path):
+    def test_disk_cache_used(self, small_scale_models, tmp_path, empty_cost_model_cache):
         # pre-seed the disk cache, clear memory, and verify the loader path
         small_models = small_scale_models
         path = tmp_path / "costmodels_h100_small.json"
         save_cost_models(small_models, path)
-        clear_cost_model_cache()
-        try:
-            loaded = get_cost_models("h100", scale="small", cache_dir=tmp_path)
-            assert loaded.primitives == small_models.primitives
-            assert loaded.scale == "small"
-            assert not list(tmp_path.glob("*.corrupt.*"))  # loaded, not retrained
-        finally:
-            clear_cost_model_cache()  # leave no cross-test residue
+        loaded = get_cost_models("h100", scale="small", cache_dir=tmp_path)
+        assert loaded.primitives == small_models.primitives
+        assert loaded.scale == "small"
+        assert not list(tmp_path.glob("*.corrupt.*"))  # loaded, not retrained
 
 
 def sweep_pool():
@@ -230,21 +214,8 @@ class TestCostModelFile:
 
 class TestCostModelCacheTrust:
     """``get_cost_models(..., cache_dir=...)`` trusts the payload, not the
-    file name: the wrong device, scale or layout is retrained."""
-
-    @pytest.fixture
-    def retrain(self, small_models, monkeypatch):
-        """Stand-in training: records its calls, returns a fresh set."""
-        calls = []
-
-        def train(device, scale="default"):
-            calls.append((device.name, scale))
-            return CostModelSet(device.name, dict(small_models._models), scale=scale)
-
-        monkeypatch.setattr(costmodel, "train_cost_models", train)
-        clear_cost_model_cache()
-        yield calls
-        clear_cost_model_cache()
+    file name: the wrong device, scale or layout is retrained (by the
+    ``retrain`` stand-in, see conftest.py)."""
 
     def test_models_for_another_device_and_scale_are_retrained(
         self, small_scale_models, tmp_path, retrain

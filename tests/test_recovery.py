@@ -100,6 +100,24 @@ class TestSaveState:
         assert again.cache_hit, "warm start must skip re-selection"
         np.testing.assert_allclose(again.value, first.value)
 
+    def test_state_dir_from_the_environment_is_a_cache_hit(
+        self, graph, cost_models, tmp_path, monkeypatch
+    ):
+        # REPRO_STATE_DIR instead of state_dir=: a service built with
+        # neither saves there, and the next one warm-starts from it
+        monkeypatch.setenv("REPRO_STATE_DIR", str(tmp_path))
+        feats = feats_for(graph)
+        record_runtime_residual("cpu", "spmm", 2.0, 1.0)
+        with make_service(cost_models) as svc:
+            assert svc.serve(req(graph, feats), timeout=120.0).ok
+            svc.save_state()
+        assert (tmp_path / "plan_cache.json").exists()
+        clear_runtime_residuals()
+        with make_service(None) as svc2:
+            assert svc2.warm_start["cost_models"] is True
+            again = svc2.serve(req(graph, feats), timeout=120.0)
+        assert again.ok and again.cache_hit, (again.ok, again.cache_hit, again.error)
+
     def test_corrupt_snapshot_costs_cold_start_not_a_crash(
         self, graph, cost_models, tmp_path
     ):

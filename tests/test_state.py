@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.costmodel import (
     CostModelSet,
-    clear_cost_model_cache,
     clear_runtime_residuals,
     export_runtime_residuals,
     get_cost_models,
@@ -168,29 +167,26 @@ class TestResidualRoundTrip:
 
 
 class TestCostModelDiskCache:
-    def test_corrupt_cache_file_quarantined_and_retrained(self, tmp_path):
+    def test_corrupt_cache_file_quarantined_and_retrained(
+        self, tmp_path, empty_cost_model_cache
+    ):
         """A truncated on-disk cost-model cache (crash mid-write by an
-        older writer) must cost a retrain, not a JSONDecodeError."""
+        older writer) must cost a retrain, not a JSONDecodeError.
+
+        The one tier-1 test that fits a pool cold, on purpose: every
+        other test shares the session's fits or uses ``retrain``."""
         cache = tmp_path / "costmodels_cpu_small.json"
         cache.write_text('{"device": "cpu", "models": {"spmm": {tru')
-        clear_cost_model_cache()
-        try:
-            models = get_cost_models("cpu", scale="small", cache_dir=tmp_path)
-            assert models.device_name == "cpu"
-            # the damaged file was moved aside and a fresh one written
-            assert (tmp_path / "costmodels_cpu_small.json.corrupt.0").exists()
-            reloaded = json.loads(cache.read_text())
-            assert "models" in reloaded
-            assert (reloaded["device"], reloaded["scale"]) == ("cpu", "small")
-        finally:
-            clear_cost_model_cache()
+        models = get_cost_models("cpu", scale="small", cache_dir=tmp_path)
+        assert models.device_name == "cpu"
+        # the damaged file was moved aside and a fresh one written
+        assert (tmp_path / "costmodels_cpu_small.json.corrupt.0").exists()
+        reloaded = json.loads(cache.read_text())
+        assert "models" in reloaded
+        assert (reloaded["device"], reloaded["scale"]) == ("cpu", "small")
 
-    def test_cache_file_written_atomically(self, tmp_path):
-        clear_cost_model_cache()
-        try:
-            get_cost_models("cpu", scale="small", cache_dir=tmp_path)
-        finally:
-            clear_cost_model_cache()
+    def test_cache_file_written_atomically(self, tmp_path, retrain):
+        get_cost_models("cpu", scale="small", cache_dir=tmp_path)
         leftovers = [p.name for p in tmp_path.iterdir() if ".tmp" in p.name]
         assert leftovers == []
 
