@@ -26,10 +26,10 @@ Three prongs, all purely static:
 CLIs::
 
     python -m repro.analysis              # planlint over the model zoo
-    python -m repro.analysis --self-test  # seeded-mutation self test
     python -m repro.analysis.lint src/repro
     python -m repro.analysis.conclint src/repro
-    python -m repro.analysis.conclint --self-test
+
+The seeded mutations of both analyzers run in ``python -m repro.checks``.
 """
 
 from .domains import AbstractMatrix, join_structure, structure_leq, structure_of

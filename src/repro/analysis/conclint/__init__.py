@@ -26,7 +26,8 @@ statically.
 CLI::
 
     python -m repro.analysis.conclint src/repro [--json REPORT.json]
-    python -m repro.analysis.conclint --self-test
+
+Its seeded mutations (:mod:`.mutate`) run in ``python -m repro.checks``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "analyze_sources",
     "canonical_rel",
     "collect_sources",
-    "static_lock_graph",
 ]
 
 
@@ -163,15 +163,3 @@ def collect_sources(paths: Sequence[str]) -> Dict[str, str]:
 
 def analyze_paths(paths: Sequence[str]) -> ConclintReport:
     return analyze_sources(collect_sources(paths))
-
-
-def static_lock_graph(paths: Optional[Sequence[str]] = None) -> LockGraph:
-    """The statically-derived lock-order graph for the given tree
-    (default: the installed ``repro`` package itself) — the reference
-    :mod:`repro.faults.racestress` validates observed edges against."""
-    if paths is None:
-        import repro
-
-        paths = [os.path.dirname(os.path.abspath(repro.__file__))]
-    report = analyze_paths(paths)
-    return report.graph

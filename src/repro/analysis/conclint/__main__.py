@@ -2,11 +2,11 @@
 
 ::
 
-    python -m repro.analysis.conclint src/repro [--json REPORT.json]
-    python -m repro.analysis.conclint --self-test [--verbose]
+    python -m repro.analysis.conclint src/repro [--json REPORT.json] [--verbose]
 
-Exit status 0 when there are no unwaived findings (or every seeded
-mutation is caught in ``--self-test`` mode), 1 otherwise.
+Exit status 0 when there are no unwaived findings, 1 otherwise.  The
+seeded mutations that prove conclint catches bugs run in ``python -m
+repro.checks``.
 """
 
 from __future__ import annotations
@@ -27,16 +27,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories to analyze")
     parser.add_argument("--json", default="", help="write the report here")
-    parser.add_argument("--self-test", action="store_true",
-                        help="run the seeded concurrency-mutation self test")
     parser.add_argument("--verbose", action="store_true",
                         help="print the lock-order graph and waivers")
     args = parser.parse_args(argv)
-
-    if args.self_test:
-        from .mutate import run_self_test
-
-        return 0 if run_self_test(verbose=args.verbose) else 1
 
     report = analyze_paths(args.paths or ["src/repro"])
     for f in report.active:

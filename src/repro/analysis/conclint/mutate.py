@@ -10,18 +10,28 @@ a new unwaived finding of the expected rule that the clean tree does
 not have.  A mutation whose anchor text no longer exists is *not
 applicable* (the battery must be updated alongside the code it seeds).
 
-Run via ``python -m repro.analysis.conclint --self-test``.
+Each mutation, and the clean tree's own analysis, is an entry of the
+check registry (``conclint/<mutation>``, ``conclint/baseline``)::
+
+    PYTHONPATH=src python -m repro.checks --quick --only conclint
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, Tuple
 
-from . import analyze_sources, canonical_rel, collect_sources
+from . import ConclintReport, analyze_sources, canonical_rel, collect_sources
 
-__all__ = ["MUTATIONS", "Mutation", "NotApplicable", "run_self_test"]
+__all__ = [
+    "MUTATIONS",
+    "Mutation",
+    "NotApplicable",
+    "apply_mutation",
+    "check_mutation",
+    "tree_sources",
+]
 
 _BLOCKED = "repro/kernels/blocked.py"
 _SERVICE = "repro/serving/service.py"
@@ -147,7 +157,8 @@ MUTATIONS: Tuple[Mutation, ...] = (
 )
 
 
-def _tree_sources() -> Dict[str, str]:
+def tree_sources() -> Dict[str, str]:
+    """The installed ``repro`` tree, keyed by canonical path."""
     import repro
 
     root = os.path.dirname(os.path.abspath(repro.__file__))
@@ -168,57 +179,23 @@ def apply_mutation(sources: Dict[str, str], mutation: Mutation) -> Dict[str, str
     return mutated
 
 
-def run_self_test(verbose: bool = False) -> bool:
-    """Apply every mutation; return True iff all applicable ones are
-    caught and the clean tree itself analyzes clean."""
-    sources = _tree_sources()
-    baseline = analyze_sources(sources)
+def check_mutation(
+    mutation: Mutation, sources: Dict[str, str], baseline: ConclintReport
+) -> Tuple[bool, str]:
+    """Apply one mutation to ``sources`` and re-analyze; ``(caught,
+    outcome)``, where caught means a new unwaived finding of an expected
+    rule that ``baseline`` (the analysis of ``sources``) does not have."""
+    try:
+        mutated = apply_mutation(sources, mutation)
+    except NotApplicable as exc:
+        return False, f"NOT APPLICABLE ({exc})"
     base_keys = {(f.rule, f.path) for f in baseline.active}
-    ok = True
-    if baseline.active:
-        ok = False
-        print(f"FAIL baseline: {len(baseline.active)} unwaived finding(s) "
-              f"on the clean tree")
-        for f in baseline.active:
-            print(f"  {f.describe()}")
-    records: List[Tuple[str, str]] = []
-    for mutation in MUTATIONS:
-        try:
-            mutated = apply_mutation(sources, mutation)
-        except NotApplicable as exc:
-            ok = False
-            records.append((mutation.name, f"NOT APPLICABLE ({exc})"))
-            continue
-        report = analyze_sources(mutated)
-        fresh = [
-            f for f in report.active if (f.rule, f.path) not in base_keys
-        ]
-        caught = [f for f in fresh if f.rule in mutation.expected_rules]
-        if caught:
-            records.append(
-                (mutation.name, f"caught ({caught[0].rule} at "
-                                f"{caught[0].path}:{caught[0].line})")
-            )
-        else:
-            ok = False
-            got = ", ".join(sorted({f.rule for f in fresh})) or "nothing"
-            records.append(
-                (mutation.name,
-                 f"MISSED (wanted {'/'.join(sorted(mutation.expected_rules))},"
-                 f" got {got})")
-            )
-    caught_n = sum(1 for _, r in records if r.startswith("caught"))
-    for name, outcome in records:
-        if verbose or not outcome.startswith("caught"):
-            print(f"  {name}: {outcome}")
-    print(
-        f"conclint self-test: {caught_n}/{len(MUTATIONS)} seeded "
-        f"concurrency bug(s) caught"
-    )
-    return ok
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(0 if run_self_test(verbose=True) else 1)
+    report = analyze_sources(mutated)
+    fresh = [f for f in report.active if (f.rule, f.path) not in base_keys]
+    caught = [f for f in fresh if f.rule in mutation.expected_rules]
+    if caught:
+        first = caught[0]
+        return True, f"caught ({first.rule} at {first.path}:{first.line})"
+    got = ", ".join(sorted({f.rule for f in fresh})) or "nothing"
+    wanted = "/".join(sorted(mutation.expected_rules))
+    return False, f"MISSED (wanted {wanted}, got {got})"

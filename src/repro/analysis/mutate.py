@@ -4,16 +4,18 @@ A static analyzer that has never seen a bug proves nothing.  Each
 mutation here plants one specific, realistic defect into a *clean*
 promoted candidate (or workspace trace) — swapped operands, a dropped
 transpose, a stale nnz bound, a leaked arena buffer — and records which
-diagnostic rule must fire.  :func:`run_self_test` applies every mutation
-to the first applicable candidate from the model zoo and fails loudly if
-any planted bug survives analysis; it runs in CI via
-``python -m repro.analysis --self-test`` and in ``tests/test_analysis.py``.
+diagnostic rule must fire.  :func:`check_mutation` applies one mutation
+to the first applicable candidate (or trace) from the model zoo and
+reports whether the planted bug was caught.  Each mutation is an entry
+of the check registry (``planlint/<mutation>``)::
+
+    PYTHONPATH=src python -m repro.checks --quick --only planlint
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Tuple
 
 from ..core.assoc import Candidate, Step
 from ..core.rules import Operand
@@ -23,7 +25,7 @@ from .planlint import (
     workspace_trace,
 )
 
-__all__ = ["MUTATIONS", "Mutation", "run_self_test"]
+__all__ = ["MUTATIONS", "Mutation", "check_mutation", "zoo_pool"]
 
 
 class NotApplicable(Exception):
@@ -219,7 +221,7 @@ MUTATIONS: List[Mutation] = [
 ]
 
 
-def _zoo_pool():
+def zoo_pool():
     """Clean candidates and plans to mutate (compiled zoo defaults)."""
     from ..core.codegen import compile_model
 
@@ -233,51 +235,45 @@ def _zoo_pool():
     return pool, plans
 
 
-def run_self_test(verbose: bool = False) -> List[Dict[str, object]]:
-    """Apply every mutation; each planted bug must be caught.
+def check_mutation(mutation: Mutation, pool, plans) -> Dict[str, object]:
+    """Plant one mutation in the first applicable member of
+    :func:`zoo_pool`'s ``(pool, plans)`` and analyze it.
 
-    Returns one record per mutation; a record with ``caught == False``
-    (or an unapplicable mutation) is a self-test failure.
+    The record's ``caught`` is False when an expected rule did not fire
+    or no candidate (or trace) gave the mutation a site.
     """
-    pool, plans = _zoo_pool()
-    records: List[Dict[str, object]] = []
-    for mutation in MUTATIONS:
-        record: Dict[str, object] = {
-            "mutation": mutation.name,
-            "expected": sorted(mutation.expected_rules),
-        }
-        fired: List[str] = []
-        applied = False
-        if mutation.kind == "candidate":
-            for cand in pool:
-                try:
-                    mutated = mutation.apply(cand)
-                except NotApplicable:
-                    continue
-                applied = True
-                verdict = analyze_candidate(mutated, name=mutation.name)
-                fired = sorted({d.rule for d in verdict.errors})
-                break
-        else:
-            for plan in plans:
-                events = workspace_trace(plan, "blocked")
-                if not events:
-                    continue
-                try:
-                    mutated_events = mutation.apply(list(events))
-                except NotApplicable:
-                    continue
-                applied = True
-                diags = check_workspace_trace(mutated_events)
-                fired = sorted({d.rule for d in diags})
-                break
-        record["applied"] = applied
-        record["fired"] = fired
-        record["caught"] = applied and bool(
-            mutation.expected_rules.intersection(fired)
-        )
-        records.append(record)
-        if verbose:
-            status = "caught" if record["caught"] else "MISSED"
-            print(f"  {mutation.name:<22} -> {status} ({', '.join(fired) or '-'})")
-    return records
+    record: Dict[str, object] = {
+        "mutation": mutation.name,
+        "expected": sorted(mutation.expected_rules),
+    }
+    fired: List[str] = []
+    applied = False
+    if mutation.kind == "candidate":
+        for cand in pool:
+            try:
+                mutated = mutation.apply(cand)
+            except NotApplicable:
+                continue
+            applied = True
+            verdict = analyze_candidate(mutated, name=mutation.name)
+            fired = sorted({d.rule for d in verdict.errors})
+            break
+    else:
+        for plan in plans:
+            events = workspace_trace(plan, "blocked")
+            if not events:
+                continue
+            try:
+                mutated_events = mutation.apply(list(events))
+            except NotApplicable:
+                continue
+            applied = True
+            diags = check_workspace_trace(mutated_events)
+            fired = sorted({d.rule for d in diags})
+            break
+    record["applied"] = applied
+    record["fired"] = fired
+    record["caught"] = applied and bool(
+        mutation.expected_rules.intersection(fired)
+    )
+    return record

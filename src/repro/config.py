@@ -27,8 +27,6 @@ Knob reference
 ``REPRO_MEM_BUDGET_MB``       per-plan memory budget (estimate + observed)
 ``REPRO_BREAKER_THRESHOLD``   failures before a (primitive, strategy) trips
 ``REPRO_BREAKER_COOLDOWN``    seconds a tripped breaker stays open
-``REPRO_FAULTS``              fault-injection schedule (see repro.faults)
-``REPRO_FAULTS_SEED``         seed for probabilistic fault draws
 ``REPRO_SERVE_MAX_QUEUE``     per-tenant bound on queued+running requests
 ``REPRO_SERVE_DEADLINE_MS``   default end-to-end request deadline (0 = none)
 ``REPRO_PLAN_CACHE_SIZE``     fingerprint-keyed plan cache capacity
@@ -61,8 +59,6 @@ __all__ = [
     "mem_budget_bytes",
     "breaker_threshold",
     "breaker_cooldown_seconds",
-    "faults_spec",
-    "faults_seed",
     "serve_max_queue",
     "serve_deadline_seconds",
     "plan_cache_size",
@@ -226,16 +222,6 @@ def breaker_threshold() -> int:
 def breaker_cooldown_seconds() -> float:
     """``REPRO_BREAKER_COOLDOWN``: seconds a tripped breaker stays open."""
     return env_float("REPRO_BREAKER_COOLDOWN", 30.0, minimum=0.0)
-
-
-def faults_spec() -> Optional[str]:
-    """``REPRO_FAULTS``: fault schedule, e.g. ``spmm:raise:0.1,gemm:slow:0.05:0.2``."""
-    return _raw("REPRO_FAULTS")
-
-
-def faults_seed() -> int:
-    """``REPRO_FAULTS_SEED``: seed for probabilistic fault draws."""
-    return env_int("REPRO_FAULTS_SEED", 0)
 
 
 def serve_max_queue() -> int:

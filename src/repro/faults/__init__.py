@@ -10,10 +10,11 @@ to the kernel-dispatch seam
 replays exactly from its seed.
 
 Fault specs use the syntax ``primitive:action:probability[:param]``,
-comma-separated — also accepted from the ``REPRO_FAULTS`` environment
-variable::
+comma-separated::
 
-    REPRO_FAULTS="spmm:raise:0.5,gemm:slow:0.1:0.2" python train.py
+    plan = FaultPlan.from_string("spmm:raise:0.5,gemm:slow:0.1:0.2", seed=0)
+    with fault_injection(plan):
+        model(graph, feats)
 
 Actions
 -------
@@ -192,20 +193,6 @@ class FaultPlan:
     @classmethod
     def from_string(cls, text: str, seed: int = 0) -> "FaultPlan":
         return cls(parse_fault_spec(text), seed=seed)
-
-    @classmethod
-    def from_env(cls) -> Optional["FaultPlan"]:
-        """Plan described by ``REPRO_FAULTS`` / ``REPRO_FAULTS_SEED``.
-
-        Returns ``None`` when ``REPRO_FAULTS`` is unset or blank.
-        """
-        text = config.faults_spec()
-        if not text:
-            return None
-        return cls(
-            parse_fault_spec(text, source="REPRO_FAULTS"),
-            seed=config.faults_seed(),
-        )
 
     def describe(self) -> str:
         rules = ", ".join(str(s) for s in self.specs) or "<no rules>"

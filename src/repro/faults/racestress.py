@@ -14,31 +14,28 @@ records a happens-before edge ``held -> acquired`` into a
 :class:`RaceMonitor`; locks constructed anywhere else (stdlib internals,
 test scaffolding) stay untraced.
 
-After driving the stress scenarios — plan-cache eviction hammering and
-a small serving workload — the observed
-edge set is asserted to be a **subset** of the static graph: zero
-unexplained edges.  Lock identity is the static table's, keyed by
-``(construction file, line)``, so the comparison never depends on
-hardcoded line numbers.
+After driving a stress scenario — plan-cache eviction hammering or a
+small serving workload — the observed edge set is asserted to be a
+**subset** of the static graph: zero unexplained edges.  Lock identity
+is the static table's, keyed by ``(construction file, line)``, so the
+comparison never depends on hardcoded line numbers.  Each scenario is
+an entry of the check registry (``racestress/<scenario>``)::
 
-Run via ``python -m repro.faults.racestress --quick``.
+    PYTHONPATH=src python -m repro.checks --quick --only racestress
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 __all__ = [
     "RaceMonitor",
     "RaceReport",
     "SCENARIOS",
-    "run_scenarios",
-    "main",
+    "run_scenario",
 ]
 
 # Real factories, captured before any patching.
@@ -275,11 +272,10 @@ SCENARIOS: Dict[str, Callable[[bool], None]] = {
 # ----------------------------------------------------------------------
 @dataclass
 class RaceReport:
-    """Outcome of one stress run across scenarios."""
+    """Outcome of one stress scenario against the static graph."""
 
     static_edges: Set[Tuple[str, str]]
     observed: Dict[Tuple[str, str], Tuple[str, int]]
-    per_scenario: Dict[str, List[Tuple[str, str]]]
     acquisitions: int
     unmapped: Set[Tuple[str, int]] = field(default_factory=set)
 
@@ -293,14 +289,9 @@ class RaceReport:
 
     def to_dict(self) -> dict:
         return {
-            "static_edges": sorted(f"{a} -> {b}" for a, b in self.static_edges),
             "observed_edges": {
                 f"{a} -> {b}": f"{site[0]}:{site[1]}"
                 for (a, b), site in sorted(self.observed.items())
-            },
-            "per_scenario": {
-                name: sorted(f"{a} -> {b}" for a, b in edges)
-                for name, edges in self.per_scenario.items()
             },
             "unexplained": [f"{a} -> {b}" for a, b in self.unexplained],
             "acquisitions": self.acquisitions,
@@ -310,66 +301,16 @@ class RaceReport:
         }
 
 
-def run_scenarios(
-    names: Optional[List[str]] = None, quick: bool = True
-) -> RaceReport:
-    """Patch, drive the named scenarios under one monitor, compare
-    observed lock-order edges against the static graph."""
-    from repro.analysis.conclint import static_lock_graph
-
-    graph = static_lock_graph()
-    static_edges = set(graph.edges)
-    site_index = graph.site_index()
+def run_scenario(name: str, quick: bool, graph) -> RaceReport:
+    """Patch, drive one scenario under a fresh monitor, and compare its
+    observed lock-order edges against ``graph``, conclint's static
+    :class:`~repro.analysis.conclint.LockGraph` of the tree."""
     monitor = RaceMonitor()
-    per_scenario: Dict[str, List[Tuple[str, str]]] = {}
-    with _Patcher(monitor, site_index):
-        for name in names or sorted(SCENARIOS):
-            before = monitor.snapshot_edges()
-            SCENARIOS[name](quick)
-            per_scenario[name] = sorted(monitor.snapshot_edges() - before)
+    with _Patcher(monitor, graph.site_index()):
+        SCENARIOS[name](quick)
     return RaceReport(
-        static_edges=static_edges,
+        static_edges=set(graph.edges),
         observed=dict(monitor.edges),
-        per_scenario=per_scenario,
         acquisitions=monitor.acquisitions,
         unmapped=set(monitor.unmapped),
     )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.faults.racestress",
-        description="Assert observed lock-order edges are a subset of "
-        "the static conclint graph",
-    )
-    parser.add_argument(
-        "--scenarios", default=",".join(sorted(SCENARIOS)),
-        help="comma-separated subset of: " + ", ".join(sorted(SCENARIOS)),
-    )
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller thread counts / iteration budgets")
-    parser.add_argument("--json", default="", help="write the report here")
-    args = parser.parse_args(argv)
-
-    names = [s.strip() for s in args.scenarios.split(",") if s.strip()]
-    unknown = [s for s in names if s not in SCENARIOS]
-    if unknown:
-        parser.error(f"unknown scenario(s): {', '.join(unknown)}")
-
-    report = run_scenarios(names, quick=args.quick)
-    for (src, dst), site in sorted(report.observed.items()):
-        status = "ok" if (src, dst) in report.static_edges else "UNEXPLAINED"
-        print(f"  edge {src} -> {dst}  [{site[0]}:{site[1]}]  {status}")
-    print(
-        f"racestress: {report.acquisitions} traced acquisition(s), "
-        f"{len(report.observed)} distinct edge(s), "
-        f"{len(report.unexplained)} unexplained"
-    )
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-    return 0 if report.ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -4,8 +4,9 @@
 long-lived service: concurrent requests from named tenants pass an
 admission gate, bounded per-tenant queues, a fingerprint-keyed plan
 cache, per-tenant circuit breakers, and retry/deadline handling around
-the guarded fallback ladder.  ``python -m repro.serving.chaos`` drives
-the whole stack through multi-tenant failure storms.
+the guarded fallback ladder.  The :mod:`repro.serving.chaos` scenarios
+(``python -m repro.checks --only serving``) drive the whole stack
+through multi-tenant failure storms.
 """
 
 from .cache import CacheEntry, PlanCache

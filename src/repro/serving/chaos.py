@@ -1,6 +1,6 @@
 """Service-level chaos: drive ``GraniiService`` through failure storms.
 
-``python -m repro.serving.chaos`` extends the engine-level chaos driver
+The scenarios here extend the engine-level chaos cases
 (:mod:`repro.faults.chaos`) one level up: instead of faulting a single
 guarded executor, each scenario runs a *multi-tenant traffic mix*
 through a live service and checks the serving contract:
@@ -25,25 +25,28 @@ through a live service and checks the serving contract:
   SIGKILLed serving process leaves state a fresh process warm-starts
   from — first repeat request is a plan-cache hit (``restart-warm``).
 
-Scenarios: ``slow-tenant``, ``poison-graph``, ``cache-collision``,
-``overload``, ``poison-input``, ``corrupt-snapshot``,
-``restart-warm``.  Each is seeded and replayable; exit status is
-non-zero iff any violation is recorded.
+Each scenario is seeded and replayable, returns a record whose
+``violations`` list is empty iff the contract held, and removes any
+state directory it made.  They are entries of the check registry
+(``serving/<scenario>``)::
+
+    PYTHONPATH=src python -m repro.checks --seed 0 --quick --only serving
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
+import shutil
+import subprocess
 import sys
+import tempfile
 import time
 from concurrent.futures import Future, TimeoutError as FutureTimeout
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.costmodel import get_cost_models
+from .. import config
 from ..errors import GraniiError, GraniiInputError, GraniiOverloadError
 from ..faults import FaultPlan
 from ..graphs.generators import erdos_renyi
@@ -51,9 +54,10 @@ from ..models import build_layer
 from .fingerprint import fingerprint_graph
 from .service import GraniiService, ServeRequest, ServeResult
 
-__all__ = ["main", "SCENARIOS"]
+__all__ = ["SCENARIOS", "serving_inputs"]
 
 IN_SIZE, OUT_SIZE = 16, 8
+NODES = 200
 GATHER_TIMEOUT_SECONDS = 60.0
 
 # outcomes that violate the serving contract when they appear anywhere
@@ -67,6 +71,15 @@ def _service(cost_models, **kwargs) -> GraniiService:
     svc = GraniiService(**kwargs)
     svc.register_model("gcn", IN_SIZE, OUT_SIZE)
     return svc
+
+
+def serving_inputs(seed: int):
+    """The graph, features and baseline output every scenario shares."""
+    graph = erdos_renyi(NODES, avg_degree=6, seed=7)
+    feats = np.random.default_rng(seed).standard_normal(
+        (graph.num_nodes, IN_SIZE)
+    )
+    return graph, feats, _reference(graph, feats)
 
 
 def _reference(graph, feats: np.ndarray) -> np.ndarray:
@@ -125,14 +138,11 @@ def _check_clean(
             )
 
 
-def _record(
-    name: str, violations: List[str], t0: float, **extra
-) -> Dict[str, object]:
+def _record(name: str, violations: List[str], **extra) -> Dict[str, object]:
     record: Dict[str, object] = {
         "scenario": name,
         "outcome": "violated" if violations else "ok",
         "violations": violations,
-        "seconds": round(time.perf_counter() - t0, 3),
     }
     record.update(extra)
     return record
@@ -149,7 +159,6 @@ def scenario_slow_tenant(graph, feats, reference, cost_models, seed, n):
     latency guarantee while a neighbor's work is stalling workers; the
     isolation contract here is correctness, demotion state, and
     termination, not tail latency."""
-    t0 = time.perf_counter()
     violations: List[str] = []
     with _service(cost_models) as svc:
         futures = []
@@ -173,7 +182,7 @@ def scenario_slow_tenant(graph, feats, reference, cost_models, seed, n):
             "kernels"
         )
     return _record(
-        "slow-tenant", violations, t0,
+        "slow-tenant", violations,
         slow_outcomes=sorted({r.outcome for r in slow}), timeouts=timeouts,
     )
 
@@ -182,7 +191,6 @@ def scenario_poison_graph(graph, feats, reference, cost_models, seed, n):
     """A tenant whose every kernel raises must demote through its own
     ladder, trip the tenant breaker, and land on the reference path —
     with the clean tenant never seeing a demotion."""
-    t0 = time.perf_counter()
     violations: List[str] = []
     with _service(
         cost_models, tenant_breaker_threshold=3,
@@ -226,7 +234,7 @@ def scenario_poison_graph(graph, feats, reference, cost_models, seed, n):
             "tenant to the reference path"
         )
     return _record(
-        "poison-graph", violations, t0,
+        "poison-graph", violations,
         poison_outcomes=sorted({r.outcome for r in poison_results}),
         reference_served=referenced,
         breaker_trips=stats["tenants"]["poison"]["breaker_trips"],
@@ -238,15 +246,12 @@ def scenario_corrupt_snapshot(graph, feats, reference, cost_models, seed, n):
     be quarantined at the next warm start and the service must still
     answer correctly — a damaged file costs a cold rebuild, never a
     crash or a wrong answer."""
-    import tempfile
-
-    t0 = time.perf_counter()
     violations: List[str] = []
     quarantined: List[str] = []
     warm_start: Dict[str, object] = {}
     state_dir = tempfile.mkdtemp(prefix="granii-state-chaos-")
-    old_env = os.environ.get("REPRO_STATE_DIR")  # lint: allow(env-outside-config)
-    os.environ["REPRO_STATE_DIR"] = state_dir  # lint: allow(env-outside-config)
+    # the corrupt_snapshot fault finds its file through REPRO_STATE_DIR
+    restore = config.override_env({"REPRO_STATE_DIR": state_dir})
     try:
         with _service(cost_models, state_dir=state_dir) as svc:
             first = svc.serve(ServeRequest(
@@ -301,12 +306,10 @@ def scenario_corrupt_snapshot(graph, feats, reference, cost_models, seed, n):
                     "baseline"
                 )
     finally:
-        if old_env is None:
-            os.environ.pop("REPRO_STATE_DIR", None)  # lint: allow(env-outside-config)
-        else:
-            os.environ["REPRO_STATE_DIR"] = old_env  # lint: allow(env-outside-config)
+        restore()
+        shutil.rmtree(state_dir, ignore_errors=True)
     return _record(
-        "corrupt-snapshot", violations, t0,
+        "corrupt-snapshot", violations,
         quarantined=quarantined, warm_start=warm_start,
     )
 
@@ -317,15 +320,18 @@ def scenario_restart_warm(graph, feats, reference, cost_models, seed, n):
     A fresh process must warm-start from ``REPRO_STATE_DIR`` and serve
     the first repeat request as a plan-cache **hit** — same plan, no
     re-selection, no re-measurement."""
-    import subprocess
-    import tempfile
+    state_dir = tempfile.mkdtemp(prefix="granii-state-restart-")
+    try:
+        return _restart_warm(state_dir, graph, feats, reference, seed)
+    finally:
+        shutil.rmtree(state_dir, ignore_errors=True)
 
-    t0 = time.perf_counter()
+
+def _restart_warm(state_dir, graph, feats, reference, seed):
     violations: List[str] = []
     warm: Dict[str, object] = {}
     warm_seconds = -1.0
     result: Optional[ServeResult] = None
-    state_dir = tempfile.mkdtemp(prefix="granii-state-restart-")
     nodes = graph.num_nodes
     child_code = (
         "import os, signal\n"
@@ -359,7 +365,7 @@ def scenario_restart_warm(graph, feats, reference, cost_models, seed, n):
             f"mismatch: the to-be-killed serving process did not reach "
             f"its SIGKILL (rc={proc.returncode}): {proc.stderr[-500:]}"
         )
-        return _record("restart-warm", violations, t0)
+        return _record("restart-warm", violations)
     # warm start in THIS process: residuals + cost models + plan cache
     # all come off disk; no cost_models argument on purpose
     t_warm = time.perf_counter()
@@ -394,18 +400,17 @@ def scenario_restart_warm(graph, feats, reference, cost_models, seed, n):
                 "baseline"
             )
     return _record(
-        "restart-warm", violations, t0,
+        "restart-warm", violations,
         warm_start=warm,
         warm_first_request_seconds=round(warm_seconds, 3),
         cache_hit=bool(result.cache_hit) if result is not None else False,
     )
 
 
-def scenario_cache_collision(graph, feats, cost_models, seed, n):
+def scenario_cache_collision(graph, feats, reference, cost_models, seed, n):
     """Adversarial fingerprinting: every graph hashes to the same cache
     key.  The structural token must catch the collision and each graph
     must still get the answer for *its* structure."""
-    t0 = time.perf_counter()
     violations: List[str] = []
 
     def colliding_fingerprint(g, model_name, in_size, out_size):
@@ -445,7 +450,7 @@ def scenario_cache_collision(graph, feats, cost_models, seed, n):
             "structural token"
         )
     return _record(
-        "cache-collision", violations, t0,
+        "cache-collision", violations,
         collisions=stats["collisions"], hits=stats["hits"],
     )
 
@@ -453,7 +458,6 @@ def scenario_cache_collision(graph, feats, cost_models, seed, n):
 def scenario_overload(graph, feats, reference, cost_models, seed, n):
     """A burst far past the queue bound: excess requests shed with a
     positive retry-after hint, accepted ones all terminate."""
-    t0 = time.perf_counter()
     violations: List[str] = []
     burst = max(4 * n, 12)
     with _service(
@@ -486,17 +490,16 @@ def scenario_overload(graph, feats, reference, cost_models, seed, n):
             "mismatch: the overloaded service served nothing at all"
         )
     return _record(
-        "overload", violations, t0,
+        "overload", violations,
         burst=burst, accepted=len(futures), shed=sheds,
         served=sum(1 for r in results if r.ok),
         max_retry_hint=round(max(hints), 4) if hints else 0.0,
     )
 
 
-def scenario_poison_input(graph, feats, cost_models, seed, n):
+def scenario_poison_input(graph, feats, reference, cost_models, seed, n):
     """Malformed requests die at admission, on the caller's thread, with
     structured errors — they never occupy a worker."""
-    t0 = time.perf_counter()
     violations: List[str] = []
     nan_feats = feats.copy()
     nan_feats[3, 2] = np.nan
@@ -534,95 +537,15 @@ def scenario_poison_input(graph, feats, cost_models, seed, n):
         violations.append(
             "mismatch: a malformed request reached a worker thread"
         )
-    return _record("poison-input", violations, t0, rejected=caught)
+    return _record("poison-input", violations, rejected=caught)
 
 
-SCENARIOS = (
-    "slow-tenant",
-    "poison-graph",
-    "cache-collision",
-    "overload",
-    "poison-input",
-    "corrupt-snapshot",
-    "restart-warm",
-)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serving.chaos",
-        description=__doc__.split("\n")[0],
-    )
-    parser.add_argument("--seed", type=int, default=0, help="fault RNG seed")
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="reduced request counts per scenario (CI smoke)",
-    )
-    parser.add_argument(
-        "--scenarios", default="",
-        help=f"comma-separated subset of {', '.join(SCENARIOS)}",
-    )
-    parser.add_argument(
-        "--nodes", type=int, default=200, help="synthetic graph size"
-    )
-    parser.add_argument("--output", default="", help="write results JSON here")
-    args = parser.parse_args(argv)
-
-    wanted = [s for s in args.scenarios.split(",") if s] or list(SCENARIOS)
-    unknown = sorted(set(wanted) - set(SCENARIOS))
-    if unknown:
-        parser.error(f"unknown scenarios: {unknown}; choices: {SCENARIOS}")
-    n = 3 if args.quick else 6
-
-    graph = erdos_renyi(args.nodes, avg_degree=6, seed=7)
-    feats = np.random.default_rng(args.seed).standard_normal(
-        (graph.num_nodes, IN_SIZE)
-    )
-    cost_models = get_cost_models("cpu")
-    reference = _reference(graph, feats)
-
-    runners = {
-        "slow-tenant": lambda: scenario_slow_tenant(
-            graph, feats, reference, cost_models, args.seed, n),
-        "poison-graph": lambda: scenario_poison_graph(
-            graph, feats, reference, cost_models, args.seed, n),
-        "corrupt-snapshot": lambda: scenario_corrupt_snapshot(
-            graph, feats, reference, cost_models, args.seed, n),
-        "restart-warm": lambda: scenario_restart_warm(
-            graph, feats, reference, cost_models, args.seed, n),
-        "cache-collision": lambda: scenario_cache_collision(
-            graph, feats, cost_models, args.seed, n),
-        "overload": lambda: scenario_overload(
-            graph, feats, reference, cost_models, args.seed, n),
-        "poison-input": lambda: scenario_poison_input(
-            graph, feats, cost_models, args.seed, n),
-    }
-
-    results = []
-    for name in wanted:
-        record = runners[name]()
-        results.append(record)
-        print(f"{record['scenario']:<16} -> {record['outcome']:<9} "
-              f"({record['seconds']}s)")
-        for violation in record["violations"]:
-            print(f"  VIOLATION: {violation}")
-
-    bad = [r for r in results if r["violations"]]
-    print(
-        f"\n{len(results)} scenarios: "
-        f"{len(results) - len(bad)} ok, {len(bad)} violated"
-    )
-    if not bad:
-        print(
-            "serving contract held: no hangs, no raw escapes, tenants "
-            "stayed isolated."
-        )
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(results, fh, indent=2)
-        print(f"wrote {args.output}")
-    return 1 if bad else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+SCENARIOS: Dict[str, Callable[..., Dict[str, object]]] = {
+    "slow-tenant": scenario_slow_tenant,
+    "poison-graph": scenario_poison_graph,
+    "cache-collision": scenario_cache_collision,
+    "overload": scenario_overload,
+    "poison-input": scenario_poison_input,
+    "corrupt-snapshot": scenario_corrupt_snapshot,
+    "restart-warm": scenario_restart_warm,
+}

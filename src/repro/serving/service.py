@@ -61,7 +61,7 @@ Request-scoped chaos: a :class:`~repro.faults.FaultPlan` attached to a
 request is installed **thread-locally** for exactly that request's
 execution, so the chaos driver can poison one tenant's kernels while
 another tenant's requests run clean on sibling threads
-(``python -m repro.serving.chaos``).
+(the ``serving/*`` entries of ``python -m repro.checks``).
 """
 
 from __future__ import annotations

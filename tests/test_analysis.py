@@ -12,7 +12,8 @@ from repro.analysis.domains import (
     structure_of,
 )
 from repro.analysis.lint import lint_source
-from repro.analysis.mutate import MUTATIONS, run_self_test
+from repro import checks
+from repro.analysis.mutate import MUTATIONS
 from repro.analysis.planlint import (
     analyze_candidate,
     analyze_plan,
@@ -71,9 +72,9 @@ def test_mutation_registry_is_large_enough():
 
 
 def test_all_seeded_mutations_caught():
-    records = run_self_test()
-    assert len(records) == len(MUTATIONS)
-    missed = [r for r in records if not r["caught"]]
+    results = checks.run(checks.select(["planlint"]), checks.Context())
+    assert len(results) == len(MUTATIONS)
+    missed = [r["detail"] for r in results if not r["ok"]]
     assert not missed, f"analyzer missed planted bugs: {missed}"
 
 

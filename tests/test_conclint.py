@@ -7,15 +7,11 @@ import sys
 
 import pytest
 
-from repro.analysis.conclint import (
-    analyze_paths,
-    analyze_sources,
-    static_lock_graph,
-)
+from repro.analysis.conclint import analyze_paths, analyze_sources
 from repro.analysis.conclint.mutate import (
     MUTATIONS,
     apply_mutation,
-    _tree_sources,
+    tree_sources as _tree_sources,
 )
 
 REPRO_ROOT = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
@@ -30,8 +26,8 @@ def shipped_report():
 
 
 @pytest.fixture(scope="module")
-def shipped_lock_graph():
-    return static_lock_graph()
+def shipped_lock_graph(shipped_report):
+    return shipped_report.graph
 
 
 @pytest.fixture(scope="module")
@@ -323,11 +319,14 @@ def test_cli_json_report_counts_waivers(tmp_path):
 # Dynamic sanitizer: observed lock-order edges ⊆ static graph
 # ----------------------------------------------------------------------
 def test_racestress_cache_scenario_subset_of_static():
-    from repro.faults.racestress import run_scenarios
+    from repro import checks
 
-    report = run_scenarios(["cache"], quick=True)
-    assert report.ok, f"unexplained edges: {report.unexplained}"
-    assert report.acquisitions > 0, "tracing recorded nothing"
+    [result] = checks.run(
+        checks.select(["racestress/cache"]), checks.Context(quick=True)
+    )
+    report = result["detail"]
+    assert result["ok"], f"unexplained edges: {report['unexplained']}"
+    assert report["acquisitions"] > 0, "tracing recorded nothing"
 
 
 def test_racestress_monitor_records_and_pops_edges():

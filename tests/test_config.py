@@ -90,18 +90,21 @@ class TestSpecificAccessors:
             for line in config.__doc__.splitlines()
             if line.startswith("``REPRO_")
         }
-        assert len(documented) == 20
+        assert len(documented) == 18
         removed = {
             "REPRO_NUM_WORKERS", "REPRO_SHARD_NNZ", "REPRO_SHARDED_TIMEOUT",
             "REPRO_SHARD_CACHE_KB", "REPRO_SHARD_POLL_S",
             "REPRO_SHARD_HEARTBEAT_S", "REPRO_SHARD_RESPAWNS",
-            "REPRO_SERVE_RETRIES",
+            "REPRO_SERVE_RETRIES", "REPRO_FAULTS", "REPRO_FAULTS_SEED",
         }
         assert not documented & removed
         assert {k for k in documented if k.startswith("REPRO_AUTOTUNE")} == {
             "REPRO_AUTOTUNE", "REPRO_AUTOTUNE_WARMUP", "REPRO_AUTOTUNE_REPEATS",
         }
-        for name in ("num_workers", "shard_nnz", "serve_retries", "autotune_grid"):
+        for name in (
+            "num_workers", "shard_nnz", "serve_retries", "autotune_grid",
+            "faults_spec", "faults_seed",
+        ):
             assert not hasattr(config, name)
 
     def test_mem_budget_zero_disables(self, monkeypatch):
@@ -135,11 +138,6 @@ class TestSpecificAccessors:
         assert config.breaker_threshold() == 5
         assert config.breaker_cooldown_seconds() == pytest.approx(2.5)
 
-    def test_faults_accessors(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "spmm:raise:0.5")
-        monkeypatch.setenv("REPRO_FAULTS_SEED", "11")
-        assert config.faults_spec() == "spmm:raise:0.5"
-        assert config.faults_seed() == 11
 
 
 class TestServingKnobs:

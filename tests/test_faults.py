@@ -129,20 +129,6 @@ class TestFaultPlan:
         assert plan.wrapper("spmm", lambda: 5, tag="out") == 5
         assert plan.fired == {}
 
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "spmm:raise:0.25")
-        monkeypatch.setenv("REPRO_FAULTS_SEED", "9")
-        plan = FaultPlan.from_env()
-        assert plan.seed == 9
-        assert plan.specs == [FaultSpec("spmm", "raise", 0.25)]
-        monkeypatch.delenv("REPRO_FAULTS")
-        assert FaultPlan.from_env() is None
-
-    def test_from_env_invalid_names_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "spmm:raise")
-        with pytest.raises(GraniiConfigError, match="REPRO_FAULTS"):
-            FaultPlan.from_env()
-
     def test_describe_mentions_rules_and_seed(self):
         plan = FaultPlan.from_string("spmm:raise:0.5", seed=3)
         text = plan.describe()
