@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .model import Finding, FunctionInfo, LockInfo, Program, receiver_text
 
-__all__ = ["LockGraph", "analyze_locks", "build_lock_graph"]
+__all__ = ["LockGraph", "analyze_locks"]
 
 _PROC_HINTS = ("proc", "process", "thread", "worker")
 
@@ -381,9 +381,3 @@ def _check_bare_acquire(fi: FunctionInfo, prog: Program, findings) -> None:
                 f"release() in a finally block — an exception in between "
                 f"leaks the lock; use `with`",
             ))
-
-
-def build_lock_graph(prog: Program) -> LockGraph:
-    """The order graph alone (the dynamic sanitizer's static side)."""
-    _, graph = analyze_locks(prog)
-    return graph

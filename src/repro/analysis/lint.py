@@ -37,12 +37,6 @@ offending line or the line above; waivers are counted, not silent):
   work item is clean, ``out=out`` and ``out=out[:]`` are findings.
   Both free functions and ``self._method`` targets are resolved; a
   lambda cannot be, so span bodies are named functions.
-- ``alloc-in-compiled`` — any NumPy allocator (``empty``/``zeros``/
-  ``ones``/``full`` and their ``_like`` variants) inside
-  ``repro/kernels/compiled.py``: compiled callables run on the guard's
-  hot path and must draw every scratch buffer from the
-  :class:`WorkspaceArena` so demotion-time ``drop_buffers()`` can
-  release them (the fused result buffer carries an explicit waiver).
 
 CLI::
 
@@ -72,14 +66,7 @@ RULES = (
     "masked-select-in-hot-path",
     "granii-except",
     "shared-write-in-parallel",
-    "alloc-in-compiled",
 )
-
-# the full NumPy allocator surface the compiled-kernel rule forbids
-_COMPILED_ALLOCATORS = {
-    "empty", "zeros", "ones", "full",
-    "empty_like", "zeros_like", "ones_like", "full_like",
-}
 
 # what bypasses the step pool in repro/tensor/
 _TENSOR_ALLOCATORS = {"empty", "zeros", "empty_like", "zeros_like"}
@@ -176,7 +163,6 @@ class _FileLinter(ast.NodeVisitor):
             or "repro/serving/" in self.path
             or self.path.endswith("repro/framework/mp.py")
         )
-        self.in_compiled = self.path.endswith("repro/kernels/compiled.py")
         self.in_guard_path = any(h in self.path for h in _GUARD_PATH_HINTS)
         self._functions: Dict[str, ast.FunctionDef] = {
             n.name: n
@@ -228,15 +214,6 @@ class _FileLinter(ast.NodeVisitor):
                     "masked-select-in-hot-path", node,
                     f"{name} masked select in a kernel or tensor op — write "
                     f"it as branch-free arithmetic (see kernels/dense.py)",
-                )
-        if self.in_compiled:
-            name = _is_np_call(node, _COMPILED_ALLOCATORS)
-            if name:
-                self._emit(
-                    "alloc-in-compiled", node,
-                    f"{name} in the compiled kernel — scratch must come "
-                    f"from the WorkspaceArena so guard demotion can "
-                    f"release it",
                 )
         if self.in_parallel_scope:
             func = node.func

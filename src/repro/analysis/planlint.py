@@ -50,13 +50,10 @@ from .domains import (
 
 __all__ = [
     "Diagnostic",
-    "FusionReport",
-    "FusionSegmentSpec",
     "PlanVerdict",
     "analyze_candidate",
     "analyze_plan",
     "analysis_env_key",
-    "fusion_legality",
     "reject_illegal",
     "workspace_trace",
     "check_workspace_trace",
@@ -64,12 +61,6 @@ __all__ = [
 
 # Primitives the strategy table's rows execute, scratch and all.
 WORKSPACE_PRIMITIVES = ("spmm", "spmm_unweighted")
-
-# Unary element-wise metas the fused epilogue can replay bit-identically
-# (mirrors repro.kernels.compiled.FUSABLE_NONLINEARS; kept literal here so
-# the analysis layer never imports kernel code).
-FUSABLE_NONLINEAR_METAS = ("relu", "leaky_relu", "elu", "sigmoid")
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -671,8 +662,7 @@ def workspace_trace(plan, strategy: str) -> List[Tuple[str, str, str]]:
     """The scratch acquire/release protocol a plan's execution implies.
 
     A strategy-table row with ``scratch`` holds one buffer per
-    aggregation step: the tiled rows an arena tile (the fused row a
-    message + pre-scale pair with the same discipline).  Each is
+    aggregation step: the tiled row's arena tile.  Each is
     acquired before the kernel loop and released on the normal edge
     (back to the arena for the next step) *and* on the exception edge
     (the guard's ``drop_buffers`` cleanup).  Events are
@@ -719,177 +709,6 @@ def check_workspace_trace(
                 step=out,
             ))
     return diags
-
-
-# ----------------------------------------------------------------------
-# Fusion legality
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FusionSegmentSpec:
-    """One statically-legal fused chain: optional pre-scale
-    ``row_broadcast`` folded into an aggregation's edge gather, plus an
-    ordered tail of single-consumer epilogue steps (output row scaling
-    and unary non-linearities) applied per row-span."""
-
-    spmm: Step
-    pre_scale: Optional[Step]
-    epilogues: Tuple[Step, ...]
-
-    @property
-    def out(self) -> str:
-        """The ref the fused callable produces (the chain tail's out)."""
-        return self.epilogues[-1].out if self.epilogues else self.spmm.out
-
-    @property
-    def members(self) -> Tuple[Step, ...]:
-        head = (self.pre_scale,) if self.pre_scale is not None else ()
-        return head + (self.spmm,) + self.epilogues
-
-    def describe(self) -> str:
-        parts = [s.primitive + (f"[{s.meta}]" if s.meta else "")
-                 for s in self.members]
-        return " -> ".join(parts) + f" => {self.out}"
-
-
-@dataclass
-class FusionReport:
-    """Which steps of a plan may run fused, and why the rest may not.
-
-    ``segments`` are provably-legal fused chains; ``rejected`` records,
-    per declined fusion opportunity, ``(step_out, reason)`` — the CI zoo
-    sweep requires every promoted plan to either compile clean or carry
-    a recorded fallback reason."""
-
-    target: str
-    segments: List[FusionSegmentSpec] = field(default_factory=list)
-    rejected: List[Tuple[str, str]] = field(default_factory=list)
-
-    @property
-    def fused_outs(self) -> List[str]:
-        return [seg.out for seg in self.segments]
-
-    def describe(self) -> str:
-        lines = [
-            f"fusion {self.target}: {len(self.segments)} segment(s), "
-            f"{len(self.rejected)} declined"
-        ]
-        lines += [f"  fuse: {seg.describe()}" for seg in self.segments]
-        lines += [f"  skip: {out}: {why}" for out, why in self.rejected]
-        return "\n".join(lines)
-
-
-def fusion_legality(plan) -> FusionReport:
-    """Statically determine which chains of ``plan`` may run fused.
-
-    A chain anchors on an aggregation step (``spmm`` /
-    ``spmm_unweighted``) in the iteration body and may absorb:
-
-    - **pre-scale**: the producer of the dense operand, when it is an
-      iteration ``row_broadcast`` whose output is consumed *only* by
-      this aggregation (folding it into the edge gather is then
-      observationally — and bitwise — equivalent);
-    - **epilogues**: a forward walk from the aggregation output through
-      single-consumer iteration steps that are either ``row_broadcast``
-      over the chain value or fusable unary ``elementwise`` steps.
-
-    Fused intermediates vanish (they are never materialised), so every
-    absorbed step's output must be single-consumer, must not be the plan
-    output, and must not be a setup result another execution could
-    read from the cache.  The candidate-level verdict (SSA, alias-free,
-    rule-table agreement) gates the whole report: a plan the abstract
-    interpreter rejects never fuses at all.
-    """
-    report = FusionReport(target=plan.name)
-    verdict = analyze_candidate(plan.candidate, name=plan.name)
-    if not verdict.ok:
-        report.rejected.append((
-            plan.candidate.output,
-            "candidate rejected by planlint: "
-            + "; ".join(d.rule for d in verdict.errors),
-        ))
-        return report
-    consumers: Dict[str, List[Step]] = {}
-    for step in plan.steps:
-        for arg in step.args:
-            consumers.setdefault(arg, []).append(step)
-    by_out = {s.out: s for s in plan.steps}
-    iter_outs = {s.out for s in plan.iteration_steps}
-    output = plan.candidate.output
-
-    def single_consumer(ref: str) -> bool:
-        return len(consumers.get(ref, [])) == 1 and ref != output
-
-    claimed: set = set()
-    for step in plan.iteration_steps:
-        if step.primitive not in WORKSPACE_PRIMITIVES:
-            continue
-        # --- pre-scale: row_broadcast feeding the dense operand --------
-        pre: Optional[Step] = None
-        dense_ref = step.args[1]
-        producer = by_out.get(dense_ref)
-        if producer is not None and producer.primitive == "row_broadcast":
-            if producer.out not in iter_outs:
-                report.rejected.append((
-                    producer.out,
-                    "pre-scale row_broadcast is a cached setup result; "
-                    "fusing it would recompute per iteration",
-                ))
-            elif not single_consumer(producer.out):
-                report.rejected.append((
-                    producer.out,
-                    f"pre-scale row_broadcast output has "
-                    f"{len(consumers.get(producer.out, []))} consumers "
-                    f"(or is the plan output); must materialise",
-                ))
-            elif producer.out in claimed:
-                report.rejected.append((
-                    producer.out, "already absorbed by another segment",
-                ))
-            else:
-                pre = producer
-        # --- epilogues: forward single-consumer walk -------------------
-        epilogues: List[Step] = []
-        current = step.out
-        while True:
-            cons = consumers.get(current, [])
-            if current == output or len(cons) != 1:
-                break
-            nxt = cons[0]
-            if nxt.out not in iter_outs or nxt.out in claimed:
-                break
-            if nxt.primitive == "row_broadcast":
-                if nxt.args[1] != current:
-                    report.rejected.append((
-                        nxt.out,
-                        "row_broadcast consumes the chain value as its "
-                        "diagonal operand; not a row-scale epilogue",
-                    ))
-                    break
-            elif nxt.primitive == "elementwise":
-                if len(nxt.args) != 1 or nxt.meta == "add":
-                    report.rejected.append((
-                        nxt.out,
-                        "elementwise consumer is n-ary; fused epilogues "
-                        "are unary only",
-                    ))
-                    break
-                if nxt.meta not in FUSABLE_NONLINEAR_METAS:
-                    report.rejected.append((
-                        nxt.out,
-                        f"nonlinearity {nxt.meta!r} has no fused epilogue",
-                    ))
-                    break
-            else:
-                # a gemm/spmm/... consumer ends the chain; not a decline
-                break
-            epilogues.append(nxt)
-            current = nxt.out
-        seg = FusionSegmentSpec(
-            spmm=step, pre_scale=pre, epilogues=tuple(epilogues)
-        )
-        claimed.update(s.out for s in seg.members)
-        report.segments.append(seg)
-    return report
 
 
 # ----------------------------------------------------------------------

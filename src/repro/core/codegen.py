@@ -31,17 +31,13 @@ from .rules import Operand
 __all__ = [
     "PlannedCandidate",
     "CompiledModel",
-    "CompiledPlan",
     "cached_model",
     "compile_model",
-    "compile_plan",
-    "compile_sweep",
     "fuse_attention_candidates",
     "plan_tags",
     "select_default_plan",
     "emit_python_source",
     "clear_compile_cache",
-    "clear_plan_compile_cache",
 ]
 
 
@@ -256,177 +252,15 @@ def clear_compile_cache() -> None:
     _COMPILE_CACHE.clear()
 
 
-# ----------------------------------------------------------------------
-# Codegen v2: plan -> fused straight-line schedule
-# ----------------------------------------------------------------------
-@dataclass
-class CompiledPlan:
-    """A plan lowered to a fused execution schedule.
-
-    ``schedule`` is an ordered list of ``("step", Step)`` entries
-    (executed exactly as the interpreter would) and ``("fused", spec)``
-    entries, where ``spec`` is a
-    :class:`~repro.analysis.planlint.FusionSegmentSpec` the executor
-    hands to :func:`repro.kernels.compiled.gspmm_fused` as one
-    dispatch.  ``fallback_reasons`` records every fusion opportunity
-    planlint declined — the CI zoo sweep requires each promoted plan to
-    either compile clean or carry a reason here.
-    """
-
-    plan: Plan
-    schedule: List[Tuple[str, object]]
-    segments: List[object]  # FusionSegmentSpec entries
-    fallback_reasons: List[Tuple[str, str]]
-
-    @property
-    def fused_step_count(self) -> int:
-        """How many interpreter steps the fused segments absorb."""
-        return sum(len(seg.members) for seg in self.segments)
-
-    def describe(self) -> str:
-        lines = [
-            f"compiled {self.plan.name}: {len(self.segments)} fused "
-            f"segment(s) absorbing {self.fused_step_count} of "
-            f"{len(self.plan.steps)} steps"
-        ]
-        lines += [f"  {seg.describe()}" for seg in self.segments]
-        lines += [f"  fallback {out}: {why}"
-                  for out, why in self.fallback_reasons]
-        return "\n".join(lines)
-
-
-# keyed by id(plan) with the CompiledPlan holding a strong reference to
-# the plan, so a cached id can never be recycled while its entry lives
-_PLAN_COMPILE_CACHE: Dict[int, CompiledPlan] = {}
-
-
-def compile_plan(plan: Plan) -> CompiledPlan:
-    """Lower one plan to its fused schedule (cached per plan object).
-
-    Fusion legality comes entirely from
-    :func:`repro.analysis.planlint.fusion_legality`: only chains the
-    abstract interpreter proves single-consumer, alias-free, and
-    replayable bit-identically are absorbed into a segment.  Everything
-    else stays an ordinary step, so the compiled schedule computes
-    exactly the interpreter's results in the interpreter's dependency
-    order.  A segment is scheduled at its *tail* step's position: every
-    external operand of every member (including epilogue diagonals
-    computed between the aggregation and the tail) is ready by then.
-    """
-    cached = _PLAN_COMPILE_CACHE.get(id(plan))
-    if cached is not None and cached.plan is plan:
-        return cached
-    from ..analysis.planlint import fusion_legality
-
-    report = fusion_legality(plan)
-    by_tail = {seg.out: seg for seg in report.segments}
-    member_outs = {
-        s.out for seg in report.segments for s in seg.members
-    }
-    schedule: List[Tuple[str, object]] = []
-    for step in plan.steps:
-        seg = by_tail.get(step.out)
-        if seg is not None:
-            schedule.append(("fused", seg))
-        elif step.out not in member_outs:
-            schedule.append(("step", step))
-        # non-tail members are absorbed into their segment's dispatch
-    compiled = CompiledPlan(
-        plan=plan,
-        schedule=schedule,
-        segments=list(report.segments),
-        fallback_reasons=list(report.rejected),
-    )
-    _PLAN_COMPILE_CACHE[id(plan)] = compiled
-    return compiled
+def compile_plan(plan: Plan) -> Plan:
+    """Kept only for ``bench/harness/probes.py``, which times this call
+    and :func:`clear_plan_compile_cache`; a plan runs as its own steps,
+    so there is nothing to lower and the plan comes back unchanged."""
+    return plan
 
 
 def clear_plan_compile_cache() -> None:
-    _PLAN_COMPILE_CACHE.clear()
-
-
-def compile_sweep(
-    models: Optional[Sequence[str]] = None,
-    extensions: bool = True,
-) -> List[Dict[str, object]]:
-    """Compile every promoted zoo plan to its fused schedule.
-
-    Returns one record per plan: how many segments fused, how many
-    steps they absorb, and the recorded fallback reasons for declined
-    opportunities.  The CI ``fused`` job fails unless every plan either
-    fuses at least one segment or carries a recorded reason (or simply
-    contains no aggregation to fuse — also recorded).
-    """
-    from ..models import MODEL_NAMES
-
-    targets: List[Tuple[str, Dict[str, object]]] = [
-        (name, {}) for name in (models or MODEL_NAMES)
-    ]
-    if extensions and not models:
-        targets += [("gat", {"fusion": True}),
-                    ("sgc", {"spgemm": True, "hops": 2})]
-    records: List[Dict[str, object]] = []
-    for name, kwargs in targets:
-        compiled_model = compile_model(name, **kwargs)
-        suffix = "".join(f"+{k}" for k in kwargs if kwargs[k] is True)
-        for planned in compiled_model.promoted:
-            cp = compile_plan(planned.plan)
-            has_agg = any(
-                s.primitive in ("spmm", "spmm_unweighted")
-                for s in planned.plan.steps
-            )
-            reasons = [f"{out}: {why}" for out, why in cp.fallback_reasons]
-            if not has_agg:
-                reasons.append("no aggregation step; nothing to fuse")
-            records.append({
-                "model": f"{name}{suffix}",
-                "plan": planned.plan.name,
-                "label": planned.label,
-                "steps": len(planned.plan.steps),
-                "segments": len(cp.segments),
-                "fused_steps": cp.fused_step_count,
-                "fallback_reasons": reasons,
-                "clean": bool(cp.segments) or bool(reasons),
-            })
-    return records
-
-
-def _sweep_main(argv: Optional[List[str]] = None) -> int:
-    """CLI: the zoo compile sweep (the CI ``fused`` job's first stage)."""
-    import argparse
-    import json
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.core.codegen",
-        description="compile every promoted zoo plan to a fused schedule",
-    )
-    parser.add_argument("--models", default="",
-                        help="comma-separated model subset")
-    parser.add_argument("--output", default="",
-                        help="write the sweep report JSON here")
-    parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
-    models = [m for m in args.models.split(",") if m] or None
-    records = compile_sweep(models=models)
-    bad = [r for r in records if not r["clean"]]
-    fused_plans = sum(1 for r in records if r["segments"])
-    for r in records:
-        if args.verbose or not r["clean"]:
-            print(
-                f"{r['model']}/{r['plan']}: {r['segments']} segment(s), "
-                f"{r['fused_steps']}/{r['steps']} steps fused; "
-                + ("; ".join(r["fallback_reasons"]) or "clean")
-            )
-    print(
-        f"{len(records)} promoted plans: {fused_plans} with fused "
-        f"segments, {len(records) - fused_plans} fallback-with-reason, "
-        f"{len(bad)} silent fallbacks"
-    )
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump({"plans": records}, fh, indent=2)
-        print(f"wrote {args.output}")
-    return 1 if bad else 0
+    """No-op: :func:`compile_plan` caches nothing."""
 
 
 def select_default_plan(
@@ -494,8 +328,3 @@ def _branch_lines(plans, plan_call, indent: str) -> List[str]:
     lines.append(indent + "raise RuntimeError('unreachable')")
     return lines
 
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(_sweep_main())

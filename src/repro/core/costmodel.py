@@ -28,7 +28,6 @@ __all__ = [
     "clear_cost_model_cache",
     "clear_runtime_residuals",
     "cost_model_token",
-    "estimate_transient_bytes",
     "export_runtime_residuals",
     "get_cost_models",
     "import_runtime_residuals",
@@ -145,24 +144,6 @@ def cost_model_token(
     if all(r == 1.0 for _, r in entries):
         return ""
     return hashlib.sha1(repr(entries).encode()).hexdigest()[:12]
-
-
-def estimate_transient_bytes(calls: Iterable[KernelCall]) -> float:
-    """Largest per-kernel scratch footprint across a call sequence.
-
-    Complements the plan-level ``peak_memory_bytes`` (which tracks live
-    *outputs*): kernels such as g-SpMM also materialise transient message
-    buffers sized by the edge count, and the execution guard's memory
-    budget must account for the biggest of them.  Transients don't
-    accumulate — each kernel frees its scratch before the next runs — so
-    the max, not the sum, is the right aggregate.
-    """
-    from ..kernels.registry import transient_bytes
-
-    peak = 0.0
-    for call in calls:
-        peak = max(peak, transient_bytes(call.primitive, call.shape))
-    return peak
 
 
 # Graph vectors whose predictions a model set keeps (least recently priced

@@ -48,7 +48,7 @@ from ..errors import (
     GraniiInputError,
     GraniiMemoryError,
 )
-from ..kernels import demotion_chain, spmm_strategy
+from ..kernels import demotion_chain
 from ..sparse import CSRMatrix, DiagonalMatrix
 from ..tensor import Tensor
 from .bindings import build_binding
@@ -121,17 +121,6 @@ def execute_plan(
     graph (the guard's rungs).
     """
     mode = "tensor" if isinstance(feat, Tensor) else "numpy"
-    # a compiled fused schedule bypasses the autograd tape, so only
-    # inference may take the one-pass numpy path; a training-mode engine
-    # keeps tensor mode (the bare fused kernel still runs inside the
-    # taped spmm op, bitwise-identical forward)
-    fused_inference = (
-        spmm_strategy(strategy).fuses
-        and mode == "tensor"
-        and engine.mode == "inference"
-    )
-    if fused_inference:
-        mode = "numpy"
     kernel_config = None
     if strategy != "row_segment":
         kernel_config = KernelExecutionConfig(
@@ -156,8 +145,6 @@ def execute_plan(
         if arena is not None:
             arena.drop_buffers()
         raise
-    if fused_inference:
-        out = Tensor(np.asarray(out))  # callers expect the feat's kind
     return out
 
 

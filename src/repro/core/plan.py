@@ -737,38 +737,7 @@ class Plan:
             )
         if budget is not None:
             budget.start()
-        if mode == "numpy" and row.fuses:
-            # local import: codegen imports Plan from this module
-            from .codegen import compile_plan
-
-            schedule = compile_plan(self).schedule
-        else:
-            schedule = [("step", s) for s in self.steps]
-        for kind, item in schedule:
-            if kind == "fused":
-                segment = item
-                if segment.out in env:
-                    continue
-                try:
-                    value = dispatch_kernel(
-                        row.name,
-                        lambda: _execute_fused_segment(
-                            segment, env, kernel_config, workspace
-                        ),
-                        tag=segment.out,
-                    )
-                except Exception as exc:
-                    _annotate_failure(exc, segment.spmm)
-                    raise
-                env[segment.out] = value
-                if budget is not None:
-                    tail = (
-                        segment.epilogues[-1] if segment.epilogues
-                        else segment.spmm
-                    )
-                    budget.on_step(tail, value)
-                continue
-            step = item
+        for step in self.steps:
             if step.out in env:
                 continue
             try:
@@ -799,55 +768,6 @@ def _annotate_failure(exc: BaseException, step: Step) -> None:
         exc.granii_primitive = step.primitive
     except (AttributeError, TypeError):  # pragma: no cover - slotted exc
         pass
-
-
-def _execute_fused_segment(
-    segment,
-    env: Dict[str, object],
-    kernel_config: Optional[KernelExecutionConfig] = None,
-    workspace: Optional[WorkspaceArena] = None,
-):
-    """Run one compiled fused segment through ``gspmm_fused``.
-
-    ``segment`` is a :class:`~repro.analysis.planlint.FusionSegmentSpec`:
-    the aggregation step plus the (legality-proven) absorbed pre-scale
-    ``row_broadcast`` and epilogue chain.  Absorbed member outputs never
-    enter ``env`` — only the tail value does.
-    """
-    from ..kernels.compiled import gspmm_fused
-
-    spmm_step = segment.spmm
-    p = spmm_step.primitive
-    sp = env[spmm_step.args[0]]
-    if isinstance(sp, EdgeSparse):
-        sp = sp.pattern.with_values(sp.values.data)
-        p = "spmm"
-    pre = None
-    if segment.pre_scale is not None:
-        # the spmm's dense operand is the absorbed broadcast's input
-        pre = np.asarray(
-            env[segment.pre_scale.args[0]].diag, dtype=np.float64
-        )
-        dn = env[segment.pre_scale.args[1]]
-    else:
-        dn = env[spmm_step.args[1]]
-    epilogues = []
-    for step in segment.epilogues:
-        if step.primitive == "row_broadcast":
-            epilogues.append(
-                ("scale", np.asarray(env[step.args[0]].diag, dtype=np.float64))
-            )
-        else:
-            epilogues.append(("nonlinear", step.meta))
-    return gspmm_fused(
-        sp,
-        _as_numpy(dn),
-        get_semiring(*_SPMM_SEMIRINGS[p]),
-        block_nnz=kernel_config.block_nnz if kernel_config else None,
-        workspace=workspace,
-        pre_scale=pre,
-        epilogues=tuple(epilogues),
-    )
 
 
 def _execute_step(

@@ -231,13 +231,15 @@ def _scenario_serving(quick: bool) -> None:
     then shutdown — exercises the select/guard/cache lock nests."""
     import numpy as np
 
-    from repro.core.costmodel import get_cost_models
+    from repro.core.costmodel import CostModelSet, get_cost_models
     from repro.graphs.generators import erdos_renyi
     from repro.serving import GraniiService, ServeRequest
 
-    cost_models = get_cost_models("h100", scale="small")
+    # a copy of the set a checks run already holds: its memo lock is
+    # made here, under the traced factories, so its nests are observed
+    cost_models = CostModelSet.from_dict(get_cost_models("cpu").to_dict())
     svc = GraniiService(
-        device="h100", scale="small", cost_models=cost_models,
+        device="cpu", cost_models=cost_models,
         num_threads=2, plan_cache_size=4, state_dir="",
     )
     try:

@@ -3,7 +3,7 @@
 from . import messages as fn
 from .module import GNNModule
 from .mp import MPGraph
-from .systems import SYSTEM_NAMES, SYSTEMS, System, get_system, iter_systems
+from .systems import SYSTEM_NAMES, SYSTEMS, System, get_system
 
 __all__ = [
     "GNNModule",
@@ -13,5 +13,4 @@ __all__ = [
     "System",
     "fn",
     "get_system",
-    "iter_systems",
 ]

@@ -20,7 +20,7 @@ from ..kernels import get_semiring, gspmm
 from ..sparse import CSRMatrix
 from ..tensor import Tensor
 from ..tensor import edge_softmax as t_edge_softmax
-from ..tensor import gsddmm_add_uv, sddmm_dot, spmm, spmm_edge
+from ..tensor import gsddmm_add_uv, spmm, spmm_edge
 from .messages import MessageFunc, ReduceFunc
 
 __all__ = ["MPGraph"]
@@ -134,12 +134,6 @@ class MPGraph:
         else:
             raise NotImplementedError(f"message {message.name!r} in apply_edges")
 
-    def apply_edges_dot(self, src_field: str, dst_field: str, out_field: str) -> None:
-        """Per-edge dot products of endpoint features (attention variants)."""
-        self.edata[out_field] = sddmm_dot(
-            self.adj.unweighted(), self.ndata[dst_field], self.ndata[src_field]
-        )
-
     def edge_softmax(self, logits_field: str, out_field: str) -> None:
         """Destination-wise softmax over edge logits (GAT's α)."""
         self.edata[out_field] = t_edge_softmax(
@@ -147,9 +141,6 @@ class MPGraph:
         )
 
     # ------------------------------------------------------------------
-    def in_degrees(self) -> np.ndarray:
-        return self.adj.row_degrees().astype(np.float64)
-
     def local_scope(self) -> "_LocalScope":
         """Context manager restoring ndata/edata on exit (DGL idiom)."""
         return _LocalScope(self)

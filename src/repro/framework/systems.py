@@ -25,7 +25,7 @@ from typing import Dict, Tuple
 
 from ..kernels import KernelCall
 
-__all__ = ["System", "SYSTEMS", "get_system", "iter_systems", "SYSTEM_NAMES"]
+__all__ = ["System", "SYSTEMS", "get_system", "SYSTEM_NAMES"]
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,3 @@ def get_system(name: str) -> System:
     if name not in SYSTEMS:
         raise KeyError(f"unknown system {name!r}; choices: {SYSTEM_NAMES}")
     return SYSTEMS[name]
-
-
-def iter_systems():
-    """Yield every registered :class:`System` (chaos/eval sweep helper)."""
-    for name in SYSTEM_NAMES:
-        yield SYSTEMS[name]

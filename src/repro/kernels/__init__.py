@@ -9,7 +9,6 @@ from .blocked import (
     row_block_spans,
 )
 from .broadcast import col_broadcast, row_broadcast, row_broadcast_flops
-from .compiled import FUSABLE_NONLINEARS, gspmm_fused
 from .dense import (
     elementwise_add,
     elementwise_mul,
@@ -34,8 +33,6 @@ from .sddmm import (
     gsddmm,
     sddmm,
     sddmm_diag_scale,
-    sddmm_diag_scale_flops,
-    sddmm_flops,
 )
 from .semiring import BINARY_OPS, REDUCE_OPS, BinaryOp, ReduceOp, Semiring, get_semiring
 from .softmax import edge_softmax, segment_max, segment_sum
@@ -61,7 +58,6 @@ __all__ = [
     "BINARY_OPS",
     "BinaryOp",
     "DEFAULT_BLOCK_NNZ",
-    "FUSABLE_NONLINEARS",
     "KernelCall",
     "PRIMITIVES",
     "Primitive",
@@ -97,7 +93,6 @@ __all__ = [
     "gspmm",
     "gspmm_row_blocks",
     "gspmm_flops",
-    "gspmm_fused",
     "leaky_relu",
     "log_softmax_rows",
     "norm_diagonal",
@@ -106,8 +101,6 @@ __all__ = [
     "row_broadcast_flops",
     "sddmm",
     "sddmm_diag_scale",
-    "sddmm_diag_scale_flops",
-    "sddmm_flops",
     "segment_max",
     "segment_sum",
     "sigmoid",

@@ -16,10 +16,8 @@ alone:
   peak intermediate memory is O(block·K) instead of the one-shot
   kernel's O(E·K).
 
-Every in-process strategy is one call of :func:`fold_spans`, the single
-span loop (``spmm_fused`` adds a pre-scale and per-span epilogues — see
-:mod:`repro.kernels.compiled`).  This module's two public wrappers
-differ only in which spans they fold:
+Every strategy is one call of :func:`fold_spans`, the single span loop.
+This module's two public wrappers differ only in which spans they fold:
 
 ``row_segment`` (:func:`gspmm_fold`)
     *The fold*.  A compiled fold runs as the :func:`worker_spans` of its
@@ -37,7 +35,7 @@ The worker schedule
 -------------------
 :func:`worker_spans` cuts a fold whose ``nnz·k`` reaches
 :data:`FOLD_CROSSOVER` (measured in place on the reference host,
-docs/PERFORMANCE.md "One worker schedule") into one contiguous span per
+docs/PERFORMANCE.md "The fold's crossover") into one contiguous span per
 worker, edge-balanced by :func:`~repro.graphs.partition.plan_row_shards`;
 below it there is one span and nothing is submitted.  :func:`run_spans`
 is the fork-join: the caller runs the first span itself and hands the
@@ -247,28 +245,22 @@ def fold_spans(
     spans: List[Tuple[int, int]],
     workspace: Optional[WorkspaceArena] = None,
     split: bool = False,
-    pre_scale: Optional[np.ndarray] = None,
-    epilogue: Optional[Callable[[np.ndarray, int, int], None]] = None,
 ) -> np.ndarray:
     """The one span loop under every in-process g-SpMM strategy.
 
     Folds each ``[r0, r1)`` span of ``spans`` (contiguous, covering every
-    row once) into a fresh result buffer, finalises ``mean`` and applies
-    ``epilogue(out[r0:r1], r0, r1)`` per span while it is cache-hot.
-    ``row_segment`` (compiled folds) is the :func:`worker_spans` call
-    with ``split=True`` (the spans fold at once through
-    :func:`run_spans`), ``blocked`` the sequential call over
-    :func:`row_block_spans`, ``spmm_fused`` the sequential call with
-    ``pre_scale``/``epilogue``.
+    row once) into a fresh result buffer and finalises ``mean`` per span
+    while it is cache-hot.  ``row_segment`` (compiled folds) is the
+    :func:`worker_spans` call with ``split=True`` (the spans fold at once
+    through :func:`run_spans`), ``blocked`` the sequential call over
+    :func:`row_block_spans`.
 
-    ``pre_scale`` (one factor per source node) is multiplied into ``x``
-    once, in ``workspace`` scratch, ahead of the loop.  NumPy-fold
-    semirings draw their message tile from ``workspace`` (a private arena
-    when omitted) or, when split, from each worker's thread-local arena;
-    either is released with ``drop_buffers()`` if a span raises, so a
-    partially written or oversized tile is never handed to the next
-    caller.  A ⊗ that ignores the dense operand (``copy_lhs``) yields a
-    width-1 result.
+    NumPy-fold semirings draw their message tile from ``workspace`` (a
+    private arena when omitted) or, when split, from each worker's
+    thread-local arena; either is released with ``drop_buffers()`` if a
+    span raises, so a partially written or oversized tile is never
+    handed to the next caller.  A ⊗ that ignores the dense operand
+    (``copy_lhs``) yields a width-1 result.
     """
     if semiring is None:
         semiring = get_semiring()
@@ -291,11 +283,9 @@ def fold_spans(
         r0, r1 = span
         tile = arena.request((cap, k)) if cap else None
         _fold_span(adj, x, semiring, r0, r1, out, tile)
-        span_out = out[r0:r1]
         if degf is not None:
+            span_out = out[r0:r1]
             span_out /= degf[r0:r1, None]
-        if epilogue is not None:
-            epilogue(span_out, r0, r1)
 
     def run_on_worker(span: Tuple[int, int]) -> None:
         try:
@@ -306,13 +296,6 @@ def fold_spans(
             raise
 
     try:
-        if pre_scale is not None and adj.nnz:
-            # one multiply per node, not per edge: every edge's message is
-            # d[src] * x[src] either way — identical IEEE products to a
-            # materialised row_broadcast step
-            scaled = workspace.request(x.shape, slot=1)
-            np.multiply(pre_scale[:, None], x, out=scaled)
-            x = scaled
         if split:
             run_spans(spans, run_on_worker)
         else:
@@ -349,8 +332,8 @@ def gspmm_row_blocks(
 # The worker schedule
 # ----------------------------------------------------------------------
 # nnz·k at which a compiled fold splits into one span per worker.  Measured
-# in place on the reference host (2 vCPUs), docs/PERFORMANCE.md "One worker
-# schedule": below it a split loses even while the second vCPU is free,
+# in place on the reference host (2 vCPUs), docs/PERFORMANCE.md "The fold's
+# crossover": below it a split loses even while the second vCPU is free,
 # because half the fold is less than the fork-join and a pool thread's
 # wake-up cost.
 FOLD_CROSSOVER = 1 << 22

@@ -3,8 +3,8 @@
 All inputs and outputs here are dense NumPy arrays.  The heavyweight
 primitive is GEMM; element-wise non-linearities are also provided because
 they delimit re-association regions in the IR (non-linearities are
-association barriers, §IV-B).  These are the only ones: their ``out`` may
-be ``x``, scratch comes from the step pool, and ``leaky_relu``/``elu`` are
+association barriers, §IV-B).  These are the only ones: their results
+and scratch come from the step pool, and ``leaky_relu``/``elu`` are
 arithmetic, bitwise equal to ``np.where(x > 0, x, f(x))`` (DESIGN.md,
 "One implementation per non-linearity").
 """
@@ -56,26 +56,24 @@ def elementwise_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.asarray(a, np.float64) * np.asarray(b, np.float64)
 
 
-def relu(x: np.ndarray, out=None) -> np.ndarray:
-    return np.maximum(x, 0.0, out=step_buffer(x.shape) if out is None else out)
+def relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0, out=step_buffer(x.shape))
 
 
-def leaky_relu(x: np.ndarray, negative_slope: float = 0.2, out=None) -> np.ndarray:
+def leaky_relu(x: np.ndarray, negative_slope: float = 0.2) -> np.ndarray:
     """``max(x, s·x)`` for 0 < s ≤ 1, ``min`` above; at s ≤ 0 the where
     form stays (``0·inf`` is NaN, which max would return for +inf)."""
     scaled = np.multiply(x, negative_slope, out=step_buffer(x.shape))
-    out = scaled if out is None else out
     if negative_slope > 0:
-        return (np.maximum if negative_slope <= 1 else np.minimum)(x, scaled, out=out)
+        return (np.maximum if negative_slope <= 1 else np.minimum)(x, scaled, out=scaled)
     np.copyto(scaled, x, where=x > 0)  # lint: allow(masked-select-in-hot-path)
-    np.copyto(out, scaled)
-    return out
+    return scaled
 
 
-def elu(x: np.ndarray, alpha: float = 1.0, out=None) -> np.ndarray:
+def elu(x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     """``max(x, 0) + α·(exp(min(x, 0)) − 1)``."""
     above = np.maximum(x, 0.0, out=step_buffer(x.shape))
-    below = np.minimum(x, 0.0, out=step_buffer(x.shape) if out is None else out)
+    below = np.minimum(x, 0.0, out=step_buffer(x.shape))
     np.exp(below, out=below)
     np.subtract(below, 1.0, out=below)
     np.multiply(alpha, below, out=below)
@@ -103,8 +101,8 @@ def elu_vjp(y: np.ndarray, g: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     return leaky_relu_vjp(y, g, np.add(slope, alpha, out=slope))
 
 
-def sigmoid(x: np.ndarray, out=None) -> np.ndarray:
-    out = step_buffer(x.shape) if out is None else out
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    out = step_buffer(x.shape)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])

@@ -21,8 +21,6 @@ __all__ = [
     "sddmm",
     "gsddmm",
     "sddmm_diag_scale",
-    "sddmm_flops",
-    "sddmm_diag_scale_flops",
 ]
 
 
@@ -116,13 +114,3 @@ def sddmm_diag_scale(
         * right.diag[mask.indices]
     )
     return mask.with_values(vals)
-
-
-def sddmm_flops(nnz: int, k: int) -> int:
-    """O(E·K): one length-k dot product per stored entry."""
-    return 2 * nnz * k
-
-
-def sddmm_diag_scale_flops(nnz: int) -> int:
-    """O(E): two multiplies per stored entry."""
-    return 2 * nnz

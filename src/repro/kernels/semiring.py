@@ -84,11 +84,6 @@ class Semiring:
     def name(self) -> str:
         return f"{self.reduce.name}.{self.binary.name}"
 
-    @property
-    def is_standard(self) -> bool:
-        """Whether this is the plain (+, ×) arithmetic semiring."""
-        return self.reduce.name == "sum" and self.binary.name == "mul"
-
 
 def get_semiring(reduce_name: str = "sum", binary_name: str = "mul") -> Semiring:
     """Look up a semiring by operator names.

@@ -30,17 +30,10 @@ pinned (``REPRO_SPMM_STRATEGY``, ``GraniiEngine(spmm_strategy=...)``).
     The same fold, one ``block_nnz``-edge span of rows at a time, on the
     caller (NumPy-fold semirings stream their messages through a
     bounded, reusable workspace tile).
-``spmm_fused``
-    The same spans with a plan's pre-aggregation row scale and
-    post-aggregation epilogues absorbed into the pass
-    (:mod:`repro.kernels.compiled`).  As a bare strategy (no plan
-    context) it runs the aggregation alone.
 
-All three are one loop (:func:`repro.kernels.blocked.fold_spans`) under
-different span partitions; there is no process-pool strategy
-(docs/PERFORMANCE.md, "Why there is no process pool").  All produce
-identical results — each row's fold is independent of the span it
-arrives in.
+Both are one loop (:func:`repro.kernels.blocked.fold_spans`) under
+different span partitions, and both produce identical results — each
+row's fold is independent of the span it arrives in.
 """
 
 from __future__ import annotations
@@ -53,7 +46,7 @@ import numpy as np
 
 from .. import config
 from ..sparse import CSRMatrix
-from . import blocked, compiled
+from . import blocked
 from .semiring import Semiring, get_semiring
 
 __all__ = [
@@ -90,8 +83,6 @@ class SpmmStrategy:
     scratch: Optional[str] = None
     # draws scratch from the arena plan execution caches per (plan, graph)
     plan_arena: bool = False
-    # plan execution compiles fusable chains into this strategy's pass
-    fuses: bool = False
 
 
 SPMM_STRATEGY_TABLE: Tuple[SpmmStrategy, ...] = (
@@ -111,20 +102,6 @@ SPMM_STRATEGY_TABLE: Tuple[SpmmStrategy, ...] = (
         ),
         scratch="tile",
         plan_arena=True,
-    ),
-    SpmmStrategy(
-        "spmm_fused",
-        lambda adj, x, semiring, block_nnz, workspace: (
-            compiled.gspmm_fused(
-                adj, x, semiring, block_nnz=block_nnz, workspace=workspace
-            )
-        ),
-        # a compiled-plan failure demotes to the step-by-step tiled
-        # interpreter first — same workspace, no fusion
-        demotes_to="blocked",
-        scratch="fused",
-        plan_arena=True,
-        fuses=True,
     ),
 )
 

@@ -215,11 +215,6 @@ class PlanCache:
         return inserted
 
     # ------------------------------------------------------------------
-    @property
-    def hit_rate(self) -> float:
-        total = self._hits + self._misses
-        return self._hits / total if total else 0.0
-
     def stats(self) -> Dict[str, float]:
         with self._lock:
             total = self._hits + self._misses

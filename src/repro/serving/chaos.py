@@ -47,6 +47,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import config
+from ..core.costmodel import save_cost_models
 from ..errors import GraniiError, GraniiInputError, GraniiOverloadError
 from ..faults import FaultPlan
 from ..graphs.generators import erdos_renyi
@@ -319,15 +320,21 @@ def scenario_restart_warm(graph, feats, reference, cost_models, seed, n):
     runtime residual, saves state, and dies by SIGKILL (no cleanup).
     A fresh process must warm-start from ``REPRO_STATE_DIR`` and serve
     the first repeat request as a plan-cache **hit** — same plan, no
-    re-selection, no re-measurement."""
+    re-selection, no re-measurement.  The killed process loads
+    ``cost_models`` from a cache file, so it fits nothing."""
     state_dir = tempfile.mkdtemp(prefix="granii-state-restart-")
+    model_dir = tempfile.mkdtemp(prefix="granii-models-restart-")
     try:
-        return _restart_warm(state_dir, graph, feats, reference, seed)
+        save_cost_models(
+            cost_models, os.path.join(model_dir, "costmodels_cpu_default.json")
+        )
+        return _restart_warm(state_dir, model_dir, graph, feats, reference, seed)
     finally:
         shutil.rmtree(state_dir, ignore_errors=True)
+        shutil.rmtree(model_dir, ignore_errors=True)
 
 
-def _restart_warm(state_dir, graph, feats, reference, seed):
+def _restart_warm(state_dir, model_dir, graph, feats, reference, seed):
     violations: List[str] = []
     warm: Dict[str, object] = {}
     warm_seconds = -1.0
@@ -336,14 +343,16 @@ def _restart_warm(state_dir, graph, feats, reference, seed):
     child_code = (
         "import os, signal\n"
         "import numpy as np\n"
-        "from repro.core.costmodel import record_runtime_residual\n"
+        "from repro.core.costmodel import get_cost_models, "
+        "record_runtime_residual\n"
         "from repro.graphs.generators import erdos_renyi\n"
         "from repro.serving.service import GraniiService, ServeRequest\n"
         f"graph = erdos_renyi({nodes}, avg_degree=6, seed=7)\n"
         f"feats = np.random.default_rng({seed}).standard_normal"
         f"((graph.num_nodes, {IN_SIZE}))\n"
-        f"svc = GraniiService(device='cpu', num_threads=2,\n"
-        f"    state_dir={state_dir!r})\n"
+        f"models = get_cost_models('cpu', cache_dir={model_dir!r})\n"
+        f"svc = GraniiService(device='cpu', cost_models=models,\n"
+        f"    num_threads=2, state_dir={state_dir!r})\n"
         f"svc.register_model('gcn', {IN_SIZE}, {OUT_SIZE})\n"
         "record_runtime_residual('cpu', 'spmm', 2.0, 1.0)\n"
         "r = svc.serve(ServeRequest(tenant='t', model='gcn', graph=graph,"

@@ -77,10 +77,11 @@ class TestSpecificAccessors:
         with pytest.raises(GraniiConfigError, match="REPRO_SPMM_STRATEGY"):
             config.spmm_strategy(("row_segment", "blocked"))
 
-    def test_the_deleted_process_pool_strategy_is_rejected(self, monkeypatch):
+    @pytest.mark.parametrize("deleted", ["spmm_sharded", "spmm_fused"])
+    def test_a_deleted_strategy_is_rejected(self, deleted, monkeypatch):
         from repro.kernels import default_spmm_strategy
 
-        monkeypatch.setenv("REPRO_SPMM_STRATEGY", "spmm_sharded")
+        monkeypatch.setenv("REPRO_SPMM_STRATEGY", deleted)
         with pytest.raises(GraniiConfigError, match="REPRO_SPMM_STRATEGY"):
             default_spmm_strategy()
 

@@ -196,7 +196,7 @@ class TestCircuitBreaker:
                                  clock=FakeClock())
         breaker.record_failure("spmm", "blocked")
         assert breaker.is_open("spmm", "blocked")
-        assert not breaker.is_open("spmm", "spmm_fused")
+        assert not breaker.is_open("spmm", "row_segment")
         assert not breaker.is_open("sddmm", "blocked")
 
     def test_snapshot_serializable(self):

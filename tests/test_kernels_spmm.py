@@ -103,6 +103,23 @@ def test_generalized_semiring_matches_reference(
     assert np.allclose(got, expected)
 
 
+@pytest.mark.parametrize("case", spmm_cases())
+@pytest.mark.parametrize("reduce_name", ["sum", "mean", "max", "min"])
+@pytest.mark.parametrize("binary_name", ["mul", "add", "copy_lhs", "copy_rhs"])
+def test_unweighted_semiring_matches_reference(
+    rng, case, reduce_name, binary_name, monkeypatch
+):
+    """A pattern-only adjacency folds with implicit unit edge values."""
+    strategy = strategy_for_case(case, monkeypatch)
+    adj = random_csr(rng, 9, 11, density=0.25, weighted=False)
+    assert not adj.is_weighted
+    x = rng.standard_normal((11, 3))
+    got = gspmm(adj, x, get_semiring(reduce_name, binary_name), strategy=strategy)
+    if binary_name == "copy_lhs":
+        x = np.zeros((11, 1))
+    assert np.allclose(got, dense_gspmm(adj, x, reduce_name, binary_name))
+
+
 def test_strategies_agree(rng):
     adj = random_csr(rng, 30, 30, density=0.1)
     x = rng.standard_normal((30, 8))

@@ -61,14 +61,15 @@ def test_table_is_the_strategy_namespace():
     assert SPMM_STRATEGY_TABLE[0].demotes_to is None
 
 
-def test_the_process_pool_row_is_gone():
-    assert SPMM_STRATEGIES == ("row_segment", "blocked", "spmm_fused")
+@pytest.mark.parametrize("deleted", ["spmm_sharded", "spmm_fused"])
+def test_a_deleted_row_is_rejected(deleted):
+    assert SPMM_STRATEGIES == ("row_segment", "blocked")
     with pytest.raises(ValueError) as exc:
-        GraniiEngine(spmm_strategy="spmm_sharded")
+        GraniiEngine(spmm_strategy=deleted)
     for name in SPMM_STRATEGIES:
         assert name in str(exc.value)
     with pytest.raises(ValueError, match="unknown strategy"):
-        gspmm(np.zeros((0, 0)), np.zeros((0, 1)), strategy="spmm_sharded")
+        gspmm(np.zeros((0, 0)), np.zeros((0, 1)), strategy=deleted)
 
 
 def test_the_kept_stub_is_two_no_ops():
