@@ -37,6 +37,12 @@ offending line or the line above; waivers are counted, not silent):
   work item is clean, ``out=out`` and ``out=out[:]`` are findings.
   Both free functions and ``self._method`` targets are resolved; a
   lambda cannot be, so span bodies are named functions.
+- ``unused-import`` — a name an ``import`` binds that the module never
+  reads.  A name listed in ``__all__`` counts as read, and so does every
+  import of an ``__init__.py`` (a package re-exports what it imports);
+  ``from __future__`` imports are skipped.  A read anywhere in the
+  module counts, even in another function than the import's, and so
+  does a name inside a string annotation.
 
 CLI::
 
@@ -66,6 +72,7 @@ RULES = (
     "masked-select-in-hot-path",
     "granii-except",
     "shared-write-in-parallel",
+    "unused-import",
 )
 
 # what bypasses the step pool in repro/tensor/
@@ -118,6 +125,52 @@ def _masked_select(node: ast.Call) -> Optional[str]:
     if name.endswith("copyto"):
         return name if any(k.arg == "where" for k in node.keywords) else None
     return name if len(node.args) == 3 else None
+
+
+def _imported_names(tree: ast.Module):
+    """``(name, node)`` for every name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield (alias.asname or alias.name), node
+
+
+def _read_names(tree: ast.Module) -> Set[str]:
+    """Names the module reads: loads, ``__all__`` entries, and the names
+    inside string annotations."""
+    names: Set[str] = set()
+    annotations: List[ast.AST] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                names.update(
+                    c.value for c in ast.walk(node.value)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                )
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in annotations:
+        for c in ast.walk(annotation):
+            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                try:
+                    parsed = ast.parse(c.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names.update(
+                    n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)
+                )
+    return names
 
 
 def _swallows(handler: ast.ExceptHandler) -> bool:
@@ -246,6 +299,18 @@ class _FileLinter(ast.NodeVisitor):
                 )
         self.generic_visit(node)
 
+    # -- unused-import -------------------------------------------------
+    def check_unused_imports(self) -> None:
+        if self.path.endswith("__init__.py"):
+            return  # a package's imports are its re-exports
+        read = _read_names(self.tree)
+        for name, node in _imported_names(self.tree):
+            if name not in read:
+                self._emit(
+                    "unused-import", node,
+                    f"{name!r} is imported but never used",
+                )
+
     # -- shared-write-in-parallel --------------------------------------
     def _check_parallel_closure(self, target: ast.AST, via: str) -> None:
         fn: Optional[ast.FunctionDef] = None
@@ -339,6 +404,7 @@ def lint_source(source: str, path: str) -> List[Violation]:
         return [Violation("syntax-error", _norm(path), exc.lineno or 0, str(exc))]
     linter = _FileLinter(path, tree)
     linter.visit(tree)
+    linter.check_unused_imports()
     return sorted(
         _apply_waivers(source, linter.found), key=lambda v: (v.line, v.rule)
     )

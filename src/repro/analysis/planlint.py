@@ -45,7 +45,6 @@ from .domains import (
     join_structure,
     nnz_leq,
     plus_diag_nnz,
-    structure_of,
 )
 
 __all__ = [

@@ -18,14 +18,13 @@ Knob reference
 ``REPRO_BLOCK_NNZ``           edge budget per tile of the blocked kernels
 ``REPRO_NUM_THREADS``         worker count of a split SpMM fold
 ``REPRO_STATE_DIR``           durable-state snapshot directory (unset = off)
-``REPRO_SPMM_STRATEGY``       process-wide default aggregation strategy
 ``REPRO_VERIFY_PLANS``        first-iteration differential verification
 ``REPRO_SKIP_VALIDATION``     skip O(E) structural checks in CSR builders
 ``REPRO_GUARD``               enable the guarded execution runtime
 ``REPRO_DEADLINE_SLACK``      deadline = predicted cost x slack (>= floor)
 ``REPRO_DEADLINE_FLOOR_MS``   minimum per-plan wall-clock deadline
 ``REPRO_MEM_BUDGET_MB``       per-plan memory budget (estimate + observed)
-``REPRO_BREAKER_THRESHOLD``   failures before a (primitive, strategy) trips
+``REPRO_BREAKER_THRESHOLD``   failures before a serving tenant's breaker trips
 ``REPRO_BREAKER_COOLDOWN``    seconds a tripped breaker stays open
 ``REPRO_SERVE_MAX_QUEUE``     per-tenant bound on queued+running requests
 ``REPRO_SERVE_DEADLINE_MS``   default end-to-end request deadline (0 = none)
@@ -38,7 +37,7 @@ Knob reference
 from __future__ import annotations
 
 import os
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import GraniiConfigError
 
@@ -46,11 +45,9 @@ __all__ = [
     "env_flag",
     "env_float",
     "env_int",
-    "env_choice",
     "block_nnz",
     "num_threads",
     "state_dir",
-    "spmm_strategy",
     "verify_plans",
     "skip_validation",
     "guard_enabled",
@@ -140,21 +137,6 @@ def env_flag(name: str, default: bool = False) -> bool:
     )
 
 
-def env_choice(
-    name: str, choices: Sequence[str], default: Optional[str]
-) -> Optional[str]:
-    """Enumerated knob; raises naming the accepted values."""
-    raw = _raw(name)
-    if raw is None:
-        return default
-    if raw not in choices:
-        raise GraniiConfigError(
-            f"{name}={raw!r} is not a valid choice; expected one of "
-            f"{', '.join(choices)}"
-        )
-    return raw
-
-
 # ----------------------------------------------------------------------
 # Specific knobs
 # ----------------------------------------------------------------------
@@ -171,11 +153,6 @@ def num_threads() -> int:
 def state_dir() -> Optional[str]:
     """``REPRO_STATE_DIR``: durable-state snapshot directory, or None (off)."""
     return _raw("REPRO_STATE_DIR")
-
-
-def spmm_strategy(choices: Sequence[str]) -> Optional[str]:
-    """``REPRO_SPMM_STRATEGY``: process-wide default strategy, or None."""
-    return env_choice("REPRO_SPMM_STRATEGY", choices, None)
 
 
 def verify_plans() -> bool:

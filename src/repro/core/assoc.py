@@ -18,7 +18,7 @@ chain length rather than factorial in interleavings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .ir import Add, Attention, IRNode, Leaf, MatMul, Nonlinear, RowBroadcast
 from .rules import MatchResult, Operand, match_add_children, match_matmul_window

@@ -3,9 +3,9 @@
 The cost models predict *simulated device* time; the machine actually
 running the NumPy substrate has its own speed.  With ``REPRO_AUTOTUNE=1``
 the engine times one aggregation of the chosen plan on the **actual
-input adjacency** at selection time, under the strategy its executor
-will run (``row_segment``, the fold, unless one is pinned), and folds the
-measured/predicted ratio back into the cost models as a runtime residual
+input adjacency** at selection time, as its executor runs it (the
+``row_segment`` fold), and folds the measured/predicted ratio back into
+the cost models as a runtime residual
 (:func:`repro.core.costmodel.record_runtime_residual`) — so future
 selections on this process price the plans' aggregations the way this
 host runs them.  Nothing is chosen here: there is no strategy or
@@ -25,7 +25,7 @@ import numpy as np
 
 from .. import config
 from ..hardware.timer import time_fn
-from ..kernels import WorkspaceArena, get_semiring, gspmm
+from ..kernels import get_semiring, gspmm
 from ..sparse import CSRMatrix
 from .features import inspect_graph
 
@@ -40,15 +40,14 @@ _SPMM_SEMIRINGS = {"spmm": ("sum", "mul"), "spmm_unweighted": ("sum", "copy_rhs"
 
 @dataclass
 class AutotuneResult:
-    """One measured aggregation: its strategy, best wall-clock seconds,
-    and the residual factors it recorded (primitive -> factor)."""
+    """One measured fold: its best wall-clock seconds and the residual
+    factors it recorded (primitive -> factor)."""
 
-    strategy: str
     seconds: float
     residuals: Dict[str, float] = field(default_factory=dict)
 
     def describe(self) -> str:
-        lines = [f"autotune: {self.strategy}: {1e3 * self.seconds:.3f} ms"]
+        lines = [f"autotune: row_segment: {1e3 * self.seconds:.3f} ms"]
         for primitive, factor in sorted(self.residuals.items()):
             lines.append(f"  residual {primitive}: x{factor:.3f}")
         return "\n".join(lines)
@@ -58,17 +57,14 @@ def autotune_spmm(
     adj: CSRMatrix,
     k: int,
     semiring_names: Tuple[str, str] = ("sum", "mul"),
-    strategy: str = "row_segment",
     warmup: Optional[int] = None,
     repeats: Optional[int] = None,
     seed: int = 0,
 ) -> AutotuneResult:
-    """Time one aggregation of width ``k`` over ``adj`` under ``strategy``.
+    """Time one fold of width ``k`` over ``adj``.
 
-    One :class:`WorkspaceArena` serves every run, so steady-state (not
-    first-allocation) cost is what's measured.  No residual is recorded
-    here — that needs cost-model predictions, see
-    :func:`autotune_selection`.
+    No residual is recorded here — that needs cost-model predictions,
+    see :func:`autotune_selection`.
     """
     if warmup is None:
         warmup = config.autotune_warmup()
@@ -77,14 +73,10 @@ def autotune_spmm(
     semiring = get_semiring(*semiring_names)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((adj.shape[1], max(int(k), 1)))
-    workspace = WorkspaceArena()
     seconds, _ = time_fn(
-        lambda: gspmm(adj, x, semiring, strategy=strategy, workspace=workspace),
-        repeats=repeats,
-        warmup=warmup,
+        lambda: gspmm(adj, x, semiring), repeats=repeats, warmup=warmup
     )
-    workspace.clear()
-    return AutotuneResult(strategy, seconds)
+    return AutotuneResult(seconds)
 
 
 def autotune_selection(engine, plan, graph, layer) -> Optional[AutotuneResult]:
@@ -92,7 +84,7 @@ def autotune_selection(engine, plan, graph, layer) -> Optional[AutotuneResult]:
 
     Measures the plan's first per-iteration spmm/spmm_unweighted call
     (its sparse operand and feature width) on the adjacency the executor
-    will actually run, under the engine's strategy.  The
+    will actually run.  The
     measured/predicted ratio is recorded into the cost-model residual
     store under the engine's device and the call's primitive, which also
     advances :func:`~repro.core.costmodel.cost_model_token` so
@@ -114,7 +106,6 @@ def autotune_selection(engine, plan, graph, layer) -> Optional[AutotuneResult]:
         adj,
         int(call.shape.get("k", 1)),
         semiring_names=_SPMM_SEMIRINGS[call.primitive],
-        strategy=engine.spmm_strategy,
     )
     # residual feedback: measured wall clock vs (base) model prediction
     if engine._cost_models is not None:

@@ -16,17 +16,17 @@ plan pool into a graceful-degradation ladder:
   ``REPRO_DEADLINE_FLOOR_MS``) and memory budgets
   (``REPRO_MEM_BUDGET_MB``), checked before execution against the plan's
   estimated peak and *during* execution between kernels;
-- :class:`CircuitBreaker` — per-(primitive, strategy) failure counters
-  that trip after ``REPRO_BREAKER_THRESHOLD`` failures; a guarded
-  executor skips the rungs of a tripped strategy until a
-  ``REPRO_BREAKER_COOLDOWN``-second cooldown elapses;
+- :class:`CircuitBreaker` — per-key failure counters that trip after
+  ``REPRO_BREAKER_THRESHOLD`` failures and reset after a
+  ``REPRO_BREAKER_COOLDOWN``-second cooldown (the serving runtime's
+  tenant breaker);
 - :class:`GuardedExecutor` — the drop-in ``layer.forward`` replacement
-  that walks the ladder: chosen plan under its selected strategy → same
-  plan under the reference ``row_segment`` kernels → next-cheapest
-  surviving plans → the baseline message-passing forward.  Every
-  demotion is recorded on the :class:`SelectionReport`; if even the
-  reference fails, a :class:`~repro.errors.GraniiExecutionError` carries
-  the whole failure chain.
+  that walks the ladder: chosen plan → next-cheapest surviving plans →
+  the baseline message-passing forward, every plan rung running the
+  ``row_segment`` fold.  Every demotion is recorded on the
+  :class:`SelectionReport`; if even the reference fails, a
+  :class:`~repro.errors.GraniiExecutionError` carries the whole failure
+  chain.
 
 Fault paths are exercised deterministically by :mod:`repro.faults`.
 """
@@ -48,7 +48,6 @@ from ..errors import (
     GraniiInputError,
     GraniiMemoryError,
 )
-from ..kernels import demotion_chain
 from ..sparse import CSRMatrix, DiagonalMatrix
 from ..tensor import Tensor
 from .bindings import build_binding
@@ -116,16 +115,15 @@ def execute_plan(
 ):
     """One plan execution, as both the guarded and the bare executor run it.
 
-    ``setup_caches`` is the executor's :attr:`ExecutorCaches.setup`.
-    ``slot`` separates executions that must not share a cache for one
-    graph (the guard's rungs).
+    ``strategy`` runs the forward aggregations (the guard always passes
+    ``row_segment``).  ``setup_caches`` is the executor's
+    :attr:`ExecutorCaches.setup`.  ``slot`` separates executions that
+    must not share a cache for one graph (the guard's rungs).
     """
     mode = "tensor" if isinstance(feat, Tensor) else "numpy"
     kernel_config = None
     if strategy != "row_segment":
-        kernel_config = KernelExecutionConfig(
-            strategy=strategy, block_nnz=engine.block_nnz
-        )
+        kernel_config = KernelExecutionConfig(strategy=strategy)
     cache = setup_caches.setdefault(g, {}).setdefault((mode, slot), {})
     binding = build_binding(
         layer, g, feat, mode, engine.system.degree_method, setup_cache=cache
@@ -371,17 +369,16 @@ class ExecutionBudget:
 class CircuitBreaker:
     """Per-key failure counters with trip threshold and cooldown.
 
-    Keys are ``(primitive, strategy)`` pairs.  After ``threshold``
-    recorded failures the key *trips*: :meth:`is_open` returns True for
-    ``cooldown_seconds``, during which the guarded executor skips rungs
-    that would use it.  When the cooldown elapses the key resets fully
-    (closed, count zero), and the strategy's rungs run again.
+    Keys are string pairs (the serving runtime's tenant breaker uses
+    ``("tenant", name)``).  After ``threshold`` recorded failures the key
+    *trips*: :meth:`is_open` returns True for ``cooldown_seconds``.  When
+    the cooldown elapses the key resets fully (closed, count zero).
 
     All mutation happens under an internal lock: the serving runtime
-    calls one breaker from many worker threads at once (per-tenant
-    breakers are shared by every in-flight request of that tenant), so
-    count/trip transitions must be atomic — two threads racing the
-    threshold must produce exactly one trip.
+    calls one breaker from many worker threads at once (the tenant
+    breaker is shared by every in-flight request), so count/trip
+    transitions must be atomic — two threads racing the threshold must
+    produce exactly one trip.
 
     ``clock`` is injectable so tests can drive cooldown expiry without
     sleeping.
@@ -412,9 +409,9 @@ class CircuitBreaker:
             del self._open_until[key]
             self._failures.pop(key, None)
 
-    def record_failure(self, primitive: str, strategy: str) -> bool:
+    def record_failure(self, scope: str, name: str) -> bool:
         """Count one failure; returns True if the key just tripped."""
-        key = (primitive, strategy)
+        key = (scope, name)
         with self._lock:
             self._expire(key)
             count = self._failures.get(key, 0) + 1
@@ -424,15 +421,15 @@ class CircuitBreaker:
                 return True
             return False
 
-    def record_success(self, primitive: str, strategy: str) -> None:
+    def record_success(self, scope: str, name: str) -> None:
         """A successful call closes the failure streak for its key."""
-        key = (primitive, strategy)
+        key = (scope, name)
         with self._lock:
             if key not in self._open_until:
                 self._failures.pop(key, None)
 
-    def is_open(self, primitive: str, strategy: str) -> bool:
-        key = (primitive, strategy)
+    def is_open(self, scope: str, name: str) -> bool:
+        key = (scope, name)
         with self._lock:
             self._expire(key)
             return key in self._open_until
@@ -466,7 +463,7 @@ class DemotionRecord:
 
     from_label: str
     to_label: str
-    reason: str  # kernel_error | deadline | memory | verification | breaker_open | input
+    reason: str  # kernel_error | deadline | memory | verification
     error_type: str = ""
     message: str = ""
     step: str = ""
@@ -494,15 +491,9 @@ class GuardedExecutor:
     """Walks the plan ladder, demoting on failure; final rung is the
     baseline message-passing forward.
 
-    Rungs are ``(planned, strategy)`` pairs: the chosen plan under its
-    selected aggregation strategy first, then the same plan down that
-    strategy's demotion chain (the strategy table's ``demotes_to``
-    links, ending at the reference ``row_segment`` kernels — a strategy
-    bug must not disqualify a healthy composition), then the remaining
-    surviving plans cheapest first.  A rung that fails is retired for
-    the life of the executor; the per-(primitive, strategy) circuit
-    breaker additionally steers *future* selections away from a
-    repeatedly failing strategy until its cooldown elapses.
+    Rungs are plans: the chosen plan first, then the remaining surviving
+    plans cheapest first, each running the ``row_segment`` fold.  A rung
+    that fails is retired for the life of the executor.
 
     ``caches`` lets the executor start from what a predecessor on the
     same layer and plan already derived (see :class:`ExecutorCaches`);
@@ -529,13 +520,10 @@ class GuardedExecutor:
         self.caches = caches if caches is not None else ExecutorCaches()
         self._inputs_validated = inputs_validated
         chosen = selection.chosen
-        self.rungs: List[Tuple[object, str]] = [
-            (chosen, strategy)
-            for strategy in demotion_chain(selection.spmm_strategy)
+        self.rungs: List[object] = [chosen] + [
+            planned for planned in getattr(selection, "ranked", [])
+            if planned is not chosen
         ]
-        for planned in getattr(selection, "ranked", []):
-            if planned is not chosen:
-                self.rungs.append((planned, "row_segment"))
         self.rung = 0
         self._verified_rungs: set = set()
         self._reference_demotion_logged = False
@@ -548,8 +536,8 @@ class GuardedExecutor:
     def _rung_label(self, index: int) -> str:
         if index >= len(self.rungs):
             return "reference"
-        planned, strategy = self.rungs[index]
-        return f"{planned.label}#{planned.plan.name}@{strategy}"
+        planned = self.rungs[index]
+        return f"{planned.label}#{planned.plan.name}@row_segment"
 
     def _predicted_seconds(self, planned) -> Optional[float]:
         costs = getattr(self.selection, "predicted_costs", None) or {}
@@ -578,17 +566,7 @@ class GuardedExecutor:
             primitive=str(getattr(exc, "granii_primitive", "") or ""),
             seconds=seconds,
         )
-        planned, strategy = self.rungs[self.rung]
-        if exc is not None and reason in ("kernel_error", "deadline", "memory"):
-            primitive = record.primitive or "plan"
-            self.engine.breakers.record_failure(primitive, strategy)
-            if primitive == "spmm_unweighted":
-                # strategy-level accounting shared by the spmm flavours
-                # (the ladder's breaker gate keys on ("spmm", strategy))
-                self.engine.breakers.record_failure("spmm", strategy)
-        self.selection.record_demotion(
-            record, breaker_state=self.engine.breakers.snapshot()
-        )
+        self.selection.record_demotion(record)
         self.rung += 1
 
     # ------------------------------------------------------------------
@@ -619,7 +597,7 @@ class GuardedExecutor:
 
     # ------------------------------------------------------------------
     def _run_rung(self, g, feat):
-        planned, strategy = self.rungs[self.rung]
+        planned = self.rungs[self.rung]
         plan = planned.plan
         env = self._env_for(g)
         budget = ExecutionBudget.for_plan(self._predicted_seconds(planned))
@@ -645,24 +623,17 @@ class GuardedExecutor:
         if budget.memory_budget_bytes is not None:
             precomputed = self._static_peak_estimate(plan, env)
         budget.check_estimate(plan, env, precomputed=precomputed)
-        out = execute_plan(
-            self.engine, self.layer, plan, strategy, g, feat,
+        return execute_plan(
+            self.engine, self.layer, plan, "row_segment", g, feat,
             self.caches.setup, slot=self.rung, budget=budget,
         )
-        self.engine.breakers.record_success("spmm", strategy)
-        return out
 
     def __call__(self, g, feat, *args, **kwargs):
         if not (self._inputs_validated or config.skip_validation()):
             validate_inputs(self.layer, g, feat, env=None)
         attempts: List[Tuple[str, str, str]] = []
         while not self.on_reference:
-            planned, strategy = self.rungs[self.rung]
-            if strategy != "row_segment" and self.engine.breakers.is_open(
-                "spmm", strategy
-            ):
-                self._demote("breaker_open")
-                continue
+            planned = self.rungs[self.rung]
             t0 = time.perf_counter()
             try:
                 out = self._run_rung(g, feat)

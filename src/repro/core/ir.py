@@ -19,8 +19,8 @@ serves every input graph and embedding size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..errors import GraniiAnalysisError
 

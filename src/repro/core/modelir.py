@@ -12,7 +12,7 @@ embedding, ``E`` stored nonzeros of the aggregated adjacency.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from .ir import (
     Add,

@@ -100,24 +100,12 @@ class KernelExecutionConfig:
     """How the executor should run its sparse aggregations.
 
     ``strategy`` is one of :data:`~repro.kernels.spmm.SPMM_STRATEGIES`;
-    ``block_nnz`` sizes its tiles (``None``: ``REPRO_BLOCK_NNZ``).  In
-    tensor mode the config steers the *forward* aggregation only —
-    backward SpMMs run the default strategy (see
-    :mod:`repro.tensor.sparse_ops`).
+    ``REPRO_BLOCK_NNZ`` sizes its tiles.  In tensor mode the config
+    steers the *forward* aggregation only — backward SpMMs run the fold
+    (see :mod:`repro.tensor.sparse_ops`).
     """
 
     strategy: str = "row_segment"
-    block_nnz: Optional[int] = None
-
-
-def _tensor_spmm_knobs(kernel_config: Optional["KernelExecutionConfig"]) -> dict:
-    """Keyword knobs for the tensor-mode spmm ops (empty -> kernel defaults)."""
-    if kernel_config is None:
-        return {}
-    return {
-        "strategy": kernel_config.strategy,
-        "block_nnz": kernel_config.block_nnz,
-    }
 
 
 _SPMM_SEMIRINGS = {"spmm": ("sum", "mul"), "spmm_unweighted": ("sum", "copy_rhs")}
@@ -787,25 +775,22 @@ def _execute_step(
         return gemm(_as_numpy(a), _as_numpy(b))
     if p in ("spmm", "spmm_unweighted"):
         sp, dn = args
+        strategy = "row_segment" if kernel_config is None else kernel_config.strategy
         if isinstance(sp, EdgeSparse):
             if mode == "tensor":
                 return t_spmm_edge(
-                    sp.pattern,
-                    sp.values,
-                    _as_tensor(dn),
-                    **_tensor_spmm_knobs(kernel_config),
+                    sp.pattern, sp.values, _as_tensor(dn), strategy=strategy
                 )
             sp = sp.pattern.with_values(sp.values.data)
             p = "spmm"
         elif mode == "tensor":
-            return t_spmm(sp, _as_tensor(dn), **_tensor_spmm_knobs(kernel_config))
+            return t_spmm(sp, _as_tensor(dn), strategy=strategy)
         if kernel_config is not None:
             return gspmm(
                 sp,
                 _as_numpy(dn),
                 get_semiring(*_SPMM_SEMIRINGS[p]),
-                strategy=kernel_config.strategy,
-                block_nnz=kernel_config.block_nnz,
+                strategy=strategy,
                 workspace=workspace,
             )
         if p == "spmm_unweighted":

@@ -34,7 +34,7 @@ associate right-to-left).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .ir import Dim
 

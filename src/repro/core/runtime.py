@@ -9,8 +9,8 @@ cost models) to a concrete (model, graph, embedding sizes) instance:
    sum per-primitive cost-model predictions for each candidate, with
    graph-only setup amortised over the expected iteration count;
 3. lower the winner to an executor and attach it to the model.  Its
-   aggregations run the engine's SpMM strategy: ``row_segment`` (the
-   fold) unless one is pinned; no strategy is priced.
+   aggregations run ``row_segment``, the fold; no strategy is priced or
+   chosen.
 
 Both decision overheads (feature extraction, selection) are measured and
 reported, mirroring the paper's overhead accounting (§VI-C1).
@@ -61,14 +61,12 @@ from .. import config
 from ..framework import MPGraph, get_system
 from ..graphs import Graph
 from ..hardware import get_device
-from ..kernels import SPMM_STRATEGIES, demotion_chain
 from ..tensor import Tensor
 from .bindings import model_ir_kwargs, model_ir_name
 from .codegen import CompiledModel, PlannedCandidate, cached_model, compile_model
 from .costmodel import CostModelSet, get_cost_models
 from .features import inspect_graph, known_inspection
 from .guard import (
-    CircuitBreaker,
     DemotionRecord,
     ExecutorCaches,
     GuardedExecutor,
@@ -94,8 +92,8 @@ class SelectionReport:
     peak_memory_bytes: float = 0.0
     memory_filtered_count: int = 0  # plans dropped for exceeding the limit
     spmm_strategy: str = "row_segment"  # how the executor runs aggregations
-    # the autotuner's measured seconds of that strategy's fold
-    # (``measured:<strategy>``; empty unless REPRO_AUTOTUNE is on)
+    # the autotuner's measured seconds of the fold
+    # (``measured:row_segment``; empty unless REPRO_AUTOTUNE is on)
     strategy_costs: Dict[str, float] = field(default_factory=dict)
     # runtime verification outcome: None until the first verified call,
     # then True (plan agreed with the reference) or False (diverged; the
@@ -103,11 +101,9 @@ class SelectionReport:
     verified: Optional[bool] = None
     verify_note: str = ""
     # guarded-execution bookkeeping: surviving candidates cheapest-first
-    # (the fallback ladder), demotions taken at runtime, and the breaker
-    # snapshot at the time of the last demotion
+    # (the fallback ladder) and the demotions taken at runtime
     ranked: List[PlannedCandidate] = field(default_factory=list)
     demotions: List[DemotionRecord] = field(default_factory=list)
-    breaker_state: Dict[str, Dict[str, float]] = field(default_factory=dict)
     last_error: str = ""
     # static-analysis verdict for the chosen plan under the selection env
     # (a repro.analysis.planlint.PlanVerdict), and the runtime checks the
@@ -135,15 +131,11 @@ class SelectionReport:
         self.__dict__.update(state)
         self._lock = threading.Lock()
 
-    def record_demotion(
-        self, record: DemotionRecord, breaker_state=None
-    ) -> None:
-        """Thread-safely append one demotion (and the breaker snapshot)."""
+    def record_demotion(self, record: DemotionRecord) -> None:
+        """Thread-safely append one demotion."""
         with self._lock:
             self.demotions.append(record)
             self.last_error = record.message
-            if breaker_state is not None:
-                self.breaker_state = breaker_state
 
     def record_verification(self, ok: bool, note: str) -> None:
         """Thread-safely store a runtime-verification outcome."""
@@ -182,12 +174,6 @@ class SelectionReport:
             lines.append(f"  runtime check skipped (statically proved): {skipped}")
         for record in self.demotions:
             lines.append(f"  demoted: {record.describe()}")
-        for key, entry in sorted(self.breaker_state.items()):
-            state = "OPEN" if entry.get("open") else "closed"
-            lines.append(
-                f"  breaker {key}: {state} "
-                f"({int(entry.get('failures', 0))} failures)"
-            )
         return "\n".join(lines)
 
 
@@ -301,24 +287,17 @@ class GraniiEngine:
         scale: str = "default",
         cost_models: Optional[CostModelSet] = None,
         memory_limit_bytes: Optional[float] = None,
-        spmm_strategy: str = "row_segment",
-        block_nnz: Optional[int] = None,
         verify_plans: Optional[bool] = None,
         guarded: Optional[bool] = None,
-        breakers: Optional[CircuitBreaker] = None,
     ) -> None:
         if mode not in ("inference", "training"):
             raise ValueError("mode must be 'inference' or 'training'")
-        if spmm_strategy not in SPMM_STRATEGIES:
-            raise ValueError(f"spmm_strategy must be one of {SPMM_STRATEGIES}")
         self.device = get_device(device)
         self.system = get_system(system)
         self.iterations = int(iterations)
         self.mode = mode
         self.scale = scale
         self.memory_limit_bytes = memory_limit_bytes
-        self.spmm_strategy = spmm_strategy
-        self.block_nnz = block_nnz
         if verify_plans is None:
             verify_plans = config.verify_plans()
         # double-execute the chosen plan against the reference composition
@@ -327,7 +306,6 @@ class GraniiEngine:
         # guarded execution (REPRO_GUARD): executors run behind the
         # admission gate, budgets, and the fallback ladder of core.guard
         self.guarded = config.guard_enabled() if guarded is None else bool(guarded)
-        self.breakers = breakers if breakers is not None else CircuitBreaker()
         self._cost_models = cost_models
 
     # ------------------------------------------------------------------
@@ -446,33 +424,10 @@ class GraniiEngine:
         graph_vec: Optional[np.ndarray] = None,
         env_key: Optional[Tuple] = None,
     ) -> str:
-        """The aggregation strategy this plan's executor runs.
+        """``row_segment``, whatever the input: nothing prices a strategy.
 
-        Nothing is priced, so the input (``env``, ``graph_vec``,
-        ``env_key``) does not enter the choice: it is ``row_segment``,
-        the fold, unless the engine pins another row
-        (``GraniiEngine(spmm_strategy=...)``).  A pinned row is routed
-        through the static legality gate the pruner applies to every
-        plan: if ``analyze_plan`` rejects this plan under it (alias
-        hazards, unbalanced workspace lifetimes), the executor falls back
-        to ``row_segment`` with a warning instead of running an unvetted
-        composition.
+        Kept only for ``bench/harness/probes.py``'s ``price`` stage.
         """
-        pinned = self.spmm_strategy
-        if pinned == "row_segment":
-            return pinned
-        from ..analysis.planlint import analyze_plan
-
-        verdict = analyze_plan(plan, strategies=(pinned,))
-        if verdict.ok:
-            return pinned
-        rules = sorted({d.rule for d in verdict.errors})
-        warnings.warn(
-            f"pinned spmm strategy {pinned!r} rejected by plan analysis "
-            f"({', '.join(rules)}); falling back to row_segment",
-            RuntimeWarning,
-            stacklevel=3,
-        )
         return "row_segment"
 
     def select(
@@ -525,24 +480,20 @@ class GraniiEngine:
             ranked = [viable[i] for i in order]
             chosen_row = order[0]
         chosen = viable[chosen_row]
-        spmm_strategy = self.select_spmm_strategy(chosen.plan)
         strategy_costs: Dict[str, float] = {}
         if config.autotune_enabled():
             from .autotune import autotune_selection
 
             tuned = autotune_selection(self, chosen.plan, graph, layer)
             if tuned is not None:
-                strategy_costs[f"measured:{tuned.strategy}"] = tuned.seconds
+                strategy_costs["measured:row_segment"] = tuned.seconds
         selection_seconds = time.perf_counter() - t1
         # static verdict for the winner: proved facts let the guarded
-        # executor skip re-deriving them on the hot path (see guard.py);
-        # the workspace-lifetime trace covers the strategy that will run
-        # and every strategy the guard may demote it to
+        # executor skip re-deriving them on the hot path (see guard.py)
         from ..analysis.planlint import analyze_plan
 
         verdict = analyze_plan(
-            chosen.plan, env=env, strategies=demotion_chain(spmm_strategy),
-            env_key=key,
+            chosen.plan, env=env, strategies=("row_segment",), env_key=key,
         )
         peak = verdict.facts.get("peak_memory_bytes")  # already computed there
         return SelectionReport(
@@ -557,7 +508,6 @@ class GraniiEngine:
                 chosen.plan.peak_memory_bytes(env) if peak is None else peak
             ),
             memory_filtered_count=memory_filtered,
-            spmm_strategy=spmm_strategy,
             strategy_costs=strategy_costs,
             ranked=ranked,
             analysis=verdict,
@@ -588,6 +538,9 @@ class GraniiEngine:
         the executor is a :class:`~repro.core.guard.GuardedExecutor`
         instead: inputs pass an admission gate, every run is budgeted,
         and failures demote down the plan ladder rather than escaping.
+        Every rung runs ``row_segment``, so a guarded executor accepts no
+        other ``spmm_strategy`` (``ValueError``); an unguarded one runs
+        any row of :data:`~repro.kernels.spmm.SPMM_STRATEGIES`.
 
         ``caches`` are the per-graph caches the executor starts with
         (default: empty; see :class:`~repro.core.guard.ExecutorCaches`
@@ -598,6 +551,11 @@ class GraniiEngine:
         if guarded is None:
             guarded = self.guarded
         if guarded:
+            if spmm_strategy != "row_segment":
+                raise ValueError(
+                    f"a guarded executor runs row_segment only, "
+                    f"not {spmm_strategy!r}"
+                )
             if selection is None:
                 selection = SelectionReport(
                     model_name=model_ir_name(layer),
@@ -607,13 +565,10 @@ class GraniiEngine:
                     viable_count=1,
                     feature_seconds=0.0,
                     selection_seconds=0.0,
-                    spmm_strategy=spmm_strategy,
                     ranked=[planned],
                 )
             elif planned is not selection.chosen:
                 selection.chosen = planned
-            if selection.spmm_strategy != spmm_strategy:
-                selection.spmm_strategy = spmm_strategy
             return GuardedExecutor(
                 self, layer, selection, caches, inputs_validated
             )

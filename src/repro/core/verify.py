@@ -17,10 +17,12 @@ their schedule spaces:
   the *accumulation depth* (max in-degree — the length of the longest
   floating-point reduction) instead of one fixed epsilon;
 - :func:`sweep` — the zoo × systems × {inference, training} × plans ×
-  strategies product.  Training checks run whole autograd iterations
-  under :func:`~repro.kernels.spmm.spmm_strategy_override`, so each
-  strategy's kernels are exercised in the backward pass too, and compare
-  parameter/input gradients against the reference composition;
+  strategies product.  Every check runs the plan's forward aggregations
+  under the strategy through
+  :class:`~repro.core.plan.KernelExecutionConfig`; training checks run
+  whole autograd iterations (the backward runs the fold, as on every
+  path) and compare parameter/input gradients against the reference
+  composition;
 - :func:`shrink_failure` — a delta-debugging shrinker that bisects
   nodes, then undirected edges, down to a minimal failing graph;
 - :func:`emit_pytest_repro` — renders a shrunk failure as a
@@ -54,7 +56,7 @@ from ..graphs import (
     single_node,
     star,
 )
-from ..kernels import SPMM_STRATEGIES, spmm_strategy_override
+from ..kernels import SPMM_STRATEGIES
 from ..models import build_layer, uses_self_loops
 from ..models.zoo import MODEL_NAMES
 from ..sparse import CSRMatrix
@@ -376,17 +378,16 @@ def _plan_outputs(
     cotangent: np.ndarray,
 ) -> Dict[str, np.ndarray]:
     """Execute one plan under one strategy, mirroring the reference."""
+    config = KernelExecutionConfig(strategy=strategy)
     if mode == "inference":
         binding = build_binding(layer, mp, feats, "numpy", degree_method)
-        config = KernelExecutionConfig(strategy=strategy)
         out = planned.plan.execute(binding, mode="numpy", kernel_config=config)
         return {"output": np.asarray(out)}
     _zero_param_grads(layer)
     feat = Tensor(feats, requires_grad=True)
     binding = build_binding(layer, mp, feat, "tensor", degree_method)
-    with spmm_strategy_override(strategy):
-        out = planned.plan.execute(binding, mode="tensor")
-        out.backward(cotangent)
+    out = planned.plan.execute(binding, mode="tensor", kernel_config=config)
+    out.backward(cotangent)
     quantities = {"output": np.asarray(out.data)}
     quantities.update(_collect_grads(layer, feat))
     return quantities

@@ -18,7 +18,7 @@ three strategies on total hierarchy cost:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from ..core.features import featurize_graph
 from ..graphs import Graph, coarsen_hierarchy, load
 from ..hardware import GraphStats, get_device
 from ..framework import get_system
-from .common import Workload, _engine_for, geomean, measured_plan_time, shape_env_for
+from .common import Workload, _engine_for, measured_plan_time, shape_env_for
 from .report import render_table
 
 __all__ = ["ChangingSparsity", "run"]

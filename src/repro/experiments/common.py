@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from ..core import GraniiEngine, ShapeEnv, compile_model, select_default_plan
-from ..core.codegen import CompiledModel, PlannedCandidate
+from ..core.codegen import PlannedCandidate
 from ..core.features import featurize_graph
 from ..core.plan import Plan
 from ..framework import System, get_system

@@ -13,7 +13,7 @@ both GEMM placements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..core import compile_model
 from ..models import MODEL_NAMES

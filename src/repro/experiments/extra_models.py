@@ -10,9 +10,8 @@ machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
-from .common import geomean
 from .report import format_speedup, render_table
 from .sweep import SweepResult, run_sweep, sweep_workloads
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-import numpy as np
-
 from ..core import compile_model
 from ..framework import get_system
 from ..graphs import EVALUATION_CODES

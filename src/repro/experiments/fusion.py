@@ -11,7 +11,7 @@ default and (b) GRANII restricted to unfused candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 

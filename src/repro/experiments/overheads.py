@@ -17,8 +17,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List
 
-import numpy as np
-
 from ..core import GraniiEngine, compile_model, select_default_plan
 from ..core.features import featurize_graph
 from ..framework import get_system

@@ -25,7 +25,7 @@ import numpy as np
 
 import numpy as np
 
-from ..core import GraniiEngine, compile_model
+from ..core import compile_model
 from ..core.features import featurize_graph
 from ..framework import get_system
 from ..graphs import load

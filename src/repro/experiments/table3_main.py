@@ -8,11 +8,11 @@ the overall inference/training geomeans (paper: 1.56× / 1.4×).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..models import MODEL_NAMES
 from .report import format_speedup, render_table
-from .sweep import SYSTEM_DEVICE_GRID, SweepResult, full_sweep
+from .sweep import SYSTEM_DEVICE_GRID, full_sweep
 
 __all__ = ["Table3Row", "Table3", "run"]
 

@@ -19,12 +19,10 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
-import numpy as np
-
 from ..models import MODEL_NAMES
 from .common import WorkloadResult, geomean
 from .report import format_speedup, render_table
-from .sweep import SweepResult, full_sweep
+from .sweep import full_sweep
 
 __all__ = ["Table6", "run", "oracle_speedup"]
 

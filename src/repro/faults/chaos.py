@@ -143,7 +143,6 @@ def run_case(
             )
         record["demotions"] = [d.describe() for d in selection.demotions]
         record["faults_fired"] = int(sum(plan.fired.values()))
-        record["breakers"] = selection.breaker_state
     except GraniiError as exc:
         record["outcome"] = "structured_error"
         record["error"] = f"{type(exc).__name__}: {exc}"

@@ -12,7 +12,7 @@ message-passing forward with a selected primitive-composition plan.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 

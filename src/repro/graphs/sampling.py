@@ -8,7 +8,7 @@ neighborhood (fanout) sampling during training.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

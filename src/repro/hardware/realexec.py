@@ -12,7 +12,7 @@ show GRANII's methodology working end-to-end on genuine measurements.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 import numpy as np
 

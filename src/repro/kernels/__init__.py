@@ -43,10 +43,7 @@ from .spmm import (
     SPMM_STRATEGY_TABLE,
     STRATEGY_PRICING_PRIMITIVES,
     SpmmStrategy,
-    default_spmm_strategy,
-    demotion_chain,
     spmm_strategy,
-    spmm_strategy_override,
     gspmm,
     gspmm_flops,
     spmm,
@@ -72,10 +69,7 @@ __all__ = [
     "col_broadcast",
     "default_block_nnz",
     "default_num_threads",
-    "default_spmm_strategy",
-    "demotion_chain",
     "spmm_strategy",
-    "spmm_strategy_override",
     "degrees_by_binning",
     "degrees_from_indptr",
     "edge_softmax",

@@ -14,8 +14,6 @@ aggregation (Equation 5); only the execution granularity differs.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from ..sparse import CSRMatrix

@@ -50,9 +50,6 @@ def gsddmm(
     u: np.ndarray,
     v: np.ndarray,
     op: str = "dot",
-    strategy: str = "naive",
-    block_nnz=None,
-    workspace=None,
 ) -> np.ndarray:
     """Generalized SDDMM: per-edge features from endpoint features.
 
@@ -66,18 +63,10 @@ def gsddmm(
     The edge ordering matches ``mask``'s CSR order, so the result can be
     attached with :meth:`CSRMatrix.with_values` when scalar.
 
-    ``strategy="blocked"`` stages the endpoint gathers through bounded
-    workspace tiles (:func:`repro.kernels.blocked.gsddmm_blocked`)
-    instead of materialising both full ``(nnz, k)`` gathers at once.
+    This is the naive reference: both full ``(nnz, k)`` gathers at once.
+    :func:`repro.kernels.blocked.gsddmm_blocked` stages them through
+    bounded workspace tiles and is what the autograd ops run.
     """
-    if strategy == "blocked":
-        from .blocked import gsddmm_blocked
-
-        return gsddmm_blocked(
-            mask, u, v, op, block_nnz=block_nnz, workspace=workspace
-        )
-    if strategy != "naive":
-        raise ValueError(f"unknown gsddmm strategy {strategy!r}")
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
     v = np.atleast_2d(np.asarray(v, dtype=np.float64))
     rows = mask.row_ids()

@@ -10,11 +10,11 @@ GNN aggregation places destinations on rows and sources on columns, so a
 g-SpMM over the adjacency aggregates neighbor embeddings (paper §II-C).
 
 Every execution strategy is one row of :data:`SPMM_STRATEGY_TABLE`;
-everything that knows a strategy by name — ``gspmm``, the engine, the
-guard ladder, plan execution, planlint and the verify sweep — iterates
-or looks up that table.  No strategy is priced or chosen by a cost
-model: the default is ``row_segment``, and the others run only when
-pinned (``REPRO_SPMM_STRATEGY``, ``GraniiEngine(spmm_strategy=...)``).
+everything that knows a strategy by name — ``gspmm``, plan execution,
+planlint and the verify sweep — looks up that table.  No strategy is
+priced or chosen: every selection, guard rung and backward pass runs
+``row_segment``.  ``blocked`` runs only where a caller names it
+(``gspmm(strategy=...)``, an unguarded executor, the verify sweep).
 
 ``row_segment``
     *The fold*, and the reference every other row is bitwise-equal to.
@@ -38,13 +38,11 @@ row's fold is independent of the span it arrives in.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .. import config
 from ..sparse import CSRMatrix
 from . import blocked
 from .semiring import Semiring, get_semiring
@@ -54,10 +52,7 @@ __all__ = [
     "SPMM_STRATEGY_TABLE",
     "STRATEGY_PRICING_PRIMITIVES",
     "SpmmStrategy",
-    "default_spmm_strategy",
-    "demotion_chain",
     "spmm_strategy",
-    "spmm_strategy_override",
     "gspmm",
     "spmm",
     "spmm_unweighted",
@@ -77,8 +72,6 @@ class SpmmStrategy:
 
     name: str
     run: Callable[..., np.ndarray]
-    # next guard rung when the strategy fails (None: the reference row)
-    demotes_to: Optional[str] = "row_segment"
     # per-aggregation buffer the planlint lifetime trace tracks
     scratch: Optional[str] = None
     # draws scratch from the arena plan execution caches per (plan, graph)
@@ -91,7 +84,6 @@ SPMM_STRATEGY_TABLE: Tuple[SpmmStrategy, ...] = (
         lambda adj, x, semiring, block_nnz, workspace: blocked.gspmm_fold(
             adj, x, semiring, block_nnz=block_nnz
         ),
-        demotes_to=None,
     ),
     SpmmStrategy(
         "blocked",
@@ -119,61 +111,16 @@ def spmm_strategy(name: str) -> SpmmStrategy:
         ) from None
 
 
-def demotion_chain(name: str) -> Tuple[str, ...]:
-    """``name`` and the rows the guard demotes it through, in order,
-    ending at the reference ``row_segment``."""
-    chain = [name]
-    while (nxt := spmm_strategy(chain[-1]).demotes_to) is not None:
-        chain.append(nxt)
-    return tuple(chain)
-
-
 # The aggregation primitives a plan's kernel calls price: the cost-model
 # residuals that can move plan ranking (see costmodel.cost_model_token).
 STRATEGY_PRICING_PRIMITIVES = ("spmm", "spmm_unweighted")
-
-# Innermost spmm_strategy_override() wins over REPRO_SPMM_STRATEGY.
-_STRATEGY_OVERRIDES: List[str] = []
-
-
-def default_spmm_strategy() -> str:
-    """Strategy used when the caller does not pick one.
-
-    An active :func:`spmm_strategy_override` takes precedence; otherwise
-    ``REPRO_SPMM_STRATEGY`` overrides the built-in ``row_segment``
-    default process-wide (handy for benchmarking a whole model under one
-    strategy without touching call sites).  A value outside
-    :data:`SPMM_STRATEGIES` raises
-    :class:`~repro.errors.GraniiConfigError` naming the variable — a
-    typo'd strategy used to silently benchmark ``row_segment``.
-    """
-    if _STRATEGY_OVERRIDES:
-        return _STRATEGY_OVERRIDES[-1]
-    return config.spmm_strategy(SPMM_STRATEGIES) or "row_segment"
-
-
-@contextmanager
-def spmm_strategy_override(strategy: str) -> Iterator[None]:
-    """Force every default-strategy g-SpMM in the block onto ``strategy``.
-
-    This reaches code that never threads a strategy argument — notably
-    the autograd sparse ops, whose forward *and* backward aggregations
-    call :func:`gspmm` with ``strategy=None``.  The differential
-    verification harness uses it to run whole training iterations under
-    each execution strategy.
-    """
-    _STRATEGY_OVERRIDES.append(spmm_strategy(strategy).name)
-    try:
-        yield
-    finally:
-        _STRATEGY_OVERRIDES.pop()
 
 
 def gspmm(
     adj: CSRMatrix,
     x: np.ndarray,
     semiring: Optional[Semiring] = None,
-    strategy: Optional[str] = None,
+    strategy: str = "row_segment",
     block_nnz: Optional[int] = None,
     workspace=None,
 ) -> np.ndarray:
@@ -188,16 +135,13 @@ def gspmm(
     semiring:
         The (⊕, ⊗) pair; defaults to ``(sum, mul)``.
     strategy:
-        One of :data:`SPMM_STRATEGIES`; ``None`` means
-        :func:`default_spmm_strategy`.
+        One of :data:`SPMM_STRATEGIES`.
     block_nnz / workspace:
         Edge budget per tile, and the
         :class:`~repro.kernels.workspace.WorkspaceArena` the tiled rows
         draw scratch from; each row's runner takes the ones it uses.  A
         split fold's width is :func:`~repro.kernels.blocked.default_num_threads`.
     """
-    if strategy is None:
-        strategy = default_spmm_strategy()
     return spmm_strategy(strategy).run(
         adj, x, semiring, block_nnz=block_nnz, workspace=workspace
     )

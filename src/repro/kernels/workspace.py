@@ -1,7 +1,8 @@
-"""Reusable scratch-buffer arenas for the blocked kernel strategies.
+"""Reusable scratch-buffer arenas for the tiled kernels.
 
 The naive g-SpMM materialises a fresh ``(nnz, k)`` message array on every
-call; the blocked strategies instead stream edges through a bounded tile
+call; the tiled kernels (the ``blocked`` row, a NumPy-fold semiring's
+tiles, the tiled g-SDDMM) instead stream edges through a bounded tile
 whose backing buffer lives in a :class:`WorkspaceArena` and is reused
 across blocks *and* across plan iterations (the runtime stows one arena
 per (plan, graph) in the same ``setup_cache`` that amortises graph-only
@@ -10,8 +11,9 @@ that executes the same composition every iteration allocates its scratch
 exactly once.
 
 Thread safety: an arena hands out one buffer per key, so concurrent
-workers must not share one arena.  The parallel strategy therefore draws
-per-worker arenas from :func:`thread_local_arena`.
+workers must not share one arena.  The worker spans of a split fold
+(:func:`repro.kernels.blocked.run_spans`) therefore draw per-worker
+arenas from :func:`thread_local_arena`.
 
 An arena owns *scratch*: nothing it hands out survives the call.  The
 arrays that do — an op's result, a gradient — come from the calling
@@ -107,8 +109,8 @@ _LOCAL = threading.local()
 def thread_local_arena() -> WorkspaceArena:
     """The calling thread's private arena (created on first use).
 
-    Worker threads of the parallel strategy reuse their scratch across
-    blocks and across kernel invocations without any locking.
+    The worker threads of a split fold reuse their scratch across blocks
+    and across kernel invocations without any locking.
     """
     arena = getattr(_LOCAL, "arena", None)
     if arena is None:

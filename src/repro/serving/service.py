@@ -24,11 +24,10 @@ runtime.  The failure-handling stack, outermost first:
    featurizer-hash fingerprint, with single-flight stampede protection
    and structural-token collision detection.
 4. **Per-tenant isolation**: every tenant gets its own
-   :class:`~repro.core.runtime.GraniiEngine` (hence its own
-   per-(primitive, strategy) circuit breakers), and a tenant-level
+   :class:`~repro.core.runtime.GraniiEngine`, and a tenant-level
    breaker demotes a tenant whose requests keep failing to the
    reference message-passing path — one tenant's pathological graphs
-   never trip another tenant's strategies.
+   never demote another tenant.
 5. **Deadlines**: a request deadline (per request or
    ``REPRO_SERVE_DEADLINE_MS``) is propagated into every rung's kernel
    budget via ``SelectionReport.deadline_at``, so a slow tenant's
@@ -215,7 +214,6 @@ class GraniiService:
         system: str = "dgl",
         scale: str = "default",
         cost_models=None,
-        spmm_strategy: str = "row_segment",
         num_threads: int = 4,
         max_queue: Optional[int] = None,
         deadline_seconds: Optional[float] = None,
@@ -232,7 +230,6 @@ class GraniiService:
         self._system = system
         self._scale = scale
         self._cost_models = cost_models
-        self._spmm_strategy = spmm_strategy
         self._verify_plans = bool(verify_plans)
         self._num_threads = int(num_threads)
         self._max_queue = (
@@ -290,7 +287,6 @@ class GraniiService:
             system=system,
             scale=scale,
             cost_models=self._cost_models,
-            spmm_strategy=spmm_strategy,
             verify_plans=False,
             guarded=False,
         )
@@ -490,10 +486,8 @@ class GraniiService:
                     system=self._system,
                     scale=self._scale,
                     cost_models=self._cost_models,
-                    spmm_strategy=self._spmm_strategy,
                     verify_plans=self._verify_plans,
                     guarded=True,
-                    breakers=CircuitBreaker(),
                 ),
             )
             self._tenants[name] = state
@@ -639,7 +633,6 @@ class GraniiService:
             feature_seconds=0.0,
             selection_seconds=0.0,
             peak_memory_bytes=template.peak_memory_bytes,
-            spmm_strategy=template.spmm_strategy,
             strategy_costs=dict(template.strategy_costs),
             ranked=list(template.ranked),
             analysis=template.analysis,
@@ -715,7 +708,6 @@ class GraniiService:
                     executor = tenant.engine.make_executor(
                         layer,
                         selection.chosen,
-                        selection.spmm_strategy,
                         selection=selection,
                         guarded=True,
                         caches=caches,

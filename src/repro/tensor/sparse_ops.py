@@ -12,8 +12,6 @@ the autograd counterpart of a weighted CSR matrix that shares the pattern.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..kernels import gsddmm_blocked, gspmm, get_semiring, segment_sum
@@ -38,17 +36,15 @@ def spmm(
     adj: CSRMatrix,
     x: Tensor,
     *,
-    strategy: Optional[str] = None,
-    block_nnz: Optional[int] = None,
+    strategy: str = "row_segment",
 ) -> Tensor:
     """``A @ X`` with a constant (possibly weighted) adjacency.
 
     Backward: ``dX = A^T @ dY``, skipped altogether when ``x`` is a
     constant (a first layer aggregating the input features).  The
-    strategy knobs tune the *forward* aggregation only (every
+    strategy runs the *forward* aggregation only (every
     :data:`~repro.kernels.spmm.SPMM_STRATEGIES` member is
-    bitwise-identical, so the executor's pinned strategy is safe under
-    autograd); the backward SpMM runs under the default strategy.
+    bitwise-identical); the backward SpMM runs the fold.
     """
     semiring = get_semiring("sum", "mul" if adj.is_weighted else "copy_rhs")
 
@@ -56,7 +52,7 @@ def spmm(
         # transposed here, not in the forward: inference never needs it
         return gspmm(adj.transpose(), g, semiring)
 
-    out_data = gspmm(adj, x.data, semiring, strategy=strategy, block_nnz=block_nnz)
+    out_data = gspmm(adj, x.data, semiring, strategy=strategy)
     return Tensor.make(out_data, (x,), (vjp,), "spmm")
 
 
@@ -65,8 +61,7 @@ def spmm_edge(
     edge_vals: Tensor,
     x: Tensor,
     *,
-    strategy: Optional[str] = None,
-    block_nnz: Optional[int] = None,
+    strategy: str = "row_segment",
 ) -> Tensor:
     """``A(e) @ X`` where the adjacency values are themselves a tensor.
 
@@ -75,7 +70,7 @@ def spmm_edge(
     g-SpMM is a g-SpMM on the reverse graph plus a g-SDDMM, and the
     g-SDDMM runs through cache-sized tiles
     (:func:`~repro.kernels.blocked.gsddmm_blocked`), not two ``(nnz, k)``
-    gathers.  As in :func:`spmm`, the strategy knobs apply to the forward
+    gathers.  As in :func:`spmm`, the strategy applies to the forward
     pass only.
     """
     if edge_vals.data.shape != (pattern.nnz,):
@@ -90,7 +85,7 @@ def spmm_edge(
     def vjp_x(g: np.ndarray) -> np.ndarray:
         return gspmm(weighted.transpose(), g)
 
-    out_data = gspmm(weighted, x.data, strategy=strategy, block_nnz=block_nnz)
+    out_data = gspmm(weighted, x.data, strategy=strategy)
     return Tensor.make(out_data, (edge_vals, x), (vjp_edge, vjp_x), "spmm_edge")
 
 

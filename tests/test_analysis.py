@@ -15,7 +15,6 @@ from repro.analysis.lint import lint_source
 from repro import checks
 from repro.analysis.mutate import MUTATIONS
 from repro.analysis.planlint import (
-    analyze_candidate,
     analyze_plan,
     analysis_env_key,
     check_workspace_trace,
@@ -269,7 +268,8 @@ def test_lint_raw_alloc_in_tensor():
 )
 @pytest.mark.parametrize("where", ["src/repro/tensor/new_op.py", "src/repro/kernels/dense.py"])
 def test_lint_masked_select_in_hot_path(call, where):
-    src = f"import numpy as np\nimport numpy\ndef f(x, out, mask, slope):\n    return {call}\n"
+    imported = "import numpy\n" if call.startswith("numpy.") else "import numpy as np\n"
+    src = f"{imported}def f(x, out, mask, slope):\n    return {call}\n"
     found = lint_source(src, where)
     assert [v.rule for v in found] == ["masked-select-in-hot-path"]
     # outside the hot path, and with a waiver above the line, it is not a finding
@@ -358,6 +358,33 @@ def test_lint_out_keyword_writes_in_span_bodies(written, clean, via):
     assert [v.rule for v in found] == ([] if clean else ["shared-write-in-parallel"])
     if not clean:
         assert found[0].line == 6 and "'body'" in found[0].message
+
+
+def test_lint_unused_import():
+    src = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import numpy as np\n"
+        "from typing import Dict, Optional\n"
+        "from .domains import structure_of, join_structure\n"
+        "__all__ = ['join_structure']\n"
+        "def f(x: 'Optional[int]') -> None:\n"
+        "    return np.asarray(x)\n"
+    )
+    found = lint_source(src, "src/repro/analysis/planlint.py")
+    assert [(v.rule, v.line) for v in found] == [
+        ("unused-import", 2), ("unused-import", 4), ("unused-import", 5),
+    ]
+    assert ["'os'", "'Dict'", "'structure_of'"] == [
+        v.message.split()[0] for v in found
+    ]
+    # a package's imports are its re-exports
+    assert lint_source(src, "src/repro/analysis/__init__.py") == []
+    waived = src.replace(
+        "import os\n", "import os  # lint: allow(unused-import)\n"
+    )
+    found = lint_source(waived, "src/repro/analysis/planlint.py")
+    assert [v.waived for v in found] == [True, False, False]
 
 
 def test_lint_pragma_waives_and_counts():

@@ -93,11 +93,9 @@ class TestAutotune:
     def test_times_the_fold(self):
         adj = erdos_renyi(200, 8.0, seed=4).adj
         result = autotune_spmm(adj, 8, warmup=0, repeats=1)
-        assert result.strategy == "row_segment" and result.seconds > 0
+        assert result.seconds > 0
         assert result.residuals == {}
         assert result.describe().startswith("autotune: row_segment:")
-        pinned = autotune_spmm(adj, 8, strategy="blocked", warmup=0, repeats=1)
-        assert pinned.strategy == "blocked"
 
     def test_selection_records_measurements_and_residuals(
         self, graph, monkeypatch

@@ -47,13 +47,6 @@ class TestScalarParsers:
         with pytest.raises(GraniiConfigError, match="REPRO_TEST_FLAG"):
             config.env_flag("REPRO_TEST_FLAG", False)
 
-    def test_env_choice_lists_choices(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_CHOICE", "bogus")
-        with pytest.raises(GraniiConfigError) as exc:
-            config.env_choice("REPRO_TEST_CHOICE", ("a", "b"), "a")
-        assert "REPRO_TEST_CHOICE" in str(exc.value)
-        assert "a, b" in str(exc.value)
-
     def test_config_error_is_value_error(self):
         # back-compat: pre-existing `except ValueError` call sites still work
         assert issubclass(GraniiConfigError, ValueError)
@@ -72,18 +65,25 @@ class TestSpecificAccessors:
         monkeypatch.setenv("REPRO_NUM_THREADS", "0")
         assert config.num_threads() == 0
 
-    def test_spmm_strategy_invalid(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMM_STRATEGY", "warp_speed")
-        with pytest.raises(GraniiConfigError, match="REPRO_SPMM_STRATEGY"):
-            config.spmm_strategy(("row_segment", "blocked"))
-
-    @pytest.mark.parametrize("deleted", ["spmm_sharded", "spmm_fused"])
-    def test_a_deleted_strategy_is_rejected(self, deleted, monkeypatch):
-        from repro.kernels import default_spmm_strategy
-
-        monkeypatch.setenv("REPRO_SPMM_STRATEGY", deleted)
-        with pytest.raises(GraniiConfigError, match="REPRO_SPMM_STRATEGY"):
-            default_spmm_strategy()
+    # values the removed REPRO_SPMM_STRATEGY parse used to reject
+    @pytest.mark.parametrize("value", ["warp_speed", "spmm_sharded", "spmm_fused"])
+    def test_the_removed_strategy_knob_is_read_by_no_accessor(
+        self, value, monkeypatch
+    ):
+        accessors = [
+            config.num_threads, config.state_dir, config.verify_plans,
+            config.skip_validation, config.guard_enabled,
+            config.deadline_slack, config.deadline_floor_seconds,
+            config.mem_budget_bytes, config.breaker_threshold,
+            config.breaker_cooldown_seconds, config.serve_max_queue,
+            config.serve_deadline_seconds, config.plan_cache_size,
+            config.autotune_enabled, config.autotune_warmup,
+            config.autotune_repeats, lambda: config.block_nnz(1024),
+        ]
+        monkeypatch.delenv("REPRO_SPMM_STRATEGY", raising=False)
+        unset = [read() for read in accessors]
+        monkeypatch.setenv("REPRO_SPMM_STRATEGY", value)
+        assert [read() for read in accessors] == unset
 
     def test_the_knob_reference_lists_every_knob(self):
         documented = {
@@ -91,12 +91,13 @@ class TestSpecificAccessors:
             for line in config.__doc__.splitlines()
             if line.startswith("``REPRO_")
         }
-        assert len(documented) == 18
+        assert len(documented) == 17
         removed = {
             "REPRO_NUM_WORKERS", "REPRO_SHARD_NNZ", "REPRO_SHARDED_TIMEOUT",
             "REPRO_SHARD_CACHE_KB", "REPRO_SHARD_POLL_S",
             "REPRO_SHARD_HEARTBEAT_S", "REPRO_SHARD_RESPAWNS",
             "REPRO_SERVE_RETRIES", "REPRO_FAULTS", "REPRO_FAULTS_SEED",
+            "REPRO_SPMM_STRATEGY",
         }
         assert not documented & removed
         assert {k for k in documented if k.startswith("REPRO_AUTOTUNE")} == {
@@ -104,7 +105,7 @@ class TestSpecificAccessors:
         }
         for name in (
             "num_workers", "shard_nnz", "serve_retries", "autotune_grid",
-            "faults_spec", "faults_seed",
+            "faults_spec", "faults_seed", "spmm_strategy",
         ):
             assert not hasattr(config, name)
 

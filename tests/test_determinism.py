@@ -124,13 +124,15 @@ class TestSpmmStrategyDeterminism:
 class TestGatTrainingDeterminism:
     """A GAT training step is bitwise identical under every row-fold
     strategy: the edge softmax's 1-D sums and maxes do not depend on the
-    strategy at all, and both SpMM directions of the attention-weighted
-    aggregation fold each row the same way whatever span it arrives in."""
+    strategy at all, and the attention-weighted aggregation folds each
+    row the same way whatever span it arrives in.  The strategy runs the
+    plan's forward aggregations; the backward runs the fold."""
 
     STRATEGIES = SPMM_STRATEGIES
 
     def step(self, strategy):
-        from repro.kernels import spmm_strategy_override
+        from repro.core.bindings import build_binding, model_ir_kwargs
+        from repro.core.plan import KernelExecutionConfig
         from repro.models import GATLayer, prepare_mp_graph
         from repro.tensor import Tensor, cross_entropy
 
@@ -139,9 +141,13 @@ class TestGatTrainingDeterminism:
         feat = Tensor(rng.standard_normal((96, 8)), requires_grad=True)
         labels = rng.integers(0, 4, size=96)
         layer = GATLayer(8, 4, rng=np.random.default_rng(5))
-        with spmm_strategy_override(strategy):
-            out = layer.forward(g, feat)
-            cross_entropy(out, labels).backward()
+        plan = compile_model("gat", **model_ir_kwargs(layer)).promoted[0].plan
+        out = plan.execute(
+            build_binding(layer, g, feat, "tensor"),
+            mode="tensor",
+            kernel_config=KernelExecutionConfig(strategy=strategy),
+        )
+        cross_entropy(out, labels).backward()
         return [out.data, feat.grad] + [p.grad for p in layer.parameters()]
 
     def test_forward_and_gradients_bitwise_equal(self):

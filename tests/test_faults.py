@@ -199,28 +199,3 @@ class TestWorkspaceLeakRegression:
             adj, x, semiring, block_nnz=64, workspace=arena
         )
         np.testing.assert_allclose(again, expected)
-
-    def test_plan_level_recovery_after_workspace_crash(self, rng):
-        """End-to-end: a blocked-strategy crash inside a guarded plan is
-        absorbed, and the retried execution starts from a clean arena."""
-        import repro
-        from repro.core import GraniiEngine
-        from repro.graphs.generators import erdos_renyi
-        from repro.models import build_layer
-
-        graph = erdos_renyi(100, 6.0, seed=5)
-        feats = rng.standard_normal((100, 8))
-        layer = build_layer("gcn", 8, 4, rng=np.random.default_rng(0))
-        baseline = np.asarray(
-            layer.forward(layer.as_mp_graph(graph), repro.tensor.Tensor(feats)).data
-        )
-        engine = GraniiEngine(
-            device="h100", scale="small", guarded=True,
-            spmm_strategy="blocked",
-        )
-        engine.optimize(layer, graph, feats)
-        plan = FaultPlan([FaultSpec("spmm", "raise", 1.0),
-                          FaultSpec("spmm_unweighted", "raise", 1.0)], seed=0)
-        with fault_injection(plan):
-            out = np.asarray(layer(graph, feats).data)
-        np.testing.assert_allclose(out, baseline, rtol=1e-6, atol=1e-9)

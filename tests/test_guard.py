@@ -16,7 +16,6 @@ from repro.core.guard import (
 )
 from repro.errors import (
     GraniiDeadlineError,
-    GraniiError,
     GraniiInputError,
     GraniiMemoryError,
 )
@@ -173,65 +172,40 @@ class TestCircuitBreaker:
     def test_trips_at_threshold_and_cools_down(self):
         clock = FakeClock()
         breaker = CircuitBreaker(threshold=3, cooldown_seconds=10, clock=clock)
-        assert not breaker.is_open("spmm", "blocked")
-        assert breaker.record_failure("spmm", "blocked") is False
-        assert breaker.record_failure("spmm", "blocked") is False
-        assert breaker.record_failure("spmm", "blocked") is True  # trips
-        assert breaker.is_open("spmm", "blocked")
+        assert not breaker.is_open("tenant", "a")
+        assert breaker.record_failure("tenant", "a") is False
+        assert breaker.record_failure("tenant", "a") is False
+        assert breaker.record_failure("tenant", "a") is True  # trips
+        assert breaker.is_open("tenant", "a")
         clock.now = 9.9
-        assert breaker.is_open("spmm", "blocked")
+        assert breaker.is_open("tenant", "a")
         clock.now = 10.0  # cooldown elapsed: fully reset
-        assert not breaker.is_open("spmm", "blocked")
-        assert breaker.record_failure("spmm", "blocked") is False
+        assert not breaker.is_open("tenant", "a")
+        assert breaker.record_failure("tenant", "a") is False
 
     def test_success_clears_streak(self):
         breaker = CircuitBreaker(threshold=2, cooldown_seconds=10,
                                  clock=FakeClock())
-        breaker.record_failure("spmm", "blocked")
-        breaker.record_success("spmm", "blocked")
-        assert breaker.record_failure("spmm", "blocked") is False
+        breaker.record_failure("tenant", "a")
+        breaker.record_success("tenant", "a")
+        assert breaker.record_failure("tenant", "a") is False
 
     def test_keys_are_independent(self):
         breaker = CircuitBreaker(threshold=1, cooldown_seconds=10,
                                  clock=FakeClock())
-        breaker.record_failure("spmm", "blocked")
-        assert breaker.is_open("spmm", "blocked")
-        assert not breaker.is_open("spmm", "row_segment")
-        assert not breaker.is_open("sddmm", "blocked")
+        breaker.record_failure("tenant", "a")
+        assert breaker.is_open("tenant", "a")
+        assert not breaker.is_open("tenant", "b")
+        assert not breaker.is_open("model", "a")
 
     def test_snapshot_serializable(self):
         clock = FakeClock()
         breaker = CircuitBreaker(threshold=1, cooldown_seconds=10, clock=clock)
-        breaker.record_failure("spmm", "blocked")
+        breaker.record_failure("tenant", "a")
         snap = breaker.snapshot()
-        assert snap["spmm/blocked"]["open"] == 1.0
-        assert snap["spmm/blocked"]["reopens_in_seconds"] == pytest.approx(10.0)
+        assert snap["tenant/a"]["open"] == 1.0
+        assert snap["tenant/a"]["reopens_in_seconds"] == pytest.approx(10.0)
         pickle.loads(pickle.dumps(snap))
-
-    def test_open_breaker_skips_the_strategy_rung_until_cooldown(
-        self, graph, gcn
-    ):
-        """An open ``("spmm", strategy)`` breaker makes a guarded executor
-        skip that strategy's rung; after the cooldown the rung runs."""
-        clock = FakeClock()
-        engine_b = GraniiEngine(
-            device="h100", scale="small", spmm_strategy="blocked",
-            guarded=True,
-            breakers=CircuitBreaker(threshold=1, cooldown_seconds=50,
-                                    clock=clock),
-        )
-        feats = feats_for(graph)
-        engine_b.breakers.record_failure("spmm", "blocked")
-        selection = engine_b.optimize(gcn, graph, feats).selections[0]
-        assert selection.spmm_strategy == "blocked"
-        gcn(graph, feats)
-        assert [d.reason for d in selection.demotions] == ["breaker_open"]
-        assert selection.demotions[0].from_label.endswith("@blocked")
-
-        clock.now = 50.0  # cooldown over: the strategy's rung runs again
-        selection = engine_b.optimize(gcn, graph, feats).selections[0]
-        gcn(graph, feats)
-        assert selection.demotions == []
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +241,6 @@ class TestGuardedExecutor:
         assert selection.demotions[0].error_type == "FaultInjected"
         assert selection.demotions[-1].to_label == "reference"
         assert "spmm" in selection.demotions[0].step
-        assert selection.breaker_state  # snapshot recorded
 
     def test_demotion_is_permanent_for_executor(self, engine, graph, gcn):
         feats = feats_for(graph)
@@ -339,13 +312,11 @@ class TestSelectionReportDemotions:
         restored = pickle.loads(pickle.dumps(selection))
         assert len(restored.demotions) == len(selection.demotions)
         assert restored.demotions[0].reason == selection.demotions[0].reason
-        assert restored.breaker_state == selection.breaker_state
         assert [p.label for p in restored.ranked] == [
             p.label for p in selection.ranked
         ]
 
-    def test_describe_shows_fallback_chain_and_breakers(self, engine, graph,
-                                                        gcn):
+    def test_describe_shows_fallback_chain(self, engine, graph, gcn):
         feats = feats_for(graph)
         report = engine.optimize(gcn, graph, feats)
         selection = report.selections[0]
@@ -357,7 +328,6 @@ class TestSelectionReportDemotions:
         text = selection.describe()
         assert "demoted:" in text
         assert "-> reference" in text
-        assert "breaker" in text
         assert "FaultInjected" in text
 
     def test_demotion_record_describe(self):
@@ -408,12 +378,12 @@ class TestConcurrentMutation:
 
         def fail_a_lot():
             for _ in range(200):
-                breaker.record_failure("spmm", "blocked")
+                breaker.record_failure("tenant", "a")
 
         self._hammer(fail_a_lot)
         snap = breaker.snapshot()
-        assert snap["spmm/blocked"]["failures"] == 8 * 200
-        assert not breaker.is_open("spmm", "blocked")
+        assert snap["tenant/a"]["failures"] == 8 * 200
+        assert not breaker.is_open("tenant", "a")
 
     def test_racing_threshold_trips_exactly_once(self):
         breaker = CircuitBreaker(
@@ -423,12 +393,12 @@ class TestConcurrentMutation:
 
         def race():
             for _ in range(100):
-                if breaker.record_failure("spmm", "blocked"):
+                if breaker.record_failure("tenant", "a"):
                     trips.append(1)
 
         self._hammer(race)
         assert len(trips) == 1
-        assert breaker.is_open("spmm", "blocked")
+        assert breaker.is_open("tenant", "a")
 
     def test_mixed_traffic_stays_consistent(self):
         breaker = CircuitBreaker(
@@ -437,7 +407,7 @@ class TestConcurrentMutation:
 
         def traffic():
             for i in range(100):
-                key = ("spmm", f"s{i % 3}")
+                key = ("tenant", f"t{i % 3}")
                 if i % 4 == 0:
                     breaker.record_success(*key)
                 else:

@@ -17,7 +17,6 @@ from repro.kernels import (
     SPMM_STRATEGIES,
     WorkspaceArena,
     blocked,
-    default_spmm_strategy,
     get_semiring,
     gsddmm,
     gsddmm_blocked,
@@ -241,7 +240,7 @@ class TestGsddmmBlocked:
         u = rng.standard_normal((30, 5))
         v = rng.standard_normal((24, 5))
         ref = gsddmm(mask, u, v, op)
-        out = gsddmm(mask, u, v, op, strategy="blocked", block_nnz=13)
+        out = gsddmm_blocked(mask, u, v, op, block_nnz=13)
         assert np.allclose(out, ref)
 
     def test_workspace_reuse(self, rng):
@@ -296,33 +295,12 @@ class TestGsddmmBlocked:
         assert np.array_equal(out, gsddmm(mask, u, v, "dot"))
         assert ws.num_buffers == 2 and ws.nbytes == 2 * tile_edges * k * 8
 
-    def test_unknown_strategy_raises(self, rng):
-        mask = random_csr(rng, 5, 5, weighted=False)
-        with pytest.raises(ValueError):
-            gsddmm(mask, np.ones((5, 1)), np.ones((5, 1)), strategy="warp")
-
 
 class TestStrategyDispatch:
     def test_unknown_strategy_raises(self, rng):
         adj = random_csr(rng, 5, 5)
         with pytest.raises(ValueError):
             gspmm(adj, np.ones((5, 2)), strategy="simd")
-
-    def test_env_var_sets_default(self, rng, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMM_STRATEGY", "blocked")
-        assert default_spmm_strategy() == "blocked"
-        adj = random_csr(rng, 12, 12, density=0.3)
-        x = rng.standard_normal((12, 3))
-        assert np.allclose(gspmm(adj, x), to_scipy(adj) @ x)
-
-    def test_bogus_env_var_raises(self, monkeypatch):
-        # a typo'd strategy used to silently fall back to row_segment,
-        # quietly benchmarking the wrong kernel; it now fails loudly
-        from repro.errors import GraniiConfigError
-
-        monkeypatch.setenv("REPRO_SPMM_STRATEGY", "quantum")
-        with pytest.raises(GraniiConfigError, match="REPRO_SPMM_STRATEGY"):
-            default_spmm_strategy()
 
 
 @pytest.fixture(scope="module")
@@ -344,11 +322,12 @@ class TestPlanKernelConfig:
         binding = build_binding(layer, mpg, feat, "numpy")
         return planned.plan, binding
 
-    def test_workspace_persists_in_setup_cache(self, graph, rng):
+    def test_workspace_persists_in_setup_cache(self, graph, rng, monkeypatch):
+        monkeypatch.setenv("REPRO_BLOCK_NNZ", "256")
         plan, binding = self._plan_and_binding(graph, rng)
         ref = plan.execute(binding)
         cache = {}
-        config = KernelExecutionConfig(strategy="blocked", block_nnz=256)
+        config = KernelExecutionConfig(strategy="blocked")
         out1 = plan.execute(binding, setup_cache=cache, kernel_config=config)
         assert WORKSPACE_CACHE_KEY in cache
         arena = cache[WORKSPACE_CACHE_KEY]
@@ -368,10 +347,6 @@ class TestPlanKernelConfig:
 
 
 class TestEngineStrategySelection:
-    def test_invalid_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            GraniiEngine(spmm_strategy="warp")
-
     def test_auto_without_models_stays_cheap(self, graph, rng):
         engine = GraniiEngine(device="h100", scale="small")
         layer = GCNLayer(16, 8, rng=rng)
@@ -384,14 +359,6 @@ class TestEngineStrategySelection:
         assert strategy == "row_segment"
         # choosing the strategy never triggers training: nothing is priced
         assert engine._cost_models is None
-
-    def test_explicit_strategy_wins(self, graph, rng):
-        engine = GraniiEngine(
-            device="h100", scale="small", spmm_strategy="blocked"
-        )
-        layer = GCNLayer(16, 8, rng=rng)
-        report = engine.select(engine.compile_for(layer), graph, layer)
-        assert report.spmm_strategy == "blocked"
 
     def test_a_trained_cpu_set_prices_no_strategy(self, graph, rng):
         """The fold is chosen without pricing, so no strategy has a model."""
@@ -406,16 +373,16 @@ class TestEngineStrategySelection:
         assert report.spmm_strategy == "row_segment"
         assert report.strategy_costs == {}
 
-    def test_optimized_layer_runs_under_selected_strategy(self, graph, rng):
+    def test_optimized_layer_runs_under_every_strategy(self, graph, rng):
         feat = rng.standard_normal((graph.num_nodes, 16))
         out_ref = None
+        engine = GraniiEngine(device="h100", scale="small")
+        layer = GCNLayer(16, 8, rng=np.random.default_rng(7))
+        selection = engine.optimize(layer, graph).selections[0]
         for strategy in SPMM_STRATEGIES:
-            engine = GraniiEngine(
-                device="h100", scale="small", spmm_strategy=strategy,
-                block_nnz=1024,
-            )
-            layer = GCNLayer(16, 8, rng=np.random.default_rng(7))
-            engine.optimize(layer, graph)
+            layer.attach_executor(engine.make_executor(
+                layer, selection.chosen, strategy, guarded=False
+            ))
             assert layer.granii_enabled
             out = layer(graph, feat)
             out = getattr(out, "data", out)

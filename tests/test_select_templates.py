@@ -23,7 +23,6 @@ plan's env-free verdict per strategy tuple.  These tests pin that hoist:
 import pickle
 import sys
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -213,31 +212,26 @@ def test_mutating_a_verdict_does_not_leak(cost_models):
 
 
 # ----------------------------------------------------------------------
-# (d) a pinned strategy the analyzer rejects still falls back
+# (d) a rejected verdict stays rejected once memoised
 # ----------------------------------------------------------------------
-def test_pinned_strategy_rejection_warns_and_falls_back(cost_models, monkeypatch):
+def test_a_rejected_blocked_verdict_stays_rejected(cost_models, monkeypatch):
     graph = rmat(300, 6, seed=3)
     layer = build_layer("gcn", 8, 4, rng=np.random.default_rng(0))
-    engine = engine_for(cost_models, spmm_strategy="blocked")
-    compiled = engine.compile_for(layer, graph)
-    env = engine.shape_env(graph, layer)
-    vec = featurize_graph(graph)
-    plan = compiled.viable(8, 4)[0].plan
+    engine = engine_for(cost_models)
+    plan = engine.compile_for(layer, graph).viable(8, 4)[0].plan
 
     def leaky_trace(plan, strategy):
         # an arena tile acquired and never released on either edge
         return [("acquire", f"tile:{plan.name}", plan.candidate.output)]
 
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert engine.select_spmm_strategy(plan, env, vec) == "blocked"
+        assert analyze_plan(plan, strategies=("blocked",)).ok
         plan.clear_memos()
         monkeypatch.setattr(planlint, "workspace_trace", leaky_trace)
         for _ in range(2):  # derived, then memoised: both reject
-            with pytest.warns(RuntimeWarning, match="workspace-leak"):
-                strategy = engine.select_spmm_strategy(plan, env, vec)
-            assert strategy == "row_segment"
+            verdict = analyze_plan(plan, strategies=("blocked",))
+            assert not verdict.ok
+            assert "workspace-leak" in {d.rule for d in verdict.errors}
     finally:
         plan.clear_memos()  # the plan is cached process-wide
 

@@ -14,7 +14,7 @@ import pytest
 
 import repro.kernels.workspace as workspace
 from repro.graphs.generators import rmat, sbm_communities
-from repro.kernels import SPMM_STRATEGIES, gsddmm, spmm_strategy_override
+from repro.kernels import gsddmm_blocked
 from repro.kernels.workspace import StepPool, step_buffer, thread_local_step_pool
 from repro.models import MultiLayerGNN
 from repro.tensor import (
@@ -60,18 +60,17 @@ def train_step(model, optimiser, graph, feats, labels):
     return out
 
 
-def run_steps(name, steps, n=1500, strategy="row_segment"):
+def run_steps(name, steps, n=1500):
     """Outputs and parameter gradients of every step, copied out."""
     graph, feats, labels = problem(n)
     model = MultiLayerGNN(name, SIZES, rng=np.random.default_rng(1))
     optimiser = Adam(model.parameters(), lr=0.01)
     seen = []
-    with spmm_strategy_override(strategy):
-        for _ in range(steps):
-            out = train_step(model, optimiser, graph, feats, labels)
-            seen.append(
-                [out.data.copy()] + [p.grad.copy() for p in model.parameters()]
-            )
+    for _ in range(steps):
+        out = train_step(model, optimiser, graph, feats, labels)
+        seen.append(
+            [out.data.copy()] + [p.grad.copy() for p in model.parameters()]
+        )
     return seen
 
 
@@ -225,18 +224,16 @@ def test_misses_stop_after_the_second_step_and_nothing_bypasses_the_pool(
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", ZOO)
 def test_pooled_training_is_bitwise_the_unpooled_training(pool, name, monkeypatch):
-    """Three optimiser steps under every strategy row: outputs and
-    parameter gradients with the pool are those with every take sent to
-    ``np.empty``, and every row agrees with ``row_segment``."""
+    """Three optimiser steps: outputs and parameter gradients with the
+    pool are those with every take sent to ``np.empty``."""
     with monkeypatch.context() as patch:
         patch.setattr(workspace, "_MIN_POOLED_BYTES", sys.maxsize)
-        reference = run_steps(name, 3, strategy="row_segment")
+        reference = run_steps(name, 3)
         assert pool.hits == pool.misses == 0
-    for strategy in SPMM_STRATEGIES:
-        got = run_steps(name, 3, strategy=strategy)
-        for want_step, got_step in zip(reference, got):
-            for want, have in zip(want_step, got_step):
-                assert np.array_equal(want, have), strategy
+    got = run_steps(name, 3)
+    for want_step, got_step in zip(reference, got):
+        for want, have in zip(want_step, got_step):
+            assert np.array_equal(want, have)
     assert pool.hits > 0
 
 
@@ -356,9 +353,9 @@ def test_tiled_edge_gradient_is_bitwise_the_full_gather(rng, k):
     g = rng.standard_normal((pattern.shape[0], k))
     x = rng.standard_normal((pattern.shape[1], k))
     want = np.einsum("ek,ek->e", g[pattern.row_ids()], x[pattern.indices])
-    assert np.array_equal(gsddmm(pattern, g, x, "dot", strategy="blocked"), want)
+    assert np.array_equal(gsddmm_blocked(pattern, g, x, "dot"), want)
     assert np.array_equal(
-        gsddmm(pattern, g, x, "dot", strategy="blocked", block_nnz=1000), want
+        gsddmm_blocked(pattern, g, x, "dot", block_nnz=1000), want
     )
 
 

@@ -246,7 +246,7 @@ class TestRuntimeVerification:
 
         g, feats = self.graph_and_feats()
         layer = build_layer("gcn", 5, 3, rng=np.random.default_rng(0))
-        engine = GraniiEngine(spmm_strategy="blocked", verify_plans=True)
+        engine = GraniiEngine(verify_plans=True)
         compiled = engine.compile_for(layer, g)
         sel = engine.select(compiled, g, layer)
         executor = engine.make_executor(

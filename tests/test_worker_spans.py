@@ -23,7 +23,7 @@ import repro.kernels.workspace as workspace
 from repro.core.verify import adversarial_battery
 from repro.graphs import plan_row_shards, star
 from repro.graphs.generators import erdos_renyi, rmat
-from repro.kernels import blocked, get_semiring, spmm_strategy_override
+from repro.kernels import blocked, get_semiring
 from repro.kernels.workspace import StepPool, thread_local_arena, thread_local_step_pool
 from repro.models import MultiLayerGNN, build_layer
 from repro.sparse import CSRMatrix
@@ -80,13 +80,12 @@ def train_steps(name, steps, sizes=(48, 32, 8), n=3000):
     model = MultiLayerGNN(name, sizes, rng=np.random.default_rng(1))
     optimiser = Adam(model.parameters(), lr=0.01)
     seen = []
-    with spmm_strategy_override("row_segment"):
-        for _ in range(steps):
-            optimiser.zero_grad()
-            out = model(graph, Tensor(feats))
-            cross_entropy(out, labels).backward()
-            optimiser.step()
-            seen.append([out.data.copy()] + [p.grad.copy() for p in model.parameters()])
+    for _ in range(steps):
+        optimiser.zero_grad()
+        out = model(graph, Tensor(feats))
+        cross_entropy(out, labels).backward()
+        optimiser.step()
+        seen.append([out.data.copy()] + [p.grad.copy() for p in model.parameters()])
     return seen
 
 
@@ -312,9 +311,8 @@ def test_a_serving_sized_gcn_step_submits_nothing(monkeypatch):
     graph = erdos_renyi(2000, 8, seed=0)
     feats = np.random.default_rng(0).standard_normal((graph.num_nodes, 16))
     layer = build_layer("gcn", 16, 8, rng=np.random.default_rng(0))
-    with spmm_strategy_override("row_segment"):
-        out = layer(graph, Tensor(feats, requires_grad=True))
-        out.sum().backward()
+    out = layer(graph, Tensor(feats, requires_grad=True))
+    out.sum().backward()
     assert out.data.shape == (2000, 8)
 
 
@@ -332,8 +330,7 @@ def test_step_pool_misses_stop_after_the_second_step_while_split(
 
     def step():
         optimiser.zero_grad()
-        with spmm_strategy_override("row_segment"):
-            cross_entropy(model(graph, Tensor(feats)), labels).backward()
+        cross_entropy(model(graph, Tensor(feats)), labels).backward()
         optimiser.step()
 
     for _ in range(2):
