@@ -5,15 +5,15 @@ comparison of the compositions GRANII exposes — including what each
 would cost on different hardware targets, demonstrating why the decision
 must be input- and target-aware.
 
-Run:  python examples/citation_gcn_pipeline.py
+Run:  python examples/citation_gcn_pipeline.py [small]
 """
 
-import os
+import argparse
 
 import numpy as np
 
 import repro
-from repro.core import GraniiEngine, compile_model
+from repro.core import compile_model
 from repro.experiments.common import measured_plan_time, shape_env_for
 from repro.framework import get_system
 from repro.graphs import load, make_node_features, train_val_test_masks
@@ -40,8 +40,7 @@ def show_composition_costs(graph, in_size: int, out_size: int) -> None:
         print(f"{planned.label:28s}{cells}")
 
 
-def main() -> None:
-    scale = os.environ.get("REPRO_SCALE", "default")
+def main(scale: str = "default") -> None:
     graph = load("AU", scale)  # coAuthorsCiteseer-like collaboration graph
     feats, labels = make_node_features(graph, dim=256, seed=2, num_classes=8)
     train_mask, val_mask, test_mask = train_val_test_masks(graph.num_nodes, seed=2)
@@ -80,4 +79,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "scale", nargs="?", default="default", choices=("default", "small"),
+        help="dataset scale (small: scaled-down graphs)",
+    )
+    main(parser.parse_args().scale)

@@ -5,10 +5,10 @@ held-out accuracy (the §VI-G concern), shows which input features drive
 predictions, and prints the conditional dispatch source GRANII generates
 for GCN (the paper's Figure 7).
 
-Run:  python examples/cost_model_study.py
+Run:  python examples/cost_model_study.py [small]
 """
 
-import os
+import argparse
 
 import numpy as np
 
@@ -20,14 +20,13 @@ from repro.core import (
     train_cost_models,
 )
 from repro.core.features import FEATURE_NAMES
-from repro.graphs import load, training_graphs
+from repro.graphs import load
 from repro.hardware import GraphStats, get_device
 from repro.kernels import KernelCall
 from repro.learn import r2_score, spearman_rank_correlation
 
 
-def main() -> None:
-    scale = os.environ.get("REPRO_SCALE", "default")
+def main(scale: str = "default") -> None:
     device = get_device("h100")
     print("profiling primitives on the training pool ...")
     dataset = collect_profile(device, scale=scale)
@@ -75,4 +74,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "scale", nargs="?", default="default", choices=("default", "small"),
+        help="dataset scale (small: scaled-down graphs)",
+    )
+    main(parser.parse_args().scale)

@@ -6,15 +6,15 @@ We synthesise such a graph with planted "fraud-ring" communities, train a
 two-layer GAT to flag the fraudulent accounts, and let GRANII pick the
 attention aggregation composition (reuse vs recompute) per layer.
 
-Run:  python examples/fraud_detection_gat.py
+Run:  python examples/fraud_detection_gat.py [small]
 """
 
-import os
+import argparse
 
 import numpy as np
 
 import repro
-from repro.graphs import rmat, sbm_communities, train_val_test_masks
+from repro.graphs import rmat, train_val_test_masks
 from repro.models import MultiLayerGNN
 from repro.sparse import CSRMatrix
 from repro.tensor import Adam, Tensor, cross_entropy
@@ -55,8 +55,7 @@ def account_features(graph: Graph, dim: int, seed: int = 0) -> np.ndarray:
     return feats
 
 
-def main() -> None:
-    scale = os.environ.get("REPRO_SCALE", "default")
+def main(scale: str = "default") -> None:
     graph = build_transaction_graph(n=1024 if scale == "small" else 4096)
     labels = graph.labels
     feats = account_features(graph, dim=32)
@@ -97,4 +96,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "scale", nargs="?", default="default", choices=("default", "small"),
+        help="dataset scale (small: scaled-down graphs)",
+    )
+    main(parser.parse_args().scale)

@@ -6,21 +6,20 @@ layer there, and read out a global embedding.  Each level's graph has a
 different density, so GRANII's per-level decisions can differ — the
 changing-sparsity scenario of the paper's §VI-F discussion.
 
-Run:  python examples/hierarchical_pooling.py
+Run:  python examples/hierarchical_pooling.py [small]
 """
 
-import os
+import argparse
 
 import numpy as np
 
 import repro
 from repro.graphs import coarsen, load, make_node_features
 from repro.models import GCNLayer
-from repro.tensor import Tensor, spmm as t_spmm
+from repro.tensor import spmm as t_spmm
 
 
-def main() -> None:
-    scale = os.environ.get("REPRO_SCALE", "default")
+def main(scale: str = "default") -> None:
     graph = load("RD", scale)  # dense power-law graph
     feats, _ = make_node_features(graph, dim=64, seed=0)
     level = coarsen(graph)
@@ -56,4 +55,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "scale", nargs="?", default="default", choices=("default", "small"),
+        help="dataset scale (small: scaled-down graphs)",
+    )
+    main(parser.parse_args().scale)

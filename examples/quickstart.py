@@ -1,9 +1,9 @@
 """Quickstart: accelerate a GCN with GRANII (paper Figure 4).
 
-Run:  python examples/quickstart.py
+Run:  python examples/quickstart.py [small]
 """
 
-import os
+import argparse
 
 import numpy as np
 
@@ -12,9 +12,8 @@ from repro.graphs import load, make_node_features
 from repro.models import GCNLayer
 
 
-def main() -> None:
+def main(scale: str = "default") -> None:
     # 1. An input: graph, node features, labels ------------------------
-    scale = os.environ.get("REPRO_SCALE", "default")
     graph = load("CA", scale=scale)  # com-Amazon-like communities
     node_feats, labels = make_node_features(graph, dim=128, seed=0)
     print(f"graph: {graph}")
@@ -45,4 +44,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "scale", nargs="?", default="default", choices=("default", "small"),
+        help="dataset scale (small: scaled-down graphs)",
+    )
+    main(parser.parse_args().scale)

@@ -6,10 +6,10 @@ per sampling size, agrees with the per-sample winner across random
 neighborhood samples — so sampled training needs no per-batch
 re-inspection.
 
-Run:  python examples/sampling_graphsage.py
+Run:  python examples/sampling_graphsage.py [small]
 """
 
-import os
+import argparse
 
 import numpy as np
 
@@ -84,8 +84,7 @@ def sampling_decision_study(graph, scale: str = "default") -> None:
         )
 
 
-def main() -> None:
-    scale = os.environ.get("REPRO_SCALE", "default")
+def main(scale: str = "default") -> None:
     graph = load("OP", scale)  # ogbn-products-like
     feats, labels = make_node_features(graph, dim=64, seed=4, num_classes=8)
     print(f"graph: {graph}")
@@ -96,4 +95,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "scale", nargs="?", default="default", choices=("default", "small"),
+        help="dataset scale (small: scaled-down graphs)",
+    )
+    main(parser.parse_args().scale)

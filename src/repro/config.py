@@ -15,55 +15,53 @@ lookups, not I/O), so tests and the chaos driver can flip knobs with
 
 Knob reference
 --------------
-``REPRO_BLOCK_NNZ``           edge budget per tile of the blocked kernels
-``REPRO_NUM_THREADS``         worker count of a split SpMM fold
-``REPRO_STATE_DIR``           durable-state snapshot directory (unset = off)
-``REPRO_VERIFY_PLANS``        first-iteration differential verification
-``REPRO_SKIP_VALIDATION``     skip O(E) structural checks in CSR builders
-``REPRO_GUARD``               enable the guarded execution runtime
-``REPRO_DEADLINE_SLACK``      deadline = predicted cost x slack (>= floor)
-``REPRO_DEADLINE_FLOOR_MS``   minimum per-plan wall-clock deadline
-``REPRO_MEM_BUDGET_MB``       per-plan memory budget (estimate + observed)
-``REPRO_BREAKER_THRESHOLD``   failures before a serving tenant's breaker trips
-``REPRO_BREAKER_COOLDOWN``    seconds a tripped breaker stays open
-``REPRO_SERVE_MAX_QUEUE``     per-tenant bound on queued+running requests
-``REPRO_SERVE_DEADLINE_MS``   default end-to-end request deadline (0 = none)
-``REPRO_PLAN_CACHE_SIZE``     fingerprint-keyed plan cache capacity
-``REPRO_AUTOTUNE``            time the chosen plan's fold at selection
-``REPRO_AUTOTUNE_WARMUP``     discarded warm-up runs per measured point
-``REPRO_AUTOTUNE_REPEATS``    timed repeats per measured point (best kept)
+:data:`KNOBS` names every knob; the table below is built from it.  A
+setting that an argument also sets (``GraniiEngine(guarded=)``,
+``GraniiService(max_queue=)``, ...) has no knob.  Any other ``REPRO_*``
+variable in the environment draws one :class:`RuntimeWarning` per
+process (:func:`warn_unknown_knobs`), so a misspelt or retired knob is
+never ignored without a word.
+
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
+import warnings
+from typing import Optional, Tuple
 
 from .errors import GraniiConfigError
 
 __all__ = [
+    "KNOBS",
     "env_flag",
     "env_float",
     "env_int",
-    "block_nnz",
     "num_threads",
     "state_dir",
-    "verify_plans",
     "skip_validation",
-    "guard_enabled",
     "deadline_slack",
     "deadline_floor_seconds",
     "mem_budget_bytes",
-    "breaker_threshold",
-    "breaker_cooldown_seconds",
-    "serve_max_queue",
-    "serve_deadline_seconds",
-    "plan_cache_size",
     "autotune_enabled",
-    "autotune_warmup",
-    "autotune_repeats",
     "override_env",
+    "warn_unknown_knobs",
 ]
+
+# (name, meaning) of every knob this module reads
+KNOBS: Tuple[Tuple[str, str], ...] = (
+    ("REPRO_NUM_THREADS", "worker count of a split SpMM fold"),
+    ("REPRO_STATE_DIR", "durable-state snapshot directory (unset = off)"),
+    ("REPRO_SKIP_VALIDATION", "skip O(E) structural checks in CSR builders"),
+    ("REPRO_DEADLINE_SLACK", "deadline = predicted cost x slack (>= floor)"),
+    ("REPRO_DEADLINE_FLOOR_MS", "minimum per-plan wall-clock deadline"),
+    ("REPRO_MEM_BUDGET_MB", "per-plan memory budget (estimate + observed)"),
+    ("REPRO_AUTOTUNE", "time the chosen plan's fold at selection"),
+)
+
+__doc__ = (__doc__ or "") + "\n".join(
+    f"``{name}``".ljust(28) + meaning for name, meaning in KNOBS
+)
 
 _TRUE = frozenset({"1", "true", "yes", "on"})
 _FALSE = frozenset({"0", "false", "no", "off"})
@@ -140,11 +138,6 @@ def env_flag(name: str, default: bool = False) -> bool:
 # ----------------------------------------------------------------------
 # Specific knobs
 # ----------------------------------------------------------------------
-def block_nnz(default: int) -> int:
-    """``REPRO_BLOCK_NNZ``: edge budget per tile (positive integer)."""
-    return env_int("REPRO_BLOCK_NNZ", default, minimum=1)
-
-
 def num_threads() -> int:
     """``REPRO_NUM_THREADS``: split-fold width; 0/unset means auto-size."""
     return env_int("REPRO_NUM_THREADS", 0, minimum=0)
@@ -155,19 +148,9 @@ def state_dir() -> Optional[str]:
     return _raw("REPRO_STATE_DIR")
 
 
-def verify_plans() -> bool:
-    """``REPRO_VERIFY_PLANS``: first-iteration differential verification."""
-    return env_flag("REPRO_VERIFY_PLANS", False)
-
-
 def skip_validation() -> bool:
     """``REPRO_SKIP_VALIDATION``: drop the O(E) structural admission checks."""
     return env_flag("REPRO_SKIP_VALIDATION", False)
-
-
-def guard_enabled() -> bool:
-    """``REPRO_GUARD``: run executors through the guarded fallback ladder."""
-    return env_flag("REPRO_GUARD", False)
 
 
 def deadline_slack() -> float:
@@ -191,47 +174,11 @@ def mem_budget_bytes() -> Optional[float]:
     return value * 2**20 if value > 0 else None
 
 
-def breaker_threshold() -> int:
-    """``REPRO_BREAKER_THRESHOLD``: failures before a breaker trips."""
-    return env_int("REPRO_BREAKER_THRESHOLD", 3, minimum=1)
-
-
-def breaker_cooldown_seconds() -> float:
-    """``REPRO_BREAKER_COOLDOWN``: seconds a tripped breaker stays open."""
-    return env_float("REPRO_BREAKER_COOLDOWN", 30.0, minimum=0.0)
-
-
-def serve_max_queue() -> int:
-    """``REPRO_SERVE_MAX_QUEUE``: per-tenant queued+running request bound."""
-    return env_int("REPRO_SERVE_MAX_QUEUE", 64, minimum=1)
-
-
-def serve_deadline_seconds() -> Optional[float]:
-    """``REPRO_SERVE_DEADLINE_MS``: default request deadline, or None (off)."""
-    value = env_float("REPRO_SERVE_DEADLINE_MS", 0.0, minimum=0.0)
-    return value / 1e3 if value > 0 else None
-
-
-def plan_cache_size() -> int:
-    """``REPRO_PLAN_CACHE_SIZE``: capacity of the fingerprint plan cache."""
-    return env_int("REPRO_PLAN_CACHE_SIZE", 128, minimum=1)
-
-
 def autotune_enabled() -> bool:
     """``REPRO_AUTOTUNE``: time the chosen plan's aggregation fold on the
     actual input at selection time and feed the residual back into the
     cost models."""
     return env_flag("REPRO_AUTOTUNE", False)
-
-
-def autotune_warmup() -> int:
-    """``REPRO_AUTOTUNE_WARMUP``: discarded warm-up runs per point."""
-    return env_int("REPRO_AUTOTUNE_WARMUP", 1, minimum=0)
-
-
-def autotune_repeats() -> int:
-    """``REPRO_AUTOTUNE_REPEATS``: timed repeats per point (best kept)."""
-    return env_int("REPRO_AUTOTUNE_REPEATS", 3, minimum=1)
 
 
 def override_env(overrides):
@@ -258,3 +205,21 @@ def override_env(overrides):
                 os.environ[k] = v
 
     return restore
+
+
+def warn_unknown_knobs() -> None:
+    """Warn for each ``REPRO_*`` variable in the environment that is not
+    in :data:`KNOBS`.  It runs once, at import: once per process."""
+    known = {name for name, _ in KNOBS}
+    for name in sorted(os.environ):
+        if name.startswith("REPRO_") and name not in known:
+            warnings.warn(
+                f"{name} is set but is not a repro knob, so it has no "
+                f"effect; the knobs are {', '.join(sorted(known))} "
+                f"(see repro.config)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+
+
+warn_unknown_knobs()

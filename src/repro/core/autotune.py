@@ -11,8 +11,8 @@ selections on this process price the plans' aggregations the way this
 host runs them.  Nothing is chosen here: there is no strategy or
 ``block_nnz`` grid to search.
 
-Knobs: ``REPRO_AUTOTUNE`` (enable), ``REPRO_AUTOTUNE_WARMUP`` /
-``REPRO_AUTOTUNE_REPEATS`` (measurement discipline).  See
+``REPRO_AUTOTUNE`` enables it; :func:`autotune_spmm`'s ``warmup`` (1)
+and ``repeats`` (3) set the measurement discipline.  See
 docs/PERFORMANCE.md.
 """
 
@@ -23,7 +23,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .. import config
 from ..hardware.timer import time_fn
 from ..kernels import get_semiring, gspmm
 from ..sparse import CSRMatrix
@@ -57,19 +56,16 @@ def autotune_spmm(
     adj: CSRMatrix,
     k: int,
     semiring_names: Tuple[str, str] = ("sum", "mul"),
-    warmup: Optional[int] = None,
-    repeats: Optional[int] = None,
+    warmup: int = 1,
+    repeats: int = 3,
     seed: int = 0,
 ) -> AutotuneResult:
-    """Time one fold of width ``k`` over ``adj``.
+    """Time one fold of width ``k`` over ``adj``: ``warmup`` discarded
+    runs, then the best of ``repeats`` timed runs.
 
     No residual is recorded here — that needs cost-model predictions,
     see :func:`autotune_selection`.
     """
-    if warmup is None:
-        warmup = config.autotune_warmup()
-    if repeats is None:
-        repeats = config.autotune_repeats()
     semiring = get_semiring(*semiring_names)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((adj.shape[1], max(int(k), 1)))

@@ -17,8 +17,8 @@ plan pool into a graceful-degradation ladder:
   (``REPRO_MEM_BUDGET_MB``), checked before execution against the plan's
   estimated peak and *during* execution between kernels;
 - :class:`CircuitBreaker` — per-key failure counters that trip after
-  ``REPRO_BREAKER_THRESHOLD`` failures and reset after a
-  ``REPRO_BREAKER_COOLDOWN``-second cooldown (the serving runtime's
+  ``threshold`` failures (default 3) and reset after a
+  ``cooldown_seconds`` cooldown (default 30 s; the serving runtime's
   tenant breaker);
 - :class:`GuardedExecutor` — the drop-in ``layer.forward`` replacement
   that walks the ladder: chosen plan → next-cheapest surviving plans →
@@ -386,18 +386,12 @@ class CircuitBreaker:
 
     def __init__(
         self,
-        threshold: Optional[int] = None,
-        cooldown_seconds: Optional[float] = None,
+        threshold: int = 3,
+        cooldown_seconds: float = 30.0,
         clock=time.monotonic,
     ) -> None:
-        self.threshold = (
-            threshold if threshold is not None else config.breaker_threshold()
-        )
-        self.cooldown_seconds = (
-            cooldown_seconds
-            if cooldown_seconds is not None
-            else config.breaker_cooldown_seconds()
-        )
+        self.threshold = threshold
+        self.cooldown_seconds = cooldown_seconds
         self._clock = clock
         self._lock = threading.RLock()
         self._failures: Dict[Tuple[str, str], int] = {}
@@ -609,7 +603,7 @@ class GuardedExecutor:
             if remaining <= 0:
                 raise GraniiDeadlineError(
                     "request deadline exhausted before plan execution "
-                    "started (REPRO_SERVE_DEADLINE_MS / request deadline)",
+                    "started (service deadline_seconds / request deadline)",
                     budget=0.0,
                     observed=-remaining,
                 )

@@ -100,9 +100,9 @@ class KernelExecutionConfig:
     """How the executor should run its sparse aggregations.
 
     ``strategy`` is one of :data:`~repro.kernels.spmm.SPMM_STRATEGIES`;
-    ``REPRO_BLOCK_NNZ`` sizes its tiles.  In tensor mode the config
-    steers the *forward* aggregation only — backward SpMMs run the fold
-    (see :mod:`repro.tensor.sparse_ops`).
+    :data:`~repro.kernels.blocked.DEFAULT_BLOCK_NNZ` sizes its tiles.
+    In tensor mode the config steers the *forward* aggregation only —
+    backward SpMMs run the fold (see :mod:`repro.tensor.sparse_ops`).
     """
 
     strategy: str = "row_segment"

@@ -287,8 +287,8 @@ class GraniiEngine:
         scale: str = "default",
         cost_models: Optional[CostModelSet] = None,
         memory_limit_bytes: Optional[float] = None,
-        verify_plans: Optional[bool] = None,
-        guarded: Optional[bool] = None,
+        verify_plans: bool = False,
+        guarded: bool = False,
     ) -> None:
         if mode not in ("inference", "training"):
             raise ValueError("mode must be 'inference' or 'training'")
@@ -298,14 +298,12 @@ class GraniiEngine:
         self.mode = mode
         self.scale = scale
         self.memory_limit_bytes = memory_limit_bytes
-        if verify_plans is None:
-            verify_plans = config.verify_plans()
         # double-execute the chosen plan against the reference composition
         # on its first iteration; on divergence fall back to the reference
         self.verify_plans = bool(verify_plans)
-        # guarded execution (REPRO_GUARD): executors run behind the
-        # admission gate, budgets, and the fallback ladder of core.guard
-        self.guarded = config.guard_enabled() if guarded is None else bool(guarded)
+        # guarded execution: executors run behind the admission gate,
+        # budgets, and the fallback ladder of core.guard
+        self.guarded = bool(guarded)
         self._cost_models = cost_models
 
     # ------------------------------------------------------------------
@@ -534,7 +532,7 @@ class GraniiEngine:
         permanently falls back to the reference composition — a wrong
         plan degrades performance, never correctness.
 
-        With ``guarded`` (default: the engine's ``REPRO_GUARD`` setting)
+        With ``guarded`` (default: the engine's ``guarded`` argument)
         the executor is a :class:`~repro.core.guard.GuardedExecutor`
         instead: inputs pass an admission gate, every run is budgeted,
         and failures demote down the plan ladder rather than escaping.

@@ -16,7 +16,11 @@ test scaffolding) stay untraced.
 
 After driving a stress scenario — plan-cache eviction hammering or a
 small serving workload — the observed edge set is asserted to be a
-**subset** of the static graph: zero unexplained edges.  Lock identity
+**subset** of the static graph: zero unexplained edges.  Each scenario
+also declares the edges it exists to exercise, and a run that misses
+one, or traces no acquisition at all, fails: a scenario whose locks were
+all built before the factories were patched observes nothing, and an
+empty observation is trivially a subset.  Lock identity
 is the static table's, keyed by ``(construction file, line)``, so the
 comparison never depends on hardcoded line numbers.  Each scenario is
 an entry of the check registry (``racestress/<scenario>``)::
@@ -29,12 +33,13 @@ from __future__ import annotations
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Set, Tuple
 
 __all__ = [
     "RaceMonitor",
     "RaceReport",
     "SCENARIOS",
+    "Scenario",
     "run_scenario",
 ]
 
@@ -263,9 +268,25 @@ def _scenario_serving(quick: bool) -> None:
         svc.shutdown(save=False)
 
 
-SCENARIOS: Dict[str, Callable[[bool], None]] = {
-    "cache": _scenario_cache,
-    "serving": _scenario_serving,
+@dataclass(frozen=True)
+class Scenario:
+    """A stress driver and the lock-order edges (``held -> acquired``,
+    conclint lock ids) every run of it must observe."""
+
+    drive: Callable[[bool], None]
+    edges: FrozenSet[Tuple[str, str]] = frozenset()
+
+
+SCENARIOS: Dict[str, Scenario] = {
+    # PlanCache nests no lock under its own: the hammer observes
+    # acquisitions but no edge
+    "cache": Scenario(_scenario_cache),
+    # a plan-cache miss selects under the service's select lock, and
+    # pricing takes the cost models' memo lock inside it
+    "serving": Scenario(_scenario_serving, frozenset({(
+        "repro.serving.service.GraniiService._select_lock",
+        "repro.core.costmodel.CostModelSet._memo_lock",
+    )})),
 }
 
 
@@ -280,14 +301,20 @@ class RaceReport:
     observed: Dict[Tuple[str, str], Tuple[str, int]]
     acquisitions: int
     unmapped: Set[Tuple[str, int]] = field(default_factory=set)
+    declared: FrozenSet[Tuple[str, str]] = frozenset()
 
     @property
     def unexplained(self) -> List[Tuple[str, str]]:
         return sorted(e for e in self.observed if e not in self.static_edges)
 
     @property
+    def missing(self) -> List[Tuple[str, str]]:
+        """Declared edges the run did not observe."""
+        return sorted(e for e in self.declared if e not in self.observed)
+
+    @property
     def ok(self) -> bool:
-        return not self.unexplained
+        return self.acquisitions > 0 and not self.unexplained and not self.missing
 
     def to_dict(self) -> dict:
         return {
@@ -296,6 +323,7 @@ class RaceReport:
                 for (a, b), site in sorted(self.observed.items())
             },
             "unexplained": [f"{a} -> {b}" for a, b in self.unexplained],
+            "missing": [f"{a} -> {b}" for a, b in self.missing],
             "acquisitions": self.acquisitions,
             "unmapped_sites": sorted(
                 f"{rel}:{line}" for rel, line in self.unmapped
@@ -306,13 +334,16 @@ class RaceReport:
 def run_scenario(name: str, quick: bool, graph) -> RaceReport:
     """Patch, drive one scenario under a fresh monitor, and compare its
     observed lock-order edges against ``graph``, conclint's static
-    :class:`~repro.analysis.conclint.LockGraph` of the tree."""
+    :class:`~repro.analysis.conclint.LockGraph` of the tree, and the
+    scenario's declared edges against what it observed."""
+    scenario = SCENARIOS[name]
     monitor = RaceMonitor()
     with _Patcher(monitor, graph.site_index()):
-        SCENARIOS[name](quick)
+        scenario.drive(quick)
     return RaceReport(
         static_edges=set(graph.edges),
         observed=dict(monitor.edges),
         acquisitions=monitor.acquisitions,
         unmapped=set(monitor.unmapped),
+        declared=scenario.edges,
     )

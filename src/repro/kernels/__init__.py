@@ -2,7 +2,6 @@
 
 from .blocked import (
     DEFAULT_BLOCK_NNZ,
-    default_block_nnz,
     default_num_threads,
     gsddmm_blocked,
     gspmm_row_blocks,
@@ -67,7 +66,6 @@ __all__ = [
     "SpmmStrategy",
     "WorkspaceArena",
     "col_broadcast",
-    "default_block_nnz",
     "default_num_threads",
     "spmm_strategy",
     "degrees_by_binning",

@@ -28,8 +28,9 @@ This module's two public wrappers differ only in which spans they fold:
     memory, and they fold on the caller.
 ``blocked`` (:func:`gspmm_row_blocks`)
     Sequential execution, block after block, with a reusable workspace.
-    Block size comes from ``REPRO_BLOCK_NNZ`` (default 32768 edges, i.e.
-    a 256 KiB float64 tile per feature column budgeted across k).
+    Block size is the ``block_nnz`` argument (default
+    :data:`DEFAULT_BLOCK_NNZ`, 32768 edges, i.e. a 256 KiB float64 tile
+    per feature column budgeted across k).
 
 The worker schedule
 -------------------
@@ -56,7 +57,7 @@ and ``segment_reduce`` keys its association on the row's length alone.
 Threads never split a row's sum: workers own disjoint row ranges, write
 disjoint output slices, and draw scratch from per-thread arenas
 (:func:`~repro.kernels.workspace.thread_local_arena`), so neither the
-pool's scheduling order nor ``REPRO_NUM_THREADS`` nor ``REPRO_BLOCK_NNZ``
+pool's scheduling order nor ``REPRO_NUM_THREADS`` nor ``block_nnz``
 can change a single result bit.  Floating-point drift across strategies
 would otherwise masquerade as (or mask) plan-equivalence divergences;
 ``tests/test_determinism.py`` pins the bitwise contract, and
@@ -82,7 +83,6 @@ from .workspace import WorkspaceArena, step_buffer, thread_local_arena
 __all__ = [
     "DEFAULT_BLOCK_NNZ",
     "FOLD_CROSSOVER",
-    "default_block_nnz",
     "default_num_threads",
     "row_block_spans",
     "run_spans",
@@ -104,16 +104,6 @@ _BINARY_UFUNCS = {
     "sub": np.subtract,
     "div": np.divide,
 }
-
-
-def default_block_nnz() -> int:
-    """Edge budget per block; override with ``REPRO_BLOCK_NNZ``.
-
-    Invalid values raise :class:`~repro.errors.GraniiConfigError` naming
-    the variable (see :mod:`repro.config`) instead of being silently
-    replaced by the default.
-    """
-    return config.block_nnz(DEFAULT_BLOCK_NNZ)
 
 
 def usable_cpus() -> int:
@@ -142,7 +132,7 @@ def row_block_spans(
     indptr: np.ndarray, block_nnz: Optional[int] = None
 ) -> List[Tuple[int, int]]:
     """Partition rows into ``[r0, r1)`` spans of at most ``block_nnz`` edges
-    (``None``: :func:`default_block_nnz`).
+    (``None``: :data:`DEFAULT_BLOCK_NNZ`).
 
     Spans are contiguous, cover every row exactly once, and contain at
     least one row each — a single row denser than the budget becomes its
@@ -150,7 +140,7 @@ def row_block_spans(
     :func:`max_span_nnz`, not by ``block_nnz`` alone.
     """
     if block_nnz is None:
-        block_nnz = default_block_nnz()
+        block_nnz = DEFAULT_BLOCK_NNZ
     n = indptr.shape[0] - 1
     spans: List[Tuple[int, int]] = []
     r = 0
@@ -549,10 +539,10 @@ def gsddmm_blocked(
     from O(E·K) to O(block·K).
 
     ``block_nnz`` defaults to the edge count that makes one tile
-    ``_SDDMM_TILE_BYTES`` at the operands' width (``REPRO_BLOCK_NNZ``
-    still overrides).  The gathers are unbuffered (``mode="clip"``; the
-    default ``mode="raise"`` copies through a temporary), so the operand
-    heights and the pattern's column range are checked here, up front.
+    ``_SDDMM_TILE_BYTES`` at the operands' width.  The gathers are
+    unbuffered (``mode="clip"``; the default ``mode="raise"`` copies
+    through a temporary), so the operand heights and the pattern's column
+    range are checked here, up front.
     """
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
     v = np.atleast_2d(np.asarray(v, dtype=np.float64))
@@ -566,8 +556,8 @@ def gsddmm_blocked(
         )
     require_columns_in_range(mask)
     if block_nnz is None:
-        block_nnz = config.block_nnz(
-            max(1, _SDDMM_TILE_BYTES // (8 * max(u.shape[1], v.shape[1], 1)))
+        block_nnz = max(
+            1, _SDDMM_TILE_BYTES // (8 * max(u.shape[1], v.shape[1], 1))
         )
     if workspace is None:
         workspace = WorkspaceArena()

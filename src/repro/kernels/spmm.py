@@ -137,7 +137,8 @@ def gspmm(
     strategy:
         One of :data:`SPMM_STRATEGIES`.
     block_nnz / workspace:
-        Edge budget per tile, and the
+        Edge budget per tile (None:
+        :data:`~repro.kernels.blocked.DEFAULT_BLOCK_NNZ`), and the
         :class:`~repro.kernels.workspace.WorkspaceArena` the tiled rows
         draw scratch from; each row's runner takes the ones it uses.  A
         split fold's width is :func:`~repro.kernels.blocked.default_num_threads`.

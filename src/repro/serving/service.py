@@ -14,7 +14,7 @@ runtime.  The failure-handling stack, outermost first:
    oversized requests with :class:`~repro.errors.GraniiMemoryError`
    against the :class:`~repro.core.guard.ExecutionBudget` memory knob.
 2. **Backpressure**: each tenant holds a bounded count of
-   queued+running requests (``REPRO_SERVE_MAX_QUEUE``); past the bound
+   queued+running requests (``max_queue``, default 64); past the bound
    the request is *shed* with a structured
    :class:`~repro.errors.GraniiOverloadError` carrying a retry-after
    hint derived from the tenant's queue depth and recent latency —
@@ -28,8 +28,8 @@ runtime.  The failure-handling stack, outermost first:
    breaker demotes a tenant whose requests keep failing to the
    reference message-passing path — one tenant's pathological graphs
    never demote another tenant.
-5. **Deadlines**: a request deadline (per request or
-   ``REPRO_SERVE_DEADLINE_MS``) is propagated into every rung's kernel
+5. **Deadlines**: a request deadline (per request, or the service's
+   ``deadline_seconds``) is propagated into every rung's kernel
    budget via ``SelectionReport.deadline_at``, so a slow tenant's
    requests time out with a structured error instead of occupying a
    worker forever.
@@ -135,8 +135,8 @@ class ServeRequest:
     graph: object
     feats: np.ndarray
     request_id: str = field(default_factory=lambda: uuid.uuid4().hex[:12])
-    # None -> the service default (REPRO_SERVE_DEADLINE_MS); 0/negative
-    # is rejected at admission
+    # None -> the service's deadline_seconds; 0/negative is rejected at
+    # admission
     deadline_seconds: Optional[float] = None
     # request-scoped chaos: installed thread-locally around execution
     fault_plan: Optional[FaultPlan] = None
@@ -203,9 +203,12 @@ class TenantState:
 class GraniiService:
     """Thread-pool plan-serving runtime; see the module docstring.
 
-    The constructor reads its defaults from the ``REPRO_SERVE_*`` /
-    ``REPRO_PLAN_CACHE_SIZE`` knobs; explicit arguments win.  Use as a
-    context manager, or call :meth:`close` to drain.
+    ``max_queue`` bounds each tenant's queued+running requests,
+    ``deadline_seconds`` is the default request deadline (None: none),
+    ``plan_cache_size`` the plan cache's capacity, and the tenant breaker
+    trips after ``tenant_breaker_threshold`` failures for
+    ``tenant_breaker_cooldown`` seconds.  Use as a context manager, or
+    call :meth:`close` to drain.
     """
 
     def __init__(
@@ -215,12 +218,12 @@ class GraniiService:
         scale: str = "default",
         cost_models=None,
         num_threads: int = 4,
-        max_queue: Optional[int] = None,
+        max_queue: int = 64,
         deadline_seconds: Optional[float] = None,
-        plan_cache_size: Optional[int] = None,
+        plan_cache_size: int = 128,
         verify_plans: bool = False,
-        tenant_breaker_threshold: Optional[int] = None,
-        tenant_breaker_cooldown: Optional[float] = None,
+        tenant_breaker_threshold: int = 3,
+        tenant_breaker_cooldown: float = 30.0,
         fingerprint_fn=None,
         state_dir: Optional[str] = None,
     ) -> None:
@@ -232,21 +235,11 @@ class GraniiService:
         self._cost_models = cost_models
         self._verify_plans = bool(verify_plans)
         self._num_threads = int(num_threads)
-        self._max_queue = (
-            int(max_queue) if max_queue is not None else config.serve_max_queue()
-        )
+        self._max_queue = int(max_queue)
         if self._max_queue < 1:
             raise ValueError("max_queue must be >= 1")
-        self._deadline_seconds = (
-            deadline_seconds
-            if deadline_seconds is not None
-            else config.serve_deadline_seconds()
-        )
-        self._cache = PlanCache(
-            plan_cache_size
-            if plan_cache_size is not None
-            else config.plan_cache_size()
-        )
+        self._deadline_seconds = deadline_seconds
+        self._cache = PlanCache(plan_cache_size)
         # Durable state: with a state dir (argument or REPRO_STATE_DIR),
         # warm-start residuals, cost models, and plan-cache entries saved
         # by a previous process — BEFORE the selector is built and before
@@ -287,8 +280,6 @@ class GraniiService:
             system=system,
             scale=scale,
             cost_models=self._cost_models,
-            verify_plans=False,
-            guarded=False,
         )
         self._select_lock = threading.Lock()
         self._tenant_breaker = CircuitBreaker(
@@ -566,9 +557,8 @@ class GraniiService:
                 hint = self._retry_after_hint(tenant, depth)
                 raise GraniiOverloadError(
                     f"tenant {tenant.name!r} has {depth} requests in "
-                    f"flight (bound {self._max_queue}, "
-                    f"REPRO_SERVE_MAX_QUEUE); shedding — retry in "
-                    f"~{hint * 1e3:.0f} ms",
+                    f"flight (max_queue {self._max_queue}); shedding — "
+                    f"retry in ~{hint * 1e3:.0f} ms",
                     retry_after_seconds=hint,
                     tenant=tenant.name,
                     depth=depth,

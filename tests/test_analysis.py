@@ -208,7 +208,7 @@ def test_nnz_bound_order():
 # Linter rules on inline fixtures
 # ----------------------------------------------------------------------
 def test_lint_env_outside_config():
-    src = "import os\nx = os.environ.get('REPRO_GUARD')\n"
+    src = "import os\nx = os.environ.get('REPRO_NUM_THREADS')\n"
     found = lint_source(src, "src/repro/faults/other.py")
     assert [v.rule for v in found] == ["env-outside-config"]
     assert found[0].line == 2

@@ -1,8 +1,8 @@
 """The autotuner and the residuals it records.
 
-- :func:`repro.core.autotune.autotune_spmm` times the fold (or a pinned
-  row), and an engine with ``REPRO_AUTOTUNE`` on records the measurement
-  on its selection;
+- :func:`repro.core.autotune.autotune_spmm` times the fold, and an
+  engine with ``REPRO_AUTOTUNE`` on records the measurement on its
+  selection;
 - residuals on the strategy-pricing primitives (``spmm`` /
   ``spmm_unweighted``) refine the cost models and advance the device's
   cost-model token, while a residual on any other name leaves the token,
@@ -101,8 +101,6 @@ class TestAutotune:
         self, graph, monkeypatch
     ):
         monkeypatch.setenv("REPRO_AUTOTUNE", "1")
-        monkeypatch.setenv("REPRO_AUTOTUNE_WARMUP", "0")
-        monkeypatch.setenv("REPRO_AUTOTUNE_REPEATS", "1")
         engine = GraniiEngine(device="h100", scale="small")
         layer = build_layer("gcn", 8, 4, rng=np.random.default_rng(0))
         _ = engine.cost_models  # residual feedback needs trained models

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.graphs import (
-    CoarseLevel,
     coarsen,
     coarsen_hierarchy,
     erdos_renyi,

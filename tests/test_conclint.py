@@ -280,6 +280,7 @@ def test_cli_json_report(tmp_path):
         [sys.executable, "-m", "repro.analysis.conclint", REPRO_ROOT,
          "--json", str(out)],
         capture_output=True, text=True,
+        # lint: allow(env-outside-config) the CLI child process's environment
         env={**os.environ, "PYTHONPATH": os.path.join(
             os.path.dirname(__file__), "..", "src")},
     )
@@ -306,6 +307,7 @@ def test_cli_json_report_counts_waivers(tmp_path):
         [sys.executable, "-m", "repro.analysis.conclint", str(pkg),
          "--json", str(out)],
         capture_output=True, text=True,
+        # lint: allow(env-outside-config) the CLI child process's environment
         env={**os.environ, "PYTHONPATH": os.path.join(
             os.path.dirname(__file__), "..", "src")},
     )
@@ -343,3 +345,18 @@ def test_racestress_monitor_records_and_pops_edges():
     monitor.on_acquire("B", ("f.py", 4))
     monitor.on_acquire("A", ("f.py", 5))
     assert ("B", "A") in monitor.edges
+
+
+def test_racestress_report_fails_when_a_declared_edge_is_missing():
+    from repro.faults.racestress import SCENARIOS, RaceReport
+
+    [edge] = SCENARIOS["serving"].edges
+    observed = {edge: ("repro/core/costmodel.py", 1)}
+    seen = RaceReport({edge}, observed, acquisitions=4, declared=frozenset({edge}))
+    assert seen.ok and seen.missing == []
+    # locks built before the factories were patched: nothing observed
+    blind = RaceReport({edge}, {}, acquisitions=4, declared=frozenset({edge}))
+    assert not blind.ok
+    assert blind.missing == [edge]
+    assert blind.to_dict()["missing"] == [f"{edge[0]} -> {edge[1]}"]
+    assert not RaceReport({edge}, {}, acquisitions=0).ok

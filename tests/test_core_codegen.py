@@ -1,14 +1,11 @@
 """Codegen tests: compiled models, plan tags, defaults, source emission."""
 
-import pytest
-
 from repro.core import (
     compile_model,
     emit_python_source,
-    plan_tags,
     select_default_plan,
 )
-from repro.core.complexity import composition_complexities, step_complexity
+from repro.core.complexity import composition_complexities
 from repro.framework import get_system
 
 

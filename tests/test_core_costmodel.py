@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    DEFAULT_SIZES,
-    call_features,
     collect_profile,
     featurize_graph,
     get_cost_models,

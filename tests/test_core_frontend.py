@@ -1,6 +1,5 @@
 """Frontend tests: AST translation agrees with the direct IR builders."""
 
-import numpy as np
 import pytest
 
 from repro.core.assoc import enumerate_candidates

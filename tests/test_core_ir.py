@@ -4,10 +4,8 @@ import pytest
 
 from repro.core.ir import (
     Add,
-    Attention,
     Leaf,
     MatMul,
-    Nonlinear,
     RowBroadcast,
     ShapeEnv,
     dense_data,
@@ -15,7 +13,6 @@ from repro.core.ir import (
     diagonal,
     flatten,
     sparse_unweighted,
-    sparse_weighted,
 )
 from repro.core.ir import ir_leaves, ir_repr, ir_shape
 from repro.core.rewrite import (

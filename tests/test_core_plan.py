@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import ShapeEnv, compile_model
 from repro.core.bindings import build_binding
-from repro.core.plan import GRAPH_LEAVES, LEAF_CACHE_KEY, Plan
+from repro.core.plan import LEAF_CACHE_KEY
 from repro.graphs import erdos_renyi
 from repro.models import (
     APPNPLayer,

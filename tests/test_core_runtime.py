@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import GraniiEngine, compile_model
+from repro.core import GraniiEngine
 from repro.graphs import erdos_renyi, load, make_node_features
 from repro.models import (
     GATLayer,

@@ -1,11 +1,10 @@
 """Smoke tests: every example script runs to completion at small scale.
 
 The examples carry their own assertions (output equivalence, accuracy
-floors); running them under ``REPRO_SCALE=small`` keeps them fast while
+floors); running them at the ``small`` scale keeps them fast while
 still executing every code path they demonstrate.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,14 +18,14 @@ EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 EXAMPLES = sorted(p.name for p in EXAMPLES_DIR.glob("*.py"))
 
 # ``python -c CHILD <script> <cache_dir>``: loads the models the examples
-# select with (device="h100", REPRO_SCALE=small) from the session's files,
-# then runs the script as ``python <script>`` would
+# select with (device="h100", scale "small") from the session's files,
+# then runs the script as ``python <script> small`` would
 CHILD = """\
 import os, runpy, sys
 from repro.core.costmodel import get_cost_models
 script, cache_dir = sys.argv[1:]
 get_cost_models("h100", "small", cache_dir=cache_dir)
-sys.argv, sys.path[0] = [script], os.path.dirname(script)
+sys.argv, sys.path[0] = [script, "small"], os.path.dirname(script)
 runpy.run_path(script, run_name="__main__")
 """
 
@@ -47,10 +46,8 @@ def test_all_examples_present():
 
 @pytest.mark.parametrize("script", EXAMPLES)
 def test_example_runs(script, fitted_cost_model_dir):
-    env = dict(os.environ, REPRO_SCALE="small")
     result = subprocess.run(
         [sys.executable, "-c", CHILD, str(EXAMPLES_DIR / script), str(fitted_cost_model_dir)],
-        env=env,
         capture_output=True,
         text=True,
         timeout=600,

@@ -5,7 +5,6 @@ shape-level assertions (who wins where) are the ones the benchmarks
 verify again at full scale.
 """
 
-import numpy as np
 import pytest
 
 from repro.experiments import (

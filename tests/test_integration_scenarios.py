@@ -8,7 +8,6 @@ memory limits + weighted graphs, sampling + per-size decisions.
 import numpy as np
 import pytest
 
-import repro
 from repro.core import (
     GraniiEngine,
     compile_model,

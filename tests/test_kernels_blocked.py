@@ -323,7 +323,7 @@ class TestPlanKernelConfig:
         return planned.plan, binding
 
     def test_workspace_persists_in_setup_cache(self, graph, rng, monkeypatch):
-        monkeypatch.setenv("REPRO_BLOCK_NNZ", "256")
+        monkeypatch.setattr(blocked, "DEFAULT_BLOCK_NNZ", 256)
         plan, binding = self._plan_and_binding(graph, rng)
         ref = plan.execute(binding)
         cache = {}

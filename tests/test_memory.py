@@ -1,8 +1,5 @@
 """Tests for plan memory accounting and memory-aware selection."""
 
-import numpy as np
-import pytest
-
 from repro.core import GraniiEngine, ShapeEnv, compile_model
 from repro.graphs import load
 

@@ -1,7 +1,6 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 

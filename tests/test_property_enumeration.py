@@ -12,7 +12,6 @@ These are the strongest invariants in the system:
 """
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 

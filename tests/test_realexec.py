@@ -66,7 +66,7 @@ class TestSweepCSV:
     def test_csv_round_trips_rows(self, tmp_path):
         import csv
 
-        from repro.experiments import run_sweep, sweep_workloads
+        from repro.experiments import run_sweep
 
         sweep = run_sweep(
             models=("gcn",), graphs=("MC",), grid=(("dgl", "h100"),),

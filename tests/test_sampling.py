@@ -1,7 +1,6 @@
 """Tests for node and neighborhood sampling."""
 
 import numpy as np
-import pytest
 
 from repro.graphs import (
     erdos_renyi,

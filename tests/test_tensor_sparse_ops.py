@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.sparse import CSRMatrix
 from repro.tensor import (
     Tensor,
     edge_softmax,

@@ -235,11 +235,9 @@ class TestRuntimeVerification:
         layer(MPGraph(g.adj_with_self_loops()), feats)
         assert report.selections[0].verified is None
 
-    def test_env_var_enables_verification(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY_PLANS", "1")
-        assert GraniiEngine().verify_plans is True
-        monkeypatch.setenv("REPRO_VERIFY_PLANS", "0")
-        assert GraniiEngine().verify_plans is False
+    def test_argument_enables_verification(self):
+        assert GraniiEngine(verify_plans=True).verify_plans is True
+        assert GraniiEngine(verify_plans=False).verify_plans is False
 
     def test_divergent_plan_falls_back_to_reference(self):
         from repro.tensor import Tensor

@@ -373,6 +373,7 @@ def test_a_process_pinned_to_one_cpu_splits_nothing():
               len(blocked.worker_spans(np.arange(10**6 + 1), 1 << 40)))
         """
     )
+    # lint: allow(env-outside-config) the child process's environment
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = SRC
     proc = subprocess.run(
@@ -421,6 +422,7 @@ def test_a_forked_child_splits_without_the_parents_pool():
         sys.exit(os.waitstatus_to_exitcode(status))
         """
     )
+    # lint: allow(env-outside-config) the child process's environment
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env.update(PYTHONPATH=SRC, REPRO_NUM_THREADS="2")
     proc = subprocess.run(
