@@ -13,8 +13,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..framework import MPGraph
-from ..kernels import edge_softmax as k_edge_softmax
-from ..kernels import leaky_relu as k_leaky_relu, norm_diagonal
+from ..kernels import norm_diagonal
 from ..models import (
     APPNPLayer,
     GATLayer,
@@ -25,7 +24,7 @@ from ..models import (
     TAGCNLayer,
 )
 from ..sparse import CSRMatrix, DiagonalMatrix
-from ..tensor import Tensor, gsddmm_add_uv, leaky_relu
+from ..tensor import Tensor, attention_aggregate, gsddmm_add_uv, leaky_relu
 from ..tensor import edge_softmax as t_edge_softmax
 from .plan import LEAF_CACHE_KEY, EdgeSparse, LayerBinding
 
@@ -59,35 +58,19 @@ def model_ir_kwargs(layer) -> Dict[str, object]:
     return {}
 
 
-def _weight(value, mode: str):
-    return value if mode == "tensor" else value.data
+def _scores(layer: GATLayer, theta: Tensor):
+    """Per-node attention scores ``(a_l·Θ_i, a_r·Θ_j)``."""
+    score_dst = (theta @ layer.attn_l.reshape(-1, 1)).reshape(-1)
+    score_src = (theta @ layer.attn_r.reshape(-1, 1)).reshape(-1)
+    return score_dst, score_src
 
 
 def _gat_fused_attention_fn(layer: GATLayer):
     """The fused variant: scores → logits → softmax → aggregate, one step."""
 
-    def fused(pattern: CSRMatrix, theta, value, mode: str):
-        if mode == "tensor":
-            theta_t = theta if isinstance(theta, Tensor) else Tensor(theta)
-            value_t = value if isinstance(value, Tensor) else Tensor(value)
-            score_dst = (theta_t @ layer.attn_l.reshape(-1, 1)).reshape(-1)
-            score_src = (theta_t @ layer.attn_r.reshape(-1, 1)).reshape(-1)
-            logits = gsddmm_add_uv(pattern, score_dst, score_src)
-            logits = leaky_relu(logits, layer.negative_slope)
-            alpha = t_edge_softmax(pattern, logits)
-            from ..tensor import spmm_edge
-
-            return spmm_edge(pattern, alpha, value_t)
-        from ..kernels import fused_attention_aggregate
-
-        theta_np = theta.data if isinstance(theta, Tensor) else np.asarray(theta)
-        value_np = value.data if isinstance(value, Tensor) else np.asarray(value)
-        return fused_attention_aggregate(
-            pattern,
-            value_np,
-            theta_np @ layer.attn_l.data,
-            theta_np @ layer.attn_r.data,
-            layer.negative_slope,
+    def fused(pattern: CSRMatrix, theta: Tensor, value: Tensor) -> Tensor:
+        return attention_aggregate(
+            pattern, *_scores(layer, theta), value, layer.negative_slope
         )
 
     return fused
@@ -96,22 +79,10 @@ def _gat_fused_attention_fn(layer: GATLayer):
 def _gat_attention_fn(layer: GATLayer):
     """The attention sub-program (Equation 4) as a plan closure."""
 
-    def attention(pattern: CSRMatrix, theta, mode: str):
-        if mode == "tensor":
-            theta_t = theta if isinstance(theta, Tensor) else Tensor(theta)
-            score_dst = (theta_t @ layer.attn_l.reshape(-1, 1)).reshape(-1)
-            score_src = (theta_t @ layer.attn_r.reshape(-1, 1)).reshape(-1)
-            logits = gsddmm_add_uv(pattern, score_dst, score_src)
-            logits = leaky_relu(logits, layer.negative_slope)
-            return EdgeSparse(pattern, t_edge_softmax(pattern, logits))
-        theta_np = theta.data if isinstance(theta, Tensor) else np.asarray(theta)
-        score_dst = theta_np @ layer.attn_l.data
-        score_src = theta_np @ layer.attn_r.data
-        rows, cols = pattern.row_ids(), pattern.indices
-        logits = k_leaky_relu(
-            score_dst[rows] + score_src[cols], layer.negative_slope
-        )
-        return k_edge_softmax(pattern, logits)
+    def attention(pattern: CSRMatrix, theta: Tensor) -> EdgeSparse:
+        logits = gsddmm_add_uv(pattern, *_scores(layer, theta))
+        logits = leaky_relu(logits, layer.negative_slope)
+        return EdgeSparse(pattern, t_edge_softmax(pattern, logits))
 
     return attention
 
@@ -131,11 +102,13 @@ def build_binding(
     layer,
     g: MPGraph,
     feat,
-    mode: str,
     degree_method: str = "indptr",
     setup_cache: Optional[dict] = None,
 ) -> LayerBinding:
     """Runtime leaf values for one (layer, graph, features) triple.
+
+    The features and weights are bound as Tensors (an ndarray ``feat``
+    is wrapped), the values :meth:`Plan.execute` runs on.
 
     Weighted adjacencies are preserved for the convolutional models
     (their plans compile against a weighted A leaf); GAT always operates
@@ -176,19 +149,17 @@ def build_binding(
 
     name = model_ir_name(layer)
     adj = g.adj if g.adj.is_weighted and name != "gat" else g.adj.unweighted()
-    if mode == "tensor" and not isinstance(feat, Tensor):
+    if not isinstance(feat, Tensor):
         feat = Tensor(feat)
-    if mode == "numpy" and isinstance(feat, Tensor):
-        feat = feat.data
     values: Dict[str, object] = {"A": adj, "H": feat}
     if name in ("gcn", "sgc"):
         values["D"] = norm(-0.5)
-        values["W"] = _weight(layer.linear.weight, mode)
+        values["W"] = layer.linear.weight
         return LayerBinding(values)
     if name == "tagcn":
         values["D"] = norm(-0.5)
         for i, filt in enumerate(layer.filters):
-            values[f"W{i}"] = _weight(filt.weight, mode)
+            values[f"W{i}"] = filt.weight
         return LayerBinding(values)
     if name == "gin":
         scale = 1.0 + layer.eps
@@ -196,10 +167,10 @@ def build_binding(
             ("Eps", scale),
             lambda: DiagonalMatrix(np.full(adj.shape[0], scale)),
         )
-        values["W"] = _weight(layer.linear.weight, mode)
+        values["W"] = layer.linear.weight
         return LayerBinding(values)
     if name == "gat":
-        values["W"] = _weight(layer.linear.weight, mode)
+        values["W"] = layer.linear.weight
         return LayerBinding(
             values,
             attention_fn=_gat_attention_fn(layer),
@@ -207,8 +178,8 @@ def build_binding(
         )
     if name == "sage":
         values["Dm"] = norm(-1.0)
-        values["Wself"] = _weight(layer.self_linear.weight, mode)
-        values["Wneigh"] = _weight(layer.neigh_linear.weight, mode)
+        values["Wself"] = layer.self_linear.weight
+        values["Wneigh"] = layer.neigh_linear.weight
         return LayerBinding(values)
     if name == "appnp":
         alpha = layer.alpha
@@ -222,6 +193,6 @@ def build_binding(
             ("T", alpha),
             lambda: DiagonalMatrix(np.full(adj.shape[0], alpha)),
         )
-        values["W"] = _weight(layer.linear.weight, mode)
+        values["W"] = layer.linear.weight
         return LayerBinding(values)
     raise TypeError(f"no binding builder for model {name!r}")

@@ -52,7 +52,7 @@ from ..sparse import CSRMatrix, DiagonalMatrix
 from ..tensor import Tensor
 from .bindings import build_binding
 from .ir import ShapeEnv
-from .plan import WORKSPACE_CACHE_KEY, EdgeSparse, KernelExecutionConfig, Plan
+from .plan import EdgeSparse, Plan
 
 __all__ = [
     "CircuitBreaker",
@@ -71,25 +71,21 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Shared helpers
 # ----------------------------------------------------------------------
-def reference_forward(layer, g, feat):
-    """Run the baseline message-passing forward from either execution mode.
+def reference_forward(layer, g, feat: Tensor) -> Tensor:
+    """The baseline message-passing forward, the ladder's last rung.
 
-    ``forward`` is written against Tensors; numpy-mode callers (plain
-    ndarray features) get an ndarray back so the fallback is a drop-in
-    replacement for the plan output.
+    Like a plan's executor it takes and returns Tensors: it is the
+    layer's own ``forward``.
     """
-    if isinstance(feat, Tensor):
-        return layer.forward(g, feat)
-    out = layer.forward(g, Tensor(np.asarray(feat, dtype=np.float64)))
-    return np.asarray(out.data)
+    return layer.forward(g, feat)
 
 
 class ExecutorCaches:
     """What an executor has derived from the graphs it ran, per graph.
 
     ``setup`` holds the per-graph setup caches of :func:`execute_plan`
-    (graph-only step results such as Ã, the binding's graph-only leaves,
-    the workspace arena); ``env`` the guard's :class:`ShapeEnv` per graph.
+    (graph-only step results such as Ã, the binding's graph-only
+    leaves); ``env`` the guard's :class:`ShapeEnv` per graph.
     Both are ``WeakKeyDictionary``\\ s keyed on the graph *object* and are
     dropped with it: an ``id(g)`` key is recycled by CPython once ``g``
     dies, and the next graph at that address would be served the dead
@@ -97,9 +93,10 @@ class ExecutorCaches:
     other edge weights never sees this one's.
 
     An executor starts with empty caches unless it is handed the caches
-    of a predecessor that ran the same layer and plan (the serving
-    runtime does, one request at a time — an arena hands out one buffer
-    per shape, so two running executors must never share one).
+    of a predecessor that ran the same layer and plan: a setup cache's
+    entries are named by the plan's step outputs, which mean nothing to
+    another plan.  The serving runtime hands them over one request at a
+    time, together with the layer.
     """
 
     __slots__ = ("setup", "env")
@@ -110,9 +107,9 @@ class ExecutorCaches:
 
 
 def execute_plan(
-    engine, layer, plan: Plan, strategy: str, g, feat, setup_caches,
+    engine, layer, plan: Plan, strategy: str, g, feat: Tensor, setup_caches,
     slot=None, budget=None,
-):
+) -> Tensor:
     """One plan execution, as both the guarded and the bare executor run it.
 
     ``strategy`` runs the forward aggregations (the guard always passes
@@ -120,30 +117,13 @@ def execute_plan(
     :attr:`ExecutorCaches.setup`.  ``slot`` separates executions that
     must not share a cache for one graph (the guard's rungs).
     """
-    mode = "tensor" if isinstance(feat, Tensor) else "numpy"
-    kernel_config = None
-    if strategy != "row_segment":
-        kernel_config = KernelExecutionConfig(strategy=strategy)
-    cache = setup_caches.setdefault(g, {}).setdefault((mode, slot), {})
+    cache = setup_caches.setdefault(g, {}).setdefault(slot, {})
     binding = build_binding(
-        layer, g, feat, mode, engine.system.degree_method, setup_cache=cache
+        layer, g, feat, engine.system.degree_method, setup_cache=cache
     )
-    try:
-        out = plan.execute(
-            binding,
-            mode=mode,
-            setup_cache=cache,
-            kernel_config=kernel_config,
-            budget=budget,
-        )
-    except Exception:
-        # a failed run may have left a partially warmed workspace in the
-        # setup cache; drop it so a retry starts clean
-        arena = cache.pop(WORKSPACE_CACHE_KEY, None)
-        if arena is not None:
-            arena.drop_buffers()
-        raise
-    return out
+    return plan.execute(
+        binding, setup_cache=cache, strategy=strategy, budget=budget
+    )
 
 
 def shape_env_for(adj: CSRMatrix, layer) -> ShapeEnv:
@@ -520,7 +500,6 @@ class GuardedExecutor:
         ]
         self.rung = 0
         self._verified_rungs: set = set()
-        self._reference_demotion_logged = False
 
     # ------------------------------------------------------------------
     @property
@@ -664,8 +643,6 @@ class GuardedExecutor:
                     continue
             return out
         # final rung: the baseline message-passing composition
-        if not self._reference_demotion_logged:
-            self._reference_demotion_logged = True
         try:
             return reference_forward(self.layer, g, feat)
         except Exception as exc:

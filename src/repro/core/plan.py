@@ -9,8 +9,9 @@ A :class:`Plan` is one promoted candidate made concrete:
 - **backward calls** — the training-mode gradient kernels induced by the
   chosen forward (GRANII does not optimise the backward pass, §VI-C, but
   its shape follows the forward choice);
-- **executors** — NumPy-mode (inference) and Tensor-mode (autograd)
-  interpreters that actually run the composition.
+- **executor** — one interpreter that runs the composition on Tensors,
+  for inference (under :func:`~repro.tensor.no_grad`) and training
+  alike, as the layer's own ``forward`` does.
 
 The calls are compiled once per plan, on its first pricing, into a
 template whose dims are still symbolic (``N``/``E``/``K1``/``K2``/``E@k``)
@@ -38,23 +39,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tu
 
 import numpy as np
 
-from ..kernels import (
-    KernelCall,
-    WorkspaceArena,
-    elu,
-    gemm,
-    get_semiring,
-    gspmm,
-    leaky_relu,
-    relu,
-    row_broadcast,
-    sddmm_diag_scale,
-    sigmoid,
-    spadd_diag,
-    spmm,
-    spmm_strategy,
-    spmm_unweighted,
-)
+from ..kernels import KernelCall, sddmm_diag_scale, spadd_diag
 from ..kernels.registry import dispatch_kernel, get_primitive, transient_bytes
 from ..sparse import CSRMatrix, DiagonalMatrix
 from ..tensor import Tensor
@@ -72,43 +57,21 @@ __all__ = [
     "CallList",
     "CallView",
     "EdgeSparse",
-    "KernelExecutionConfig",
     "LayerBinding",
     "Plan",
     "PriceIndex",
     "price_index",
     "GRAPH_LEAVES",
     "LEAF_CACHE_KEY",
-    "WORKSPACE_CACHE_KEY",
 ]
 
 GRAPH_LEAVES = {"A", "D", "Dm", "Ds", "Eps", "T"}
 
-# Reserved setup-cache slot holding the plan's WorkspaceArena.  Kept out
-# of the value environment (it is not a step result) but persisted with
-# the cache so scratch tiles survive across iterations.
-WORKSPACE_CACHE_KEY = "__workspace__"
 # Reserved setup-cache slot holding the binding's graph-only leaves (the
 # degree diagonals, GIN's Eps, APPNP's T), which ``build_binding`` would
-# otherwise rebuild for every execution.  Not step results either.
+# otherwise rebuild for every execution.  Kept out of the value
+# environment: it is not a step result.
 LEAF_CACHE_KEY = "__leaves__"
-_RESERVED_CACHE_KEYS = (WORKSPACE_CACHE_KEY, LEAF_CACHE_KEY)
-
-
-@dataclass(frozen=True)
-class KernelExecutionConfig:
-    """How the executor should run its sparse aggregations.
-
-    ``strategy`` is one of :data:`~repro.kernels.spmm.SPMM_STRATEGIES`;
-    :data:`~repro.kernels.blocked.DEFAULT_BLOCK_NNZ` sizes its tiles.
-    In tensor mode the config steers the *forward* aggregation only —
-    backward SpMMs run the fold (see :mod:`repro.tensor.sparse_ops`).
-    """
-
-    strategy: str = "row_segment"
-
-
-_SPMM_SEMIRINGS = {"spmm": ("sum", "mul"), "spmm_unweighted": ("sum", "copy_rhs")}
 
 
 @dataclass
@@ -124,8 +87,8 @@ class LayerBinding:
     """Runtime values for a plan's leaves plus the attention sub-programs."""
 
     values: Dict[str, object]
-    attention_fn: Optional[Callable] = None  # (pattern, theta, mode) -> CSR | EdgeSparse
-    fused_attention_fn: Optional[Callable] = None  # (pattern, theta, value, mode)
+    attention_fn: Optional[Callable] = None  # (pattern, theta) -> EdgeSparse
+    fused_attention_fn: Optional[Callable] = None  # (pattern, theta, value)
 
 
 def _resolve(env: ShapeEnv, dim) -> int:
@@ -285,7 +248,7 @@ class _CallTemplate:
             copies = 2 if p == "gemm" else 1
             for spec in self.step_calls[i]:
                 specs.extend([spec._replace(tag=f"bwd:{spec.tag}")] * copies)
-            if p in _SPMM_SEMIRINGS:
+            if p in ("spmm", "spmm_unweighted"):
                 # plus dE (an SDDMM) when the sparse operand itself
                 # carries gradients (attention values)
                 sp = step.arg_descs[0]
@@ -681,18 +644,19 @@ class Plan:
     def execute(
         self,
         binding: LayerBinding,
-        mode: str = "numpy",
         setup_cache: Optional[Dict[str, object]] = None,
-        kernel_config: Optional[KernelExecutionConfig] = None,
+        strategy: str = "row_segment",
         budget=None,
-    ):
-        """Run the plan; returns the output value.
+    ) -> Tensor:
+        """Run the plan on the binding's Tensors; returns the output Tensor.
 
+        This is the forward of inference and training alike: under
+        :func:`~repro.tensor.no_grad` the Tensors record no tape.
         ``setup_cache`` (if provided) persists graph-only sparse results
         across calls — the runtime passes one cache per (plan, graph).
-        When ``kernel_config`` selects a blocked strategy, the cache also
-        carries the :class:`~repro.kernels.workspace.WorkspaceArena`, so
-        scratch tiles are allocated once and reused every iteration.
+        ``strategy`` (one of :data:`~repro.kernels.spmm.SPMM_STRATEGIES`)
+        runs the forward aggregations; backward SpMMs run the fold (see
+        :mod:`repro.tensor.sparse_ops`).
 
         ``budget`` (an :class:`~repro.core.guard.ExecutionBudget`) is
         consulted after every step — wall-clock deadline and resident
@@ -703,25 +667,10 @@ class Plan:
         exception is annotated with ``granii_step`` / ``granii_primitive``
         so the guard can attribute the failure.
         """
-        if mode not in ("numpy", "tensor"):
-            raise ValueError("mode must be 'numpy' or 'tensor'")
-        workspace = None
-        row = spmm_strategy(
-            kernel_config.strategy if kernel_config is not None else "row_segment"
-        )
-        if row.plan_arena:
-            if setup_cache is not None:
-                workspace = setup_cache.get(WORKSPACE_CACHE_KEY)
-                if workspace is None:
-                    workspace = WorkspaceArena()
-                    setup_cache[WORKSPACE_CACHE_KEY] = workspace
-            else:
-                workspace = WorkspaceArena()
         env: Dict[str, object] = dict(binding.values)
         if setup_cache:
             env.update(
-                (k, v) for k, v in setup_cache.items()
-                if k not in _RESERVED_CACHE_KEYS
+                (k, v) for k, v in setup_cache.items() if k != LEAF_CACHE_KEY
             )
         if budget is not None:
             budget.start()
@@ -731,9 +680,7 @@ class Plan:
             try:
                 value = dispatch_kernel(
                     step.primitive,
-                    lambda: _execute_step(
-                        step, env, mode, binding, kernel_config, workspace
-                    ),
+                    lambda: _execute_step(step, env, binding, strategy),
                     tag=step.out,
                 )
             except Exception as exc:
@@ -761,41 +708,21 @@ def _annotate_failure(exc: BaseException, step: Step) -> None:
 def _execute_step(
     step: Step,
     env: Dict[str, object],
-    mode: str,
     binding: LayerBinding,
-    kernel_config: Optional[KernelExecutionConfig] = None,
-    workspace: Optional[WorkspaceArena] = None,
+    strategy: str,
 ):
     p = step.primitive
     args = [env[a] for a in step.args]
     if p == "gemm":
         a, b = args
-        if mode == "tensor":
-            return _as_tensor(a) @ _as_tensor(b)
-        return gemm(_as_numpy(a), _as_numpy(b))
+        return _as_tensor(a) @ _as_tensor(b)
     if p in ("spmm", "spmm_unweighted"):
         sp, dn = args
-        strategy = "row_segment" if kernel_config is None else kernel_config.strategy
         if isinstance(sp, EdgeSparse):
-            if mode == "tensor":
-                return t_spmm_edge(
-                    sp.pattern, sp.values, _as_tensor(dn), strategy=strategy
-                )
-            sp = sp.pattern.with_values(sp.values.data)
-            p = "spmm"
-        elif mode == "tensor":
-            return t_spmm(sp, _as_tensor(dn), strategy=strategy)
-        if kernel_config is not None:
-            return gspmm(
-                sp,
-                _as_numpy(dn),
-                get_semiring(*_SPMM_SEMIRINGS[p]),
-                strategy=strategy,
-                workspace=workspace,
+            return t_spmm_edge(
+                sp.pattern, sp.values, _as_tensor(dn), strategy=strategy
             )
-        if p == "spmm_unweighted":
-            return spmm_unweighted(sp, _as_numpy(dn))
-        return spmm(sp, _as_numpy(dn))
+        return t_spmm(sp, _as_tensor(dn), strategy=strategy)
     if p == "sddmm_diag":
         descs = step.arg_descs
         sparse_idx = next(i for i, d in enumerate(descs) if d.is_sparse_matrix)
@@ -822,51 +749,35 @@ def _execute_step(
         return k_spgemm(args[0], args[1])
     if p == "row_broadcast":
         d, x = args
-        if mode == "tensor":
-            return t_row_broadcast(d.diag, _as_tensor(x))
-        return row_broadcast(d.diag, _as_numpy(x))
+        return t_row_broadcast(d.diag, _as_tensor(x))
     if p == "elementwise":
         if step.meta == "add" or len(args) > 1:
             total = args[0]
             for other in args[1:]:
                 total = total + other
             return total
-        return _apply_nonlinear(step.meta, args[0], mode)
+        return _apply_nonlinear(step.meta, args[0])
     if p == "attention":
         if binding.attention_fn is None:
             raise RuntimeError("plan needs an attention_fn in its binding")
         pattern, theta = args
-        return binding.attention_fn(pattern, theta, mode)
+        return binding.attention_fn(pattern, theta)
     if p == "fused_attn_spmm":
         if binding.fused_attention_fn is None:
             raise RuntimeError("plan needs a fused_attention_fn in its binding")
         pattern, theta, value = args
-        return binding.fused_attention_fn(pattern, theta, value, mode)
+        return binding.fused_attention_fn(pattern, theta, value)
     raise KeyError(f"no executor for primitive {p!r}")
 
 
-_NONLINEAR_NUMPY = {"relu": relu, "elu": elu, "leaky_relu": leaky_relu, "sigmoid": sigmoid}
-_NONLINEAR_TENSOR = {
-    "relu": t_relu, "elu": t_elu, "leaky_relu": t_leaky_relu, "sigmoid": t_sigmoid
-}
+_NONLINEAR = {"relu": t_relu, "elu": t_elu, "leaky_relu": t_leaky_relu, "sigmoid": t_sigmoid}
 
 
-def _apply_nonlinear(name: str, value, mode: str):
-    if mode == "tensor":
-        try:
-            return _NONLINEAR_TENSOR[name](_as_tensor(value))
-        except KeyError:
-            raise KeyError(f"no tensor nonlinearity {name!r}") from None
+def _apply_nonlinear(name: str, value) -> Tensor:
     try:
-        return _NONLINEAR_NUMPY[name](_as_numpy(value))
+        return _NONLINEAR[name](_as_tensor(value))
     except KeyError:
-        raise KeyError(f"no numpy nonlinearity {name!r}") from None
-
-
-def _as_numpy(value) -> np.ndarray:
-    if isinstance(value, Tensor):
-        return value.data
-    return np.asarray(value)
+        raise KeyError(f"no nonlinearity {name!r}") from None
 
 
 def _as_tensor(value) -> Tensor:

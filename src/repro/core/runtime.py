@@ -524,6 +524,10 @@ class GraniiEngine:
     ):
         """Wrap the chosen plan as a drop-in replacement for layer.forward.
 
+        Like ``forward``, the executor takes the features as a Tensor and
+        returns one; inference runs it under :func:`~repro.tensor.no_grad`.
+        ``spmm_strategy`` runs the plan's forward aggregations.
+
         With ``verify_plans`` enabled the first call additionally runs the
         layer's baseline message-passing ``forward`` and compares outputs
         under the depth-scaled tolerance of
@@ -574,7 +578,7 @@ class GraniiEngine:
         setup_caches = (caches if caches is not None else ExecutorCaches()).setup
         verify_state = {"pending": self.verify_plans, "fallback": False}
 
-        def executor(g: MPGraph, feat, *args, **kwargs):
+        def executor(g: MPGraph, feat: Tensor, *args, **kwargs) -> Tensor:
             if verify_state["fallback"]:
                 return reference_forward(layer, g, feat)
             out = execute_plan(
@@ -596,7 +600,7 @@ class GraniiEngine:
         return executor
 
     def _verify_against_reference(
-        self, layer, plan: Plan, g: MPGraph, feat, out
+        self, layer, plan: Plan, g: MPGraph, feat: Tensor, out: Tensor
     ) -> Tuple[bool, str]:
         """Compare one plan output against the baseline forward."""
         from ..tensor import no_grad
@@ -604,13 +608,11 @@ class GraniiEngine:
 
         with no_grad():
             ref = reference_forward(layer, g, feat)
-        ref_data = ref.data if isinstance(ref, Tensor) else np.asarray(ref)
-        out_data = out.data if isinstance(out, Tensor) else np.asarray(out)
         tol = ToleranceModel().for_graph(
             g.adj, mode=self.mode, num_steps=len(plan.steps)
         )
-        abs_err, _ = _max_errors(out_data, ref_data)
-        ok = tol.allclose(out_data, ref_data)
+        abs_err, _ = _max_errors(out.data, ref.data)
+        ok = tol.allclose(out.data, ref.data)
         if ok:
             note = (
                 f"plan verified against reference composition "

@@ -17,12 +17,12 @@ their schedule spaces:
   the *accumulation depth* (max in-degree — the length of the longest
   floating-point reduction) instead of one fixed epsilon;
 - :func:`sweep` — the zoo × systems × {inference, training} × plans ×
-  strategies product.  Every check runs the plan's forward aggregations
-  under the strategy through
-  :class:`~repro.core.plan.KernelExecutionConfig`; training checks run
-  whole autograd iterations (the backward runs the fold, as on every
-  path) and compare parameter/input gradients against the reference
-  composition;
+  strategies product.  Every check runs :meth:`~repro.core.plan.Plan.execute`
+  with the strategy on its forward aggregations: inference checks under
+  :func:`~repro.tensor.no_grad`, the path a served request takes;
+  training checks whole autograd iterations (the backward runs the fold,
+  as on every path), comparing parameter/input gradients against the
+  reference composition;
 - :func:`shrink_failure` — a delta-debugging shrinker that bisects
   nodes, then undirected edges, down to a minimal failing graph;
 - :func:`emit_pytest_repro` — renders a shrunk failure as a
@@ -60,11 +60,10 @@ from ..kernels import SPMM_STRATEGIES
 from ..models import build_layer, uses_self_loops
 from ..models.zoo import MODEL_NAMES
 from ..sparse import CSRMatrix
-from ..tensor import Tensor
+from ..tensor import Tensor, no_grad
 from ..analysis.planlint import PlanVerdict, analyze_plan
 from .bindings import build_binding, model_ir_kwargs
 from .codegen import CompiledModel, PlannedCandidate, compile_model, select_default_plan
-from .plan import KernelExecutionConfig
 
 __all__ = [
     "CheckResult",
@@ -354,8 +353,6 @@ def _reference_outputs(
     """Run the baseline message-passing forward (and backward)."""
     feat = Tensor(feats, requires_grad=(mode == "training"))
     if mode == "inference":
-        from ..tensor import no_grad
-
         with no_grad():
             out = layer.forward(mp, feat)
         return {"output": np.asarray(out.data)}
@@ -378,15 +375,14 @@ def _plan_outputs(
     cotangent: np.ndarray,
 ) -> Dict[str, np.ndarray]:
     """Execute one plan under one strategy, mirroring the reference."""
-    config = KernelExecutionConfig(strategy=strategy)
+    feat = Tensor(feats, requires_grad=(mode == "training"))
+    binding = build_binding(layer, mp, feat, degree_method)
     if mode == "inference":
-        binding = build_binding(layer, mp, feats, "numpy", degree_method)
-        out = planned.plan.execute(binding, mode="numpy", kernel_config=config)
-        return {"output": np.asarray(out)}
+        with no_grad():
+            out = planned.plan.execute(binding, strategy=strategy)
+        return {"output": np.asarray(out.data)}
     _zero_param_grads(layer)
-    feat = Tensor(feats, requires_grad=True)
-    binding = build_binding(layer, mp, feat, "tensor", degree_method)
-    out = planned.plan.execute(binding, mode="tensor", kernel_config=config)
+    out = planned.plan.execute(binding, strategy=strategy)
     out.backward(cotangent)
     quantities = {"output": np.asarray(out.data)}
     quantities.update(_collect_grads(layer, feat))

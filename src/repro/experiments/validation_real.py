@@ -10,7 +10,8 @@ host CPU:
 2. train the per-primitive GBT cost models on those measurements;
 3. on held-out evaluation graphs, let the models choose among GCN's
    promoted compositions and compare the choice against the measured
-   wall-clock of actually executing each composition.
+   wall-clock of actually executing each composition, as inference runs
+   it (on Tensors, under ``no_grad``).
 
 The reported *selection quality* is geomean(best wall-clock / chosen
 wall-clock) — 1.0 means GRANII always picked the truly fastest
@@ -40,6 +41,7 @@ from ..hardware import get_device, time_fn
 from ..hardware.realexec import RealExecutionBackend
 from ..kernels import KernelCall
 from ..models import GCNLayer
+from ..tensor import Tensor, no_grad
 from .common import geomean, shape_env_for
 from .report import render_table
 
@@ -131,18 +133,18 @@ def run(
         for k1, k2 in pairs:
             env = shape_env_for(graph, "gcn", k1, k2)
             layer = GCNLayer(k1, k2, rng=rng)
-            feat = rng.standard_normal((graph.num_nodes, k1))
+            feat = Tensor(rng.standard_normal((graph.num_nodes, k1)))
             walls, preds, labels = [], [], []
             for planned in compiled.promoted:
-                binding = build_binding(layer, g, feat, "numpy")
+                binding = build_binding(layer, g, feat)
                 cache: Dict[str, object] = {}
-                planned.plan.execute(binding, mode="numpy", setup_cache=cache)
-                wall, _ = time_fn(
-                    lambda: planned.plan.execute(
-                        binding, mode="numpy", setup_cache=cache
-                    ),
-                    repeats=4,
-                )
+
+                def run():
+                    with no_grad():
+                        planned.plan.execute(binding, setup_cache=cache)
+
+                run()
+                wall, _ = time_fn(run, repeats=4)
                 setup, per_iter = planned.plan.kernel_calls(env, "indptr")
                 pred = models.predict_calls(per_iter, graph_vec)
                 walls.append(wall)

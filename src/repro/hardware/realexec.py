@@ -123,14 +123,18 @@ class RealExecutionBackend:
             logits = ops["logits"]
             return lambda: edge_softmax(adj, logits)
         if p == "fused_attn_spmm":
-            from ..kernels import fused_attention_aggregate
+            # the plan step's own implementation, as inference runs it
+            from ..tensor import Tensor, attention_aggregate, no_grad
 
-            value = self._dense(adj.shape[1], int(s["k"]))
-            score_dst = self._dense(adj.shape[0], 1)[:, 0]
-            score_src = self._dense(adj.shape[1], 1)[:, 0]
-            return lambda: fused_attention_aggregate(
-                adj, value, score_dst, score_src
-            )
+            value = Tensor(self._dense(adj.shape[1], int(s["k"])))
+            score_dst = Tensor(self._dense(adj.shape[0], 1)[:, 0])
+            score_src = Tensor(self._dense(adj.shape[1], 1)[:, 0])
+
+            def fused():
+                with no_grad():
+                    return attention_aggregate(adj, score_dst, score_src, value)
+
+            return fused
         if p == "spgemm":
             from ..kernels import spgemm as k_spgemm
 

@@ -20,7 +20,6 @@ from .dense import (
     sigmoid,
     softmax_rows,
 )
-from .fused import fused_attention_aggregate
 from .normalize import (
     degrees_by_binning,
     degrees_from_indptr,
@@ -74,7 +73,6 @@ __all__ = [
     "elementwise_add",
     "elementwise_mul",
     "elu",
-    "fused_attention_aggregate",
     "gcn_norm_vector",
     "gemm",
     "gemm_flops",

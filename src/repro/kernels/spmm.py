@@ -64,7 +64,7 @@ __all__ = [
 class SpmmStrategy:
     """One g-SpMM execution strategy.
 
-    ``run(adj, x, semiring, block_nnz, workspace)`` executes it; runners
+    ``run(adj, x, semiring, block_nnz)`` executes it; runners
     look their kernel up on its module at call time, so a test or fault
     that patches e.g. ``blocked.gspmm_row_blocks`` perturbs exactly that
     row.
@@ -74,26 +74,21 @@ class SpmmStrategy:
     run: Callable[..., np.ndarray]
     # per-aggregation buffer the planlint lifetime trace tracks
     scratch: Optional[str] = None
-    # draws scratch from the arena plan execution caches per (plan, graph)
-    plan_arena: bool = False
 
 
 SPMM_STRATEGY_TABLE: Tuple[SpmmStrategy, ...] = (
     SpmmStrategy(
         "row_segment",
-        lambda adj, x, semiring, block_nnz, workspace: blocked.gspmm_fold(
+        lambda adj, x, semiring, block_nnz: blocked.gspmm_fold(
             adj, x, semiring, block_nnz=block_nnz
         ),
     ),
     SpmmStrategy(
         "blocked",
-        lambda adj, x, semiring, block_nnz, workspace: (
-            blocked.gspmm_row_blocks(
-                adj, x, semiring, block_nnz=block_nnz, workspace=workspace
-            )
+        lambda adj, x, semiring, block_nnz: blocked.gspmm_row_blocks(
+            adj, x, semiring, block_nnz=block_nnz
         ),
         scratch="tile",
-        plan_arena=True,
     ),
 )
 
@@ -122,7 +117,6 @@ def gspmm(
     semiring: Optional[Semiring] = None,
     strategy: str = "row_segment",
     block_nnz: Optional[int] = None,
-    workspace=None,
 ) -> np.ndarray:
     """Generalized SpMM; see module docstring.
 
@@ -136,16 +130,12 @@ def gspmm(
         The (⊕, ⊗) pair; defaults to ``(sum, mul)``.
     strategy:
         One of :data:`SPMM_STRATEGIES`.
-    block_nnz / workspace:
+    block_nnz:
         Edge budget per tile (None:
-        :data:`~repro.kernels.blocked.DEFAULT_BLOCK_NNZ`), and the
-        :class:`~repro.kernels.workspace.WorkspaceArena` the tiled rows
-        draw scratch from; each row's runner takes the ones it uses.  A
-        split fold's width is :func:`~repro.kernels.blocked.default_num_threads`.
+        :data:`~repro.kernels.blocked.DEFAULT_BLOCK_NNZ`).  A split
+        fold's width is :func:`~repro.kernels.blocked.default_num_threads`.
     """
-    return spmm_strategy(strategy).run(
-        adj, x, semiring, block_nnz=block_nnz, workspace=workspace
-    )
+    return spmm_strategy(strategy).run(adj, x, semiring, block_nnz=block_nnz)
 
 
 def spmm(adj: CSRMatrix, x: np.ndarray) -> np.ndarray:

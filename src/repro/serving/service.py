@@ -46,7 +46,7 @@ diagonals and the shape env, the very setup the cost model amortises
 over many iterations — is kept on the plan-cache entry per (tenant,
 model) and **checked out by one request at a time**
 (:meth:`PlanCache.checkout`), so two running requests never share a
-layer or a workspace arena.  A request that finds none free builds a
+layer.  A request that finds none free builds a
 fresh layer and empty caches, as every request once did; the two differ
 in nothing but the caches the executor starts with.  Only a *clean* hit
 checks its state back in: outcome ``ok`` with no demotion, no

@@ -6,6 +6,7 @@ from .nn import Linear, Module, Parameter
 from .ops import concat, dropout, elu, exp, leaky_relu, log, log_softmax, relu, sigmoid
 from .optim import SGD, Adam, Optimizer
 from .sparse_ops import (
+    attention_aggregate,
     edge_softmax,
     gather_rows,
     gsddmm_add_uv,
@@ -24,6 +25,7 @@ __all__ = [
     "Parameter",
     "SGD",
     "Tensor",
+    "attention_aggregate",
     "concat",
     "cross_entropy",
     "dropout",

@@ -19,6 +19,7 @@ from ..kernels import edge_softmax as edge_softmax_kernel
 from ..kernels.blocked import require_columns_in_range
 from ..kernels.workspace import step_buffer, thread_local_arena
 from ..sparse import CSRMatrix
+from .ops import leaky_relu
 from .tensor import Tensor, _elementwise, _zeros
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "sddmm_dot",
     "gsddmm_add_uv",
     "edge_softmax",
+    "attention_aggregate",
     "row_broadcast",
     "gather_rows",
 ]
@@ -153,6 +155,26 @@ def edge_softmax(pattern: CSRMatrix, logits: Tensor) -> Tensor:
         return np.multiply(alpha, out, out=out)
 
     return Tensor.make(alpha, (logits,), (vjp,), "edge_softmax")
+
+
+def attention_aggregate(
+    pattern: CSRMatrix,
+    score_dst: Tensor,
+    score_src: Tensor,
+    value: Tensor,
+    negative_slope: float = 0.2,
+) -> Tensor:
+    """GAT's attention (Equation 4) and aggregation (Equation 5) from
+    per-node scores: ``α = edge_softmax(LeakyReLU(score_dst[i] +
+    score_src[j]))``, then ``α @ value``.
+
+    ``score_dst``/``score_src`` are ``a_l·Θ_i`` and ``a_r·Θ_j``;
+    ``value`` is what α aggregates (Θ for the reuse composition, H for
+    recomputation).  This is the one implementation of a plan's
+    ``fused_attn_spmm`` step, which the real-execution profiler times.
+    """
+    logits = leaky_relu(gsddmm_add_uv(pattern, score_dst, score_src), negative_slope)
+    return spmm_edge(pattern, edge_softmax(pattern, logits), value)
 
 
 def row_broadcast(d: np.ndarray, x: Tensor) -> Tensor:

@@ -3,7 +3,7 @@
 ``kernels/dense.py`` computes ``leaky_relu`` and ``elu`` as arithmetic
 (``max``/``min``/``exp``) instead of ``np.where(x > 0, …)``.  Every
 route to an activation — the tensor op forward and VJP, and the plan
-interpreter's NumPy mode — must give the same bits as the where
+interpreter's nonlinearity step — must give the same bits as the where
 expression, compared as ``int64`` views over inputs holding ±0.0, ±inf,
 NaN of either sign, subnormals and random normals.  A forward builds no
 ``x > 0`` mask; only a VJP does.
@@ -167,10 +167,9 @@ def test_dense_forward_leaves_its_input_untouched(case):
 
 
 @pytest.mark.parametrize("name", sorted(DEFAULTS))
-def test_interpreter_numpy_mode_bitwise(name):
+def test_interpreter_nonlinearity_bitwise(name):
     x = X.reshape(-1, 4)
-    assert_bitwise(_apply_nonlinear(name, x, "numpy"), DEFAULTS[name](x))
-    assert_bitwise(_apply_nonlinear(name, Tensor(x), "tensor").data, DEFAULTS[name](x))
+    assert_bitwise(_apply_nonlinear(name, Tensor(x)).data, DEFAULTS[name](x))
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 The crucial invariant: for every model, *every* promoted plan executes to
 exactly the same values as the model's baseline message-passing forward,
-in both NumPy (inference) and Tensor (autograd) modes.
+for inference (under ``no_grad``) and training (gradients) alike.
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ from repro.models import (
     prepare_mp_graph,
 )
 from repro.framework import MPGraph
-from repro.tensor import Tensor
+from repro.tensor import Tensor, no_grad
 
 
 @pytest.fixture
@@ -133,16 +133,19 @@ class TestKernelCalls:
 
 class TestExecutorEquivalence:
     @pytest.mark.parametrize("name,make,self_loops", MODEL_CASES)
-    def test_all_plans_match_baseline_numpy(self, graph, rng, name, make, self_loops):
+    def test_all_plans_match_baseline_no_grad(self, graph, rng, name, make, self_loops):
         layer = make(rng)
         g = prepare_mp_graph(graph) if self_loops else MPGraph(graph.adj)
         feat = rng.standard_normal((graph.num_nodes, layer.in_size))
         baseline = layer.forward(g, Tensor(feat)).data
         compiled = compile_model(name, **({"hops": 2} if name in ("sgc", "tagcn") else {}))
         for planned in compiled.promoted:
-            binding = build_binding(layer, g, feat, mode="numpy")
-            out = planned.plan.execute(binding, mode="numpy")
-            assert np.allclose(out, baseline, atol=1e-9), planned.label
+            # an ndarray is bound as a Tensor
+            binding = build_binding(layer, g, feat)
+            with no_grad():
+                out = planned.plan.execute(binding)
+            assert isinstance(out, Tensor) and not out.requires_grad
+            assert np.allclose(out.data, baseline, atol=1e-9), planned.label
 
     @pytest.mark.parametrize("name,make,self_loops", MODEL_CASES)
     def test_all_plans_match_baseline_tensor(self, graph, rng, name, make, self_loops):
@@ -152,8 +155,8 @@ class TestExecutorEquivalence:
         baseline = layer.forward(g, feat).data
         compiled = compile_model(name, **({"hops": 2} if name in ("sgc", "tagcn") else {}))
         for planned in compiled.promoted:
-            binding = build_binding(layer, g, feat, mode="tensor")
-            out = planned.plan.execute(binding, mode="tensor")
+            binding = build_binding(layer, g, feat)
+            out = planned.plan.execute(binding)
             assert np.allclose(out.data, baseline, atol=1e-9), planned.label
 
     @pytest.mark.parametrize("name,make,self_loops", MODEL_CASES)
@@ -168,8 +171,8 @@ class TestExecutorEquivalence:
         compiled = compile_model(name, **({"hops": 2} if name in ("sgc", "tagcn") else {}))
         for planned in compiled.promoted:
             layer.zero_grad()
-            binding = build_binding(layer, g, Tensor(feat_np), mode="tensor")
-            planned.plan.execute(binding, mode="tensor").sum().backward()
+            binding = build_binding(layer, g, Tensor(feat_np))
+            planned.plan.execute(binding).sum().backward()
             for n, p in layer.named_parameters():
                 assert p.grad is not None, (planned.label, n)
                 assert np.allclose(p.grad, base_grads[n], atol=1e-8), (planned.label, n)
@@ -180,14 +183,14 @@ class TestExecutorEquivalence:
         feat = rng.standard_normal((graph.num_nodes, 8))
         compiled = compile_model("gcn")
         planned = compiled.find(norm="precompute")[0]
-        binding = build_binding(layer, g, feat, mode="numpy")
+        binding = build_binding(layer, g, feat)
         cache = {}
-        out1 = planned.plan.execute(binding, mode="numpy", setup_cache=cache)
+        out1 = planned.plan.execute(binding, setup_cache=cache)
         assert cache  # setup results persisted
         cached_objs = {k: id(v) for k, v in cache.items()}
-        out2 = planned.plan.execute(binding, mode="numpy", setup_cache=cache)
+        out2 = planned.plan.execute(binding, setup_cache=cache)
         assert {k: id(v) for k, v in cache.items()} == cached_objs
-        assert np.allclose(out1, out2)
+        assert np.allclose(out1.data, out2.data)
 
     @pytest.mark.parametrize(
         "make,self_loops,leaves,knob",
@@ -207,10 +210,10 @@ class TestExecutorEquivalence:
         layer = make(rng)
         g = prepare_mp_graph(graph) if self_loops else MPGraph(graph.adj)
         feat = rng.standard_normal((graph.num_nodes, 8))
-        plain = build_binding(layer, g, feat, mode="numpy")
+        plain = build_binding(layer, g, feat)
         cache = {}
-        first = build_binding(layer, g, feat, mode="numpy", setup_cache=cache)
-        again = build_binding(layer, g, feat, mode="tensor", setup_cache=cache)
+        first = build_binding(layer, g, feat, setup_cache=cache)
+        again = build_binding(layer, g, Tensor(feat), setup_cache=cache)
         assert set(cache) == {LEAF_CACHE_KEY}
         for name in leaves:
             assert again.values[name] is first.values[name], name
@@ -223,16 +226,14 @@ class TestExecutorEquivalence:
         # another degree kernel is another leaf, not a stale hit
         if "D" in leaves or "Dm" in leaves:
             name = "D" if "D" in leaves else "Dm"
-            binned = build_binding(
-                layer, g, feat, "numpy", "binning", setup_cache=cache
-            )
+            binned = build_binding(layer, g, feat, "binning", setup_cache=cache)
             assert binned.values[name] is not first.values[name]
         # eps / alpha are layer state: changing them must not serve the
         # leaf scaled by the old value
         if knob is not None:
             setattr(layer, knob, getattr(layer, knob) + 0.25)
-            moved = build_binding(layer, g, feat, "numpy", setup_cache=cache)
-            fresh = build_binding(layer, g, feat, "numpy")
+            moved = build_binding(layer, g, feat, setup_cache=cache)
+            fresh = build_binding(layer, g, feat)
             for name in leaves:
                 assert np.array_equal(
                     moved.values[name].diag, fresh.values[name].diag
@@ -240,14 +241,14 @@ class TestExecutorEquivalence:
         # the reserved slot never reaches a plan's value environment
         if isinstance(layer, GCNLayer):
             planned = compile_model("gcn").find(norm="precompute")[0]
-            out = planned.plan.execute(first, mode="numpy", setup_cache=cache)
-            ref = planned.plan.execute(plain, mode="numpy")
-            assert np.array_equal(out, ref)
+            out = planned.plan.execute(first, setup_cache=cache)
+            ref = planned.plan.execute(plain)
+            assert np.array_equal(out.data, ref.data)
 
-    def test_invalid_mode_rejected(self, graph, rng):
+    def test_unknown_strategy_rejected(self, graph, rng):
         layer = GCNLayer(4, 2, rng=rng)
         g = prepare_mp_graph(graph)
         compiled = compile_model("gcn")
-        binding = build_binding(layer, g, np.zeros((graph.num_nodes, 4)), mode="numpy")
-        with pytest.raises(ValueError):
-            compiled.promoted[0].plan.execute(binding, mode="quantum")
+        binding = build_binding(layer, g, np.zeros((graph.num_nodes, 4)))
+        with pytest.raises(ValueError, match="unknown strategy"):
+            compiled.promoted[0].plan.execute(binding, strategy="quantum")

@@ -1,5 +1,7 @@
 """GRANII support for GraphSAGE (the §VI-E extension model)."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from repro.core.bindings import build_binding, model_ir_kwargs, model_ir_name
 from repro.framework import MPGraph
 from repro.graphs import erdos_renyi, load
 from repro.models import SAGELayer, uses_self_loops
-from repro.tensor import Tensor
+from repro.tensor import Tensor, no_grad
 
 
 @pytest.fixture
@@ -51,11 +53,11 @@ class TestSageExecution:
         base = layer.forward(g, feat).data
         compiled = compile_model("sage")
         for planned in compiled.promoted:
-            for mode in ("numpy", "tensor"):
-                binding = build_binding(layer, g, feat, mode)
-                out = planned.plan.execute(binding, mode=mode)
-                out = out if isinstance(out, np.ndarray) else out.data
-                assert np.allclose(out, base, atol=1e-9), (planned.label, mode)
+            for tape in (False, True):
+                binding = build_binding(layer, g, feat)
+                with nullcontext() if tape else no_grad():
+                    out = planned.plan.execute(binding)
+                assert np.allclose(out.data, base, atol=1e-9), (planned.label, tape)
 
     def test_gradients_match_baseline(self, layer, graph, rng):
         g = MPGraph(graph.adj)
@@ -66,8 +68,8 @@ class TestSageExecution:
         compiled = compile_model("sage")
         for planned in compiled.promoted:
             layer.zero_grad()
-            binding = build_binding(layer, g, feat, "tensor")
-            planned.plan.execute(binding, mode="tensor").sum().backward()
+            binding = build_binding(layer, g, feat)
+            planned.plan.execute(binding).sum().backward()
             for n, p in layer.named_parameters():
                 assert np.allclose(p.grad, base_grads[n], atol=1e-8), (planned.label, n)
 

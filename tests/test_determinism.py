@@ -132,7 +132,6 @@ class TestGatTrainingDeterminism:
 
     def step(self, strategy):
         from repro.core.bindings import build_binding, model_ir_kwargs
-        from repro.core.plan import KernelExecutionConfig
         from repro.models import GATLayer, prepare_mp_graph
         from repro.tensor import Tensor, cross_entropy
 
@@ -142,11 +141,7 @@ class TestGatTrainingDeterminism:
         labels = rng.integers(0, 4, size=96)
         layer = GATLayer(8, 4, rng=np.random.default_rng(5))
         plan = compile_model("gat", **model_ir_kwargs(layer)).promoted[0].plan
-        out = plan.execute(
-            build_binding(layer, g, feat, "tensor"),
-            mode="tensor",
-            kernel_config=KernelExecutionConfig(strategy=strategy),
-        )
+        out = plan.execute(build_binding(layer, g, feat), strategy=strategy)
         cross_entropy(out, labels).backward()
         return [out.data, feat.grad] + [p.grad for p in layer.parameters()]
 

@@ -1,4 +1,6 @@
-"""Unit tests for the fusion kernel and the attention-fusion pass."""
+"""Unit tests for the fused attention step and the attention-fusion pass."""
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -6,35 +8,34 @@ import pytest
 from repro.core import compile_model
 from repro.core.bindings import build_binding
 from repro.core.codegen import fuse_attention_candidates
-from repro.kernels import (
-    edge_softmax,
-    fused_attention_aggregate,
-    leaky_relu,
-    spmm,
-)
+from repro.kernels import edge_softmax, leaky_relu, spmm
 from repro.models import GATLayer, prepare_mp_graph
-from repro.tensor import Tensor
+from repro.tensor import Tensor, attention_aggregate, no_grad
 
 from helpers import random_csr
 
 
-class TestFusedKernel:
+class TestFusedAttentionStep:
     def test_matches_unfused_pipeline(self, rng):
         pattern = random_csr(rng, 10, 10, density=0.3, weighted=False)
         value = rng.standard_normal((10, 4))
         s_dst = rng.standard_normal(10)
         s_src = rng.standard_normal(10)
-        fused = fused_attention_aggregate(pattern, value, s_dst, s_src, 0.2)
+        with no_grad():
+            fused = attention_aggregate(
+                pattern, Tensor(s_dst), Tensor(s_src), Tensor(value), 0.2
+            )
         rows, cols = pattern.row_ids(), pattern.indices
         logits = leaky_relu(s_dst[rows] + s_src[cols], 0.2)
         alpha = edge_softmax(pattern, logits)
-        assert np.allclose(fused, spmm(alpha, value))
+        assert np.allclose(fused.data, spmm(alpha, value))
 
     def test_score_shapes_validated(self, rng):
         pattern = random_csr(rng, 5, 5, density=0.4, weighted=False)
         with pytest.raises(ValueError):
-            fused_attention_aggregate(
-                pattern, np.zeros((5, 2)), np.zeros(4), np.zeros(5)
+            attention_aggregate(
+                pattern, Tensor(np.zeros(4)), Tensor(np.zeros(5)),
+                Tensor(np.zeros((5, 2))),
             )
 
 
@@ -72,11 +73,11 @@ class TestFusionPass:
         base = layer.forward(g, feat).data
         compiled = compile_model("gat", fusion=True)
         for planned in compiled.promoted:
-            for mode in ("numpy", "tensor"):
-                binding = build_binding(layer, g, feat, mode)
-                out = planned.plan.execute(binding, mode=mode)
-                out = out if isinstance(out, np.ndarray) else out.data
-                assert np.allclose(out, base, atol=1e-9), (planned.label, mode)
+            for tape in (False, True):
+                binding = build_binding(layer, g, feat)
+                with nullcontext() if tape else no_grad():
+                    out = planned.plan.execute(binding)
+                assert np.allclose(out.data, base, atol=1e-9), (planned.label, tape)
 
     def test_fused_kernel_calls_reduce_launches(self):
         from repro.core import ShapeEnv

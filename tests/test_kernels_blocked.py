@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core import GraniiEngine, KernelExecutionConfig, compile_model
-from repro.core.plan import WORKSPACE_CACHE_KEY
+from repro.core import GraniiEngine, compile_model
 from repro.graphs import load
 from repro.kernels import (
     SPMM_STRATEGIES,
@@ -25,6 +24,7 @@ from repro.kernels import (
     row_block_spans,
 )
 from repro.models import GCNLayer
+from repro.tensor import no_grad
 
 from helpers import random_csr
 
@@ -308,7 +308,7 @@ def graph():
     return load("CA", "small")
 
 
-class TestPlanKernelConfig:
+class TestPlanStrategy:
     def _plan_and_binding(self, graph, rng):
         from repro.core.bindings import build_binding
 
@@ -319,31 +319,16 @@ class TestPlanKernelConfig:
 
         mpg = prepare_mp_graph(graph)
         feat = rng.standard_normal((graph.num_nodes, 16))
-        binding = build_binding(layer, mpg, feat, "numpy")
+        binding = build_binding(layer, mpg, feat)
         return planned.plan, binding
 
-    def test_workspace_persists_in_setup_cache(self, graph, rng, monkeypatch):
-        monkeypatch.setattr(blocked, "DEFAULT_BLOCK_NNZ", 256)
-        plan, binding = self._plan_and_binding(graph, rng)
-        ref = plan.execute(binding)
-        cache = {}
-        config = KernelExecutionConfig(strategy="blocked")
-        out1 = plan.execute(binding, setup_cache=cache, kernel_config=config)
-        assert WORKSPACE_CACHE_KEY in cache
-        arena = cache[WORKSPACE_CACHE_KEY]
-        misses = arena.misses
-        out2 = plan.execute(binding, setup_cache=cache, kernel_config=config)
-        assert cache[WORKSPACE_CACHE_KEY] is arena
-        assert arena.misses == misses  # steady state: no new allocations
-        assert np.allclose(out1, ref) and np.allclose(out2, ref)
-
     @pytest.mark.parametrize("strategy", SPMM_STRATEGIES)
-    def test_config_strategies_match_default(self, graph, rng, strategy):
+    def test_strategies_match_default(self, graph, rng, strategy):
         plan, binding = self._plan_and_binding(graph, rng)
-        ref = plan.execute(binding)
-        config = KernelExecutionConfig(strategy=strategy)
-        out = plan.execute(binding, kernel_config=config)
-        assert np.allclose(out, ref)
+        with no_grad():
+            ref = plan.execute(binding)
+            out = plan.execute(binding, strategy=strategy)
+        assert np.allclose(out.data, ref.data)
 
 
 class TestEngineStrategySelection:

@@ -21,6 +21,7 @@ from repro.core.ir import MatMul, dense_data, dense_weight, diagonal, sparse_unw
 from repro.core.plan import LayerBinding, Plan
 from repro.core.pruning import cost_signature, prune_candidates
 from repro.sparse import CSRMatrix, DiagonalMatrix
+from repro.tensor import Tensor, no_grad
 
 
 @st.composite
@@ -79,11 +80,11 @@ def build_values(kinds, with_weight, rng, n=6, k1=3, k2=2):
             values[f"L{i}"] = mat
             dense_ref.append(mat.to_dense())
     h = rng.standard_normal((n, k1))
-    values["H"] = h
+    values["H"] = Tensor(h)
     dense_ref.append(h)
     if with_weight:
         w = rng.standard_normal((k1, k2))
-        values["W"] = w
+        values["W"] = Tensor(w)
         dense_ref.append(w)
     expected = dense_ref[0]
     for factor in dense_ref[1:]:
@@ -103,9 +104,9 @@ class TestEnumerationEquivalence:
         values, expected = build_values(kinds, with_weight, rng)
         for candidate in candidates:
             plan = Plan(candidate)
-            out = plan.execute(LayerBinding(values), mode="numpy")
-            out_dense = out if isinstance(out, np.ndarray) else out.to_dense()
-            assert np.allclose(out_dense, expected, atol=1e-8), candidate.describe()
+            with no_grad():
+                out = plan.execute(LayerBinding(values))
+            assert np.allclose(out.data, expected, atol=1e-8), candidate.describe()
 
     @given(matmul_chains())
     @settings(max_examples=40, deadline=None)

@@ -130,8 +130,8 @@ class TestNeedAware:
             )
             del spmm_calls[:], dispatched[:]
             with kernel_wrapper(observer):
-                binding = build_binding(layer, g, feat, mode="tensor")
-                out = planned.plan.execute(binding, mode="tensor")
+                binding = build_binding(layer, g, feat)
+                out = planned.plan.execute(binding)
                 forward_spmms = len(spmm_calls)
                 forward_dispatches = len(dispatched)
                 spmm_nodes = [n for n in tape_nodes(out) if n.op == "spmm"]

@@ -8,6 +8,11 @@ import pytest
 
 from repro.core import GraniiEngine
 from repro.core.verify import (
+    _compile_for_model,
+    _make_cotangent,
+    _make_feats,
+    _mp_graph,
+    _plan_outputs,
     ToleranceModel,
     adversarial_battery,
     emit_pytest_repro,
@@ -16,10 +21,12 @@ from repro.core.verify import (
     shrink_failure,
     sweep,
 )
-from repro.framework import MPGraph
+from repro.framework import MPGraph, get_system
 from repro.graphs import Graph, empty_graph, rmat, star
 from repro.models import build_layer
+from repro.models.zoo import MODEL_NAMES
 from repro.sparse import CSRMatrix
+from repro.tensor import Tensor, no_grad
 
 
 def mini_sweep(**overrides):
@@ -108,6 +115,36 @@ class TestSweep:
         with seeded_fault(scale=1.01):
             report = mini_sweep(strategies=["row_segment"], graphs=[star(12)])
         assert report.passed
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_inference_check_runs_the_served_path(self, model, monkeypatch):
+        """An inference check makes the Tensor ops a served request makes:
+        ``layer(g, feats)`` with the plan's executor attached, no_grad."""
+        ops = []
+        make = Tensor.make
+
+        def recording(data, parents, vjps, op):
+            ops.append(op)
+            return make(data, parents, vjps, op)
+
+        monkeypatch.setattr(Tensor, "make", staticmethod(recording))
+        graph = rmat(40, 4.0, seed=7)
+        layer = build_layer(model, 5, 3, rng=np.random.default_rng(0))
+        feats = _make_feats(graph, 5, seed=0)
+        engine = GraniiEngine(device="h100", scale="small")
+        for planned in _compile_for_model(model, layer).promoted:
+            del ops[:]
+            _plan_outputs(
+                layer, planned, _mp_graph(graph, model), feats, "inference",
+                "row_segment", get_system("dgl").degree_method,
+                _make_cotangent(graph.num_nodes, 3, seed=0),
+            )
+            checked = list(ops)
+            del ops[:]
+            layer.attach_executor(engine.make_executor(layer, planned))
+            with no_grad():
+                layer(graph, feats)
+            assert checked and checked == ops, planned.label
 
     def test_report_round_trips_to_json(self, tmp_path):
         report = mini_sweep(graphs=[star(8)])
@@ -251,6 +288,7 @@ class TestRuntimeVerification:
             layer, sel.chosen, "blocked", selection=sel
         )
         mp = MPGraph(g.adj_with_self_loops())
+        feats = Tensor(feats)
         with seeded_fault(scale=1.01):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -260,11 +298,11 @@ class TestRuntimeVerification:
             assert any(
                 issubclass(w.category, RuntimeWarning) for w in caught
             )
-            reference = layer.forward(mp, Tensor(feats)).data
+            reference = layer.forward(mp, feats).data
             # graceful degradation: the divergent plan is abandoned and
             # the reference composition's (correct) output returned
-            assert np.allclose(out, reference)
-            assert np.allclose(executor(mp, feats), reference)
+            assert np.allclose(out.data, reference)
+            assert np.allclose(executor(mp, feats).data, reference)
 
 
 class TestVerifyCLI:

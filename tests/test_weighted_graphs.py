@@ -15,7 +15,7 @@ from repro.framework import MPGraph
 from repro.graphs import erdos_renyi
 from repro.graphs.graph import Graph
 from repro.models import GCNLayer
-from repro.tensor import Tensor
+from repro.tensor import Tensor, no_grad
 
 
 @pytest.fixture
@@ -68,9 +68,10 @@ class TestWeightedExecution:
         g = MPGraph(weighted_graph.adj_with_self_loops())
         compiled = compile_model("gcn", weighted=True)
         for planned in compiled.promoted:
-            binding = build_binding(layer, g, feat, "numpy")
-            out = planned.plan.execute(binding, mode="numpy")
-            assert np.allclose(out, expected, atol=1e-9), planned.label
+            binding = build_binding(layer, g, feat)
+            with no_grad():
+                out = planned.plan.execute(binding)
+            assert np.allclose(out.data, expected, atol=1e-9), planned.label
 
     def test_weighted_tensor_mode_gradients(self, weighted_graph, rng):
         layer = GCNLayer(6, 3, rng=rng)
@@ -80,8 +81,8 @@ class TestWeightedExecution:
         grads = []
         for planned in compiled.promoted:
             layer.zero_grad()
-            binding = build_binding(layer, g, feat, "tensor")
-            planned.plan.execute(binding, mode="tensor").sum().backward()
+            binding = build_binding(layer, g, feat)
+            planned.plan.execute(binding).sum().backward()
             grads.append(layer.linear.weight.grad.copy())
         for other in grads[1:]:
             assert np.allclose(other, grads[0], atol=1e-8)
