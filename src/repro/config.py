@@ -43,7 +43,6 @@ __all__ = [
     "deadline_slack",
     "deadline_floor_seconds",
     "mem_budget_bytes",
-    "autotune_enabled",
     "override_env",
     "warn_unknown_knobs",
 ]
@@ -56,7 +55,6 @@ KNOBS: Tuple[Tuple[str, str], ...] = (
     ("REPRO_DEADLINE_SLACK", "deadline = predicted cost x slack (>= floor)"),
     ("REPRO_DEADLINE_FLOOR_MS", "minimum per-plan wall-clock deadline"),
     ("REPRO_MEM_BUDGET_MB", "per-plan memory budget (estimate + observed)"),
-    ("REPRO_AUTOTUNE", "time the chosen plan's fold at selection"),
 )
 
 __doc__ = (__doc__ or "") + "\n".join(
@@ -172,13 +170,6 @@ def mem_budget_bytes() -> Optional[float]:
     """``REPRO_MEM_BUDGET_MB``: per-plan memory budget, or None (unlimited)."""
     value = env_float("REPRO_MEM_BUDGET_MB", 0.0, minimum=0.0)
     return value * 2**20 if value > 0 else None
-
-
-def autotune_enabled() -> bool:
-    """``REPRO_AUTOTUNE``: time the chosen plan's aggregation fold on the
-    actual input at selection time and feed the residual back into the
-    cost models."""
-    return env_flag("REPRO_AUTOTUNE", False)
 
 
 def override_env(overrides):

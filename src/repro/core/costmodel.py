@@ -11,139 +11,37 @@ from __future__ import annotations
 import logging
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
 from ..hardware import Device, get_device
-from ..kernels import STRATEGY_PRICING_PRIMITIVES, KernelCall
+from ..kernels import KernelCall
 from ..learn import GradientBoostedTrees
 from .features import call_features
 from .profiler import ProfileDataset, collect_profile
 
 __all__ = [
     "CostModelSet",
-    "STRATEGY_PRICING_PRIMITIVES",
     "call_key",
     "clear_cost_model_cache",
-    "clear_runtime_residuals",
-    "cost_model_token",
-    "export_runtime_residuals",
     "get_cost_models",
-    "import_runtime_residuals",
     "load_cost_models",
-    "record_runtime_residual",
-    "residual_factor",
     "save_cost_models",
     "train_cost_models",
 ]
 
 logger = logging.getLogger(__name__)
 
-# ----------------------------------------------------------------------
-# Runtime residuals (autotuner feedback)
-# ----------------------------------------------------------------------
-# The autotuner measures kernels on the *actual* input and records the
-# measured/predicted ratio here; predictions are multiplied by the
-# current EWMA factor so future selections price what this machine
-# actually runs, in the spirit of the execution-time predictor line of
-# work the roadmap cites.  Keys are (device, primitive).
-_RUNTIME_RESIDUALS: Dict[Tuple[str, str], float] = {}
-_RESIDUAL_ALPHA = 0.5
 
-# STRATEGY_PRICING_PRIMITIVES (spmm / spmm_unweighted, the aggregations
-# the autotuner times) are the scope of the cache-invalidation token:
-# their residuals re-price every plan's aggregations, so they can move
-# plan ranking.  Residuals on anything else (gemm, ...) must NOT churn
-# serving-cache fingerprints.
+def cost_model_token(device_name: str) -> str:
+    """Always ``""``: a fitted cost-model set is the whole price, so
+    there is no per-process state to version a serving fingerprint by.
 
-
-def record_runtime_residual(
-    device_name: str,
-    primitive: str,
-    measured_seconds: float,
-    predicted_seconds: float,
-) -> float:
-    """Fold one measured/predicted ratio into the EWMA residual store.
-
-    Returns the updated multiplicative factor for (device, primitive).
-    Non-positive inputs are ignored (timer underflow, missing model).
+    Kept only because ``bench/harness/serve_mix.py`` still passes it to
+    ``fingerprint_graph(cost_token=)``.
     """
-    key = (device_name.lower(), primitive)
-    if measured_seconds <= 0.0 or predicted_seconds <= 0.0:
-        return _RUNTIME_RESIDUALS.get(key, 1.0)
-    ratio = measured_seconds / predicted_seconds
-    prev = _RUNTIME_RESIDUALS.get(key)
-    value = ratio if prev is None else (
-        (1.0 - _RESIDUAL_ALPHA) * prev + _RESIDUAL_ALPHA * ratio
-    )
-    _RUNTIME_RESIDUALS[key] = value
-    return value
-
-
-def residual_factor(device_name: str, primitive: str) -> float:
-    """Current multiplicative correction for (device, primitive); 1.0 if none."""
-    return _RUNTIME_RESIDUALS.get((device_name.lower(), primitive), 1.0)
-
-
-def clear_runtime_residuals() -> None:
-    _RUNTIME_RESIDUALS.clear()
-
-
-def export_runtime_residuals() -> Dict[str, float]:
-    """The EWMA residual store as a JSON-friendly ``device|primitive``
-    -> factor mapping (the durable-state snapshot payload)."""
-    return {f"{dev}|{prim}": value for (dev, prim), value in _RUNTIME_RESIDUALS.items()}
-
-
-def import_runtime_residuals(data: Dict[str, float]) -> int:
-    """Restore residuals exported by :func:`export_runtime_residuals`.
-
-    Replaces the current store (warm start = resume exactly where the
-    saved process left off).  Malformed keys and non-finite factors are
-    skipped rather than poisoning selection.  Returns the count restored.
-    """
-    _RUNTIME_RESIDUALS.clear()
-    restored = 0
-    for key, value in dict(data or {}).items():
-        if not isinstance(key, str) or "|" not in key:
-            continue
-        try:
-            factor = float(value)
-        except (TypeError, ValueError):
-            continue
-        if not np.isfinite(factor) or factor <= 0.0:
-            continue
-        dev, _, prim = key.partition("|")
-        _RUNTIME_RESIDUALS[(dev, prim)] = factor
-        restored += 1
-    return restored
-
-
-def cost_model_token(
-    device_name: str,
-    primitives: Sequence[str] = STRATEGY_PRICING_PRIMITIVES,
-) -> str:
-    """Version token of the ``spmm`` / ``spmm_unweighted`` residual state.
-
-    Those residuals re-price the aggregations of every candidate plan, so
-    they can change which plan ranks cheapest (not which SpMM strategy
-    runs: no strategy is priced).  The token is folded into serving-cache
-    fingerprints so entries selected under a stale cost model are
-    recomputed after an autotune refinement — without invalidating keys
-    the refinement cannot affect.  A pristine store (all factors 1.0)
-    yields the empty token, so fingerprints are byte-identical to the
-    pre-autotuner era until a residual is actually recorded.
-    """
-    import hashlib
-
-    entries = [
-        (p, round(_RUNTIME_RESIDUALS.get((device_name.lower(), p), 1.0), 6))
-        for p in sorted(primitives)
-    ]
-    if all(r == 1.0 for _, r in entries):
-        return ""
-    return hashlib.sha1(repr(entries).encode()).hexdigest()[:12]
+    return ""
 
 
 # Graph vectors whose predictions a model set keeps (least recently priced
@@ -180,7 +78,7 @@ class CostModelSet:
         # (:attr:`ProfileDataset.scale`); None for caller-chosen graphs
         self.scale = scale
         self._models = models
-        # graph-vector bytes -> {call key -> base seconds}
+        # graph-vector bytes -> {call key -> predicted seconds}
         self._memo: "OrderedDict[bytes, Dict[tuple, float]]" = OrderedDict()
         self._memo_lock = threading.Lock()
 
@@ -230,7 +128,7 @@ class CostModelSet:
         )
 
     def prices(self, vec_bytes: bytes) -> Dict[tuple, float]:
-        """The base predictions made so far against one graph vector.
+        """The predictions made so far against one graph vector.
 
         A caller pricing many calls against the same vector (one
         selection prices every viable candidate) fetches the table once
@@ -269,14 +167,11 @@ class CostModelSet:
             prices = self.prices(graph_vec.tobytes())
         if key is None:
             key = call_key(call)
-        base = prices.get(key)
-        if base is None:
+        price = prices.get(key)
+        if price is None:
             feats = call_features(call, graph_vec)
-            # memoise the *base* prediction; the runtime-residual factor is
-            # applied on the way out so autotune refinements take effect
-            # without a cache flush
-            base = prices[key] = float(np.exp(model.predict_one(feats)))
-        return base * residual_factor(self.device_name, call.primitive)
+            price = prices[key] = float(np.exp(model.predict_one(feats)))
+        return price
 
     def predict_calls(
         self, calls: Iterable[KernelCall], graph_vec: np.ndarray, efficiency=None

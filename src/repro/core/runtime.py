@@ -23,13 +23,13 @@ What is remembered between calls, and where:
 - the graph's feature vector, on the adjacency matrix itself
   (:func:`repro.core.features.inspect_graph` writes ``CSRMatrix._aux``,
   where ``row_ids`` and the serving fingerprint's pattern digest also
-  live), so every engine, the autotuner and the serving fingerprint read
-  one copy and a re-weighted matrix (``with_values``) inherits it.  Like
-  every ``_aux`` entry it assumes ``indptr``/``indices`` are never
-  written after construction; a new pattern is a new matrix.  An
+  live), so every engine and the serving fingerprint read one copy and
+  a re-weighted matrix (``with_values``) inherits it.  Like every
+  ``_aux`` entry it assumes ``indptr``/``indices`` are never written
+  after construction; a new pattern is a new matrix.  An
   adjacency object the process has not seen pays the O(N+E) pass once;
   only a repeat submission of the same object skips it;
-- base cost-model predictions, per graph vector, in the model set's
+- cost-model predictions, per graph vector, in the model set's
   bounded memo (:meth:`CostModelSet.prices`); one selection prices each
   distinct (primitive, shape) call of its candidates once;
 - each plan's kernel calls, as a template per plan and a bounded table of
@@ -57,7 +57,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import config
 from ..framework import MPGraph, get_system
 from ..graphs import Graph
 from ..hardware import get_device
@@ -92,9 +91,6 @@ class SelectionReport:
     peak_memory_bytes: float = 0.0
     memory_filtered_count: int = 0  # plans dropped for exceeding the limit
     spmm_strategy: str = "row_segment"  # how the executor runs aggregations
-    # the autotuner's measured seconds of the fold
-    # (``measured:row_segment``; empty unless REPRO_AUTOTUNE is on)
-    strategy_costs: Dict[str, float] = field(default_factory=dict)
     # runtime verification outcome: None until the first verified call,
     # then True (plan agreed with the reference) or False (diverged; the
     # executor fell back to the reference composition — see verify_note)
@@ -200,8 +196,7 @@ class OptimizationReport:
 
 class _Prices:
     """One selection's predicted seconds per call, each distinct price key
-    priced once, on first need, as ``predict_call × efficiency`` (the
-    runtime residual applied inside ``predict_call``).
+    priced once, on first need, as ``predict_call × efficiency``.
 
     With a :class:`PriceIndex` the index's keys are priced into its slots
     and :meth:`plan_costs` totals all its plans in one array pass; without
@@ -478,13 +473,6 @@ class GraniiEngine:
             ranked = [viable[i] for i in order]
             chosen_row = order[0]
         chosen = viable[chosen_row]
-        strategy_costs: Dict[str, float] = {}
-        if config.autotune_enabled():
-            from .autotune import autotune_selection
-
-            tuned = autotune_selection(self, chosen.plan, graph, layer)
-            if tuned is not None:
-                strategy_costs["measured:row_segment"] = tuned.seconds
         selection_seconds = time.perf_counter() - t1
         # static verdict for the winner: proved facts let the guarded
         # executor skip re-deriving them on the hot path (see guard.py)
@@ -506,7 +494,6 @@ class GraniiEngine:
                 chosen.plan.peak_memory_bytes(env) if peak is None else peak
             ),
             memory_filtered_count=memory_filtered,
-            strategy_costs=strategy_costs,
             ranked=ranked,
             analysis=verdict,
         )

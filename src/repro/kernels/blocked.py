@@ -482,13 +482,16 @@ def gspmm_fold(
     — one span below the fold crossover, one edge-balanced span per
     worker at or above it — and the spans fold at once through
     :func:`run_spans`, each writing a disjoint slice of the output.  A
-    NumPy-fold semiring is :func:`gspmm_row_blocks` on the caller's
-    thread-local arena: its ``block_nnz`` tiles bound the message memory.
+    NumPy-fold semiring folds the row blocks :func:`gspmm_row_blocks`
+    folds, on the caller's thread-local arena: its ``block_nnz`` tiles
+    bound the message memory.  It calls the span loop itself, not that
+    function, so patching the ``blocked`` row's runner leaves this one be.
     """
     if semiring is None:
         semiring = get_semiring()
     if not folds_compiled(semiring):
-        return gspmm_row_blocks(adj, x, semiring, block_nnz, thread_local_arena())
+        spans = row_block_spans(adj.indptr, block_nnz)
+        return fold_spans(adj, x, semiring, spans, workspace=thread_local_arena())
     x = _promote(x)
     spans = worker_spans(adj.indptr, adj.nnz * x.shape[1])
     return fold_spans(adj, x, semiring, spans, split=True)

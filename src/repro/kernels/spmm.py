@@ -106,8 +106,8 @@ def spmm_strategy(name: str) -> SpmmStrategy:
         ) from None
 
 
-# The aggregation primitives a plan's kernel calls price: the cost-model
-# residuals that can move plan ranking (see costmodel.cost_model_token).
+# The aggregation primitives a plan's kernel calls price, weighted and
+# unweighted; the profiler and the real-execution backend sample both.
 STRATEGY_PRICING_PRIMITIVES = ("spmm", "spmm_unweighted")
 
 

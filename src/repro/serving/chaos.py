@@ -316,11 +316,11 @@ def scenario_corrupt_snapshot(graph, feats, reference, cost_models, seed, n):
 
 
 def scenario_restart_warm(graph, feats, reference, cost_models, seed, n):
-    """The full kill-and-restart round trip: a service process records a
-    runtime residual, saves state, and dies by SIGKILL (no cleanup).
+    """The full kill-and-restart round trip: a service process serves one
+    request, saves state, and dies by SIGKILL (no cleanup).
     A fresh process must warm-start from ``REPRO_STATE_DIR`` and serve
     the first repeat request as a plan-cache **hit** — same plan, no
-    re-selection, no re-measurement.  The killed process loads
+    re-selection.  The killed process loads
     ``cost_models`` from a cache file, so it fits nothing."""
     state_dir = tempfile.mkdtemp(prefix="granii-state-restart-")
     model_dir = tempfile.mkdtemp(prefix="granii-models-restart-")
@@ -343,8 +343,7 @@ def _restart_warm(state_dir, model_dir, graph, feats, reference, seed):
     child_code = (
         "import os, signal\n"
         "import numpy as np\n"
-        "from repro.core.costmodel import get_cost_models, "
-        "record_runtime_residual\n"
+        "from repro.core.costmodel import get_cost_models\n"
         "from repro.graphs.generators import erdos_renyi\n"
         "from repro.serving.service import GraniiService, ServeRequest\n"
         f"graph = erdos_renyi({nodes}, avg_degree=6, seed=7)\n"
@@ -354,7 +353,6 @@ def _restart_warm(state_dir, model_dir, graph, feats, reference, seed):
         f"svc = GraniiService(device='cpu', cost_models=models,\n"
         f"    num_threads=2, state_dir={state_dir!r})\n"
         f"svc.register_model('gcn', {IN_SIZE}, {OUT_SIZE})\n"
-        "record_runtime_residual('cpu', 'spmm', 2.0, 1.0)\n"
         "r = svc.serve(ServeRequest(tenant='t', model='gcn', graph=graph,"
         " feats=feats))\n"
         "assert r.ok, r.error\n"
@@ -375,8 +373,8 @@ def _restart_warm(state_dir, model_dir, graph, feats, reference, seed):
             f"its SIGKILL (rc={proc.returncode}): {proc.stderr[-500:]}"
         )
         return _record("restart-warm", violations)
-    # warm start in THIS process: residuals + cost models + plan cache
-    # all come off disk; no cost_models argument on purpose
+    # warm start in THIS process: cost models + plan cache both come
+    # off disk; no cost_models argument on purpose
     t_warm = time.perf_counter()
     with _service(None, num_threads=2, state_dir=state_dir) as svc:
         warm = dict(svc.warm_start)
@@ -387,10 +385,6 @@ def _restart_warm(state_dir, model_dir, graph, feats, reference, seed):
     if not bool(warm.get("cost_models")):
         violations.append(
             "mismatch: cost models were not warm-started from disk"
-        )
-    if int(warm.get("residuals", 0)) < 1:
-        violations.append(
-            "mismatch: runtime residuals were not warm-started"
         )
     if not result.ok:
         violations.append(

@@ -56,11 +56,11 @@ def fingerprint_graph(
     ``CSRMatrix`` memo assumes: the pattern arrays are not written after
     construction.
 
-    ``cost_token`` versions the *selector*, not the graph: the serving
-    runtime passes :func:`repro.core.costmodel.cost_model_token` so plans
-    chosen under a cost model the autotuner has since refined are
-    recomputed instead of served stale.  A pristine model yields the
-    empty token, leaving fingerprints byte-identical to the untuned era.
+    ``cost_token`` versions the *selector*, not the graph: a caller whose
+    selector can come to price plans differently passes a token that
+    changes with it, so plans chosen under the old prices are recomputed
+    instead of served stale.  The service passes none, and the empty
+    token leaves the key as if there were no such scope.
     """
     adj = graph.adj
     weighted = bool(adj.is_weighted)

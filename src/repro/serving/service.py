@@ -95,6 +95,7 @@ from ..errors import (
 from ..faults import FaultPlan, fault_injection
 from ..models import build_layer
 from ..state import StateStore
+from ..tensor import no_grad
 from .cache import PlanCache
 from .fingerprint import GraphFingerprint, fingerprint_graph
 
@@ -241,11 +242,9 @@ class GraniiService:
         self._deadline_seconds = deadline_seconds
         self._cache = PlanCache(plan_cache_size)
         # Durable state: with a state dir (argument or REPRO_STATE_DIR),
-        # warm-start residuals, cost models, and plan-cache entries saved
-        # by a previous process — BEFORE the selector is built and before
-        # any fingerprint is computed, because fingerprint keys fold in
-        # the cost-model residual token and the selector would otherwise
-        # retrain models we already have on disk.
+        # warm-start cost models and plan-cache entries saved by a
+        # previous process — BEFORE the selector is built, because it
+        # would otherwise retrain models we already have on disk.
         resolved_state_dir = (
             state_dir if state_dir is not None else config.state_dir()
         )
@@ -255,23 +254,7 @@ class GraniiService:
         self.warm_start: Dict[str, object] = {}
         if self._store is not None:
             self.warm_start = self._restore_state()
-        if fingerprint_fn is None:
-            # default fingerprints fold in the cost-model version token:
-            # an spmm / spmm_unweighted residual (the autotuner's) re-prices
-            # every plan's aggregations and can change plan ranking, so it
-            # advances the token and entries selected under the stale
-            # model recompute instead of serving stale choices — while
-            # residuals on any other primitive leave every fingerprint
-            # (and cached entry) untouched
-            def fingerprint_fn(graph, model_name, in_size, out_size):
-                from ..core.costmodel import cost_model_token
-
-                return fingerprint_graph(
-                    graph, model_name, in_size, out_size,
-                    cost_token=cost_model_token(self._device),
-                )
-
-        self._fingerprint_fn = fingerprint_fn
+        self._fingerprint_fn = fingerprint_fn or fingerprint_graph
         # the selection engine is shared (its outputs are immutable plan
         # templates); computes are serialized under _select_lock so the
         # engine never races itself on a multi-key miss burst
@@ -333,22 +316,8 @@ class GraniiService:
     # ------------------------------------------------------------------
     def _restore_state(self) -> Dict[str, object]:
         """Warm-start from the state store; every snapshot is optional
-        and a corrupt one costs a cold rebuild, never a crash.
-
-        Residuals land first: plan-cache fingerprints embed the
-        cost-model residual token, so seeded entries only hit if the
-        residual state they were selected under is live again.
-        """
-        from ..core.costmodel import import_runtime_residuals
-
-        summary: Dict[str, object] = {
-            "residuals": 0,
-            "cost_models": False,
-            "plan_cache": 0,
-        }
-        residuals = self._store.load("residuals")
-        if isinstance(residuals, dict):
-            summary["residuals"] = import_runtime_residuals(residuals)
+        and a corrupt one costs a cold rebuild, never a crash."""
+        summary: Dict[str, object] = {"cost_models": False, "plan_cache": 0}
         if self._cost_models is None:
             payload = self._store.load("cost_models")
             if isinstance(payload, dict):
@@ -382,8 +351,8 @@ class GraniiService:
         return summary
 
     def save_state(self) -> Dict[str, str]:
-        """Atomically snapshot residuals, cost models, and the plan
-        cache to the state store; returns snapshot name -> path.
+        """Atomically snapshot the cost models and the plan cache to the
+        state store; returns snapshot name -> path.
 
         Requires a state directory (``state_dir=`` or
         ``REPRO_STATE_DIR``).
@@ -393,12 +362,7 @@ class GraniiService:
                 "no state directory configured; pass state_dir= or set "
                 "REPRO_STATE_DIR"
             )
-        from ..core.costmodel import export_runtime_residuals
-
         paths = {
-            "residuals": self._store.save(
-                "residuals", export_runtime_residuals()
-            ),
             "plan_cache": self._store.save(
                 "plan_cache", self._cache.export_entries()
             ),
@@ -623,7 +587,6 @@ class GraniiService:
             feature_seconds=0.0,
             selection_seconds=0.0,
             peak_memory_bytes=template.peak_memory_bytes,
-            strategy_costs=dict(template.strategy_costs),
             ranked=list(template.ranked),
             analysis=template.analysis,
             deadline_at=deadline_at,
@@ -632,7 +595,8 @@ class GraniiService:
     def _reference_value(self, spec: ModelSpec, request: ServeRequest) -> np.ndarray:
         """The baseline message-passing forward (no executor attached)."""
         layer = spec.factory()
-        out = layer(request.graph, request.feats)
+        with no_grad():
+            out = layer(request.graph, request.feats)
         return np.asarray(getattr(out, "data", out))
 
     def _process(
@@ -704,7 +668,11 @@ class GraniiService:
                         inputs_validated=True,  # _admit ran the gate
                     )
                     layer.attach_executor(executor)
-                    out = layer(request.graph, request.feats)
+                    # inference records no tape on this thread; the layer
+                    # is built outside no_grad, so its parameters still
+                    # require grad wherever else it runs
+                    with no_grad():
+                        out = layer(request.graph, request.feats)
                     layer.detach_executor()
                     result.value = np.asarray(getattr(out, "data", out))
                     result.outcome = (

@@ -1,9 +1,9 @@
 """Crash-safe durable snapshots of GRANII's learned selection state.
 
-GRANII's value at serving time is state that was *learned online* —
-autotuner EWMA residuals, trained cost models, fingerprint-keyed plan
-selections.  All of it is expensive to rebuild (minutes of profiling and
-re-measurement), so a restart must be able to warm-start from disk, and
+GRANII's value at serving time is state that was *learned* — trained
+cost models and fingerprint-keyed plan selections.  Both are expensive
+to rebuild (a profiling fit, a selection per cached structure), so a
+restart must be able to warm-start from disk, and
 a crash *during* a save must never leave a half-written file that
 poisons the next start.
 

@@ -29,6 +29,7 @@ dense, never back.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -40,23 +41,31 @@ __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 # maps the gradient of an op's result to one parent's share of it
 VJP = Callable[[np.ndarray], np.ndarray]
 
-_GRAD_ENABLED = [True]
+
+class _GradMode(threading.local):
+    """Whether this thread records the tape; every thread starts on."""
+
+    enabled = True
+
+
+_GRAD = _GradMode()
 
 
 class no_grad:
-    """Context manager disabling graph construction (inference mode)."""
+    """Context manager disabling graph construction (inference mode) on
+    the calling thread; other threads keep recording."""
 
     def __enter__(self) -> "no_grad":
-        self._prev = _GRAD_ENABLED[0]
-        _GRAD_ENABLED[0] = False
+        self._prev = _GRAD.enabled
+        _GRAD.enabled = False
         return self
 
     def __exit__(self, *exc) -> None:
-        _GRAD_ENABLED[0] = self._prev
+        _GRAD.enabled = self._prev
 
 
 def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED[0]
+    return _GRAD.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -147,7 +156,7 @@ class Tensor:
         letting go of it is the only release there is.
         """
         out = Tensor(data, op=op)
-        if _GRAD_ENABLED[0]:
+        if _GRAD.enabled:
             live = [(p, f) for p, f in zip(parents, vjps) if p.requires_grad]
             if live:
                 out.requires_grad = True

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import config
-from repro.core import GraniiEngine, autotune
+from repro.core import GraniiEngine
 from repro.core.guard import CircuitBreaker
 from repro.errors import GraniiConfigError, GraniiError
 from repro.graphs.generators import erdos_renyi
@@ -80,7 +80,7 @@ class TestSpecificAccessors:
         accessors = [
             config.num_threads, config.state_dir, config.skip_validation,
             config.deadline_slack, config.deadline_floor_seconds,
-            config.mem_budget_bytes, config.autotune_enabled,
+            config.mem_budget_bytes,
         ]
         monkeypatch.delenv("REPRO_SPMM_STRATEGY", raising=False)
         unset = [read() for read in accessors]
@@ -95,7 +95,7 @@ class TestSpecificAccessors:
             if line.startswith("``REPRO_")
         ]
         assert documented == names
-        assert len(set(names)) == 7
+        assert len(set(names)) == 6
         removed = {
             "REPRO_NUM_WORKERS", "REPRO_SHARD_NNZ", "REPRO_SHARDED_TIMEOUT",
             "REPRO_SHARD_CACHE_KB", "REPRO_SHARD_POLL_S",
@@ -110,7 +110,7 @@ class TestSpecificAccessors:
             "verify_plans", "guard_enabled", "breaker_threshold",
             "breaker_cooldown_seconds", "serve_max_queue",
             "serve_deadline_seconds", "plan_cache_size", "autotune_warmup",
-            "autotune_repeats",
+            "autotune_repeats", "autotune_enabled",
         ):
             assert not hasattr(config, name)
 
@@ -154,6 +154,7 @@ REMOVED_KNOBS = {
     "REPRO_SERVE_MAX_QUEUE": "1",
     "REPRO_SERVE_DEADLINE_MS": "750",
     "REPRO_PLAN_CACHE_SIZE": "16",
+    "REPRO_AUTOTUNE": "1",
     "REPRO_AUTOTUNE_WARMUP": "0",
     "REPRO_AUTOTUNE_REPEATS": "9",
     "REPRO_BLOCK_NNZ": "256",
@@ -167,15 +168,14 @@ ARGUMENT_DEFAULTS = {
         "max_queue": 64, "deadline_seconds": None, "plan_cache_size": 128,
         "tenant_breaker": (3, 30.0),
     },
-    "autotune": {"warmup": 1, "repeats": 3},
     "row_block_spans": [(0, 300)],
     "sddmm_tile_bytes": 2 * blocked._SDDMM_TILE_BYTES,
 }
 
 
-def observed_defaults(monkeypatch):
-    """What the engine, breaker, service, autotuner and kernels run with
-    when no argument is passed."""
+def observed_defaults():
+    """What the engine, breaker, service and kernels run with when no
+    argument is passed."""
     engine = GraniiEngine()
     breaker = CircuitBreaker()
     with GraniiService(num_threads=1, state_dir="") as svc:
@@ -188,15 +188,7 @@ def observed_defaults(monkeypatch):
                 svc._tenant_breaker.cooldown_seconds,
             ),
         }
-    timed = {}
-
-    def time_fn(fn, repeats, warmup):
-        timed.update(warmup=warmup, repeats=repeats)
-        return 1e-3, None
-
-    monkeypatch.setattr(autotune, "time_fn", time_fn)
     adj = erdos_renyi(300, 8.0, seed=0).adj
-    autotune.autotune_spmm(adj, 4)
     # 300 rows, ~2 400 edges: one span at the default budget
     spans = blocked.row_block_spans(adj.indptr)
     arena = WorkspaceArena()
@@ -206,7 +198,6 @@ def observed_defaults(monkeypatch):
         "engine": {"verify_plans": engine.verify_plans, "guarded": engine.guarded},
         "breaker": (breaker.threshold, breaker.cooldown_seconds),
         "service": service,
-        "autotune": timed,
         "row_block_spans": spans,
         "sddmm_tile_bytes": arena.nbytes,
     }
@@ -216,14 +207,14 @@ class TestRemovedKnobs:
     def test_the_defaults_with_no_knob_set(self, monkeypatch):
         for name in REMOVED_KNOBS:
             monkeypatch.delenv(name, raising=False)
-        assert observed_defaults(monkeypatch) == ARGUMENT_DEFAULTS
+        assert observed_defaults() == ARGUMENT_DEFAULTS
 
     @pytest.mark.parametrize("name", sorted(REMOVED_KNOBS))
     def test_a_removed_knob_changes_nothing_and_warns(self, name, monkeypatch):
         monkeypatch.setenv(name, REMOVED_KNOBS[name])
         with pytest.warns(RuntimeWarning, match=name):
             config.warn_unknown_knobs()
-        assert observed_defaults(monkeypatch) == ARGUMENT_DEFAULTS
+        assert observed_defaults() == ARGUMENT_DEFAULTS
 
     @pytest.mark.parametrize("argument", ["max_queue", "plan_cache_size"])
     def test_the_service_rejects_what_the_knobs_rejected(self, argument):

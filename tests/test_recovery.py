@@ -11,11 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.costmodel import (
-    clear_runtime_residuals,
-    get_cost_models,
-    record_runtime_residual,
-)
+from repro.core.costmodel import get_cost_models
 from repro.faults import FaultPlan
 from repro.graphs.generators import erdos_renyi
 from repro.models import build_layer
@@ -33,13 +29,6 @@ def graph():
 @pytest.fixture(scope="module")
 def cost_models():
     return get_cost_models("cpu")
-
-
-@pytest.fixture(autouse=True)
-def _clean_residuals():
-    clear_runtime_residuals()
-    yield
-    clear_runtime_residuals()
 
 
 def feats_for(graph, seed=1):
@@ -80,19 +69,14 @@ class TestSaveState:
 
     def test_round_trip_is_a_cache_hit(self, graph, cost_models, tmp_path):
         feats = feats_for(graph)
-        # residual first: plan-cache fingerprints embed the residual
-        # token, so the saved entry must be selected under the same
-        # residual state the restore brings back
-        record_runtime_residual("cpu", "spmm", 2.0, 1.0)
         with make_service(cost_models, state_dir=str(tmp_path)) as svc:
             first = svc.serve(req(graph, feats), timeout=120.0)
             assert first.ok, first.error
             paths = svc.save_state()
-        assert set(paths) == {"residuals", "plan_cache", "cost_models"}
+        assert set(paths) == {"plan_cache", "cost_models"}
         # simulate the process dying: all in-memory state is gone
-        clear_runtime_residuals()
         with make_service(None, state_dir=str(tmp_path)) as svc2:
-            assert svc2.warm_start["residuals"] >= 1
+            assert set(svc2.warm_start) == {"cost_models", "plan_cache"}
             assert svc2.warm_start["cost_models"] is True
             assert svc2.warm_start["plan_cache"] >= 1
             again = svc2.serve(req(graph, feats), timeout=120.0)
@@ -107,12 +91,10 @@ class TestSaveState:
         # neither saves there, and the next one warm-starts from it
         monkeypatch.setenv("REPRO_STATE_DIR", str(tmp_path))
         feats = feats_for(graph)
-        record_runtime_residual("cpu", "spmm", 2.0, 1.0)
         with make_service(cost_models) as svc:
             assert svc.serve(req(graph, feats), timeout=120.0).ok
             svc.save_state()
         assert (tmp_path / "plan_cache.json").exists()
-        clear_runtime_residuals()
         with make_service(None) as svc2:
             assert svc2.warm_start["cost_models"] is True
             again = svc2.serve(req(graph, feats), timeout=120.0)
@@ -142,6 +124,27 @@ class TestSaveState:
         np.testing.assert_allclose(
             result.value, reference_for(graph, feats), rtol=1e-4, atol=1e-6
         )
+
+    def test_an_old_residuals_snapshot_is_ignored(
+        self, graph, cost_models, tmp_path
+    ):
+        """A state dir saved when the store also held a ``residuals``
+        snapshot warm-starts cleanly: the file is left alone and the
+        repeat request still hits the restored plan cache."""
+        feats = feats_for(graph)
+        with make_service(cost_models, state_dir=str(tmp_path)) as svc:
+            first = svc.serve(req(graph, feats), timeout=120.0)
+            assert first.ok, first.error
+            svc.save_state()
+        StateStore(tmp_path).save("residuals", {"cpu|spmm": 2.0})
+        with make_service(None, state_dir=str(tmp_path)) as svc2:
+            assert svc2.warm_start["cost_models"] is True
+            assert svc2.warm_start["plan_cache"] >= 1
+            assert svc2.health()["state_store"]["quarantined"] == []
+            again = svc2.serve(req(graph, feats), timeout=120.0)
+        assert again.ok and again.cache_hit, (again.ok, again.cache_hit, again.error)
+        assert again.value.tobytes() == first.value.tobytes()
+        assert (tmp_path / "residuals.json").exists()
 
     def test_seeded_entries_survive_a_second_save(
         self, graph, cost_models, tmp_path

@@ -175,41 +175,34 @@ def test_featurize_graph_itself_stays_uncached(monkeypatch):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("mode", ["inference", "training"])
 def test_batch_pricing_gives_the_per_candidate_floats(mode, cost_models):
-    from repro.core.costmodel import clear_runtime_residuals, record_runtime_residual
-
     graph = rmat(300, 6, seed=3)
     vec = featurize_graph(graph)
-    record_runtime_residual("h100", "spmm", 3.0, 2.0)
-    record_runtime_residual("h100", "gemm", 1.0, 4.0)
-    try:
-        for name in ("gcn", "tagcn", "gat"):
-            layer = build_layer(name, 16, 32, rng=np.random.default_rng(0))
-            engine = GraniiEngine(
-                device="h100", scale="small", cost_models=cost_models,
-                mode=mode, iterations=7,
-            )
-            env = engine.shape_env(graph, layer)
-            plans = [
-                p.plan for p in engine.compile_for(layer, graph).viable(16, 32)
-            ]
-            assert len(plans) > 1
-            eff = engine.system.efficiency
+    for name in ("gcn", "tagcn", "gat"):
+        layer = build_layer(name, 16, 32, rng=np.random.default_rng(0))
+        engine = GraniiEngine(
+            device="h100", scale="small", cost_models=cost_models,
+            mode=mode, iterations=7,
+        )
+        env = engine.shape_env(graph, layer)
+        plans = [
+            p.plan for p in engine.compile_for(layer, graph).viable(16, 32)
+        ]
+        assert len(plans) > 1
+        eff = engine.system.efficiency
 
-            def one_by_one(plan):
-                # a plan priced by itself, call by call
-                setup, per_iter = plan.kernel_calls(env, engine.system.degree_method)
-                total = cost_models.predict_calls(per_iter, vec, eff)
-                if mode == "training":
-                    total += cost_models.predict_calls(
-                        plan.backward_calls(env), vec, eff
-                    )
-                return total + cost_models.predict_calls(setup, vec, eff) / 7
+        def one_by_one(plan):
+            # a plan priced by itself, call by call
+            setup, per_iter = plan.kernel_calls(env, engine.system.degree_method)
+            total = cost_models.predict_calls(per_iter, vec, eff)
+            if mode == "training":
+                total += cost_models.predict_calls(
+                    plan.backward_calls(env), vec, eff
+                )
+            return total + cost_models.predict_calls(setup, vec, eff) / 7
 
-            want = [one_by_one(plan) for plan in plans]
-            assert engine.predict_plan_costs(plans, env, vec) == want
-            assert [engine.predict_plan_cost(p, env, vec) for p in plans] == want
-    finally:
-        clear_runtime_residuals()
+        want = [one_by_one(plan) for plan in plans]
+        assert engine.predict_plan_costs(plans, env, vec) == want
+        assert [engine.predict_plan_cost(p, env, vec) for p in plans] == want
 
 
 def test_predict_one_is_the_tree_by_tree_walk(cost_models):

@@ -14,8 +14,9 @@ plan's env-free verdict per strategy tuple.  These tests pin that hoist:
 - ``shape_env`` counts Ã's edges instead of building Ã, and the count is
   exactly ``adj_with_self_loops().nnz`` on every pattern;
 - a model's plans are priced from one price index per env: every total
-  is bitwise what summing call by call gives, the index table is bounded,
-  and concurrent first selections agree;
+  is bitwise what summing call by call gives, from a cold or a warm price
+  memo, the index table is bounded, and concurrent first selections agree;
+- the removed ``REPRO_AUTOTUNE`` knob changes no decision;
 - selection prices only primitives in the loaded model set, so a set
   saved with the deleted strategy primitives loads and prices the same.
 """
@@ -44,6 +45,7 @@ from repro.core.plan import _VIEWS_KEPT, Plan, price_index
 from repro.core.runtime import GraniiEngine
 from repro.graphs import Graph
 from repro.graphs.generators import erdos_renyi, rmat, road_mesh
+from repro.learn import GradientBoostedTrees
 from repro.models import build_layer
 from repro.serving import GraniiService, ServeRequest
 from repro.sparse import CSRMatrix
@@ -84,7 +86,6 @@ def decision(sel):
     v = sel.analysis
     return {
         "predicted": {k: repr(c) for k, c in sel.predicted_costs.items()},
-        "strategy_costs": {k: repr(c) for k, c in sel.strategy_costs.items()},
         "ranked": [f"{p.label}#{p.plan.name}" for p in sel.ranked],
         "strategy": sel.spmm_strategy,
         "peak": repr(sel.peak_memory_bytes),
@@ -475,30 +476,32 @@ def _reference_costs(engine, plans, env, vec):
     return costs
 
 
-@pytest.fixture
-def residuals():
-    costmodel.clear_runtime_residuals()
-    yield
-    costmodel.clear_runtime_residuals()
-
-
-@pytest.mark.parametrize("residual", [False, True])
+@pytest.mark.parametrize("memo", ["cold", "warm"])
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", ZOO)
-def test_totals_are_the_call_by_call_sums(name, mode, residual, cost_models, residuals):
-    if residual:
-        costmodel.record_runtime_residual("h100", "spmm", 1.7, 1.0)
-        costmodel.record_runtime_residual("h100", "spmm_unweighted", 0.6, 1.0)
-        costmodel.record_runtime_residual("h100", "gemm", 1.3, 1.0)
+def test_totals_are_the_call_by_call_sums(name, mode, memo, cost_models, monkeypatch):
+    """Totals are the call-by-call sums whether a selection prices from an
+    empty memo or from the one an earlier selection filled; a warm
+    selection walks no tree."""
+    walks = counting(GradientBoostedTrees.predict_one)
+    monkeypatch.setattr(GradientBoostedTrees, "predict_one", walks)
     layer = build_layer(name, 32, 16, rng=np.random.default_rng(0))
     for graph in graphs().values():
-        engine = engine_for(cost_models, mode)
+        # a model set of its own, so "cold" means nothing priced yet
+        models = CostModelSet(cost_models.device_name, cost_models._models)
+        engine = engine_for(models, mode)
         compiled = engine.compile_for(layer, graph)
+        if memo == "warm":
+            engine.select(compiled, Graph(graph.adj), layer)
+            walks.calls = 0
         sel = engine.select(compiled, Graph(graph.adj), layer)
+        walked = walks.calls
         env = engine.shape_env(graph, layer)
         vec = featurize_graph(graph)
         viable = compiled.viable(env["K1"], env["K2"])
         if len(viable) > 1:
+            # a lone viable plan is chosen unpriced
+            assert (walked == 0) == (memo == "warm"), (name, graph.name)
             want = _reference_costs(engine, [p.plan for p in viable], env, vec)
             assert {k: repr(c) for k, c in sel.predicted_costs.items()} == {
                 f"{p.label}#{p.plan.name}": repr(c) for p, c in zip(viable, want)
@@ -507,9 +510,29 @@ def test_totals_are_the_call_by_call_sums(name, mode, residual, cost_models, res
         assert repr(got) == repr(
             _reference_costs(engine, [p.plan for p in viable], env, vec)
         )
-        assert sel.strategy_costs == {}  # no strategy is priced
         assert sel.spmm_strategy == "row_segment"
         assert engine.select_spmm_strategy(sel.chosen.plan, env, vec) == "row_segment"
+
+
+@pytest.mark.parametrize("name", ZOO)
+def test_the_removed_autotune_knob_changes_no_decision(name, cost_models, monkeypatch):
+    """``REPRO_AUTOTUNE`` is read by nothing: with it set, every selection
+    ranks, prices and picks a strategy exactly as with it unset."""
+    layer = build_layer(name, 32, 16, rng=np.random.default_rng(0))
+
+    def decisions():
+        out = []
+        for mode in MODES:
+            for graph in graphs().values():
+                engine = engine_for(cost_models, mode)
+                compiled = engine.compile_for(layer, graph)
+                out.append(decision(engine.select(compiled, Graph(graph.adj), layer)))
+        return out
+
+    monkeypatch.delenv("REPRO_AUTOTUNE", raising=False)
+    want = decisions()
+    monkeypatch.setenv("REPRO_AUTOTUNE", "1")
+    assert decisions() == want
 
 
 def _zoo_prices(models, graph):

@@ -1,5 +1,6 @@
 """Multi-tenant serving runtime: admission, cache, isolation, deadlines."""
 
+import contextlib
 import pickle
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from concurrent.futures import wait
 import numpy as np
 import pytest
 
-from repro.core.costmodel import get_cost_models
+from repro.core.costmodel import cost_model_token, get_cost_models
 from repro.errors import (
     GraniiInputError,
     GraniiOverloadError,
@@ -27,6 +28,8 @@ from repro.serving import (
     ServeRequest,
     fingerprint_graph,
 )
+from repro.serving import service as service_module
+from repro.tensor import Tensor
 
 IN_SIZE, OUT_SIZE = 8, 4
 
@@ -95,27 +98,21 @@ class TestFingerprint:
         assert a.key != b.key
         assert a.token != b.token
 
-    def test_default_fingerprint_follows_the_aggregation_residuals(
+    def test_the_default_fingerprint_is_the_graph_fingerprint(
         self, graph, cost_models
     ):
-        """An spmm residual re-prices every plan, so the service's default
-        fingerprint changes; a gemm residual leaves it alone."""
-        from repro.core.costmodel import (
-            clear_runtime_residuals,
-            record_runtime_residual,
-        )
-
-        clear_runtime_residuals()
-        try:
-            with make_service(cost_models) as svc:
-                base = svc._fingerprint_fn(graph, "gcn", IN_SIZE, OUT_SIZE)
-                record_runtime_residual("h100", "gemm", 2.0, 1.0)
-                assert svc._fingerprint_fn(graph, "gcn", IN_SIZE, OUT_SIZE) == base
-                record_runtime_residual("h100", "spmm", 2.0, 1.0)
-                moved = svc._fingerprint_fn(graph, "gcn", IN_SIZE, OUT_SIZE)
-                assert moved.key != base.key and moved.token != base.token
-        finally:
-            clear_runtime_residuals()
+        """The service keys a request by structure, model and sizes alone,
+        which is also what ``cost_token=cost_model_token(device)`` gives,
+        and serving a request moves no key."""
+        want = fingerprint_graph(graph, "gcn", IN_SIZE, OUT_SIZE)
+        assert cost_model_token("h100") == ""
+        assert fingerprint_graph(
+            graph, "gcn", IN_SIZE, OUT_SIZE, cost_token=cost_model_token("h100")
+        ) == want
+        with make_service(cost_models) as svc:
+            assert svc._fingerprint_fn(graph, "gcn", IN_SIZE, OUT_SIZE) == want
+            assert svc.serve(req(graph, feats_for(graph)), timeout=60).ok
+            assert svc._fingerprint_fn(graph, "gcn", IN_SIZE, OUT_SIZE) == want
 
 
 # ----------------------------------------------------------------------
@@ -245,6 +242,31 @@ class TestServeBasics:
         np.testing.assert_allclose(
             result.value, reference_for(graph, feats), rtol=1e-4, atol=1e-6
         )
+
+    def test_a_served_request_records_no_tape(
+        self, graph, cost_models, monkeypatch
+    ):
+        """A served request runs under ``no_grad``: none of its ops records
+        a VJP, and its value is the recording forward's, bit for bit."""
+        feats = feats_for(graph)
+        recorded = []
+        make = Tensor.make
+
+        def recording(data, parents, vjps, op):
+            out = make(data, parents, vjps, op)
+            recorded.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(Tensor, "make", staticmethod(recording))
+        with make_service(cost_models) as svc:
+            served = svc.serve(req(graph, feats), timeout=60)
+        assert served.ok and recorded and not any(recorded)
+        del recorded[:]
+        monkeypatch.setattr(service_module, "no_grad", contextlib.nullcontext)
+        with make_service(cost_models) as svc:
+            taped = svc.serve(req(graph, feats), timeout=60)
+        assert taped.ok and all(recorded)
+        assert served.value.tobytes() == taped.value.tobytes()
 
     def test_repeat_graph_hits_cache(self, graph, cost_models):
         feats = feats_for(graph)

@@ -13,14 +13,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.costmodel import (
-    CostModelSet,
-    clear_runtime_residuals,
-    export_runtime_residuals,
-    get_cost_models,
-    import_runtime_residuals,
-    record_runtime_residual,
-)
+from repro.core.costmodel import CostModelSet, get_cost_models
 from repro.learn.tree import COLUMNS
 from repro.state import SCHEMA_VERSION, StateStore, atomic_write_text, quarantine
 
@@ -133,37 +126,6 @@ class TestStateStore:
         status = store.status()
         assert status["snapshots"] == ["good"]
         assert status["quarantined"] == ["bad.json.corrupt.0"]
-
-
-class TestResidualRoundTrip:
-    def setup_method(self):
-        clear_runtime_residuals()
-
-    def teardown_method(self):
-        clear_runtime_residuals()
-
-    def test_export_import_round_trip(self):
-        record_runtime_residual("cpu", "spmm", 2.0, 1.0)
-        exported = export_runtime_residuals()
-        assert list(exported) == ["cpu|spmm"]
-        clear_runtime_residuals()
-        assert import_runtime_residuals(exported) == 1
-        assert export_runtime_residuals() == exported
-
-    def test_import_skips_malformed_entries(self):
-        restored = import_runtime_residuals({
-            "cpu|spmm": 1.25,
-            "no-separator": 2.0,      # malformed key
-            "cpu|gemm": float("nan"),  # non-finite factor
-            "cpu|sddmm": -1.0,         # non-positive factor
-        })
-        assert restored == 1
-        assert export_runtime_residuals() == {"cpu|spmm": 1.25}
-
-    def test_import_replaces_existing_store(self):
-        record_runtime_residual("cpu", "gemm", 3.0, 1.0)
-        import_runtime_residuals({"cpu|spmm": 1.1})
-        assert list(export_runtime_residuals()) == ["cpu|spmm"]
 
 
 class TestCostModelDiskCache:

@@ -206,7 +206,6 @@ def test_no_row_is_priced(graph):
     engine = engine_for()
     layer, selection = select(engine, graph)
     assert selection.spmm_strategy == "row_segment"
-    assert selection.strategy_costs == {}
     assert engine.select_spmm_strategy(
         selection.chosen.plan, engine.shape_env(graph, layer), featurize_graph(graph)
     ) == "row_segment"

@@ -1,5 +1,7 @@
 """Autograd engine tests: every op is checked against finite differences."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.tensor import (
     dropout,
     elu,
     exp,
+    is_grad_enabled,
     leaky_relu,
     log,
     log_softmax,
@@ -174,6 +177,33 @@ class TestGraphMechanics:
         with no_grad():
             out = t * 2
         assert not out.requires_grad
+
+    def test_no_grad_is_per_thread(self):
+        """An op on thread B records its tape while thread A sits inside
+        ``no_grad``; a thread starts with recording on."""
+        t = Tensor([1.0], requires_grad=True)
+        entered, done = threading.Event(), threading.Event()
+        seen = {}
+
+        def thread_a():
+            with no_grad():
+                entered.set()
+                done.wait(timeout=30)
+                seen["a"] = (t * 2).requires_grad
+
+        def thread_b():
+            entered.wait(timeout=30)
+            seen["b"] = (t * 2).requires_grad
+            seen["b_enabled"] = is_grad_enabled()
+            done.set()
+
+        workers = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+        assert seen == {"a": False, "b": True, "b_enabled": True}
+        assert is_grad_enabled()
 
     def test_detach(self):
         t = Tensor([1.0], requires_grad=True)

@@ -23,6 +23,7 @@ from repro.core.verify import (
 )
 from repro.framework import MPGraph, get_system
 from repro.graphs import Graph, empty_graph, rmat, star
+from repro.kernels import SPMM_STRATEGIES, get_semiring, gspmm
 from repro.models import build_layer
 from repro.models.zoo import MODEL_NAMES
 from repro.sparse import CSRMatrix
@@ -115,6 +116,19 @@ class TestSweep:
         with seeded_fault(scale=1.01):
             report = mini_sweep(strategies=["row_segment"], graphs=[star(12)])
         assert report.passed
+        # a max/min fold runs the NumPy row-block loop under row_segment
+        # too; the fault still reaches the blocked row alone
+        adj = rmat(60, 5.0, seed=3).adj
+        x = np.random.default_rng(0).standard_normal((adj.shape[1], 4))
+        for reduce_name in ("max", "min"):
+            semiring = get_semiring(reduce_name, "mul")
+            clean = {s: gspmm(adj, x, semiring, strategy=s) for s in SPMM_STRATEGIES}
+            with seeded_fault(scale=1.01):
+                faulty = {
+                    s: gspmm(adj, x, semiring, strategy=s) for s in SPMM_STRATEGIES
+                }
+            assert faulty["row_segment"].tobytes() == clean["row_segment"].tobytes()
+            assert not np.array_equal(faulty["blocked"], clean["blocked"])
 
     @pytest.mark.parametrize("model", MODEL_NAMES)
     def test_inference_check_runs_the_served_path(self, model, monkeypatch):
