@@ -154,9 +154,12 @@ def skip_validation() -> bool:
 def deadline_slack() -> float:
     """``REPRO_DEADLINE_SLACK``: deadline = predicted seconds x slack.
 
-    The cost models predict *simulated device* time, which on the NumPy
-    substrate under-estimates wall clock by orders of magnitude — hence
-    the large default.  See docs/PERFORMANCE.md for tuning guidance.
+    On ``cpu`` the prices are this host's seconds (the cost models are
+    fitted to its kernels' wall clock; across the bench's calls the
+    10th-90th percentile of predicted/observed reads 0.6-1.1x), while
+    a100/h100 prices are simulated device time.  The large default dates
+    from when every price was simulated; it is kept until it is derived
+    from that spread (docs/PERFORMANCE.md, "Host-timed cost models").
     """
     return env_float("REPRO_DEADLINE_SLACK", 1e4, minimum=0.0)
 

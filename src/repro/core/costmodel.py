@@ -4,6 +4,13 @@ One gradient-boosted-tree regressor per (primitive, device), trained on
 profiled log-times.  A plan's predicted cost is the sum of its calls'
 predicted times — with graph-only setup amortised over the iteration
 count — exactly the additive approximation the paper uses.
+
+Each device's set is fitted to one timing source (paper §V: timings from
+the target machine).  ``cpu`` plans run this repository's own kernels on
+the host, so the ``cpu`` set is fitted to their measured wall clock
+(``timing="host"``); a100 and h100, the paper's GPU testbeds, have only
+their analytic profiles (``timing="analytic"``), which the simulated
+experiments also use for ``cpu``.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from ..hardware import Device, get_device
+from ..hardware import get_device
 from ..kernels import KernelCall
 from ..learn import GradientBoostedTrees
 from .features import call_features
@@ -23,7 +30,9 @@ from .profiler import ProfileDataset, collect_profile
 
 __all__ = [
     "CostModelSet",
+    "HOST_DEVICE",
     "call_key",
+    "default_timing",
     "clear_cost_model_cache",
     "get_cost_models",
     "load_cost_models",
@@ -57,6 +66,32 @@ def call_key(call: KernelCall) -> tuple:
     return (call.primitive, tuple(sorted(call.shape.items())))
 
 
+# The device whose plans run on this host's kernels: its default cost
+# models are fitted to their measured times.
+HOST_DEVICE = "cpu"
+
+
+def default_timing(device_name: str) -> str:
+    """The timing source a device's cost models are fitted to by default:
+    ``"host"`` for :data:`HOST_DEVICE`, ``"analytic"`` otherwise."""
+    return "host" if device_name.lower() == HOST_DEVICE else "analytic"
+
+
+def timing_source(device_name: str, timing: str):
+    """What :func:`~repro.core.profiler.collect_profile` times a device's
+    profile with: its analytic oracle, or this host's kernels."""
+    if timing == "analytic":
+        return get_device(device_name)
+    if timing == "host" and device_name.lower() == HOST_DEVICE:
+        from ..hardware.realexec import RealExecutionBackend
+
+        return RealExecutionBackend()
+    raise ValueError(
+        f"no {timing!r} timing source for device {device_name!r} "
+        f"(host timings exist for {HOST_DEVICE!r} only)"
+    )
+
+
 # Layout of a saved model set (:meth:`CostModelSet.to_dict`).  A payload in
 # any other layout — the row-per-node files of format 1 and the per-tree
 # columns of format 2 included — is unreadable, so its file is quarantined
@@ -72,11 +107,18 @@ class CostModelSet:
         device_name: str,
         models: Dict[str, GradientBoostedTrees],
         scale: Optional[str] = None,
+        timing: str = "analytic",
+        aliases: Optional[Dict[str, str]] = None,
     ) -> None:
         self.device_name = device_name
         # the profiling pool the models were trained on
         # (:attr:`ProfileDataset.scale`); None for caller-chosen graphs
         self.scale = scale
+        # the timing source ("analytic" or "host"), and the primitives
+        # priced by another's model at their own shape because the source
+        # runs them as that kernel (:attr:`ProfileDataset.aliases`)
+        self.timing = timing
+        self._aliases = dict(aliases or {})
         self._models = models
         # graph-vector bytes -> {call key -> predicted seconds}
         self._memo: "OrderedDict[bytes, Dict[tuple, float]]" = OrderedDict()
@@ -84,27 +126,37 @@ class CostModelSet:
 
     @property
     def primitives(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._models))
+        """Every primitive the set prices (aliases included)."""
+        return tuple(sorted(set(self._models) | set(self._aliases)))
 
     def to_dict(self) -> dict:
         """JSON-serialisable form: device, scale and each primitive's
         ensemble as the packed node columns its predictions read
-        (:meth:`~repro.learn.gbt.GradientBoostedTrees.to_dict`)."""
-        return {
+        (:meth:`~repro.learn.gbt.GradientBoostedTrees.to_dict`); a host
+        set adds its timing and aliases."""
+        data = {
             "format": _FORMAT,
             "device": self.device_name,
             "scale": self.scale,
-            "models": {name: m.to_dict() for name, m in self._models.items()},
         }
+        if self.timing != "analytic":
+            data.update(timing=self.timing, aliases=dict(self._aliases))
+        data["models"] = {name: m.to_dict() for name, m in self._models.items()}
+        return data
 
     @classmethod
     def from_dict(
-        cls, data: dict, device: Optional[str] = None, scale: Optional[str] = None
+        cls,
+        data: dict,
+        device: Optional[str] = None,
+        scale: Optional[str] = None,
+        timing: Optional[str] = None,
     ) -> "CostModelSet":
         """Rebuild a set saved by :meth:`to_dict`.
 
-        With ``device`` / ``scale``, a payload trained for another device
-        or scale is refused like an unreadable one (``ValueError``).
+        With ``device`` / ``scale`` / ``timing``, a payload trained for
+        another device, scale or timing source is refused like an
+        unreadable one (``ValueError``).
         """
         if data.get("format") != _FORMAT:
             raise ValueError(
@@ -118,6 +170,11 @@ class CostModelSet:
             raise ValueError(
                 f"cost models for scale {data['scale']!r}, wanted {scale!r}"
             )
+        saved_timing = data.get("timing", "analytic")
+        if timing is not None and saved_timing != timing:
+            raise ValueError(
+                f"cost models timed by {saved_timing!r}, wanted {timing!r}"
+            )
         return cls(
             data["device"],
             {
@@ -125,6 +182,8 @@ class CostModelSet:
                 for name, model in data["models"].items()
             },
             scale=data["scale"],
+            timing=saved_timing,
+            aliases=data.get("aliases"),
         )
 
     def prices(self, vec_bytes: bytes) -> Dict[tuple, float]:
@@ -157,18 +216,22 @@ class CostModelSet:
         ``key`` is ``call_key(call)`` when the caller already has it (a
         plan's :class:`~repro.core.plan.CallView` keeps one per call).
         """
-        model = self._models.get(call.primitive)
-        if model is None:
-            raise KeyError(
-                f"no cost model for primitive {call.primitive!r} on "
-                f"{self.device_name}"
-            )
         if prices is None:
             prices = self.prices(graph_vec.tobytes())
         if key is None:
             key = call_key(call)
         price = prices.get(key)
         if price is None:
+            alias = self._aliases.get(call.primitive)
+            if alias is not None:
+                # the same kernel as ``alias``: its model, at this shape
+                call = KernelCall(alias, call.shape)
+            model = self._models.get(call.primitive)
+            if model is None:
+                raise KeyError(
+                    f"no cost model for primitive {call.primitive!r} on "
+                    f"{self.device_name}"
+                )
             feats = call_features(call, graph_vec)
             price = prices[key] = float(np.exp(model.predict_one(feats)))
         return price
@@ -192,7 +255,7 @@ class CostModelSet:
 
 
 def train_cost_models(
-    device: Device,
+    source,
     dataset: Optional[ProfileDataset] = None,
     num_rounds: int = 120,
     max_depth: int = 4,
@@ -201,12 +264,15 @@ def train_cost_models(
 ) -> CostModelSet:
     """Fit one GBT per primitive from profiled data (paper §V).
 
-    ``scale`` picks the profiled pool when no ``dataset`` is given; the
-    set's :attr:`CostModelSet.scale` is the dataset's, so models fitted
-    on caller-chosen graphs carry no scale.
+    ``source`` is the timing source (a :class:`~repro.hardware.Device`
+    or a :class:`~repro.hardware.realexec.RealExecutionBackend`); its
+    ``name`` names the set.  ``scale`` picks the profiled pool when no
+    ``dataset`` is given; the set's :attr:`CostModelSet.scale`, timing
+    and aliases are the dataset's, so models fitted on caller-chosen
+    graphs carry no scale.
     """
     if dataset is None:
-        dataset = collect_profile(device, scale=scale)
+        dataset = collect_profile(source, scale=scale)
     models: Dict[str, GradientBoostedTrees] = {}
     for primitive in dataset.primitives:
         x, y = dataset.matrices(primitive)
@@ -227,7 +293,10 @@ def train_cost_models(
         eval_set = (x[val_idx], y[val_idx]) if val_idx.size else None
         model.fit(x[train_idx], y[train_idx], eval_set=eval_set)
         models[primitive] = model
-    return CostModelSet(device.name, models, scale=dataset.scale)
+    return CostModelSet(
+        source.name, models, scale=dataset.scale,
+        timing=dataset.timing, aliases=dataset.aliases,
+    )
 
 
 def save_cost_models(models: CostModelSet, path) -> None:
@@ -250,49 +319,67 @@ def save_cost_models(models: CostModelSet, path) -> None:
 
 
 def load_cost_models(
-    path, device: Optional[str] = None, scale: Optional[str] = None
+    path,
+    device: Optional[str] = None,
+    scale: Optional[str] = None,
+    timing: Optional[str] = None,
 ) -> CostModelSet:
     """Load a CostModelSet saved with :func:`save_cost_models`; see
-    :meth:`CostModelSet.from_dict` for ``device`` and ``scale``."""
+    :meth:`CostModelSet.from_dict` for ``device``, ``scale`` and
+    ``timing``."""
     import json
     from pathlib import Path
 
     return CostModelSet.from_dict(
-        json.loads(Path(path).read_text()), device=device, scale=scale
+        json.loads(Path(path).read_text()), device=device, scale=scale,
+        timing=timing,
     )
 
 
-_COST_MODEL_CACHE: Dict[Tuple[str, str], CostModelSet] = {}
+_COST_MODEL_CACHE: Dict[Tuple[str, str, str], CostModelSet] = {}
 
 
 def get_cost_models(
-    device_name: str, scale: str = "default", cache_dir=None
+    device_name: str,
+    scale: str = "default",
+    cache_dir=None,
+    timing: Optional[str] = None,
 ) -> CostModelSet:
     """Trained cost models for a device, cached per process.
 
     This is the paper's "one-time cost per target system": the first call
     profiles the training pool and fits the models; later calls reuse
-    them.  With ``cache_dir``, the models additionally persist to
-    ``<cache_dir>/costmodels_<device>_<scale>.json`` across processes: a
-    call that finds the set neither in the process nor in that file
-    trains it, and any call with a ``cache_dir`` whose file is missing
-    writes it (also when the set came from the process cache).  The
-    file's name is not trusted: a file whose payload is for another
-    device or scale (or in an old layout) is unreadable — quarantined,
-    then retrained.
+    them, so a process fits each (device, scale, timing) at most once.
+    ``timing`` is the source the profile is timed with (default
+    :func:`default_timing`: this host's kernels for ``cpu``, the analytic
+    profile for the GPUs); ``timing="analytic"`` gives ``cpu``'s
+    simulated-Xeon set.  With ``cache_dir``, the models additionally
+    persist to ``<cache_dir>/costmodels_<device>_<scale>.json`` (a
+    non-default timing adds ``_<timing>`` after the device) across
+    processes: a call that finds the set neither in the process nor in
+    that file trains it, and any call with a ``cache_dir`` whose file is
+    missing writes it (also when the set came from the process cache).
+    The file's name is not trusted: a file whose payload is for another
+    device, scale or timing (or in an old layout) is unreadable —
+    quarantined, then retrained.
     """
     from pathlib import Path
 
-    key = (device_name.lower(), scale)
+    device = device_name.lower()
+    timing = timing or default_timing(device)
+    key = (device, scale, timing)
     disk_path = None
     if cache_dir is not None:
-        disk_path = Path(cache_dir) / f"costmodels_{key[0]}_{scale}.json"
+        label = device if timing == default_timing(device) else f"{device}_{timing}"
+        disk_path = Path(cache_dir) / f"costmodels_{label}_{scale}.json"
     models = _COST_MODEL_CACHE.get(key)
     if models is None and disk_path is not None and disk_path.exists():
         # a truncated/corrupt cache file (crash mid-write by an older
         # version, disk fault) costs a retrain, not a crash
         try:
-            models = load_cost_models(disk_path, device=key[0], scale=scale)
+            models = load_cost_models(
+                disk_path, device=device, scale=scale, timing=timing
+            )
         except Exception as exc:
             from ..state import quarantine
 
@@ -304,7 +391,7 @@ def get_cost_models(
             )
             quarantine(disk_path)
     if models is None:
-        models = train_cost_models(get_device(device_name), scale=scale)
+        models = train_cost_models(timing_source(device, timing), scale=scale)
     _COST_MODEL_CACHE[key] = models
     if disk_path is not None and not disk_path.exists():
         disk_path.parent.mkdir(parents=True, exist_ok=True)

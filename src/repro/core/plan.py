@@ -7,8 +7,9 @@ A :class:`Plan` is one promoted candidate made concrete:
   precomputation, amortised across iterations — e.g. GCN's Ñ, GIN's B)
   and *per-iteration* calls;
 - **backward calls** — the training-mode gradient kernels induced by the
-  chosen forward (GRANII does not optimise the backward pass, §VI-C, but
-  its shape follows the forward choice);
+  chosen forward, one per VJP the tape records (GRANII does not optimise
+  the backward pass, §VI-C, but its shape follows the forward choice, and
+  a first layer, whose input carries no gradient, runs fewer of them);
 - **executor** — one interpreter that runs the composition on Tensors,
   for inference (under :func:`~repro.tensor.no_grad`) and training
   alike, as the layer's own ``forward`` does.
@@ -201,6 +202,80 @@ def _call_list(pairs: Sequence[tuple]) -> CallList:
     )
 
 
+def _bwd(spec: _CallSpec) -> _CallSpec:
+    return spec._replace(tag=f"bwd:{spec.tag}")
+
+
+def _attention_vjps(calls: Sequence[_CallSpec], theta_grad: bool, step: Step):
+    """The VJPs of GAT's attention scores, logits and softmax.
+
+    Each score is ``Θ @ a`` with a learned ``a``: a GEMV for ``dΘ`` (when
+    ``Θ`` needs one) and one for ``da``.  The logit ``s_dst[i] + s_src[j]``
+    scatters back to both scores, the LeakyReLU on the edge logits is one
+    elementwise pass over the edges, and the softmax has its own VJP.
+    """
+    score_l, score_r = calls[:2]
+    pattern = step.arg_descs[0]
+    m, nnz = pattern.shape[0], pattern.nnz
+    copies = 2 if theta_grad else 1
+    specs = [_bwd(score_l)] * copies + [_bwd(score_r)] * copies
+    specs += [
+        _CallSpec.of("gsddmm_attn", f"bwd:{step.out}:dscore_dst", m=m, nnz=nnz),
+        _CallSpec.of("gsddmm_attn", f"bwd:{step.out}:dscore_src", m=m, nnz=nnz),
+        _CallSpec.of("elementwise", f"bwd:{step.out}:leaky_relu", m=nnz, k=1),
+        _CallSpec.of("edge_softmax", f"bwd:{step.out}:softmax", m=m, nnz=nnz),
+    ]
+    return specs
+
+
+def _gradients_in(step: Step, flags: Sequence[bool]) -> List[int]:
+    """How many gradients each operand of ``step`` receives from its VJPs:
+    one per operand that needs one, except GAT's attention scores, which
+    read ``Θ`` twice (``Θ @ a_l`` and ``Θ @ a_r``)."""
+    counts = [int(flag) for flag in flags]
+    if step.primitive in ("attention", "fused_attn_spmm"):
+        counts[1] *= 2
+    return counts
+
+
+def _step_vjps(step: Step, calls: Sequence[_CallSpec], flags: Sequence[bool]):
+    """The gradient kernels of one iteration step whose operands need
+    gradients as ``flags`` says (see :meth:`_CallTemplate._backward_specs`)."""
+    p = step.primitive
+    if p == "gemm":
+        # dA = dY·Bᵀ and dB = Aᵀ·dY, each priced at the forward's shape
+        return [_bwd(calls[0])] * sum(flags)
+    if p in ("spmm", "spmm_unweighted"):
+        sp, dn = step.arg_descs
+        specs = [_bwd(calls[0])] if flags[1] else []
+        if flags[0]:
+            specs.append(_CallSpec.of(
+                "sddmm", f"bwd:{step.out}:dedge",
+                m=sp.shape[0], nnz=sp.nnz, k=dn.shape[1],
+            ))
+        return specs
+    if p == "row_broadcast":
+        return [_bwd(calls[0])] if flags[1] else []
+    if p == "elementwise":
+        if step.meta == "add" or len(flags) > 1:
+            return []
+        return [_bwd(calls[0])] if flags[0] else []
+    if p == "attention":
+        return _attention_vjps(calls, flags[1], step)
+    if p == "fused_attn_spmm":
+        pattern, _, value = step.arg_descs
+        m, nnz, k = pattern.shape[0], pattern.nnz, value.shape[1]
+        # α is learned: dE (a g-SDDMM), and dX when the value needs one
+        specs = _attention_vjps(calls, flags[1], step)
+        specs.append(_CallSpec.of("sddmm", f"bwd:{step.out}:dedge", m=m, nnz=nnz, k=k))
+        if flags[2]:
+            specs.append(_CallSpec.of("spmm", f"bwd:{step.out}:dx", m=m, nnz=nnz, k=k))
+        return specs
+    # graph-only primitives (sddmm_diag, diag_mul, spadd_diag, spgemm) read
+    # no operand that needs a gradient
+    return []
+
+
 class _CallTemplate:
     """A plan's kernel calls with symbolic dims, derived once per plan.
 
@@ -225,7 +300,7 @@ class _CallTemplate:
             for leaf in ("D", "Dm", "Ds") if leaf in used_at_all
         ]
         self._prep: Dict[str, Tuple[List[_CallSpec], List[_CallSpec]]] = {}
-        self.backward = self._backward_specs(plan)
+        self._backward: Dict[bool, List[_CallSpec]] = {}
         # liveness for the peak-memory walk
         self.last_use: Dict[str, int] = {}
         leaf_descs = {}
@@ -237,26 +312,59 @@ class _CallTemplate:
             ref: desc for ref, desc in leaf_descs.items() if "(" not in ref
         }
 
-    def _backward_specs(self, plan: "Plan") -> List[_CallSpec]:
-        """Per-iteration gradient kernels induced by the forward plan."""
+    def backward(self, input_grad: bool) -> List[_CallSpec]:
+        """The gradient kernels a training step's tape runs for this plan.
+
+        ``input_grad``: whether the layer's input ``H`` carries a gradient
+        (every layer after the first; a first layer reads the constant
+        features).
+        """
+        specs = self._backward.get(input_grad)
+        if specs is None:
+            specs = self._backward[input_grad] = self._backward_specs(input_grad)
+        return specs
+
+    def _backward_specs(self, input_grad: bool) -> List[_CallSpec]:
+        """One call per VJP the tape records, as :meth:`Tensor.make`
+        records them: a VJP exists only for an operand that needs a
+        gradient.  Weights need one, graph leaves never do, and the input
+        ``H`` does when ``input_grad``; a step's result needs one when
+        any operand does.  A g-SpMM's gradient is a g-SpMM on the reverse
+        graph (``dX``) plus, when the sparse operand's values are learned
+        (attention), a g-SDDMM (``dE``); an add's VJPs are the identity
+        and run no kernel.  A value whose gradient arrives from ``c > 1``
+        VJPs is summed ``c - 1`` times
+        (:meth:`~repro.tensor.Tensor.accumulate_grad`), one elementwise
+        add each, listed after the VJPs.
+        """
+        needs: Dict[str, bool] = {}
+
+        def need(ref: str) -> bool:
+            flag = needs.get(ref)
+            if flag is None:  # a leaf
+                flag = input_grad if ref == "H" else ref not in GRAPH_LEAVES
+            return flag
+
         specs: List[_CallSpec] = []
-        for i in self.iteration:
-            step = plan.steps[i]
-            p = step.primitive
-            # gemm: dA = dY·B^T and dB = A^T·dY; spmm: dX = A^T·dY;
-            # attention: softmax backward + logit scatter + score GEMV grads
-            copies = 2 if p == "gemm" else 1
-            for spec in self.step_calls[i]:
-                specs.extend([spec._replace(tag=f"bwd:{spec.tag}")] * copies)
-            if p in ("spmm", "spmm_unweighted"):
-                # plus dE (an SDDMM) when the sparse operand itself
-                # carries gradients (attention values)
-                sp = step.arg_descs[0]
-                if not plan._graph_only.get(sp.ref, sp.ref in GRAPH_LEAVES):
-                    specs.append(_CallSpec.of(
-                        "sddmm", f"bwd:{step.out}:dedge",
-                        m=sp.shape[0], nnz=sp.nnz, k=step.arg_descs[1].shape[1],
-                    ))
+        arrivals: Dict[str, list] = {}  # value -> [desc, gradients it receives]
+        iteration = set(self.iteration)
+        for i, step in enumerate(self.steps):
+            flags = [need(arg) for arg in step.args]
+            needs[step.out] = any(flags)
+            if i not in iteration:
+                continue
+            specs.extend(_step_vjps(step, self.step_calls[i], flags))
+            counts = _gradients_in(step, flags)
+            for arg, desc, count in zip(step.args, step.arg_descs, counts):
+                if count:
+                    arrivals.setdefault(arg, [desc, 0])[1] += count
+        for ref, (desc, count) in arrivals.items():
+            if count > 1:
+                m, k = desc.shape if desc.attr == "dense" else (desc.nnz, 1)
+                specs.extend(
+                    [_CallSpec.of("elementwise", f"bwd:{ref}:accumulate", m=m, k=k)]
+                    * (count - 1)
+                )
         return specs
 
     def prep(self, degree_method: str) -> Tuple[List[_CallSpec], List[_CallSpec]]:
@@ -314,7 +422,7 @@ class CallView:
             for specs in template.step_calls
         ]
         self._forward: Dict[str, Tuple[CallList, CallList]] = {}
-        self._backward: Optional[CallList] = None
+        self._backward: Dict[bool, CallList] = {}
         self._peak: Optional[float] = None
 
     def pairs(self, degree_method: str) -> Tuple[List[tuple], List[tuple]]:
@@ -330,10 +438,11 @@ class CallView:
         per_iter.extend(pair for i in t.iteration for pair in self._steps[i])
         return setup, per_iter
 
-    def backward_pairs(self) -> List[tuple]:
+    def backward_pairs(self, input_grad: bool = True) -> List[tuple]:
         """The per-iteration gradient calls as ``(price key, spec)``
-        pairs, in call order: what :attr:`backward` resolves."""
-        return [(spec.key(self._sizes), spec) for spec in self._template.backward]
+        pairs, in call order: what :meth:`backward` resolves."""
+        specs = self._template.backward(input_grad)
+        return [(spec.key(self._sizes), spec) for spec in specs]
 
     def forward(self, degree_method: str = "indptr") -> Tuple[CallList, CallList]:
         """(setup, per-iteration) calls of the forward pass."""
@@ -345,12 +454,15 @@ class CallView:
             )
         return fwd
 
-    @property
-    def backward(self) -> CallList:
-        """Per-iteration gradient calls."""
-        if self._backward is None:
-            self._backward = _call_list(self.backward_pairs())
-        return self._backward
+    def backward(self, input_grad: bool = True) -> CallList:
+        """Per-iteration gradient calls; ``input_grad``: whether the
+        layer's input carries a gradient (any layer but the first)."""
+        calls = self._backward.get(input_grad)
+        if calls is None:
+            calls = self._backward[input_grad] = _call_list(
+                self.backward_pairs(input_grad)
+            )
+        return calls
 
     @property
     def peak_bytes(self) -> float:
@@ -371,7 +483,8 @@ class PriceIndex:
     interned once.
 
     Every distinct key of the plans' forward calls (one degree method)
-    and, when ``training``, of their backward calls gets a *slot*
+    and, when ``training``, of their backward calls (with or without the
+    input's gradient, ``input_grad``) gets a *slot*
     (``slots``); slot 0 is padding and prices 0.0.  Each call list is a
     row of slots, padded on the right, in one matrix of ``blocks`` row
     blocks of one row per plan (per-iteration lists, setup lists, then
@@ -388,6 +501,7 @@ class PriceIndex:
         key: Tuple,
         degree_method: str,
         training: bool,
+        input_grad: bool = True,
     ) -> None:
         self.views = [plan.call_view(env, key) for plan in plans]
         self.keys: List[Optional[tuple]] = [None]
@@ -399,7 +513,7 @@ class PriceIndex:
             setup, per_iter = view.pairs(degree_method)
             lists = [per_iter, setup]
             if training:
-                lists.append(view.backward_pairs())
+                lists.append(view.backward_pairs(input_grad))
             for block, pairs in zip(blocks, lists):
                 block.append(self._intern(pairs))
         self.matrix = _slot_matrix([row for block in blocks for row in block])
@@ -425,6 +539,7 @@ def price_index(
     key: Optional[Tuple],
     degree_method: str,
     training: bool,
+    input_grad: bool = True,
 ) -> PriceIndex:
     """The :class:`PriceIndex` of ``plans`` under ``env`` (``key``: its
     env key, if known), kept with the first plan's views: bounded like
@@ -432,9 +547,10 @@ def price_index(
     if key is None:
         key = env_key(env)
     plans = tuple(plans)
+    input_grad = bool(input_grad) and training
     return kept(
-        plans[0]._indexes, (plans, key, degree_method, training),
-        lambda: PriceIndex(plans, env, key, degree_method, training),
+        plans[0]._indexes, (plans, key, degree_method, training, input_grad),
+        lambda: PriceIndex(plans, env, key, degree_method, training, input_grad),
     )
 
 
@@ -619,9 +735,12 @@ class Plan:
         setup, per_iter = self.call_view(env).forward(degree_method)
         return setup.calls, per_iter.calls
 
-    def backward_calls(self, env: ShapeEnv) -> List[KernelCall]:
-        """Per-iteration gradient kernels induced by this forward plan."""
-        return self.call_view(env).backward.calls
+    def backward_calls(self, env: ShapeEnv, input_grad: bool = True) -> List[KernelCall]:
+        """Per-iteration gradient kernels induced by this forward plan:
+        one per VJP the tape records, which depends on whether the
+        layer's input carries a gradient (``input_grad``; a first layer's
+        does not)."""
+        return self.call_view(env).backward(input_grad).calls
 
     # ------------------------------------------------------------------
     # Memory accounting

@@ -375,15 +375,19 @@ class GraniiEngine:
         plan: Plan,
         env: ShapeEnv,
         graph_vec: np.ndarray,
+        input_grad: bool = True,
     ) -> float:
-        """Cost-model estimate of one amortised iteration of this plan."""
+        """Cost-model estimate of one amortised iteration of this plan;
+        ``input_grad``: whether the layer's input carries a gradient in
+        training (any layer but the first)."""
         prices = _Prices(self, graph_vec)
         view = plan.call_view(env)
         setup, per_iter = view.forward(self.system.degree_method)
         return prices.amortised(
             prices.total(per_iter),
             prices.total(setup),
-            prices.total(view.backward) if self.mode == "training" else None,
+            prices.total(view.backward(input_grad))
+            if self.mode == "training" else None,
         )
 
     def predict_plan_costs(
@@ -392,6 +396,7 @@ class GraniiEngine:
         env: ShapeEnv,
         graph_vec: np.ndarray,
         env_key: Optional[Tuple] = None,
+        input_grad: bool = True,
     ) -> List[float]:
         """:meth:`predict_plan_cost` of several plans for one input.
 
@@ -406,7 +411,7 @@ class GraniiEngine:
             return []
         index = price_index(
             plans, env, env_key, self.system.degree_method,
-            self.mode == "training",
+            self.mode == "training", input_grad,
         )
         return _Prices(self, graph_vec, index).plan_costs().tolist()
 
@@ -424,9 +429,14 @@ class GraniiEngine:
         return "row_segment"
 
     def select(
-        self, compiled: CompiledModel, graph: Graph, layer
+        self, compiled: CompiledModel, graph: Graph, layer, input_grad: bool = True
     ) -> SelectionReport:
-        """Online stage: pick the cheapest viable composition (Figure 7)."""
+        """Online stage: pick the cheapest viable composition (Figure 7).
+
+        In training, ``input_grad`` says whether the layer's input carries
+        a gradient, which decides the backward kernels each plan is priced
+        with: :meth:`optimize` passes False for a model's first layer.
+        """
         env = self.shape_env(graph, layer)
         key = env_key(env)
         scenario = "in_ge_out" if env["K1"] >= env["K2"] else "in_lt_out"
@@ -435,7 +445,7 @@ class GraniiEngine:
             raise RuntimeError("no viable composition")
         index = price_index(
             [p.plan for p in viable], env, key, self.system.degree_method,
-            self.mode == "training",
+            self.mode == "training", input_grad,
         )
         rows = range(len(viable))  # the index rows still in the running
         memory_filtered = 0
@@ -619,12 +629,20 @@ class GraniiEngine:
 
         Containers (multi-layer stacks, multi-head attention) expose their
         independently-optimisable sub-layers through ``granii_layers()``.
+        In training, a layer reading the model's input is priced without
+        the input-gradient kernels its tape never records.
         """
         report = OptimizationReport()
         layers = model.granii_layers() if hasattr(model, "granii_layers") else [model]
-        for layer in layers:
+        # the model's input features carry no gradient: in a stack
+        # (``granii_stacked``) every layer but the first reads one that
+        # does, while heads all read the model's input
+        stacked = getattr(model, "granii_stacked", False)
+        for i, layer in enumerate(layers):
             compiled = self.compile_for(layer, graph)
-            selection = self.select(compiled, graph, layer)
+            selection = self.select(
+                compiled, graph, layer, input_grad=stacked and i > 0
+            )
             layer.attach_executor(
                 self.make_executor(
                     layer,

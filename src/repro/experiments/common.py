@@ -24,6 +24,7 @@ import numpy as np
 
 from ..core import GraniiEngine, ShapeEnv, compile_model, select_default_plan
 from ..core.codegen import PlannedCandidate
+from ..core.costmodel import get_cost_models
 from ..core.features import featurize_graph
 from ..core.plan import Plan
 from ..framework import System, get_system
@@ -192,6 +193,9 @@ _ENGINES: Dict[Tuple, GraniiEngine] = {}
 
 
 def _engine_for(workload: Workload) -> GraniiEngine:
+    """An engine pricing with the fit of the same analytic oracle the
+    workload's times come from (``cpu`` included: its default set is
+    fitted to this host's kernels, which these simulated rows do not run)."""
     key = (workload.device, workload.system, workload.mode, workload.iterations, workload.scale)
     if key not in _ENGINES:
         _ENGINES[key] = GraniiEngine(
@@ -200,6 +204,9 @@ def _engine_for(workload: Workload) -> GraniiEngine:
             iterations=workload.iterations,
             mode=workload.mode,
             scale=workload.scale,
+            cost_models=get_cost_models(
+                workload.device, workload.scale, timing="analytic"
+            ),
         )
     return _ENGINES[key]
 

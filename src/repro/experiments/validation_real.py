@@ -5,8 +5,10 @@ cost models, select compositions for unseen inputs.  This experiment
 runs that loop against this repository's actual NumPy kernels on the
 host CPU:
 
-1. profile every primitive's wall-clock time on the (disjoint) training
-   graph pool;
+1. profile every primitive's wall-clock time on the (disjoint) host
+   training pool (:func:`~repro.core.profiler.collect_profile` with a
+   :class:`~repro.hardware.realexec.RealExecutionBackend`, the collector
+   the ``cpu`` cost models are fitted with);
 2. train the per-primitive GBT cost models on those measurements;
 3. on held-out evaluation graphs, let the models choose among GCN's
    promoted compositions and compare the choice against the measured
@@ -17,77 +19,36 @@ The reported *selection quality* is geomean(best wall-clock / chosen
 wall-clock) — 1.0 means GRANII always picked the truly fastest
 composition on real measurements.
 
-Interesting twist: on this backend the dynamic (unweighted-aggregation)
-composition usually beats the precomputation — the opposite of the
-simulated A100 — which is itself the paper's core claim that the right
-composition is hardware-dependent.
+Which composition wins here is a property of the host's kernels, not
+of the simulated devices — the paper's core claim that the right
+composition is hardware-dependent.  With the SpMM fold on SciPy's
+``csr_matvecs`` an unweighted aggregation costs what a weighted one does,
+so the precomputed normalization usually beats dynamic normalization's
+two row broadcasts (docs/PERFORMANCE.md, "Host-timed cost models").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..core import compile_model
 from ..core.bindings import build_binding
 from ..core.costmodel import train_cost_models
-from ..core.features import call_features, featurize_graph
-from ..core.profiler import ProfileDataset
+from ..core.features import featurize_graph
+from ..core.profiler import collect_profile
 from ..framework import MPGraph
-from ..graphs import load, training_graphs
-from ..hardware import get_device, time_fn
+from ..graphs import load
+from ..hardware import time_fn
 from ..hardware.realexec import RealExecutionBackend
-from ..kernels import KernelCall
 from ..models import GCNLayer
 from ..tensor import Tensor, no_grad
 from .common import geomean, shape_env_for
 from .report import render_table
 
-__all__ = ["RealValidation", "run", "collect_real_profile"]
-
-
-def _representative_calls(n: int, nnz: int, k: int) -> List[KernelCall]:
-    return [
-        KernelCall("gemm", {"m": n, "k": k, "n": k}),
-        KernelCall("gemm", {"m": n, "k": k, "n": 1}),
-        KernelCall("spmm", {"m": n, "nnz": nnz, "k": k}),
-        KernelCall("spmm_unweighted", {"m": n, "nnz": nnz, "k": k}),
-        KernelCall("sddmm", {"m": n, "nnz": nnz, "k": k}),
-        KernelCall("sddmm_diag", {"m": n, "nnz": nnz}),
-        KernelCall("gsddmm_attn", {"m": n, "nnz": nnz}),
-        KernelCall("edge_softmax", {"m": n, "nnz": nnz}),
-        KernelCall("row_broadcast", {"m": n, "k": k}),
-        KernelCall("elementwise", {"m": n, "k": k}),
-        KernelCall("elementwise", {"m": n, "k": 1}),
-        KernelCall("degree_indptr", {"m": n, "nnz": nnz}),
-        KernelCall("degree_binning", {"m": n, "nnz": nnz}),
-        KernelCall("diag_mul", {"m": n}),
-        KernelCall("spadd_diag", {"m": n, "nnz": nnz}),
-    ]
-
-
-def collect_real_profile(
-    graphs=None,
-    sizes: Sequence[int] = (16, 64, 128),
-    scale: str = "small",
-    backend: RealExecutionBackend = None,
-) -> ProfileDataset:
-    """Wall-clock profiling of every primitive on the training pool."""
-    backend = backend or RealExecutionBackend()
-    if graphs is None:
-        graphs = training_graphs(scale=scale)
-    dataset = ProfileDataset()
-    for graph in graphs:
-        graph_vec = featurize_graph(graph)
-        n = graph.num_nodes
-        nnz = max(graph.num_edges, 1)
-        for k in sizes:
-            for call in _representative_calls(n, nnz, k):
-                seconds = backend.time_call(call, graph)
-                dataset.add(call.primitive, call_features(call, graph_vec), seconds)
-    return dataset
+__all__ = ["RealValidation", "run"]
 
 
 @dataclass
@@ -117,10 +78,9 @@ def run(
     seed: int = 0,
 ) -> RealValidation:
     backend = RealExecutionBackend(seed=seed)
-    dataset = collect_real_profile(scale=scale, backend=backend)
-    # train on real log-times (the device argument is unused when a
-    # dataset is supplied)
-    models = train_cost_models(get_device("cpu"), dataset, num_rounds=80)
+    dataset = collect_profile(backend, sizes=(16, 64, 128), scale=scale)
+    # train on real log-times
+    models = train_cost_models(backend, dataset, num_rounds=80)
 
     compiled = compile_model("gcn")
     rng = np.random.default_rng(seed)

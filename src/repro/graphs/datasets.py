@@ -171,6 +171,43 @@ def training_graphs(scale: str = "default", seed: int = 7) -> List[Graph]:
     return pool
 
 
+# Node counts of the host pool, per scale: they bracket the sizes the
+# engine prices on the host (a few hundred to ~10 000 nodes), since a tree
+# fitted to measured times extrapolates no better than one fitted to
+# simulated ones.
+_HOST_NODES = {
+    "small": (300, 1200, 4000),
+    "default": (300, 700, 1500, 3000, 6000, 12000),
+}
+
+
+def host_training_graphs(scale: str = "default", seed: int = 90_000) -> List[Graph]:
+    """The pool the host (``cpu``) cost models are timed on.
+
+    Every family the engine meets on this host at every pool size: skewed
+    R-MAT at two densities, uniform Erdős–Rényi, a regular road mesh,
+    planted communities and preferential attachment.  Seeds start at
+    ``seed``, far from the small seeds examples and benchmarks draw their
+    inputs from, and nothing here changes :func:`training_graphs`, the
+    pool the analytic devices are profiled on.
+    """
+    pool: List[Graph] = []
+    for i, n in enumerate(_HOST_NODES[scale]):
+        base = seed + 10 * i
+        families = (
+            rmat(n, avg_degree=8, seed=base, name=f"host_rmat_n{n}_d8"),
+            rmat(n, avg_degree=24, seed=base + 1, name=f"host_rmat_n{n}_d24"),
+            erdos_renyi(n, avg_degree=12, seed=base + 2),
+            road_mesh(n, diagonal_prob=0.1, seed=base + 3),
+            sbm_communities(n, num_communities=12, avg_degree=24, seed=base + 4),
+            barabasi_albert(n, attach=6, seed=base + 5),
+        )
+        for family, graph in zip(("rmat8", "rmat24", "er", "mesh", "sbm", "ba"), families):
+            graph.name = f"host_{family}_n{n}"
+            pool.append(graph)
+    return pool
+
+
 def make_node_features(
     graph: Graph, dim: int, seed: int = 0, num_classes: Optional[int] = None
 ) -> Tuple[np.ndarray, np.ndarray]:

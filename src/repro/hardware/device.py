@@ -142,6 +142,12 @@ class DeviceProfile:
 class Device:
     """A timing oracle for matrix primitives on one hardware target."""
 
+    # how the profiles this source times are labelled, and the
+    # primitives it runs as another's kernel (none: every primitive has
+    # its own cost formula); see :func:`repro.core.profiler.collect_profile`
+    timing = "analytic"
+    same_kernel: Dict[str, str] = {}
+
     def __init__(self, profile: DeviceProfile) -> None:
         self.profile = profile
         # timings are deterministic, so identical invocations are memoised
@@ -216,6 +222,19 @@ class Device:
     ) -> float:
         """Total simulated time of a sequence of primitive invocations."""
         return float(sum(self.time_call(c, stats) for c in calls))
+
+    def time_each(self, tasks) -> List[float]:
+        """Simulated seconds of each ``(graph, call)`` task, in order: the
+        timing-source interface :func:`repro.core.profiler.collect_profile`
+        profiles through."""
+        stats: Dict[int, GraphStats] = {}
+        seconds = []
+        for graph, call in tasks:
+            graph_stats = stats.get(id(graph))
+            if graph_stats is None:
+                graph_stats = stats[id(graph)] = GraphStats.from_graph(graph)
+            seconds.append(self.time_call(call, graph_stats))
+        return seconds
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Device({self.name!r})"

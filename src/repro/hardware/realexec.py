@@ -1,57 +1,38 @@
 """Real-execution backend: wall-clock profiling of the NumPy kernels.
 
 The simulated cpu/a100/h100 devices reproduce the paper's testbeds; this
-backend instead treats *this repository's own NumPy kernels on the host
-CPU* as a fourth target.  Profiling a :class:`~repro.kernels.registry.
-KernelCall` here actually executes the matching kernel on operands drawn
-from a real graph and measures wall-clock time — which is how the paper
-gathers its training data (§V), and what lets the validation experiment
-show GRANII's methodology working end-to-end on genuine measurements.
+backend instead times *this repository's own kernels on the host CPU*,
+the ones a ``cpu`` plan actually runs.  Profiling a
+:class:`~repro.kernels.registry.KernelCall` here executes what a plan step
+of that primitive executes, on operands drawn from a real graph, and
+measures wall-clock time — which is how the paper gathers its training
+data (§V) and what the ``cpu`` cost models are fitted to
+(:func:`repro.core.costmodel.get_cost_models`).
 """
 
 from __future__ import annotations
 
+import time
 import weakref
-from typing import Dict
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..graphs import Graph
 from ..kernels import (
-    STRATEGY_PRICING_PRIMITIVES,
-    KernelCall,
     degrees_by_binning,
     degrees_from_indptr,
     edge_softmax,
-    gemm,
-    gsddmm,
-    row_broadcast,
-    sddmm,
+    gsddmm_blocked,
     sddmm_diag_scale,
     spadd_diag,
-    spmm,
-    spmm_unweighted,
 )
+from ..kernels import spgemm as k_spgemm
+from ..kernels.registry import KernelCall
+from ..kernels.workspace import thread_local_arena
 from ..sparse import CSRMatrix, DiagonalMatrix
-from .timer import time_fn
 
-__all__ = ["RealExecutionBackend", "REAL_PROFILED_PRIMITIVES"]
-
-REAL_PROFILED_PRIMITIVES = STRATEGY_PRICING_PRIMITIVES + (
-    "gemm",
-    "sddmm",
-    "sddmm_diag",
-    "gsddmm_attn",
-    "edge_softmax",
-    "fused_attn_spmm",
-    "spgemm",
-    "row_broadcast",
-    "elementwise",
-    "degree_indptr",
-    "degree_binning",
-    "diag_mul",
-    "spadd_diag",
-)
+__all__ = ["RealExecutionBackend"]
 
 
 class RealExecutionBackend:
@@ -62,9 +43,21 @@ class RealExecutionBackend:
     stays dominated by the kernels themselves).
     """
 
-    name = "numpy-cpu"
+    # the device whose plans run these kernels, and how its profiles are
+    # labelled (see :func:`repro.core.profiler.collect_profile`)
+    name = "cpu"
+    timing = "host"
+    # primitives that are the same kernel as another here, so one model
+    # prices both: an unweighted SpMM is the weighted fold over
+    # ``unit_values()``
+    same_kernel = {"spmm_unweighted": "spmm"}
 
-    def __init__(self, repeats: int = 2, seed: int = 0) -> None:
+    # SpGEMM is timed on adjacencies of at most this many edges: the
+    # product of a large skewed graph with itself takes seconds per run
+    # (most of a profile's time), and prices only the SpGEMM extension
+    spgemm_max_nnz = 60_000
+
+    def __init__(self, repeats: int = 5, seed: int = 0) -> None:
         self.repeats = repeats
         self._rng = np.random.default_rng(seed)
         self._dense_cache: Dict[tuple, np.ndarray] = {}
@@ -93,59 +86,57 @@ class RealExecutionBackend:
 
     # ------------------------------------------------------------------
     def _kernel_thunk(self, call: KernelCall, graph: Graph):
+        """A no-argument callable running ``call`` as a plan step runs it
+        (the Tensor ops of :func:`repro.core.plan._execute_step`, under
+        ``no_grad``), or as the tape runs its gradient (``sddmm``)."""
+        from ..tensor import Tensor, attention_aggregate, gsddmm_add_uv, relu
+        from ..tensor import row_broadcast as t_row_broadcast
+        from ..tensor import spmm as t_spmm
+
         s = call.shape
         ops = self._ops_for(graph)
         adj: CSRMatrix = ops["adj"]
         wadj: CSRMatrix = ops["adj_weighted"]
         diag: DiagonalMatrix = ops["diag"]
+        n = adj.shape[0]
         p = call.primitive
         if p == "gemm":
-            a = self._dense(int(s["m"]), int(s["k"]))
-            b = self._dense(int(s["k"]), int(s["n"]))
-            return lambda: gemm(a, b)
-        if p == "spmm":
-            x = self._dense(adj.shape[1], int(s["k"]))
-            return lambda: spmm(wadj, x)
-        if p == "spmm_unweighted":
-            x = self._dense(adj.shape[1], int(s["k"]))
-            return lambda: spmm_unweighted(adj, x)
+            a = Tensor(self._dense(int(s["m"]), int(s["k"])))
+            b = Tensor(self._dense(int(s["k"]), int(s["n"])))
+            return lambda: a @ b
+        if p in ("spmm", "spmm_unweighted"):
+            x = Tensor(self._dense(n, int(s["k"])))
+            sparse = wadj if p == "spmm" else adj
+            return lambda: t_spmm(sparse, x)
         if p == "sddmm":
-            a = self._dense(adj.shape[0], int(s["k"]))
-            b = self._dense(int(s["k"]), adj.shape[1])
-            return lambda: sddmm(adj, a, b)
+            # the dE of a learned-value SpMM (``spmm_edge``'s VJP)
+            g = self._dense(n, int(s["k"]))
+            return lambda: gsddmm_blocked(
+                adj, g, g, "dot", workspace=thread_local_arena()
+            )
         if p == "sddmm_diag":
             return lambda: sddmm_diag_scale(adj, diag, diag)
         if p == "gsddmm_attn":
-            u = self._dense(adj.shape[0], 1)
-            v = self._dense(adj.shape[1], 1)
-            return lambda: gsddmm(adj, u, v, op="add")
+            u = Tensor(self._dense(n, 1)[:, 0])
+            return lambda: gsddmm_add_uv(adj, u, u)
         if p == "edge_softmax":
             logits = ops["logits"]
             return lambda: edge_softmax(adj, logits)
         if p == "fused_attn_spmm":
-            # the plan step's own implementation, as inference runs it
-            from ..tensor import Tensor, attention_aggregate, no_grad
-
-            value = Tensor(self._dense(adj.shape[1], int(s["k"])))
-            score_dst = Tensor(self._dense(adj.shape[0], 1)[:, 0])
-            score_src = Tensor(self._dense(adj.shape[1], 1)[:, 0])
-
-            def fused():
-                with no_grad():
-                    return attention_aggregate(adj, score_dst, score_src, value)
-
-            return fused
+            value = Tensor(self._dense(n, int(s["k"])))
+            score = Tensor(self._dense(n, 1)[:, 0])
+            return lambda: attention_aggregate(adj, score, score, value)
         if p == "spgemm":
-            from ..kernels import spgemm as k_spgemm
-
+            if adj.nnz > self.spgemm_max_nnz:
+                return None
             return lambda: k_spgemm(wadj, wadj)
         if p == "row_broadcast":
             d = self._dense(int(s["m"]), 1)[:, 0]
-            x = self._dense(int(s["m"]), int(s["k"]))
-            return lambda: row_broadcast(d, x)
+            x = Tensor(self._dense(int(s["m"]), int(s["k"])))
+            return lambda: t_row_broadcast(d, x)
         if p == "elementwise":
-            x = self._dense(int(s["m"]), int(s["k"]))
-            return lambda: np.maximum(x, 0.0)
+            x = Tensor(self._dense(int(s["m"]), int(s["k"])))
+            return lambda: relu(x)
         if p == "degree_indptr":
             return lambda: degrees_from_indptr(adj)
         if p == "degree_binning":
@@ -156,8 +147,29 @@ class RealExecutionBackend:
             return lambda: spadd_diag(adj, diag.diag)
         raise KeyError(f"no real executor for primitive {p!r}")
 
-    def time_call(self, call: KernelCall, graph: Graph) -> float:
-        """Measured wall-clock seconds of one real kernel execution."""
-        thunk = self._kernel_thunk(call, graph)
-        seconds, _ = time_fn(thunk, repeats=self.repeats, warmup=1)
-        return max(seconds, 1e-9)
+    def time_each(self, tasks) -> List[Optional[float]]:
+        """Measured seconds of each ``(graph, call)`` task, in order (None
+        for a task not measured: an SpGEMM above :attr:`spgemm_max_nnz`).
+
+        Every task runs once untimed (operands built, pools warm), then
+        ``repeats`` timed rounds each run every task once, and a task's
+        time is its median: the repeat loop is the outer one, so a host
+        that drifts over the profile's tens of seconds shifts every
+        task's samples alike instead of whole tasks.
+        """
+        from ..tensor import no_grad
+
+        thunks = [self._kernel_thunk(call, graph) for graph, call in tasks]
+        timed = [thunk for thunk in thunks if thunk is not None]
+        samples = np.empty((max(self.repeats, 1), len(timed)))
+        clock = time.perf_counter
+        with no_grad():
+            for thunk in timed:
+                thunk()
+            for row in samples:
+                for i, thunk in enumerate(timed):
+                    start = clock()
+                    thunk()
+                    row[i] = clock() - start
+        medians = iter(np.maximum(np.median(samples, axis=0), 1e-9).tolist())
+        return [None if thunk is None else next(medians) for thunk in thunks]

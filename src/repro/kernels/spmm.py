@@ -146,8 +146,11 @@ def spmm(adj: CSRMatrix, x: np.ndarray) -> np.ndarray:
 def spmm_unweighted(adj: CSRMatrix, x: np.ndarray) -> np.ndarray:
     """SpMM that ignores edge values (Appendix B's cheaper aggregation).
 
-    Equivalent to ``spmm`` on the pattern with all-ones values, but skips
-    the per-edge multiply entirely.
+    ``spmm`` on the pattern with all-ones values, and run as exactly that:
+    the same ``csr_matvecs`` fold multiplies by the pattern's memoised
+    ``unit_values()``, so on this substrate it costs what a weighted SpMM
+    of the same shape does (the host cost models price both with one
+    model).
     """
     return gspmm(adj, x, get_semiring("sum", "copy_rhs"))
 

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .tree import RegressionTree
+from .tree import RegressionTree, sort_columns
 
 __all__ = ["GradientBoostedTrees", "PACKED"]
 
@@ -107,18 +107,20 @@ class GradientBoostedTrees:
             x_val = np.asarray(eval_set[0], dtype=np.float64)
             y_val = np.asarray(eval_set[1], dtype=np.float64)
             val_pred = np.full(y_val.shape[0], self._base)
+        # x is the same every round and a subsample only a mask: its
+        # columns are sorted once for the whole ensemble
+        orders = sort_columns(x)
         for round_idx in range(self.num_rounds):
             residual = y - pred
+            rows = None
             if self.subsample < 1.0:
                 take = rng.random(x.shape[0]) < self.subsample
                 if not take.any():
                     take[rng.integers(0, x.shape[0])] = True
-                x_fit, r_fit = x[take], residual[take]
-            else:
-                x_fit, r_fit = x, residual
+                rows = np.flatnonzero(take)
             tree = RegressionTree(
                 max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf
-            ).fit(x_fit, r_fit)
+            ).fit(x, residual, rows=rows, orders=orders)
             trees.append(tree)
             pred += self.learning_rate * tree.predict(x)
             if eval_set is not None and self.early_stopping_rounds:

@@ -88,6 +88,9 @@ class MultiLayerGNN(GNNModule):
             h = layer(g, h)
         return h
 
+    # each layer reads the one before it: only the first reads the input
+    granii_stacked = True
+
     def granii_layers(self):
         return list(self.layers)
 
@@ -122,6 +125,9 @@ class GNNStack(GNNModule):
         return h
 
     forward = __call__
+
+    # each layer reads the one before it: only the first reads the input
+    granii_stacked = True
 
     def granii_layers(self):
         return list(self.layers)

@@ -24,7 +24,7 @@ def rng() -> np.random.Generator:
 # ----------------------------------------------------------------------
 # Fitted cost models
 #
-# A pool fit (``train_cost_models`` with no dataset) takes 9-27 s, and
+# A pool fit (``train_cost_models`` with no dataset) takes 5-30 s, and
 # the process cache (``costmodel._COST_MODEL_CACHE``) keeps each one for
 # the rest of the session.  A test that needs the cache empty takes
 # ``empty_cost_model_cache``, which puts every fitted set back afterwards;
@@ -43,7 +43,8 @@ def pytest_configure(config):
         call = signature.bind(*args, **kwargs)
         call.apply_defaults()
         if call.arguments["dataset"] is None:
-            _POOL_FITS[call.arguments["device"].name, call.arguments["scale"]] += 1
+            source = call.arguments["source"]
+            _POOL_FITS[f"{source.name}/{source.timing}", call.arguments["scale"]] += 1
         return _REAL_TRAIN(*args, **kwargs)
 
     costmodel.train_cost_models = counted
@@ -93,9 +94,11 @@ def retrain(small_models, monkeypatch, empty_cost_model_cache):
     fresh set of ``small_models``' ensembles."""
     calls = []
 
-    def train(device, scale="default"):
-        calls.append((device.name, scale))
-        return CostModelSet(device.name, dict(small_models._models), scale=scale)
+    def train(source, scale="default"):
+        calls.append((source.name, scale))
+        return CostModelSet(
+            source.name, dict(small_models._models), scale=scale, timing=source.timing
+        )
 
     monkeypatch.setattr(costmodel, "train_cost_models", train)
     yield calls

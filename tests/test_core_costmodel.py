@@ -103,3 +103,74 @@ class TestCostModels:
         a = get_cost_models("h100", scale="small")
         b = get_cost_models("H100", scale="small")
         assert a is b
+
+
+class TestHostTiming:
+    """``cpu`` plans run this host's kernels, so the ``cpu`` set is
+    fitted to their measured times; the GPUs keep their analytic
+    profiles, and ``cpu``'s analytic set stays reachable by name."""
+
+    def test_default_timing_per_device(self):
+        from repro.core.costmodel import default_timing, timing_source
+        from repro.hardware.realexec import RealExecutionBackend
+
+        assert default_timing("cpu") == default_timing("CPU") == "host"
+        assert default_timing("a100") == default_timing("h100") == "analytic"
+        assert isinstance(timing_source("cpu", "host"), RealExecutionBackend)
+        assert timing_source("cpu", "analytic") is get_device("cpu")
+        with pytest.raises(ValueError, match="host"):
+            timing_source("h100", "host")
+
+    @pytest.fixture(scope="class")
+    def host_models(self):
+        from repro.core.costmodel import CostModelSet
+        from repro.hardware.realexec import RealExecutionBackend
+
+        backend = RealExecutionBackend(repeats=1)
+        dataset = collect_profile(
+            backend, graphs=training_graphs(scale="small")[:3], sizes=(8, 32)
+        )
+        models = train_cost_models(backend, dataset, num_rounds=10)
+        assert isinstance(models, CostModelSet)
+        return models
+
+    def test_unweighted_spmm_is_priced_by_the_spmm_model(self, host_models):
+        """One kernel, one price: at equal shapes the two SpMMs cost the
+        same, and each is priced at its own shape."""
+        assert host_models.timing == "host"
+        assert host_models.device_name == "cpu"
+        assert "spmm_unweighted" in host_models.primitives
+        vec = featurize_graph(load("CA", "small"))
+        for nnz in (2_000, 40_000):
+            shape = {"m": 4000, "nnz": nnz, "k": 32}
+            weighted = host_models.predict_call(KernelCall("spmm", shape), vec)
+            unweighted = host_models.predict_call(
+                KernelCall("spmm_unweighted", shape), vec
+            )
+            assert unweighted == weighted
+
+    def test_host_payload_round_trips_and_is_not_analytic(self, host_models, tmp_path):
+        from repro.core import load_cost_models, save_cost_models
+
+        path = tmp_path / "models.json"
+        save_cost_models(host_models, path)
+        loaded = load_cost_models(path, device="cpu", timing="host")
+        assert loaded.to_dict() == host_models.to_dict()
+        assert loaded.timing == "host" and loaded.primitives == host_models.primitives
+        with pytest.raises(ValueError, match="timed"):
+            load_cost_models(path, device="cpu", timing="analytic")
+
+    def test_analytic_payload_carries_no_timing(self):
+        models = get_cost_models("h100", scale="small")
+        assert models.timing == "analytic"
+        assert "timing" not in models.to_dict()
+
+    def test_analytic_cpu_set_is_its_own_cache_entry(self, retrain, tmp_path):
+        analytic = get_cost_models("cpu", cache_dir=tmp_path, timing="analytic")
+        host = get_cost_models("cpu", cache_dir=tmp_path)
+        assert analytic is not host
+        assert (analytic.timing, host.timing) == ("analytic", "host")
+        assert retrain == [("cpu", "default"), ("cpu", "default")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "costmodels_cpu_analytic_default.json", "costmodels_cpu_default.json",
+        ]

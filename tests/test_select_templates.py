@@ -139,7 +139,7 @@ def test_view_keys_are_the_call_keys(name, cost_models):
     env = engine.shape_env(graph, layer)
     for planned in compiled.promoted:
         view = planned.plan.call_view(env)
-        lists = [*view.forward("indptr"), *view.forward("binning"), view.backward]
+        lists = [*view.forward("indptr"), *view.forward("binning"), view.backward()]
         for priced in lists:
             assert priced.keys == [call_key(c) for c in priced.calls]
         setup, per_iter = planned.plan.kernel_calls(env)
@@ -470,7 +470,7 @@ def _reference_costs(engine, plans, env, vec):
         setup, per_iter = view.forward(engine.system.degree_method)
         cost = _call_by_call(engine, per_iter, vec)
         if engine.mode == "training":
-            cost += _call_by_call(engine, view.backward, vec)
+            cost += _call_by_call(engine, view.backward(), vec)
         cost += _call_by_call(engine, setup, vec) / max(engine.iterations, 1)
         costs.append(cost)
     return costs
@@ -681,7 +681,7 @@ def test_index_rows_list_each_views_calls_in_order(cost_models):
         index = price_index(plans, env, None, dm, training)
         for i, view in enumerate(index.views):
             setup, per_iter = view.forward(dm)
-            lists = [per_iter, setup] + ([view.backward] if training else [])
+            lists = [per_iter, setup] + ([view.backward()] if training else [])
             for block, calls in enumerate(lists):
                 row = index.matrix[block * len(plans) + i]
                 assert [index.keys[s] for s in row if s] == calls.keys

@@ -8,15 +8,26 @@ checks the seam they all go through (``Tensor.make`` / ``Tensor.backward``).
 
 import inspect
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.core import compile_model
 from repro.core.bindings import build_binding
+from repro.core.features import featurize_graph
+from repro.core.guard import shape_env_for
+from repro.core.runtime import GraniiEngine
+from repro.experiments.common import model_compile_kwargs
 from repro.graphs import erdos_renyi, road_mesh
 from repro.kernels.registry import kernel_wrapper
-from repro.models import GCNLayer, MultiLayerGNN, prepare_mp_graph
+from repro.models import (
+    MODEL_NAMES,
+    GCNLayer,
+    MultiLayerGNN,
+    build_layer,
+    prepare_mp_graph,
+)
 from repro.tensor import (
     Linear,
     Tensor,
@@ -153,6 +164,119 @@ class TestNeedAware:
                 if "agg_first" in label:
                     assert spmm_nodes == [], label
             assert layer.linear.weight.grad is not None, label
+
+
+# Each tape op's VJPs as the primitive the price list names them by
+# (``None``: the VJP is the identity or a reshape and runs no kernel).
+_VJP_PRIMITIVE = {
+    "matmul": "gemm",
+    "spmm": "spmm",
+    "row_broadcast": "row_broadcast",
+    "relu": "elementwise",
+    "elu": "elementwise",
+    "leaky_relu": "elementwise",
+    "sigmoid": "elementwise",
+    "gsddmm_add_uv": "gsddmm_attn",
+    "edge_softmax": "edge_softmax",
+    "add": None,
+    "reshape": None,
+}
+
+
+def tape_kernels(root):
+    """The gradient kernels ``root.backward`` runs for the tape under it:
+    one per recorded VJP that is a kernel (an ``spmm_edge`` node's are the
+    ``dE`` SDDMM and the ``dX`` SpMM)."""
+    kernels = Counter()
+    for node in tape_nodes(root):
+        for vjp in node._vjps:
+            if node.op == "spmm_edge":
+                kernels["sddmm" if vjp.__name__ == "vjp_edge" else "spmm"] += 1
+            elif _VJP_PRIMITIVE[node.op] is not None:
+                kernels[_VJP_PRIMITIVE[node.op]] += 1
+    return kernels
+
+
+class TestPricedBackward:
+    """The backward calls a plan is priced with are the kernels its tape
+    runs: every VJP kernel, plus one elementwise add per gradient beyond
+    the first that reaches a value (``accumulate_grad``), for a first
+    layer (constant features) and a later one (features with a gradient)."""
+
+    @pytest.mark.parametrize("input_grad", (False, True), ids=("first", "later"))
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_priced_backward_is_the_tape(self, monkeypatch, rng, model, input_grad):
+        graph = erdos_renyi(40, 5, seed=3)
+        g = prepare_mp_graph(graph)
+        layer = build_layer(model, 8, 4, rng=rng)
+        env = shape_env_for(g.adj, layer)
+        sums = []
+        real_accumulate = Tensor.accumulate_grad
+
+        def counting(self, grad):
+            if self.grad is not None:
+                sums.append(1)
+            return real_accumulate(self, grad)
+
+        monkeypatch.setattr(Tensor, "accumulate_grad", counting)
+        compiled = compile_model(model, **model_compile_kwargs(model))
+        for planned in compiled.promoted:
+            feat = Tensor(rng.standard_normal((graph.num_nodes, 8)), requires_grad=input_grad)
+            out = planned.plan.execute(build_binding(layer, g, feat))
+            ran = tape_kernels(out)
+            del sums[:]
+            out.backward(np.ones_like(out.data))
+            ran["elementwise"] += len(sums)
+            priced = Counter(
+                "spmm" if c.primitive == "spmm_unweighted" else c.primitive
+                for c in planned.plan.backward_calls(env, input_grad)
+            )
+            assert +priced == +ran, planned.label
+            if not input_grad:
+                # no dX SpMM, no row-broadcast VJP: nothing reaches H
+                assert feat.grad is None, planned.label
+            layer.zero_grad()
+
+
+    @pytest.mark.parametrize("stacked", (True, False), ids=("stack", "heads"))
+    def test_only_a_stacked_later_layer_is_priced_with_the_input_gradient(
+        self, small_models, stacked
+    ):
+        """``optimize`` in training prices a stack's first layer, and
+        every head of a multi-head layer (each reads the model's input),
+        without the input-gradient kernels."""
+        graph = erdos_renyi(60, 6, seed=5)
+        rng = np.random.default_rng(0)
+        if stacked:
+            model = MultiLayerGNN("gcn", (8, 8, 4), rng=rng)
+        else:
+            heads = [GCNLayer(8, 4, rng=rng), GCNLayer(8, 4, rng=rng)]
+
+            class Heads:  # a container without ``granii_stacked``
+                def granii_layers(self):
+                    return heads
+
+            model = Heads()
+        engine = GraniiEngine(device="h100", cost_models=small_models, mode="training")
+        report = engine.optimize(model, graph)
+        vec = featurize_graph(graph)
+        for i, (layer, selection) in enumerate(
+            zip(model.granii_layers(), report.selections)
+        ):
+            viable = engine.compile_for(layer, graph).viable(layer.in_size, layer.out_size)
+            env = engine.shape_env(graph, layer)
+            input_grad = stacked and i > 0
+            expected = engine.predict_plan_costs(
+                [p.plan for p in viable], env, vec, input_grad=input_grad
+            )
+            assert list(selection.predicted_costs.values()) == expected
+            other = engine.predict_plan_costs(
+                [p.plan for p in viable], env, vec, input_grad=not input_grad
+            )
+            assert other != expected  # the input gradient is priced or not
+            assert engine.predict_plan_cost(
+                selection.chosen.plan, env, vec, input_grad=input_grad
+            ) == min(expected)
 
 
 # ----------------------------------------------------------------------
