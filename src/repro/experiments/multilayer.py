@@ -53,7 +53,7 @@ def _stack_time(
 ) -> float:
     per_iter_total = 0.0
     setup_seen: Dict[tuple, float] = {}
-    for planned, env in chosen:
+    for i, (planned, env) in enumerate(chosen):
         setup, per_iter = planned.plan.kernel_calls(env, system.degree_method)
         per_iter_total += sum(
             device.time_call(c, stats) * system.efficiency(c) for c in per_iter
@@ -61,7 +61,7 @@ def _stack_time(
         if mode == "training":
             per_iter_total += sum(
                 device.time_call(c, stats) * system.efficiency(c)
-                for c in planned.plan.backward_calls(env)
+                for c in planned.plan.backward_calls(env, input_grad=i > 0)
             )
         for call in setup:
             key = (call.primitive, tuple(sorted(call.shape.items())))
@@ -101,7 +101,7 @@ def evaluate_multilayer(
     default_chain: List[Tuple[PlannedCandidate, object]] = []
     granii_chain: List[Tuple[PlannedCandidate, object]] = []
     num_costed = 0
-    for k1, k2 in zip(layer_dims[:-1], layer_dims[1:]):
+    for i, (k1, k2) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
         env = shape_env_for(graph, model, k1, k2)
         default_chain.append(
             (select_default_plan(compiled, sys_, k1, k2), env)
@@ -110,7 +110,12 @@ def evaluate_multilayer(
         if len(viable) == 1:
             chosen = viable[0]
         else:
-            costs = [engine.predict_plan_cost(p.plan, env, graph_vec) for p in viable]
+            # the stack's input features carry no gradient: only layers
+            # after the first price the input-gradient kernels
+            costs = [
+                engine.predict_plan_cost(p.plan, env, graph_vec, input_grad=i > 0)
+                for p in viable
+            ]
             chosen = viable[int(np.argmin(costs))]
             num_costed += len(viable)
         granii_chain.append((chosen, env))

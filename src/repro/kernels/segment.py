@@ -16,7 +16,12 @@ of that row's edges, never of the span it arrives in.
     order.  No ``(nnz, k)`` message array, no tile, no sort, no index
     copy; the kernel releases the GIL, so thread-parallel spans overlap.
     This is the substrate's stand-in for the paper's vendor SpMM
-    (cuSPARSE / CPU MKL).
+    (cuSPARSE / CPU MKL).  The kernel is loaded from SciPy's compiled
+    ``scipy/sparse/_sparsetools`` extension file directly (the plain
+    import is the fallback when the file is not found): ``scipy.sparse``'s
+    package ``__init__`` would pull in SciPy's array-API layer and over a
+    third of ``import repro``'s time with it, for one C function.
+    :mod:`repro.kernels.softmax` takes ``csr_matvecs`` from here.
 
 :func:`segment_reduce` — the NumPy lockstep fold
     ``max``/``min`` and the other ⊗ operators have no compiled
@@ -47,14 +52,59 @@ more than ``_FOLD_BIG`` edges at ``k = 1`` sums pairwise in NumPy).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvecs
 
 from ..sparse import CSRMatrix
 from .semiring import Semiring
 from .workspace import step_buffer
 
 __all__ = ["fold_rows", "folds_compiled", "result_buffer", "segment_reduce"]
+
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+
+
+def _sparsetools_spec():
+    """The spec of SciPy's compiled ``_sparsetools`` extension, found on
+    disk without importing ``scipy`` or ``scipy.sparse``; ``None`` when the
+    file is not where this SciPy keeps it."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        return None
+    finder = importlib.machinery.FileFinder(
+        os.path.join(os.path.dirname(scipy_spec.origin), "sparse"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    )
+    return finder.find_spec(_SPARSETOOLS)
+
+
+def _load_csr_matvecs():
+    """SciPy's compiled ``csr_matvecs``, without SciPy's package imports.
+
+    The ``_sparsetools`` extension needs only NumPy's C API, so it is
+    loaded straight from its file; the plain import is the fallback when
+    the file is not found.  A single-phase extension registers itself in
+    ``sys.modules`` as it loads; it is unregistered again so that a later
+    ``import scipy.sparse`` loads it the usual way, bound on its package,
+    and gets the same function objects from the interpreter's extension
+    cache."""
+    module = sys.modules.get(_SPARSETOOLS)
+    if module is None:
+        spec = _sparsetools_spec()
+        if spec is None:
+            import scipy.sparse._sparsetools as module
+        else:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules.pop(_SPARSETOOLS, None)
+    return module.csr_matvecs
+
+
+csr_matvecs = _load_csr_matvecs()
 
 # Segments longer than this use one ufunc.reduce call; at or below it they
 # join the lockstep fold.  The split is keyed on segment length alone, so

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from scipy.sparse._sparsetools import csr_matvecs
-
 from ..sparse import CSRMatrix
+from .segment import csr_matvecs
 from .workspace import step_buffer
 
 __all__ = ["edge_softmax", "segment_max", "segment_sum"]

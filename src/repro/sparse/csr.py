@@ -12,7 +12,8 @@ The container is NumPy-backed and holds plain ``indptr``/``indices``/
 can hand those buffers to whichever routine suits the semiring: SciPy's
 compiled CSR×dense row fold for the sum family
 (:func:`repro.kernels.segment.fold_rows`), NumPy folds for the rest.
-Conversions are provided so tests can cross-check against scipy.
+Conversions to and from ``scipy.sparse`` serve the optional SpGEMM and
+tests' cross-checks.
 """
 
 from __future__ import annotations
@@ -311,7 +312,11 @@ class CSRMatrix:
         return self.row_ids(), self.indices.copy(), self.effective_values().copy()
 
     def to_scipy(self):
-        """Convert to ``scipy.sparse.csr_matrix`` (test cross-checking only)."""
+        """Convert to ``scipy.sparse.csr_matrix``: the operand form of
+        :func:`repro.kernels.spgemm.spgemm` (run only under
+        ``compile_model(spgemm=True)``) and of tests' cross-checks.
+        ``scipy.sparse`` is imported on the first call, not with
+        ``repro``."""
         import scipy.sparse as sp
 
         return sp.csr_matrix(

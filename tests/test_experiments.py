@@ -24,6 +24,8 @@ from repro.experiments import (
     overheads,
     table5_layers,
 )
+from repro.core.plan import Plan
+from repro.core.runtime import GraniiEngine
 from repro.experiments.multilayer import evaluate_multilayer
 from repro.experiments.report import format_speedup, render_table
 from repro.experiments.table6_oracles import oracle_speedup
@@ -159,6 +161,32 @@ class TestDrivers:
         # the second layer must cost less than a full extra copy of the
         # first (shared Ñ setup is deduplicated)
         assert two.granii_seconds < 2.2 * one.granii_seconds
+
+    def test_multilayer_training_prices_the_first_layer_without_input_grad(
+        self, monkeypatch
+    ):
+        # the stack's input features carry no gradient, as in
+        # GraniiEngine.optimize: only the second layer's backward has the
+        # input-gradient kernels, for timing and for selection alike
+        timed, priced = [], []
+        backward_calls = Plan.backward_calls
+        predict_plan_cost = GraniiEngine.predict_plan_cost
+
+        def record_backward(plan, env, input_grad=True):
+            timed.append(input_grad)
+            return backward_calls(plan, env, input_grad)
+
+        def record_price(engine, plan, env, graph_vec, input_grad=True):
+            priced.append(input_grad)
+            return predict_plan_cost(engine, plan, env, graph_vec, input_grad)
+
+        monkeypatch.setattr(Plan, "backward_calls", record_backward)
+        monkeypatch.setattr(GraniiEngine, "predict_plan_cost", record_price)
+        evaluate_multilayer("gcn", "BL", [64, 64, 64], scale="small",
+                            system="dgl", mode="training", iterations=1)
+        assert timed == [False, True] * 2  # the default chain, then GRANII's
+        half = len(priced) // 2
+        assert priced and priced == [False] * half + [True] * half
 
     def test_multilayer_validates(self):
         with pytest.raises(ValueError):

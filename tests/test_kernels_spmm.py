@@ -1,5 +1,10 @@
 """Unit tests for g-SpMM against dense references."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -8,12 +13,15 @@ from repro.kernels import (
     get_semiring,
     gspmm,
     gspmm_flops,
+    segment,
     spmm,
     spmm_unweighted,
 )
 from repro.sparse import CSRMatrix
 
 from helpers import random_csr, spmm_cases, strategy_for_case
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def dense_gspmm(adj: CSRMatrix, x: np.ndarray, reduce_name: str, binary_name: str):
@@ -136,3 +144,37 @@ def test_unknown_strategy(rng):
 def test_flops_counts():
     assert gspmm_flops(nnz=100, k=8, weighted=True) == 1600
     assert gspmm_flops(nnz=100, k=8, weighted=False) == 800
+
+
+def test_the_import_loads_only_the_compiled_kernel():
+    """``import repro`` loads SciPy's ``_sparsetools`` extension from its
+    file, not through ``scipy.sparse``; a later ``import scipy.sparse``
+    hands out the very function the folds call.  Fails when a SciPy
+    release moves the file (the fallback import then keeps repro working,
+    at the package's import cost)."""
+    child = textwrap.dedent(
+        """
+        import sys
+        import repro
+        print(sorted(m for m in ("scipy.sparse", "scipy.sparse._base") if m in sys.modules))
+        import scipy.sparse
+        from repro.kernels import segment, softmax
+        fn = scipy.sparse._sparsetools.csr_matvecs
+        print(segment.csr_matvecs is fn, softmax.csr_matvecs is fn)
+        """
+    )
+    # lint: allow(env-outside-config) the child process's environment
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = SRC
+    proc = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True True"]
+
+
+def test_the_kernel_falls_back_to_the_plain_import(monkeypatch):
+    monkeypatch.setattr(segment, "_sparsetools_spec", lambda: None)
+    monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools", raising=False)
+    assert segment._load_csr_matvecs() is segment.csr_matvecs
+    assert "scipy.sparse._sparsetools" in sys.modules
