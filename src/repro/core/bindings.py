@@ -31,18 +31,23 @@ from .plan import LEAF_CACHE_KEY, EdgeSparse, LayerBinding
 __all__ = ["build_binding", "model_ir_name", "model_ir_kwargs"]
 
 
+_IR_NAMES = {
+    GCNLayer: "gcn",
+    GINLayer: "gin",
+    SGCLayer: "sgc",
+    TAGCNLayer: "tagcn",
+    GATLayer: "gat",
+    SAGELayer: "sage",
+    APPNPLayer: "appnp",
+}
+
+
 def model_ir_name(layer) -> str:
     """The IR-builder name for a layer instance."""
-    mapping = {
-        GCNLayer: "gcn",
-        GINLayer: "gin",
-        SGCLayer: "sgc",
-        TAGCNLayer: "tagcn",
-        GATLayer: "gat",
-        SAGELayer: "sage",
-        APPNPLayer: "appnp",
-    }
-    for cls, name in mapping.items():
+    name = _IR_NAMES.get(type(layer))
+    if name is not None:
+        return name
+    for cls, name in _IR_NAMES.items():  # a subclass of a zoo layer
         if isinstance(layer, cls):
             return name
     raise TypeError(f"GRANII has no IR builder for {type(layer).__name__}")

@@ -114,6 +114,12 @@ class PlannedCandidate:
         parts = [self.tags.get("norm", ""), self.tags.get("order", "")]
         return ":".join(p for p in parts if p)
 
+    @cached_property
+    def cost_label(self) -> str:
+        """``label#plan name``: this plan's key in a selection's
+        ``predicted_costs``."""
+        return f"{self.label}#{self.plan.name}"
+
 
 def plan_tags(plan: Plan) -> Dict[str, str]:
     """Classify a plan for human-readable labels and baseline lookup.

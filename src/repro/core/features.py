@@ -10,9 +10,11 @@ GRANII's reported overhead.
 :func:`featurize_graph` is that O(N+E) pass, uncached.  The runtime and
 the serving fingerprint go through :func:`inspect_graph`, which runs it
 once per sparsity *pattern* and keeps the result on the adjacency's
-memo holder (``CSRMatrix._aux``, next to ``row_ids`` and
-``pattern_sha1``) — like every entry there, on the assumption that a
-matrix's ``indptr``/``indices`` are never written after construction.
+memo holder (``CSRMatrix._aux``, next to ``row_ids``, ``pattern_sha1``
+and the self-loop count ``nnz_with_self_loops`` with its column-order
+scan ``columns_increase``, which the runtime's shape env reads) — like
+every entry there, on the assumption that a matrix's
+``indptr``/``indices`` are never written after construction.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ from ..errors import (
 from ..sparse import CSRMatrix, DiagonalMatrix
 from ..tensor import Tensor
 from .bindings import build_binding
-from .ir import ShapeEnv
+from .ir import ShapeEnv, sized_env
 from .plan import EdgeSparse, Plan
 
 __all__ = [
@@ -129,22 +129,11 @@ def execute_plan(
 def shape_env_for(adj: CSRMatrix, layer) -> ShapeEnv:
     """A :class:`ShapeEnv` for the adjacency a plan will actually execute.
 
-    Mirrors :meth:`GraniiEngine.shape_env` but starts from the (possibly
+    :meth:`GraniiEngine.shape_env`'s sizes, but read off the (possibly
     self-looped) adjacency the executor receives, so memory estimates
     describe the real matrix.
     """
-    from ..kernels import spgemm_output_nnz_estimate
-
-    env = ShapeEnv()
-    env["N"] = adj.shape[0]
-    env["E"] = adj.nnz
-    env["K1"] = layer.in_size
-    env["K2"] = layer.out_size
-    current = adj.nnz
-    for depth in range(2, 7):
-        current = spgemm_output_nnz_estimate(adj.shape[0], current, adj.nnz)
-        env[f"E@{depth}"] = current
-    return env
+    return sized_env(adj.shape[0], adj.nnz, layer.in_size, layer.out_size)[0]
 
 
 def value_nbytes(value) -> float:
@@ -510,11 +499,11 @@ class GuardedExecutor:
         if index >= len(self.rungs):
             return "reference"
         planned = self.rungs[index]
-        return f"{planned.label}#{planned.plan.name}@row_segment"
+        return f"{planned.cost_label}@row_segment"
 
     def _predicted_seconds(self, planned) -> Optional[float]:
         costs = getattr(self.selection, "predicted_costs", None) or {}
-        return costs.get(f"{planned.label}#{planned.plan.name}")
+        return costs.get(planned.cost_label)
 
     def _env_for(self, g) -> ShapeEnv:
         env = self.caches.env.get(g)

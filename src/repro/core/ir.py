@@ -20,6 +20,7 @@ serves every input graph and embedding size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..errors import GraniiAnalysisError
@@ -28,6 +29,7 @@ __all__ = [
     "Dim",
     "ShapeEnv",
     "env_key",
+    "sized_env",
     "Leaf",
     "MatMul",
     "Add",
@@ -65,6 +67,33 @@ def env_key(env: Optional[Dict]) -> Tuple:
     if not env:
         return ()
     return tuple(sorted((str(k), int(v)) for k, v in env.items()))
+
+
+def sized_env(
+    num_nodes: int, nnz: int, in_size: int, out_size: int
+) -> Tuple[ShapeEnv, Tuple]:
+    """The :class:`ShapeEnv` of one ``(N, E, K1, K2)`` and its :func:`env_key`.
+
+    Besides the four sizes it binds ``E@k``, the estimated nonzeros of a
+    depth-k adjacency power (k = 2..6), for the SpGEMM-extension
+    candidates (``compile_model(..., spgemm=True)``).  The estimates and
+    the key are derived once per distinct sizes (the 128 most recent are
+    kept); every call returns a new env, so a caller may write to its own.
+    """
+    items, key = _sized_env(int(num_nodes), int(nnz), int(in_size), int(out_size))
+    return ShapeEnv(items), key
+
+
+@lru_cache(maxsize=128)
+def _sized_env(n: int, nnz: int, k1: int, k2: int) -> Tuple[Tuple, Tuple]:
+    from ..kernels import spgemm_output_nnz_estimate
+
+    env = {"N": n, "E": nnz, "K1": k1, "K2": k2}
+    current = nnz
+    for depth in range(2, 7):
+        current = spgemm_output_nnz_estimate(n, current, nnz)
+        env[f"E@{depth}"] = current
+    return tuple(env.items()), env_key(env)
 
 
 @dataclass(frozen=True)

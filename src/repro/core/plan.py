@@ -506,6 +506,7 @@ class PriceIndex:
         self.views = [plan.call_view(env, key) for plan in plans]
         self.keys: List[Optional[tuple]] = [None]
         self.calls: List[Optional[KernelCall]] = [None]
+        self.kinds: List[Optional[str]] = [None]  # each call's ``kind``
         self.slots: Dict[tuple, int] = {}
         self.blocks = 3 if training else 2
         blocks: List[List[List[int]]] = [[] for _ in range(self.blocks)]
@@ -528,7 +529,10 @@ class PriceIndex:
             if slot is None:
                 slot = slots[key] = len(keys)
                 keys.append(key)
-                calls.append(call if type(call) is KernelCall else call.call(key))
+                if type(call) is not KernelCall:
+                    call = call.call(key)
+                calls.append(call)
+                self.kinds.append(call.kind)
             row.append(slot)
         return row
 

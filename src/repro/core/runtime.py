@@ -20,15 +20,19 @@ What is remembered between calls, and where:
 - the compiled candidate set, per (model, hyper-parameters), in
   ``codegen``'s compile cache — ``compile_for`` looks there before it
   parses a ``forward``;
-- the graph's feature vector, on the adjacency matrix itself
-  (:func:`repro.core.features.inspect_graph` writes ``CSRMatrix._aux``,
+- the graph's feature vector and Ã's edge count, on the adjacency
+  matrix itself (:func:`repro.core.features.inspect_graph` and
+  :meth:`CSRMatrix.nnz_with_self_loops` write ``CSRMatrix._aux``,
   where ``row_ids`` and the serving fingerprint's pattern digest also
   live), so every engine and the serving fingerprint read one copy and
-  a re-weighted matrix (``with_values``) inherits it.  Like every
-  ``_aux`` entry it assumes ``indptr``/``indices`` are never written
+  a re-weighted matrix (``with_values``) inherits them.  Like every
+  ``_aux`` entry they assume ``indptr``/``indices`` are never written
   after construction; a new pattern is a new matrix.  An
   adjacency object the process has not seen pays the O(N+E) pass once;
   only a repeat submission of the same object skips it;
+- the shape env's SpGEMM estimates and env key, per distinct
+  ``(N, E, K1, K2)`` (:func:`~repro.core.ir.sized_env`, a bounded LRU;
+  every caller gets its own env);
 - cost-model predictions, per graph vector, in the model set's
   bounded memo (:meth:`CostModelSet.prices`); one selection prices each
   distinct (primitive, shape) call of its candidates once;
@@ -57,6 +61,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..analysis.planlint import analyze_plan
 from ..framework import MPGraph, get_system
 from ..graphs import Graph
 from ..hardware import get_device
@@ -72,7 +77,7 @@ from .guard import (
     execute_plan,
     reference_forward,
 )
-from .ir import ShapeEnv, env_key
+from .ir import ShapeEnv, sized_env
 from .plan import CallList, Plan, PriceIndex, price_index
 
 __all__ = ["SelectionReport", "OptimizationReport", "GraniiEngine"]
@@ -196,7 +201,8 @@ class OptimizationReport:
 
 class _Prices:
     """One selection's predicted seconds per call, each distinct price key
-    priced once, on first need, as ``predict_call × efficiency``.
+    priced once, on first need, as ``predict_call × efficiency`` (an
+    index slot's efficiency read off the kind the index keeps for it).
 
     With a :class:`PriceIndex` the index's keys are priced into its slots
     and :meth:`plan_costs` totals all its plans in one array pass; without
@@ -211,7 +217,7 @@ class _Prices:
     ) -> None:
         self.index = index
         self._models = engine.cost_models
-        self._eff = engine.system.efficiency
+        self._factor = engine.system.kind_factor
         self._iterations = max(engine.iterations, 1)
         self._graph_vec = graph_vec
         self._prices = self._models.prices(graph_vec.tobytes())
@@ -220,17 +226,18 @@ class _Prices:
         self._todo = [False] + [True] * (size - 1)
         self._other: Dict[tuple, float] = {}
 
-    def _price(self, call, key: tuple) -> float:
+    def _price(self, call, key: tuple, kind: str) -> float:
         return self._models.predict_call(
             call, self._graph_vec, self._prices, key
-        ) * self._eff(call)
+        ) * self._factor(kind)
 
     def _fill(self, slots) -> None:
         """Price the index slots not priced yet."""
         seconds, todo, index = self._seconds, self._todo, self.index
+        calls, keys, kinds = index.calls, index.keys, index.kinds
         for slot in slots:
             if todo[slot]:
-                seconds[slot] = self._price(index.calls[slot], index.keys[slot])
+                seconds[slot] = self._price(calls[slot], keys[slot], kinds[slot])
                 todo[slot] = False
 
     def total(self, priced: CallList) -> float:
@@ -239,7 +246,7 @@ class _Prices:
         for call, key in zip(priced.calls, priced.keys):
             t = self._other.get(key)
             if t is None:
-                t = self._other[key] = self._price(call, key)
+                t = self._other[key] = self._price(call, key, call.kind)
             out += t
         return out
 
@@ -263,7 +270,7 @@ class _Prices:
             slots = np.unique(matrix).tolist()
         self._fill(slots)
         # each row's seconds summed left to right, as call by call
-        totals = np.cumsum(np.array(self._seconds)[matrix], axis=1)[:, -1]
+        totals = np.array(self._seconds)[matrix].cumsum(axis=1)[:, -1]
         n = len(totals) // index.blocks
         return self.amortised(
             totals[:n], totals[n:2 * n], totals[2 * n:] if index.blocks == 3 else None
@@ -324,7 +331,7 @@ class GraniiEngine:
         define their own edge values and ignore input weights.
         """
         name = model_ir_name(layer)
-        kwargs = dict(model_ir_kwargs(layer))
+        kwargs = model_ir_kwargs(layer)
         weighted = bool(
             graph is not None
             and graph.adj.is_weighted
@@ -348,26 +355,18 @@ class GraniiEngine:
         return compile_model(name, ir=ir, **kwargs)
 
     def shape_env(self, graph: Graph, layer) -> ShapeEnv:
+        """The selection's :class:`ShapeEnv` for ``layer`` on ``graph``
+        (:func:`~repro.core.ir.sized_env`); the caller's own copy."""
+        return self._env_and_key(graph, layer)[0]
+
+    @staticmethod
+    def _env_and_key(graph: Graph, layer) -> Tuple[ShapeEnv, Tuple]:
         # Ã's edge count, not Ã: execution builds Ã when it runs
         if getattr(layer, "wants_self_loops", True):
             nnz = graph.num_edges_with_self_loops()
         else:
             nnz = graph.num_edges
-        env = ShapeEnv()
-        env["N"] = graph.num_nodes
-        env["E"] = nnz
-        env["K1"] = layer.in_size
-        env["K2"] = layer.out_size
-        # estimated nonzeros of adjacency powers, for SpGEMM-extension
-        # candidates (compile_model(..., spgemm=True)); "E@k" is the
-        # symbolic nnz of a depth-k sparse product
-        from ..kernels import spgemm_output_nnz_estimate
-
-        current = nnz
-        for depth in range(2, 7):
-            current = spgemm_output_nnz_estimate(graph.num_nodes, current, nnz)
-            env[f"E@{depth}"] = current
-        return env
+        return sized_env(graph.num_nodes, nnz, layer.in_size, layer.out_size)
 
     # ------------------------------------------------------------------
     def predict_plan_cost(
@@ -437,8 +436,7 @@ class GraniiEngine:
         a gradient, which decides the backward kernels each plan is priced
         with: :meth:`optimize` passes False for a model's first layer.
         """
-        env = self.shape_env(graph, layer)
-        key = env_key(env)
+        env, key = self._env_and_key(graph, layer)
         scenario = "in_ge_out" if env["K1"] >= env["K2"] else "in_lt_out"
         viable = compiled.viable(env["K1"], env["K2"])
         if not viable:  # pragma: no cover - pruning guarantees at least one
@@ -478,16 +476,14 @@ class GraniiEngine:
             prices = _Prices(self, graph_vec, index)
             costs = prices.plan_costs(None if memory_filtered == 0 else rows)
             for i, c in zip(rows, costs.tolist()):
-                predicted[f"{viable[i].label}#{viable[i].plan.name}"] = c
-            order = [rows[i] for i in np.argsort(costs, kind="stable").tolist()]
+                predicted[viable[i].cost_label] = c
+            order = [rows[i] for i in costs.argsort(kind="stable").tolist()]
             ranked = [viable[i] for i in order]
             chosen_row = order[0]
         chosen = viable[chosen_row]
         selection_seconds = time.perf_counter() - t1
         # static verdict for the winner: proved facts let the guarded
         # executor skip re-deriving them on the hot path (see guard.py)
-        from ..analysis.planlint import analyze_plan
-
         verdict = analyze_plan(
             chosen.plan, env=env, strategies=("row_segment",), env_key=key,
         )

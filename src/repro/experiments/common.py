@@ -26,6 +26,7 @@ from ..core import GraniiEngine, ShapeEnv, compile_model, select_default_plan
 from ..core.codegen import PlannedCandidate
 from ..core.costmodel import get_cost_models
 from ..core.features import featurize_graph
+from ..core.ir import sized_env
 from ..core.plan import Plan
 from ..framework import System, get_system
 from ..graphs import Graph, load
@@ -126,9 +127,7 @@ def shape_env_for(graph: Graph, model: str, in_size: int, out_size: int) -> Shap
         nnz = graph.num_edges_with_self_loops()
     else:
         nnz = graph.num_edges
-    return ShapeEnv(
-        {"N": graph.num_nodes, "E": nnz, "K1": in_size, "K2": out_size}
-    )
+    return sized_env(graph.num_nodes, nnz, in_size, out_size)[0]
 
 
 def measured_plan_time(

@@ -47,7 +47,11 @@ class System:
 
     def efficiency(self, call: KernelCall) -> float:
         """Multiplier on simulated kernel time for this system's kernels."""
-        return self.kind_efficiency.get(call.kind, 1.0)
+        return self.kind_factor(call.kind)
+
+    def kind_factor(self, kind: str) -> float:
+        """:meth:`efficiency` of any call of one kind (``call.kind``)."""
+        return self.kind_efficiency.get(kind, 1.0)
 
     def default_gemm_first(self, model: str, in_size: int, out_size: int) -> bool:
         """Whether the baseline runs the update GEMM before aggregation."""

@@ -34,7 +34,6 @@ class Graph:
         self.node_features = node_features
         self.labels = labels
         self._with_loops: Optional[CSRMatrix] = None
-        self._with_loops_nnz: Optional[int] = None
 
     # ------------------------------------------------------------------
     @property
@@ -67,12 +66,11 @@ class Graph:
 
     def num_edges_with_self_loops(self) -> int:
         """``adj_with_self_loops().nnz``: read off Ã when this graph holds
-        it, otherwise counted once per graph without building it."""
+        it, otherwise counted once per pattern without building it
+        (:meth:`CSRMatrix.nnz_with_self_loops`)."""
         if self._with_loops is not None:
             return self._with_loops.nnz
-        if self._with_loops_nnz is None:
-            self._with_loops_nnz = self.adj.nnz_with_self_loops()
-        return self._with_loops_nnz
+        return self.adj.nnz_with_self_loops()
 
     # ------------------------------------------------------------------
     def with_features(

@@ -346,6 +346,7 @@ class CSRMatrix:
         for key in (
             "row_degrees", "col_degrees", "row_ids", "unit_values",
             "pattern_sha1", "inspection", "columns_in_range",
+            "columns_increase", "nnz_with_self_loops",
         ):
             if key in self._aux:
                 result._aux[key] = self._aux[key]
@@ -409,7 +410,8 @@ class CSRMatrix:
 
         For weighted matrices the inserted loop entries get value 1.0 added.
         O(E) and sort-free on a pattern whose columns increase strictly
-        within each row (what ``from_coo`` and every generator produce).
+        within each row (what ``from_coo`` and every generator produce);
+        that check is the pattern's memoised :meth:`_columns_increase`.
         """
         if self.shape[0] != self.shape[1]:
             raise ValueError("self loops require a square matrix")
@@ -418,27 +420,39 @@ class CSRMatrix:
         return self._merge_diagonal()
 
     def nnz_with_self_loops(self) -> int:
-        """``add_self_loops().nnz``, without building A + I.
+        """``add_self_loops().nnz``, without building A + I (memoised).
 
         On a canonical pattern a row stores its loop at most once, so the
         count is nnz plus one per row with no stored loop.  Any other
         pattern is merged as :meth:`add_self_loops` merges it.
         """
-        if self.shape[0] != self.shape[1]:
-            raise ValueError("self loops require a square matrix")
-        if self._columns_increase():
-            loops = int(np.count_nonzero(self.indices == self.row_ids()))
-            return self.nnz + self.shape[0] - loops
-        return self._merge_diagonal().nnz
+        count = self._aux.get("nnz_with_self_loops")
+        if count is None:
+            if self.shape[0] != self.shape[1]:
+                raise ValueError("self loops require a square matrix")
+            if self._columns_increase():
+                loops = int(np.count_nonzero(self.indices == self.row_ids()))
+                count = self.nnz + self.shape[0] - loops
+            else:
+                count = self._merge_diagonal().nnz
+            self._aux["nnz_with_self_loops"] = count
+        return count
 
     def _columns_increase(self) -> bool:
-        """One O(E) check: columns strictly increasing inside every row.
+        """One O(E) check, once per pattern: columns strictly increasing
+        inside every row.
 
         The constructor also accepts unsorted or duplicated columns; those
         keep the COO merge, which sorts and collapses them.
         """
-        rows, cols = self.row_ids(), self.indices
-        return bool(((cols[1:] > cols[:-1]) | (rows[1:] != rows[:-1])).all())
+        ordered = self._aux.get("columns_increase")
+        if ordered is None:
+            rows, cols = self.row_ids(), self.indices
+            ordered = bool(
+                ((cols[1:] > cols[:-1]) | (rows[1:] != rows[:-1])).all()
+            )
+            self._aux["columns_increase"] = ordered
+        return ordered
 
     def _insert_diagonal(self) -> "CSRMatrix":
         """A + I on a canonical pattern, without a sort.

@@ -172,3 +172,39 @@ class TestCSRAuxCache:
             inspect_graph(Graph(clone)), inspection
         )
         assert not inspection.flags.writeable
+
+    def test_self_loop_count_and_column_scan_follow_the_pattern_only(self):
+        """``nnz_with_self_loops`` and the column-order scan are read off
+        ``indptr``/``indices``: ``with_values`` carries both, and
+        ``add_self_loops``, ``submatrix`` and pickle start without them."""
+        m = self.weighted()
+        count = m.nnz_with_self_loops()
+        assert m._aux["nnz_with_self_loops"] == count == m.add_self_loops().nnz
+        assert m._aux["columns_increase"] is True
+        w = m.with_values(np.full(m.nnz, 7.0))
+        assert w._aux["nnz_with_self_loops"] == count
+        assert w._aux["columns_increase"] is True
+        assert m.unweighted()._aux["nnz_with_self_loops"] == count
+
+        looped = m.add_self_loops()
+        sub = m.submatrix(np.array([0, 2]), np.array([0, 2]))
+        clone = pickle.loads(pickle.dumps(m))
+        for derived in (looped, sub, clone):
+            assert "nnz_with_self_loops" not in derived._aux
+            assert "columns_increase" not in derived._aux
+        # each derived pattern counts its own loops
+        assert looped.nnz_with_self_loops() == looped.nnz
+        assert sub.nnz_with_self_loops() == sub.add_self_loops().nnz
+        assert clone.nnz_with_self_loops() == count
+
+    def test_an_unsorted_pattern_keeps_its_own_verdict(self):
+        """A pattern whose columns do not increase is remembered as such:
+        its count is the COO merge's, and its re-weightings agree."""
+        m = CSRMatrix(
+            np.array([0, 3, 4, 6]), np.array([2, 0, 1, 2, 2, 0]), None, (3, 3)
+        )
+        assert m.nnz_with_self_loops() == m.add_self_loops().nnz
+        assert m._aux["columns_increase"] is False
+        w = m.with_values(np.ones(m.nnz))
+        assert w._aux["columns_increase"] is False
+        assert w.nnz_with_self_loops() == w.add_self_loops().nnz

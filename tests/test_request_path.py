@@ -84,6 +84,101 @@ def test_optimize_on_a_fresh_graph_neither_sorts_nor_reparses(
 
 
 # ----------------------------------------------------------------------
+# a repeat selection: no O(E) scan, no shape env rebuilt, same floats
+# ----------------------------------------------------------------------
+def method_counter(fn):
+    """A plain function (so it binds as a method) counting its calls."""
+
+    def wrapper(*args, **kwargs):
+        wrapper.calls += 1
+        return fn(*args, **kwargs)
+
+    wrapper.calls = 0
+    return wrapper
+
+
+def _decision(report):
+    sel = report.selections[0]
+    return (
+        sel.chosen.label,
+        sel.chosen.plan.name,
+        {label: float(c).hex() for label, c in sel.predicted_costs.items()},
+    )
+
+
+@pytest.mark.parametrize("mode", ["inference", "training"])
+@pytest.mark.parametrize("name", ZOO)
+def test_a_repeat_optimize_on_a_known_pattern_derives_nothing_twice(
+    name, mode, cost_models, monkeypatch
+):
+    """A second ``optimize`` on a new ``Graph`` over a pattern already
+    selected on neither scans the pattern's column order nor re-estimates
+    the shape env, and decides what a cold engine on a never-seen copy of
+    the pattern decides, to the last bit of every predicted cost."""
+    import repro.kernels as kernels_mod
+    from repro.core import ir
+    from repro.sparse import CSRMatrix
+
+    layer = build_layer(name, 32, 16, rng=np.random.default_rng(0))
+    adj = rmat(300, 6, seed=3).adj
+
+    def engine():
+        return GraniiEngine(
+            device="h100", scale="small", cost_models=cost_models, mode=mode
+        )
+
+    engine().optimize(layer, Graph(adj))  # the pattern and sizes are seen
+
+    scans = method_counter(CSRMatrix._columns_increase)
+    estimates = method_counter(kernels_mod.spgemm_output_nnz_estimate)
+    monkeypatch.setattr(CSRMatrix, "_columns_increase", scans)
+    monkeypatch.setattr(kernels_mod, "spgemm_output_nnz_estimate", estimates)
+    warm = _decision(engine().optimize(layer, Graph(adj)))
+    assert scans.calls == 0
+    assert estimates.calls == 0
+
+    # cold: a never-seen pattern object, sizes, prices and plan memos
+    ir._sized_env.cache_clear()
+    cost_models._memo.clear()
+    for planned in engine().compile_for(layer).promoted:
+        planned.plan.clear_memos()
+    copy = CSRMatrix(adj.indptr.copy(), adj.indices.copy(), None, adj.shape)
+    cold = _decision(engine().optimize(layer, Graph(copy)))
+    assert estimates.calls == 5
+    assert warm == cold
+
+
+def test_a_serving_miss_scans_the_new_patterns_columns_once(
+    cost_models, monkeypatch
+):
+    """``select`` counts Ã's edges and the executor then builds Ã: both
+    need the pattern's column order, which is scanned once."""
+    from repro.sparse import CSRMatrix
+
+    scanned = []
+    scan = CSRMatrix._columns_increase
+
+    def counted(self):
+        if "columns_increase" not in self._aux:
+            scanned.append(self)
+        return scan(self)
+
+    monkeypatch.setattr(CSRMatrix, "_columns_increase", counted)
+    graph = erdos_renyi(60, 4, seed=77)
+    feats = np.random.default_rng(2).standard_normal((60, 8))
+    svc = GraniiService(
+        device="h100", scale="small", cost_models=cost_models, num_threads=1
+    )
+    svc.register_model("gcn", 8, 4)
+    try:
+        result = svc.serve(ServeRequest("t", "gcn", graph, feats))
+    finally:
+        svc.shutdown(save=False)
+    assert result.ok and not result.cache_hit
+    assert sum(m is graph.adj for m in scanned) == 1
+
+
+# ----------------------------------------------------------------------
 # fingerprints: same bytes as before, and a repeat hashes nothing
 # ----------------------------------------------------------------------
 class CountingSha1:
