@@ -23,13 +23,11 @@ Three prongs, all purely static:
   Its static lock graph is validated dynamically by
   :mod:`repro.faults.racestress`.
 
-CLIs::
+All three run as suites of one command::
 
-    python -m repro.analysis              # planlint over the model zoo
-    python -m repro.analysis.lint src/repro
-    python -m repro.analysis.conclint src/repro
-
-The seeded mutations of both analyzers run in ``python -m repro.checks``.
+    python -m repro.checks --only planlint   # planlint/zoo + seeded mutations
+    python -m repro.checks --only lint       # one lint/<rule> entry per rule
+    python -m repro.checks --only conclint   # baseline + seeded mutations
 """
 
 from .domains import AbstractMatrix, join_structure, structure_leq, structure_of

@@ -23,11 +23,10 @@ sanitizer (:mod:`repro.faults.racestress`) checks observed lock
 acquisitions against: every edge seen at runtime must already exist
 statically.
 
-CLI::
-
-    python -m repro.analysis.conclint src/repro [--json REPORT.json]
-
-Its seeded mutations (:mod:`.mutate`) run in ``python -m repro.checks``.
+It runs as ``python -m repro.checks --only conclint``:
+``conclint/baseline`` holds the shipped tree's report
+(:meth:`ConclintReport.to_dict`) and fails on any unwaived finding, and
+the other entries are its seeded mutations (:mod:`.mutate`).
 """
 
 from __future__ import annotations
@@ -152,6 +151,11 @@ def collect_sources(paths: Sequence[str]) -> Dict[str, str]:
             with open(path, "r", encoding="utf-8") as fh:
                 sources[path] = fh.read()
             continue
+        if not os.path.isdir(path):
+            # os.walk yields nothing for it: a typo would analyze clean
+            raise FileNotFoundError(
+                f"conclint: no such file or directory: {path}"
+            )
         for root, _dirs, files in os.walk(path):
             for name in sorted(files):
                 if name.endswith(".py"):

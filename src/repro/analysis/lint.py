@@ -44,26 +44,21 @@ offending line or the line above; waivers are counted, not silent):
   module counts, even in another function than the import's, and so
   does a name inside a string annotation.
 
-CLI::
-
-    python -m repro.analysis.lint src/repro [--json REPORT.json]
-
-Exit status 0 when no (unwaived) violations, 1 otherwise; each finding
-prints as ``<rule> <file>:<line> <message>``.
+Each rule is one ``lint/<rule>`` entry of ``python -m repro.checks``,
+over ``src/repro`` and the ``tests``, ``examples`` and ``benchmarks``
+trees; an entry fails on its rule's unwaived violations, each described
+as ``<rule> <file>:<line> <message>``.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import json
 import os
 import re
-import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
-__all__ = ["RULES", "Violation", "lint_source", "lint_paths", "main"]
+__all__ = ["RULES", "Violation", "lint_source", "lint_paths"]
 
 RULES = (
     "env-outside-config",
@@ -414,6 +409,9 @@ def _iter_py_files(paths: Sequence[str]):
     for path in paths:
         if os.path.isfile(path):
             yield path
+        elif not os.path.isdir(path):
+            # os.walk yields nothing for it: a typo would lint clean
+            raise FileNotFoundError(f"lint: no such file or directory: {path}")
         else:
             for root, _dirs, files in os.walk(path):
                 for name in sorted(files):
@@ -428,47 +426,3 @@ def lint_paths(paths: Sequence[str]) -> List[Violation]:
             out.extend(lint_source(fh.read(), path))
     return out
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.lint",
-        description=__doc__.split("\n")[0],
-    )
-    parser.add_argument("paths", nargs="*", default=["src/repro"],
-                        help="files or directories to lint")
-    parser.add_argument("--json", default="", help="write findings JSON here")
-    args = parser.parse_args(argv)
-
-    violations = lint_paths(args.paths or ["src/repro"])
-    active = [v for v in violations if not v.waived]
-    waived = [v for v in violations if v.waived]
-    for v in active:
-        print(v.describe())
-    summary = (
-        f"{len(active)} violation(s), {len(waived)} waived"
-        if violations
-        else "clean"
-    )
-    print(summary)
-    if args.json:
-        waiver_counts: Dict[str, int] = {}
-        for v in waived:
-            waiver_counts[v.rule] = waiver_counts.get(v.rule, 0) + 1
-        with open(args.json, "w") as fh:
-            json.dump(
-                {
-                    "violations": [v.describe() for v in active],
-                    "waived": [v.describe() for v in waived],
-                    "waiver_counts": waiver_counts,
-                    "totals": {
-                        "active": len(active),
-                        "waived": len(waived),
-                    },
-                },
-                fh, indent=2,
-            )
-    return 1 if active else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

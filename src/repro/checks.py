@@ -1,6 +1,7 @@
-"""One registry of robustness checks, one runner, one JSON report.
+"""One registry of checks, one runner, one JSON report.
 
-Every check behind the guarded runtime's claims is an entry here:
+Every check behind the repo's correctness and robustness claims is an
+entry here:
 
 - ``chaos/<model>/<schedule>``: a zoo model under one of
   :data:`repro.faults.chaos.FAULT_SCHEDULES` must end correct or raise a
@@ -11,34 +12,51 @@ Every check behind the guarded runtime's claims is an entry here:
 - ``racestress/<scenario>``: the lock-order edges a stress run takes
   must all be in conclint's static graph;
 - ``planlint/<mutation>``, ``conclint/<mutation>``: each seeded bug must
-  be caught; ``conclint/baseline``: the unmutated tree must be clean.
+  be caught; ``planlint/zoo``: every promoted zoo plan must pass
+  planlint; ``conclint/baseline``: the unmutated tree must be clean;
+- ``verify/<model>/<mode>``: every promoted plan of the model, under
+  both systems and every SpMM strategy, must match the reference
+  composition on the adversarial battery
+  (:func:`repro.core.verify.sweep`); ``verify/seed-fault``: a
+  deliberately wrong kernel must be caught and shrunk;
+- ``lint/<rule>``: no unwaived :data:`repro.analysis.lint.RULES`
+  violation in ``src/repro`` and the ``tests``, ``examples`` and
+  ``benchmarks`` trees beside ``src/``.
 
 ::
 
     python -m repro.checks [--quick] [--seed N] [--only NAMES] [--output PATH]
 
-``--quick`` runs the entries CI runs, at reduced sizes; ``--only`` takes
-comma-separated entry or suite names.  The runner prints one line per
-entry, writes a JSON list of ``{check, suite, ok, seconds, detail}`` and
-exits 1 iff an entry is not ok.  Inputs several entries share (the
-``cpu`` cost models, conclint's analysis of the unmutated tree and its
-lock graph, the zoo's mutation pool) are built once per run.
+``--quick`` runs the entries CI runs, at reduced sizes (the verify
+entries take the quick battery); ``--only`` takes comma-separated entry
+or suite names.  The runner prints one line per entry, writes a JSON
+list of ``{check, suite, ok, seconds, detail}`` and exits 1 iff an
+entry is not ok.  Inputs several entries share (the ``cpu`` cost
+models, conclint's analysis of the unmutated tree and its lock graph,
+the zoo's compiled plans, the verify battery, one lint pass) are built
+once per run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 import time
 import traceback
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .analysis import lint
 from .analysis import mutate as planlint_mutate
 from .analysis.conclint import analyze_sources
 from .analysis.conclint import mutate as conclint_mutate
+from .analysis.planlint import analyze_plan
+from .core import verify
+from .core.codegen import compile_model
 from .core.costmodel import get_cost_models
 from .faults import chaos, racestress
 from .models import MODEL_NAMES
@@ -137,9 +155,102 @@ def _conclint_mutation(mutation, ctx: Context):
     return conclint_mutate.check_mutation(mutation, *ctx.tree)
 
 
+# the promoted plans planlint/zoo analyzes beyond zoo_pool's defaults
+_PLANLINT_EXTENSIONS = {
+    "gat+fusion": ("gat", {"fusion": True}),
+    "sgc+spgemm": ("sgc", {"spgemm": True, "hops": 2}),
+}
+
+
+def _planlint_zoo(ctx: Context):
+    _pool, plans = ctx.shared("planlint", planlint_mutate.zoo_pool)
+    labelled = [(plan.name.split(":")[0], plan) for plan in plans]
+    for label, (name, kwargs) in _PLANLINT_EXTENSIONS.items():
+        labelled += [
+            (label, pc.plan) for pc in compile_model(name, **kwargs).promoted
+        ]
+    verdicts = [(label, analyze_plan(plan)) for label, plan in labelled]
+    rejected = [v.describe() for _, v in verdicts if not v.ok]
+    return not rejected, {
+        "outcome": f"{len(verdicts)} plans, {len(rejected)} rejected",
+        "rejected": rejected,
+        "plans": [dict(model=label, **v.to_dict()) for label, v in verdicts],
+    }
+
+
 def _conclint_baseline(ctx: Context):
-    active = ctx.tree[1].active
-    return not active, [f.describe() for f in active]
+    report = ctx.tree[1]
+    return not report.active, {
+        "outcome": f"{len(report.active)} finding(s), "
+                   f"{len(report.waived)} waived",
+        **report.to_dict(),
+    }
+
+
+def _sweep(ctx: Context, **kwargs):
+    """``(report, detail)`` of one :func:`repro.core.verify.sweep` over
+    the run's battery; the pytest source of each shrunk repro is in the
+    detail, and no file outlives the call."""
+    graphs = ctx.shared(
+        "verify", lambda: verify.adversarial_battery(quick=ctx.quick)
+    )
+    with tempfile.TemporaryDirectory() as repro_dir:
+        report = verify.sweep(
+            graphs=graphs, seed=ctx.seed, repro_dir=repro_dir, **kwargs
+        )
+        sources = {}
+        for result in report.failures:
+            if result.repro_path:
+                with open(result.repro_path) as fh:
+                    result.repro_path = os.path.basename(result.repro_path)
+                    sources[result.repro_path] = fh.read()
+    report.meta["repro_files"] = sorted(sources)
+    detail = report.to_dict()
+    detail["outcome"] = (
+        f"{report.num_checks} checks, {len(report.failures)} divergent"
+    )
+    detail["repro_sources"] = sources
+    return report, detail
+
+
+def _verify_case(model, mode, ctx: Context):
+    report, detail = _sweep(ctx, models=[model], modes=[mode])
+    return report.passed, detail
+
+
+def _verify_seed_fault(ctx: Context):
+    # the blocked kernel is the one seeded_fault perturbs
+    with verify.seeded_fault():
+        report, detail = _sweep(
+            ctx, models=["gcn"], systems=["dgl"], modes=["inference"],
+            strategies=["blocked"], max_shrinks=1,
+        )
+    shrunk = [r for r in report.failures if r.shrunk_num_nodes >= 0]
+    return bool(shrunk), detail
+
+
+def _lint_roots() -> List[str]:
+    """``src/repro`` plus whichever of ``tests``, ``examples`` and
+    ``benchmarks`` sits beside ``src/``."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    beside = [
+        os.path.join(os.path.dirname(os.path.dirname(package)), name)
+        for name in ("tests", "examples", "benchmarks")
+    ]
+    return [package] + [path for path in beside if os.path.isdir(path)]
+
+
+def _lint_rule(rule, ctx: Context):
+    found = ctx.shared("lint", lambda: lint.lint_paths(_lint_roots()))
+    # a file lint cannot parse was checked by no rule, so it fails each
+    mine = [v for v in found if v.rule == rule or v.rule not in lint.RULES]
+    active = [v.describe() for v in mine if not v.waived]
+    waived = [v.describe() for v in mine if v.waived]
+    return not active, {
+        "outcome": f"{len(active)} violation(s), {len(waived)} waived",
+        "violations": active,
+        "waived": waived,
+    }
 
 
 def _registry() -> Tuple[Check, ...]:
@@ -172,12 +283,22 @@ def _registry() -> Tuple[Check, ...]:
             f"planlint/{mutation.name}", True,
             partial(_planlint_mutation, mutation),
         ))
+    checks.append(Check("planlint/zoo", True, _planlint_zoo))
     checks.append(Check("conclint/baseline", True, _conclint_baseline))
     for mutation in conclint_mutate.MUTATIONS:
         checks.append(Check(
             f"conclint/{mutation.name}", True,
             partial(_conclint_mutation, mutation),
         ))
+    for model in MODEL_NAMES:
+        for mode in verify.VERIFY_MODES:
+            checks.append(Check(
+                f"verify/{model}/{mode}", True,
+                partial(_verify_case, model, mode),
+            ))
+    checks.append(Check("verify/seed-fault", True, _verify_seed_fault))
+    for rule in lint.RULES:
+        checks.append(Check(f"lint/{rule}", True, partial(_lint_rule, rule)))
     return tuple(checks)
 
 

@@ -618,7 +618,7 @@ def shrink_failure(
     return current
 
 
-_REPRO_TEMPLATE = '''"""Auto-generated by `python -m repro.verify` — minimal failing case.
+_REPRO_TEMPLATE = '''"""Auto-generated by `python -m repro.checks` — minimal failing case.
 
 {header}
 Delete this file once the underlying divergence is fixed; it pins the
@@ -730,7 +730,6 @@ def sweep(
     shrink: bool = True,
     repro_dir: str = ".",
     max_shrinks: int = 3,
-    progress: Optional[Callable[[str], None]] = None,
 ) -> VerificationReport:
     """Differentially test every plan × strategy against the reference.
 
@@ -763,13 +762,10 @@ def sweep(
     )
     shrinks_left = [max_shrinks]
 
-    def say(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
-
     # Static gate: a plan planlint rejects must never reach execution —
-    # the sweep both enforces that and records it, so VERIFY_REPORT.json
-    # documents analyzer/harness agreement (see meta["analysis"]).
+    # the sweep both enforces that and records it, so each ``verify/*``
+    # entry's detail in ``python -m repro.checks`` documents
+    # analyzer/harness agreement (see meta["analysis"]).
     gate_cache: Dict[int, "PlanVerdict"] = {}
     statically_rejected: List[str] = []
 
@@ -781,8 +777,6 @@ def sweep(
             gate_cache[key] = verdict
             if not verdict.ok:
                 statically_rejected.append(planned.plan.name)
-                say(f"planlint rejected {planned.plan.name}: "
-                    f"{len(verdict.errors)} error(s) — excluded from sweep")
         return verdict
 
     for model in models:
@@ -822,7 +816,6 @@ def sweep(
                                     ),
                                 )
                                 if not result.passed:
-                                    say(result.describe())
                                     if shrink and shrinks_left[0] > 0:
                                         shrinks_left[0] -= 1
                                         result.repro_path = _shrink_and_emit(
@@ -830,11 +823,6 @@ def sweep(
                                             tol_model, seed, repro_dir,
                                         )
                                 report.results.append(result)
-                say(
-                    f"{model} K=({in_size}->{out_size}) {graph.name}: "
-                    f"{len(report.results)} checks, "
-                    f"{len(report.failures)} divergent"
-                )
     report.meta["repro_files"] = sorted(
         {r.repro_path for r in report.results if r.repro_path}
     )

@@ -248,7 +248,8 @@ def complete(n: int) -> Graph:
 
 
 # ----------------------------------------------------------------------
-# Adversarial generators (differential plan verification, repro.verify).
+# Adversarial generators (differential plan verification, the verify/* entries
+# of python -m repro.checks; see repro.core.verify).
 #
 # Each one targets a structural edge case that has historically broken
 # sparse kernels: empty rows, fully empty patterns, explicit self-loops,

@@ -72,7 +72,8 @@ def test_mutation_registry_is_large_enough():
 
 def test_all_seeded_mutations_caught():
     results = checks.run(checks.select(["planlint"]), checks.Context())
-    assert len(results) == len(MUTATIONS)
+    # every mutation, then planlint/zoo: every clean zoo plan passes
+    assert len(results) == len(MUTATIONS) + 1
     missed = [r["detail"] for r in results if not r["ok"]]
     assert not missed, f"analyzer missed planted bugs: {missed}"
 
@@ -413,6 +414,14 @@ def test_lint_shipped_tree_is_clean():
     root = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
     violations = [v for v in lint_paths([root]) if not v.waived]
     assert violations == [], "\n".join(v.describe() for v in violations)
+
+
+def test_lint_missing_path_is_an_error_not_clean(tmp_path):
+    from repro.analysis.lint import lint_paths
+
+    missing = str(tmp_path / "src" / "repo")
+    with pytest.raises(FileNotFoundError, match=missing):
+        lint_paths([missing])
 
 
 # ----------------------------------------------------------------------

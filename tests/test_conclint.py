@@ -2,8 +2,6 @@
 
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
@@ -272,26 +270,16 @@ def test_every_mutation_anchor_still_applies(tree_sources):
 
 
 # ----------------------------------------------------------------------
-# CLI
+# JSON report (conclint/baseline's detail in python -m repro.checks)
 # ----------------------------------------------------------------------
-def test_cli_json_report(tmp_path):
-    out = tmp_path / "conclint.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.analysis.conclint", REPRO_ROOT,
-         "--json", str(out)],
-        capture_output=True, text=True,
-        # lint: allow(env-outside-config) the CLI child process's environment
-        env={**os.environ, "PYTHONPATH": os.path.join(
-            os.path.dirname(__file__), "..", "src")},
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    data = json.loads(out.read_text())
+def test_json_report(shipped_report):
+    data = json.loads(json.dumps(shipped_report.to_dict()))
     assert data["totals"]["active"] == 0
     assert data["lock_order_edges"]
     assert "repro.serving.service.GraniiService._lock" in data["locks"]
 
 
-def test_cli_json_report_counts_waivers(tmp_path):
+def test_json_report_counts_waivers(tmp_path):
     pkg = tmp_path / "repro" / "pkg"
     pkg.mkdir(parents=True)
     (pkg / "mod.py").write_text(
@@ -302,19 +290,15 @@ def test_cli_json_report_counts_waivers(tmp_path):
         "    with L:\n"
         "        fut.result()\n"
     )
-    out = tmp_path / "conclint.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.analysis.conclint", str(pkg),
-         "--json", str(out)],
-        capture_output=True, text=True,
-        # lint: allow(env-outside-config) the CLI child process's environment
-        env={**os.environ, "PYTHONPATH": os.path.join(
-            os.path.dirname(__file__), "..", "src")},
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    data = json.loads(out.read_text())
+    data = analyze_paths([str(pkg)]).to_dict()
     assert data["totals"] == {**data["totals"], "active": 0, "waived": 1}
     assert data["waiver_counts"] == {"lock-held-across-blocking-call": 1}
+
+
+def test_missing_path_is_an_error_not_a_clean_report(tmp_path):
+    missing = str(tmp_path / "src" / "repo")
+    with pytest.raises(FileNotFoundError, match=missing):
+        analyze_paths([missing])
 
 
 # ----------------------------------------------------------------------

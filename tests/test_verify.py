@@ -319,46 +319,6 @@ class TestRuntimeVerification:
             assert np.allclose(executor(mp, feats).data, reference)
 
 
-class TestVerifyCLI:
-    def test_quick_subset_exits_zero_and_writes_report(self, tmp_path, capsys):
-        from repro.verify import main
-
-        out = tmp_path / "report.json"
-        code = main([
-            "--quick",
-            "--models", "gcn",
-            "--systems", "dgl",
-            "--modes", "inference",
-            "--strategies", "row_segment",
-            "--output", str(out),
-        ])
-        assert code == 0
-        assert out.exists()
-        assert "0 divergent" in capsys.readouterr().out
-
-    def test_seed_fault_mode_succeeds_by_detecting(self, tmp_path):
-        from repro.verify import main
-
-        code = main([
-            "--quick",
-            "--models", "gcn",
-            "--systems", "dgl",
-            "--modes", "inference",
-            "--strategies", "blocked",
-            "--seed-fault",
-            "--max-shrinks", "1",
-            "--repro-dir", str(tmp_path),
-        ])
-        assert code == 0  # the demo passes exactly when the fault IS caught
-        assert list(tmp_path.glob("test_repro_*.py"))
-
-    def test_unknown_model_rejected(self):
-        from repro.verify import main
-
-        with pytest.raises(SystemExit):
-            main(["--models", "transformer"])
-
-
 class TestGraphFromCoo:
     def test_repro_graph_reconstruction(self):
         g = star(9)
