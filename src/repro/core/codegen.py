@@ -33,6 +33,7 @@ __all__ = [
     "CompiledModel",
     "cached_model",
     "compile_model",
+    "enumerate_model",
     "fuse_attention_candidates",
     "plan_tags",
     "select_default_plan",
@@ -173,7 +174,6 @@ class CompiledModel:
     ir_variants: List[IRNode]
     enumerated_count: int
     promoted: List[PlannedCandidate]
-    all_candidates: List[Candidate]
 
     @property
     def pruned_count(self) -> int:
@@ -210,6 +210,29 @@ def cached_model(
     return _COMPILE_CACHE.get(_compile_key(name, fusion, spgemm, model_kwargs))
 
 
+def enumerate_model(
+    name: str,
+    ir: Optional[IRNode] = None,
+    fusion: bool = False,
+    spgemm: bool = False,
+    **model_kwargs,
+) -> Tuple[List[IRNode], List[Candidate]]:
+    """A model's IR rewrite variants and every association tree
+    :func:`compile_model` enumerates from them, in its order.
+
+    Computed afresh on every call: a compiled model keeps only its
+    promoted plans, so a caller that wants every tree (an ablation, a
+    test) enumerates them again.
+    """
+    if ir is None:
+        ir = build_model_ir(name, **model_kwargs)
+    variants = rewrite_variants(ir)
+    candidates = enumerate_candidates(variants, allow_spgemm=spgemm)
+    if fusion:
+        candidates = candidates + fuse_attention_candidates(candidates)
+    return variants, candidates
+
+
 def compile_model(
     name: str,
     ir: Optional[IRNode] = None,
@@ -232,12 +255,9 @@ def compile_model(
     key = _compile_key(name, fusion, spgemm, model_kwargs)
     if key in _COMPILE_CACHE:
         return _COMPILE_CACHE[key]
-    if ir is None:
-        ir = build_model_ir(name, **model_kwargs)
-    variants = rewrite_variants(ir)
-    candidates = enumerate_candidates(variants, allow_spgemm=spgemm)
-    if fusion:
-        candidates = candidates + fuse_attention_candidates(candidates)
+    variants, candidates = enumerate_model(
+        name, ir, fusion=fusion, spgemm=spgemm, **model_kwargs
+    )
     promoted_raw = prune_candidates(candidates)
     promoted = []
     for pc in promoted_raw:
@@ -248,7 +268,6 @@ def compile_model(
         ir_variants=variants,
         enumerated_count=len(candidates),
         promoted=promoted,
-        all_candidates=candidates,
     )
     _COMPILE_CACHE[key] = compiled
     return compiled

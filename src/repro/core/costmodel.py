@@ -18,14 +18,15 @@ from __future__ import annotations
 import logging
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..hardware import get_device
 from ..kernels import KernelCall
 from ..learn import GradientBoostedTrees
-from .features import call_features
+from ..learn.gbt import Forest
+from .features import call_halves
 from .profiler import ProfileDataset, collect_profile
 
 __all__ = [
@@ -100,7 +101,13 @@ _FORMAT = 3
 
 
 class CostModelSet:
-    """Per-primitive regressors for one device."""
+    """Per-primitive regressors for one device.
+
+    The regressors' packed ensembles are stacked into one
+    :class:`~repro.learn.gbt.Forest` (each model's arrays become views of
+    it), so any number of calls, whatever their primitives, is priced in
+    one descent (:meth:`fill`).
+    """
 
     def __init__(
         self,
@@ -120,6 +127,13 @@ class CostModelSet:
         self.timing = timing
         self._aliases = dict(aliases or {})
         self._models = models
+        self._forest = Forest(list(models.values()))
+        # primitive -> the forest's ensemble that prices it; an alias
+        # shares its target's trees
+        self._ensemble = {name: i for i, name in enumerate(models)}
+        for name, target in self._aliases.items():
+            if target in self._ensemble:
+                self._ensemble[name] = self._ensemble[target]
         # graph-vector bytes -> {call key -> predicted seconds}
         self._memo: "OrderedDict[bytes, Dict[tuple, float]]" = OrderedDict()
         self._memo_lock = threading.Lock()
@@ -204,6 +218,52 @@ class CostModelSet:
                 self._memo.move_to_end(vec_bytes)
         return table
 
+    def fill(
+        self,
+        prices: Dict[tuple, float],
+        keys: Sequence[tuple],
+        calls: Sequence[KernelCall],
+        graph_vec: np.ndarray,
+    ) -> List[float]:
+        """Predicted seconds of each call against one graph vector
+        (``keys``: the calls' :func:`call_key` values).
+
+        A key ``prices`` (:meth:`prices`) already holds is read from it;
+        every other call is priced in one forest descent, each feature
+        row the graph vector beside the call's half
+        (:func:`~repro.core.features.call_halves`), and written to it.
+        Each price is ``exp`` of its model's prediction, the float
+        :meth:`~repro.learn.gbt.GradientBoostedTrees.predict_one` gives.
+        """
+        out = [prices.get(key) for key in keys]
+        todo = [i for i, price in enumerate(out) if price is None]
+        if not todo:
+            return out
+        which, priced = [], []
+        for i in todo:
+            call = calls[i]
+            ensemble = self._ensemble.get(call.primitive)
+            if ensemble is None:
+                raise KeyError(
+                    f"no cost model for primitive {call.primitive!r} on "
+                    f"{self.device_name}"
+                )
+            alias = self._aliases.get(call.primitive)
+            if alias is not None:
+                # the same kernel as ``alias``: its model, at this shape
+                call = KernelCall(alias, call.shape)
+            which.append(ensemble)
+            priced.append(call)
+        halves = call_halves(priced)
+        width = graph_vec.shape[0]
+        x = np.empty((len(todo), width + halves.shape[1]))
+        x[:, :width] = graph_vec
+        x[:, width:] = halves
+        new = np.exp(self._forest.predict(which, x)).tolist()
+        for i, price in zip(todo, new):
+            out[i] = prices[keys[i]] = price
+        return out
+
     def predict_call(
         self,
         call: KernelCall,
@@ -211,7 +271,8 @@ class CostModelSet:
         prices: Optional[Dict[tuple, float]] = None,
         key: Optional[tuple] = None,
     ) -> float:
-        """Predicted execution time (seconds) of one invocation.
+        """Predicted execution time (seconds) of one invocation
+        (:meth:`fill` of one call).
 
         ``key`` is ``call_key(call)`` when the caller already has it (a
         plan's :class:`~repro.core.plan.CallView` keeps one per call).
@@ -220,21 +281,7 @@ class CostModelSet:
             prices = self.prices(graph_vec.tobytes())
         if key is None:
             key = call_key(call)
-        price = prices.get(key)
-        if price is None:
-            alias = self._aliases.get(call.primitive)
-            if alias is not None:
-                # the same kernel as ``alias``: its model, at this shape
-                call = KernelCall(alias, call.shape)
-            model = self._models.get(call.primitive)
-            if model is None:
-                raise KeyError(
-                    f"no cost model for primitive {call.primitive!r} on "
-                    f"{self.device_name}"
-                )
-            feats = call_features(call, graph_vec)
-            price = prices[key] = float(np.exp(model.predict_one(feats)))
-        return price
+        return self.fill(prices, [key], [call], graph_vec)[0]
 
     def predict_calls(
         self, calls: Iterable[KernelCall], graph_vec: np.ndarray, efficiency=None
@@ -244,10 +291,13 @@ class CostModelSet:
         ``efficiency`` optionally maps each call to a system-specific
         multiplier (the baseline system's kernel efficiency).
         """
-        prices = self.prices(graph_vec.tobytes())
+        calls = list(calls)
+        prices = self.fill(
+            self.prices(graph_vec.tobytes()), [call_key(c) for c in calls],
+            calls, graph_vec,
+        )
         total = 0.0
-        for call in calls:
-            t = self.predict_call(call, graph_vec, prices)
+        for call, t in zip(calls, prices):
             if efficiency is not None:
                 t *= efficiency(call)
             total += t

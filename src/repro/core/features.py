@@ -19,7 +19,7 @@ every entry there, on the assumption that a matrix's
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from ..kernels import KernelCall
 __all__ = [
     "FEATURE_NAMES",
     "call_features",
+    "call_halves",
     "featurize_graph",
     "inspect_graph",
     "known_inspection",
@@ -79,18 +80,26 @@ def inspect_graph(graph: Graph) -> np.ndarray:
     return vec
 
 
-def call_features(call: KernelCall, graph_vec: np.ndarray) -> np.ndarray:
-    """Full feature vector for one primitive invocation.
+def call_halves(calls: Sequence[KernelCall]) -> np.ndarray:
+    """The call half of each call's feature vector, one row per call.
 
     Besides the raw dimensions, the analytic work estimates (operation
     count and memory traffic) are included: they are the strongest
     predictors of kernel time and let the tree models interpolate across
     sizes instead of memorising a dimension grid.
     """
-    dims = np.array(
-        [np.log1p(float(call.shape.get(key, 0.0))) for key in _DIM_KEYS]
-    )
-    work = np.array(
-        [np.log1p(call.flops), np.log1p(bytes_moved(call))]
-    )
-    return np.concatenate([graph_vec, dims, work])
+    raw = np.array(
+        [
+            [float(call.shape.get(key, 0.0)) for key in _DIM_KEYS]
+            + [call.flops, float(bytes_moved(call))]
+            for call in calls
+        ],
+        dtype=np.float64,
+    ).reshape(len(calls), len(_DIM_KEYS) + 2)
+    return np.log1p(raw)
+
+
+def call_features(call: KernelCall, graph_vec: np.ndarray) -> np.ndarray:
+    """Full feature vector for one primitive invocation: the graph
+    vector, then :func:`call_halves`."""
+    return np.concatenate([graph_vec, call_halves([call])[0]])

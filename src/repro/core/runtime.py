@@ -35,7 +35,8 @@ What is remembered between calls, and where:
   every caller gets its own env);
 - cost-model predictions, per graph vector, in the model set's
   bounded memo (:meth:`CostModelSet.prices`); one selection prices each
-  distinct (primitive, shape) call of its candidates once;
+  distinct (primitive, shape) call of its candidates once, all of a
+  never-seen vector's in one forest descent (:meth:`CostModelSet.fill`);
 - each plan's kernel calls, as a template per plan and a bounded table of
   views per shape env (:meth:`Plan.call_view`), and planlint's env-free
   verdict per (plan, strategies);
@@ -200,13 +201,15 @@ class OptimizationReport:
 
 
 class _Prices:
-    """One selection's predicted seconds per call, each distinct price key
-    priced once, on first need, as ``predict_call × efficiency`` (an
-    index slot's efficiency read off the kind the index keeps for it).
+    """One selection's predicted seconds per call: each distinct price
+    key priced once, on first need, as the model set's price
+    (:meth:`CostModelSet.fill`) × efficiency (an index slot's efficiency
+    read off the kind the index keeps for it).
 
-    With a :class:`PriceIndex` the index's keys are priced into its slots
-    and :meth:`plan_costs` totals all its plans in one array pass; without
-    one, :meth:`total` memoises each key it prices.
+    With a :class:`PriceIndex` every index slot not priced yet is priced
+    in one forest descent and :meth:`plan_costs` totals all its plans in
+    one array pass; without one, :meth:`total` prices a call list's new
+    keys in one descent and memoises them.
     """
 
     def __init__(
@@ -226,28 +229,40 @@ class _Prices:
         self._todo = [False] + [True] * (size - 1)
         self._other: Dict[tuple, float] = {}
 
-    def _price(self, call, key: tuple, kind: str) -> float:
-        return self._models.predict_call(
-            call, self._graph_vec, self._prices, key
-        ) * self._factor(kind)
-
     def _fill(self, slots) -> None:
-        """Price the index slots not priced yet."""
-        seconds, todo, index = self._seconds, self._todo, self.index
-        calls, keys, kinds = index.calls, index.keys, index.kinds
+        """Price the index slots not priced yet: those the set's memo
+        lacks for this vector in one forest descent."""
+        seconds, todo, index, prices = (
+            self._seconds, self._todo, self.index, self._prices
+        )
+        keys, kinds, factor = index.keys, index.kinds, self._factor
+        slots = [slot for slot in slots if todo[slot]]
+        missing = [slot for slot in slots if keys[slot] not in prices]
+        if missing:
+            self._models.fill(
+                prices, [keys[slot] for slot in missing],
+                [index.calls[slot] for slot in missing], self._graph_vec,
+            )
         for slot in slots:
-            if todo[slot]:
-                seconds[slot] = self._price(calls[slot], keys[slot], kinds[slot])
-                todo[slot] = False
+            seconds[slot] = prices[keys[slot]] * factor(kinds[slot])
+            todo[slot] = False
 
     def total(self, priced: CallList) -> float:
         """Predicted seconds of a call list, summed in call order."""
+        other = self._other
+        new = {
+            key: call for call, key in zip(priced.calls, priced.keys)
+            if key not in other
+        }
+        if new:
+            prices = self._models.fill(
+                self._prices, list(new), list(new.values()), self._graph_vec
+            )
+            for (key, call), price in zip(new.items(), prices):
+                other[key] = price * self._factor(call.kind)
         out = 0.0
-        for call, key in zip(priced.calls, priced.keys):
-            t = self._other.get(key)
-            if t is None:
-                t = self._other[key] = self._price(call, key, call.kind)
-            out += t
+        for key in priced.keys:
+            out += other[key]
         return out
 
     def amortised(self, per_iter, setup, backward=None):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import compile_model
+from ..core.codegen import enumerate_model
 from ..core.assoc import enumerate_candidates
 from ..core.features import featurize_graph
 from ..core.ir import flatten
@@ -124,7 +125,9 @@ def staging_ablation(
     dev, sys_ = get_device(device), get_system(system)
     two_stage, online_only, offline_only = [], [], []
     costed_two_stage = costed_online = 0
-    all_plans = [Plan(c) for c in compiled.all_candidates]
+    all_plans = [
+        Plan(c) for c in enumerate_model(model, **model_compile_kwargs(model))[1]
+    ]
     for w in workloads:
         graph, stats, graph_vec = _graph_artifacts(w.graph_code, scale)
         env = shape_env_for(graph, model, w.in_size, w.out_size)

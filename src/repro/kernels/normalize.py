@@ -23,8 +23,9 @@ __all__ = [
 
 
 def degrees_from_indptr(adj: CSRMatrix) -> np.ndarray:
-    """Out-degrees read off the CSR row pointer — O(N), no atomics."""
-    return np.diff(adj.indptr).astype(np.float64)
+    """Out-degrees read off the CSR row pointer — O(N), no atomics
+    (the matrix's memoised :meth:`~CSRMatrix.row_degrees`)."""
+    return adj.row_degrees().astype(np.float64)
 
 
 def degrees_by_binning(adj: CSRMatrix) -> np.ndarray:

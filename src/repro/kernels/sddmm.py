@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse import CSRMatrix, DiagonalMatrix
+from .segment import csr_scale_columns, csr_scale_rows
 
 __all__ = [
     "sddmm",
@@ -97,9 +98,15 @@ def sddmm_diag_scale(
     """
     if left.n != mask.shape[0] or right.n != mask.shape[1]:
         raise ValueError("diagonal sizes do not match mask")
-    vals = (
-        mask.effective_values()
-        * left.diag[mask.row_ids()]
-        * right.diag[mask.indices]
-    )
+    # SciPy's in-place CSR scalings, on one fresh array: an unweighted
+    # mask's unit values are skipped (1.0·x is exact and x·y == y·x), a
+    # weighted one's are scaled by l[row] first, as in
+    # ``values · l[row] · r[col]``
+    if mask.values is None:
+        vals = right.diag.take(mask.indices)
+        csr_scale_rows(*mask.shape, mask.indptr, mask.indices, vals, left.diag)
+    else:
+        vals = mask.values.copy()
+        csr_scale_rows(*mask.shape, mask.indptr, mask.indices, vals, left.diag)
+        csr_scale_columns(*mask.shape, mask.indptr, mask.indices, vals, right.diag)
     return mask.with_values(vals)

@@ -21,7 +21,9 @@ of that row's edges, never of the span it arrives in.
     import is the fallback when the file is not found): ``scipy.sparse``'s
     package ``__init__`` would pull in SciPy's array-API layer and over a
     third of ``import repro``'s time with it, for one C function.
-    :mod:`repro.kernels.softmax` takes ``csr_matvecs`` from here.
+    :mod:`repro.kernels.softmax` takes ``csr_matvecs`` from here, and
+    :func:`repro.kernels.sddmm.sddmm_diag_scale` the extension's
+    in-place row and column scalings.
 
 :func:`segment_reduce` — the NumPy lockstep fold
     ``max``/``min`` and the other ⊗ operators have no compiled
@@ -82,16 +84,16 @@ def _sparsetools_spec():
     return finder.find_spec(_SPARSETOOLS)
 
 
-def _load_csr_matvecs():
-    """SciPy's compiled ``csr_matvecs``, without SciPy's package imports.
+def _load_sparsetools():
+    """SciPy's compiled ``_sparsetools`` extension, without SciPy's
+    package imports.
 
-    The ``_sparsetools`` extension needs only NumPy's C API, so it is
-    loaded straight from its file; the plain import is the fallback when
-    the file is not found.  A single-phase extension registers itself in
-    ``sys.modules`` as it loads; it is unregistered again so that a later
-    ``import scipy.sparse`` loads it the usual way, bound on its package,
-    and gets the same function objects from the interpreter's extension
-    cache."""
+    The extension needs only NumPy's C API, so it is loaded straight
+    from its file; the plain import is the fallback when the file is not
+    found.  A single-phase extension registers itself in ``sys.modules``
+    as it loads; it is unregistered again so that a later ``import
+    scipy.sparse`` loads it the usual way, bound on its package, and gets
+    the same function objects from the interpreter's extension cache."""
     module = sys.modules.get(_SPARSETOOLS)
     if module is None:
         spec = _sparsetools_spec()
@@ -101,10 +103,15 @@ def _load_csr_matvecs():
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
             sys.modules.pop(_SPARSETOOLS, None)
-    return module.csr_matvecs
+    return module
 
 
-csr_matvecs = _load_csr_matvecs()
+_sparsetools = _load_sparsetools()
+csr_matvecs = _sparsetools.csr_matvecs
+# in place, ``Ax[e] *= X[row]`` / ``Ax[e] *= X[col]`` per stored entry
+# (:func:`repro.kernels.sddmm.sddmm_diag_scale`)
+csr_scale_rows = _sparsetools.csr_scale_rows
+csr_scale_columns = _sparsetools.csr_scale_columns
 
 # Segments longer than this use one ufunc.reduce call; at or below it they
 # join the lockstep fold.  The split is keyed on segment length alone, so

@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import base64
 from itertools import chain
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .tree import RegressionTree, sort_columns
 
-__all__ = ["GradientBoostedTrees", "PACKED"]
+__all__ = ["Forest", "GradientBoostedTrees", "PACKED", "descend"]
 
-# The ensemble's node columns as :meth:`GradientBoostedTrees.predict_one`
-# reads them (all trees stacked, children as absolute indices, a leaf
+# The ensemble's node columns as :func:`descend` reads them (all trees
+# stacked, children as indices from the ensemble's first node, a leaf
 # pointing at itself), with the little-endian dtype each saves as.
 PACKED = (
     ("feature", "<i8"),
@@ -39,6 +39,41 @@ def _encode(array: np.ndarray, dtype: str) -> str:
 def _decode(text: str, dtype: str) -> np.ndarray:
     """A read-only array over the decoded bytes (no copy)."""
     return np.frombuffer(base64.b64decode(text), dtype=dtype)
+
+
+def descend(nodes, x, at, offset, depth: int) -> np.ndarray:
+    """The leaf each (row, tree) pair of a batch reaches.
+
+    ``nodes`` is ``(feature, threshold, left, right)`` of packed
+    ensembles (:data:`PACKED`); ``at`` holds each row's tree roots,
+    ``offset`` where each row's ensemble starts in ``nodes`` (children
+    are indices from there) and ``x`` each row's features.  All trees
+    descend together, one level per step, for ``depth`` levels; a leaf
+    points at itself, so a shallower tree idles at its leaf.  Every
+    comparison is the one the tree-by-tree walk makes.  Returns the
+    leaves' positions in ``nodes``, shaped like ``at``.
+    """
+    feature, threshold, left, right = nodes
+    shape = at.shape
+    # per pair: where its row starts in flat x, and its ensemble in nodes
+    row_start = np.repeat(np.arange(shape[0]) * x.shape[1], shape[1])
+    x = np.ascontiguousarray(x).ravel()
+    offset = np.broadcast_to(offset, shape).ravel()
+    at = at.ravel() + offset
+    for _ in range(depth):
+        go_left = x.take(row_start + feature.take(at)) <= threshold.take(at)
+        at = np.where(go_left, left.take(at), right.take(at))
+        at += offset
+    return at.reshape(shape)
+
+
+def _leaf_sums(value, leaves, rate, base, count) -> np.ndarray:
+    """Per row, ``base`` plus ``rate ·`` each of its first ``count``
+    trees' leaves, added left to right in tree order."""
+    terms = np.empty((leaves.shape[0], leaves.shape[1] + 1))
+    terms[:, 0] = base
+    np.multiply(rate, value[leaves], out=terms[:, 1:])
+    return terms.cumsum(axis=1)[np.arange(leaves.shape[0]), count]
 
 
 class GradientBoostedTrees:
@@ -138,23 +173,27 @@ class GradientBoostedTrees:
         return self
 
     def predict_one(self, x: np.ndarray) -> float:
-        """Fast scalar prediction for a single feature vector.
+        """Scalar prediction for a single feature vector: :meth:`predict`
+        of one row."""
+        return float(self.predict(x)[0])
 
-        All trees descend together, one level per step, over the
-        ensemble's nodes stacked in flat arrays (:meth:`_pack`): a cold
-        prediction gathers from five compact arrays instead of chasing
-        ~500 node objects through memory.  Every comparison is the one
-        the tree-by-tree walk makes and the leaves are added left to
-        right in tree order, so the result is that walk's float.
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """One prediction per row of ``x``.
+
+        The rows descend every tree together over the ensemble's nodes
+        stacked in flat arrays (:meth:`_pack`, :func:`descend`) and the
+        leaves are added left to right in tree order, so each result is
+        the tree-by-tree walk's float.  A loaded model builds no tree.
         """
-        feature, threshold, left, right, value, at, depth = self._packed_arrays()
-        x = np.asarray(x, dtype=np.float64)
-        for _ in range(depth):
-            at = np.where(x[feature[at]] <= threshold[at], left[at], right[at])
-        total = self._base
-        for leaf in (self.learning_rate * value[at]).tolist():
-            total += leaf
-        return total
+        if self.num_trees == 0:
+            raise RuntimeError("model is not fitted")
+        feature, threshold, left, right, value, roots, depth = self._packed_arrays()
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        at = np.broadcast_to(roots, (x.shape[0], roots.shape[0]))
+        leaves = descend((feature, threshold, left, right), x, at, 0, depth)
+        return _leaf_sums(
+            value, leaves, self.learning_rate, self._base, roots.shape[0]
+        )
 
     def _packed_arrays(self) -> tuple:
         if self._packed is None:
@@ -220,17 +259,6 @@ class GradientBoostedTrees:
             )
             for a, n in zip(roots.tolist(), sizes.tolist())
         ]
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        if self.num_trees == 0:
-            raise RuntimeError("model is not fitted")
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[0] == 1:
-            return np.array([self.predict_one(x[0])])
-        out = np.full(x.shape[0], self._base)
-        for tree in self._trees:
-            out += self.learning_rate * tree.predict(x)
-        return out
 
     @property
     def num_trees(self) -> int:
@@ -300,3 +328,58 @@ class GradientBoostedTrees:
         model._tree_list = None
         model._packed = (*columns, roots, int(data["depth"]))
         return model
+
+
+class Forest:
+    """Several fitted ensembles' packed node columns stacked into one set
+    of arrays, so rows priced by different ensembles descend together
+    (:meth:`predict`).
+
+    Each ensemble's own packed columns become read-only views of the
+    stack (its children stay indices from its own first node), so the
+    stack costs no second copy and :meth:`GradientBoostedTrees.predict`
+    reads the same bytes.  Refitting a stacked ensemble leaves the stack
+    as it was.
+    """
+
+    def __init__(self, models: Sequence[GradientBoostedTrees]) -> None:
+        packed = [model._packed_arrays() for model in models]
+        sizes = [len(p[0]) for p in packed]
+        starts = np.cumsum([0] + sizes[:-1]).astype(np.int64)
+        columns = []
+        for i, (_, dtype) in enumerate(PACKED):
+            column = np.concatenate(
+                [p[i] for p in packed] or [np.empty(0, dtype=dtype)]
+            )
+            column.flags.writeable = False
+            columns.append(column)
+        for model, p, start, size in zip(models, packed, starts.tolist(), sizes):
+            model._packed = (
+                *(c[start:start + size] for c in columns), p[5], p[6]
+            )
+        self._nodes = tuple(columns[:4])
+        self._value = columns[4]
+        self._start = starts[:, None]
+        counts = [len(p[5]) for p in packed]
+        # each ensemble's roots, right-padded with its first root
+        self._roots = np.zeros((len(packed), max(counts, default=0)), dtype=np.int64)
+        for row, p in zip(self._roots, packed):
+            row[:len(p[5])] = p[5]
+        self._count = np.array(counts, dtype=np.int64)
+        self._depth = np.array([p[6] for p in packed], dtype=np.int64)
+        self._rate = np.array([m.learning_rate for m in models], dtype=np.float64)
+        self._base = np.array([m._base for m in models], dtype=np.float64)
+
+    def predict(self, which: Sequence[int], x: np.ndarray) -> np.ndarray:
+        """Row ``i`` of ``x`` predicted by ensemble ``which[i]``, every
+        row in one descent: each value is that ensemble's
+        :meth:`GradientBoostedTrees.predict` of the row, bit for bit."""
+        which = np.asarray(which, dtype=np.intp)
+        count = self._count[which]
+        leaves = descend(
+            self._nodes, x, self._roots[which, :count.max()],
+            self._start[which], int(self._depth[which].max()),
+        )
+        return _leaf_sums(
+            self._value, leaves, self._rate[which, None], self._base[which], count
+        )

@@ -346,7 +346,7 @@ class CSRMatrix:
         for key in (
             "row_degrees", "col_degrees", "row_ids", "unit_values",
             "pattern_sha1", "inspection", "columns_in_range",
-            "columns_increase", "nnz_with_self_loops",
+            "columns_increase", "nnz_with_self_loops", "loop_slots",
         ):
             if key in self._aux:
                 result._aux[key] = self._aux[key]
@@ -431,8 +431,8 @@ class CSRMatrix:
             if self.shape[0] != self.shape[1]:
                 raise ValueError("self loops require a square matrix")
             if self._columns_increase():
-                loops = int(np.count_nonzero(self.indices == self.row_ids()))
-                count = self.nnz + self.shape[0] - loops
+                _, missing = self._loop_slots()
+                count = self.nnz + int(np.count_nonzero(missing))
             else:
                 count = self._merge_diagonal().nnz
             self._aux["nnz_with_self_loops"] = count
@@ -454,27 +454,48 @@ class CSRMatrix:
             self._aux["columns_increase"] = ordered
         return ordered
 
+    def _loop_slots(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Where each row's self-loop is stored or belongs, and which rows
+        store none, on a canonical pattern (memoised; read-only).
+
+        A row's columns increase, so its entries left of the diagonal
+        come first: the slot is the row's first entry with ``col >= row``
+        (its end if there is none), and the row stores its loop iff that
+        entry is the diagonal.  :meth:`nnz_with_self_loops` counts the
+        missing loops and :meth:`_insert_diagonal` inserts them.
+        """
+        slots = self._aux.get("loop_slots")
+        if slots is None:
+            ptr, cols, rows = self.indptr, self.indices, self.row_ids()
+            at_or_past = cols >= rows
+            # the first such entry of a row: at a row start, or after one
+            # left of the diagonal
+            first = at_or_past.copy()
+            first[1:] &= ~at_or_past[:-1]
+            starts = ptr[:-1][self.row_degrees() > 0]
+            first[starts] = at_or_past[starts]
+            hits = np.flatnonzero(first)
+            hit_rows = rows[hits]
+            diagonal = ptr[1:].copy()
+            diagonal[hit_rows] = hits
+            missing = np.ones(self.shape[0], dtype=bool)
+            missing[hit_rows] = cols[hits] != hit_rows
+            slots = self._aux["loop_slots"] = (diagonal, missing)
+        return slots
+
     def _insert_diagonal(self) -> "CSRMatrix":
         """A + I on a canonical pattern, without a sort.
 
         Old entries keep their order, so the new arrays are the old ones
-        with each missing loop dropped into its row at the number of
-        entries left of the diagonal.  The result is the arrays
+        with each missing loop dropped into its row at its slot
+        (:meth:`_loop_slots`).  The result is the arrays
         :meth:`_merge_diagonal` builds.
         """
         n, ptr, cols = self.shape[0], self.indptr, self.indices
-        left = np.zeros(n, dtype=np.int64)  # entries per row with col < row
-        filled = np.flatnonzero(self.row_degrees())
-        left[filled] = np.add.reduceat(
-            cols < self.row_ids(), ptr[filled], dtype=np.int64
-        )
-        diagonal = ptr[:-1] + left  # where each row's loop is, or belongs
-        missing = np.ones(n, dtype=np.int64)
-        inside = np.flatnonzero(diagonal < ptr[1:])
-        missing[inside] = cols[diagonal[inside]] != inside
+        diagonal, missing = self._loop_slots()
         inserted = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(missing, out=inserted[1:])
-        diagonal += inserted[:-1]
+        diagonal = diagonal + inserted[:-1]  # each slot in the new arrays
         gap = np.flatnonzero(missing)
         old = np.ones(self.nnz + gap.shape[0], dtype=bool)
         old[diagonal[gap]] = False
@@ -486,7 +507,7 @@ class CSRMatrix:
             values = np.ones(old.shape[0], dtype=np.float64)
             values[old] = self.values
             if gap.shape[0] < n:
-                values[diagonal[missing == 0]] += 1.0
+                values[diagonal[~missing]] += 1.0
                 # the merge sums through bincount whenever it merges at
                 # all, which turns a stored -0.0 into +0.0
                 values += 0.0

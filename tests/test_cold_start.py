@@ -27,7 +27,7 @@ import pytest
 from repro.analysis import planlint
 from repro.analysis.mutate import MUTATIONS, NotApplicable
 from repro.core.assoc import Candidate, Step
-from repro.core.codegen import clear_compile_cache, compile_model
+from repro.core.codegen import clear_compile_cache, compile_model, enumerate_model
 from repro.core.modelir import MODEL_IR_BUILDERS
 from repro.core.pruning import prune_candidates
 from repro.models import MODEL_NAMES
@@ -69,13 +69,14 @@ def counting(fn):
     return wrapper
 
 
-def batch_with_mutants(compiled):
-    """All of a model's trees, each mutant right after the tree it came from."""
-    promoted = {id(p.plan.candidate) for p in compiled.promoted}
+def batch_with_mutants(compiled, candidates):
+    """All of a model's trees (``candidates``, in enumeration order), each
+    mutant right after the tree it came from."""
+    promoted = {p.plan.candidate for p in compiled.promoted}
     batch = []
-    for k, cand in enumerate(compiled.all_candidates):
+    for k, cand in enumerate(candidates):
         batch.append(cand)
-        if k % MUTANT_STRIDE and id(cand) not in promoted:
+        if k % MUTANT_STRIDE and cand not in promoted:
             continue
         for mutation in MUTATIONS:
             if mutation.kind != "candidate":
@@ -116,7 +117,9 @@ def test_compile_matches_golden(key):
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_batch_verdicts_equal_standalone(key, monkeypatch):
     name, kwargs = compile_args(key)
-    batch = batch_with_mutants(compile_model(name, **kwargs))
+    batch = batch_with_mutants(
+        compile_model(name, **kwargs), enumerate_model(name, **kwargs)[1]
+    )
     mutants = len(batch) - GOLDEN[key]["enumerated_count"]
     assert mutants > 0
     standalone = [planlint.analyze_candidate(c).to_dict() for c in batch]
@@ -136,7 +139,7 @@ def test_batch_verdicts_equal_standalone(key, monkeypatch):
 
 @pytest.mark.parametrize("name", ["tagcn", "sgc"])
 def test_prune_verifies_every_candidate(name, monkeypatch):
-    candidates = compile_model(name).all_candidates
+    candidates = enumerate_model(name)[1]
     recorder = counting(planlint.analyze_candidate)
     monkeypatch.setattr(planlint, "analyze_candidate", recorder)
     promoted = prune_candidates(candidates)
@@ -158,7 +161,7 @@ def test_no_memo_survives_compile():
         ]
         step_fields = {f.name for f in fields(Step)}
         cand_fields = {f.name for f in fields(Candidate)}
-        candidates = compiled.all_candidates + [
+        candidates = enumerate_model("tagcn")[1] + [
             p.plan.candidate for p in compiled.promoted
         ]
         for cand in candidates:

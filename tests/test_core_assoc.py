@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.assoc import Candidate, enumerate_candidates, leaf_operand
-from repro.core.codegen import clear_compile_cache, compile_model
+from repro.core.codegen import clear_compile_cache, compile_model, enumerate_model
 from repro.core.ir import (
     dense_data,
     dense_weight,
@@ -208,7 +208,7 @@ class TestSharedOrder:
         from repro.analysis.mutate import MUTATIONS, NotApplicable
 
         for name in ("tagcn", "gat", "sgc"):
-            for k, cand in enumerate(compile_model(name).all_candidates):
+            for k, cand in enumerate(enumerate_model(name)[1]):
                 batch = [cand]
                 if k % 50 == 0:  # mutants bring cycles, double writes, ...
                     for mutation in MUTATIONS:

@@ -10,6 +10,7 @@ from repro.core import (
     num_features,
     train_cost_models,
 )
+from repro.core.costmodel import call_key
 from repro.core.profiler import PROFILED_PRIMITIVES
 from repro.graphs import load, training_graphs
 from repro.hardware import GraphStats, get_device
@@ -174,3 +175,156 @@ class TestHostTiming:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "costmodels_cpu_analytic_default.json", "costmodels_cpu_default.json",
         ]
+
+
+# ----------------------------------------------------------------------
+# The forest prices every call as the per-model walk does, bit for bit
+# ----------------------------------------------------------------------
+_ZOO = ("gcn", "gin", "sgc", "tagcn", "gat", "sage", "appnp")
+_DIM_KEYS = ("m", "k", "n", "nnz")
+
+
+def _walk_price(models, call, vec):
+    """One call priced on its own: the call's features built scalar by
+    scalar, its model's ``predict_one``, then ``exp``."""
+    from repro.hardware import bytes_moved
+
+    alias = models._aliases.get(call.primitive)
+    if alias is not None:
+        call = KernelCall(alias, call.shape)
+    half = [np.log1p(float(call.shape.get(key, 0.0))) for key in _DIM_KEYS]
+    half += [np.log1p(call.flops), np.log1p(bytes_moved(call))]
+    feats = np.concatenate([vec, np.array(half)])
+    return float(np.exp(models._models[call.primitive].predict_one(feats)))
+
+
+def _bench_family_vectors():
+    """The graph vectors of the benchmark's families, the edge cases, and
+    vectors whose graph features sit exactly on split thresholds."""
+    from repro.graphs.generators import (
+        empty_graph, erdos_renyi, rmat, road_mesh, sbm_communities, single_node,
+    )
+
+    graphs = [
+        rmat(5000, 8, seed=1), road_mesh(8000, seed=2),
+        sbm_communities(1200, 12, 30, seed=3),  # infer_steady
+        rmat(3000, 8, seed=1), road_mesh(4000, seed=2),
+        erdos_renyi(2000, 20, seed=3),  # select_sweep
+        erdos_renyi(2000, 8, seed=1),  # serve_mix
+        empty_graph(5), single_node(),
+    ]
+    return {g.name: featurize_graph(g) for g in graphs}
+
+
+def _on_thresholds(models, vec):
+    """``vec`` with each graph feature some split of ``models`` tests set
+    to exactly that split's threshold."""
+    out = vec.copy()
+    for model in models._models.values():
+        feature, threshold, left = model._packed_arrays()[:3]
+        split = np.flatnonzero(
+            (left != np.arange(len(left))) & (feature < len(vec))
+        )
+        for node in split[:: max(1, len(split) // 4)]:
+            out[feature[node]] = threshold[node]
+    return out
+
+
+@pytest.fixture(scope="module")
+def pricing_sets():
+    return {
+        "h100": get_cost_models("h100", scale="small"),
+        "a100": get_cost_models("a100", scale="small"),
+        "cpu/analytic": get_cost_models("cpu", scale="small", timing="analytic"),
+        "cpu/host": get_cost_models("cpu", scale="small"),
+    }
+
+
+class TestForestPricing:
+    """One forest descent prices every slot of a price index to the float
+    the per-call walk gives (``float.hex``), whatever the set, primitive,
+    graph vector or slot."""
+
+    def test_every_index_slot_equals_the_walk(self, pricing_sets):
+        from repro.core.codegen import compile_model
+        from repro.core.ir import sized_env
+        from repro.core.plan import price_index
+        from repro.models import build_layer
+
+        vectors = _bench_family_vectors()
+        for set_name, models in pricing_sets.items():
+            assert models.timing == ("host" if set_name == "cpu/host" else "analytic")
+            table = dict(vectors)
+            table.update(
+                (f"{name}@thresholds", _on_thresholds(models, v))
+                for name, v in vectors.items()
+            )
+            covered = set()
+            for name in _ZOO:
+                layer = build_layer(name, 32, 16, rng=np.random.default_rng(0))
+                compiled = compile_model(name, **_ir_kwargs(layer))
+                for k1, k2 in ((32, 16), (16, 32)):
+                    for training in (False, True):
+                        env, key = sized_env(2000, 17000, k1, k2)
+                        plans = [p.plan for p in compiled.viable(k1, k2)]
+                        index = price_index(
+                            plans, env, key, "indptr", training, True
+                        )
+                        keys, calls = index.keys[1:], index.calls[1:]
+                        covered.update(c.primitive for c in calls)
+                        for label, vec in table.items():
+                            got = models.fill({}, keys, calls, vec)
+                            want = [_walk_price(models, c, vec) for c in calls]
+                            assert [p.hex() for p in got] == [
+                                p.hex() for p in want
+                            ], (set_name, name, label, training)
+            # every primitive a zoo plan prices, the alias included
+            assert covered <= set(models.primitives)
+        assert "spmm_unweighted" in pricing_sets["cpu/host"]._aliases
+
+    def test_every_primitive_of_every_set(self, pricing_sets):
+        """Each model of each set, directly and through its aliases, in
+        one descent over every primitive at several shapes."""
+        vectors = _bench_family_vectors()
+        for models in pricing_sets.values():
+            calls = [
+                KernelCall(p, {"m": m, "k": k, "n": 8, "nnz": 8 * m, "nnz_rhs": 8 * m})
+                for p in models.primitives
+                for m, k in ((1, 1), (300, 16), (20000, 64))
+            ]
+            keys = [call_key(c) for c in calls]
+            for vec in list(vectors.values()) + [_on_thresholds(models, v) for v in vectors.values()]:
+                got = models.fill({}, keys, calls, vec)
+                assert [p.hex() for p in got] == [
+                    _walk_price(models, c, vec).hex() for c in calls
+                ]
+
+    def test_multi_row_predict_is_the_per_row_walk(self, pricing_sets):
+        vec = _bench_family_vectors()["rmat_5000"]
+        rng = np.random.default_rng(5)
+        for models in pricing_sets.values():
+            for model in models._models.values():
+                rows = vec + rng.normal(0, 1, (40, len(vec)))
+                rows = np.hstack([rows, rng.uniform(0, 12, (40, 6))])
+                rows[0] = np.concatenate([_on_thresholds(models, vec), rows[0, len(vec):]])
+                multi = model.predict(rows)
+                for row, value in zip(rows, multi.tolist()):
+                    walked = model._base
+                    for tree in model._trees:
+                        walked += model.learning_rate * tree.predict_one(row)
+                    assert value.hex() == model.predict_one(row).hex() == walked.hex()
+
+    def test_stacked_arrays_are_views_of_the_forest(self, pricing_sets):
+        models = pricing_sets["cpu/host"]
+        forest = models._forest
+        for model in models._models.values():
+            for column in model._packed_arrays()[:5]:
+                assert any(np.shares_memory(column, c) for c in (*forest._nodes, forest._value))
+        spmm = models._ensemble["spmm"]
+        assert models._ensemble["spmm_unweighted"] == spmm
+
+
+def _ir_kwargs(layer):
+    from repro.core.bindings import model_ir_kwargs
+
+    return model_ir_kwargs(layer)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import compile_model
 from repro.core.bindings import build_binding
-from repro.core.codegen import fuse_attention_candidates
+from repro.core.codegen import enumerate_model, fuse_attention_candidates
 from repro.kernels import edge_softmax, leaky_relu, spmm
 from repro.models import GATLayer, prepare_mp_graph
 from repro.tensor import Tensor, attention_aggregate, no_grad
@@ -41,9 +41,9 @@ class TestFusedAttentionStep:
 
 class TestFusionPass:
     def test_pass_emits_one_fused_variant_per_fusable(self):
-        plain = compile_model("gat")
-        extra = fuse_attention_candidates(plain.all_candidates)
-        assert len(extra) == len(plain.all_candidates)  # both GAT trees fuse
+        plain = enumerate_model("gat")[1]
+        extra = fuse_attention_candidates(plain)
+        assert len(extra) == len(plain)  # both GAT trees fuse
         for cand in extra:
             prims = cand.primitives
             assert "fused_attn_spmm" in prims
@@ -52,8 +52,8 @@ class TestFusionPass:
             assert "spmm" not in prims
 
     def test_non_attention_models_unaffected(self):
-        gcn = compile_model("gcn")
-        assert fuse_attention_candidates(gcn.all_candidates) == []
+        gcn = enumerate_model("gcn")[1]
+        assert fuse_attention_candidates(gcn) == []
 
     def test_compile_with_fusion_caches_separately(self):
         plain = compile_model("gat")

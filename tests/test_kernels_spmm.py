@@ -176,5 +176,5 @@ def test_the_import_loads_only_the_compiled_kernel():
 def test_the_kernel_falls_back_to_the_plain_import(monkeypatch):
     monkeypatch.setattr(segment, "_sparsetools_spec", lambda: None)
     monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools", raising=False)
-    assert segment._load_csr_matvecs() is segment.csr_matvecs
+    assert segment._load_sparsetools().csr_matvecs is segment.csr_matvecs
     assert "scipy.sparse._sparsetools" in sys.modules

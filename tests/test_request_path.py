@@ -346,9 +346,9 @@ class TestPricingMemoIsBounded:
         hot = featurize_graph(erdos_renyi(40, 4, seed=10_000))
         want = cost_models.predict_call(call, hot)
         table = cost_models.prices(hot.tobytes())
-        model = cost_models._models["gemm"]
-        walks = Counter(model.predict_one)
-        model.predict_one = walks
+        forest = cost_models._forest  # every price is one descent of it
+        walks = Counter(forest.predict)
+        forest.predict = walks
         try:
             for i in range(3 * _PRICED_VECTORS):
                 cold = hot + float(i + 1)
@@ -359,7 +359,7 @@ class TestPricingMemoIsBounded:
             assert walks.calls == 3 * _PRICED_VECTORS  # never for the hot one
             assert len(cost_models._memo) == _PRICED_VECTORS
         finally:
-            del model.predict_one
+            del forest.predict
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ from repro.core.plan import _VIEWS_KEPT, Plan, price_index
 from repro.core.runtime import GraniiEngine
 from repro.graphs import Graph
 from repro.graphs.generators import erdos_renyi, rmat, road_mesh
-from repro.learn import GradientBoostedTrees
+from repro.learn.gbt import Forest
 from repro.models import build_layer
 from repro.serving import GraniiService, ServeRequest
 from repro.sparse import CSRMatrix
@@ -483,8 +483,8 @@ def test_totals_are_the_call_by_call_sums(name, mode, memo, cost_models, monkeyp
     """Totals are the call-by-call sums whether a selection prices from an
     empty memo or from the one an earlier selection filled; a warm
     selection walks no tree."""
-    walks = counting(GradientBoostedTrees.predict_one)
-    monkeypatch.setattr(GradientBoostedTrees, "predict_one", walks)
+    walks = counting(Forest.predict)  # the one descent every price takes
+    monkeypatch.setattr(Forest, "predict", walks)
     layer = build_layer(name, 32, 16, rng=np.random.default_rng(0))
     for graph in graphs().values():
         # a model set of its own, so "cold" means nothing priced yet
@@ -553,13 +553,13 @@ def _zoo_prices(models, graph):
 
 def test_select_prices_only_primitives_in_the_loaded_set(cost_models, monkeypatch):
     asked = set()
-    real = CostModelSet.predict_call
+    real = CostModelSet.fill  # every price is asked for here
 
-    def spy(self, call, *args, **kwargs):
-        asked.add(call.primitive)
-        return real(self, call, *args, **kwargs)
+    def spy(self, prices, keys, calls, *args, **kwargs):
+        asked.update(call.primitive for call in calls)
+        return real(self, prices, keys, calls, *args, **kwargs)
 
-    monkeypatch.setattr(CostModelSet, "predict_call", spy)
+    monkeypatch.setattr(CostModelSet, "fill", spy)
     for graph in graphs().values():
         _zoo_prices(CostModelSet(cost_models.device_name, cost_models._models), graph)
     assert {"spmm", "gemm"} <= asked

@@ -481,6 +481,77 @@ class TestConcurrentServing:
 
 
 # ----------------------------------------------------------------------
+# A never-seen structure: one forest descent prices its selection
+# ----------------------------------------------------------------------
+class TestNeverSeenStructure:
+    def test_a_miss_prices_in_one_descent_and_matches_a_direct_select(
+        self, cost_models, monkeypatch
+    ):
+        """A miss's selection prices every plan in one forest descent; a
+        repeat select on the same graph vector runs none; the served
+        label and predicted costs are a direct ``select``'s, bit for bit."""
+        from repro.core.costmodel import CostModelSet
+        from repro.core.runtime import GraniiEngine
+        from repro.learn.gbt import Forest
+
+        # a set of its own, so nothing is priced before this test
+        models = CostModelSet(
+            cost_models.device_name, cost_models._models, scale=cost_models.scale
+        )
+        descents, selections = [], []
+        predict, select = Forest.predict, GraniiEngine.select
+
+        def counting_predict(self, which, x):
+            descents.append(len(which))
+            return predict(self, which, x)
+
+        def recording_select(self, *args, **kwargs):
+            report = select(self, *args, **kwargs)
+            selections.append(report)
+            return report
+
+        monkeypatch.setattr(Forest, "predict", counting_predict)
+        monkeypatch.setattr(GraniiEngine, "select", recording_select)
+        graph = erdos_renyi(150, 6.0, seed=45)
+        feats = feats_for(graph)
+        with make_service(models) as svc:
+            result = svc.serve(req(graph, feats), timeout=60)
+            again = svc.serve(req(graph, feats), timeout=60)
+        assert result.ok and not result.cache_hit
+        assert again.ok and again.cache_hit
+        assert len(selections) == 1 and len(descents) == 1
+        served = selections[0]
+        assert len(served.predicted_costs) > 1  # priced, not a lone plan
+        assert descents[0] > 1  # every new price key in the one descent
+
+        engine = GraniiEngine(device="h100", scale="small", cost_models=models)
+        layer = build_layer(
+            "gcn", IN_SIZE, OUT_SIZE, rng=np.random.default_rng(0)
+        )
+        direct = engine.select(
+            engine.compile_for(layer, graph), Graph(graph.adj), layer
+        )
+        assert len(descents) == 1  # the same vector: every price in memory
+        assert direct.chosen.cost_label == served.chosen.cost_label
+        assert {k: v.hex() for k, v in direct.predicted_costs.items()} == {
+            k: v.hex() for k, v in served.predicted_costs.items()
+        }
+
+        # the same prices from a cold set of its own: one descent again
+        cold = CostModelSet(
+            cost_models.device_name, cost_models._models, scale=cost_models.scale
+        )
+        engine = GraniiEngine(device="h100", scale="small", cost_models=cold)
+        fresh = engine.select(
+            engine.compile_for(layer, graph), Graph(graph.adj), layer
+        )
+        assert len(descents) == 2
+        assert {k: v.hex() for k, v in fresh.predicted_costs.items()} == {
+            k: v.hex() for k, v in served.predicted_costs.items()
+        }
+
+
+# ----------------------------------------------------------------------
 # Warm execution state: kept per (tenant, model, cache entry), checked
 # out by one request at a time, checked in only by a clean hit
 # ----------------------------------------------------------------------
