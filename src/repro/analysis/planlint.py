@@ -25,8 +25,8 @@ the structural hazards a declaration cannot express:
 Verdicts are :class:`PlanVerdict` records: proved facts, residual
 obligations (properties that remain runtime checks), and diagnostics.
 ``repro.core.pruning.prune_candidates`` rejects candidates whose verdict
-has error diagnostics before cost modeling; the guarded executor skips
-runtime re-checks of facts proved here (see ``SelectionReport.analysis``).
+has error diagnostics before cost modeling, so every plan a selection
+can choose has already passed.
 """
 
 from __future__ import annotations

@@ -205,8 +205,8 @@ class CostModelSet:
 
         A caller pricing many calls against the same vector (one
         selection prices every viable candidate) fetches the table once
-        and hands it to :meth:`predict_call`, instead of re-deriving the
-        vector's bytes and re-finding its table per call.
+        and hands it to :meth:`fill`, instead of re-deriving the vector's
+        bytes and re-finding its table per call.
         """
         with self._memo_lock:
             table = self._memo.get(vec_bytes)
@@ -264,24 +264,12 @@ class CostModelSet:
             out[i] = prices[keys[i]] = price
         return out
 
-    def predict_call(
-        self,
-        call: KernelCall,
-        graph_vec: np.ndarray,
-        prices: Optional[Dict[tuple, float]] = None,
-        key: Optional[tuple] = None,
-    ) -> float:
+    def predict_call(self, call: KernelCall, graph_vec: np.ndarray) -> float:
         """Predicted execution time (seconds) of one invocation
-        (:meth:`fill` of one call).
-
-        ``key`` is ``call_key(call)`` when the caller already has it (a
-        plan's :class:`~repro.core.plan.CallView` keeps one per call).
-        """
-        if prices is None:
-            prices = self.prices(graph_vec.tobytes())
-        if key is None:
-            key = call_key(call)
-        return self.fill(prices, [key], [call], graph_vec)[0]
+        (:meth:`fill` of one call)."""
+        return self.fill(
+            self.prices(graph_vec.tobytes()), [call_key(call)], [call], graph_vec
+        )[0]
 
     def predict_calls(
         self, calls: Iterable[KernelCall], graph_vec: np.ndarray, efficiency=None

@@ -278,24 +278,13 @@ class ExecutionBudget:
         self._started = time.perf_counter()
         self._resident_bytes = 0.0
 
-    def check_estimate(
-        self,
-        plan: Plan,
-        env: ShapeEnv,
-        precomputed: Optional[float] = None,
-    ) -> None:
-        """Pre-execution gate on the plan's estimated peak memory.
-
-        ``precomputed`` supplies an estimate already derived for this
-        exact (plan, env) — the static analyzer proves one at selection
-        time — so the hot path skips re-walking every step's liveness.
-        """
+    def check_estimate(self, plan: Plan, env: ShapeEnv) -> None:
+        """Pre-execution gate on the plan's estimated peak memory
+        (:meth:`Plan.peak_memory_bytes`, kept with the plan's view of
+        ``env``, so the liveness walk runs once per (plan, env))."""
         if self.memory_budget_bytes is None:
             return
-        estimate = (
-            precomputed if precomputed is not None
-            else plan.peak_memory_bytes(env)
-        )
+        estimate = plan.peak_memory_bytes(env)
         if estimate > self.memory_budget_bytes:
             raise GraniiMemoryError(
                 f"plan {plan.name!r} estimates a peak of "
@@ -532,32 +521,6 @@ class GuardedExecutor:
         self.rung += 1
 
     # ------------------------------------------------------------------
-    def _static_peak_estimate(self, plan, env) -> Optional[float]:
-        """Peak-memory estimate proved at selection time, if applicable.
-
-        The analyzer's verdict binds a specific (plan, shape-env) pair;
-        the fact is only reused when the executor is about to run that
-        exact pair — otherwise return None and let the budget recompute.
-        Reuse is recorded on ``selection.runtime_checks_skipped``.
-        """
-        verdict = getattr(self.selection, "analysis", None)
-        if (
-            verdict is None
-            or not verdict.ok
-            or plan is not self.selection.chosen.plan
-        ):
-            return None
-        estimate = verdict.facts.get("peak_memory_bytes")
-        if estimate is None:
-            return None
-        from ..analysis.planlint import analysis_env_key
-
-        if verdict.env_key != analysis_env_key(env):
-            return None
-        self.selection.record_runtime_check_skipped("memory_estimate:static")
-        return estimate
-
-    # ------------------------------------------------------------------
     def _run_rung(self, g, feat):
         planned = self.rungs[self.rung]
         plan = planned.plan
@@ -581,10 +544,7 @@ class GuardedExecutor:
                 budget.deadline_seconds = min(
                     budget.deadline_seconds, remaining
                 )
-        precomputed = None
-        if budget.memory_budget_bytes is not None:
-            precomputed = self._static_peak_estimate(plan, env)
-        budget.check_estimate(plan, env, precomputed=precomputed)
+        budget.check_estimate(plan, env)
         return execute_plan(
             self.engine, self.layer, plan, "row_segment", g, feat,
             self.caches.setup, slot=self.rung, budget=budget,

@@ -55,7 +55,6 @@ from .assoc import Candidate, Step
 from .ir import Dim, ShapeEnv, env_key
 
 __all__ = [
-    "CallList",
     "CallView",
     "EdgeSparse",
     "LayerBinding",
@@ -186,20 +185,11 @@ class _CallSpec(NamedTuple):
         return key, self.call(key)
 
 
-class CallList(NamedTuple):
-    """Resolved kernel calls and their price keys, position for position
-    (each key is :func:`~repro.core.costmodel.call_key` of its call)."""
-
-    calls: List[KernelCall]
-    keys: List[tuple]
-
-
-def _call_list(pairs: Sequence[tuple]) -> CallList:
-    """The :class:`CallList` of ``(price key, call or spec)`` pairs."""
-    return CallList(
-        [call if type(call) is KernelCall else call.call(key) for key, call in pairs],
-        [key for key, _ in pairs],
-    )
+def _resolved(pairs: Sequence[tuple]) -> List[KernelCall]:
+    """The calls of ``(price key, call or spec)`` pairs."""
+    return [
+        call if type(call) is KernelCall else call.call(key) for key, call in pairs
+    ]
 
 
 def _bwd(spec: _CallSpec) -> _CallSpec:
@@ -409,9 +399,9 @@ class CallView:
     """One plan's kernel calls resolved under one shape env.
 
     Holds what selection reads: the forward setup and per-iteration calls
-    (per degree method) and the backward calls, each with its calls'
-    price keys, and the peak-memory estimate.  The per-step calls are
-    resolved when the view is built, everything else on first use.
+    (per degree method) and the backward calls as ``(price key, call or
+    spec)`` pairs, and the peak-memory estimate.  The per-step calls are
+    resolved when the view is built, the estimate on first use.
     """
 
     def __init__(self, template: _CallTemplate, env) -> None:
@@ -421,15 +411,14 @@ class CallView:
             [spec.resolve(self._sizes) for spec in specs]
             for specs in template.step_calls
         ]
-        self._forward: Dict[str, Tuple[CallList, CallList]] = {}
-        self._backward: Dict[bool, CallList] = {}
         self._peak: Optional[float] = None
 
     def pairs(self, degree_method: str) -> Tuple[List[tuple], List[tuple]]:
         """(setup, per-iteration) calls of the forward pass as ``(price
         key, call or spec)`` pairs, in call order: a degree-pass call is
-        still its spec.  The one listing of the forward calls, which
-        :meth:`forward` resolves and a :class:`PriceIndex` interns."""
+        still its spec.  The one listing of the forward calls, which a
+        :class:`PriceIndex` interns and :meth:`Plan.kernel_calls`
+        resolves."""
         t, sizes = self._template, self._sizes
         prep_setup, prep_iter = t.prep(degree_method)
         setup = [(spec.key(sizes), spec) for spec in prep_setup]
@@ -440,29 +429,10 @@ class CallView:
 
     def backward_pairs(self, input_grad: bool = True) -> List[tuple]:
         """The per-iteration gradient calls as ``(price key, spec)``
-        pairs, in call order: what :meth:`backward` resolves."""
+        pairs, in call order; ``input_grad``: whether the layer's input
+        carries a gradient (any layer but the first)."""
         specs = self._template.backward(input_grad)
         return [(spec.key(self._sizes), spec) for spec in specs]
-
-    def forward(self, degree_method: str = "indptr") -> Tuple[CallList, CallList]:
-        """(setup, per-iteration) calls of the forward pass."""
-        fwd = self._forward.get(degree_method)
-        if fwd is None:
-            setup, per_iter = self.pairs(degree_method)
-            fwd = self._forward[degree_method] = (
-                _call_list(setup), _call_list(per_iter)
-            )
-        return fwd
-
-    def backward(self, input_grad: bool = True) -> CallList:
-        """Per-iteration gradient calls; ``input_grad``: whether the
-        layer's input carries a gradient (any layer but the first)."""
-        calls = self._backward.get(input_grad)
-        if calls is None:
-            calls = self._backward[input_grad] = _call_list(
-                self.backward_pairs(input_grad)
-            )
-        return calls
 
     @property
     def peak_bytes(self) -> float:
@@ -736,15 +706,15 @@ class Plan:
         self, env: ShapeEnv, degree_method: str = "indptr"
     ) -> Tuple[List[KernelCall], List[KernelCall]]:
         """(setup_calls, per_iteration_calls) of the forward pass."""
-        setup, per_iter = self.call_view(env).forward(degree_method)
-        return setup.calls, per_iter.calls
+        setup, per_iter = self.call_view(env).pairs(degree_method)
+        return _resolved(setup), _resolved(per_iter)
 
     def backward_calls(self, env: ShapeEnv, input_grad: bool = True) -> List[KernelCall]:
         """Per-iteration gradient kernels induced by this forward plan:
         one per VJP the tape records, which depends on whether the
         layer's input carries a gradient (``input_grad``; a first layer's
         does not)."""
-        return self.call_view(env).backward(input_grad).calls
+        return _resolved(self.call_view(env).backward_pairs(input_grad))
 
     # ------------------------------------------------------------------
     # Memory accounting

@@ -38,13 +38,15 @@ What is remembered between calls, and where:
   distinct (primitive, shape) call of its candidates once, all of a
   never-seen vector's in one forest descent (:meth:`CostModelSet.fill`);
 - each plan's kernel calls, as a template per plan and a bounded table of
-  views per shape env (:meth:`Plan.call_view`), and planlint's env-free
-  verdict per (plan, strategies);
+  views per shape env (:meth:`Plan.call_view`); a view also keeps the
+  plan's peak-memory estimate under its env, which the report's
+  ``peak_memory_bytes``, the memory limit and the guard's memory budget
+  all read, so the liveness walk runs at most once per (plan, env);
 - a price index per (plans, shape env, degree method, mode), kept with
-  the first plan's views (:func:`~repro.core.plan.price_index`): a
-  repeat selection on the same sizes prices each distinct call once into
-  one vector, totals every plan with one array pass, and re-derives no
-  plan.
+  the first plan's views (:func:`~repro.core.plan.price_index`): every
+  price, one plan's included, is an index's distinct calls priced once
+  into one vector and every plan totalled with one array pass, so a
+  repeat selection on the same sizes re-derives no plan.
 
 The input's Ã is not built here: ``shape_env`` counts its edges
 (:meth:`Graph.num_edges_with_self_loops`) and execution builds it.
@@ -62,7 +64,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.planlint import analyze_plan
 from ..framework import MPGraph, get_system
 from ..graphs import Graph
 from ..hardware import get_device
@@ -79,7 +80,7 @@ from .guard import (
     reference_forward,
 )
 from .ir import ShapeEnv, sized_env
-from .plan import CallList, Plan, PriceIndex, price_index
+from .plan import Plan, PriceIndex, price_index
 
 __all__ = ["SelectionReport", "OptimizationReport", "GraniiEngine"]
 
@@ -107,11 +108,6 @@ class SelectionReport:
     ranked: List[PlannedCandidate] = field(default_factory=list)
     demotions: List[DemotionRecord] = field(default_factory=list)
     last_error: str = ""
-    # static-analysis verdict for the chosen plan under the selection env
-    # (a repro.analysis.planlint.PlanVerdict), and the runtime checks the
-    # guard skipped because the verdict already proved them
-    analysis: Optional[object] = None
-    runtime_checks_skipped: List[str] = field(default_factory=list)
     # monotonic timestamp after which execution must not start a kernel;
     # set by the serving runtime to propagate a request deadline into the
     # guarded executor's per-plan budgets
@@ -145,12 +141,6 @@ class SelectionReport:
             self.verified = ok
             self.verify_note = note
 
-    def record_runtime_check_skipped(self, note: str) -> None:
-        """Thread-safely note a runtime check proved statically (once)."""
-        with self._lock:
-            if note not in self.runtime_checks_skipped:
-                self.runtime_checks_skipped.append(note)
-
     @property
     def label(self) -> str:
         return self.chosen.label
@@ -165,15 +155,6 @@ class SelectionReport:
         if self.verified is not None:
             status = "ok" if self.verified else "DIVERGED"
             lines.append(f"  verification: {status} — {self.verify_note}")
-        if self.analysis is not None:
-            status = "ok" if self.analysis.ok else "REJECTED"
-            lines.append(
-                f"  analysis: {status} "
-                f"(proved {len(self.analysis.proved)}, "
-                f"obligations {len(self.analysis.obligations)})"
-            )
-        for skipped in self.runtime_checks_skipped:
-            lines.append(f"  runtime check skipped (statically proved): {skipped}")
         for record in self.demotions:
             lines.append(f"  demoted: {record.describe()}")
         return "\n".join(lines)
@@ -200,96 +181,41 @@ class OptimizationReport:
         return "\n".join(lines)
 
 
-class _Prices:
-    """One selection's predicted seconds per call: each distinct price
-    key priced once, on first need, as the model set's price
-    (:meth:`CostModelSet.fill`) × efficiency (an index slot's efficiency
-    read off the kind the index keeps for it).
+def _plan_costs(
+    engine: "GraniiEngine",
+    graph_vec: np.ndarray,
+    index: PriceIndex,
+    rows: Optional[Sequence[int]] = None,
+) -> np.ndarray:
+    """Predicted seconds per iteration of each of ``index``'s plans (or
+    of ``rows`` of them): per-iteration calls, plus backward calls when
+    training, plus setup calls over the iteration count.
 
-    With a :class:`PriceIndex` every index slot not priced yet is priced
-    in one forest descent and :meth:`plan_costs` totals all its plans in
-    one array pass; without one, :meth:`total` prices a call list's new
-    keys in one descent and memoises them.
+    Every slot the rows read is priced in one :meth:`CostModelSet.fill`
+    (one forest descent for what the set's memo lacks for this vector)
+    and scaled by its kind's efficiency; every call list is then summed
+    left to right in one array pass.
     """
-
-    def __init__(
-        self,
-        engine: "GraniiEngine",
-        graph_vec: np.ndarray,
-        index: Optional[PriceIndex] = None,
-    ) -> None:
-        self.index = index
-        self._models = engine.cost_models
-        self._factor = engine.system.kind_factor
-        self._iterations = max(engine.iterations, 1)
-        self._graph_vec = graph_vec
-        self._prices = self._models.prices(graph_vec.tobytes())
-        size = 1 if index is None else len(index.keys)
-        self._seconds = [0.0] * size
-        self._todo = [False] + [True] * (size - 1)
-        self._other: Dict[tuple, float] = {}
-
-    def _fill(self, slots) -> None:
-        """Price the index slots not priced yet: those the set's memo
-        lacks for this vector in one forest descent."""
-        seconds, todo, index, prices = (
-            self._seconds, self._todo, self.index, self._prices
-        )
-        keys, kinds, factor = index.keys, index.kinds, self._factor
-        slots = [slot for slot in slots if todo[slot]]
-        missing = [slot for slot in slots if keys[slot] not in prices]
-        if missing:
-            self._models.fill(
-                prices, [keys[slot] for slot in missing],
-                [index.calls[slot] for slot in missing], self._graph_vec,
-            )
-        for slot in slots:
-            seconds[slot] = prices[keys[slot]] * factor(kinds[slot])
-            todo[slot] = False
-
-    def total(self, priced: CallList) -> float:
-        """Predicted seconds of a call list, summed in call order."""
-        other = self._other
-        new = {
-            key: call for call, key in zip(priced.calls, priced.keys)
-            if key not in other
-        }
-        if new:
-            prices = self._models.fill(
-                self._prices, list(new), list(new.values()), self._graph_vec
-            )
-            for (key, call), price in zip(new.items(), prices):
-                other[key] = price * self._factor(call.kind)
-        out = 0.0
-        for key in priced.keys:
-            out += other[key]
-        return out
-
-    def amortised(self, per_iter, setup, backward=None):
-        """Seconds per iteration: per-iteration calls, plus backward calls
-        when training, plus setup calls over the iteration count (floats
-        or arrays alike)."""
-        cost = per_iter if backward is None else per_iter + backward
-        return cost + setup / self._iterations
-
-    def plan_costs(self, rows: Optional[Sequence[int]] = None) -> np.ndarray:
-        """:meth:`amortised` cost of each of the index's plans (or of
-        ``rows`` of them), every call list summed left to right at once."""
-        index = self.index
-        matrix = index.matrix
-        if rows is None:
-            slots = range(1, len(index.keys))
-        else:
-            plans = len(index.views)
-            matrix = matrix[[b * plans + r for b in range(index.blocks) for r in rows]]
-            slots = np.unique(matrix).tolist()
-        self._fill(slots)
-        # each row's seconds summed left to right, as call by call
-        totals = np.array(self._seconds)[matrix].cumsum(axis=1)[:, -1]
-        n = len(totals) // index.blocks
-        return self.amortised(
-            totals[:n], totals[n:2 * n], totals[2 * n:] if index.blocks == 3 else None
-        )
+    matrix = index.matrix
+    if rows is None:
+        slots = range(1, len(index.keys))
+    else:
+        plans = len(index.views)
+        matrix = matrix[[b * plans + r for b in range(index.blocks) for r in rows]]
+        slots = [slot for slot in np.unique(matrix).tolist() if slot]
+    models, factor = engine.cost_models, engine.system.kind_factor
+    prices = models.fill(
+        models.prices(graph_vec.tobytes()), [index.keys[s] for s in slots],
+        [index.calls[s] for s in slots], graph_vec,
+    )
+    seconds = [0.0] * len(index.keys)  # slot 0 pads and prices 0.0
+    for slot, price in zip(slots, prices):
+        seconds[slot] = price * factor(index.kinds[slot])
+    # each row's seconds summed left to right, as call by call
+    totals = np.array(seconds)[matrix].cumsum(axis=1)[:, -1]
+    n = len(totals) // index.blocks
+    cost = totals[:n] if index.blocks == 2 else totals[:n] + totals[2 * n:]
+    return cost + totals[n:2 * n] / max(engine.iterations, 1)
 
 
 class GraniiEngine:
@@ -391,18 +317,13 @@ class GraniiEngine:
         graph_vec: np.ndarray,
         input_grad: bool = True,
     ) -> float:
-        """Cost-model estimate of one amortised iteration of this plan;
-        ``input_grad``: whether the layer's input carries a gradient in
-        training (any layer but the first)."""
-        prices = _Prices(self, graph_vec)
-        view = plan.call_view(env)
-        setup, per_iter = view.forward(self.system.degree_method)
-        return prices.amortised(
-            prices.total(per_iter),
-            prices.total(setup),
-            prices.total(view.backward(input_grad))
-            if self.mode == "training" else None,
-        )
+        """Cost-model estimate of one amortised iteration of this plan
+        (:meth:`predict_plan_costs` of the one plan); ``input_grad``:
+        whether the layer's input carries a gradient in training (any
+        layer but the first)."""
+        return self.predict_plan_costs(
+            [plan], env, graph_vec, input_grad=input_grad
+        )[0]
 
     def predict_plan_costs(
         self,
@@ -412,7 +333,8 @@ class GraniiEngine:
         env_key: Optional[Tuple] = None,
         input_grad: bool = True,
     ) -> List[float]:
-        """:meth:`predict_plan_cost` of several plans for one input.
+        """Cost-model estimate of one amortised iteration of each plan
+        on one input (``input_grad`` as for :meth:`predict_plan_cost`).
 
         Candidates of one model are re-associations of the same
         primitives, so most of their calls coincide: the plans' views of
@@ -427,7 +349,7 @@ class GraniiEngine:
             plans, env, env_key, self.system.degree_method,
             self.mode == "training", input_grad,
         )
-        return _Prices(self, graph_vec, index).plan_costs().tolist()
+        return _plan_costs(self, graph_vec, index).tolist()
 
     def select_spmm_strategy(
         self,
@@ -488,8 +410,9 @@ class GraniiEngine:
             chosen_row = rows[0]
             ranked = [viable[chosen_row]]
         else:
-            prices = _Prices(self, graph_vec, index)
-            costs = prices.plan_costs(None if memory_filtered == 0 else rows)
+            costs = _plan_costs(
+                self, graph_vec, index, None if memory_filtered == 0 else rows
+            )
             for i, c in zip(rows, costs.tolist()):
                 predicted[viable[i].cost_label] = c
             order = [rows[i] for i in costs.argsort(kind="stable").tolist()]
@@ -497,12 +420,6 @@ class GraniiEngine:
             chosen_row = order[0]
         chosen = viable[chosen_row]
         selection_seconds = time.perf_counter() - t1
-        # static verdict for the winner: proved facts let the guarded
-        # executor skip re-deriving them on the hot path (see guard.py)
-        verdict = analyze_plan(
-            chosen.plan, env=env, strategies=("row_segment",), env_key=key,
-        )
-        peak = verdict.facts.get("peak_memory_bytes")  # already computed there
         return SelectionReport(
             model_name=compiled.model_name,
             chosen=chosen,
@@ -511,12 +428,9 @@ class GraniiEngine:
             viable_count=len(rows),
             feature_seconds=feature_seconds,
             selection_seconds=selection_seconds,
-            peak_memory_bytes=(
-                chosen.plan.peak_memory_bytes(env) if peak is None else peak
-            ),
+            peak_memory_bytes=index.views[chosen_row].peak_bytes,
             memory_filtered_count=memory_filtered,
             ranked=ranked,
-            analysis=verdict,
         )
 
     # ------------------------------------------------------------------

@@ -99,10 +99,6 @@ class RaceMonitor:
                     del stack[i]
                 return
 
-    def snapshot_edges(self) -> Set[Tuple[str, str]]:
-        with self._mu:
-            return set(self.edges)
-
 
 class _TracedLock:
     """Lock wrapper reporting acquire/release to a :class:`RaceMonitor`.

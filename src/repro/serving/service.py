@@ -20,7 +20,7 @@ runtime.  The failure-handling stack, outermost first:
    hint derived from the tenant's queue depth and recent latency —
    the service never queues unboundedly.
 3. **Plan cache** (:class:`~repro.serving.cache.PlanCache`): repeat
-   graphs skip enumeration/selection/static-analysis via a
+   graphs skip enumeration and selection via a
    featurizer-hash fingerprint, with single-flight stampede protection
    and structural-token collision detection.
 4. **Per-tenant isolation**: every tenant gets its own
@@ -47,8 +47,9 @@ over many iterations — is kept on the plan-cache entry per (tenant,
 model) and **checked out by one request at a time**
 (:meth:`PlanCache.checkout`), so two running requests never share a
 layer.  A request that finds none free builds a
-fresh layer and empty caches, as every request once did; the two differ
-in nothing but the caches the executor starts with.  Only a *clean* hit
+fresh layer and empty caches, as every request once did (a miss runs on
+the layer it built to select with); the two differ in nothing but the
+caches the executor starts with.  Only a *clean* hit
 checks its state back in: outcome ``ok`` with no demotion, no
 ``fault_plan`` on the request (such a request neither takes nor returns
 one), tenant breaker closed.  A miss stores nothing, so a stream of
@@ -556,22 +557,26 @@ class GraniiService:
 
     def _cached_selection(
         self, request: ServeRequest, spec: ModelSpec
-    ) -> Tuple[SelectionReport, bool, GraphFingerprint]:
+    ) -> Tuple[SelectionReport, bool, GraphFingerprint, Optional[object]]:
         """Fingerprint-keyed selection: hit skips enumeration+selection.
-        Returns the template, whether it was a hit, and the fingerprint
-        that names the cache entry."""
+        Returns the template, whether it was a hit, the fingerprint that
+        names the cache entry, and the layer this request built to
+        select with (None when it computed nothing), which it executes
+        on."""
         fp = self._fingerprint_fn(
             request.graph, spec.model, spec.in_size, spec.out_size
         )
+        built: List[object] = []
 
         def compute() -> SelectionReport:
             with self._select_lock:
                 layer = spec.factory()
+                built.append(layer)
                 compiled = self._selector.compile_for(layer, request.graph)
                 return self._selector.select(compiled, request.graph, layer)
 
         template, hit = self._cache.get_or_compute(fp.key, fp.token, compute)
-        return template, hit, fp
+        return template, hit, fp, (built[0] if built else None)
 
     def _request_selection(
         self, template: SelectionReport, deadline_at: Optional[float]
@@ -588,7 +593,6 @@ class GraniiService:
             selection_seconds=0.0,
             peak_memory_bytes=template.peak_memory_bytes,
             ranked=list(template.ranked),
-            analysis=template.analysis,
             deadline_at=deadline_at,
         )
 
@@ -643,7 +647,9 @@ class GraniiService:
                     result.outcome = "reference"
                     result.ok = True
                 else:
-                    entry, hit, fp = self._cached_selection(request, spec)
+                    entry, hit, fp, layer = self._cached_selection(
+                        request, spec
+                    )
                     result.cache_hit = hit
                     selection = self._request_selection(entry, deadline_at)
                     # Warm state (module docstring): a fault-free hit may
@@ -658,7 +664,9 @@ class GraniiService:
                     if kept is not None and kept[0] is spec:
                         _, layer, caches = kept
                     else:  # none free, or built for a replaced registration
-                        layer, caches = spec.factory(), ExecutorCaches()
+                        if layer is None:  # a miss runs on the one it built
+                            layer = spec.factory()
+                        caches = ExecutorCaches()
                     executor = tenant.engine.make_executor(
                         layer,
                         selection.chosen,

@@ -425,90 +425,99 @@ def test_lint_missing_path_is_an_error_not_clean(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Selection/guard integration: proved facts skip runtime checks
+# Selection/guard integration: one peak estimate per (plan, env)
 # ----------------------------------------------------------------------
-def test_selection_report_carries_verdict():
+def _counted_peak_walks(monkeypatch):
+    """Record ``(N, estimate)`` of every liveness walk a plan runs."""
+    from repro.core.plan import _CallTemplate
+
+    walks = []
+    real = _CallTemplate.peak_bytes
+
+    def peak_bytes(self, sizes, step_calls):
+        estimate = real(self, sizes, step_calls)
+        walks.append((sizes.env["N"], estimate))
+        return estimate
+
+    monkeypatch.setattr(_CallTemplate, "peak_bytes", peak_bytes)
+    return walks
+
+
+def _guarded_gcn(graph):
     from repro.core.costmodel import get_cost_models
     from repro.core.runtime import GraniiEngine
-    from repro.graphs.generators import erdos_renyi
     from repro.models import build_layer
+
+    layer = build_layer("gcn", 16, 8, rng=np.random.default_rng(0))
+    engine = GraniiEngine(
+        device="h100", scale="small",
+        cost_models=get_cost_models("h100", scale="small"), guarded=True,
+    )
+    for planned in engine.compile_for(layer, graph).promoted:
+        planned.plan.clear_memos()  # the walks below start from none
+    return engine, layer
+
+
+def test_selection_report_carries_the_chosen_plans_peak():
+    from repro.graphs.generators import erdos_renyi
 
     g = erdos_renyi(120, avg_degree=5, seed=2)
-    layer = build_layer("gcn", 16, 8, rng=np.random.default_rng(0))
-    engine = GraniiEngine(device="cpu", cost_models=get_cost_models("cpu"))
-    compiled = compile_model("gcn")
-    report = engine.select(compiled, g, layer)
-    assert report.analysis is not None and report.analysis.ok
-    assert "peak_memory_bytes" in report.analysis.facts
-    assert "analysis: ok" in report.describe()
+    engine, layer = _guarded_gcn(g)
+    report = engine.select(engine.compile_for(layer, g), g, layer)
+    env = engine.shape_env(g, layer)
+    assert report.peak_memory_bytes == report.chosen.plan.peak_memory_bytes(env)
+    assert report.peak_memory_bytes > 0
+    assert "analysis" not in report.describe()
 
 
-def test_guard_skips_statically_proved_memory_check():
-    from repro.core.costmodel import get_cost_models
-    from repro.core.runtime import GraniiEngine
+def test_guard_walks_liveness_once_per_plan_and_env(monkeypatch):
+    """Under a memory budget, one selection and five guarded calls on
+    the selection's graph estimate the chosen plan's peak once."""
     from repro.graphs.generators import erdos_renyi
-    from repro.models import build_layer
 
     g = erdos_renyi(150, avg_degree=5, seed=4)
     feats = np.random.default_rng(1).standard_normal((g.num_nodes, 16))
     restore = config.override_env({"REPRO_MEM_BUDGET_MB": "1024"})
     try:
-        layer = build_layer("gcn", 16, 8, rng=np.random.default_rng(0))
-        engine = GraniiEngine(
-            device="cpu", cost_models=get_cost_models("cpu"), guarded=True
-        )
-        report = engine.optimize(layer, g, feats)
-        selection = report.selections[0]
-        plan = selection.chosen.plan
-        calls = []
-        original = plan.peak_memory_bytes
-        plan.peak_memory_bytes = lambda env: (
-            calls.append(1), original(env)
-        )[1]
-        try:
+        engine, layer = _guarded_gcn(g)
+        walks = _counted_peak_walks(monkeypatch)
+        selection = engine.optimize(layer, g, feats).selections[0]
+        for _ in range(5):
             layer(g, feats)
-        finally:
-            plan.peak_memory_bytes = original
-        # the budget gate ran off the selection-time proved fact: the
-        # O(steps) liveness walk was never re-executed on the hot path
-        assert calls == []
-        assert "memory_estimate:static" in selection.runtime_checks_skipped
-        assert "statically proved" in selection.describe()
+        assert selection.demotions == []
+        assert walks == [(g.num_nodes, selection.peak_memory_bytes)]
     finally:
         restore()
 
 
-def test_guard_recomputes_for_foreign_env():
-    """The proved fact is bound to the selection env; a different graph
-    (different env key) must fall back to recomputation."""
-    from repro.core.costmodel import get_cost_models
-    from repro.core.runtime import GraniiEngine
+def test_guard_walks_a_foreign_graph_once_with_its_own_estimate(monkeypatch):
+    """A graph of other sizes than the selection's gets its own walk,
+    once, and the estimate a plan with no memos derives for it."""
+    import pickle
+
+    from repro.core.guard import shape_env_for
     from repro.graphs.generators import erdos_renyi
-    from repro.models import build_layer
+    from repro.models.functional import prepare_mp_graph
 
     g1 = erdos_renyi(150, avg_degree=5, seed=4)
     g2 = erdos_renyi(90, avg_degree=4, seed=5)
+    feats1 = np.random.default_rng(1).standard_normal((g1.num_nodes, 16))
     feats2 = np.random.default_rng(1).standard_normal((g2.num_nodes, 16))
     restore = config.override_env({"REPRO_MEM_BUDGET_MB": "1024"})
     try:
-        layer = build_layer("gcn", 16, 8, rng=np.random.default_rng(0))
-        engine = GraniiEngine(
-            device="cpu", cost_models=get_cost_models("cpu"), guarded=True
-        )
-        feats1 = np.random.default_rng(1).standard_normal((g1.num_nodes, 16))
-        report = engine.optimize(layer, g1, feats1)
-        selection = report.selections[0]
-        plan = selection.chosen.plan
-        calls = []
-        original = plan.peak_memory_bytes
-        plan.peak_memory_bytes = lambda env: (
-            calls.append(1), original(env)
-        )[1]
-        try:
+        engine, layer = _guarded_gcn(g1)
+        walks = _counted_peak_walks(monkeypatch)
+        selection = engine.optimize(layer, g1, feats1).selections[0]
+        for _ in range(5):
             layer(g2, feats2)
-        finally:
-            plan.peak_memory_bytes = original
-        assert calls  # recomputed: the proved fact did not apply
+        got = list(walks)
+        env2 = shape_env_for(prepare_mp_graph(g2).adj, layer)
+        fresh = pickle.loads(pickle.dumps(selection.chosen.plan))  # no memos
+        assert got == [
+            (g1.num_nodes, selection.peak_memory_bytes),
+            (g2.num_nodes, fresh.peak_memory_bytes(env2)),
+        ]
+        assert got[1][1] != got[0][1]
     finally:
         restore()
 

@@ -429,11 +429,8 @@ class TestConcurrentMutation:
                     from_label="a", to_label="b", reason="kernel_error",
                     message=f"m{i}",
                 ))
-                selection.record_runtime_check_skipped("memory_estimate:static")
                 selection.record_verification(True, "ok")
 
         self._hammer(record)
         assert len(selection.demotions) == 8 * 100
-        # dedup'd append under the lock: one entry, not 800
-        assert selection.runtime_checks_skipped == ["memory_estimate:static"]
         assert selection.verified is True

@@ -146,6 +146,36 @@ class TestSaveState:
         assert again.value.tobytes() == first.value.tobytes()
         assert (tmp_path / "residuals.json").exists()
 
+    def test_a_snapshot_carrying_a_select_time_verdict_serves(
+        self, graph, cost_models, tmp_path
+    ):
+        """A plan-cache snapshot whose templates still carry the verdict
+        and skipped-check notes selection once attached (``analysis``,
+        ``runtime_checks_skipped``) restores, seeds its entry and serves
+        a hit: the stray attributes ride along and nothing reads them."""
+        from repro.analysis.planlint import analyze_plan
+
+        feats = feats_for(graph)
+        with make_service(cost_models, state_dir=str(tmp_path)) as svc:
+            first = svc.serve(req(graph, feats), timeout=120.0)
+            assert first.ok, first.error
+            [(_, _, template)] = svc.cache.export_entries()
+            template.analysis = analyze_plan(
+                template.chosen.plan, strategies=("row_segment",)
+            )
+            template.runtime_checks_skipped = ["memory_estimate:static"]
+            svc.save_state()
+        with make_service(cost_models, state_dir=str(tmp_path)) as svc2:
+            assert svc2.warm_start["plan_cache"] == 1
+            [(_, _, restored)] = svc2.cache.export_entries()
+            assert restored.analysis.ok
+            assert restored.runtime_checks_skipped == ["memory_estimate:static"]
+            again = svc2.serve(req(graph, feats), timeout=120.0)
+        assert again.ok and again.cache_hit and again.outcome == "ok", (
+            again.outcome, again.error
+        )
+        assert again.value.tobytes() == first.value.tobytes()
+
     def test_seeded_entries_survive_a_second_save(
         self, graph, cost_models, tmp_path
     ):

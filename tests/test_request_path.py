@@ -268,20 +268,33 @@ def test_featurize_graph_itself_stays_uncached(monkeypatch):
 # ----------------------------------------------------------------------
 # pricing
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("system", ["dgl", "wisegraph"])  # indptr, binning
+@pytest.mark.parametrize("input_grad", [True, False])
 @pytest.mark.parametrize("mode", ["inference", "training"])
-def test_batch_pricing_gives_the_per_candidate_floats(mode, cost_models):
+def test_batch_pricing_gives_the_per_candidate_floats(
+    mode, input_grad, system, cost_models
+):
+    """Several plans priced at once, one plan priced by itself and a
+    memory-limited selection's surviving rows all give, bit for bit, the
+    hand sum of each plan's calls."""
     graph = rmat(300, 6, seed=3)
     vec = featurize_graph(graph)
-    for name in ("gcn", "tagcn", "gat"):
+    limited_rows = 0
+    for name in ("gcn", "tagcn", "gat", "sgc", "appnp"):
         layer = build_layer(name, 16, 32, rng=np.random.default_rng(0))
-        engine = GraniiEngine(
-            device="h100", scale="small", cost_models=cost_models,
-            mode=mode, iterations=7,
-        )
+
+        def engine_with(limit=None):
+            return GraniiEngine(
+                device="h100", scale="small", cost_models=cost_models,
+                mode=mode, system=system, iterations=7,
+                memory_limit_bytes=limit,
+            )
+
+        engine = engine_with()
         env = engine.shape_env(graph, layer)
-        plans = [
-            p.plan for p in engine.compile_for(layer, graph).viable(16, 32)
-        ]
+        compiled = engine.compile_for(layer, graph)
+        viable = compiled.viable(16, 32)
+        plans = [p.plan for p in viable]
         assert len(plans) > 1
         eff = engine.system.efficiency
 
@@ -291,13 +304,39 @@ def test_batch_pricing_gives_the_per_candidate_floats(mode, cost_models):
             total = cost_models.predict_calls(per_iter, vec, eff)
             if mode == "training":
                 total += cost_models.predict_calls(
-                    plan.backward_calls(env), vec, eff
+                    plan.backward_calls(env, input_grad), vec, eff
                 )
             return total + cost_models.predict_calls(setup, vec, eff) / 7
 
-        want = [one_by_one(plan) for plan in plans]
-        assert engine.predict_plan_costs(plans, env, vec) == want
-        assert [engine.predict_plan_cost(p, env, vec) for p in plans] == want
+        def hexes(costs):
+            return [cost.hex() for cost in costs]
+
+        want = hexes(one_by_one(plan) for plan in plans)
+        assert hexes(engine.predict_plan_costs(
+            plans, env, vec, input_grad=input_grad
+        )) == want
+        assert hexes(
+            engine.predict_plan_cost(p, env, vec, input_grad=input_grad)
+            for p in plans
+        ) == want
+
+        # a memory limit that keeps only the leanest plans prices those
+        peaks = [plan.peak_memory_bytes(env) for plan in plans]
+        limit = min(peaks)
+        sel = engine_with(limit).select(
+            compiled, Graph(graph.adj), layer, input_grad=input_grad
+        )
+        kept = {
+            p.cost_label: cost
+            for p, cost, peak in zip(viable, want, peaks) if peak <= limit
+        }
+        assert sel.memory_filtered_count == len(plans) - len(kept)
+        if len(kept) > 1 and sel.memory_filtered_count:
+            limited_rows += len(kept)
+            assert {
+                label: cost.hex() for label, cost in sel.predicted_costs.items()
+            } == kept
+    assert limited_rows  # sgc's and appnp's limits leave several rows
 
 
 def test_predict_one_is_the_tree_by_tree_walk(cost_models):

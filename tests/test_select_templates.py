@@ -6,11 +6,12 @@ plan's env-free verdict per strategy tuple.  These tests pin that hoist:
 
 - a warm ``select`` decides exactly what a cold one (every memo cleared)
   decides, bitwise, and every view key is the ``call_key`` of its call;
-- a warm ``select`` on a fresh ``Graph`` runs no abstract interpretation,
-  no workspace trace, no call expansion and no key sort (counted, so
-  they cannot flake);
-- verdicts are fresh per call, pinned-strategy rejections still fall
-  back, the view table is bounded, and no memo rides in a snapshot;
+- no ``select`` runs abstract interpretation or a workspace trace (every
+  plan it can choose passed planlint when it was compiled), and a warm
+  one on a fresh ``Graph`` runs no call expansion and no key sort
+  (counted, so they cannot flake);
+- planlint verdicts are fresh per call, pinned-strategy rejections stay
+  rejected, the view table is bounded, and no memo rides in a snapshot;
 - ``shape_env`` counts Ã's edges instead of building Ã, and the count is
   exactly ``adj_with_self_loops().nnz`` on every pattern;
 - a model's plans are priced from one price index per env: every total
@@ -83,17 +84,13 @@ def clear_memos(compiled):
 
 def decision(sel):
     """Everything a selection decided, floats as their exact repr."""
-    v = sel.analysis
     return {
         "predicted": {k: repr(c) for k, c in sel.predicted_costs.items()},
         "ranked": [f"{p.label}#{p.plan.name}" for p in sel.ranked],
         "strategy": sel.spmm_strategy,
         "peak": repr(sel.peak_memory_bytes),
-        "diagnostics": [d.describe() for d in v.diagnostics],
-        "proved": list(v.proved),
-        "obligations": list(v.obligations),
-        "facts": {k: repr(x) for k, x in v.facts.items()},
-        "env_key": v.env_key,
+        "viable": sel.viable_count,
+        "filtered": sel.memory_filtered_count,
     }
 
 
@@ -125,9 +122,8 @@ def test_warm_select_equals_cold_select(name, mode, cost_models):
         again = engine_for(cost_models, mode).select(compiled, Graph(graph.adj), layer)
         assert decision(warm) == decision(cold), (name, graph.name)
         assert decision(again) == decision(cold), (name, graph.name)
-        assert cold.analysis.env_key == env_key(
-            engine_for(cost_models).shape_env(graph, layer)
-        )
+        env = engine_for(cost_models).shape_env(graph, layer)
+        assert cold.peak_memory_bytes == cold.chosen.plan.peak_memory_bytes(env)
 
 
 @pytest.mark.parametrize("name", ZOO)
@@ -138,16 +134,19 @@ def test_view_keys_are_the_call_keys(name, cost_models):
     compiled = engine.compile_for(layer, graph)
     env = engine.shape_env(graph, layer)
     for planned in compiled.promoted:
-        view = planned.plan.call_view(env)
-        lists = [*view.forward("indptr"), *view.forward("binning"), view.backward()]
-        for priced in lists:
-            assert priced.keys == [call_key(c) for c in priced.calls]
-        setup, per_iter = planned.plan.kernel_calls(env)
-        assert (setup, per_iter) == tuple(l.calls for l in view.forward("indptr"))
+        plan = planned.plan
+        view = plan.call_view(env)
+        for dm in ("indptr", "binning"):
+            for pairs, calls in zip(view.pairs(dm), plan.kernel_calls(env, dm)):
+                assert [key for key, _ in pairs] == [call_key(c) for c in calls]
+        for input_grad in (True, False):
+            pairs = view.backward_pairs(input_grad)
+            calls = plan.backward_calls(env, input_grad)
+            assert [key for key, _ in pairs] == [call_key(c) for c in calls]
 
 
 # ----------------------------------------------------------------------
-# (b) a warm select re-derives nothing
+# (b) no select analyzes a plan; a warm one re-derives nothing
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", ZOO)
@@ -168,15 +167,17 @@ def test_warm_select_rederives_nothing(name, mode, cost_models, monkeypatch):
 
     clear_memos(compiled)
     engine_for(cost_models, mode).select(compiled, Graph(graph.adj), layer)
-    # the cold select derived the plans: the counters are wired
-    for label in ("analyze_candidate", "workspace_trace", "_step_calls"):
-        assert counters[label].calls > 0, label
-        counters[label].calls = 0
+    # the cold select derived the plans (the counters are wired) but
+    # analyzed none: every plan it can choose passed planlint at compile
+    assert counters["_step_calls"].calls > 0
+    assert counters["analyze_candidate"].calls == 0
+    assert counters["workspace_trace"].calls == 0
+    counters["_step_calls"].calls = 0
     engine_for(cost_models, mode).select(compiled, Graph(graph.adj), layer)
     assert {label: c.calls for label, c in counters.items()} == dict.fromkeys(
         counters, 0
     )
-    # and call_key is the one predict_call falls back to without a key
+    # and the counted call_key is the one predict_call keys a call with
     call = compiled.promoted[0].plan.kernel_calls(
         engine_for(cost_models).shape_env(graph, layer)
     )[1][0]
@@ -194,18 +195,20 @@ def test_mutating_a_verdict_does_not_leak(cost_models):
     compiled = engine.compile_for(layer, graph)
     first = engine.select(compiled, Graph(graph.adj), layer)
     want = decision(first)
-    v = first.analysis
+    plan, env = first.chosen.plan, engine.shape_env(graph, layer)
+    v = analyze_plan(plan, env=env, strategies=("row_segment",))
     v.diagnostics.append(Diagnostic("planted", "not a finding"))
     v.proved.append("planted")
     v.obligations.append("planted")
     v.facts["peak_memory_bytes"] = -1.0
     v.env_key = ("planted",)
+    again = analyze_plan(plan, env=env, strategies=("row_segment",))
+    assert again is not v and again.ok
+    assert again.facts["peak_memory_bytes"] == plan.peak_memory_bytes(env)
+    assert again.env_key == env_key(env)
     second = engine.select(compiled, Graph(graph.adj), layer)
-    assert second.analysis is not v
-    assert second.analysis.ok
     assert decision(second) == want
 
-    plan = first.chosen.plan
     direct = analyze_plan(plan)
     direct.proved.clear()
     direct.diagnostics.append(Diagnostic("planted", "not a finding"))
@@ -330,6 +333,7 @@ def test_memos_never_ride_in_a_snapshot(cost_models, tmp_path):
     live = next(
         p.plan for p in compiled.promoted if p.plan.name == saved.chosen.plan.name
     )
+    analyze_plan(live)  # planlint's memo, which no selection fills
     assert live._template is not None and live._views and live._verdicts
     warm_bytes = pickle.dumps(live)
     live.clear_memos()
@@ -453,24 +457,18 @@ def test_forward_after_optimize_matches_message_passing(name, cost_models):
 # ----------------------------------------------------------------------
 # One price vector per selection, bitwise the per-call sums
 # ----------------------------------------------------------------------
-def _call_by_call(engine, priced, vec):
+def _call_by_call(engine, calls, vec):
     """A call list's seconds, summed one call at a time in call order."""
-    models, eff = engine.cost_models, engine.system.efficiency
-    prices = models.prices(vec.tobytes())
-    out = 0.0
-    for call, key in zip(priced.calls, priced.keys):
-        out += models.predict_call(call, vec, prices, key) * eff(call)
-    return out
+    return engine.cost_models.predict_calls(calls, vec, engine.system.efficiency)
 
 
 def _reference_costs(engine, plans, env, vec):
     costs = []
     for plan in plans:
-        view = plan.call_view(env)
-        setup, per_iter = view.forward(engine.system.degree_method)
+        setup, per_iter = plan.kernel_calls(env, engine.system.degree_method)
         cost = _call_by_call(engine, per_iter, vec)
         if engine.mode == "training":
-            cost += _call_by_call(engine, view.backward(), vec)
+            cost += _call_by_call(engine, plan.backward_calls(env), vec)
         cost += _call_by_call(engine, setup, vec) / max(engine.iterations, 1)
         costs.append(cost)
     return costs
@@ -680,14 +678,14 @@ def test_index_rows_list_each_views_calls_in_order(cost_models):
         dm = engine.system.degree_method
         index = price_index(plans, env, None, dm, training)
         for i, view in enumerate(index.views):
-            setup, per_iter = view.forward(dm)
-            lists = [per_iter, setup] + ([view.backward()] if training else [])
-            for block, calls in enumerate(lists):
+            setup, per_iter = view.pairs(dm)
+            lists = [per_iter, setup] + ([view.backward_pairs()] if training else [])
+            for block, pairs in enumerate(lists):
                 row = index.matrix[block * len(plans) + i]
-                assert [index.keys[s] for s in row if s] == calls.keys
+                assert [index.keys[s] for s in row if s] == [k for k, _ in pairs]
 
 
-def test_one_plan_pricing_keeps_no_index(cost_models):
+def test_one_plan_pricing_is_the_call_by_call_sum(cost_models):
     graph = erdos_renyi(200, 5, seed=5)
     layer = build_layer("tagcn", 32, 16, rng=np.random.default_rng(0))
     engine = engine_for(cost_models, mode="training")
@@ -698,6 +696,5 @@ def test_one_plan_pricing_keeps_no_index(cost_models):
     plans = [p.plan for p in compiled.viable(32, 16)]
     got = [engine.predict_plan_cost(plan, env, vec) for plan in plans]
     strategies = [engine.select_spmm_strategy(plan, env, vec) for plan in plans]
-    assert not any(plan._indexes for plan in plans)
     assert repr(got) == repr(_reference_costs(engine, plans, env, vec))
     assert set(strategies) == {"row_segment"}

@@ -551,6 +551,35 @@ class TestNeverSeenStructure:
         }
 
 
+    def test_a_miss_builds_one_layer(self, cost_models):
+        """The request that selects runs on the layer it built to select
+        with: one ``factory`` call per never-seen structure."""
+        built = []
+
+        def factory():
+            built.append(
+                build_layer("gcn", IN_SIZE, OUT_SIZE, rng=np.random.default_rng(0))
+            )
+            return built[-1]
+
+        graphs = [erdos_renyi(100 + 10 * i, 5.0, seed=60 + i) for i in range(4)]
+        with make_service(cost_models) as svc:
+            svc.register_model("gcn", IN_SIZE, OUT_SIZE, factory=factory)
+            for i, g in enumerate(graphs):
+                feats = feats_for(g)
+                result = svc.serve(req(g, feats), timeout=60)
+                assert result.ok and result.outcome == "ok", result.error
+                assert not result.cache_hit and len(built) == i + 1
+                np.testing.assert_allclose(
+                    result.value, reference_for(g, feats), rtol=1e-9, atol=1e-12
+                )
+            assert warm(svc) == (0, 0)  # a miss checks nothing in
+            # a hit finds no kept state yet, builds its own and keeps it
+            hit = svc.serve(req(graphs[0], feats_for(graphs[0])), timeout=60)
+            assert hit.cache_hit and len(built) == len(graphs) + 1
+            assert warm(svc) == (1, 0)
+
+
 # ----------------------------------------------------------------------
 # Warm execution state: kept per (tenant, model, cache entry), checked
 # out by one request at a time, checked in only by a clean hit
@@ -590,8 +619,8 @@ class TestWarmState:
     ):
         feats = feats_for(graph)
         with make_service(cost_models) as fresh_svc:
-            # a miss builds a fresh layer and empty caches, as every
-            # request did before state was kept
+            # a miss runs on the layer it selected with and empty
+            # caches, as every request did before state was kept
             fresh = fresh_svc.serve(req(graph, feats), timeout=60).value
         built, overlaps = [], []
 
@@ -654,9 +683,9 @@ class TestWarmState:
             assert np.array_equal(value, fresh)
         # kept states really served, never more stored than workers, and
         # every hit ran on either a kept layer or a newly built one (the
-        # miss built two: one to select with, one to run)
+        # miss built one, selected with it and ran on it)
         assert checkouts > 0 and 1 <= stored <= 4
-        assert checkouts + len(built) - 2 == threads * per_thread
+        assert checkouts + len(built) - 1 == threads * per_thread
 
     def test_reregistered_model_serves_new_weights(self, graph, cost_models):
         feats = feats_for(graph)
