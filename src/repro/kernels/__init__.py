@@ -23,7 +23,6 @@ from .dense import (
 from .normalize import (
     degrees_by_binning,
     degrees_from_indptr,
-    gcn_norm_vector,
     norm_diagonal,
 )
 from .registry import PRIMITIVES, KernelCall, Primitive, get_primitive
@@ -73,7 +72,6 @@ __all__ = [
     "elementwise_add",
     "elementwise_mul",
     "elu",
-    "gcn_norm_vector",
     "gemm",
     "gemm_flops",
     "get_primitive",

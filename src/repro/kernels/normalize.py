@@ -18,7 +18,6 @@ __all__ = [
     "degrees_from_indptr",
     "degrees_by_binning",
     "norm_diagonal",
-    "gcn_norm_vector",
 ]
 
 
@@ -50,8 +49,3 @@ def norm_diagonal(adj: CSRMatrix, power: float = -0.5, method: str = "indptr") -
     else:
         raise ValueError(f"unknown degree method {method!r}")
     return DiagonalMatrix(deg).power(power)
-
-
-def gcn_norm_vector(adj: CSRMatrix) -> np.ndarray:
-    """The ``d^{-1/2}`` vector GCN's dynamic normalization broadcasts."""
-    return norm_diagonal(adj, -0.5).diag

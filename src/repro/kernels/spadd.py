@@ -3,7 +3,8 @@
 ``spadd_diag(A, d)`` returns the weighted CSR matrix ``A + diag(d)``,
 inserting diagonal entries where A has none.  This is a pattern-changing
 *setup* primitive: it runs once per graph, then aggregation proceeds as a
-single weighted SpMM.
+single weighted SpMM.  It builds its arrays as ``add_self_loops`` builds
+Ã, sort-free on a canonical pattern.
 """
 
 from __future__ import annotations
@@ -22,12 +23,4 @@ def spadd_diag(adj: CSRMatrix, diag: np.ndarray) -> CSRMatrix:
     diag = np.asarray(diag, dtype=np.float64)
     if diag.shape != (adj.shape[0],):
         raise ValueError("diagonal length must match the matrix size")
-    rows, cols, vals = adj.to_coo()
-    n = adj.shape[0]
-    loop = np.arange(n, dtype=np.int64)
-    return CSRMatrix.from_coo(
-        np.concatenate([rows, loop]),
-        np.concatenate([cols, loop]),
-        np.concatenate([vals, diag]),
-        adj.shape,
-    )
+    return adj._add_diagonal(diag)

@@ -19,9 +19,7 @@ from typing import Optional
 import numpy as np
 
 from ..framework import GNNModule, MPGraph, fn
-from ..sparse import CSRMatrix, sym_norm_values
 from ..tensor import Linear, Tensor
-from ..tensor import spmm as t_spmm
 from .functional import compute_norm, row_mul
 
 __all__ = ["APPNPLayer"]
@@ -48,7 +46,6 @@ class APPNPLayer(GNNModule):
         self.out_size = out_size
         self.hops = hops
         self.alpha = alpha
-        self._nadj_cache: Optional[CSRMatrix] = None
 
     # Baseline (dynamic normalization); the scalar teleport arithmetic is
     # outside the frontend's translated vocabulary, so GRANII compiles
@@ -64,22 +61,3 @@ class APPNPLayer(GNNModule):
             h = row_mul(g.ndata["h"], norm)
             z = h * (1.0 - self.alpha) + z0 * self.alpha
         return z
-
-    # Explicit compositions -------------------------------------------------
-    def forward_dynamic(self, g: MPGraph, feat: Tensor) -> Tensor:
-        return self.forward(g, feat)
-
-    def forward_precompute(self, g: MPGraph, feat: Tensor) -> Tensor:
-        nadj = self._normalized_adj(g)
-        z0 = feat @ self.linear.weight
-        z = z0
-        for _ in range(self.hops):
-            z = t_spmm(nadj, z) * (1.0 - self.alpha) + z0 * self.alpha
-        return z
-
-    def _normalized_adj(self, g: MPGraph) -> CSRMatrix:
-        key = id(g.adj)
-        if getattr(self, '_nadj_key', None) != key:
-            self._nadj_cache = g.adj.with_values(sym_norm_values(g.adj))
-            self._nadj_key = key
-        return self._nadj_cache

@@ -8,6 +8,9 @@ aggregation (Equation 5) then either
 - **recomputes** it:  ``H' = σ((α · H) · W)``  (aggregation width =
   in_size plus an extra GEMM, Equation 6) — profitable exactly when the
   output embedding is larger than the input and the graph dense enough.
+
+``forward`` is the reuse composition; recompute is a promoted plan of
+``repro.core.compile_model("gat")``, derived from it.
 """
 
 from __future__ import annotations
@@ -71,19 +74,6 @@ class GATLayer(GNNModule):
         theta = feat @ self.linear.weight
         alpha = self._attention(g, theta)
         h = spmm_edge(g.adj.unweighted(), alpha, theta)
-        return self._maybe_activate(h)
-
-    # Explicit compositions -------------------------------------------------
-    def forward_reuse(self, g: MPGraph, feat: Tensor) -> Tensor:
-        """Equation 5: aggregate the already-computed Θ."""
-        return self.forward(g, feat)
-
-    def forward_recompute(self, g: MPGraph, feat: Tensor) -> Tensor:
-        """Equation 6: aggregate the raw features, then apply W."""
-        theta = feat @ self.linear.weight
-        alpha = self._attention(g, theta)
-        h = spmm_edge(g.adj.unweighted(), alpha, feat)
-        h = h @ self.linear.weight
         return self._maybe_activate(h)
 
 

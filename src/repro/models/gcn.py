@@ -4,8 +4,10 @@ The baseline ``forward`` is the *dynamic-normalization* composition both
 DGL and WiseGraph default to: two row-broadcasts around an unweighted
 aggregation (Equation 2).  The *precomputation* composition (Equation 3)
 — an O(E) SDDMM producing the normalized adjacency Ñ, reused across
-iterations and layers — is provided as an explicit alternative for
-cross-validation; GRANII discovers it automatically via re-association.
+iterations and layers — and the GEMM-first orders are not written here:
+GRANII derives them from this ``forward`` by re-association, and the
+promoted plans of ``repro.core.compile_model("gcn")`` are their only
+implementation.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ from typing import Optional
 import numpy as np
 
 from ..framework import GNNModule, MPGraph, fn
-from ..sparse import CSRMatrix, sym_norm_values
 from ..tensor import Linear, Tensor, relu
-from ..tensor import spmm as t_spmm
 from .functional import compute_norm, row_mul
 
 __all__ = ["GCNLayer"]
@@ -38,8 +38,6 @@ class GCNLayer(GNNModule):
         self.in_size = in_size
         self.out_size = out_size
         self.activation = activation
-        self._norm_cache: Optional[np.ndarray] = None
-        self._nadj_cache: Optional[CSRMatrix] = None
 
     def _maybe_activate(self, h: Tensor) -> Tensor:
         return relu(h) if self.activation else h
@@ -57,49 +55,3 @@ class GCNLayer(GNNModule):
         h = h @ self.linear.weight
         h = row_mul(h, norm)
         return self._maybe_activate(h)
-
-    # ------------------------------------------------------------------
-    # Explicit compositions (used for validation and as baselines).
-    # ------------------------------------------------------------------
-    def forward_dynamic(
-        self, g: MPGraph, feat: Tensor, update_first: bool = False
-    ) -> Tensor:
-        """Equation 2; ``update_first`` moves the GEMM before aggregation."""
-        norm = self._norm(g)
-        h = row_mul(feat, norm)
-        if update_first:
-            h = h @ self.linear.weight
-            h = t_spmm(g.adj.unweighted(), h)
-        else:
-            h = t_spmm(g.adj.unweighted(), h)
-            h = h @ self.linear.weight
-        h = row_mul(h, norm)
-        return self._maybe_activate(h)
-
-    def forward_precompute(
-        self, g: MPGraph, feat: Tensor, update_first: bool = False
-    ) -> Tensor:
-        """Equation 3: aggregate with the precomputed Ñ = D^-1/2 Ã D^-1/2."""
-        nadj = self._normalized_adj(g)
-        if update_first:
-            h = feat @ self.linear.weight
-            h = t_spmm(nadj, h)
-        else:
-            h = t_spmm(nadj, feat)
-            h = h @ self.linear.weight
-        return self._maybe_activate(h)
-
-    # ------------------------------------------------------------------
-    def _norm(self, g: MPGraph) -> np.ndarray:
-        key = id(g.adj)
-        if getattr(self, '_norm_key', None) != key:
-            self._norm_cache = compute_norm(g)
-            self._norm_key = key
-        return self._norm_cache
-
-    def _normalized_adj(self, g: MPGraph) -> CSRMatrix:
-        key = id(g.adj)
-        if getattr(self, '_nadj_key', None) != key:
-            self._nadj_cache = g.adj.with_values(sym_norm_values(g.adj))
-            self._nadj_key = key
-        return self._nadj_cache

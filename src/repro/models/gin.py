@@ -8,6 +8,10 @@
 - **Sparse precompute**: materialise ``B = A + (1+ε)I`` once as a weighted
   sparse matrix versus executing the sum dynamically as
   ``A·X + (1+ε)·X`` every iteration.
+
+Only the aggregate-first, dynamic ``forward`` is written here; the other
+compositions are the promoted plans of ``repro.core.compile_model("gin")``,
+whose precompute plans build B with :func:`repro.kernels.spadd_diag`.
 """
 
 from __future__ import annotations
@@ -17,9 +21,7 @@ from typing import Optional
 import numpy as np
 
 from ..framework import GNNModule, MPGraph, fn
-from ..sparse import CSRMatrix
 from ..tensor import Linear, Tensor, relu
-from ..tensor import spmm as t_spmm
 
 __all__ = ["GINLayer"]
 
@@ -43,7 +45,6 @@ class GINLayer(GNNModule):
         self.out_size = out_size
         self.eps = eps
         self.activation = activation
-        self._badj_cache: Optional[CSRMatrix] = None
 
     def _maybe_activate(self, h: Tensor) -> Tensor:
         return relu(h) if self.activation else h
@@ -58,41 +59,3 @@ class GINLayer(GNNModule):
         h = h + feat * (1.0 + self.eps)
         h = h @ self.linear.weight
         return self._maybe_activate(h)
-
-    # Explicit compositions -------------------------------------------------
-    def forward_dynamic(
-        self, g: MPGraph, feat: Tensor, update_first: bool = False
-    ) -> Tensor:
-        """Dynamic self-term: A·X + (1+ε)·X each call."""
-        h = feat @ self.linear.weight if update_first else feat
-        h = t_spmm(g.adj.unweighted(), h) + h * (1.0 + self.eps)
-        if not update_first:
-            h = h @ self.linear.weight
-        return self._maybe_activate(h)
-
-    def forward_precompute(
-        self, g: MPGraph, feat: Tensor, update_first: bool = False
-    ) -> Tensor:
-        """Precomputed B = A + (1+ε)I aggregation."""
-        badj = self._b_adj(g)
-        h = feat @ self.linear.weight if update_first else feat
-        h = t_spmm(badj, h)
-        if not update_first:
-            h = h @ self.linear.weight
-        return self._maybe_activate(h)
-
-    def _b_adj(self, g: MPGraph) -> CSRMatrix:
-        key = id(g.adj)
-        if getattr(self, "_badj_key", None) != key:
-            self._badj_key = key
-            adj = g.adj
-            rows, cols, vals = adj.to_coo()
-            n = adj.shape[0]
-            loop = np.arange(n, dtype=np.int64)
-            self._badj_cache = CSRMatrix.from_coo(
-                np.concatenate([rows, loop]),
-                np.concatenate([cols, loop]),
-                np.concatenate([vals, np.full(n, 1.0 + self.eps)]),
-                adj.shape,
-            )
-        return self._badj_cache

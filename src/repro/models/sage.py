@@ -68,9 +68,3 @@ class SAGELayer(GNNModule):
             + neigh @ self.neigh_linear.weight
         )
         return self._maybe_activate(h)
-
-    def forward_gcn_agg(self, g: MPGraph, feat: Tensor) -> Tensor:
-        """GraphSAGE with GCN-style sum aggregation (§VI-E's variant)."""
-        neigh = t_spmm(g.adj.unweighted(), feat)
-        h = feat @ self.self_linear.weight + neigh @ self.neigh_linear.weight
-        return self._maybe_activate(h)

@@ -4,7 +4,9 @@
 dynamically (row-broadcasts around every hop) or be precomputed once; the
 GEMM can additionally be hoisted before the hops when the embedding
 shrinks — the operator reordering GRANII finds automatically (§VI-C1's
-SGC speedups on DGL come from exactly this reordering).
+SGC speedups on DGL come from exactly this reordering).  Only the
+dynamic, GEMM-last ``forward`` is written here; the other compositions
+are the promoted plans of ``repro.core.compile_model("sgc", hops=K)``.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ..framework import GNNModule, MPGraph, fn
-from ..sparse import CSRMatrix, sym_norm_values
 from ..tensor import Linear, Tensor
-from ..tensor import spmm as t_spmm
 from .functional import compute_norm, row_mul
 
 __all__ = ["SGCLayer"]
@@ -39,7 +39,6 @@ class SGCLayer(GNNModule):
         self.in_size = in_size
         self.out_size = out_size
         self.hops = hops
-        self._nadj_cache: Optional[CSRMatrix] = None
 
     # Baseline message-passing source (dynamic normalization, GEMM last).
     def forward(self, g: MPGraph, feat: Tensor) -> Tensor:
@@ -53,31 +52,3 @@ class SGCLayer(GNNModule):
             h = row_mul(h, norm)
         h = h @ self.linear.weight
         return h
-
-    # Explicit compositions -------------------------------------------------
-    def forward_dynamic(
-        self, g: MPGraph, feat: Tensor, update_first: bool = False
-    ) -> Tensor:
-        norm = compute_norm(g)
-        h = feat @ self.linear.weight if update_first else feat
-        for _ in range(self.hops):
-            h = row_mul(h, norm)
-            h = t_spmm(g.adj.unweighted(), h)
-            h = row_mul(h, norm)
-        return h if update_first else h @ self.linear.weight
-
-    def forward_precompute(
-        self, g: MPGraph, feat: Tensor, update_first: bool = False
-    ) -> Tensor:
-        nadj = self._normalized_adj(g)
-        h = feat @ self.linear.weight if update_first else feat
-        for _ in range(self.hops):
-            h = t_spmm(nadj, h)
-        return h if update_first else h @ self.linear.weight
-
-    def _normalized_adj(self, g: MPGraph) -> CSRMatrix:
-        key = id(g.adj)
-        if getattr(self, '_nadj_key', None) != key:
-            self._nadj_cache = g.adj.with_values(sym_norm_values(g.adj))
-            self._nadj_key = key
-        return self._nadj_cache

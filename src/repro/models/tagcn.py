@@ -5,7 +5,9 @@
 identical to summing per-hop projections.)  Each hop term independently
 admits the dynamic/precompute normalization choice and the GEMM
 placement choice, making TAGCN's composition space the largest of the
-convolutional models.
+convolutional models.  Only the dynamic ``forward`` is written here; the
+other compositions are the promoted plans of
+``repro.core.compile_model("tagcn", hops=L)``.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..framework import GNNModule, MPGraph, fn
-from ..sparse import CSRMatrix, sym_norm_values
 from ..tensor import Linear, Tensor
-from ..tensor import spmm as t_spmm
 from .functional import compute_norm, row_mul
 
 __all__ = ["TAGCNLayer"]
@@ -43,7 +43,6 @@ class TAGCNLayer(GNNModule):
         self.in_size = in_size
         self.out_size = out_size
         self.hops = hops
-        self._nadj_cache: Optional[CSRMatrix] = None
 
     # Baseline message-passing source (dynamic normalization).
     def forward(self, g: MPGraph, feat: Tensor) -> Tensor:
@@ -58,52 +57,3 @@ class TAGCNLayer(GNNModule):
             h = row_mul(h, norm)
             out = out + h @ self.filters[l].weight
         return out
-
-    # Explicit compositions -------------------------------------------------
-    def forward_dynamic(
-        self, g: MPGraph, feat: Tensor, update_first: bool = False
-    ) -> Tensor:
-        norm = compute_norm(g)
-        out = feat @ self.filters[0].weight
-        if update_first:
-            # per-hop: project first, then propagate the projected features
-            for l in range(1, self.hops + 1):
-                h = feat @ self.filters[l].weight
-                for _ in range(l):
-                    h = row_mul(h, norm)
-                    h = t_spmm(g.adj.unweighted(), h)
-                    h = row_mul(h, norm)
-                out = out + h
-            return out
-        h = feat
-        for l in range(1, self.hops + 1):
-            h = row_mul(h, norm)
-            h = t_spmm(g.adj.unweighted(), h)
-            h = row_mul(h, norm)
-            out = out + h @ self.filters[l].weight
-        return out
-
-    def forward_precompute(
-        self, g: MPGraph, feat: Tensor, update_first: bool = False
-    ) -> Tensor:
-        nadj = self._normalized_adj(g)
-        out = feat @ self.filters[0].weight
-        if update_first:
-            for l in range(1, self.hops + 1):
-                h = feat @ self.filters[l].weight
-                for _ in range(l):
-                    h = t_spmm(nadj, h)
-                out = out + h
-            return out
-        h = feat
-        for l in range(1, self.hops + 1):
-            h = t_spmm(nadj, h)
-            out = out + h @ self.filters[l].weight
-        return out
-
-    def _normalized_adj(self, g: MPGraph) -> CSRMatrix:
-        key = id(g.adj)
-        if getattr(self, '_nadj_key', None) != key:
-            self._nadj_cache = g.adj.with_values(sym_norm_values(g.adj))
-            self._nadj_key = key
-        return self._nadj_cache

@@ -2,23 +2,12 @@
 
 from .coo import COOMatrix
 from .csr import CSRMatrix, DiagonalMatrix
-from .ops import (
-    degree_vector,
-    hstack_patterns,
-    is_symmetric_pattern,
-    permute,
-    spspmul_diag,
-    sym_norm_values,
-)
+from .ops import degree_vector, is_symmetric_pattern
 
 __all__ = [
     "COOMatrix",
     "CSRMatrix",
     "DiagonalMatrix",
     "degree_vector",
-    "hstack_patterns",
     "is_symmetric_pattern",
-    "permute",
-    "spspmul_diag",
-    "sym_norm_values",
 ]

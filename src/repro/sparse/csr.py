@@ -409,6 +409,16 @@ class CSRMatrix:
         """Return A + I on the pattern (paper's Ã); existing loops are kept once.
 
         For weighted matrices the inserted loop entries get value 1.0 added.
+        """
+        if self.values is None:
+            return self._add_diagonal(None)
+        return self._add_diagonal(np.ones(self.shape[0], dtype=np.float64))
+
+    def _add_diagonal(self, diag: Optional[np.ndarray]) -> "CSRMatrix":
+        """A + diag(d), the one routine behind :meth:`add_self_loops` and
+        :func:`repro.kernels.spadd_diag`.  Existing loops are kept once,
+        with ``d`` added; ``diag`` None builds the pattern of A + I only.
+
         O(E) and sort-free on a pattern whose columns increase strictly
         within each row (what ``from_coo`` and every generator produce);
         that check is the pattern's memoised :meth:`_columns_increase`.
@@ -416,8 +426,8 @@ class CSRMatrix:
         if self.shape[0] != self.shape[1]:
             raise ValueError("self loops require a square matrix")
         if self._columns_increase():
-            return self._insert_diagonal()
-        return self._merge_diagonal()
+            return self._insert_diagonal(diag)
+        return self._merge_diagonal(diag)
 
     def nnz_with_self_loops(self) -> int:
         """``add_self_loops().nnz``, without building A + I (memoised).
@@ -434,7 +444,7 @@ class CSRMatrix:
                 _, missing = self._loop_slots()
                 count = self.nnz + int(np.count_nonzero(missing))
             else:
-                count = self._merge_diagonal().nnz
+                count = self._merge_diagonal(None).nnz
             self._aux["nnz_with_self_loops"] = count
         return count
 
@@ -483,8 +493,8 @@ class CSRMatrix:
             slots = self._aux["loop_slots"] = (diagonal, missing)
         return slots
 
-    def _insert_diagonal(self) -> "CSRMatrix":
-        """A + I on a canonical pattern, without a sort.
+    def _insert_diagonal(self, diag: Optional[np.ndarray]) -> "CSRMatrix":
+        """:meth:`_add_diagonal` on a canonical pattern, without a sort.
 
         Old entries keep their order, so the new arrays are the old ones
         with each missing loop dropped into its row at its slot
@@ -503,11 +513,13 @@ class CSRMatrix:
         indices[old] = cols
         indices[diagonal[gap]] = gap
         values = None
-        if self.values is not None:
-            values = np.ones(old.shape[0], dtype=np.float64)
-            values[old] = self.values
+        if diag is not None:
+            values = np.empty(old.shape[0], dtype=np.float64)
+            values[old] = 1.0 if self.values is None else self.values
+            values[diagonal[gap]] = diag[gap]
             if gap.shape[0] < n:
-                values[diagonal[~missing]] += 1.0
+                stored = ~missing
+                values[diagonal[stored]] += diag[stored]
                 # the merge sums through bincount whenever it merges at
                 # all, which turns a stored -0.0 into +0.0
                 values += 0.0
@@ -515,18 +527,16 @@ class CSRMatrix:
             ptr + inserted, indices, values, self.shape
         )
 
-    def _merge_diagonal(self) -> "CSRMatrix":
-        """A + I through COO: sorts columns and sums duplicates on the way."""
+    def _merge_diagonal(self, diag: Optional[np.ndarray]) -> "CSRMatrix":
+        """:meth:`_add_diagonal` through COO: sorts columns and sums
+        duplicates on the way."""
         n = self.shape[0]
         rows, cols, vals = self.to_coo()
         loop = np.arange(n, dtype=np.int64)
-        all_vals = (
-            None if self.values is None else np.concatenate([vals, np.ones(n)])
-        )
         return CSRMatrix.from_coo(
             np.concatenate([rows, loop]),
             np.concatenate([cols, loop]),
-            all_vals,
+            None if diag is None else np.concatenate([vals, diag]),
             self.shape,
         )
 

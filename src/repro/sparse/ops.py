@@ -1,40 +1,19 @@
 """Structural sparse-matrix operations shared across the stack.
 
-These are *pattern-level* helpers (permutation, symmetry checks, degree
-normalization) as opposed to the numeric kernels in :mod:`repro.kernels`.
+These are *pattern-level* helpers (a symmetry check, degree vectors) as
+opposed to the numeric kernels in :mod:`repro.kernels`.  Normalized and
+self-term adjacencies (GCN's Ñ, GIN's B) are built only by compiled plans,
+through :func:`repro.kernels.sddmm_diag_scale` and
+:func:`repro.kernels.spadd_diag`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .csr import CSRMatrix, DiagonalMatrix
+from .csr import CSRMatrix
 
-__all__ = [
-    "permute",
-    "is_symmetric_pattern",
-    "degree_vector",
-    "sym_norm_values",
-    "spspmul_diag",
-    "hstack_patterns",
-]
-
-
-def permute(mat: CSRMatrix, perm: np.ndarray) -> CSRMatrix:
-    """Symmetrically permute a square matrix: ``P A P^T``."""
-    perm = np.asarray(perm, dtype=np.int64)
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError("permute expects a square matrix")
-    if perm.shape[0] != mat.shape[0]:
-        raise ValueError("permutation has wrong length")
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.shape[0])
-    rows, cols, vals = mat.to_coo()
-    return CSRMatrix.from_coo(
-        inv[rows], inv[cols],
-        vals if mat.is_weighted else None,
-        mat.shape, sum_duplicates=False,
-    )
+__all__ = ["is_symmetric_pattern", "degree_vector"]
 
 
 def is_symmetric_pattern(mat: CSRMatrix) -> bool:
@@ -66,43 +45,3 @@ def degree_vector(mat: CSRMatrix, direction: str = "out") -> np.ndarray:
             np.minimum(mat.indptr[:-1], mat.nnz),
         ) * (mat.row_degrees() > 0)
     return np.bincount(mat.indices, weights=mat.values, minlength=mat.shape[1])
-
-
-def sym_norm_values(adj: CSRMatrix) -> np.ndarray:
-    """Per-edge values of ``D^{-1/2} A D^{-1/2}`` without materialising it.
-
-    This is the SDDMM-style precomputation of GCN's normalized adjacency
-    (Equation 3 of the paper): each stored entry (i, j) becomes
-    ``a_ij / sqrt(d_i * d_j)``.
-    """
-    deg = degree_vector(adj, "out")
-    d_inv_sqrt = DiagonalMatrix(deg).power(-0.5).diag
-    rows = adj.row_ids()
-    return adj.effective_values() * d_inv_sqrt[rows] * d_inv_sqrt[adj.indices]
-
-
-def spspmul_diag(left: DiagonalMatrix, mat: CSRMatrix, right: DiagonalMatrix) -> CSRMatrix:
-    """Compute ``diag(l) @ A @ diag(r)`` keeping A's pattern."""
-    return mat.scale_rows(left.diag).scale_cols(right.diag)
-
-
-def hstack_patterns(mats) -> CSRMatrix:
-    """Horizontally stack CSR matrices (used by TAGCN's hop concatenation)."""
-    mats = list(mats)
-    if not mats:
-        raise ValueError("need at least one matrix")
-    nrows = mats[0].shape[0]
-    if any(m.shape[0] != nrows for m in mats):
-        raise ValueError("row counts differ")
-    offsets = np.cumsum([0] + [m.shape[1] for m in mats])
-    rows = np.concatenate([m.row_ids() for m in mats])
-    cols = np.concatenate(
-        [m.indices + off for m, off in zip(mats, offsets[:-1])]
-    )
-    weighted = any(m.is_weighted for m in mats)
-    vals = (
-        np.concatenate([m.effective_values() for m in mats]) if weighted else None
-    )
-    return CSRMatrix.from_coo(
-        rows, cols, vals, (nrows, int(offsets[-1])), sum_duplicates=False
-    )

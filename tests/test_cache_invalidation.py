@@ -1,65 +1,15 @@
-"""Regression tests: model caches must invalidate when the graph changes.
+"""Regression tests: CSR memos must never serve one matrix's data to another.
 
-The normalized-adjacency caches were once keyed by *shape*, which silently
-reused stale values across two same-sized graphs.  These tests pin the
-identity-keyed behaviour for every caching model.
+Per-graph executor setup (Ñ, B) is keyed on the graph object, never on
+``id()``; ``test_core_runtime.py::TestOptimize::
+test_fresh_graphs_at_recycled_addresses_get_their_own_setup`` pins that.
 """
 
 import pickle
 
 import numpy as np
-import pytest
 
-from repro.framework import MPGraph
-from repro.graphs import erdos_renyi
-from repro.models import (
-    APPNPLayer,
-    GCNLayer,
-    GINLayer,
-    SGCLayer,
-    TAGCNLayer,
-    prepare_mp_graph,
-)
 from repro.sparse import CSRMatrix
-from repro.tensor import Tensor
-
-
-def same_sized_graphs():
-    """Two different graphs with identical node counts."""
-    return erdos_renyi(40, 6, seed=101), erdos_renyi(40, 6, seed=202)
-
-
-@pytest.mark.parametrize(
-    "make,method,self_loops",
-    [
-        (lambda rng: GCNLayer(6, 3, rng=rng), "forward_precompute", True),
-        (lambda rng: GCNLayer(6, 3, rng=rng), "forward_dynamic", True),
-        (lambda rng: SGCLayer(6, 3, hops=2, rng=rng), "forward_precompute", True),
-        (lambda rng: TAGCNLayer(6, 3, hops=2, rng=rng), "forward_precompute", True),
-        (lambda rng: APPNPLayer(6, 3, hops=2, rng=rng), "forward_precompute", True),
-        (lambda rng: GINLayer(6, 3, rng=rng), "forward_precompute", False),
-    ],
-)
-def test_cached_composition_tracks_graph(rng, make, method, self_loops):
-    g1, g2 = same_sized_graphs()
-    layer = make(rng)
-    feat = Tensor(rng.standard_normal((40, 6)))
-
-    def run(graph):
-        mp = prepare_mp_graph(graph) if self_loops else MPGraph(graph.adj)
-        return getattr(layer, method)(mp, feat).data
-
-    out1_first = run(g1)
-    out2 = run(g2)  # same size, different structure: cache must refresh
-    out1_again = run(g1)
-    # a fresh layer with the same weights gives the ground truth for g2
-    fresh = make(np.random.default_rng(0))
-    fresh.load_state_dict(layer.state_dict())
-    mp2 = prepare_mp_graph(g2) if self_loops else MPGraph(g2.adj)
-    expected2 = getattr(fresh, method)(mp2, feat).data
-    assert np.allclose(out2, expected2, atol=1e-10)
-    assert np.allclose(out1_first, out1_again, atol=1e-10)
-    assert not np.allclose(out1_first, out2)
 
 
 class TestCSRAuxCache:

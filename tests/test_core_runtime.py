@@ -10,6 +10,7 @@ import repro
 from repro.core import GraniiEngine
 from repro.graphs import erdos_renyi, load, make_node_features
 from repro.models import (
+    APPNPLayer,
     GATLayer,
     GCNLayer,
     GINLayer,
@@ -111,18 +112,38 @@ class TestOptimize:
             opt.step()
         assert losses[-1] < losses[0] * 0.8
 
+    @pytest.mark.parametrize(
+        "make,pinned",
+        [
+            (lambda rng: GCNLayer(16, 8, rng=rng), False),
+            (lambda rng: GCNLayer(16, 8, rng=rng), True),
+            (lambda rng: GINLayer(16, 8, rng=rng), True),
+            (lambda rng: SGCLayer(16, 8, hops=2, rng=rng), True),
+            (lambda rng: TAGCNLayer(16, 8, hops=2, rng=rng), True),
+            (lambda rng: APPNPLayer(16, 8, hops=2, rng=rng), True),
+        ],
+        ids=["gcn", "gcn-precompute", "gin-precompute", "sgc-precompute",
+             "tagcn-precompute", "appnp-precompute"],
+    )
     @pytest.mark.parametrize("guarded", [False, True])
     def test_fresh_graphs_at_recycled_addresses_get_their_own_setup(
-        self, engine, guarded
+        self, engine, guarded, make, pinned
     ):
         # CPython hands a dead graph's address to the next one built, so
-        # per-graph executor state must key on the object, never on id()
-        layer = GCNLayer(16, 8, rng=np.random.default_rng(0))
+        # per-graph executor state must key on the object, never on id();
+        # a pinned precompute plan holds Ñ or B in that state
+        layer = make(np.random.default_rng(0))
         first = erdos_renyi(300, 6, seed=0)
-        selection = engine.select(engine.compile_for(layer, first), first, layer)
+        compiled = engine.compile_for(layer, first)
+        if pinned:
+            selection = None
+            chosen = compiled.find(norm="precompute")[0]
+            assert chosen.plan.setup_steps
+        else:
+            selection = engine.select(compiled, first, layer)
+            chosen = selection.chosen
         executor = engine.make_executor(
-            layer, selection.chosen, selection.spmm_strategy,
-            selection=selection, guarded=guarded,
+            layer, chosen, selection=selection, guarded=guarded
         )
         layer.attach_executor(executor)
         del first

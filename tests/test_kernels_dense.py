@@ -11,7 +11,6 @@ from repro.kernels import (
     elementwise_add,
     elementwise_mul,
     elu,
-    gcn_norm_vector,
     gemm,
     gemm_flops,
     get_primitive,
@@ -124,13 +123,6 @@ class TestNormalization:
     def test_norm_diagonal_bad_method(self, rng):
         with pytest.raises(ValueError):
             norm_diagonal(random_csr(rng, 3, 3), method="magic")
-
-    def test_gcn_norm_vector_zero_degree(self):
-        from repro.sparse import CSRMatrix
-
-        adj = CSRMatrix.from_coo([0], [1], None, (3, 3))
-        v = gcn_norm_vector(adj)
-        assert v[2] == 0.0  # isolated node maps to zero, not inf
 
 
 class TestRegistry:

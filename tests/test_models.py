@@ -1,8 +1,15 @@
-"""Model zoo tests: composition equivalence, gradients, multi-layer, SAGE."""
+"""Model zoo tests: closed forms, gradients, multi-layer, SAGE.
+
+Every promoted composition of GCN, GIN, SGC, TAGCN and GAT is checked
+against the layer's ``forward`` in
+``test_core_plan.py::TestExecutorEquivalence`` (APPNP's in
+``test_appnp.py``).
+"""
 
 import numpy as np
 import pytest
 
+from repro.core import GraniiEngine
 from repro.framework import MPGraph
 from repro.graphs import erdos_renyi, rmat, sample_blocks
 from repro.models import (
@@ -33,25 +40,6 @@ def make_inputs(graph, in_size, rng, self_loops=True):
 
 
 class TestGCN:
-    def test_baseline_matches_dynamic(self, small_graph, rng):
-        layer = GCNLayer(8, 4, rng=rng)
-        g, feat = make_inputs(small_graph, 8, rng)
-        base = layer.forward(g, feat)
-        dyn = layer.forward_dynamic(g, feat)
-        assert np.allclose(base.data, dyn.data)
-
-    def test_compositions_equivalent(self, small_graph, rng):
-        layer = GCNLayer(8, 4, rng=rng)
-        g, feat = make_inputs(small_graph, 8, rng)
-        outs = [
-            layer.forward_dynamic(g, feat),
-            layer.forward_dynamic(g, feat, update_first=True),
-            layer.forward_precompute(g, feat),
-            layer.forward_precompute(g, feat, update_first=True),
-        ]
-        for out in outs[1:]:
-            assert np.allclose(out.data, outs[0].data, atol=1e-10)
-
     def test_matches_closed_form(self, small_graph, rng):
         layer = GCNLayer(6, 3, activation=False, rng=rng)
         g, feat = make_inputs(small_graph, 6, rng)
@@ -70,18 +58,6 @@ class TestGCN:
 
 
 class TestSGC:
-    def test_compositions_equivalent(self, small_graph, rng):
-        layer = SGCLayer(8, 4, hops=2, rng=rng)
-        g, feat = make_inputs(small_graph, 8, rng)
-        base = layer.forward(g, feat)
-        for out in [
-            layer.forward_dynamic(g, feat),
-            layer.forward_dynamic(g, feat, update_first=True),
-            layer.forward_precompute(g, feat),
-            layer.forward_precompute(g, feat, update_first=True),
-        ]:
-            assert np.allclose(out.data, base.data, atol=1e-10)
-
     def test_hops_validated(self, rng):
         with pytest.raises(ValueError):
             SGCLayer(4, 2, hops=0, rng=rng)
@@ -97,18 +73,6 @@ class TestSGC:
 
 
 class TestTAGCN:
-    def test_compositions_equivalent(self, small_graph, rng):
-        layer = TAGCNLayer(8, 4, hops=2, rng=rng)
-        g, feat = make_inputs(small_graph, 8, rng)
-        base = layer.forward(g, feat)
-        for out in [
-            layer.forward_dynamic(g, feat),
-            layer.forward_dynamic(g, feat, update_first=True),
-            layer.forward_precompute(g, feat),
-            layer.forward_precompute(g, feat, update_first=True),
-        ]:
-            assert np.allclose(out.data, base.data, atol=1e-10)
-
     def test_matches_closed_form(self, small_graph, rng):
         layer = TAGCNLayer(5, 3, hops=2, rng=rng)
         g, feat = make_inputs(small_graph, 5, rng)
@@ -129,18 +93,6 @@ class TestTAGCN:
 
 
 class TestGIN:
-    def test_compositions_equivalent(self, small_graph, rng):
-        layer = GINLayer(8, 4, eps=0.3, rng=rng)
-        g, feat = make_inputs(small_graph, 8, rng, self_loops=False)
-        base = layer.forward(g, feat)
-        for out in [
-            layer.forward_dynamic(g, feat),
-            layer.forward_dynamic(g, feat, update_first=True),
-            layer.forward_precompute(g, feat),
-            layer.forward_precompute(g, feat, update_first=True),
-        ]:
-            assert np.allclose(out.data, base.data, atol=1e-10)
-
     def test_matches_closed_form(self, small_graph, rng):
         layer = GINLayer(5, 3, eps=0.2, activation=False, rng=rng)
         g, feat = make_inputs(small_graph, 5, rng, self_loops=False)
@@ -151,13 +103,6 @@ class TestGIN:
 
 
 class TestGAT:
-    def test_reuse_equals_recompute(self, small_graph, rng):
-        layer = GATLayer(8, 4, rng=rng)
-        g, feat = make_inputs(small_graph, 8, rng)
-        reuse = layer.forward_reuse(g, feat)
-        recompute = layer.forward_recompute(g, feat)
-        assert np.allclose(reuse.data, recompute.data, atol=1e-10)
-
     def test_attention_rows_normalised(self, small_graph, rng):
         layer = GATLayer(6, 3, rng=rng)
         g, feat = make_inputs(small_graph, 6, rng)
@@ -198,17 +143,6 @@ class TestSAGE:
         out = layer.forward_block(blocks[0], feat)
         assert out.shape == (16, 4)
 
-    def test_gcn_agg_variant(self, small_graph, rng):
-        layer = SAGELayer(4, 3, activation=False, rng=rng)
-        g, feat = make_inputs(small_graph, 4, rng, self_loops=False)
-        out = layer.forward_gcn_agg(g, feat)
-        pattern = (g.adj.to_dense() != 0).astype(float)
-        expected = (
-            feat.data @ layer.self_linear.weight.data
-            + pattern @ feat.data @ layer.neigh_linear.weight.data
-        )
-        assert np.allclose(out.data, expected)
-
 
 class TestZoo:
     def test_build_layer_all_names(self, rng):
@@ -239,7 +173,9 @@ class TestZoo:
         layer = GCNLayer(4, 2, rng=rng)
         g, feat = make_inputs(small_graph, 4, rng)
         base = layer(g, feat)
-        layer.attach_executor(lambda g, f: layer.forward_precompute(g, f))
+        engine = GraniiEngine()
+        planned = engine.compile_for(layer).find(norm="precompute")[0]
+        layer.attach_executor(engine.make_executor(layer, planned, guarded=False))
         assert layer.granii_enabled
         accel = layer(g, feat)
         assert np.allclose(accel.data, base.data, atol=1e-10)

@@ -4,7 +4,13 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import SPMM_STRATEGIES, edge_softmax, get_semiring, gspmm
+from repro.kernels import (
+    SPMM_STRATEGIES,
+    edge_softmax,
+    get_semiring,
+    gspmm,
+    spadd_diag,
+)
 from repro.kernels.segment import segment_reduce
 from repro.learn import RegressionTree
 from repro.sparse import CSRMatrix
@@ -70,15 +76,27 @@ def raw_square_csr(draw, max_dim=6):
     return CSRMatrix(indptr, indices, values, (n, n))
 
 
-def coo_self_loops(mat):
-    """A + I as a COO round trip: append the diagonal, sort, merge."""
+def diagonals(n):
+    """A float64 diagonal of length ``n`` from a pool with both zeros."""
+    return st.lists(
+        st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5]), min_size=n, max_size=n
+    ).map(lambda d: np.array(d, dtype=np.float64))
+
+
+def coo_self_loops(mat, diag=None):
+    """A + diag(d) as a COO round trip: append the diagonal, sort, merge.
+
+    ``diag`` None is A + I, pattern-only if A is.
+    """
     n = mat.shape[0]
     rows, cols, vals = mat.to_coo()
     loop = np.arange(n, dtype=np.int64)
+    if diag is None and mat.values is not None:
+        diag = np.ones(n)
     return CSRMatrix.from_coo(
         np.concatenate([rows, loop]),
         np.concatenate([cols, loop]),
-        None if mat.values is None else np.concatenate([vals, np.ones(n)]),
+        None if diag is None else np.concatenate([vals, diag]),
         mat.shape,
     )
 
@@ -144,32 +162,46 @@ class TestCSRProperties:
         if mat.values is None:
             assert np.all(diag == 1.0)
 
-    @given(raw_square_csr())
-    @example(CSRMatrix([0], [], None, (0, 0)))
-    @example(CSRMatrix([0, 0], [], None, (1, 1)))
-    @example(CSRMatrix([0, 1], [0], [-0.0], (1, 1)))  # existing loop
-    @example(CSRMatrix([0, 2, 3], [1, 1, 0], [1.0, 2.0, 3.0], (2, 2)))  # repeated
-    @example(CSRMatrix([0, 2, 3], [1, 0, 1], None, (2, 2)))  # unsorted
+    @given(
+        raw_square_csr().flatmap(
+            lambda mat: st.tuples(st.just(mat), diagonals(mat.shape[0]))
+        )
+    )
+    @example((CSRMatrix([0], [], None, (0, 0)), np.zeros(0)))
+    @example((CSRMatrix([0, 0], [], None, (1, 1)), np.array([-0.0])))
+    @example((CSRMatrix([0, 1], [0], [-0.0], (1, 1)), np.array([-0.0])))  # existing loop
+    @example(  # repeated
+        (CSRMatrix([0, 2, 3], [1, 1, 0], [1.0, 2.0, 3.0], (2, 2)), np.array([1.0, -0.0]))
+    )
+    @example((CSRMatrix([0, 2, 3], [1, 0, 1], None, (2, 2)), np.array([-0.0, 2.5])))  # unsorted
     @settings(max_examples=300)
-    def test_self_loops_equal_the_coo_round_trip(self, mat):
-        """The diagonal insert builds the arrays the COO merge builds; a
+    def test_self_loops_equal_the_coo_round_trip(self, case):
+        """The diagonal insert builds the arrays the COO merge builds, for
+        ``add_self_loops``'s A + I and ``spadd_diag``'s A + diag(d); a
         pattern with unsorted or repeated columns takes (and so matches)
         the merge itself, sort included."""
-        sorts = []
+        mat, diag = case
         lexsort = np.lexsort
+        for build, d in (
+            (lambda: mat.add_self_loops(), None),
+            (lambda: spadd_diag(mat, diag), diag),
+        ):
+            sorts = []
 
-        def counting(keys):
-            sorts.append(1)
-            return lexsort(keys)
+            def counting(keys):
+                sorts.append(1)
+                return lexsort(keys)
 
-        np.lexsort = counting
-        try:
-            got = mat.add_self_loops()
-        finally:
-            np.lexsort = lexsort
-        assert len(sorts) == (0 if is_canonical(mat) else 1)
-        assert_same_arrays(got, coo_self_loops(mat))
-        assert_same_arrays(got.add_self_loops().unweighted(), got.unweighted())
+            np.lexsort = counting
+            try:
+                got = build()
+            finally:
+                np.lexsort = lexsort
+            assert len(sorts) == (0 if is_canonical(mat) else 1)
+            assert_same_arrays(got, coo_self_loops(mat, d))
+            assert_same_arrays(
+                got.add_self_loops().unweighted(), got.unweighted()
+            )
 
     def test_self_loops_equal_the_coo_round_trip_on_the_verify_battery(self):
         from repro.core.verify import adversarial_battery
@@ -178,8 +210,12 @@ class TestCSRProperties:
         for graph in adversarial_battery(quick=False):
             adj = graph.adj
             weights = rng.choice([-0.0, 0.0, 0.5, -1.0, 3.0], size=adj.nnz)
+            diag = rng.choice([-0.0, 0.0, 1.1, -1.0], size=adj.shape[0])
             for mat in (adj, adj.with_values(weights)):
                 assert_same_arrays(mat.add_self_loops(), coo_self_loops(mat))
+                assert_same_arrays(
+                    spadd_diag(mat, diag), coo_self_loops(mat, diag)
+                )
 
     @given(csr_matrices(max_dim=6), st.data())
     @settings(max_examples=40)

@@ -6,13 +6,8 @@ import pytest
 from repro.sparse import (
     COOMatrix,
     CSRMatrix,
-    DiagonalMatrix,
     degree_vector,
-    hstack_patterns,
     is_symmetric_pattern,
-    permute,
-    spspmul_diag,
-    sym_norm_values,
 )
 
 from helpers import random_csr, random_symmetric_csr
@@ -45,20 +40,6 @@ class TestCOO:
 
 
 class TestStructuralOps:
-    def test_permute_round_trip(self, rng):
-        mat = random_csr(rng, 10, 10, density=0.2)
-        perm = rng.permutation(10)
-        permuted = permute(mat, perm)
-        dense = mat.to_dense()
-        # P A P^T with row/col relabeling: entry (i,j) moves to (inv[i], inv[j])
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(10)
-        expected = dense[np.ix_(perm, perm)]
-        assert np.allclose(permuted.to_dense()[np.ix_(inv, inv)][np.ix_(perm, perm)], expected)
-        # permuting back recovers the original
-        back = permute(permuted, inv)
-        assert np.allclose(back.to_dense(), dense)
-
     def test_is_symmetric_pattern(self, rng):
         sym = random_symmetric_csr(rng, 20, density=0.1)
         assert is_symmetric_pattern(sym)
@@ -79,36 +60,3 @@ class TestStructuralOps:
     def test_degree_vector_bad_direction(self):
         with pytest.raises(ValueError):
             degree_vector(CSRMatrix.eye(2), "sideways")
-
-    def test_sym_norm_values_matches_dense(self, rng):
-        adj = random_symmetric_csr(rng, 15, density=0.2).add_self_loops()
-        vals = sym_norm_values(adj)
-        deg = adj.row_degrees().astype(float)
-        d_is = np.where(deg > 0, deg ** -0.5, 0.0)
-        expected = np.diag(d_is) @ adj.to_dense() @ np.diag(d_is)
-        assert np.allclose(adj.with_values(vals).to_dense(), expected)
-
-    def test_spspmul_diag(self, rng):
-        mat = random_csr(rng, 6, 8, density=0.4)
-        left = DiagonalMatrix(rng.random(6) + 0.5)
-        right = DiagonalMatrix(rng.random(8) + 0.5)
-        out = spspmul_diag(left, mat, right)
-        expected = left.to_dense() @ mat.to_dense() @ right.to_dense()
-        assert np.allclose(out.to_dense(), expected)
-
-    def test_hstack_patterns(self, rng):
-        a = random_csr(rng, 5, 3, density=0.4)
-        b = random_csr(rng, 5, 4, density=0.4)
-        stacked = hstack_patterns([a, b])
-        assert stacked.shape == (5, 7)
-        assert np.allclose(
-            stacked.to_dense(), np.hstack([a.to_dense(), b.to_dense()])
-        )
-
-    def test_hstack_mismatched_rows(self, rng):
-        with pytest.raises(ValueError):
-            hstack_patterns([random_csr(rng, 3, 3), random_csr(rng, 4, 3)])
-
-    def test_hstack_empty(self):
-        with pytest.raises(ValueError):
-            hstack_patterns([])
