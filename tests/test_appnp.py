@@ -24,6 +24,20 @@ class TestAPPNPModel:
         with pytest.raises(ValueError):
             APPNPLayer(4, 2, alpha=1.0, rng=rng)
 
+    def test_compositions_equivalent(self, graph, rng):
+        layer = APPNPLayer(8, 4, hops=3, alpha=0.2, rng=rng)
+        g = prepare_mp_graph(graph)
+        feat = Tensor(rng.standard_normal((36, 8)))
+        engine = GraniiEngine()
+        compiled = engine.compile_for(layer)
+        dynamic = compiled.find(norm="dynamic")[0]
+        precompute = compiled.find(norm="precompute")[0]
+        assert np.allclose(
+            engine.make_executor(layer, dynamic, guarded=False)(g, feat).data,
+            engine.make_executor(layer, precompute, guarded=False)(g, feat).data,
+            atol=1e-10,
+        )
+
     def test_matches_closed_form(self, graph, rng):
         layer = APPNPLayer(6, 3, hops=2, alpha=0.15, rng=rng)
         g = prepare_mp_graph(graph)

@@ -1,15 +1,64 @@
-"""Regression tests: CSR memos must never serve one matrix's data to another.
+"""Regression tests: caches must never serve one graph's data to another.
 
-Per-graph executor setup (Ñ, B) is keyed on the graph object, never on
-``id()``; ``test_core_runtime.py::TestOptimize::
-test_fresh_graphs_at_recycled_addresses_get_their_own_setup`` pins that.
+Model caches were once keyed by *shape*, which silently reused stale
+values across two same-sized graphs.  Per-graph executor setup (Ñ, B) is
+keyed on the graph object: the tests here pin that for live graphs that
+alternate, and ``test_core_runtime.py::TestOptimize::
+test_fresh_graphs_at_recycled_addresses_get_their_own_setup`` for graphs
+built at a dead graph's address.  ``TestCSRAuxCache`` pins the CSR memos.
 """
 
 import pickle
 
 import numpy as np
+import pytest
 
+from repro.core import GraniiEngine
+from repro.graphs import erdos_renyi
+from repro.models import (
+    APPNPLayer,
+    GCNLayer,
+    GINLayer,
+    SGCLayer,
+    TAGCNLayer,
+)
 from repro.sparse import CSRMatrix
+from repro.tensor import Tensor
+
+
+def same_sized_graphs():
+    """Two different graphs with identical node counts."""
+    return erdos_renyi(40, 6, seed=101), erdos_renyi(40, 6, seed=202)
+
+
+@pytest.mark.parametrize(
+    "make,norm",
+    [
+        (lambda rng: GCNLayer(6, 3, rng=rng), "precompute"),
+        (lambda rng: GCNLayer(6, 3, rng=rng), "dynamic"),
+        (lambda rng: SGCLayer(6, 3, hops=2, rng=rng), "precompute"),
+        (lambda rng: TAGCNLayer(6, 3, hops=2, rng=rng), "precompute"),
+        (lambda rng: APPNPLayer(6, 3, hops=2, rng=rng), "precompute"),
+        (lambda rng: GINLayer(6, 3, rng=rng), "precompute"),
+    ],
+    ids=["gcn-precompute", "gcn-dynamic", "sgc-precompute",
+         "tagcn-precompute", "appnp-precompute", "gin-precompute"],
+)
+def test_cached_composition_tracks_graph(rng, make, norm):
+    g1, g2 = same_sized_graphs()
+    layer = make(rng)
+    engine = GraniiEngine()
+    planned = engine.compile_for(layer, g1).find(norm=norm)[0]
+    layer.attach_executor(engine.make_executor(layer, planned, guarded=False))
+    feat = Tensor(rng.standard_normal((40, 6)))
+
+    out1_first = layer(g1, feat).data
+    out2 = layer(g2, feat).data  # same size, different structure
+    out1_again = layer(g1, feat).data
+    expected2 = layer.forward(layer.as_mp_graph(g2), feat).data
+    assert np.allclose(out2, expected2, atol=1e-10)
+    assert np.allclose(out1_first, out1_again, atol=1e-10)
+    assert not np.allclose(out1_first, out2)
 
 
 class TestCSRAuxCache:

@@ -124,6 +124,13 @@ class TestNormalization:
         with pytest.raises(ValueError):
             norm_diagonal(random_csr(rng, 3, 3), method="magic")
 
+    def test_norm_diagonal_zero_degree(self):
+        from repro.sparse import CSRMatrix
+
+        adj = CSRMatrix.from_coo([0], [1], None, (3, 3))
+        d = norm_diagonal(adj, power=-0.5)
+        assert d.diag[2] == 0.0  # isolated node maps to zero, not inf
+
 
 class TestRegistry:
     def test_lookup(self):

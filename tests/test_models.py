@@ -1,9 +1,9 @@
-"""Model zoo tests: closed forms, gradients, multi-layer, SAGE.
+"""Model zoo tests: compositions, closed forms, gradients, multi-layer, SAGE.
 
-Every promoted composition of GCN, GIN, SGC, TAGCN and GAT is checked
-against the layer's ``forward`` in
-``test_core_plan.py::TestExecutorEquivalence`` (APPNP's in
-``test_appnp.py``).
+A layer's compositions (paper Eq. 2–6) come from its compiled plan pool;
+the tests here run the named ones through plan executors.  Every promoted
+plan of GCN, GIN, SGC, TAGCN and GAT is also checked against the layer's
+``forward`` in ``test_core_plan.py::TestExecutorEquivalence``.
 """
 
 import numpy as np
@@ -39,7 +39,42 @@ def make_inputs(graph, in_size, rng, self_loops=True):
     return g, feat
 
 
+CONV_COMPOSITIONS = (
+    "dynamic:agg_first",
+    "dynamic:update_first",
+    "precompute:agg_first",
+    "precompute:update_first",
+)
+
+
+def run_compositions(layer, g, feat, labels=CONV_COMPOSITIONS):
+    """Run the first promoted plan of each named composition of ``layer``."""
+    engine = GraniiEngine()
+    compiled = engine.compile_for(layer)
+    outs = []
+    for label in labels:
+        planned = [p for p in compiled.promoted if p.label == label]
+        assert planned, f"no {label} plan in the pool"
+        executor = engine.make_executor(layer, planned[0], guarded=False)
+        outs.append(executor(g, feat))
+    return outs
+
+
 class TestGCN:
+    def test_baseline_matches_dynamic(self, small_graph, rng):
+        layer = GCNLayer(8, 4, rng=rng)
+        g, feat = make_inputs(small_graph, 8, rng)
+        base = layer.forward(g, feat)
+        (dyn,) = run_compositions(layer, g, feat, ["dynamic:agg_first"])
+        assert np.allclose(base.data, dyn.data)
+
+    def test_compositions_equivalent(self, small_graph, rng):
+        layer = GCNLayer(8, 4, rng=rng)
+        g, feat = make_inputs(small_graph, 8, rng)
+        outs = run_compositions(layer, g, feat)
+        for out in outs[1:]:
+            assert np.allclose(out.data, outs[0].data, atol=1e-10)
+
     def test_matches_closed_form(self, small_graph, rng):
         layer = GCNLayer(6, 3, activation=False, rng=rng)
         g, feat = make_inputs(small_graph, 6, rng)
@@ -58,6 +93,13 @@ class TestGCN:
 
 
 class TestSGC:
+    def test_compositions_equivalent(self, small_graph, rng):
+        layer = SGCLayer(8, 4, hops=2, rng=rng)
+        g, feat = make_inputs(small_graph, 8, rng)
+        base = layer.forward(g, feat)
+        for out in run_compositions(layer, g, feat):
+            assert np.allclose(out.data, base.data, atol=1e-10)
+
     def test_hops_validated(self, rng):
         with pytest.raises(ValueError):
             SGCLayer(4, 2, hops=0, rng=rng)
@@ -73,6 +115,13 @@ class TestSGC:
 
 
 class TestTAGCN:
+    def test_compositions_equivalent(self, small_graph, rng):
+        layer = TAGCNLayer(8, 4, hops=2, rng=rng)
+        g, feat = make_inputs(small_graph, 8, rng)
+        base = layer.forward(g, feat)
+        for out in run_compositions(layer, g, feat):
+            assert np.allclose(out.data, base.data, atol=1e-10)
+
     def test_matches_closed_form(self, small_graph, rng):
         layer = TAGCNLayer(5, 3, hops=2, rng=rng)
         g, feat = make_inputs(small_graph, 5, rng)
@@ -93,6 +142,13 @@ class TestTAGCN:
 
 
 class TestGIN:
+    def test_compositions_equivalent(self, small_graph, rng):
+        layer = GINLayer(8, 4, eps=0.3, rng=rng)
+        g, feat = make_inputs(small_graph, 8, rng, self_loops=False)
+        base = layer.forward(g, feat)
+        for out in run_compositions(layer, g, feat):
+            assert np.allclose(out.data, base.data, atol=1e-10)
+
     def test_matches_closed_form(self, small_graph, rng):
         layer = GINLayer(5, 3, eps=0.2, activation=False, rng=rng)
         g, feat = make_inputs(small_graph, 5, rng, self_loops=False)
@@ -103,6 +159,14 @@ class TestGIN:
 
 
 class TestGAT:
+    def test_reuse_equals_recompute(self, small_graph, rng):
+        layer = GATLayer(8, 4, rng=rng)
+        g, feat = make_inputs(small_graph, 8, rng)
+        reuse, recompute = run_compositions(
+            layer, g, feat, ["reuse", "recompute"]
+        )
+        assert np.allclose(reuse.data, recompute.data, atol=1e-10)
+
     def test_attention_rows_normalised(self, small_graph, rng):
         layer = GATLayer(6, 3, rng=rng)
         g, feat = make_inputs(small_graph, 6, rng)
